@@ -125,7 +125,9 @@ class ModelBackend(Protocol):
 
 
 class RerankerBackend(Protocol):
-    def score(self, query: str, chunk: str, deadline: Deadline) -> float: ...
+    def score_batch(self, query: str, chunks: Sequence[str], deadline: Deadline) -> list[float]:
+        """One relevance score in [0, 1] per chunk, in chunk order."""
+        ...
 
 
 class SearchBackend(Protocol):
@@ -138,6 +140,10 @@ def _http_timeout(deadline: Deadline) -> Optional[float]:
     """Socket timeout for a deadline; None when the deadline is unbounded."""
     seconds = deadline.remaining_seconds()
     return None if math.isinf(seconds) else seconds
+
+
+def _user_digest(user: str) -> str:
+    return hashlib.sha256(user.encode("utf-8")).hexdigest()
 
 
 def jaccard_score(a: str, b: str) -> float:
@@ -169,12 +175,12 @@ class ReplayEntry:
     user_sha256: Optional[str] = None
     sleep_ms: int = 0
 
-    def matches(self, request: ModelRequest) -> bool:
+    def matches(self, request: ModelRequest, user_digest: Optional[str] = None) -> bool:
+        """``user_digest``, when given, is the caller's hash of the user text."""
         if self.role != request.role:
             return False
         if self.user_sha256 is not None:
-            digest = hashlib.sha256(request.user.encode("utf-8")).hexdigest()
-            if digest != self.user_sha256:
+            if (user_digest or _user_digest(request.user)) != self.user_sha256:
                 return False
         return all(needle in request.user for needle in self.match)
 
@@ -207,10 +213,22 @@ def load_replay(path: str | Path) -> list[ReplayEntry]:
 
 
 class ReplayModelBackend:
-    """Serves completions from a replay script. Immutable after load."""
+    """Serves completions from a replay script. Immutable after load.
+
+    Entries are indexed by role, file order kept within each role, so a
+    lookup scans only its own role's entries and hashes the user text at
+    most once.
+    """
 
     def __init__(self, entries: Sequence[ReplayEntry]):
-        self._entries = tuple(entries)
+        by_role: dict[Role, list[ReplayEntry]] = {}
+        for entry in entries:
+            by_role.setdefault(entry.role, []).append(entry)
+        self._by_role = {role: tuple(group) for role, group in by_role.items()}
+        self._hashed_roles = frozenset(
+            role for role, group in self._by_role.items()
+            if any(entry.user_sha256 is not None for entry in group)
+        )
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ReplayModelBackend":
@@ -219,7 +237,10 @@ class ReplayModelBackend:
     def complete(self, request: ModelRequest, deadline: Deadline) -> ModelResponse:
         if deadline.expired():
             raise BackendTimeout(f"deadline already expired for role {request.role.value}")
-        entry = next((e for e in self._entries if e.matches(request)), None)
+        digest = _user_digest(request.user) if request.role in self._hashed_roles else None
+        entry = next(
+            (e for e in self._by_role.get(request.role, ()) if e.matches(request, digest)), None
+        )
         if entry is None:
             excerpt = request.user[:80].replace("\n", " ")
             raise NoScriptEntryError(
@@ -259,7 +280,7 @@ class RecordingModelBackend:
         self._recorded.append(
             {
                 "role": request.role.value,
-                "user_sha256": hashlib.sha256(request.user.encode("utf-8")).hexdigest(),
+                "user_sha256": _user_digest(request.user),
                 "response": response.text,
             }
         )
@@ -450,11 +471,23 @@ class RemoteSearchBackend:
             raise BackendTransportError(str(exc)) from exc
         if http.status_code != 200:
             raise BackendTransportError(f"web search answered {http.status_code}")
-        results = http.json().get("results", [])
-        items = []
-        for rank, record in enumerate(results[:k], start=1):
-            items.append(RetrievedItem(source=Source.WEB, fields=record, recall_rank=rank))
-        return items
+        try:
+            results = http.json().get("results", [])
+        except (ValueError, AttributeError) as exc:
+            raise BackendTransportError(f"malformed web search body: {exc}") from exc
+        if not isinstance(results, list):
+            raise BackendTransportError("web search 'results' must be a list")
+        return [_web_item(record, rank) for rank, record in enumerate(results[:k], start=1)]
+
+
+def _web_item(record: Any, rank: int) -> RetrievedItem:
+    """One web search result record as an item; any bad shape is a transport error."""
+    if not isinstance(record, dict) or not all(isinstance(v, str) for v in record.values()):
+        raise BackendTransportError(f"web search result {rank} must map names to strings")
+    try:
+        return RetrievedItem(source=Source.WEB, fields=record, recall_rank=rank)
+    except ValueError as exc:
+        raise BackendTransportError(f"web search result {rank}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -464,20 +497,33 @@ class RemoteSearchBackend:
 class MockRerankerBackend:
     """Deterministic relevance stand-in: token-set Jaccard overlap."""
 
-    def score(self, query: str, chunk: str, deadline: Deadline) -> float:
+    def score_batch(self, query: str, chunks: Sequence[str], deadline: Deadline) -> list[float]:
         if deadline.expired():
             raise BackendTimeout("deadline expired before rerank scoring")
-        return jaccard_score(query, chunk)
+        return [jaccard_score(query, chunk) for chunk in chunks]
+
+
+def _rerank_score(value: Any) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or math.isnan(value):
+        raise BackendTransportError(f"rerank score must be a number, got {value!r}")
+    return min(1.0, max(0.0, float(value)))
 
 
 class RemoteRerankerBackend:
+    """Scores all of a turn's chunks in one round trip.
+
+    Wire contract: ``POST {"query": str, "chunks": [str, ...]}`` answers
+    ``{"scores": [number, ...]}``, one score per chunk in chunk order; each
+    score is clamped to [0, 1].
+    """
+
     def __init__(self, endpoint: str, bearer_token: Optional[str] = None,
                  session: Optional[requests.Session] = None):
         self._endpoint = endpoint
         self._token = bearer_token
         self._session = session or requests.Session()
 
-    def score(self, query: str, chunk: str, deadline: Deadline) -> float:
+    def score_batch(self, query: str, chunks: Sequence[str], deadline: Deadline) -> list[float]:
         timeout_s = _http_timeout(deadline)
         if timeout_s is not None and timeout_s <= 0:
             raise BackendTimeout("deadline already expired for rerank scoring")
@@ -487,7 +533,7 @@ class RemoteRerankerBackend:
         try:
             http = self._session.post(
                 self._endpoint,
-                json={"query": query, "chunk": chunk},
+                json={"query": query, "chunks": list(chunks)},
                 headers=headers,
                 timeout=timeout_s,
             )
@@ -497,8 +543,15 @@ class RemoteRerankerBackend:
             raise BackendTransportError(str(exc)) from exc
         if http.status_code != 200:
             raise BackendTransportError(f"reranker answered {http.status_code}")
-        score = float(http.json()["score"])
-        return min(1.0, max(0.0, score))
+        try:
+            scores = http.json()["scores"]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise BackendTransportError(f"malformed rerank body: {exc}") from exc
+        if not isinstance(scores, list) or len(scores) != len(chunks):
+            raise BackendTransportError(
+                f"rerank 'scores' must be a list of {len(chunks)} numbers, got {scores!r:.200}"
+            )
+        return [_rerank_score(value) for value in scores]
 
 
 # ---------------------------------------------------------------------------

@@ -165,16 +165,23 @@ def rerank(
     deadline: Deadline,
     trace: Optional[Trace] = None,
 ) -> list[ScoredChunk]:
-    """Score every chunk against the expanded query, preserving input order."""
-    scored: list[ScoredChunk] = []
+    """Score every chunk against the expanded query in one backend call.
+
+    Scores keep input order. With no chunks there is no call at all.
+    """
+    if not chunks:
+        return []
     try:
-        for chunk in chunks:
-            value = reranker_backend.score(expanded.combined, chunk.text, deadline)
-            scored.append(ScoredChunk(text=chunk.text, parent=chunk.ref, score=value))
+        scores = reranker_backend.score_batch(
+            expanded.combined, [chunk.text for chunk in chunks], deadline
+        )
     except BackendError:
         flag_trace(trace, "rerank_backend_error")
         return []
-    return scored
+    return [
+        ScoredChunk(text=chunk.text, parent=chunk.ref, score=score)
+        for chunk, score in zip(chunks, scores, strict=True)
+    ]
 
 
 def median(values: Sequence[float]) -> float:

@@ -1,5 +1,7 @@
 """Backend contracts: replay matching, deadlines, search, remote wire format."""
 
+import dataclasses
+import hashlib
 import json
 import threading
 import time
@@ -19,16 +21,21 @@ from ragvet.backends import (
     RecordingModelBackend,
     RemoteModelBackend,
     RemoteRerankerBackend,
+    RemoteSearchBackend,
+    ReplayEntry,
     ReplayModelBackend,
     Role,
     jaccard_score,
     load_fixture,
     load_replay,
 )
-from ragvet.core import Source
-from ragvet.runtime import Deadline
+from ragvet.core import PipelineConfig, RoutingDecision, Source
+from ragvet.pipeline import run_turn
+from ragvet.retrieval import expand_query, recall
+from ragvet.runtime import Deadline, Trace
 
 from conftest import scripted_model
+from test_pipeline import fresh_state, image_fixture, make_backends, one_turn, turn_script
 
 
 def _request(role=Role.ROUTER, user="hello", **kw):
@@ -68,8 +75,6 @@ class TestReplayModelBackend:
             backend.complete(_request(), no_deadline)
 
     def test_hash_keyed_entry(self, no_deadline, tmp_path):
-        import hashlib
-
         digest = hashlib.sha256(b"exact user text").hexdigest()
         path = tmp_path / "replay.json"
         path.write_text(
@@ -80,6 +85,33 @@ class TestReplayModelBackend:
         assert backend.complete(_request(user="exact user text"), no_deadline).text == "matched"
         with pytest.raises(NoScriptEntryError):
             backend.complete(_request(user="other text"), no_deadline)
+
+    @pytest.mark.parametrize("sha_first", [False, True])
+    def test_first_match_wins_across_match_and_hash_entries(self, no_deadline, sha_first):
+        user = "exact user text"
+        by_match = ReplayEntry(role=Role.ROUTER, response="by match", match=("exact",))
+        by_hash = ReplayEntry(role=Role.ROUTER, response="by hash",
+                              user_sha256=hashlib.sha256(user.encode("utf-8")).hexdigest())
+        entries = [by_hash, by_match] if sha_first else [by_match, by_hash]
+        backend = ReplayModelBackend(entries)
+        expected = "by hash" if sha_first else "by match"
+        assert backend.complete(_request(user=user), no_deadline).text == expected
+
+    def test_user_text_hashed_at_most_once_per_request(self, no_deadline, monkeypatch):
+        user = "exact user text"
+        entries = [
+            ReplayEntry(role=Role.GENERATOR, response="other role", user_sha256="0" * 64),
+            ReplayEntry(role=Role.ROUTER, response="miss", user_sha256="1" * 64),
+            ReplayEntry(role=Role.ROUTER, response="miss", user_sha256="2" * 64),
+            ReplayEntry(role=Role.ROUTER, response="hit",
+                        user_sha256=hashlib.sha256(user.encode("utf-8")).hexdigest()),
+        ]
+        backend = ReplayModelBackend(entries)
+        real_sha256 = hashlib.sha256
+        hashed = []
+        monkeypatch.setattr(hashlib, "sha256", lambda data: hashed.append(data) or real_sha256(data))
+        assert backend.complete(_request(user=user), no_deadline).text == "hit"
+        assert len(hashed) == 1
 
     def test_deterministic_across_instances(self, no_deadline, tmp_path):
         entries = [{"role": "router", "match": "q", "response": "stable"}]
@@ -210,11 +242,37 @@ class TestLoadFixture:
             load_fixture(path)
 
 
+# Canned reply bodies served verbatim under /reply/<name>.
+CANNED_REPLIES = {
+    "not-json": b"<html>busy</html>",
+    "out-of-range-scores": b'{"scores": [1.7, -0.2]}',
+    "rerank-scores-missing": b"{}",
+    "rerank-scores-not-list": b'{"scores": 0.5}',
+    "rerank-score-not-numeric": b'{"scores": [0.5, "high"]}',
+    "rerank-score-bool": b'{"scores": [0.5, true]}',
+    "rerank-score-nan": b'{"scores": [0.5, NaN]}',
+    "rerank-too-few-scores": b'{"scores": [0.5]}',
+    "rerank-too-many-scores": b'{"scores": [0.5, 0.5, 0.5]}',
+    "search-body-not-object": b"[]",
+    "search-results-not-list": b'{"results": {"snippet": "x"}}',
+    "search-record-missing-snippet": b'{"results": [{"title": "t", "url": "https://a.test"}]}',
+    "search-record-not-object": b'{"results": ["page"]}',
+    "search-field-not-string": b'{"results": [{"snippet": 5}]}',
+}
+
+
 class _Handler(BaseHTTPRequestHandler):
     """Tiny inference endpoint: echoes a completion derived from the request."""
 
     def do_POST(self):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        if self.path.startswith("/reply/"):
+            data = CANNED_REPLIES[self.path.removeprefix("/reply/")]
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(data)))
+            self.end_headers()
+            self.wfile.write(data)
+            return
         if self.path == "/slow":
             time.sleep(1.0)
         if self.path == "/broken":
@@ -223,7 +281,7 @@ class _Handler(BaseHTTPRequestHandler):
             self.wfile.write(b"boom")
             return
         if self.path == "/rerank":
-            payload = {"score": jaccard_score(body["query"], body["chunk"])}
+            payload = {"scores": [jaccard_score(body["query"], c) for c in body["chunks"]]}
         else:
             payload = {
                 "text": f"echo:{body['role']}",
@@ -249,6 +307,7 @@ def http_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}"
     server.shutdown()
+    server.server_close()
 
 
 class TestRemoteBackends:
@@ -275,7 +334,47 @@ class TestRemoteBackends:
 
     def test_remote_reranker_scores(self, http_server, no_deadline):
         backend = RemoteRerankerBackend(f"{http_server}/rerank")
-        assert backend.score("red shoe", "red shoe", no_deadline) == 1.0
+        scores = backend.score_batch("red shoe", ["red shoe", "blue kettle", "red kettle"],
+                                     no_deadline)
+        assert scores == [1.0, 0.0, pytest.approx(1 / 3)]
+
+    def test_remote_reranker_clamps_scores(self, http_server, no_deadline):
+        backend = RemoteRerankerBackend(f"{http_server}/reply/out-of-range-scores")
+        assert backend.score_batch("q", ["a", "b"], no_deadline) == [1.0, 0.0]
+
+
+RERANK_BAD_REPLIES = ["not-json"] + [name for name in CANNED_REPLIES if name.startswith("rerank-")]
+SEARCH_BAD_REPLIES = ["not-json"] + [name for name in CANNED_REPLIES if name.startswith("search-")]
+
+
+class TestMalformedReplies:
+    @pytest.mark.parametrize("reply", RERANK_BAD_REPLIES)
+    def test_bad_rerank_reply_is_transport_error(self, http_server, no_deadline, reply):
+        backend = RemoteRerankerBackend(f"{http_server}/reply/{reply}")
+        with pytest.raises(BackendTransportError):
+            backend.score_batch("q", ["a", "b"], no_deadline)
+
+    def test_bad_rerank_reply_degrades_turn_to_empty_context(self, http_server):
+        query = "what brand is this shoe"
+        backends = dataclasses.replace(
+            make_backends(turn_script(query), image_fixture("img-1", query)),
+            reranker=RemoteRerankerBackend(f"{http_server}/reply/rerank-scores-missing"),
+        )
+        outcome = run_turn(fresh_state(), one_turn(query), PipelineConfig(), backends)
+        assert "rerank_backend_error" in outcome.flags
+        assert outcome.context.empty
+
+    @pytest.mark.parametrize("reply", SEARCH_BAD_REPLIES)
+    def test_bad_search_reply_is_transport_error(self, http_server, reply):
+        backend = RemoteSearchBackend(f"{http_server}/reply/{reply}")
+        with pytest.raises(BackendTransportError):
+            backend.web_search("q", 5)
+        trace = Trace()
+        items = recall(expand_query("q", ""), None,
+                       RoutingDecision(needs_external=True, is_real_time=False),
+                       backend, 5, mode="task2plus", trace=trace)
+        assert items == []
+        assert "recall_backend_error" in trace.flags
 
 
 class TestRequestValidation:
@@ -285,4 +384,4 @@ class TestRequestValidation:
 
     def test_reranker_deadline_respected(self):
         with pytest.raises(BackendTimeout):
-            MockRerankerBackend().score("a", "b", Deadline.after_ms(0))
+            MockRerankerBackend().score_batch("a", ["b"], Deadline.after_ms(0))

@@ -308,7 +308,33 @@ class TestRetrievalScore:
         assert retrieval_score([chunk("a", 0.3)]) == 0.3
 
 
+class CountingReranker:
+    """Records every batch and scores chunk i as 1 / (i + 1)."""
+
+    def __init__(self):
+        self.batches: list[list[str]] = []
+
+    def score_batch(self, query, chunks, deadline):
+        self.batches.append(list(chunks))
+        return [1.0 / (i + 1) for i in range(len(chunks))]
+
+
 class TestRerank:
+    def test_one_batch_call_per_rerank_scores_in_chunk_order(self, no_deadline):
+        reranker = CountingReranker()
+        raw = chunk_items([web_item("c one\nc two"), web_item("c three", rank=2)])
+        scored = rerank(expand_query("q", ""), raw, reranker, no_deadline)
+        assert reranker.batches == [["c one", "c two", "c three"]]
+        assert [(c.text, c.score) for c in scored] == [
+            ("c one", 1.0), ("c two", 0.5), ("c three", pytest.approx(1 / 3)),
+        ]
+        assert [c.parent for c in scored] == [r.ref for r in raw]
+
+    def test_no_chunks_no_call(self, no_deadline):
+        reranker = CountingReranker()
+        assert rerank(expand_query("q", ""), [], reranker, no_deadline) == []
+        assert reranker.batches == []
+
     def test_scores_preserve_input_order(self, no_deadline):
         expanded = expand_query("red shoe", "")
         raw = chunk_items([web_item("red shoe\nblue kettle")])
