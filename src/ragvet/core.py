@@ -452,7 +452,6 @@ class PipelineConfig:
     abstain_margin_ms: int = 500
     abstain_text: str = "I don't know"
     mode: str = "task1"
-    parallel_generation: bool = False
     prompt_paths: Mapping[str, str] = field(default_factory=dict)
     router_endpoint: Optional[str] = None
     vlm_endpoint: Optional[str] = None

@@ -5,6 +5,21 @@ The per-turn budget is divided by a static schedule (routing 5%, retrieval
 cumulative deadlines, so time a stage leaves unused rolls forward to the
 stages after it. No failure escapes a turn: everything degrades to an
 abstention with a flag explaining why.
+
+A turn is a small dependency graph, not a straight line:
+
+- The direct answer needs nothing but the query and the history, so it runs
+  on one background worker alongside summarize, recall, rerank and the RAG
+  answer. It starts right after routing, unless some retrieval result could
+  settle the turn before generation (a real-time query); then it starts at
+  the beginning of generation, so an early exit never wastes it. The worker
+  is joined before the turn returns, and only the calling thread opens trace
+  stages.
+- A stage is skipped once ``finalize``'s decision cannot depend on it
+  (``finalizer.settled``). A real-time turn with weak retrieval ends before
+  generation (no answers, no verification); an inconsistent turn ends before
+  verification, with context (InconsistentWithContext) or without
+  (DefaultAbstain).
 """
 
 from __future__ import annotations
@@ -12,7 +27,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -26,7 +41,7 @@ from .core import (
     RoutingDecision,
     VerificationResult,
 )
-from .finalizer import Branch, FinalDecision, finalize
+from .finalizer import Branch, FinalDecision, finalize, retrieval_may_settle, settled
 from .generation import check_consistency, generate_direct, generate_rag
 from .retrieval import (
     build_context,
@@ -162,36 +177,6 @@ def _run_retrieval(
     return build_context(kept, threshold, retrieval_score(kept))
 
 
-def _generate_pair(
-    turn: QueryTurn,
-    context: RagContext,
-    cfg: PipelineConfig,
-    backends: Backends,
-    deadline: Deadline,
-    history: tuple[tuple[str, str], ...],
-    templates: dict[str, PromptTemplate],
-) -> AnswerPair:
-    template = templates["generation"]
-    if cfg.parallel_generation:
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            rag_future = pool.submit(
-                generate_rag, turn.query, turn.image_ref, context,
-                backends.vlm, deadline, history, template,
-            )
-            direct_future = pool.submit(
-                generate_direct, turn.query, turn.image_ref,
-                backends.vlm, deadline, history, template,
-            )
-            return AnswerPair(rag_answer=rag_future.result(), direct_answer=direct_future.result())
-    rag_answer = generate_rag(
-        turn.query, turn.image_ref, context, backends.vlm, deadline, history, template
-    )
-    direct_answer = generate_direct(
-        turn.query, turn.image_ref, backends.vlm, deadline, history, template
-    )
-    return AnswerPair(rag_answer=rag_answer, direct_answer=direct_answer)
-
-
 def run_turn(
     state: ConversationState,
     turn: QueryTurn,
@@ -211,27 +196,10 @@ def run_turn(
     answers: Optional[AnswerPair] = None
     verification: Optional[VerificationResult] = None
 
-    def outcome(final: FinalDecision) -> TurnOutcome:
-        return TurnOutcome(
-            conversation_id=turn.conversation_id,
-            turn_index=turn.turn_index,
-            query=turn.query,
-            final=final,
-            routing=routing,
-            context=context,
-            answers=answers,
-            verification=verification,
-            stages=tuple(trace.stages),
-            flags=frozenset(trace.flags),
-            timings_ms=dict(trace.timings_ms),
-            wall_clock_ms=clock.elapsed_ms(),
-        )
-
-    def degraded() -> TurnOutcome:
-        final = FinalDecision(
+    def degraded() -> FinalDecision:
+        return FinalDecision(
             answer=cfg.abstain_text, branch=Branch.DEFAULT_ABSTAIN, abstained=True
         )
-        return outcome(final)
 
     def out_of_budget() -> bool:
         if clock.turn_deadline.remaining_ms() < cfg.abstain_margin_ms:
@@ -239,78 +207,120 @@ def run_turn(
             return True
         return False
 
-    with trace.stage("route"):
-        routing = route(
-            turn.query,
-            backends.model_for(Role.ROUTER),
-            clock.stage_deadline("route"),
-            trace=trace,
-            template=templates["routing"],
+    def start_direct(pool: ThreadPoolExecutor) -> Future[str]:
+        return pool.submit(
+            generate_direct, turn.query, turn.image_ref, backends.vlm,
+            clock.stage_deadline("generate"), history, templates["generation"],
         )
 
-    if cfg.mode == "task2plus" and not routing.needs_external:
-        trace.flag("retrieval_skipped")
-    else:
-        context = _run_retrieval(turn, routing, cfg, backends, clock, trace, templates)
-
-    if out_of_budget():
-        return degraded()
-    try:
-        with trace.stage("generate"):
-            answers = _generate_pair(
-                turn, context, cfg, backends,
-                clock.stage_deadline("generate"), history, templates,
+    def decide(pool: ThreadPoolExecutor) -> FinalDecision:
+        nonlocal routing, context, answers, verification
+        with trace.stage("route"):
+            routing = route(
+                turn.query,
+                backends.model_for(Role.ROUTER),
+                clock.stage_deadline("route"),
+                trace=trace,
+                template=templates["routing"],
             )
-    except BackendTimeout:
-        trace.flag("generation_timeout")
-        return degraded()
-    except BackendError as exc:
-        logger.debug("generation failed for %s/%d: %s", turn.conversation_id, turn.turn_index, exc)
-        trace.flag("generation_backend_error")
-        return degraded()
+        direct = None
+        if not retrieval_may_settle(cfg, routing.is_real_time):
+            direct = start_direct(pool)
 
-    if out_of_budget():
-        return degraded()
-    try:
-        with trace.stage("consistency"):
-            answers = check_consistency(
-                turn.query, turn.image_ref, context, answers, backends.vlm,
-                clock.stage_deadline("consistency"),
-                trace=trace, template=templates["consistency"],
-            )
-    except BackendTimeout:
-        trace.flag("consistency_backend_timeout")
-        answers = answers.with_consistency(False)
-    except BackendError:
-        trace.flag("consistency_backend_error")
-        answers = answers.with_consistency(False)
+        if cfg.mode == "task2plus" and not routing.needs_external:
+            trace.flag("retrieval_skipped")
+        else:
+            context = _run_retrieval(turn, routing, cfg, backends, clock, trace, templates)
 
-    if out_of_budget():
-        return degraded()
-    try:
-        with trace.stage("verify"):
-            verification = verify(
-                turn.query, turn.image_ref, context, answers.rag_answer, backends.vlm,
-                clock.stage_deadline("verify"),
-                trace=trace, template=templates["cov"],
-            )
-    except BackendTimeout:
-        trace.flag("cov_backend_timeout")
-        verification = VerificationResult(confidence=0.0)
-    except BackendError:
-        trace.flag("cov_backend_error")
-        verification = VerificationResult(confidence=0.0)
+        if out_of_budget():
+            return degraded()
+        early = settled(cfg, routing.is_real_time, context.retrieval_score, context.empty)
+        if early is not None:
+            return early
+        try:
+            with trace.stage("generate"):
+                if direct is None:
+                    direct = start_direct(pool)
+                rag_answer = generate_rag(
+                    turn.query, turn.image_ref, context, backends.vlm,
+                    clock.stage_deadline("generate"), history, templates["generation"],
+                )
+                answers = AnswerPair(rag_answer=rag_answer, direct_answer=direct.result())
+        except BackendTimeout:
+            trace.flag("generation_timeout")
+            return degraded()
+        except BackendError as exc:
+            logger.debug("generation failed for %s/%d: %s",
+                         turn.conversation_id, turn.turn_index, exc)
+            trace.flag("generation_backend_error")
+            return degraded()
 
-    final = finalize(
-        is_real_time=routing.is_real_time,
-        s_ret=context.retrieval_score,
-        context_empty=context.empty,
-        consistent=bool(answers.consistent),
-        s_cov=verification.confidence,
-        rag_answer=answers.rag_answer,
-        cfg=cfg,
+        if out_of_budget():
+            return degraded()
+        try:
+            with trace.stage("consistency"):
+                answers = check_consistency(
+                    turn.query, turn.image_ref, context, answers, backends.vlm,
+                    clock.stage_deadline("consistency"),
+                    trace=trace, template=templates["consistency"],
+                )
+        except BackendTimeout:
+            trace.flag("consistency_backend_timeout")
+            answers = answers.with_consistency(False)
+        except BackendError:
+            trace.flag("consistency_backend_error")
+            answers = answers.with_consistency(False)
+
+        if out_of_budget():
+            return degraded()
+        early = settled(
+            cfg, routing.is_real_time, context.retrieval_score, context.empty,
+            consistent=bool(answers.consistent), rag_answer=answers.rag_answer,
+        )
+        if early is not None:
+            return early
+        try:
+            with trace.stage("verify"):
+                verification = verify(
+                    turn.query, turn.image_ref, context, answers.rag_answer, backends.vlm,
+                    clock.stage_deadline("verify"),
+                    trace=trace, template=templates["cov"],
+                )
+        except BackendTimeout:
+            trace.flag("cov_backend_timeout")
+            verification = VerificationResult(confidence=0.0)
+        except BackendError:
+            trace.flag("cov_backend_error")
+            verification = VerificationResult(confidence=0.0)
+
+        return finalize(
+            is_real_time=routing.is_real_time,
+            s_ret=context.retrieval_score,
+            context_empty=context.empty,
+            consistent=bool(answers.consistent),
+            s_cov=verification.confidence,
+            rag_answer=answers.rag_answer,
+            cfg=cfg,
+        )
+
+    # Leaving the block joins the worker, so no thread outlives the turn and
+    # the wall clock below covers the wait for it.
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="ragvet-direct") as pool:
+        final = decide(pool)
+    return TurnOutcome(
+        conversation_id=turn.conversation_id,
+        turn_index=turn.turn_index,
+        query=turn.query,
+        final=final,
+        routing=routing,
+        context=context,
+        answers=answers,
+        verification=verification,
+        stages=tuple(trace.stages),
+        flags=frozenset(trace.flags),
+        timings_ms=dict(trace.timings_ms),
+        wall_clock_ms=clock.elapsed_ms(),
     )
-    return outcome(final)
 
 
 def run_conversation(

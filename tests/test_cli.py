@@ -1,9 +1,14 @@
 """Command-line behavior: dataset loading, run/eval/ablate, manifests."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ragvet
 from ragvet.cli import DatasetError, load_dataset, main
 
 from conftest import FIXTURES
@@ -115,6 +120,45 @@ class TestRunCommand:
             ]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_e2e_answers_and_flags_match_expected(self, tmp_path):
+        expected = json.loads((FIXTURES / "e2e_expected.json").read_text(encoding="utf-8"))
+        out = tmp_path / "trace.jsonl"
+        assert main([
+            "run", "--dataset", str(FIXTURES / "e2e_dataset.jsonl"),
+            "--config", str(write_config(tmp_path)), "--out", str(out), "--mock",
+        ]) == 0
+        records = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+        seen = {f"{r['conversation_id']}:{r['turn_index']}": r for r in records}
+        assert seen.keys() == expected.keys()
+        for key, want in expected.items():
+            record = seen[key]
+            assert record["final"]["branch"] == want["branch"], key
+            assert record["final"]["answer"] == want["answer"], key
+            assert record["flags"] == want["flags"], key
+
+    def test_removed_parallel_generation_key_rejected(self, tmp_path, capsys):
+        config = write_config(tmp_path, parallel_generation=True)
+        code = main([
+            "run", "--dataset", str(FIXTURES / "e2e_dataset.jsonl"),
+            "--config", str(config), "--out", str(tmp_path / "t.jsonl"), "--mock",
+        ])
+        assert code == 1
+        assert "unknown config keys: parallel_generation" in capsys.readouterr().err
+
+    def test_module_entry_point_writes_trace(self, tmp_path):
+        out = tmp_path / "t.jsonl"
+        src = str(Path(ragvet.__file__).resolve().parent.parent)
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        result = subprocess.run(
+            [sys.executable, "-m", "ragvet.cli", "run",
+             "--dataset", str(FIXTURES / "e2e_dataset.jsonl"),
+             "--config", str(write_config(tmp_path)), "--out", str(out), "--mock"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert len(out.read_text(encoding="utf-8").splitlines()) == 26
 
     def test_bearer_token_redacted_in_manifest(self, tmp_path):
         config = write_config(tmp_path, bearer_token="secret-token-value")

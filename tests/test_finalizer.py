@@ -5,9 +5,10 @@ import json
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ragvet.core import PipelineConfig
-from ragvet.finalizer import Branch, FinalDecision, finalize
+from ragvet.finalizer import Branch, FinalDecision, finalize, retrieval_may_settle, settled
 
 from conftest import FIXTURES
 
@@ -102,3 +103,67 @@ def test_decision_type_rejects_contradictory_flag():
         FinalDecision(answer="x", branch=Branch.CONSISTENT_WITH_CONTEXT, abstained=True)
     with pytest.raises(ValueError):
         FinalDecision(answer="I don't know", branch=Branch.DEFAULT_ABSTAIN, abstained=False)
+
+
+unit = st.floats(min_value=0.0, max_value=1.0)
+
+
+@st.composite
+def valid_configs(draw):
+    low, high = sorted((draw(unit), draw(unit)))
+    return PipelineConfig(
+        min_retrieval_score=draw(unit), low_confidence=low, high_confidence=high
+    )
+
+
+@given(
+    cfg=valid_configs(),
+    is_real_time=st.booleans(),
+    s_ret=unit,
+    context_empty=st.booleans(),
+    consistent=st.none() | st.booleans(),
+    s_covs=st.lists(unit, min_size=1, max_size=8),
+)
+def test_settled_branch_holds_for_every_pending_value(
+    cfg, is_real_time, s_ret, context_empty, consistent, s_covs
+):
+    rag_answer = None if consistent is None else RAG
+    decision = settled(cfg, is_real_time, s_ret, context_empty, consistent, rag_answer)
+    if decision is None:
+        return
+    thresholds = [0.0, 1.0, cfg.low_confidence, cfg.high_confidence]
+    for agree in (False, True) if consistent is None else (consistent,):
+        for s_cov in s_covs + thresholds:
+            full = finalize(is_real_time, s_ret, context_empty, agree, s_cov, RAG, cfg)
+            assert full.branch is decision.branch
+            assert full.abstained == decision.abstained
+
+
+class TestSettled:
+    def test_real_time_weak_retrieval_is_settled_before_generation(self):
+        decision = settled(CFG, True, s_ret=0.2, context_empty=False)
+        assert decision == run(True, 0.2, False, True, 1.0)
+
+    def test_strong_retrieval_is_not_settled_before_generation(self):
+        assert settled(CFG, True, s_ret=0.9, context_empty=False) is None
+        assert settled(CFG, False, s_ret=0.0, context_empty=True) is None
+
+    def test_inconsistent_turns_are_settled_before_verification(self):
+        with_context = settled(CFG, False, 0.9, False, consistent=False, rag_answer=RAG)
+        assert with_context.branch is Branch.INCONSISTENT_WITH_CONTEXT
+        without = settled(CFG, False, 0.0, True, consistent=False, rag_answer=RAG)
+        assert without.branch is Branch.DEFAULT_ABSTAIN
+
+    def test_consistent_turns_wait_for_verification(self):
+        assert settled(CFG, False, 0.9, False, consistent=True, rag_answer=RAG) is None
+        assert settled(CFG, False, 0.0, True, consistent=True, rag_answer=RAG) is None
+
+    def test_an_answer_is_never_settled_before_it_exists(self):
+        cfg = PipelineConfig(low_confidence=0.0)
+        assert settled(cfg, False, 0.9, False, consistent=True, rag_answer=None) is None
+        accepted = settled(cfg, False, 0.9, False, consistent=True, rag_answer=RAG)
+        assert accepted == run(False, 0.9, False, True, 0.0, cfg=cfg)
+
+    def test_only_real_time_turns_may_settle_on_retrieval(self):
+        assert retrieval_may_settle(CFG, is_real_time=True)
+        assert not retrieval_may_settle(CFG, is_real_time=False)

@@ -2,7 +2,10 @@
 
 import dataclasses
 import json
+import sys
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -55,6 +58,31 @@ def make_backends(entries, fixture=None):
     return Backends(router_model=model, vlm=model, reranker=MockRerankerBackend(), search=search)
 
 
+class _DirectSignal:
+    """Sets ``direct_seen`` once the context-free generator request arrives."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.direct_seen = threading.Event()
+
+    def complete(self, request, deadline):
+        if request.role is Role.GENERATOR and "Context:" not in request.user:
+            self.direct_seen.set()
+        return self.inner.complete(request, deadline)
+
+
+class _WaitForDirect:
+    """A reranker that scores only after the direct answer was requested (up to 2 s)."""
+
+    def __init__(self, direct_seen):
+        self.direct_seen = direct_seen
+        self.saw_direct = False
+
+    def score_batch(self, query, chunks, deadline):
+        self.saw_direct = self.direct_seen.wait(timeout=2.0)
+        return MockRerankerBackend().score_batch(query, chunks, deadline)
+
+
 def one_turn(query, image_ref="img-1"):
     return QueryTurn(conversation_id="c1", turn_index=0, query=query, image_ref=image_ref)
 
@@ -90,17 +118,29 @@ class TestHappyPath:
         with pytest.raises(ValueError, match="wall-clock"):
             dataclasses.replace(outcome, timings_ms={"route": outcome.wall_clock_ms + 1})
 
-    def test_parallel_generation_same_outcome(self):
+    def test_direct_answer_overlaps_retrieval(self):
         query = "what brand is this shoe"
-        sequential = run_turn(
+        model = _DirectSignal(scripted_model(*turn_script(query)))
+        reranker = _WaitForDirect(model.direct_seen)
+        backends = Backends(
+            router_model=model, vlm=model, reranker=reranker,
+            search=MockSearchBackend(image_fixture("img-1", query)),
+        )
+        outcome = run_turn(fresh_state(), one_turn(query), PipelineConfig(), backends)
+        assert reranker.saw_direct, "the direct answer was not requested during rerank"
+        plain = run_turn(
             fresh_state(), one_turn(query), PipelineConfig(),
             make_backends(turn_script(query), image_fixture("img-1", query)),
         )
-        parallel = run_turn(
-            fresh_state(), one_turn(query), PipelineConfig(parallel_generation=True),
-            make_backends(turn_script(query), image_fixture("img-1", query)),
-        )
-        assert parallel.to_record() == sequential.to_record()
+        assert outcome.to_record() == plain.to_record()
+
+    def test_no_thread_outlives_the_turn(self):
+        query = "what brand is this shoe"
+        backends = make_backends(turn_script(query), image_fixture("img-1", query))
+        before = threading.active_count()
+        outcome = run_turn(fresh_state(), one_turn(query), PipelineConfig(), backends)
+        assert outcome.final.branch is Branch.CONSISTENT_WITH_CONTEXT
+        assert threading.active_count() == before
 
 
 class TestRoutingPolicies:
@@ -165,6 +205,33 @@ class TestDegradation:
         assert outcome.final.abstained
         assert "generation_backend_error" in outcome.flags
 
+    def test_direct_call_failure_degrades(self):
+        query = "no direct answer here"
+        entries = [e for e in turn_script(query)
+                   if e["role"] is not Role.GENERATOR or "Context:" in e["match"]]
+        backends = make_backends(entries, image_fixture("img-1", query))
+        outcome = run_turn(fresh_state(), one_turn(query), PipelineConfig(), backends)
+        assert outcome.final.abstained
+        assert outcome.final.branch is Branch.DEFAULT_ABSTAIN
+        assert "generation_backend_error" in outcome.flags
+        assert outcome.answers is None
+
+    def test_direct_call_timeout_abstains_within_budget(self):
+        query = "slow direct one"
+        entries = turn_script(query)
+        for entry in entries:
+            if entry["role"] is Role.GENERATOR and "Context:" not in entry["match"]:
+                entry["sleep_ms"] = 2000
+        cfg = PipelineConfig(turn_budget_ms=400, abstain_margin_ms=20)
+        backends = make_backends(entries, image_fixture("img-1", query))
+        started = time.monotonic()
+        outcome = run_turn(fresh_state(), one_turn(query), cfg, backends)
+        elapsed_ms = (time.monotonic() - started) * 1000
+        assert outcome.final.abstained
+        assert "generation_timeout" in outcome.flags
+        assert elapsed_ms <= cfg.turn_budget_ms + 200
+        assert outcome.answers is None
+
     def test_budget_exhaustion_short_circuits_before_generation(self):
         query = "expensive retrieval"
         entries = turn_script(query)
@@ -203,6 +270,67 @@ class _RequestLog:
     def complete(self, request, deadline):
         self.requests.append(request)
         return self.inner.complete(request, deadline)
+
+
+def logged_backends(entries, fixture=None):
+    model = _RequestLog(scripted_model(*entries))
+    search = MockSearchBackend(fixture or SearchFixture(image_index={}, web_index=()))
+    backends = Backends(router_model=model, vlm=model, reranker=MockRerankerBackend(),
+                        search=search)
+    return model, backends
+
+
+def roles_sent(model):
+    return {request.role for request in model.requests}
+
+
+class TestEarlyExit:
+    def test_real_time_low_retrieval_skips_generation_and_verification(self):
+        query = "what is the latest price of this"
+        model, backends = logged_backends(turn_script(query, routing=ROUTE_REAL_TIME))
+        outcome = run_turn(fresh_state(), one_turn(query), PipelineConfig(), backends)
+        assert outcome.final.branch is Branch.REAL_TIME_LOW_RETRIEVAL
+        assert roles_sent(model) == {Role.ROUTER, Role.SUMMARIZER}
+        record = outcome.to_record()
+        assert record["answers"] is None
+        assert record["verification"] is None
+        assert record["stages"] == ["route", "summarize", "recall", "rerank"]
+
+    def test_inconsistent_with_context_skips_verification(self):
+        query = "the answers disagree"
+        model, backends = logged_backends(
+            turn_script(query, direct="another answer", consistent="no"),
+            image_fixture("img-1", query),
+        )
+        outcome = run_turn(fresh_state(), one_turn(query), PipelineConfig(), backends)
+        assert outcome.final.branch is Branch.INCONSISTENT_WITH_CONTEXT
+        assert Role.VERIFIER not in roles_sent(model)
+        assert Role.CONSISTENCY_JUDGE in roles_sent(model)
+        assert outcome.verification is None
+        assert outcome.answers.consistent is False
+        assert outcome.stages[-1] == "consistency"
+
+    def test_failed_judge_with_context_skips_verification(self):
+        query = "judge is down"
+        entries = [e for e in turn_script(query) if e["role"] is not Role.CONSISTENCY_JUDGE]
+        model, backends = logged_backends(entries, image_fixture("img-1", query))
+        outcome = run_turn(fresh_state(), one_turn(query), PipelineConfig(), backends)
+        assert outcome.final.branch is Branch.INCONSISTENT_WITH_CONTEXT
+        assert "consistency_backend_error" in outcome.flags
+        assert Role.VERIFIER not in roles_sent(model)
+        assert outcome.verification is None
+
+    def test_inconsistent_without_context_abstains_without_verification(self):
+        query = "is the mug in the picture red"
+        model, backends = logged_backends(
+            turn_script(query, routing=ROUTE_NONE, direct="blue", consistent="no")
+        )
+        cfg = PipelineConfig(mode="task2plus")
+        outcome = run_turn(fresh_state(), one_turn(query), cfg, backends)
+        assert outcome.context.empty
+        assert outcome.final.branch is Branch.DEFAULT_ABSTAIN
+        assert Role.VERIFIER not in roles_sent(model)
+        assert outcome.verification is None
 
 
 class TestConversations:
@@ -286,3 +414,37 @@ class TestConversations:
         second = run_conversation(conversation, PipelineConfig(), build())
         as_bytes = lambda outcomes: json.dumps([o.to_record() for o in outcomes])
         assert as_bytes(first) == as_bytes(second)
+
+    def test_concurrent_turns_match_sequential(self):
+        """More turn threads than cores, each with its direct-answer worker,
+        switching often: every record matches its one-at-a-time twin."""
+        queries = [f"stress query {i}" for i in range(16)]
+        index = {}
+        for i, query in enumerate(queries):
+            if i % 4 != 1:  # real-time turns without evidence end after retrieval
+                index.update(image_fixture(f"img-{i}", query).image_index)
+        routes = (ROUTE_PLAIN, ROUTE_REAL_TIME)
+        backends = make_backends(
+            [e for i, q in enumerate(queries)
+             for e in turn_script(q, routing=routes[i % 2], consistent=("yes", "no")[i % 3 == 0])],
+            SearchFixture(image_index=index, web_index=()),
+        )
+
+        def record(i):
+            image_ref = f"img-{i}"
+            outcome = run_turn(fresh_state(image_ref), one_turn(queries[i], image_ref),
+                               PipelineConfig(), backends)
+            return outcome.to_record()
+
+        sequential = [record(i) for i in range(len(queries))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(record, i) for i in range(len(queries))]
+                concurrent = [future.result(timeout=30) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert concurrent == sequential
+        assert {r["final"]["branch"] for r in sequential} >= {
+            "ConsistentWithContext", "InconsistentWithContext", "RealTimeLowRetrieval"}
