@@ -136,10 +136,43 @@ class SearchBackend(Protocol):
     def web_search(self, query_text: str, k: int) -> list[RetrievedItem]: ...
 
 
-def _http_timeout(deadline: Deadline) -> Optional[float]:
-    """Socket timeout for a deadline; None when the deadline is unbounded."""
+def _http_timeout(deadline: Deadline, endpoint: str) -> Optional[float]:
+    """Socket timeout for a deadline; None when the deadline is unbounded.
+
+    An already expired deadline raises BackendTimeout without any request.
+    """
     seconds = deadline.remaining_seconds()
+    if seconds <= 0:
+        raise BackendTimeout(f"deadline already expired before calling {endpoint}")
     return None if math.isinf(seconds) else seconds
+
+
+def _post_json(session: requests.Session, endpoint: str, bearer_token: Optional[str],
+               payload: Mapping[str, Any], timeout_s: Optional[float]) -> dict[str, Any]:
+    """POST ``payload`` as JSON and return the reply's JSON object.
+
+    A socket timeout raises BackendTimeout. An unreachable host, a status
+    other than 200, or a body that is not a JSON object raises
+    BackendTransportError.
+    """
+    headers = {"Content-Type": "application/json"}
+    if bearer_token:
+        headers["Authorization"] = f"Bearer {bearer_token}"
+    try:
+        http = session.post(endpoint, json=payload, headers=headers, timeout=timeout_s)
+    except requests.Timeout as exc:
+        raise BackendTimeout(str(exc)) from exc
+    except requests.RequestException as exc:
+        raise BackendTransportError(str(exc)) from exc
+    if http.status_code != 200:
+        raise BackendTransportError(f"{endpoint} answered {http.status_code}: {http.text[:200]}")
+    try:
+        body = http.json()
+    except ValueError as exc:
+        raise BackendTransportError(f"malformed body from {endpoint}: {exc}") from exc
+    if not isinstance(body, dict):
+        raise BackendTransportError(f"body from {endpoint} must be a JSON object")
+    return body
 
 
 def _user_digest(user: str) -> str:
@@ -305,36 +338,12 @@ class RemoteModelBackend:
         self._token = bearer_token
         self._session = session or requests.Session()
 
-    def _headers(self) -> dict[str, str]:
-        headers = {"Content-Type": "application/json"}
-        if self._token:
-            headers["Authorization"] = f"Bearer {self._token}"
-        return headers
-
     def complete(self, request: ModelRequest, deadline: Deadline) -> ModelResponse:
-        timeout_s = _http_timeout(deadline)
-        if timeout_s is not None and timeout_s <= 0:
-            raise BackendTimeout(f"deadline already expired for role {request.role.value}")
-        try:
-            http = self._session.post(
-                self._endpoint,
-                json=request.to_dict(),
-                headers=self._headers(),
-                timeout=timeout_s,
-            )
-        except requests.Timeout as exc:
-            raise BackendTimeout(str(exc)) from exc
-        except requests.RequestException as exc:
-            raise BackendTransportError(str(exc)) from exc
-        if http.status_code != 200:
-            raise BackendTransportError(
-                f"{self._endpoint} answered {http.status_code}: {http.text[:200]}"
-            )
-        try:
-            body = http.json()
-            text = body["text"]
-        except (ValueError, KeyError) as exc:
-            raise BackendTransportError(f"malformed completion body: {exc}") from exc
+        body = _post_json(self._session, self._endpoint, self._token, request.to_dict(),
+                          _http_timeout(deadline, self._endpoint))
+        text = body.get("text")
+        if not isinstance(text, str):
+            raise BackendTransportError(f"completion from {self._endpoint} has no 'text' string")
         if not text:
             raise EmptyCompletionError(f"empty completion from {self._endpoint}")
         return ModelResponse(
@@ -460,21 +469,11 @@ class RemoteSearchBackend:
         return self._image_mock.image_search(image_key, k)
 
     def web_search(self, query_text: str, k: int) -> list[RetrievedItem]:
-        headers = {"Content-Type": "application/json"}
-        if self._token:
-            headers["Authorization"] = f"Bearer {self._token}"
-        try:
-            http = self._session.post(
-                self._endpoint, json={"query": query_text, "k": k}, headers=headers, timeout=30
-            )
-        except requests.RequestException as exc:
-            raise BackendTransportError(str(exc)) from exc
-        if http.status_code != 200:
-            raise BackendTransportError(f"web search answered {http.status_code}")
-        try:
-            results = http.json().get("results", [])
-        except (ValueError, AttributeError) as exc:
-            raise BackendTransportError(f"malformed web search body: {exc}") from exc
+        # The SearchBackend contract carries no deadline, so a search may take
+        # up to a fixed 30 s.
+        body = _post_json(self._session, self._endpoint, self._token,
+                          {"query": query_text, "k": k}, timeout_s=30)
+        results = body.get("results", [])
         if not isinstance(results, list):
             raise BackendTransportError("web search 'results' must be a list")
         return [_web_item(record, rank) for rank, record in enumerate(results[:k], start=1)]
@@ -524,29 +523,10 @@ class RemoteRerankerBackend:
         self._session = session or requests.Session()
 
     def score_batch(self, query: str, chunks: Sequence[str], deadline: Deadline) -> list[float]:
-        timeout_s = _http_timeout(deadline)
-        if timeout_s is not None and timeout_s <= 0:
-            raise BackendTimeout("deadline already expired for rerank scoring")
-        headers = {"Content-Type": "application/json"}
-        if self._token:
-            headers["Authorization"] = f"Bearer {self._token}"
-        try:
-            http = self._session.post(
-                self._endpoint,
-                json={"query": query, "chunks": list(chunks)},
-                headers=headers,
-                timeout=timeout_s,
-            )
-        except requests.Timeout as exc:
-            raise BackendTimeout(str(exc)) from exc
-        except requests.RequestException as exc:
-            raise BackendTransportError(str(exc)) from exc
-        if http.status_code != 200:
-            raise BackendTransportError(f"reranker answered {http.status_code}")
-        try:
-            scores = http.json()["scores"]
-        except (ValueError, KeyError, TypeError) as exc:
-            raise BackendTransportError(f"malformed rerank body: {exc}") from exc
+        body = _post_json(self._session, self._endpoint, self._token,
+                          {"query": query, "chunks": list(chunks)},
+                          _http_timeout(deadline, self._endpoint))
+        scores = body.get("scores")
         if not isinstance(scores, list) or len(scores) != len(chunks):
             raise BackendTransportError(
                 f"rerank 'scores' must be a list of {len(chunks)} numbers, got {scores!r:.200}"

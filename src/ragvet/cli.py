@@ -43,7 +43,7 @@ from .evaluation import (
     run_ablation,
 )
 from .pipeline import TurnOutcome, run_conversation
-from .templates import load_template
+from .templates import load_all, load_template
 
 __all__ = ["load_dataset", "DatasetError", "RunManifest", "main", "entry"]
 
@@ -233,12 +233,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
     manifest_path = out_path.with_name(out_path.name + ".manifest.json")
     manifest.write(manifest_path)
 
+    templates = load_all(cfg.prompt_paths)
     if args.workers <= 1:
-        results = [run_conversation(conversation, cfg, backends) for conversation in dataset]
+        results = [run_conversation(conversation, cfg, backends, templates)
+                   for conversation in dataset]
     else:
         with ThreadPoolExecutor(max_workers=args.workers) as pool:
             results = list(
-                pool.map(lambda conv: run_conversation(conv, cfg, backends), dataset)
+                pool.map(lambda conv: run_conversation(conv, cfg, backends, templates), dataset)
             )
     outcomes = [outcome for conversation_outcomes in results for outcome in conversation_outcomes]
     write_trace(outcomes, out_path)

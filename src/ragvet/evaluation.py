@@ -5,6 +5,11 @@ The abstention string maps straight to Missing without consulting any judge.
 Accuracy counts Perfect plus Acceptable; the truthfulness score weighs
 Perfect 1.0, Acceptable 0.5, and Incorrect -1.0, so it equals accuracy minus
 hallucination rate exactly when no Acceptable labels occur.
+
+An ablation runs each conversation through ``run_conversation`` with the
+pipeline variant of the same name (``pipeline.VARIANTS``), so ablated turns
+share the full pipeline's flags, deadlines and early exits, then judges the
+final answers.
 """
 
 from __future__ import annotations
@@ -15,12 +20,10 @@ from enum import Enum
 from typing import Any, Optional, Protocol, Sequence
 
 from .backends import Backends, BackendError, ModelBackend, ModelRequest, Role
-from .core import AnswerPair, Conversation, PipelineConfig, QueryTurn
-from .generation import check_consistency, generate_direct, generate_rag
-from .pipeline import ConversationState, run_conversation, _empty_context, _run_retrieval, _TurnClock
-from .router import route
-from .runtime import Deadline, Trace
-from .templates import PromptTemplate, resolve_template
+from .core import Conversation, PipelineConfig
+from .pipeline import VARIANTS, run_conversation
+from .runtime import Deadline
+from .templates import PromptTemplate, load_all
 
 __all__ = [
     "Label",
@@ -215,60 +218,7 @@ def aggregate(labels: Sequence[JudgeLabel]) -> MetricsReport:
 # ---------------------------------------------------------------------------
 # Ablation harness
 
-ABLATION_MODES = ("vision_only", "rag_naive", "no_cov_no_sc", "no_cov", "full")
-
-
-def _ablation_turn(
-    mode: str,
-    state: ConversationState,
-    turn: QueryTurn,
-    cfg: PipelineConfig,
-    backends: Backends,
-    templates: dict[str, PromptTemplate],
-) -> str:
-    """One turn under a reduced pipeline variant; returns the final answer."""
-    clock = _TurnClock(cfg.turn_budget_ms)
-    trace = Trace()
-    history = tuple(state.history)
-    gen_deadline = clock.stage_deadline("generate")
-    gen_template = templates["generation"]
-
-    try:
-        if mode == "vision_only":
-            return generate_direct(
-                turn.query, turn.image_ref, backends.vlm, gen_deadline, history, gen_template
-            )
-
-        routing = route(
-            turn.query, backends.model_for(Role.ROUTER), clock.stage_deadline("route"),
-            trace=trace, template=templates["routing"],
-        )
-        if cfg.mode == "task2plus" and not routing.needs_external:
-            context = _empty_context(cfg)
-        else:
-            context = _run_retrieval(turn, routing, cfg, backends, clock, trace, templates)
-
-        rag_answer = generate_rag(
-            turn.query, turn.image_ref, context, backends.vlm, gen_deadline,
-            history, gen_template,
-        )
-        if mode == "rag_naive":
-            return rag_answer
-        direct_answer = generate_direct(
-            turn.query, turn.image_ref, backends.vlm, gen_deadline, history, gen_template
-        )
-        if mode == "no_cov_no_sc":
-            return rag_answer if rag_answer.strip() == direct_answer.strip() else cfg.abstain_text
-        # no_cov: dual-path plus the consistency judge, without the verification gate
-        pair = check_consistency(
-            turn.query, turn.image_ref, context,
-            AnswerPair(rag_answer=rag_answer, direct_answer=direct_answer),
-            backends.vlm, clock.stage_deadline("consistency"),
-            trace=trace, template=templates["consistency"],
-        )
-        return rag_answer if pair.consistent else cfg.abstain_text
-    except BackendError:
-        return cfg.abstain_text
+ABLATION_MODES = tuple(VARIANTS)
 
 
 def run_ablation(
@@ -283,33 +233,18 @@ def run_ablation(
     if mode not in ABLATION_MODES:
         raise EvalError(f"unknown ablation mode: {mode!r} (choose from {', '.join(ABLATION_MODES)})")
     judge = judge or MockJudge()
-    templates = {
-        name: resolve_template(name, cfg.prompt_paths)
-        for name in ("routing", "summarize", "generation", "consistency", "cov")
-    }
+    templates = load_all(cfg.prompt_paths)
     labels: list[JudgeLabel] = []
     for conversation in dataset:
-        if mode == "full":
-            outcomes = run_conversation(conversation, cfg, backends, templates)
-            answers = [outcome.final.answer for outcome in outcomes]
-        else:
-            state = ConversationState(
-                conversation_id=conversation.conversation_id,
-                image_ref=conversation.image_ref,
-            )
-            answers = []
-            for turn in conversation.turns:
-                answer = _ablation_turn(mode, state, turn, cfg, backends, templates)
-                state.history.append((turn.query, answer))
-                answers.append(answer)
-        for turn, answer in zip(conversation.turns, answers):
+        outcomes = run_conversation(conversation, cfg, backends, templates, variant=mode)
+        for turn, outcome in zip(conversation.turns, outcomes):
             if turn.ground_truth is None:
                 raise EvalError(
                     f"{conversation.conversation_id}/{turn.turn_index}: no ground truth"
                 )
             labels.append(
                 judge_response(
-                    answer, turn.ground_truth, judge,
+                    outcome.final.answer, turn.ground_truth, judge,
                     tokenizer=tokenizer, abstain_text=cfg.abstain_text,
                 )
             )

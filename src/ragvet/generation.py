@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 from .backends import ModelBackend, ModelRequest, Role
 from .core import AnswerPair, RagContext
 from .runtime import Deadline, Trace, flag_trace
-from .templates import PromptTemplate, default_template_path, load_template
+from .templates import PromptTemplate, default_template
 
 __all__ = [
     "build_generation_prompt",
@@ -32,15 +32,6 @@ CONSISTENCY_MAX_TOKENS = 8
 NO_CONTEXT_MARKER = "No context available."
 
 _LEADING_YES_NO = re.compile(r"^\s*(yes|no)\b", re.IGNORECASE)
-
-_templates: dict[str, PromptTemplate] = {}
-
-
-def _template(name: str) -> PromptTemplate:
-    if name not in _templates:
-        _templates[name] = load_template(default_template_path(name))
-    return _templates[name]
-
 
 def _history_block(history: Sequence[tuple[str, str]]) -> str:
     if not history:
@@ -64,7 +55,7 @@ def build_generation_prompt(
         context_block = ""
     else:
         context_block = f"Context:\n{context_rendered or NO_CONTEXT_MARKER}\n\n"
-    return (template or _template("generation")).build(
+    return (template or default_template("generation")).build(
         image="",
         history_block=_history_block(history),
         context_block=context_block,
@@ -125,7 +116,7 @@ def build_consistency_prompt(
     rag_answer: str,
     template: Optional[PromptTemplate] = None,
 ) -> tuple[str, str]:
-    return (template or _template("consistency")).build(
+    return (template or default_template("consistency")).build(
         image="",
         contexts=context.rendered,
         queries=query,

@@ -20,6 +20,14 @@ A turn is a small dependency graph, not a straight line:
   generation (no answers, no verification); an inconsistent turn ends before
   verification, with context (InconsistentWithContext) or without
   (DefaultAbstain).
+
+The paper's ablations are variants of this one turn (``VARIANTS``): each
+runs a subset of the components and otherwise shares every flag, deadline
+and early exit. A check a variant does not run reads as passed: without the
+verifier the confidence is 1.0; without the judge two answers agree only
+when they match exactly; a variant with one answer is consistent and that
+answer is the one ``finalize`` returns. Only the full pipeline applies the
+real-time guard.
 """
 
 from __future__ import annotations
@@ -56,12 +64,12 @@ from .retrieval import (
 )
 from .router import route
 from .runtime import Deadline, Trace
-from .templates import PromptTemplate, resolve_template
+from .templates import PromptTemplate, load_all
 from .verification import verify
 
 logger = logging.getLogger(__name__)
 
-__all__ = ["TurnOutcome", "ConversationState", "run_turn", "run_conversation"]
+__all__ = ["TurnOutcome", "ConversationState", "VARIANTS", "run_turn", "run_conversation"]
 
 # Cumulative fractions of the turn budget each stage may consume.
 _STAGE_CUTOFFS = {
@@ -70,6 +78,16 @@ _STAGE_CUTOFFS = {
     "generate": 0.75,
     "consistency": 0.85,
     "verify": 1.00,
+}
+
+# The components each pipeline variant runs: the paper's ablations, then the
+# full pipeline.
+VARIANTS: dict[str, frozenset[str]] = {
+    "vision_only": frozenset({"direct"}),
+    "rag_naive": frozenset({"route", "retrieval", "rag"}),
+    "no_cov_no_sc": frozenset({"route", "retrieval", "rag", "direct"}),
+    "no_cov": frozenset({"route", "retrieval", "rag", "direct", "consistency"}),
+    "full": frozenset({"route", "retrieval", "rag", "direct", "consistency", "verify"}),
 }
 
 
@@ -137,15 +155,6 @@ class _TurnClock:
         return math.ceil((time.monotonic() - self._origin) * 1000.0)
 
 
-def _templates_for(cfg: PipelineConfig) -> dict[str, PromptTemplate]:
-    return {name: resolve_template(name, cfg.prompt_paths)
-            for name in ("routing", "summarize", "generation", "consistency", "cov")}
-
-
-def _empty_context(cfg: PipelineConfig) -> RagContext:
-    return build_context([], cfg.score_floor, 0.0)
-
-
 def _run_retrieval(
     turn: QueryTurn,
     routing: RoutingDecision,
@@ -183,16 +192,23 @@ def run_turn(
     cfg: PipelineConfig,
     backends: Backends,
     templates: Optional[dict[str, PromptTemplate]] = None,
+    variant: str = "full",
 ) -> TurnOutcome:
-    """Route, retrieve, generate, check, verify, and finalize one turn."""
+    """Route, retrieve, generate, check, verify, and finalize one turn.
+
+    ``variant`` names the entry of ``VARIANTS`` whose components run.
+    """
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown pipeline variant: {variant!r}")
+    runs = VARIANTS[variant]
     if templates is None:
-        templates = _templates_for(cfg)
+        templates = load_all(cfg.prompt_paths)
     clock = _TurnClock(cfg.turn_budget_ms)
     trace = Trace()
     history = tuple(state.history)
 
     routing: Optional[RoutingDecision] = None
-    context = _empty_context(cfg)
+    context = build_context([], cfg.score_floor, 0.0)
     answers: Optional[AnswerPair] = None
     verification: Optional[VerificationResult] = None
 
@@ -215,37 +231,44 @@ def run_turn(
 
     def decide(pool: ThreadPoolExecutor) -> FinalDecision:
         nonlocal routing, context, answers, verification
-        with trace.stage("route"):
-            routing = route(
-                turn.query,
-                backends.model_for(Role.ROUTER),
-                clock.stage_deadline("route"),
-                trace=trace,
-                template=templates["routing"],
-            )
+        is_real_time = False
+        if "route" in runs:
+            with trace.stage("route"):
+                routing = route(
+                    turn.query,
+                    backends.model_for(Role.ROUTER),
+                    clock.stage_deadline("route"),
+                    trace=trace,
+                    template=templates["routing"],
+                )
+            is_real_time = routing.is_real_time and variant == "full"
         direct = None
-        if not retrieval_may_settle(cfg, routing.is_real_time):
+        if "direct" in runs and not retrieval_may_settle(cfg, is_real_time):
             direct = start_direct(pool)
 
-        if cfg.mode == "task2plus" and not routing.needs_external:
-            trace.flag("retrieval_skipped")
-        else:
-            context = _run_retrieval(turn, routing, cfg, backends, clock, trace, templates)
+        if "retrieval" in runs:
+            if cfg.mode == "task2plus" and not routing.needs_external:
+                trace.flag("retrieval_skipped")
+            else:
+                context = _run_retrieval(turn, routing, cfg, backends, clock, trace, templates)
 
         if out_of_budget():
             return degraded()
-        early = settled(cfg, routing.is_real_time, context.retrieval_score, context.empty)
+        early = settled(cfg, is_real_time, context.retrieval_score, context.empty)
         if early is not None:
             return early
+        rag_answer = direct_answer = None
         try:
             with trace.stage("generate"):
-                if direct is None:
+                if direct is None and "direct" in runs:
                     direct = start_direct(pool)
-                rag_answer = generate_rag(
-                    turn.query, turn.image_ref, context, backends.vlm,
-                    clock.stage_deadline("generate"), history, templates["generation"],
-                )
-                answers = AnswerPair(rag_answer=rag_answer, direct_answer=direct.result())
+                if "rag" in runs:
+                    rag_answer = generate_rag(
+                        turn.query, turn.image_ref, context, backends.vlm,
+                        clock.stage_deadline("generate"), history, templates["generation"],
+                    )
+                if direct is not None:
+                    direct_answer = direct.result()
         except BackendTimeout:
             trace.flag("generation_timeout")
             return degraded()
@@ -257,49 +280,62 @@ def run_turn(
 
         if out_of_budget():
             return degraded()
-        try:
-            with trace.stage("consistency"):
-                answers = check_consistency(
-                    turn.query, turn.image_ref, context, answers, backends.vlm,
-                    clock.stage_deadline("consistency"),
-                    trace=trace, template=templates["consistency"],
-                )
-        except BackendTimeout:
-            trace.flag("consistency_backend_timeout")
-            answers = answers.with_consistency(False)
-        except BackendError:
-            trace.flag("consistency_backend_error")
-            answers = answers.with_consistency(False)
+        if rag_answer is None or direct_answer is None:
+            # One answer: nothing to compare it with, so it stands as given.
+            consistent, answer = True, rag_answer if direct_answer is None else direct_answer
+        else:
+            answers = AnswerPair(rag_answer=rag_answer, direct_answer=direct_answer)
+            if "consistency" in runs:
+                try:
+                    with trace.stage("consistency"):
+                        answers = check_consistency(
+                            turn.query, turn.image_ref, context, answers, backends.vlm,
+                            clock.stage_deadline("consistency"),
+                            trace=trace, template=templates["consistency"],
+                        )
+                except BackendTimeout:
+                    trace.flag("consistency_backend_timeout")
+                    answers = answers.with_consistency(False)
+                except BackendError:
+                    trace.flag("consistency_backend_error")
+                    answers = answers.with_consistency(False)
+                if out_of_budget():
+                    return degraded()
+            else:
+                # Without the judge, two answers agree only when they match exactly.
+                answers = answers.with_consistency(rag_answer.strip() == direct_answer.strip())
+            consistent, answer = bool(answers.consistent), answers.rag_answer
 
-        if out_of_budget():
-            return degraded()
         early = settled(
-            cfg, routing.is_real_time, context.retrieval_score, context.empty,
-            consistent=bool(answers.consistent), rag_answer=answers.rag_answer,
+            cfg, is_real_time, context.retrieval_score, context.empty,
+            consistent=consistent, rag_answer=answer,
         )
         if early is not None:
             return early
-        try:
-            with trace.stage("verify"):
-                verification = verify(
-                    turn.query, turn.image_ref, context, answers.rag_answer, backends.vlm,
-                    clock.stage_deadline("verify"),
-                    trace=trace, template=templates["cov"],
-                )
-        except BackendTimeout:
-            trace.flag("cov_backend_timeout")
-            verification = VerificationResult(confidence=0.0)
-        except BackendError:
-            trace.flag("cov_backend_error")
-            verification = VerificationResult(confidence=0.0)
+        s_cov = 1.0
+        if "verify" in runs:
+            try:
+                with trace.stage("verify"):
+                    verification = verify(
+                        turn.query, turn.image_ref, context, answer, backends.vlm,
+                        clock.stage_deadline("verify"),
+                        trace=trace, template=templates["cov"],
+                    )
+            except BackendTimeout:
+                trace.flag("cov_backend_timeout")
+                verification = VerificationResult(confidence=0.0)
+            except BackendError:
+                trace.flag("cov_backend_error")
+                verification = VerificationResult(confidence=0.0)
+            s_cov = verification.confidence
 
         return finalize(
-            is_real_time=routing.is_real_time,
+            is_real_time=is_real_time,
             s_ret=context.retrieval_score,
             context_empty=context.empty,
-            consistent=bool(answers.consistent),
-            s_cov=verification.confidence,
-            rag_answer=answers.rag_answer,
+            consistent=consistent,
+            s_cov=s_cov,
+            rag_answer=answer,
             cfg=cfg,
         )
 
@@ -328,17 +364,18 @@ def run_conversation(
     cfg: PipelineConfig,
     backends: Backends,
     templates: Optional[dict[str, PromptTemplate]] = None,
+    variant: str = "full",
 ) -> list[TurnOutcome]:
     """Run every turn strictly in order, threading the answer history."""
     if templates is None:
-        templates = _templates_for(cfg)
+        templates = load_all(cfg.prompt_paths)
     state = ConversationState(
         conversation_id=conversation.conversation_id,
         image_ref=conversation.image_ref,
     )
     outcomes = []
     for turn in conversation.turns:
-        result = run_turn(state, turn, cfg, backends, templates)
+        result = run_turn(state, turn, cfg, backends, templates, variant)
         state.history.append((turn.query, result.final.answer))
         outcomes.append(result)
     return outcomes

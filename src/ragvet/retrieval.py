@@ -17,7 +17,7 @@ from .backends import (
 )
 from .core import ChunkRef, RagContext, RetrievedItem, RoutingDecision, ScoredChunk
 from .runtime import Deadline, Trace, flag_trace
-from .templates import PromptTemplate, default_template_path, load_template
+from .templates import PromptTemplate, default_template
 
 __all__ = [
     "ExpandedQuery",
@@ -39,16 +39,6 @@ SUMMARY_MAX_TOKENS = 128
 
 # The dynamic cutoff always works on the largest scores, at most this many.
 TOP_SCORES_WINDOW = 10
-
-_DEFAULT_TEMPLATE: Optional[PromptTemplate] = None
-
-
-def _default_template() -> PromptTemplate:
-    global _DEFAULT_TEMPLATE
-    if _DEFAULT_TEMPLATE is None:
-        _DEFAULT_TEMPLATE = load_template(default_template_path("summarize"))
-    return _DEFAULT_TEMPLATE
-
 
 @dataclass(frozen=True)
 class ExpandedQuery:
@@ -83,7 +73,7 @@ def summarize_image(
     """One-sentence, question-focused image summary; empty string on failure."""
     if not image_ref:
         raise ValueError("image_ref must be present")
-    system, user = (template or _default_template()).build(query=query, image="")
+    system, user = (template or default_template("summarize")).build(query=query, image="")
     request = ModelRequest(
         role=Role.SUMMARIZER,
         system=system,

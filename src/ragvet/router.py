@@ -14,7 +14,7 @@ from typing import Optional
 from .backends import BackendError, BackendTimeout, ModelBackend, ModelRequest, Role
 from .core import RoutingDecision
 from .runtime import Deadline, Trace, flag_trace
-from .templates import PromptTemplate, default_template_path, load_template
+from .templates import PromptTemplate, default_template
 
 __all__ = ["build_routing_prompt", "parse_routing_response", "route", "FALLBACK_DECISION"]
 
@@ -33,21 +33,11 @@ _LABEL_VALUE = {
     ),
 }
 
-_DEFAULT_TEMPLATE: Optional[PromptTemplate] = None
-
-
-def _default_template() -> PromptTemplate:
-    global _DEFAULT_TEMPLATE
-    if _DEFAULT_TEMPLATE is None:
-        _DEFAULT_TEMPLATE = load_template(default_template_path("routing"))
-    return _DEFAULT_TEMPLATE
-
-
 def build_routing_prompt(query: str, template: Optional[PromptTemplate] = None) -> tuple[str, str]:
     """Render the classification prompt with {query} substituted verbatim."""
     if not query:
         raise ValueError("query must be non-empty")
-    return (template or _default_template()).build(query=query)
+    return (template or default_template("routing")).build(query=query)
 
 
 def _scan_label(pattern: re.Pattern[str], text: str) -> Optional[bool]:

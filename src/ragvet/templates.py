@@ -13,12 +13,21 @@ re-scanned, so values may safely contain braces or placeholder-like text.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
-__all__ = ["PromptTemplate", "load_template", "default_template_path", "TEMPLATE_NAMES"]
+__all__ = [
+    "PromptTemplate",
+    "load_template",
+    "default_template_path",
+    "default_template",
+    "resolve_template",
+    "load_all",
+    "TEMPLATE_NAMES",
+]
 
 TEMPLATE_NAMES = ("routing", "summarize", "generation", "consistency", "cov")
 
@@ -81,7 +90,22 @@ def load_template(path: str | Path) -> PromptTemplate:
     return PromptTemplate(system=sections["system"], user=sections["user"])
 
 
+@functools.lru_cache(maxsize=None)
+def default_template(name: str) -> PromptTemplate:
+    """The packaged template ``name``, parsed once per process.
+
+    The cache holds at most one entry per name in ``TEMPLATE_NAMES``: an
+    unknown name raises, and a raised call is not cached.
+    """
+    return load_template(default_template_path(name))
+
+
 def resolve_template(name: str, overrides: Mapping[str, str]) -> PromptTemplate:
     """Load a template honoring a configured path override."""
     path = overrides.get(name)
-    return load_template(path if path else default_template_path(name))
+    return load_template(path) if path else default_template(name)
+
+
+def load_all(overrides: Mapping[str, str]) -> dict[str, PromptTemplate]:
+    """Every pipeline template by name, honoring configured path overrides."""
+    return {name: resolve_template(name, overrides) for name in TEMPLATE_NAMES}

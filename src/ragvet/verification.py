@@ -9,21 +9,14 @@ with unusable replies collapsing to confidence 0.0.
 from __future__ import annotations
 
 import re
-from enum import Enum
 from typing import Optional
 
 from .backends import ModelBackend, ModelRequest, Role
 from .core import Finding, RagContext, SubQuestion, VerificationResult
 from .runtime import Deadline, Trace, flag_trace
-from .templates import PromptTemplate, default_template_path, load_template
+from .templates import PromptTemplate, default_template
 
-__all__ = [
-    "build_cov_prompt",
-    "parse_cov_response",
-    "verify",
-    "ConfidenceBand",
-    "classify_confidence",
-]
+__all__ = ["build_cov_prompt", "parse_cov_response", "verify"]
 
 VERIFY_MAX_TOKENS = 256
 
@@ -33,23 +26,13 @@ _SUBQ_SPLIT = re.compile(r"^SUB-QUESTIONS:", re.MULTILINE)
 _FLOAT = re.compile(r"[-+]?\d*\.?\d+(?:[eE][-+]?\d+)?")
 _SUB_QUESTION = re.compile(r"Q\d+:\s*(.+?),\s*Finding:\s*(Supported|Unsupported)", re.IGNORECASE)
 
-_DEFAULT_TEMPLATE: Optional[PromptTemplate] = None
-
-
-def _default_template() -> PromptTemplate:
-    global _DEFAULT_TEMPLATE
-    if _DEFAULT_TEMPLATE is None:
-        _DEFAULT_TEMPLATE = load_template(default_template_path("cov"))
-    return _DEFAULT_TEMPLATE
-
-
 def build_cov_prompt(
     context: RagContext,
     query: str,
     answer: str,
     template: Optional[PromptTemplate] = None,
 ) -> tuple[str, str]:
-    return (template or _default_template()).build(
+    return (template or default_template("cov")).build(
         image="",
         contexts=context.rendered,
         queries=query,
@@ -124,17 +107,3 @@ def verify(
     response = vlm_backend.complete(request, deadline)
     return parse_cov_response(response.text, trace)
 
-
-class ConfidenceBand(Enum):
-    REJECT = 0
-    CAUTIOUS = 1
-    HIGH = 2
-
-
-def classify_confidence(score: float, low: float, high: float) -> ConfidenceBand:
-    """Band a verifier score: >= high is High, >= low is Cautious, else Reject."""
-    if score >= high:
-        return ConfidenceBand.HIGH
-    if score >= low:
-        return ConfidenceBand.CAUTIOUS
-    return ConfidenceBand.REJECT

@@ -258,6 +258,9 @@ CANNED_REPLIES = {
     "search-record-missing-snippet": b'{"results": [{"title": "t", "url": "https://a.test"}]}',
     "search-record-not-object": b'{"results": ["page"]}',
     "search-field-not-string": b'{"results": [{"snippet": 5}]}',
+    "completion-body-not-object": b'["echo"]',
+    "completion-text-missing": b'{"prompt_tokens": 3}',
+    "completion-text-not-string": b'{"text": 5}',
 }
 
 
@@ -345,9 +348,18 @@ class TestRemoteBackends:
 
 RERANK_BAD_REPLIES = ["not-json"] + [name for name in CANNED_REPLIES if name.startswith("rerank-")]
 SEARCH_BAD_REPLIES = ["not-json"] + [name for name in CANNED_REPLIES if name.startswith("search-")]
+COMPLETION_BAD_REPLIES = ["not-json"] + [
+    name for name in CANNED_REPLIES if name.startswith("completion-")
+]
 
 
 class TestMalformedReplies:
+    @pytest.mark.parametrize("reply", COMPLETION_BAD_REPLIES)
+    def test_bad_completion_reply_is_transport_error(self, http_server, no_deadline, reply):
+        backend = RemoteModelBackend(f"{http_server}/reply/{reply}")
+        with pytest.raises(BackendTransportError):
+            backend.complete(_request(), no_deadline)
+
     @pytest.mark.parametrize("reply", RERANK_BAD_REPLIES)
     def test_bad_rerank_reply_is_transport_error(self, http_server, no_deadline, reply):
         backend = RemoteRerankerBackend(f"{http_server}/reply/{reply}")

@@ -16,6 +16,7 @@ from ragvet.backends import (
 from ragvet.cli import load_dataset
 from ragvet.core import PipelineConfig, validate_config
 from ragvet.evaluation import (
+    ABLATION_MODES,
     EvalError,
     JudgeLabel,
     Label,
@@ -221,6 +222,29 @@ class TestRunAblation:
         cfg, dataset, backends = ablation_setup
         report = run_ablation("no_cov_no_sc", dataset, cfg, backends)
         assert report.missing_rate > 0.0
+
+
+# (Perfect, Missing, Incorrect, truthfulness) per mode over the six ablation turns.
+ABLATION_REPORTS = {
+    "vision_only": (2, 0, 4, -1 / 3),
+    "rag_naive": (3, 0, 3, 0.0),
+    "no_cov_no_sc": (2, 1, 3, -1 / 6),
+    "no_cov": (2, 1, 3, -1 / 6),
+    "full": (2, 4, 0, 1 / 3),
+}
+
+
+@pytest.mark.parametrize("policy", ["task1", "task2plus"])
+@pytest.mark.parametrize("mode", ABLATION_MODES)
+def test_ablation_report_is_pinned(ablation_setup, policy, mode):
+    _, dataset, backends = ablation_setup
+    cfg = validate_config(PipelineConfig(mode=policy))
+    report = run_ablation(mode, dataset, cfg, backends)
+    perfect, missing, incorrect, truthfulness = ABLATION_REPORTS[mode]
+    assert report.to_dict()["counts"] == {
+        "Perfect": perfect, "Acceptable": 0, "Missing": missing, "Incorrect": incorrect,
+    }
+    assert report.truthfulness == pytest.approx(truthfulness)
 
 
 def test_forced_disagreement_drives_missing_rate_to_one(tmp_path):

@@ -1,0 +1,47 @@
+"""No ragvet module imports another module's private (underscore) names.
+
+Dunder names such as ``__version__`` are public by convention and allowed.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ragvet"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_imports(source: str) -> list[str]:
+    """``module:name`` for each underscore name imported from a ragvet module."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = node.module or ""
+        if node.level == 0 and module.split(".")[0] != "ragvet":
+            continue
+        found.extend(f"{'.' * node.level}{module}:{alias.name}"
+                     for alias in node.names if _is_private(alias.name))
+    return found
+
+
+def test_detector_sees_relative_and_absolute_private_imports():
+    source = (
+        "from .pipeline import run_turn, _TurnClock\n"
+        "from ragvet.backends import _post_json\n"
+        "from . import _internal, __version__\n"
+        "from os import _exit\n"
+    )
+    assert private_imports(source) == [
+        ".pipeline:_TurnClock", "ragvet.backends:_post_json", ".:_internal",
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_private_cross_module_import(path):
+    assert private_imports(path.read_text(encoding="utf-8")) == []

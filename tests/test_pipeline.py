@@ -19,7 +19,7 @@ from ragvet.backends import (
 )
 from ragvet.core import Conversation, PipelineConfig, QueryTurn, Source, RetrievedItem
 from ragvet.finalizer import Branch
-from ragvet.pipeline import ConversationState, run_conversation, run_turn
+from ragvet.pipeline import VARIANTS, ConversationState, run_conversation, run_turn
 
 from conftest import scripted_model
 
@@ -331,6 +331,87 @@ class TestEarlyExit:
         assert outcome.final.branch is Branch.DEFAULT_ABSTAIN
         assert Role.VERIFIER not in roles_sent(model)
         assert outcome.verification is None
+
+
+RETRIEVED = ["route", "summarize", "recall", "rerank"]
+
+
+class TestVariants:
+    @pytest.mark.parametrize("variant, stages, two_answers, branch", [
+        ("vision_only", ["generate"], False, Branch.CONSISTENT_NO_CONTEXT),
+        ("rag_naive", RETRIEVED + ["generate"], False, Branch.CONSISTENT_WITH_CONTEXT),
+        ("no_cov_no_sc", RETRIEVED + ["generate"], True, Branch.CONSISTENT_WITH_CONTEXT),
+        ("no_cov", RETRIEVED + ["generate", "consistency"], True,
+         Branch.CONSISTENT_WITH_CONTEXT),
+        ("full", RETRIEVED + ["generate", "consistency", "verify"], True,
+         Branch.CONSISTENT_WITH_CONTEXT),
+    ])
+    def test_stages_of_each_variant(self, variant, stages, two_answers, branch):
+        query = "what brand is this shoe"
+        model, backends = logged_backends(turn_script(query), image_fixture("img-1", query))
+        outcome = run_turn(fresh_state(), one_turn(query), PipelineConfig(), backends,
+                           variant=variant)
+        record = outcome.to_record()
+        assert record["stages"] == stages
+        assert (record["answers"] is not None) == two_answers
+        assert (record["verification"] is not None) == ("verify" in VARIANTS[variant])
+        assert (record["routing"] is not None) == ("route" in VARIANTS[variant])
+        assert outcome.final.branch is branch
+        assert outcome.final.answer == "rag answer"
+        assert outcome.flags == frozenset()
+        generator_calls = sum(r.role is Role.GENERATOR for r in model.requests)
+        assert generator_calls == (2 if two_answers else 1)
+
+    def test_exact_match_stands_in_for_the_judge(self):
+        query = "the answers disagree"
+        model, backends = logged_backends(
+            turn_script(query, direct="another answer"), image_fixture("img-1", query)
+        )
+        outcome = run_turn(fresh_state(), one_turn(query), PipelineConfig(), backends,
+                           variant="no_cov_no_sc")
+        assert outcome.answers.consistent is False
+        assert outcome.final.branch is Branch.INCONSISTENT_WITH_CONTEXT
+        assert Role.CONSISTENCY_JUDGE not in roles_sent(model)
+
+    @pytest.mark.parametrize("variant", ["rag_naive", "no_cov_no_sc", "no_cov"])
+    def test_only_full_applies_the_real_time_guard(self, variant):
+        query = "what is the latest price of this"
+        backends = make_backends(turn_script(query, routing=ROUTE_REAL_TIME))
+        outcome = run_turn(fresh_state(), one_turn(query), PipelineConfig(), backends,
+                           variant=variant)
+        assert outcome.routing.is_real_time
+        assert outcome.final.branch is Branch.CONSISTENT_NO_CONTEXT
+        assert outcome.final.answer == "rag answer"
+
+    def test_direct_timeout_under_vision_only_abstains_within_budget(self):
+        query = "slow direct one"
+        entries = turn_script(query)
+        for entry in entries:
+            if entry["role"] is Role.GENERATOR and "Context:" not in entry["match"]:
+                entry["sleep_ms"] = 2000
+        cfg = PipelineConfig(turn_budget_ms=400, abstain_margin_ms=20)
+        started = time.monotonic()
+        outcome = run_turn(fresh_state(), one_turn(query), cfg, make_backends(entries),
+                           variant="vision_only")
+        elapsed_ms = (time.monotonic() - started) * 1000
+        assert outcome.final.abstained
+        assert "generation_timeout" in outcome.flags
+        assert elapsed_ms <= cfg.turn_budget_ms + 200
+
+    def test_failed_judge_under_no_cov_flags_and_abstains(self):
+        query = "judge is down"
+        entries = [e for e in turn_script(query) if e["role"] is not Role.CONSISTENCY_JUDGE]
+        backends = make_backends(entries, image_fixture("img-1", query))
+        outcome = run_turn(fresh_state(), one_turn(query), PipelineConfig(), backends,
+                           variant="no_cov")
+        assert "consistency_backend_error" in outcome.flags
+        assert outcome.final.abstained
+        assert outcome.final.branch is Branch.INCONSISTENT_WITH_CONTEXT
+
+    def test_unknown_variant_rejected(self):
+        with pytest.raises(ValueError, match="unknown pipeline variant"):
+            run_turn(fresh_state(), one_turn("q"), PipelineConfig(), make_backends([]),
+                     variant="bogus")
 
 
 class TestConversations:

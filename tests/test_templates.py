@@ -3,9 +3,12 @@
 import pytest
 
 from ragvet.templates import (
+    TEMPLATE_NAMES,
     PromptTemplate,
     TemplateError,
+    default_template,
     default_template_path,
+    load_all,
     load_template,
     render,
     resolve_template,
@@ -68,6 +71,18 @@ class TestResolveTemplate:
     def test_default_used_without_override(self):
         template = resolve_template("routing", {})
         assert template == load_template(default_template_path("routing"))
+
+    def test_default_parsed_once(self):
+        assert default_template("cov") is default_template("cov")
+        assert resolve_template("cov", {}) is default_template("cov")
+
+    def test_load_all_honors_overrides(self, tmp_path):
+        override = tmp_path / "custom_routing.txt"
+        override.write_text("[system]\ncustom router\n\n[user]\nQ: {query}\n", encoding="utf-8")
+        templates = load_all({"routing": str(override)})
+        assert tuple(templates) == TEMPLATE_NAMES
+        assert templates["routing"].system == "custom router"
+        assert templates["cov"] is default_template("cov")
 
 
 def test_prompt_template_build_renders_both_parts():

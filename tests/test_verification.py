@@ -1,17 +1,11 @@
-"""Verification prompt contents, response parsing, and confidence banding."""
+"""Verification prompt contents and response parsing."""
 
 from hypothesis import given, strategies as st
 
 from ragvet.core import Finding, VerificationResult
 from ragvet.retrieval import build_context
 from ragvet.runtime import Trace
-from ragvet.verification import (
-    ConfidenceBand,
-    build_cov_prompt,
-    classify_confidence,
-    parse_cov_response,
-    verify,
-)
+from ragvet.verification import build_cov_prompt, parse_cov_response, verify
 from ragvet.backends import Role
 
 from conftest import chunk, scripted_model
@@ -127,21 +121,3 @@ class TestVerify:
         result = verify("q?", None, _context(("e", 0.9)), "answer", backend, no_deadline)
         assert result.confidence == 1.0
 
-
-class TestClassifyConfidence:
-    def test_high_at_exact_threshold(self):
-        assert classify_confidence(1.0, 0.9, 1.0) is ConfidenceBand.HIGH
-
-    def test_cautious_band(self):
-        assert classify_confidence(0.9, 0.9, 1.0) is ConfidenceBand.CAUTIOUS
-
-    def test_reject_band(self):
-        assert classify_confidence(0.5, 0.9, 1.0) is ConfidenceBand.REJECT
-
-    @given(a=st.floats(min_value=0, max_value=1), b=st.floats(min_value=0, max_value=1))
-    def test_monotone(self, a, b):
-        low_score, high_score = sorted((a, b))
-        assert (
-            classify_confidence(low_score, 0.9, 1.0).value
-            <= classify_confidence(high_score, 0.9, 1.0).value
-        )
