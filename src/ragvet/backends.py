@@ -133,7 +133,7 @@ class RerankerBackend(Protocol):
 class SearchBackend(Protocol):
     def image_search(self, image_key: str, k: int) -> list[RetrievedItem]: ...
 
-    def web_search(self, query_text: str, k: int) -> list[RetrievedItem]: ...
+    def web_search(self, query_text: str, k: int, deadline: Deadline) -> list[RetrievedItem]: ...
 
 
 def _http_timeout(deadline: Deadline, endpoint: str) -> Optional[float]:
@@ -346,12 +346,17 @@ class RemoteModelBackend:
             raise BackendTransportError(f"completion from {self._endpoint} has no 'text' string")
         if not text:
             raise EmptyCompletionError(f"empty completion from {self._endpoint}")
-        return ModelResponse(
-            text=text,
-            prompt_tokens=int(body.get("prompt_tokens", 0)),
-            completion_tokens=int(body.get("completion_tokens", 0)),
-            latency_ms=int(body.get("latency_ms", 0)),
-        )
+        try:
+            return ModelResponse(
+                text=text,
+                prompt_tokens=int(body.get("prompt_tokens", 0)),
+                completion_tokens=int(body.get("completion_tokens", 0)),
+                latency_ms=int(body.get("latency_ms", 0)),
+            )
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise BackendTransportError(
+                f"bad usage fields from {self._endpoint}: {exc}"
+            ) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +440,9 @@ class MockSearchBackend:
         records = self._fixture.image_index.get(image_key, ())
         return [_with_rank(item, rank) for rank, (item, _) in enumerate(records[:k], start=1)]
 
-    def web_search(self, query_text: str, k: int) -> list[RetrievedItem]:
+    def web_search(self, query_text: str, k: int, deadline: Deadline) -> list[RetrievedItem]:
+        if deadline.expired():
+            raise BackendTimeout("deadline expired before web search")
         ranked = sorted(
             self._fixture.web_index,
             key=lambda pair: -jaccard_score(
@@ -468,11 +475,10 @@ class RemoteSearchBackend:
             )
         return self._image_mock.image_search(image_key, k)
 
-    def web_search(self, query_text: str, k: int) -> list[RetrievedItem]:
-        # The SearchBackend contract carries no deadline, so a search may take
-        # up to a fixed 30 s.
+    def web_search(self, query_text: str, k: int, deadline: Deadline) -> list[RetrievedItem]:
         body = _post_json(self._session, self._endpoint, self._token,
-                          {"query": query_text, "k": k}, timeout_s=30)
+                          {"query": query_text, "k": k},
+                          _http_timeout(deadline, self._endpoint))
         results = body.get("results", [])
         if not isinstance(results, list):
             raise BackendTransportError("web search 'results' must be a list")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from typing import Optional, Sequence
 
-from .backends import ModelBackend, ModelRequest, Role
+from .backends import EmptyCompletionError, ModelBackend, ModelRequest, Role
 from .core import AnswerPair, RagContext
 from .runtime import Deadline, Trace, flag_trace
 from .templates import PromptTemplate, default_template
@@ -81,7 +81,10 @@ def _generate(
         max_tokens=GENERATION_MAX_TOKENS,
     )
     # Backend failures propagate: without an answer the turn must abstain.
-    return vlm_backend.complete(request, deadline).text.strip()
+    answer = vlm_backend.complete(request, deadline).text.strip()
+    if not answer:
+        raise EmptyCompletionError("generator completion is whitespace only")
+    return answer
 
 
 def generate_rag(

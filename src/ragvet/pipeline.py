@@ -15,6 +15,13 @@ A turn is a small dependency graph, not a straight line:
   the beginning of generation, so an early exit never wastes it. The worker
   is joined before the turn returns, and only the calling thread opens trace
   stages.
+- In task1 retrieval always runs, so routing cannot change whether the image
+  summary is needed: a task1 turn with an image starts the summary on the
+  same worker at the start of the turn, routes meanwhile, and waits for it
+  inside the ``summarize`` stage. The direct answer queues behind it, which
+  costs nothing, since the RAG answer needs the summary too. In task2plus
+  routing can skip retrieval, so the summary waits for routing there, and a
+  turn routed past retrieval never asks for one.
 - A stage is skipped once ``finalize``'s decision cannot depend on it
   (``finalizer.settled``). A real-time turn with weak retrieval ends before
   generation (no answers, no verification); an inconsistent turn ends before
@@ -37,7 +44,7 @@ import math
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from .backends import BackendError, BackendTimeout, Backends, Role
 from .core import (
@@ -162,21 +169,20 @@ def _run_retrieval(
     backends: Backends,
     clock: _TurnClock,
     trace: Trace,
-    templates: dict[str, PromptTemplate],
+    get_summary: Callable[[], str],
 ) -> RagContext:
+    """``get_summary`` returns the image summary: it makes the call, or waits
+    for one already started."""
     deadline = clock.stage_deadline("retrieval")
     summary = ""
     if turn.image_ref:
         with trace.stage("summarize"):
-            summary = summarize_image(
-                turn.query, turn.image_ref, backends.vlm, deadline,
-                trace=trace, template=templates["summarize"],
-            )
+            summary = get_summary()
     expanded = expand_query(turn.query, summary)
     with trace.stage("recall"):
         items = recall(
             expanded, turn.image_ref, routing, backends.search,
-            cfg.recall_k, mode=cfg.mode, trace=trace,
+            cfg.recall_k, mode=cfg.mode, trace=trace, deadline=deadline,
         )
     chunks = chunk_items(items)
     with trace.stage("rerank"):
@@ -229,8 +235,19 @@ def run_turn(
             clock.stage_deadline("generate"), history, templates["generation"],
         )
 
+    def summarize() -> str:
+        return summarize_image(
+            turn.query, turn.image_ref, backends.vlm, clock.stage_deadline("retrieval"),
+            trace=trace, template=templates["summarize"],
+        )
+
     def decide(pool: ThreadPoolExecutor) -> FinalDecision:
         nonlocal routing, context, answers, verification
+        get_summary = summarize
+        if "retrieval" in runs and cfg.mode == "task1" and turn.image_ref:
+            # task1 retrieves whatever the router says, so the summary, its
+            # first step, need not wait for routing.
+            get_summary = pool.submit(summarize).result
         is_real_time = False
         if "route" in runs:
             with trace.stage("route"):
@@ -250,7 +267,7 @@ def run_turn(
             if cfg.mode == "task2plus" and not routing.needs_external:
                 trace.flag("retrieval_skipped")
             else:
-                context = _run_retrieval(turn, routing, cfg, backends, clock, trace, templates)
+                context = _run_retrieval(turn, routing, cfg, backends, clock, trace, get_summary)
 
         if out_of_budget():
             return degraded()
@@ -341,7 +358,7 @@ def run_turn(
 
     # Leaving the block joins the worker, so no thread outlives the turn and
     # the wall clock below covers the wait for it.
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="ragvet-direct") as pool:
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="ragvet-turn") as pool:
         final = decide(pool)
     return TurnOutcome(
         conversation_id=turn.conversation_id,

@@ -107,12 +107,14 @@ def recall(
     k: int,
     mode: str = "task1",
     trace: Optional[Trace] = None,
+    deadline: Deadline = Deadline.never(),
 ) -> list[RetrievedItem]:
     """Top-k recall in the modality the mode/routing policy selects.
 
     task1 always searches the image knowledge graph; task2plus searches the
-    web with the expanded query when external info is needed. Callers skip
-    this stage entirely for task2plus queries with needs_external false.
+    web with the expanded query when external info is needed, by
+    ``deadline``. Callers skip this stage entirely for task2plus queries
+    with needs_external false.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -123,7 +125,7 @@ def recall(
             return search_backend.image_search(image_ref, k)
         if not decision.needs_external:
             return []
-        return search_backend.web_search(expanded.combined, k)
+        return search_backend.web_search(expanded.combined, k, deadline)
     except BackendError:
         flag_trace(trace, "recall_backend_error")
         return []

@@ -191,14 +191,18 @@ class TestSearch:
     def test_fewer_records_than_k(self, search_backend):
         assert len(search_backend.image_search("img-1", 10)) == 3
 
-    def test_web_search_ranks_by_overlap(self, search_backend):
-        items = search_backend.web_search("red shoe", 2)
+    def test_web_search_ranks_by_overlap(self, search_backend, no_deadline):
+        items = search_backend.web_search("red shoe", 2, no_deadline)
         assert items[0].fields["title"] == "Shoes"
         assert items[0].recall_rank == 1
         assert len(items) == 2
 
-    def test_web_search_respects_k(self, search_backend):
-        assert len(search_backend.web_search("anything", 1)) == 1
+    def test_web_search_respects_k(self, search_backend, no_deadline):
+        assert len(search_backend.web_search("anything", 1, no_deadline)) == 1
+
+    def test_web_search_respects_deadline(self, search_backend):
+        with pytest.raises(BackendTimeout):
+            search_backend.web_search("red shoe", 2, Deadline.after_ms(0))
 
     def test_searches_never_mutate_the_fixture(self, tmp_path):
         path = tmp_path / "fixture.json"
@@ -206,7 +210,7 @@ class TestSearch:
         fixture = load_fixture(path)
         backend = MockSearchBackend(fixture)
         backend.image_search("img-1", 2)
-        backend.web_search("red shoe", 3)
+        backend.web_search("red shoe", 3, Deadline.never())
         assert fixture == load_fixture(path)
 
 
@@ -261,6 +265,10 @@ CANNED_REPLIES = {
     "completion-body-not-object": b'["echo"]',
     "completion-text-missing": b'{"prompt_tokens": 3}',
     "completion-text-not-string": b'{"text": 5}',
+    "completion-prompt-tokens-not-numeric": b'{"text": "hi", "prompt_tokens": "many"}',
+    "completion-completion-tokens-not-numeric": b'{"text": "hi", "completion_tokens": [2]}',
+    "completion-latency-not-numeric": b'{"text": "hi", "latency_ms": null}',
+    "completion-latency-negative": b'{"text": "hi", "latency_ms": -5}',
 }
 
 
@@ -276,8 +284,9 @@ class _Handler(BaseHTTPRequestHandler):
             self.end_headers()
             self.wfile.write(data)
             return
-        if self.path == "/slow":
+        if self.path == "/slow":  # outlasts every caller's deadline, then hangs up
             time.sleep(1.0)
+            return
         if self.path == "/broken":
             self.send_response(500)
             self.end_headers()
@@ -345,6 +354,27 @@ class TestRemoteBackends:
         backend = RemoteRerankerBackend(f"{http_server}/reply/out-of-range-scores")
         assert backend.score_batch("q", ["a", "b"], no_deadline) == [1.0, 0.0]
 
+    def test_remote_search_times_out_at_the_deadline(self, http_server):
+        backend = RemoteSearchBackend(f"{http_server}/slow")
+        started = time.monotonic()
+        with pytest.raises(BackendTimeout):
+            backend.web_search("q", 5, Deadline.after_ms(100))
+        assert time.monotonic() - started < 0.5
+
+    def test_slow_search_ends_the_turn_within_budget(self, http_server):
+        query = "who makes the kettle brand zylo"
+        backends = dataclasses.replace(
+            make_backends(turn_script(query)),
+            search=RemoteSearchBackend(f"{http_server}/slow"),
+        )
+        cfg = PipelineConfig(mode="task2plus", turn_budget_ms=400, abstain_margin_ms=20)
+        started = time.monotonic()
+        outcome = run_turn(fresh_state(), one_turn(query), cfg, backends)
+        elapsed_ms = (time.monotonic() - started) * 1000
+        assert "recall_backend_error" in outcome.flags
+        assert outcome.context.empty
+        assert elapsed_ms <= cfg.turn_budget_ms + 200
+
 
 RERANK_BAD_REPLIES = ["not-json"] + [name for name in CANNED_REPLIES if name.startswith("rerank-")]
 SEARCH_BAD_REPLIES = ["not-json"] + [name for name in CANNED_REPLIES if name.startswith("search-")]
@@ -380,7 +410,7 @@ class TestMalformedReplies:
     def test_bad_search_reply_is_transport_error(self, http_server, reply):
         backend = RemoteSearchBackend(f"{http_server}/reply/{reply}")
         with pytest.raises(BackendTransportError):
-            backend.web_search("q", 5)
+            backend.web_search("q", 5, Deadline.never())
         trace = Trace()
         items = recall(expand_query("q", ""), None,
                        RoutingDecision(needs_external=True, is_real_time=False),

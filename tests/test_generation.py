@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from ragvet.backends import BackendTimeout, Role
+from ragvet.backends import BackendTimeout, EmptyCompletionError, Role
 from ragvet.core import AnswerPair
 from ragvet.generation import (
     NO_CONTEXT_MARKER,
@@ -78,6 +78,13 @@ class TestGenerate:
         )
         with pytest.raises(BackendTimeout):
             generate_direct("q?", None, backend, Deadline.after_ms(1))
+
+    def test_whitespace_only_answer_is_empty_completion(self, no_deadline):
+        backend = scripted_model({"role": Role.GENERATOR, "match": "", "response": " \n\t "})
+        with pytest.raises(EmptyCompletionError):
+            generate_rag("q?", None, _context(("e", 0.9)), backend, no_deadline)
+        with pytest.raises(EmptyCompletionError):
+            generate_direct("q?", None, backend, no_deadline)
 
     def test_exactly_one_backend_call_each(self, no_deadline):
         backend = CountingModel(scripted_model({"role": Role.GENERATOR, "match": "", "response": "a"}))

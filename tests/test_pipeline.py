@@ -83,6 +83,33 @@ class _WaitForDirect:
         return MockRerankerBackend().score_batch(query, chunks, deadline)
 
 
+class _RoleSignal:
+    """Sets ``seen`` once a request for ``role`` arrives."""
+
+    def __init__(self, inner, role):
+        self.inner = inner
+        self.role = role
+        self.seen = threading.Event()
+
+    def complete(self, request, deadline):
+        if request.role is self.role:
+            self.seen.set()
+        return self.inner.complete(request, deadline)
+
+
+class _WaitBeforeReply:
+    """A model that answers only after ``event`` is set (up to 2 s)."""
+
+    def __init__(self, inner, event):
+        self.inner = inner
+        self.event = event
+        self.saw_event = False
+
+    def complete(self, request, deadline):
+        self.saw_event = self.event.wait(timeout=2.0)
+        return self.inner.complete(request, deadline)
+
+
 def one_turn(query, image_ref="img-1"):
     return QueryTurn(conversation_id="c1", turn_index=0, query=query, image_ref=image_ref)
 
@@ -128,6 +155,23 @@ class TestHappyPath:
         )
         outcome = run_turn(fresh_state(), one_turn(query), PipelineConfig(), backends)
         assert reranker.saw_direct, "the direct answer was not requested during rerank"
+        plain = run_turn(
+            fresh_state(), one_turn(query), PipelineConfig(),
+            make_backends(turn_script(query), image_fixture("img-1", query)),
+        )
+        assert outcome.to_record() == plain.to_record()
+
+    def test_task1_summary_overlaps_routing(self):
+        query = "what brand is this shoe"
+        model = scripted_model(*turn_script(query))
+        vlm = _RoleSignal(model, Role.SUMMARIZER)
+        router = _WaitBeforeReply(model, vlm.seen)
+        backends = Backends(
+            router_model=router, vlm=vlm, reranker=MockRerankerBackend(),
+            search=MockSearchBackend(image_fixture("img-1", query)),
+        )
+        outcome = run_turn(fresh_state(), one_turn(query), PipelineConfig(), backends)
+        assert router.saw_event, "the summary was not requested during routing"
         plain = run_turn(
             fresh_state(), one_turn(query), PipelineConfig(),
             make_backends(turn_script(query), image_fixture("img-1", query)),
@@ -263,13 +307,20 @@ class TestDegradation:
 
 
 class _RequestLog:
+    """Logs every request, and in ``events`` each request and reply in order."""
+
     def __init__(self, inner):
         self.inner = inner
         self.requests: list[ModelRequest] = []
+        self.events: list[tuple[str, Role]] = []
 
     def complete(self, request, deadline):
         self.requests.append(request)
-        return self.inner.complete(request, deadline)
+        self.events.append(("request", request.role))
+        try:
+            return self.inner.complete(request, deadline)
+        finally:
+            self.events.append(("reply", request.role))
 
 
 def logged_backends(entries, fixture=None):
@@ -412,6 +463,69 @@ class TestVariants:
         with pytest.raises(ValueError, match="unknown pipeline variant"):
             run_turn(fresh_state(), one_turn("q"), PipelineConfig(), make_backends([]),
                      variant="bogus")
+
+
+class TestSummaryOverlap:
+    def test_task2plus_routed_past_retrieval_sends_no_summary_request(self):
+        query = "is the mug in the picture red"
+        model, backends = logged_backends(turn_script(query, routing=ROUTE_NONE))
+        outcome = run_turn(fresh_state(), one_turn(query), PipelineConfig(mode="task2plus"),
+                           backends)
+        assert "retrieval_skipped" in outcome.flags
+        assert Role.SUMMARIZER not in roles_sent(model)
+
+    def test_task2plus_summary_waits_for_the_router_reply(self):
+        query = "who makes the kettle brand zylo"
+        model, backends = logged_backends(turn_script(query))
+        outcome = run_turn(fresh_state(), one_turn(query), PipelineConfig(mode="task2plus"),
+                           backends)
+        assert "summarize" in outcome.stages
+        assert model.events.index(("reply", Role.ROUTER)) < model.events.index(
+            ("request", Role.SUMMARIZER))
+
+    def test_early_summary_timeout_is_flagged(self):
+        query = "slow summary"
+        entries = turn_script(query)
+        for entry in entries:
+            if entry["role"] is Role.SUMMARIZER:
+                entry["sleep_ms"] = 2000
+        cfg = PipelineConfig(turn_budget_ms=400, abstain_margin_ms=20)
+        backends = make_backends(entries, image_fixture("img-1", query))
+        started = time.monotonic()
+        outcome = run_turn(fresh_state(), one_turn(query), cfg, backends)
+        elapsed_ms = (time.monotonic() - started) * 1000
+        assert "summary_backend_timeout" in outcome.flags
+        assert "summarize" in outcome.stages
+        assert elapsed_ms <= cfg.turn_budget_ms + 200
+
+    def test_early_summary_error_is_flagged(self):
+        query = "no summary here"
+        entries = [e for e in turn_script(query) if e["role"] is not Role.SUMMARIZER]
+        backends = make_backends(entries, image_fixture("img-1", query))
+        outcome = run_turn(fresh_state(), one_turn(query), PipelineConfig(), backends)
+        assert outcome.flags == frozenset({"summary_backend_error"})
+        assert list(outcome.stages) == RETRIEVED + ["generate", "consistency", "verify"]
+        assert outcome.final.branch is Branch.CONSISTENT_WITH_CONTEXT
+
+
+class TestWhitespaceAnswer:
+    @pytest.mark.parametrize("variant, blank", [
+        (variant, blank) for variant, runs in VARIANTS.items()
+        for blank in ("rag", "direct") if blank in runs
+    ])
+    def test_whitespace_only_answer_abstains(self, variant, blank):
+        query = "what brand is this shoe"
+        answers = {"rag": "rag answer", "direct": "rag answer", blank: "  \n "}
+        backends = make_backends(
+            turn_script(query, rag=answers["rag"], direct=answers["direct"]),
+            image_fixture("img-1", query),
+        )
+        outcome = run_turn(fresh_state(), one_turn(query), PipelineConfig(), backends,
+                           variant=variant)
+        assert outcome.final.abstained
+        assert outcome.final.branch is Branch.DEFAULT_ABSTAIN
+        assert "generation_backend_error" in outcome.flags
+        assert outcome.answers is None
 
 
 class TestConversations:
