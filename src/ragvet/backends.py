@@ -9,15 +9,20 @@ and processes.
 from __future__ import annotations
 
 import hashlib
+import http.client
+import io
 import json
 import math
+import re
+import socket
+import threading
 import time
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Any, Mapping, Optional, Protocol, Sequence
-
-import requests
+from urllib.parse import urlsplit
 
 from .core import RetrievedItem, Source
 from .runtime import Deadline
@@ -136,43 +141,187 @@ class SearchBackend(Protocol):
     def web_search(self, query_text: str, k: int, deadline: Deadline) -> list[RetrievedItem]: ...
 
 
-def _http_timeout(deadline: Deadline, endpoint: str) -> Optional[float]:
-    """Socket timeout for a deadline; None when the deadline is unbounded.
+# Idle keep-alive connections one remote backend keeps for later calls.
+_MAX_IDLE = 8
 
-    An already expired deadline raises BackendTimeout without any request.
+
+def _time_left(deadline: Deadline) -> Optional[float]:
+    """Seconds until ``deadline``, as a socket timeout; None when it is unbounded.
+
+    A deadline that has passed raises TimeoutError.
     """
     seconds = deadline.remaining_seconds()
     if seconds <= 0:
-        raise BackendTimeout(f"deadline already expired before calling {endpoint}")
+        raise TimeoutError("deadline passed")
     return None if math.isinf(seconds) else seconds
 
 
-def _post_json(session: requests.Session, endpoint: str, bearer_token: Optional[str],
-               payload: Mapping[str, Any], timeout_s: Optional[float]) -> dict[str, Any]:
-    """POST ``payload`` as JSON and return the reply's JSON object.
+class _DeadlineReader(io.RawIOBase):
+    """The reply side of a socket. Before each read, the socket's timeout
+    becomes the time left until the deadline, so however slowly the bytes
+    arrive, the reply is read by then or TimeoutError is raised."""
 
-    A socket timeout raises BackendTimeout. An unreachable host, a status
-    other than 200, or a body that is not a JSON object raises
-    BackendTransportError.
+    def __init__(self, sock: socket.socket, deadline: Deadline) -> None:
+        self._sock = sock
+        self._raw = sock.makefile("rb", buffering=0)
+        self._deadline = deadline
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer: Any) -> int:
+        self._sock.settimeout(_time_left(self._deadline))
+        return self._raw.readinto(buffer)
+
+    def close(self) -> None:
+        self._raw.close()
+        super().close()
+
+
+class _ReplySocket:
+    """All ``HTTPResponse`` uses of its socket: a reply stream bound to a deadline."""
+
+    def __init__(self, sock: socket.socket, deadline: Deadline) -> None:
+        self._sock = sock
+        self._deadline = deadline
+
+    def makefile(self, mode: str) -> io.BufferedReader:
+        return io.BufferedReader(_DeadlineReader(self._sock, self._deadline))
+
+
+class _DeadlineConnection(http.client.HTTPConnection):
+    """A connection whose replies are read against ``deadline``, set per call.
+
+    ``http.client`` builds each reply by calling ``response_class`` with the
+    socket; here that hands the reply a socket whose reads keep the deadline.
     """
-    headers = {"Content-Type": "application/json"}
-    if bearer_token:
-        headers["Authorization"] = f"Bearer {bearer_token}"
-    try:
-        http = session.post(endpoint, json=payload, headers=headers, timeout=timeout_s)
-    except requests.Timeout as exc:
-        raise BackendTimeout(str(exc)) from exc
-    except requests.RequestException as exc:
-        raise BackendTransportError(str(exc)) from exc
-    if http.status_code != 200:
-        raise BackendTransportError(f"{endpoint} answered {http.status_code}: {http.text[:200]}")
-    try:
-        body = http.json()
-    except ValueError as exc:
-        raise BackendTransportError(f"malformed body from {endpoint}: {exc}") from exc
-    if not isinstance(body, dict):
-        raise BackendTransportError(f"body from {endpoint} must be a JSON object")
-    return body
+
+    deadline: Deadline
+
+    def response_class(self, sock: socket.socket, *args: Any,
+                       **kwargs: Any) -> http.client.HTTPResponse:
+        return http.client.HTTPResponse(_ReplySocket(sock, self.deadline), *args, **kwargs)
+
+
+class _DeadlineHTTPSConnection(_DeadlineConnection, http.client.HTTPSConnection):
+    pass
+
+
+def _close_all(connections: list[http.client.HTTPConnection]) -> None:
+    for connection in connections:
+        connection.close()
+    connections.clear()
+
+
+class _JsonEndpoint:
+    """POSTs JSON to one endpoint over a pool of keep-alive connections.
+
+    The pool is shared by every calling thread. A call takes an idle
+    connection, or opens one, and gives it back only after reading a whole
+    reply that leaves it open. A connection that failed, or whose reply
+    closes it (HTTP/1.0, ``Connection: close``), is closed instead. Idle
+    connections are closed by ``close`` or when the endpoint is collected.
+    A malformed URL raises ValueError here, before any call.
+    """
+
+    def __init__(self, url: str, bearer_token: Optional[str]) -> None:
+        parts = urlsplit(url)
+        if (parts.scheme not in ("http", "https") or not parts.hostname
+                or not url.isascii() or re.search(r"[\x00-\x20\x7f]", url)):
+            raise ValueError(f"{url!r} is not an http:// or https:// URL with a host, "
+                             "in ASCII without spaces")
+        https = parts.scheme == "https"
+        self.url = url
+        self._connection_class = _DeadlineHTTPSConnection if https else _DeadlineConnection
+        self._host = parts.hostname
+        self._port = parts.port or (443 if https else 80)
+        self._path = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+        self._headers = {"Content-Type": "application/json"}
+        if bearer_token:
+            self._headers["Authorization"] = f"Bearer {bearer_token}"
+        self._lock = threading.Lock()
+        self._idle: list[http.client.HTTPConnection] = []
+        weakref.finalize(self, _close_all, self._idle)
+
+    def close(self) -> None:
+        """Close the idle connections; later calls open new ones."""
+        with self._lock:
+            idle = self._idle[:]
+            self._idle.clear()
+        _close_all(idle)
+
+    def _open(self) -> _DeadlineConnection:
+        return self._connection_class(self._host, self._port)
+
+    def _request(self, connection: _DeadlineConnection, body: bytes,
+                 deadline: Deadline) -> http.client.HTTPResponse:
+        timeout = _time_left(deadline)
+        connection.deadline = deadline
+        connection.timeout = timeout
+        if connection.sock is not None:
+            connection.sock.settimeout(timeout)
+        connection.request("POST", self._path, body, self._headers)
+        return connection.getresponse()
+
+    def _release(self, connection: _DeadlineConnection,
+                 reply: Optional[http.client.HTTPResponse], reusable: bool) -> None:
+        """Give ``connection`` back to the pool, or close it and its reply."""
+        if reusable:
+            with self._lock:
+                if len(self._idle) < _MAX_IDLE:
+                    self._idle.append(connection)
+                    return
+        if reply is not None:  # an unfinished reply holds the socket open
+            reply.close()
+        connection.close()
+
+    def post_json(self, payload: Mapping[str, Any], deadline: Deadline) -> dict[str, Any]:
+        """POST ``payload`` as JSON and return the reply's JSON object.
+
+        BackendTimeout is raised once ``deadline`` passes, at whatever point
+        of the call. An unreachable host, a status other than 200, or a body
+        that is not a JSON object raises BackendTransportError.
+        """
+        # Checked before taking a connection, so that a late call does not
+        # close a pooled one.
+        if deadline.expired():
+            raise BackendTimeout(f"deadline passed before calling {self.url}")
+        body = json.dumps(payload).encode("utf-8")
+        with self._lock:
+            connection = self._idle.pop() if self._idle else None
+        reused = connection is not None
+        if connection is None:
+            connection = self._open()
+        reply: Optional[http.client.HTTPResponse] = None
+        keep = False
+        try:
+            try:
+                reply = self._request(connection, body, deadline)
+            except ConnectionError:
+                if not reused:
+                    raise
+                # The server closed this connection while it sat idle.
+                connection.close()
+                connection = self._open()
+                reply = self._request(connection, body, deadline)
+            data = reply.read()
+            keep = not reply.will_close
+        except TimeoutError as exc:
+            raise BackendTimeout(f"{self.url}: {exc}") from exc
+        except (OSError, http.client.HTTPException) as exc:
+            raise BackendTransportError(f"{self.url}: {exc!r}") from exc
+        finally:
+            self._release(connection, reply, keep)
+        if reply.status != 200:
+            text = data[:200].decode("utf-8", "replace")
+            raise BackendTransportError(f"{self.url} answered {reply.status}: {text}")
+        try:
+            parsed = json.loads(data)
+        except ValueError as exc:
+            raise BackendTransportError(f"malformed body from {self.url}: {exc}") from exc
+        if not isinstance(parsed, dict):
+            raise BackendTransportError(f"body from {self.url} must be a JSON object")
+        return parsed
 
 
 def _user_digest(user: str) -> str:
@@ -332,20 +481,19 @@ class RecordingModelBackend:
 class RemoteModelBackend:
     """One HTTP round-trip per completion against a configured endpoint."""
 
-    def __init__(self, endpoint: str, bearer_token: Optional[str] = None,
-                 session: Optional[requests.Session] = None):
-        self._endpoint = endpoint
-        self._token = bearer_token
-        self._session = session or requests.Session()
+    def __init__(self, endpoint: str, bearer_token: Optional[str] = None):
+        self._http = _JsonEndpoint(endpoint, bearer_token)
+
+    def close(self) -> None:
+        self._http.close()
 
     def complete(self, request: ModelRequest, deadline: Deadline) -> ModelResponse:
-        body = _post_json(self._session, self._endpoint, self._token, request.to_dict(),
-                          _http_timeout(deadline, self._endpoint))
+        body = self._http.post_json(request.to_dict(), deadline)
         text = body.get("text")
         if not isinstance(text, str):
-            raise BackendTransportError(f"completion from {self._endpoint} has no 'text' string")
+            raise BackendTransportError(f"completion from {self._http.url} has no 'text' string")
         if not text:
-            raise EmptyCompletionError(f"empty completion from {self._endpoint}")
+            raise EmptyCompletionError(f"empty completion from {self._http.url}")
         try:
             return ModelResponse(
                 text=text,
@@ -355,7 +503,7 @@ class RemoteModelBackend:
             )
         except (TypeError, ValueError, OverflowError) as exc:
             raise BackendTransportError(
-                f"bad usage fields from {self._endpoint}: {exc}"
+                f"bad usage fields from {self._http.url}: {exc}"
             ) from exc
 
 
@@ -461,12 +609,12 @@ class RemoteSearchBackend:
     """
 
     def __init__(self, web_endpoint: str, bearer_token: Optional[str] = None,
-                 image_fixture: Optional[SearchFixture] = None,
-                 session: Optional[requests.Session] = None):
-        self._endpoint = web_endpoint
-        self._token = bearer_token
-        self._session = session or requests.Session()
+                 image_fixture: Optional[SearchFixture] = None):
+        self._http = _JsonEndpoint(web_endpoint, bearer_token)
         self._image_mock = MockSearchBackend(image_fixture) if image_fixture else None
+
+    def close(self) -> None:
+        self._http.close()
 
     def image_search(self, image_key: str, k: int) -> list[RetrievedItem]:
         if self._image_mock is None:
@@ -476,9 +624,7 @@ class RemoteSearchBackend:
         return self._image_mock.image_search(image_key, k)
 
     def web_search(self, query_text: str, k: int, deadline: Deadline) -> list[RetrievedItem]:
-        body = _post_json(self._session, self._endpoint, self._token,
-                          {"query": query_text, "k": k},
-                          _http_timeout(deadline, self._endpoint))
+        body = self._http.post_json({"query": query_text, "k": k}, deadline)
         results = body.get("results", [])
         if not isinstance(results, list):
             raise BackendTransportError("web search 'results' must be a list")
@@ -522,16 +668,14 @@ class RemoteRerankerBackend:
     score is clamped to [0, 1].
     """
 
-    def __init__(self, endpoint: str, bearer_token: Optional[str] = None,
-                 session: Optional[requests.Session] = None):
-        self._endpoint = endpoint
-        self._token = bearer_token
-        self._session = session or requests.Session()
+    def __init__(self, endpoint: str, bearer_token: Optional[str] = None):
+        self._http = _JsonEndpoint(endpoint, bearer_token)
+
+    def close(self) -> None:
+        self._http.close()
 
     def score_batch(self, query: str, chunks: Sequence[str], deadline: Deadline) -> list[float]:
-        body = _post_json(self._session, self._endpoint, self._token,
-                          {"query": query, "chunks": list(chunks)},
-                          _http_timeout(deadline, self._endpoint))
+        body = self._http.post_json({"query": query, "chunks": list(chunks)}, deadline)
         scores = body.get("scores")
         if not isinstance(scores, list) or len(scores) != len(chunks):
             raise BackendTransportError(
@@ -555,3 +699,10 @@ class Backends:
 
     def model_for(self, role: Role) -> ModelBackend:
         return self.router_model if role is Role.ROUTER else self.vlm
+
+    def close(self) -> None:
+        """Close the idle connections of every member that pools them."""
+        for backend in (self.router_model, self.vlm, self.reranker, self.search):
+            close = getattr(backend, "close", None)
+            if close is not None:
+                close()

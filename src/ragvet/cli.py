@@ -162,6 +162,15 @@ def load_config(path: Optional[str]) -> PipelineConfig:
     return validate_config(cfg)
 
 
+def _remote(cfg: PipelineConfig, key: str, backend_class: type, **kwargs: Any) -> Any:
+    """A remote backend on the endpoint under config ``key``; a malformed URL
+    is a config error naming the key."""
+    try:
+        return backend_class(getattr(cfg, key), cfg.bearer_token, **kwargs)
+    except ValueError as exc:
+        raise InvalidConfigError(f"{key}: {exc}") from exc
+
+
 def build_backends(cfg: PipelineConfig, mock: bool) -> tuple[Backends, dict[str, str]]:
     """Wire mock or remote backends; returns the bundle and its kind map."""
     if mock:
@@ -190,12 +199,11 @@ def build_backends(cfg: PipelineConfig, mock: bool) -> tuple[Backends, dict[str,
         raise InvalidConfigError(f"remote mode needs endpoints: {', '.join(missing)}")
     image_fixture = load_fixture(cfg.fixture_path) if cfg.fixture_path else None
     bundle = Backends(
-        router_model=RemoteModelBackend(cfg.router_endpoint, cfg.bearer_token),
-        vlm=RemoteModelBackend(cfg.vlm_endpoint, cfg.bearer_token),
-        reranker=RemoteRerankerBackend(cfg.reranker_endpoint, cfg.bearer_token),
-        search=RemoteSearchBackend(
-            cfg.web_search_endpoint, cfg.bearer_token, image_fixture=image_fixture
-        ),
+        router_model=_remote(cfg, "router_endpoint", RemoteModelBackend),
+        vlm=_remote(cfg, "vlm_endpoint", RemoteModelBackend),
+        reranker=_remote(cfg, "reranker_endpoint", RemoteRerankerBackend),
+        search=_remote(cfg, "web_search_endpoint", RemoteSearchBackend,
+                       image_fixture=image_fixture),
     )
     kinds = {"model": "remote", "reranker": "remote", "search": "remote-web"}
     return bundle, kinds
@@ -234,14 +242,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
     manifest.write(manifest_path)
 
     templates = load_all(cfg.prompt_paths)
-    if args.workers <= 1:
-        results = [run_conversation(conversation, cfg, backends, templates)
-                   for conversation in dataset]
-    else:
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            results = list(
-                pool.map(lambda conv: run_conversation(conv, cfg, backends, templates), dataset)
-            )
+    try:
+        if args.workers <= 1:
+            results = [run_conversation(conversation, cfg, backends, templates)
+                       for conversation in dataset]
+        else:
+            with ThreadPoolExecutor(max_workers=args.workers) as pool:
+                results = list(pool.map(
+                    lambda conv: run_conversation(conv, cfg, backends, templates), dataset))
+    finally:
+        backends.close()
     outcomes = [outcome for conversation_outcomes in results for outcome in conversation_outcomes]
     write_trace(outcomes, out_path)
     manifest.finished_at = _utc_now()
@@ -258,7 +268,7 @@ def _make_judge(cfg: PipelineConfig, kind: str):
     if not cfg.judge_endpoint:
         raise InvalidConfigError("endpoint judge needs judge_endpoint in the config")
     template = load_template(cfg.judge_prompt_path) if cfg.judge_prompt_path else None
-    return PromptedJudge(RemoteModelBackend(cfg.judge_endpoint, cfg.bearer_token), template)
+    return PromptedJudge(_remote(cfg, "judge_endpoint", RemoteModelBackend), template)
 
 
 def _read_trace_records(path: str | Path) -> list[dict[str, Any]]:
@@ -336,7 +346,10 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.dataset)
     backends, _ = build_backends(cfg, mock=args.mock)
     judge = _make_judge(cfg, args.judge)
-    report = run_ablation(args.mode, dataset, cfg, backends, judge=judge)
+    try:
+        report = run_ablation(args.mode, dataset, cfg, backends, judge=judge)
+    finally:
+        backends.close()
     payload = {"mode": args.mode, **report.to_dict()}
     if args.report:
         Path(args.report).write_text(

@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import re
+import threading
+from contextlib import contextmanager
+from http.server import ThreadingHTTPServer
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 
@@ -12,6 +16,48 @@ from ragvet.core import ChunkRef, RetrievedItem, ScoredChunk, Source
 from ragvet.runtime import Deadline
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+# A leaked socket or file fails the test that leaked it, not only a run under
+# ``python -X dev``. The filters are set here rather than in pyproject.toml so
+# that they cover this suite only.
+LEAK_CHECKS = ("error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning")
+
+
+def pytest_collection_modifyitems(items: list[pytest.Item]) -> None:
+    suite = Path(__file__).parent
+    for item in items:
+        if suite in item.path.parents:
+            for check in LEAK_CHECKS:
+                item.add_marker(pytest.mark.filterwarnings(check))
+
+
+class LoopbackServer(ThreadingHTTPServer):
+    """A threaded loopback HTTP server that logs every connection it accepts."""
+
+    request_queue_size = 64  # room for many callers connecting at once
+
+    def __init__(self, handler_class: type) -> None:
+        super().__init__(("127.0.0.1", 0), handler_class)
+        self.url = f"http://127.0.0.1:{self.server_address[1]}"
+        self.opened: list[tuple[str, int]] = []
+
+    def process_request(self, request, client_address) -> None:
+        self.opened.append(client_address)
+        super().process_request(request, client_address)
+
+
+@contextmanager
+def serve_http(handler_class: type) -> Iterator[LoopbackServer]:
+    """Serve ``handler_class`` on a loopback port until the block ends."""
+    server = LoopbackServer(handler_class)
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join()
 
 
 def scripted_model(*entries: dict) -> ReplayModelBackend:

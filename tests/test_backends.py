@@ -3,9 +3,10 @@
 import dataclasses
 import hashlib
 import json
-import threading
+import sys
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from concurrent.futures import ThreadPoolExecutor
+from http.server import BaseHTTPRequestHandler
 
 import pytest
 
@@ -34,7 +35,7 @@ from ragvet.pipeline import run_turn
 from ragvet.retrieval import expand_query, recall
 from ragvet.runtime import Deadline, Trace
 
-from conftest import scripted_model
+from conftest import scripted_model, serve_http
 from test_pipeline import fresh_state, image_fixture, make_backends, one_turn, turn_script
 
 
@@ -314,12 +315,8 @@ class _Handler(BaseHTTPRequestHandler):
 
 @pytest.fixture(scope="module")
 def http_server():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_address[1]}"
-    server.shutdown()
-    server.server_close()
+    with serve_http(_Handler) as server:
+        yield server.url
 
 
 class TestRemoteBackends:
@@ -374,6 +371,130 @@ class TestRemoteBackends:
         assert "recall_backend_error" in outcome.flags
         assert outcome.context.empty
         assert elapsed_ms <= cfg.turn_budget_ms + 200
+
+
+class _KeepAliveHandler(BaseHTTPRequestHandler):
+    """HTTP/1.1 endpoint that keeps its connections open unless a path says otherwise."""
+
+    protocol_version = "HTTP/1.1"
+    # Without this each reply's body waits on the caller's delayed ACK.
+    disable_nagle_algorithm = True
+
+    def do_POST(self):
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        if self.path == "/drip":  # one byte of a 40-byte body every 250 ms
+            self.send_response(200)
+            self.send_header("Content-Length", "40")
+            self.end_headers()
+            try:
+                for _ in range(40):
+                    self.wfile.write(b" ")
+                    time.sleep(0.25)
+            except OSError:  # the caller gave up and hung up
+                pass
+            return
+        if self.path == "/http10":  # an HTTP/1.0 reply, which ends its connection
+            self.protocol_version = "HTTP/1.0"
+        # "/http10" hangs up as HTTP/1.0 says; "/drop" hangs up after a reply
+        # that says nothing of closing, as a server does with an idle connection.
+        self.close_connection = self.path in ("/http10", "/drop")
+        if self.path == "/broken":
+            self._reply(500, b"boom")
+        elif self.path == "/list":
+            self._reply(200, b"[]")
+        else:
+            if self.path == "/overlap":  # long enough for concurrent calls to overlap
+                time.sleep(0.02)
+            self._reply(200, json.dumps({"text": f"echo:{body['user']}"}).encode("utf-8"))
+
+    def _reply(self, status, data):
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def keep_alive_server():
+    with serve_http(_KeepAliveHandler) as server:
+        yield server
+
+
+@pytest.fixture
+def remote_model(keep_alive_server):
+    """A factory of model backends on the keep-alive server; each is closed after the test."""
+    made = []
+
+    def make(path):
+        made.append(RemoteModelBackend(f"{keep_alive_server.url}{path}"))
+        return made[-1]
+
+    yield make
+    for backend in made:
+        backend.close()
+
+
+class TestKeepAliveTransport:
+    def test_dripped_reply_times_out_at_the_deadline(self, remote_model):
+        backend = remote_model("/drip")
+        started = time.monotonic()
+        with pytest.raises(BackendTimeout):
+            backend.complete(_request(), Deadline.after_ms(1000))
+        assert time.monotonic() - started <= 1.0 + 0.2
+
+    def test_concurrent_calls_each_get_their_own_reply(self, remote_model):
+        """Two callers handed one connection would read each other's replies."""
+        backend = remote_model("/overlap")
+        users = [f"caller {i}" for i in range(16)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=16) as pool:
+                for _ in range(3):
+                    futures = [pool.submit(backend.complete, _request(user=user),
+                                           Deadline.after_ms(10_000)) for user in users]
+                    texts = [future.result(timeout=15).text for future in futures]
+                    assert texts == [f"echo:{user}" for user in users]
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_sequential_calls_share_one_connection(self, keep_alive_server, remote_model):
+        backend = remote_model("/echo")
+        for i in range(200):
+            assert backend.complete(_request(user=f"u{i}"), Deadline.never()).text == f"echo:u{i}"
+        assert len(keep_alive_server.opened) == 1
+
+    def test_connection_dropped_while_idle_is_replaced(self, keep_alive_server, remote_model):
+        backend = remote_model("/drop")
+        for _ in range(2):
+            assert backend.complete(_request(), Deadline.never()).text == "echo:hello"
+        assert len(keep_alive_server.opened) == 2
+
+    def test_http10_reply_connection_is_not_reused(self, keep_alive_server, remote_model):
+        backend = remote_model("/http10")
+        for _ in range(3):
+            backend.complete(_request(), Deadline.never())
+        assert len(keep_alive_server.opened) == 3
+
+    @pytest.mark.parametrize("path", ["/broken", "/list"])
+    def test_bad_reply_is_transport_error_and_keeps_the_connection(
+            self, keep_alive_server, remote_model, path):
+        backend = remote_model(path)
+        for _ in range(2):
+            with pytest.raises(BackendTransportError):
+                backend.complete(_request(), Deadline.never())
+        assert len(keep_alive_server.opened) == 1
+
+    @pytest.mark.parametrize("endpoint", ["localhost:8000/complete", "http:///complete",
+                                          "ftp://host/complete", "http://host:port/",
+                                          "http://host/two words", "http://host/caf\u00e9"])
+    def test_malformed_endpoint_rejected_before_any_call(self, endpoint):
+        with pytest.raises(ValueError):
+            RemoteModelBackend(endpoint)
 
 
 RERANK_BAD_REPLIES = ["not-json"] + [name for name in CANNED_REPLIES if name.startswith("rerank-")]

@@ -4,14 +4,24 @@ import json
 import os
 import subprocess
 import sys
+from http.server import BaseHTTPRequestHandler
 from pathlib import Path
 
 import pytest
 
 import ragvet
+from ragvet.backends import (
+    BackendError,
+    MockRerankerBackend,
+    MockSearchBackend,
+    ModelRequest,
+    ReplayModelBackend,
+    load_fixture,
+)
 from ragvet.cli import DatasetError, load_dataset, main
+from ragvet.runtime import Deadline
 
-from conftest import FIXTURES
+from conftest import FIXTURES, serve_http
 
 
 def write_config(tmp_path, **overrides):
@@ -199,6 +209,77 @@ class TestRunCommand:
         assert "router_endpoint" not in err
 
 
+    @pytest.mark.parametrize("key, url", [
+        ("router_endpoint", "127.0.0.1:8000/route"),  # no scheme
+        ("vlm_endpoint", "http:///complete"),  # no host
+    ])
+    def test_malformed_endpoint_fails_before_any_turn(self, tmp_path, capsys, key, url):
+        endpoints = {name: "http://127.0.0.1:1/x" for name in (
+            "router_endpoint", "vlm_endpoint", "reranker_endpoint", "web_search_endpoint")}
+        config = write_config(tmp_path, **{**endpoints, key: url})
+        out = tmp_path / "t.jsonl"
+        code = main(["run", "--dataset", str(FIXTURES / "e2e_dataset.jsonl"),
+                     "--config", str(config), "--out", str(out)])
+        assert code == 1
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_remote_run_with_workers_matches_the_mock_run(self, tmp_path):
+        """Four workers share each remote backend's connections; every turn's
+        record must equal the one the same services give in-process."""
+        mock_out, remote_out = tmp_path / "mock.jsonl", tmp_path / "remote.jsonl"
+        assert main(["run", "--dataset", str(FIXTURES / "e2e_dataset.jsonl"),
+                     "--config", str(write_config(tmp_path)), "--out", str(mock_out),
+                     "--mock"]) == 0
+        with serve_http(_MockServices) as server:
+            config = write_config(
+                tmp_path, router_endpoint=f"{server.url}/model",
+                vlm_endpoint=f"{server.url}/model", reranker_endpoint=f"{server.url}/rerank",
+                web_search_endpoint=f"{server.url}/search")
+            assert main(["run", "--dataset", str(FIXTURES / "e2e_dataset.jsonl"),
+                         "--config", str(config), "--out", str(remote_out),
+                         "--workers", "4"]) == 0
+            assert server.opened
+        remote_lines = remote_out.read_text(encoding="utf-8").splitlines()
+        assert len(remote_lines) == 26
+        assert remote_lines == mock_out.read_text(encoding="utf-8").splitlines()
+
+
+class _MockServices(BaseHTTPRequestHandler):
+    """The e2e fixtures' mock backends served over keep-alive HTTP."""
+
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+    model = ReplayModelBackend.from_file(FIXTURES / "e2e_replay.json")
+    search = MockSearchBackend(load_fixture(FIXTURES / "e2e_search.json"))
+    reranker = MockRerankerBackend()
+
+    def do_POST(self):
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        never = Deadline.never()
+        try:
+            if self.path == "/model":
+                reply = self.model.complete(ModelRequest(**body), never)
+                payload = {"text": reply.text, "prompt_tokens": reply.prompt_tokens,
+                           "completion_tokens": reply.completion_tokens}
+            elif self.path == "/rerank":
+                payload = {"scores": self.reranker.score_batch(body["query"], body["chunks"],
+                                                               never)}
+            else:
+                items = self.search.web_search(body["query"], body["k"], never)
+                payload = {"results": [dict(item.fields) for item in items]}
+            status, data = 200, json.dumps(payload).encode("utf-8")
+        except BackendError as exc:
+            status, data = 500, str(exc).encode("utf-8")
+        self.send_response(status)
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+
 class TestEvalCommand:
     def _run_then_eval(self, tmp_path):
         config = write_config(tmp_path)
@@ -250,6 +331,16 @@ class TestEvalCommand:
         ])
         assert code == 1
         assert "ground truth" in capsys.readouterr().err
+
+    def test_malformed_judge_endpoint_fails_before_judging(self, tmp_path, capsys):
+        config = write_config(tmp_path, judge_endpoint="judge.test/score")
+        code = main([
+            "eval", "--traces", str(tmp_path / "missing.jsonl"),
+            "--dataset", str(FIXTURES / "e2e_dataset.jsonl"),
+            "--config", str(config), "--judge", "endpoint", "--report", str(tmp_path / "r.json"),
+        ])
+        assert code == 1
+        assert "judge_endpoint" in capsys.readouterr().err
 
 
 class TestAblateCommand:
