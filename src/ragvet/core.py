@@ -509,6 +509,9 @@ def validate_config(cfg: PipelineConfig) -> PipelineConfig:
         (cfg.abstain_margin_ms < cfg.turn_budget_ms, "abstain_margin_ms < turn_budget_ms"),
         (bool(cfg.abstain_text.strip()), "abstain_text must be non-empty"),
         (cfg.mode in ("task1", "task2plus"), "mode must be task1 or task2plus"),
+        (isinstance(cfg.bearer_token, (str, type(None)))
+         and re.fullmatch(r"[\x21-\x7e]*", cfg.bearer_token or "") is not None,
+         "bearer_token must be visible ASCII (0x21-0x7E)"),
     )
     for ok, name in checks:
         if not ok:

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import re
+import ssl
 import threading
 from contextlib import contextmanager
 from http.server import ThreadingHTTPServer
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Optional
 
 import pytest
 
@@ -36,9 +37,12 @@ class LoopbackServer(ThreadingHTTPServer):
 
     request_queue_size = 64  # room for many callers connecting at once
 
-    def __init__(self, handler_class: type) -> None:
+    def __init__(self, handler_class: type, tls: Optional[ssl.SSLContext] = None) -> None:
         super().__init__(("127.0.0.1", 0), handler_class)
-        self.url = f"http://127.0.0.1:{self.server_address[1]}"
+        if tls is not None:
+            self.socket = tls.wrap_socket(self.socket, server_side=True)
+        scheme = "http" if tls is None else "https"
+        self.url = f"{scheme}://127.0.0.1:{self.server_address[1]}"
         self.opened: list[tuple[str, int]] = []
 
     def process_request(self, request, client_address) -> None:
@@ -47,9 +51,11 @@ class LoopbackServer(ThreadingHTTPServer):
 
 
 @contextmanager
-def serve_http(handler_class: type) -> Iterator[LoopbackServer]:
-    """Serve ``handler_class`` on a loopback port until the block ends."""
-    server = LoopbackServer(handler_class)
+def serve_http(handler_class: type,
+               tls: Optional[ssl.SSLContext] = None) -> Iterator[LoopbackServer]:
+    """Serve ``handler_class`` on a loopback port until the block ends, over TLS
+    when ``tls`` is a server context."""
+    server = LoopbackServer(handler_class, tls)
     thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
     thread.start()
     try:

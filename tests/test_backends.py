@@ -3,9 +3,12 @@
 import dataclasses
 import hashlib
 import json
+import socket
+import ssl
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from http.server import BaseHTTPRequestHandler
 
 import pytest
@@ -35,7 +38,7 @@ from ragvet.pipeline import run_turn
 from ragvet.retrieval import expand_query, recall
 from ragvet.runtime import Deadline, Trace
 
-from conftest import scripted_model, serve_http
+from conftest import FIXTURES, scripted_model, serve_http
 from test_pipeline import fresh_state, image_fixture, make_backends, one_turn, turn_script
 
 
@@ -489,12 +492,174 @@ class TestKeepAliveTransport:
                 backend.complete(_request(), Deadline.never())
         assert len(keep_alive_server.opened) == 1
 
+    @pytest.mark.parametrize("token", ["tok\u2713", "a\r\nX-Evil: 1", "two words"])
+    def test_bearer_token_outside_visible_ascii_rejected_unechoed(self, token):
+        with pytest.raises(ValueError) as caught:
+            RemoteModelBackend("http://127.0.0.1:1/complete", bearer_token=token)
+        assert token not in str(caught.value)
+
     @pytest.mark.parametrize("endpoint", ["localhost:8000/complete", "http:///complete",
                                           "ftp://host/complete", "http://host:port/",
                                           "http://host/two words", "http://host/caf\u00e9"])
     def test_malformed_endpoint_rejected_before_any_call(self, endpoint):
         with pytest.raises(ValueError):
             RemoteModelBackend(endpoint)
+
+
+def _scripted_handler(replies):
+    """An HTTP/1.1 handler that answers its n-th request with ``replies[n]``:
+    the raw reply (bytes, or a tuple of parts sent 50 ms apart), and whether to
+    hang up after it. ``requests`` logs each request's path and headers."""
+
+    class Handler(BaseHTTPRequestHandler):
+        protocol_version = "HTTP/1.1"
+        disable_nagle_algorithm = True
+        requests = []
+
+        def do_POST(self):
+            self.rfile.read(int(self.headers["Content-Length"]))
+            self.requests.append((self.path, dict(self.headers)))
+            data, self.close_connection = replies[len(self.requests) - 1]
+            for i, part in enumerate((data,) if isinstance(data, bytes) else data):
+                if i:
+                    time.sleep(0.05)
+                self.wfile.write(part)
+
+        def log_message(self, *args):
+            pass
+
+    return Handler
+
+
+@pytest.fixture
+def scripted_server():
+    """``scripted_server(*replies)`` serves ``replies`` in order; it returns the
+    server, its handler class and a model backend on it, closed after the test."""
+    with ExitStack() as stack:
+        def serve(*replies):
+            handler = _scripted_handler(replies)
+            server = stack.enter_context(serve_http(handler))
+            backend = RemoteModelBackend(f"{server.url}/v1/complete?stream=0", bearer_token="tok")
+            stack.callback(backend.close)
+            return server, handler, backend
+
+        yield serve
+
+
+BODY = b'{"text": "hi"}'
+OK = b"HTTP/1.1 200 OK\r\nContent-Length: 14\r\n\r\n" + BODY
+
+
+def _call(backend):
+    return backend.complete(_request(), Deadline.after_ms(2000)).text
+
+
+class TestHttpWire:
+    def test_request_head(self, scripted_server):
+        server, handler, backend = scripted_server((OK, False))
+        assert _call(backend) == "hi"
+        path, headers = handler.requests[0]
+        assert path == "/v1/complete?stream=0"
+        assert headers["Host"] == server.url.removeprefix("http://")
+        assert headers["Authorization"] == "Bearer tok"
+        assert headers["Content-Type"] == "application/json"
+
+    def test_chunked_reply_with_extension_and_trailer(self, scripted_server):
+        chunked = (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n6;note=fi",
+                   b'rst\r\n{"text\r\n8\r\n": "hi"}\r\n0\r\nX-Check',
+                   b"sum: 1\r\n\r\n")
+        server, _, backend = scripted_server((chunked, False), (OK, False))
+        assert [_call(backend), _call(backend)] == ["hi", "hi"]
+        assert len(server.opened) == 1
+
+    def test_http10_body_ends_with_the_connection(self, scripted_server):
+        reply = (b"HTTP/1.0 200 OK\r\nContent-Type: application/json\r\n\r\n", BODY)
+        server, _, backend = scripted_server((reply, True), (reply, True))
+        assert [_call(backend), _call(backend)] == ["hi", "hi"]
+        assert len(server.opened) == 2
+
+    def test_100_continue_is_skipped(self, scripted_server):
+        server, _, backend = scripted_server(((b"HTTP/1.1 100 Continue\r\n\r\n", OK), False),
+                                             (OK, False))
+        assert [_call(backend), _call(backend)] == ["hi", "hi"]
+        assert len(server.opened) == 1
+
+    @pytest.mark.parametrize("reply", [
+        b"HTTP/1.1 204 No Content\r\n\r\n",
+        b"HTTP/1.1 200 OK\r\nX-Pad: " + b"a" * 70_000 + b"\r\nContent-Length: 14\r\n\r\n" + BODY,
+        b"ICY 200 OK\r\nContent-Length: 14\r\n\r\n" + BODY,
+        b"HTTP/1.1 200 OK\r\nContent-Length: -14\r\n\r\n" + BODY,
+        b"HTTP/1.1 200 OK\r\nContent-Length: +14\r\n\r\n" + BODY,
+        b"HTTP/1.1 200 OK\r\nContent-Length: fourteen\r\n\r\n" + BODY,
+    ], ids=["204", "head-over-64KiB", "status-line", "negative-length", "signed-length",
+            "word-length"])
+    def test_bad_reply_is_transport_error_before_the_deadline(self, scripted_server, reply):
+        """The server keeps the connection open, so a caller that waited for
+        more of the reply would end in BackendTimeout at the deadline."""
+        _, _, backend = scripted_server((reply, False))
+        started = time.monotonic()
+        with pytest.raises(BackendTransportError):
+            _call(backend)
+        assert time.monotonic() - started < 1.0
+
+    def test_connection_closed_mid_body_is_transport_error(self, scripted_server):
+        reply = b"HTTP/1.1 200 OK\r\nContent-Length: 40\r\n\r\n" + BODY
+        _, _, backend = scripted_server((reply, True))
+        with pytest.raises(BackendTransportError):
+            _call(backend)
+
+    def test_reused_connection_lost_mid_reply_is_not_retried(self, scripted_server):
+        _, handler, backend = scripted_server((OK, False), (OK[:20], True))
+        assert _call(backend) == "hi"
+        with pytest.raises(BackendTransportError):
+            _call(backend)
+        assert len(handler.requests) == 2
+
+
+# A test-only self-signed certificate and its key, valid 2024-2124, made with
+#   openssl req -x509 -newkey rsa:2048 -nodes -sha256 -subj "/CN=localhost" \
+#     -not_before 20240101000000Z -not_after 21240101000000Z \
+#     -addext "subjectAltName=DNS:localhost,IP:127.0.0.1" \
+#     -keyout tls_localhost.key -out tls_localhost.pem
+TLS_CERT = FIXTURES / "tls_localhost.pem"
+TLS_KEY = FIXTURES / "tls_localhost.key"
+
+
+@pytest.fixture
+def tls_server():
+    """The keep-alive handler over TLS, with the self-signed certificate for 127.0.0.1."""
+    context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    context.load_cert_chain(TLS_CERT, TLS_KEY)
+    with serve_http(_KeepAliveHandler, tls=context) as server:
+        yield server
+
+
+class TestHttps:
+    def test_untrusted_certificate_is_transport_error(self, tls_server, monkeypatch):
+        monkeypatch.delenv("SSL_CERT_FILE", raising=False)
+        backend = RemoteModelBackend(f"{tls_server.url}/echo")
+        with pytest.raises(BackendTransportError, match="CERTIFICATE_VERIFY_FAILED"):
+            backend.complete(_request(), Deadline.after_ms(2000))
+        backend.close()
+
+    def test_stalled_handshake_times_out_at_the_deadline(self):
+        with socket.create_server(("127.0.0.1", 0)) as listener:  # never accepts
+            backend = RemoteModelBackend(f"https://127.0.0.1:{listener.getsockname()[1]}/")
+            started = time.monotonic()
+            with pytest.raises(BackendTimeout):
+                backend.complete(_request(), Deadline.after_ms(300))
+            assert time.monotonic() - started <= 0.3 + 0.2
+
+    def test_trusted_calls_share_one_connection(self, tls_server, monkeypatch):
+        monkeypatch.setenv("SSL_CERT_FILE", str(TLS_CERT))
+        backend = RemoteModelBackend(f"{tls_server.url}/echo")
+        try:
+            for i in range(3):
+                reply = backend.complete(_request(user=f"u{i}"), Deadline.after_ms(2000))
+                assert reply.text == f"echo:u{i}"
+        finally:
+            backend.close()
+        assert len(tls_server.opened) == 1
 
 
 RERANK_BAD_REPLIES = ["not-json"] + [name for name in CANNED_REPLIES if name.startswith("rerank-")]

@@ -128,6 +128,12 @@ class TestValidateConfig:
         with pytest.raises(InvalidConfigError, match="abstain_margin_ms < turn_budget_ms"):
             validate_config(cfg)
 
+    @pytest.mark.parametrize("token", ["tok\u2713", "a\r\nX-Evil: 1", "two words"])
+    def test_bearer_token_outside_visible_ascii_rejected_unechoed(self, token):
+        with pytest.raises(InvalidConfigError, match="bearer_token") as caught:
+            validate_config(PipelineConfig(bearer_token=token))
+        assert token not in str(caught.value)
+
     def test_unknown_key_rejected(self):
         with pytest.raises(InvalidConfigError, match="unknown config keys"):
             PipelineConfig.from_dict({"rerank_top_k": 3})

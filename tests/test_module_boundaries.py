@@ -1,4 +1,5 @@
-"""No ragvet module imports another module's private (underscore) names.
+"""No ragvet module imports another module's private (underscore) names, and
+none imports an HTTP client library: ``backends`` speaks HTTP itself.
 
 Dunder names such as ``__version__`` are public by convention and allowed.
 """
@@ -45,3 +46,39 @@ def test_detector_sees_relative_and_absolute_private_imports():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_private_cross_module_import(path):
     assert private_imports(path.read_text(encoding="utf-8")) == []
+
+
+HTTP_CLIENTS = ("http.client", "urllib.request", "requests")
+
+
+def http_client_imports(source: str) -> list[str]:
+    """Each imported module that is, or is inside, an HTTP client library;
+    ``from a import b`` imports ``a.b`` as well as ``a``."""
+    imported = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            imported.extend(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            imported.append(node.module)
+            imported.extend(f"{node.module}.{alias.name}" for alias in node.names)
+    return [name for name in imported
+            if any(name == banned or name.startswith(f"{banned}.") for banned in HTTP_CLIENTS)]
+
+
+def test_detector_sees_every_form_of_http_client_import():
+    source = (
+        "import http.client\n"
+        "from urllib import request\n"
+        "import requests.adapters as adapters\n"
+        "from http.server import BaseHTTPRequestHandler\n"
+        "from urllib.parse import urlsplit\n"
+        "import json, requests_toolbelt\n"
+    )
+    assert http_client_imports(source) == [
+        "http.client", "urllib.request", "requests.adapters",
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_http_client_library_import(path):
+    assert http_client_imports(path.read_text(encoding="utf-8")) == []
