@@ -41,7 +41,6 @@ __all__ = [
     "SearchBackend",
     "ReplayEntry",
     "ReplayModelBackend",
-    "RecordingModelBackend",
     "RemoteModelBackend",
     "SearchFixture",
     "MockSearchBackend",
@@ -444,32 +443,51 @@ class ReplayEntry:
                 return False
         return all(needle in request.user for needle in self.match)
 
+    @classmethod
+    def from_dict(cls, data: Any, where: str) -> "ReplayEntry":
+        """Parse one replay-script entry; ``where`` names it in a FixtureError.
 
-def _entry_from_dict(data: Mapping[str, Any], where: str) -> ReplayEntry:
+        ``match`` may be one string or a list of strings.
+        """
+        if not isinstance(data, dict):
+            raise FixtureError(f"{where}: replay entry must be an object")
+        try:
+            role = Role(data["role"])
+        except (KeyError, ValueError) as exc:
+            raise FixtureError(f"{where}: bad replay entry role: {exc}") from exc
+        match = data.get("match", [])
+        match = [match] if isinstance(match, str) else match
+        sleep_ms = data.get("sleep_ms", 0)
+        for ok, rule in (
+            (isinstance(data.get("response"), str), "response must be a string"),
+            (isinstance(match, list) and all(isinstance(m, str) for m in match),
+             "match must be a string or a list of strings"),
+            (isinstance(data.get("user_sha256"), (str, type(None))),
+             "user_sha256 must be a string"),
+            (isinstance(sleep_ms, int) and not isinstance(sleep_ms, bool) and sleep_ms >= 0,
+             "sleep_ms must be an integer >= 0"),
+        ):
+            if not ok:
+                raise FixtureError(f"{where}: {rule}")
+        return cls(role=role, response=data["response"], match=tuple(match),
+                   user_sha256=data.get("user_sha256"), sleep_ms=sleep_ms)
+
+
+def _read_json(path: str | Path) -> Any:
+    """The JSON document in a fixture or replay file; FixtureError if there is none."""
     try:
-        role = Role(data["role"])
-        response = data["response"]
-    except (KeyError, ValueError) as exc:
-        raise FixtureError(f"{where}: bad replay entry: {exc}") from exc
-    raw_match = data.get("match", [])
-    match = (raw_match,) if isinstance(raw_match, str) else tuple(raw_match)
-    return ReplayEntry(
-        role=role,
-        response=response,
-        match=match,
-        user_sha256=data.get("user_sha256"),
-        sleep_ms=int(data.get("sleep_ms", 0)),
-    )
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise FixtureError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise FixtureError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
 
 
 def load_replay(path: str | Path) -> list[ReplayEntry]:
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise FixtureError(f"{path}: invalid JSON: {exc}") from exc
+    raw = _read_json(path)
     if not isinstance(raw, list):
         raise FixtureError(f"{path}: replay file must hold a list of entries")
-    return [_entry_from_dict(entry, f"{path}[{i}]") for i, entry in enumerate(raw)]
+    return [ReplayEntry.from_dict(entry, f"{path}[{i}]") for i, entry in enumerate(raw)]
 
 
 class ReplayModelBackend:
@@ -525,33 +543,6 @@ class ReplayModelBackend:
         )
 
 
-class RecordingModelBackend:
-    """Wraps a live backend and records (role, user hash) -> completion.
-
-    ``dump`` writes a replay script usable with :class:`ReplayModelBackend`.
-    """
-
-    def __init__(self, inner: ModelBackend):
-        self._inner = inner
-        self._recorded: list[dict[str, Any]] = []
-
-    def complete(self, request: ModelRequest, deadline: Deadline) -> ModelResponse:
-        response = self._inner.complete(request, deadline)
-        self._recorded.append(
-            {
-                "role": request.role.value,
-                "user_sha256": _user_digest(request.user),
-                "response": response.text,
-            }
-        )
-        return response
-
-    def dump(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(self._recorded, indent=2, ensure_ascii=False), encoding="utf-8"
-        )
-
-
 # ---------------------------------------------------------------------------
 # Remote model backend
 
@@ -589,12 +580,14 @@ class RemoteModelBackend:
 # Search fixture and backends
 
 
-def _item_from_record(record: Mapping[str, Any], source: Source, rank: int,
+def _item_from_record(record: Any, source: Source, rank: int,
                       where: str) -> tuple[RetrievedItem, float]:
+    if not isinstance(record, dict):
+        raise FixtureError(f"{where}: record must be an object")
     if "score" not in record:
         raise FixtureError(f"{where}: record is missing 'score'")
     score = record["score"]
-    if not isinstance(score, (int, float)) or not 0.0 <= score <= 1.0:
+    if type(score) not in (int, float) or not 0.0 <= score <= 1.0:  # a bool is no score
         raise FixtureError(f"{where}: score must be within [0, 1], got {score!r}")
     fields = {k: v for k, v in record.items() if k != "score"}
     for name, value in fields.items():
@@ -631,23 +624,30 @@ def _require_sorted(records: Sequence[tuple[RetrievedItem, float]], where: str) 
         raise FixtureError(f"{where}: records must be sorted descending by score")
 
 
+def _record_list(records: Any, where: str) -> list[Any]:
+    if not isinstance(records, list):
+        raise FixtureError(f"{where} must be a list of records")
+    return records
+
+
 def load_fixture(path: str | Path) -> SearchFixture:
     """Parse a search fixture file, reporting the offending entry on failure."""
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise FixtureError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    raw = _read_json(path)
     if not isinstance(raw, dict):
         raise FixtureError(f"{path}: fixture must be an object")
+    raw_images = raw.get("image_index", {})
+    if not isinstance(raw_images, dict):
+        raise FixtureError(f"{path}:image_index must be an object of record lists")
     image_index: dict[str, tuple[tuple[RetrievedItem, float], ...]] = {}
-    for key, records in raw.get("image_index", {}).items():
+    for key, records in raw_images.items():
+        where = f"{path}:image_index[{key!r}]"
         image_index[key] = tuple(
-            _item_from_record(rec, Source.KG_IMAGE, i + 1, f"{path}:image_index[{key!r}][{i}]")
-            for i, rec in enumerate(records)
+            _item_from_record(rec, Source.KG_IMAGE, i + 1, f"{where}[{i}]")
+            for i, rec in enumerate(_record_list(records, where))
         )
     web_index = tuple(
         _item_from_record(rec, Source.WEB, i + 1, f"{path}:web_index[{i}]")
-        for i, rec in enumerate(raw.get("web_index", []))
+        for i, rec in enumerate(_record_list(raw.get("web_index", []), f"{path}:web_index"))
     )
     return SearchFixture(image_index=image_index, web_index=web_index)
 

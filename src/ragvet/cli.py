@@ -43,7 +43,7 @@ from .evaluation import (
     run_ablation,
 )
 from .pipeline import TurnOutcome, run_conversation
-from .templates import load_all, load_template
+from .templates import PromptTemplate, load_all, load_template
 
 __all__ = ["load_dataset", "DatasetError", "RunManifest", "main", "entry"]
 
@@ -159,7 +159,20 @@ def load_config(path: Optional[str]) -> PipelineConfig:
     }
     if overrides:
         cfg = PipelineConfig.from_dict({**cfg.to_dict(), **overrides})
-    return validate_config(cfg)
+    cfg = validate_config(cfg)
+    for name, template_path in cfg.prompt_paths.items():
+        if template_path:
+            _load_template(f"prompt_paths.{name}", template_path)
+    return cfg
+
+
+def _load_template(key: str, path: str) -> PromptTemplate:
+    """The template file under config ``key``; a file that cannot be read or
+    parsed is a config error naming the key."""
+    try:
+        return load_template(path)
+    except (OSError, ValueError) as exc:
+        raise InvalidConfigError(f"config key {key}: {exc}") from exc
 
 
 def _remote(cfg: PipelineConfig, key: str, backend_class: type, **kwargs: Any) -> Any:
@@ -267,22 +280,37 @@ def _make_judge(cfg: PipelineConfig, kind: str):
         return MockJudge()
     if not cfg.judge_endpoint:
         raise InvalidConfigError("endpoint judge needs judge_endpoint in the config")
-    template = load_template(cfg.judge_prompt_path) if cfg.judge_prompt_path else None
+    template = (_load_template("judge_prompt_path", cfg.judge_prompt_path)
+                if cfg.judge_prompt_path else None)
     return PromptedJudge(_remote(cfg, "judge_endpoint", RemoteModelBackend), template)
 
 
-def _read_trace_records(path: str | Path) -> list[dict[str, Any]]:
-    records = []
-    for number, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+def _read_trace_turns(path: str | Path) -> list[tuple[str, int, str]]:
+    """The (conversation_id, turn_index, final answer) of each trace record."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise EvalError(f"cannot read trace {path}: {exc}") from exc
+    turns = []
+    for number, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
-            records.append(json.loads(line))
+            record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise EvalError(f"trace line {number} is not valid JSON: {exc}") from exc
-    if not records:
+        try:
+            turn = (record["conversation_id"], record["turn_index"], record["final"]["answer"])
+            well_formed = [type(value) for value in turn] == [str, int, str]
+        except (KeyError, TypeError):
+            well_formed = False
+        if not well_formed:
+            raise EvalError(f"trace line {number} needs a string conversation_id, an integer "
+                            "turn_index and a string final.answer")
+        turns.append(turn)
+    if not turns:
         raise EvalError("empty trace file")
-    return records
+    return turns
 
 
 def _manifest_hash_for(trace_path: Path) -> Optional[str]:
@@ -304,23 +332,19 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         for turn in conversation.turns
     }
     judge = _make_judge(cfg, args.judge)
-    records = _read_trace_records(args.traces)
     rows = []
     labels: list[JudgeLabel] = []
-    for record in records:
-        key = (record["conversation_id"], record["turn_index"])
+    for conversation_id, turn_index, answer in _read_trace_turns(args.traces):
+        key = (conversation_id, turn_index)
         if key not in truths:
             raise EvalError(f"trace turn {key} not present in dataset")
         ground_truth = truths[key]
         if ground_truth is None:
             raise EvalError(f"turn {key} has no ground truth; cannot evaluate")
-        label = judge_response(
-            record["final"]["answer"], ground_truth, judge, abstain_text=cfg.abstain_text
-        )
+        label = judge_response(answer, ground_truth, judge, abstain_text=cfg.abstain_text)
         labels.append(label)
-        rows.append(
-            {"conversation_id": key[0], "turn_index": key[1], "label": label.label.value}
-        )
+        rows.append({"conversation_id": conversation_id, "turn_index": turn_index,
+                     "label": label.label.value})
     report = {
         "manifest_hash": _manifest_hash_for(Path(args.traces)),
         **aggregate(labels).to_dict(),

@@ -2,7 +2,6 @@
 
 Every type validates its invariants at construction time and is immutable
 afterwards, so instances can be shared freely across concurrent turns.
-Each type round-trips through ``to_dict`` / ``from_dict``.
 """
 
 from __future__ import annotations
@@ -11,6 +10,8 @@ import re
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from typing import Any, Mapping, Optional, Sequence
+
+from .templates import TEMPLATE_NAMES
 
 __all__ = [
     "Source",
@@ -68,28 +69,14 @@ class QueryTurn:
     ground_truth: Optional[str] = None
 
     def __post_init__(self) -> None:
-        _require(bool(self.conversation_id), "conversation_id must be non-empty")
+        _require(isinstance(self.conversation_id, str) and bool(self.conversation_id),
+                 "conversation_id must be a non-empty string")
         _require(self.turn_index >= 0, "turn_index must be >= 0")
-        _require(bool(self.query.strip()), "query must be non-empty after trim")
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "conversation_id": self.conversation_id,
-            "turn_index": self.turn_index,
-            "query": self.query,
-            "image_ref": self.image_ref,
-            "ground_truth": self.ground_truth,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "QueryTurn":
-        return cls(
-            conversation_id=data["conversation_id"],
-            turn_index=data["turn_index"],
-            query=data["query"],
-            image_ref=data.get("image_ref"),
-            ground_truth=data.get("ground_truth"),
-        )
+        _require(isinstance(self.query, str) and bool(self.query.strip()),
+                 "query must be a string, non-empty after trim")
+        _require(isinstance(self.image_ref, (str, type(None))), "image_ref must be a string or null")
+        _require(isinstance(self.ground_truth, (str, type(None))),
+                 "ground_truth must be a string or null")
 
 
 @dataclass(frozen=True)
@@ -104,7 +91,9 @@ class Conversation:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "turns", tuple(self.turns))
-        _require(bool(self.conversation_id), "conversation_id must be non-empty")
+        _require(isinstance(self.conversation_id, str) and bool(self.conversation_id),
+                 "conversation_id must be a non-empty string")
+        _require(isinstance(self.image_ref, (str, type(None))), "image_ref must be a string or null")
         _require(len(self.turns) > 0, "conversation must have at least one turn")
         for expected, turn in enumerate(self.turns):
             _require(
@@ -115,17 +104,6 @@ class Conversation:
                 turn.conversation_id == self.conversation_id,
                 "turn conversation_id mismatch",
             )
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "conversation_id": self.conversation_id,
-            "image_ref": self.image_ref,
-            "turns": [
-                {"query": t.query, "ground_truth": t.ground_truth} for t in self.turns
-            ],
-            "domain": self.domain,
-            "query_type": self.query_type,
-        }
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "Conversation":
@@ -167,13 +145,6 @@ class RoutingDecision:
             "is_real_time": int(self.is_real_time),
         }
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "RoutingDecision":
-        return cls(
-            needs_external=data["needs_external"],
-            is_real_time=data["is_real_time"],
-        )
-
 
 # Content fields eligible for chunking, in fixed order.
 KG_CONTENT_FIELDS = ("description", "caption", "summary")
@@ -203,32 +174,12 @@ class RetrievedItem:
     def content_fields(self) -> tuple[str, ...]:
         return KG_CONTENT_FIELDS if self.source is Source.KG_IMAGE else WEB_CONTENT_FIELDS
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RetrievedItem):
-            return NotImplemented
-        return (
-            self.source == other.source
-            and dict(self.fields) == dict(other.fields)
-            and self.recall_rank == other.recall_rank
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.source, tuple(sorted(self.fields.items())), self.recall_rank))
-
     def to_dict(self) -> dict[str, Any]:
         return {
             "source": self.source.value,
             "fields": dict(self.fields),
             "recall_rank": self.recall_rank,
         }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "RetrievedItem":
-        return cls(
-            source=Source(data["source"]),
-            fields=data["fields"],
-            recall_rank=data["recall_rank"],
-        )
 
 
 @dataclass(frozen=True)
@@ -240,10 +191,6 @@ class ChunkRef:
 
     def to_dict(self) -> dict[str, Any]:
         return {"item": self.item.to_dict(), "field": self.field}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ChunkRef":
-        return cls(item=RetrievedItem.from_dict(data["item"]), field=data["field"])
 
 
 @dataclass(frozen=True)
@@ -261,14 +208,6 @@ class ScoredChunk:
 
     def to_dict(self) -> dict[str, Any]:
         return {"text": self.text, "parent": self.parent.to_dict(), "score": self.score}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ScoredChunk":
-        return cls(
-            text=data["text"],
-            parent=ChunkRef.from_dict(data["parent"]),
-            score=data["score"],
-        )
 
 
 def parse_context_tags(rendered: str) -> list[tuple[int, str]]:
@@ -289,15 +228,22 @@ def parse_context_tags(rendered: str) -> list[tuple[int, str]]:
 
 @dataclass(frozen=True)
 class RagContext:
-    """The filtered, tagged evidence block handed to generation."""
+    """The filtered, tagged evidence block handed to generation.
+
+    ``rendered`` is derived from ``entries``, one ``[Info m] text`` line per
+    entry in order, so ``parse_context_tags`` reads the entries back from it.
+    """
 
     entries: tuple[ScoredChunk, ...]
-    rendered: str
+    rendered: str = field(init=False)
     threshold_used: float
     retrieval_score: float
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "entries", tuple(self.entries))
+        object.__setattr__(self, "rendered", "\n".join(
+            f"[Info {number}] {entry.text}" for number, entry in enumerate(self.entries, start=1)
+        ))
         _require(
             len(self.entries) <= MAX_CONTEXT_ENTRIES,
             f"context holds at most {MAX_CONTEXT_ENTRIES} entries",
@@ -307,13 +253,6 @@ class RagContext:
                 entry.score >= self.threshold_used,
                 "every context entry score must be >= threshold_used",
             )
-        tags = parse_context_tags(self.rendered)
-        _require(
-            [number for number, _ in tags] == list(range(1, len(self.entries) + 1)),
-            "rendered must contain tags [Info 1]..[Info n] in order, each exactly once",
-        )
-        for (_, text), entry in zip(tags, self.entries):
-            _require(text == entry.text, "rendered text must match entries in order")
 
     @property
     def empty(self) -> bool:
@@ -326,15 +265,6 @@ class RagContext:
             "threshold_used": self.threshold_used,
             "retrieval_score": self.retrieval_score,
         }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "RagContext":
-        return cls(
-            entries=tuple(ScoredChunk.from_dict(e) for e in data["entries"]),
-            rendered=data["rendered"],
-            threshold_used=data["threshold_used"],
-            retrieval_score=data["retrieval_score"],
-        )
 
 
 @dataclass(frozen=True)
@@ -361,14 +291,6 @@ class AnswerPair:
             "consistent": self.consistent,
         }
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "AnswerPair":
-        return cls(
-            rag_answer=data["rag_answer"],
-            direct_answer=data["direct_answer"],
-            consistent=data.get("consistent"),
-        )
-
 
 class Finding(str, Enum):
     SUPPORTED = "Supported"
@@ -382,10 +304,6 @@ class SubQuestion:
 
     def to_dict(self) -> dict[str, Any]:
         return {"question": self.question, "finding": self.finding.value}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SubQuestion":
-        return cls(question=data["question"], finding=Finding(data["finding"]))
 
 
 @dataclass(frozen=True)
@@ -415,14 +333,6 @@ class VerificationResult:
             "reasoning": self.reasoning,
             "sub_questions": [sq.to_dict() for sq in self.sub_questions],
         }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "VerificationResult":
-        return cls(
-            confidence=data["confidence"],
-            reasoning=data["reasoning"],
-            sub_questions=tuple(SubQuestion.from_dict(s) for s in data["sub_questions"]),
-        )
 
 
 class InvalidConfigError(ValueError):
@@ -464,12 +374,8 @@ class PipelineConfig:
     replay_path: Optional[str] = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "prompt_paths", dict(self.prompt_paths))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PipelineConfig):
-            return NotImplemented
-        return self.to_dict() == other.to_dict()
+        if isinstance(self.prompt_paths, Mapping):
+            object.__setattr__(self, "prompt_paths", dict(self.prompt_paths))
 
     def to_dict(self) -> dict[str, Any]:
         data = {}
@@ -489,11 +395,38 @@ class PipelineConfig:
         return cls(**dict(data))
 
 
-def validate_config(cfg: PipelineConfig) -> PipelineConfig:
-    """Return cfg unchanged iff every field constraint holds.
+# The values each annotation of a PipelineConfig field admits; a bool is
+# never a number.
+_ANNOTATED_TYPES = {
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a number"),
+    "str": ((str,), "a string"),
+    "Optional[str]": ((str, type(None)), "a string or null"),
+    "Mapping[str, str]": ((Mapping,), "an object"),
+}
+_CONFIG_TYPES = {f.name: _ANNOTATED_TYPES[f.type] for f in fields(PipelineConfig)}
 
-    Raises InvalidConfigError naming the first violated constraint.
+
+def validate_config(cfg: PipelineConfig) -> PipelineConfig:
+    """Return cfg unchanged iff every field has its declared type and every
+    field constraint holds.
+
+    Raises InvalidConfigError naming the first offending key or constraint.
     """
+    for name, (types, kind) in _CONFIG_TYPES.items():
+        value = getattr(cfg, name)
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise InvalidConfigError(
+                f"config key {name} must be {kind}, got {type(value).__name__}"
+            )
+    for name, path in cfg.prompt_paths.items():
+        if name not in TEMPLATE_NAMES:
+            raise InvalidConfigError(
+                f"config key prompt_paths.{name} names no template "
+                f"(choose from {', '.join(TEMPLATE_NAMES)})"
+            )
+        if not isinstance(path, str):
+            raise InvalidConfigError(f"config key prompt_paths.{name} must be a string path")
     checks: Sequence[tuple[bool, str]] = (
         (cfg.recall_k >= 1, "recall_k >= 1"),
         (cfg.rerank_k >= 0, "rerank_k >= 0"),
@@ -509,8 +442,7 @@ def validate_config(cfg: PipelineConfig) -> PipelineConfig:
         (cfg.abstain_margin_ms < cfg.turn_budget_ms, "abstain_margin_ms < turn_budget_ms"),
         (bool(cfg.abstain_text.strip()), "abstain_text must be non-empty"),
         (cfg.mode in ("task1", "task2plus"), "mode must be task1 or task2plus"),
-        (isinstance(cfg.bearer_token, (str, type(None)))
-         and re.fullmatch(r"[\x21-\x7e]*", cfg.bearer_token or "") is not None,
+        (re.fullmatch(r"[\x21-\x7e]*", cfg.bearer_token or "") is not None,
          "bearer_token must be visible ASCII (0x21-0x7E)"),
     )
     for ok, name in checks:

@@ -29,7 +29,6 @@ __all__ = [
     "Label",
     "JudgeLabel",
     "MetricsReport",
-    "WhitespaceTokenizer",
     "truncate_tokens",
     "MockJudge",
     "PromptedJudge",
@@ -43,6 +42,9 @@ __all__ = [
 DEFAULT_TOKEN_LIMIT = 75
 
 JUDGE_MAX_TOKENS = 16
+
+# The time one PromptedJudge call may take.
+_JUDGE_TIMEOUT_MS = 30_000
 
 
 class EvalError(RuntimeError):
@@ -98,28 +100,11 @@ class MetricsReport:
         }
 
 
-class Tokenizer(Protocol):
-    def tokenize(self, text: str) -> list[str]: ...
-
-    def render(self, tokens: Sequence[str]) -> str: ...
-
-
-class WhitespaceTokenizer:
-    """Default truncation tokenizer; a BPE implementation can be swapped in."""
-
-    def tokenize(self, text: str) -> list[str]:
-        return text.split()
-
-    def render(self, tokens: Sequence[str]) -> str:
-        return " ".join(tokens)
-
-
-def truncate_tokens(text: str, n: int, tokenizer: Optional[Tokenizer] = None) -> str:
-    """Re-render the first n tokens of text under the tokenizer contract."""
+def truncate_tokens(text: str, n: int) -> str:
+    """The first n whitespace-separated tokens of text, joined by single spaces."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    tokenizer = tokenizer or WhitespaceTokenizer()
-    return tokenizer.render(tokenizer.tokenize(text)[:n])
+    return " ".join(text.split()[:n])
 
 
 class JudgeBackend(Protocol):
@@ -157,13 +142,11 @@ _DEFAULT_JUDGE_USER = (
 class PromptedJudge:
     """LLM-backed judge; the grading prompt is supplied by configuration."""
 
-    def __init__(self, backend: ModelBackend, template: Optional[PromptTemplate] = None,
-                 timeout_ms: int = 30_000):
+    def __init__(self, backend: ModelBackend, template: Optional[PromptTemplate] = None):
         self._backend = backend
         self._template = template or PromptTemplate(
             system=_DEFAULT_JUDGE_SYSTEM, user=_DEFAULT_JUDGE_USER
         )
-        self._timeout_ms = timeout_ms
 
     def judge(self, answer: str, ground_truth: str) -> JudgeLabel:
         system, user = self._template.build(answer=answer, ground_truth=ground_truth)
@@ -171,7 +154,7 @@ class PromptedJudge:
             role=Role.VERIFIER, system=system, user=user, max_tokens=JUDGE_MAX_TOKENS
         )
         try:
-            text = self._backend.complete(request, Deadline.after_ms(self._timeout_ms)).text
+            text = self._backend.complete(request, Deadline.after_ms(_JUDGE_TIMEOUT_MS)).text
         except BackendError as exc:
             raise EvalError(f"judge backend failed: {exc}") from exc
         lowered = text.lower()
@@ -185,14 +168,13 @@ def judge_response(
     final_answer: str,
     ground_truth: str,
     judge_backend: JudgeBackend,
-    tokenizer: Optional[Tokenizer] = None,
     token_limit: int = DEFAULT_TOKEN_LIMIT,
     abstain_text: str = "I don't know",
 ) -> JudgeLabel:
     """Label one response; abstentions are Missing without any judge call."""
     if final_answer.strip() == abstain_text:
         return JudgeLabel.of(Label.MISSING)
-    return judge_backend.judge(truncate_tokens(final_answer, token_limit, tokenizer), ground_truth)
+    return judge_backend.judge(truncate_tokens(final_answer, token_limit), ground_truth)
 
 
 def aggregate(labels: Sequence[JudgeLabel]) -> MetricsReport:
@@ -227,7 +209,6 @@ def run_ablation(
     cfg: PipelineConfig,
     backends: Backends,
     judge: Optional[JudgeBackend] = None,
-    tokenizer: Optional[Tokenizer] = None,
 ) -> MetricsReport:
     """Score one pipeline variant over the dataset with the given judge."""
     if mode not in ABLATION_MODES:
@@ -245,7 +226,7 @@ def run_ablation(
             labels.append(
                 judge_response(
                     outcome.final.answer, turn.ground_truth, judge,
-                    tokenizer=tokenizer, abstain_text=cfg.abstain_text,
+                    abstain_text=cfg.abstain_text,
                 )
             )
     return aggregate(labels)

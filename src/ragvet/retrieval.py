@@ -20,7 +20,6 @@ from .runtime import Deadline, Trace, flag_trace
 from .templates import PromptTemplate, default_template
 
 __all__ = [
-    "ExpandedQuery",
     "RawChunk",
     "summarize_image",
     "expand_query",
@@ -39,20 +38,6 @@ SUMMARY_MAX_TOKENS = 128
 
 # The dynamic cutoff always works on the largest scores, at most this many.
 TOP_SCORES_WINDOW = 10
-
-@dataclass(frozen=True)
-class ExpandedQuery:
-    """The retrieval query: the question plus its image summary."""
-
-    original: str
-    summary: str
-    combined: str
-
-    def __post_init__(self) -> None:
-        expected = self.original if not self.summary else f"{self.original} {self.summary}"
-        if self.combined != expected:
-            raise ValueError("combined must be original plus a single space plus summary")
-
 
 @dataclass(frozen=True)
 class RawChunk:
@@ -92,15 +77,15 @@ def summarize_image(
     return response.text.strip()
 
 
-def expand_query(query: str, summary: str) -> ExpandedQuery:
+def expand_query(query: str, summary: str) -> str:
+    """The retrieval query: the question, then its image summary if any."""
     if not query:
         raise ValueError("query must be non-empty")
-    combined = query if not summary else f"{query} {summary}"
-    return ExpandedQuery(original=query, summary=summary, combined=combined)
+    return query if not summary else f"{query} {summary}"
 
 
 def recall(
-    expanded: ExpandedQuery,
+    expanded: str,
     image_ref: Optional[str],
     decision: RoutingDecision,
     search_backend: SearchBackend,
@@ -125,7 +110,7 @@ def recall(
             return search_backend.image_search(image_ref, k)
         if not decision.needs_external:
             return []
-        return search_backend.web_search(expanded.combined, k, deadline)
+        return search_backend.web_search(expanded, k, deadline)
     except BackendError:
         flag_trace(trace, "recall_backend_error")
         return []
@@ -151,7 +136,7 @@ def chunk_items(items: Sequence[RetrievedItem]) -> list[RawChunk]:
 
 
 def rerank(
-    expanded: ExpandedQuery,
+    expanded: str,
     chunks: Sequence[RawChunk],
     reranker_backend: RerankerBackend,
     deadline: Deadline,
@@ -164,9 +149,7 @@ def rerank(
     if not chunks:
         return []
     try:
-        scores = reranker_backend.score_batch(
-            expanded.combined, [chunk.text for chunk in chunks], deadline
-        )
+        scores = reranker_backend.score_batch(expanded, [chunk.text for chunk in chunks], deadline)
     except BackendError:
         flag_trace(trace, "rerank_backend_error")
         return []
@@ -224,16 +207,8 @@ def filter_chunks(
 def build_context(
     kept: Sequence[ScoredChunk], threshold: float, s_ret: float
 ) -> RagContext:
-    """Render kept chunks as tagged [Info m] lines, one per entry."""
-    rendered = "\n".join(
-        f"[Info {position}] {chunk.text}" for position, chunk in enumerate(kept, start=1)
-    )
-    return RagContext(
-        entries=tuple(kept),
-        rendered=rendered,
-        threshold_used=threshold,
-        retrieval_score=s_ret,
-    )
+    """The context of the kept chunks, which renders them as tagged lines."""
+    return RagContext(entries=tuple(kept), threshold_used=threshold, retrieval_score=s_ret)
 
 
 def retrieval_score(scored: Sequence[ScoredChunk]) -> float:

@@ -67,20 +67,9 @@ def serve_http(handler_class: type,
 
 
 def scripted_model(*entries: dict) -> ReplayModelBackend:
-    """Build a replay backend from loose entry dicts."""
-    built = []
-    for entry in entries:
-        raw_match = entry.get("match", [])
-        match = (raw_match,) if isinstance(raw_match, str) else tuple(raw_match)
-        built.append(
-            ReplayEntry(
-                role=entry["role"],
-                response=entry["response"],
-                match=match,
-                sleep_ms=entry.get("sleep_ms", 0),
-            )
-        )
-    return ReplayModelBackend(built)
+    """Build a replay backend from entry dicts in the replay-file format."""
+    return ReplayModelBackend([ReplayEntry.from_dict(entry, f"scripted[{i}]")
+                               for i, entry in enumerate(entries)])
 
 
 class CountingModel:

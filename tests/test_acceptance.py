@@ -17,9 +17,9 @@ from ragvet.backends import (
     Backends,
     MockRerankerBackend,
     MockSearchBackend,
+    ReplayEntry,
     ReplayModelBackend,
     SearchFixture,
-    _entry_from_dict,
     load_fixture,
 )
 from ragvet.cli import load_dataset, main
@@ -311,7 +311,7 @@ def test_criterion_6_deadline_behavior():
                             "response": "1. Needs External Info: no\n2. Is Real-Time: no"})
             entries.append({"role": "generator", "match": f"slowq{i}",
                             "response": "too late", "sleep_ms": 12_000})
-        model = ReplayModelBackend([_entry_from_dict(e, "inline") for e in entries])
+        model = ReplayModelBackend([ReplayEntry.from_dict(e, "inline") for e in entries])
         backends = Backends(
             router_model=model, vlm=model, reranker=MockRerankerBackend(),
             search=MockSearchBackend(SearchFixture(image_index={}, web_index=())),

@@ -22,7 +22,6 @@ from ragvet.backends import (
     MockSearchBackend,
     ModelRequest,
     NoScriptEntryError,
-    RecordingModelBackend,
     RemoteModelBackend,
     RemoteRerankerBackend,
     RemoteSearchBackend,
@@ -124,19 +123,6 @@ class TestReplayModelBackend:
         first = ReplayModelBackend.from_file(path).complete(_request(user="q"), no_deadline)
         second = ReplayModelBackend.from_file(path).complete(_request(user="q"), no_deadline)
         assert first.text == second.text
-
-
-class TestRecordingBackend:
-    def test_records_and_replays(self, no_deadline, tmp_path):
-        inner = scripted_model({"role": Role.ROUTER, "match": "", "response": "answer"})
-        recorder = RecordingModelBackend(inner)
-        recorder.complete(_request(user="the exact prompt"), no_deadline)
-        path = tmp_path / "recorded.json"
-        recorder.dump(path)
-        replay = ReplayModelBackend.from_file(path)
-        assert replay.complete(_request(user="the exact prompt"), no_deadline).text == "answer"
-        with pytest.raises(NoScriptEntryError):
-            replay.complete(_request(user="different prompt"), no_deadline)
 
 
 class TestJaccard:

@@ -367,3 +367,78 @@ def test_version_flag():
     with pytest.raises(SystemExit) as excinfo:
         main(["--version"])
     assert excinfo.value.code == 0
+
+
+
+RECORD = {"conversation_id": "c1", "image_ref": None,
+          "turns": [{"query": "q", "ground_truth": "a"}]}
+ROUTER_ENTRY = {"role": "router", "match": "", "response": "1. Needs External Info: no"}
+
+# (id, the one input that is malformed, what the error line must name). An
+# input is a config key -> value, or a whole file: "dataset" (one record),
+# "trace" (one record, judged by eval), "replay" or "fixture" (a document, or
+# None for a file that is not there). Paths are relative to the test's
+# directory, which holds no missing.txt and an unsectioned.txt template
+# without [system]/[user].
+MALFORMED_INPUTS = [
+    ("config-integer-as-string", {"config": {"recall_k": "10"}}, "recall_k"),
+    ("config-text-as-number", {"config": {"abstain_text": 5}}, "abstain_text"),
+    ("config-prompt-paths-not-object", {"config": {"prompt_paths": "x"}}, "prompt_paths"),
+    ("config-prompt-file-missing",
+     {"config": {"prompt_paths": {"routing": "missing.txt"}}}, "prompt_paths.routing"),
+    ("config-prompt-file-without-sections",
+     {"config": {"prompt_paths": {"routing": "unsectioned.txt"}}}, "prompt_paths.routing"),
+    ("config-prompt-name-misspelled",
+     {"config": {"prompt_paths": {"routnig": "unsectioned.txt"}}}, "routnig"),
+    ("dataset-query-number",
+     {"dataset": {**RECORD, "turns": [{"query": 5}]}}, "line 1: query"),
+    ("dataset-id-list", {"dataset": {**RECORD, "conversation_id": ["x"]}},
+     "line 1: conversation_id"),
+    ("dataset-image-ref-number", {"dataset": {**RECORD, "image_ref": 7}}, "line 1: image_ref"),
+    ("dataset-ground-truth-number",
+     {"dataset": {**RECORD, "turns": [{"query": "q", "ground_truth": 5}]},
+      "trace": {"conversation_id": "c1", "turn_index": 0, "final": {"answer": "a"}}},
+     "line 1: ground_truth"),
+    ("trace-record-empty", {"dataset": RECORD, "trace": {}}, "trace line 1"),
+    ("replay-entry-string", {"replay": ["router"]}, "replay.json[0]"),
+    ("replay-sleep-not-integer", {"replay": [{**ROUTER_ENTRY, "sleep_ms": "abc"}]},
+     "replay.json[0]: sleep_ms"),
+    ("replay-response-number", {"replay": [{**ROUTER_ENTRY, "response": 5}]},
+     "replay.json[0]: response"),
+    ("replay-match-number", {"replay": [{**ROUTER_ENTRY, "match": [5]}]},
+     "replay.json[0]: match"),
+    ("replay-file-missing", {"replay": None}, "replay.json"),
+    ("fixture-image-index-list", {"fixture": {"image_index": [1, 2]}},
+     "fixture.json:image_index"),
+    ("fixture-file-missing", {"fixture": None}, "fixture.json"),
+]
+
+
+@pytest.mark.parametrize("inputs, names", [case[1:] for case in MALFORMED_INPUTS],
+                         ids=[case[0] for case in MALFORMED_INPUTS])
+def test_malformed_input_is_one_error_line_and_no_output(tmp_path, monkeypatch, capsys,
+                                                         inputs, names):
+    monkeypatch.chdir(tmp_path)
+    Path("unsectioned.txt").write_text("no sections here\n", encoding="utf-8")
+    overrides = dict(inputs.get("config", {}))
+    for kind in ("replay", "fixture"):
+        if kind in inputs:
+            overrides[f"{kind}_path"] = f"{kind}.json"
+            if inputs[kind] is not None:
+                Path(f"{kind}.json").write_text(json.dumps(inputs[kind]), encoding="utf-8")
+    dataset = FIXTURES / "e2e_dataset.jsonl"
+    if "dataset" in inputs:
+        dataset = Path("dataset.jsonl")
+        dataset.write_text(json.dumps(inputs["dataset"]) + "\n", encoding="utf-8")
+    argv = ["run", "--out", "out.jsonl", "--mock"]
+    if "trace" in inputs:
+        Path("trace.jsonl").write_text(json.dumps(inputs["trace"]) + "\n", encoding="utf-8")
+        argv = ["eval", "--traces", "trace.jsonl", "--report", "out.jsonl"]
+    config = write_config(tmp_path, **overrides)
+    code = main([*argv, "--dataset", str(dataset), "--config", str(config)])
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert names in lines[0]
+    assert not Path("out.jsonl").exists()
+    assert not Path("out.jsonl.manifest.json").exists()

@@ -1,30 +1,25 @@
-"""Domain type invariants, config validation, and serialization round-trips."""
+"""Domain type invariants, config validation, and the config round-trip."""
 
 import json
 
 import pytest
-from hypothesis import given, strategies as st
 
 from ragvet.core import (
     AnswerPair,
-    ChunkRef,
     Conversation,
-    Finding,
     InvalidConfigError,
     PipelineConfig,
     QueryTurn,
     RagContext,
     RetrievedItem,
     RoutingDecision,
-    ScoredChunk,
     Source,
-    SubQuestion,
     VerificationResult,
     parse_context_tags,
     validate_config,
 )
 
-from conftest import chunk, kg_item, web_item
+from conftest import chunk
 
 
 class TestConstructionRejection:
@@ -84,20 +79,12 @@ class TestConstructionRejection:
 class TestRagContext:
     def test_entries_capped_at_three(self):
         chunks = [chunk(f"t{i}", 0.9) for i in range(4)]
-        rendered = "\n".join(f"[Info {i + 1}] t{i}" for i in range(4))
         with pytest.raises(ValueError):
-            RagContext(entries=tuple(chunks), rendered=rendered,
-                       threshold_used=0.1, retrieval_score=0.9)
+            RagContext(entries=tuple(chunks), threshold_used=0.1, retrieval_score=0.9)
 
     def test_entry_below_threshold_rejected(self):
         with pytest.raises(ValueError):
-            RagContext(entries=(chunk("t", 0.3),), rendered="[Info 1] t",
-                       threshold_used=0.5, retrieval_score=0.3)
-
-    def test_rendered_must_match_entries(self):
-        with pytest.raises(ValueError):
-            RagContext(entries=(chunk("t", 0.9),), rendered="[Info 1] other",
-                       threshold_used=0.1, retrieval_score=0.9)
+            RagContext(entries=(chunk("t", 0.3),), threshold_used=0.5, retrieval_score=0.3)
 
     def test_tags_parse_back(self):
         parsed = parse_context_tags("[Info 1] a\n[Info 2] b")
@@ -143,41 +130,10 @@ class TestValidateConfig:
             PipelineConfig.from_dict([1, 2])
 
 
-def _sample_instances():
-    item = kg_item("a desk lamp", caption="lamp on desk")
-    scored = ScoredChunk(text="a desk lamp", parent=ChunkRef(item, "description"), score=0.7)
-    return [
-        QueryTurn(conversation_id="c", turn_index=0, query="what is this?",
-                  image_ref="img-1", ground_truth="a lamp"),
-        RoutingDecision(needs_external=True, is_real_time=False),
-        item,
-        web_item("some snippet"),
-        scored,
-        RagContext(entries=(scored,), rendered="[Info 1] a desk lamp",
-                   threshold_used=0.5, retrieval_score=0.7),
-        AnswerPair(rag_answer="a lamp", direct_answer="a lamp", consistent=True),
-        VerificationResult(
-            confidence=0.9,
-            reasoning="Matches the visible label.",
-            sub_questions=(SubQuestion("Is it a lamp?", Finding.SUPPORTED),),
-        ),
-        PipelineConfig(mode="task2plus", prompt_paths={"routing": "x.txt"}),
-    ]
-
-
-@pytest.mark.parametrize("instance", _sample_instances(), ids=lambda x: type(x).__name__)
+@pytest.mark.parametrize(
+    "instance", [PipelineConfig(mode="task2plus", prompt_paths={"routing": "x.txt"})],
+    ids=lambda x: type(x).__name__,
+)
 def test_round_trip_identity(instance):
     data = json.loads(json.dumps(instance.to_dict()))
     assert type(instance).from_dict(data) == instance
-
-
-@given(
-    needs_external=st.booleans(),
-    is_real_time=st.booleans(),
-    score=st.floats(min_value=0.0, max_value=1.0),
-)
-def test_generated_round_trips(needs_external, is_real_time, score):
-    decision = RoutingDecision(needs_external=needs_external, is_real_time=is_real_time)
-    assert RoutingDecision.from_dict(decision.to_dict()) == decision
-    scored = chunk("text", score)
-    assert ScoredChunk.from_dict(json.loads(json.dumps(scored.to_dict()))) == scored

@@ -272,9 +272,9 @@ def test_forced_disagreement_drives_missing_rate_to_one(tmp_path):
                         "response": f"first{i}"})
         entries.append({"role": "generator", "match": f"Question: splitq{i} token{i}",
                         "response": f"second{i}"})
-    from ragvet.backends import SearchFixture, _entry_from_dict
+    from ragvet.backends import ReplayEntry, SearchFixture
 
-    model = ReplayModelBackend([_entry_from_dict(e, "inline") for e in entries])
+    model = ReplayModelBackend([ReplayEntry.from_dict(e, "inline") for e in entries])
     backends = Backends(
         router_model=model, vlm=model, reranker=MockRerankerBackend(),
         search=MockSearchBackend(SearchFixture(image_index={}, web_index=())),

@@ -1,5 +1,6 @@
-"""No ragvet module imports another module's private (underscore) names, and
-none imports an HTTP client library: ``backends`` speaks HTTP itself.
+"""No ragvet module or test module imports a ragvet module's private
+(underscore) names, and no ragvet module imports an HTTP client library:
+``backends`` speaks HTTP itself.
 
 Dunder names such as ``__version__`` are public by convention and allowed.
 """
@@ -11,6 +12,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ragvet"
 MODULES = sorted(PACKAGE.glob("*.py"))
+TEST_MODULES = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def _is_private(name: str) -> bool:
@@ -45,6 +47,11 @@ def test_detector_sees_relative_and_absolute_private_imports():
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_private_cross_module_import(path):
+    assert private_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", TEST_MODULES, ids=lambda path: path.name)
+def test_no_private_import_in_tests(path):
     assert private_imports(path.read_text(encoding="utf-8")) == []
 
 

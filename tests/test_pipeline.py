@@ -11,9 +11,11 @@ import pytest
 
 from ragvet.backends import (
     Backends,
+    FixtureError,
     MockRerankerBackend,
     MockSearchBackend,
     ModelRequest,
+    ReplayModelBackend,
     Role,
     SearchFixture,
 )
@@ -239,6 +241,18 @@ class TestDegradation:
         assert "generation_timeout" in outcome.flags
         assert elapsed_ms <= cfg.turn_budget_ms + 200
         assert outcome.answers is None
+
+    def test_non_string_match_rejected_at_load_not_mid_turn(self, tmp_path):
+        query = "what brand is this shoe"
+        script = turn_script(query)
+        script[2] = {**script[2], "match": ["Context:", 5]}
+        path = tmp_path / "replay.json"
+        path.write_text(json.dumps(script), encoding="utf-8")
+        with pytest.raises(FixtureError, match=r"replay\.json\[2\]: match"):
+            model = ReplayModelBackend.from_file(path)
+            backends = Backends(router_model=model, vlm=model, reranker=MockRerankerBackend(),
+                                search=MockSearchBackend(image_fixture("img-1", query)))
+            run_turn(fresh_state(), one_turn(query), PipelineConfig(), backends)
 
     def test_missing_generator_script_degrades(self):
         query = "no generator here"

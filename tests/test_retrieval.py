@@ -16,7 +16,6 @@ from ragvet.backends import (
 )
 from ragvet.core import RetrievedItem, RoutingDecision, Source
 from ragvet.retrieval import (
-    ExpandedQuery,
     build_context,
     chunk_items,
     dynamic_threshold,
@@ -46,17 +45,13 @@ def brute_force_threshold(scores, tau, lam):
 
 class TestExpandQuery:
     def test_concatenation_with_single_space(self):
-        assert expand_query("price?", "A blue kettle.").combined == "price? A blue kettle."
+        assert expand_query("price?", "A blue kettle.") == "price? A blue kettle."
 
     def test_empty_summary_degenerates_to_query(self):
-        assert expand_query("price?", "").combined == "price?"
+        assert expand_query("price?", "") == "price?"
 
     def test_single_tokens(self):
-        assert expand_query("a", "b").combined == "a b"
-
-    def test_type_rejects_wrong_combination(self):
-        with pytest.raises(ValueError):
-            ExpandedQuery(original="a", summary="b", combined="ab")
+        assert expand_query("a", "b") == "a b"
 
 
 class TestSummarizeImage:
@@ -76,7 +71,7 @@ class TestSummarizeImage:
         text = summarize_image("q", "img-1", backend, Deadline.after_ms(1), trace=trace)
         assert text == ""
         assert "summary_backend_timeout" in trace.flags
-        assert expand_query("q", text).combined == "q"
+        assert expand_query("q", text) == "q"
 
     def test_empty_reply_treated_as_failure(self, no_deadline):
         backend = scripted_model({"role": Role.SUMMARIZER, "match": "", "response": ""})
