@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Any, Mapping, Optional, Protocol, Sequence
 from urllib.parse import urlsplit
 
-from .core import RetrievedItem, Source
+from .core import RetrievedItem, Source, missing_content
 from .runtime import Deadline
 
 __all__ = [
@@ -580,24 +580,8 @@ class RemoteModelBackend:
 # Search fixture and backends
 
 
-def _item_from_record(record: Any, source: Source, rank: int,
-                      where: str) -> tuple[RetrievedItem, float]:
-    if not isinstance(record, dict):
-        raise FixtureError(f"{where}: record must be an object")
-    if "score" not in record:
-        raise FixtureError(f"{where}: record is missing 'score'")
-    score = record["score"]
-    if type(score) not in (int, float) or not 0.0 <= score <= 1.0:  # a bool is no score
-        raise FixtureError(f"{where}: score must be within [0, 1], got {score!r}")
-    fields = {k: v for k, v in record.items() if k != "score"}
-    for name, value in fields.items():
-        if not isinstance(value, str):
-            raise FixtureError(f"{where}: field {name!r} must be a string")
-    try:
-        item = RetrievedItem(source=source, fields=fields, recall_rank=rank)
-    except ValueError as exc:
-        raise FixtureError(f"{where}: {exc}") from exc
-    return item, float(score)
+# One search fixture record: its text fields and its fixture score.
+FixtureRecord = tuple[Mapping[str, str], float]
 
 
 @dataclass(frozen=True)
@@ -605,55 +589,78 @@ class SearchFixture:
     """The mock knowledge-graph and web corpus, hard negatives included.
 
     ``image_index`` maps an image key to its visually-similar records;
-    ``web_index`` is one flat list of page records. Records keep their
-    fixture score for ordering but the score never leaves the backend.
+    ``web_index`` is one flat list of page records. A record is a (fields,
+    score) pair, held as ``load_fixture`` parsed and checked it; each lookup
+    builds the items it returns, ranked from 1. The score orders records but
+    never leaves the backend.
     """
 
-    image_index: Mapping[str, tuple[tuple[RetrievedItem, float], ...]]
-    web_index: tuple[tuple[RetrievedItem, float], ...]
+    image_index: Mapping[str, tuple[FixtureRecord, ...]]
+    web_index: tuple[FixtureRecord, ...]
 
-    def __post_init__(self) -> None:
-        for key, records in self.image_index.items():
-            _require_sorted(records, f"image_index[{key!r}]")
-        _require_sorted(self.web_index, "web_index")
-
-
-def _require_sorted(records: Sequence[tuple[RetrievedItem, float]], where: str) -> None:
-    scores = [score for _, score in records]
-    if scores != sorted(scores, reverse=True):
-        raise FixtureError(f"{where}: records must be sorted descending by score")
+    def image_search(self, image_key: str, k: int) -> list[RetrievedItem]:
+        """The first ``k`` records under ``image_key``; none for an unknown key."""
+        return _items(self.image_index.get(image_key, ())[:k], Source.KG_IMAGE)
 
 
-def _record_list(records: Any, where: str) -> list[Any]:
+def _items(records: Sequence[FixtureRecord], source: Source) -> list[RetrievedItem]:
+    """``records`` as items in their order; each item copies its fields."""
+    return [RetrievedItem(source=source, fields=fields, recall_rank=rank)
+            for rank, (fields, _) in enumerate(records, start=1)]
+
+
+class _BadRecord(Exception):
+    """A record list that fails a check; the message follows the list's location."""
+
+
+def _checked_records(records: Any, source: Source) -> tuple[FixtureRecord, ...]:
+    """Check one parsed record list and return its records: each JSON object
+    becomes the fields of its record once its score is popped."""
     if not isinstance(records, list):
-        raise FixtureError(f"{where} must be a list of records")
-    return records
+        raise _BadRecord(" must be a list of records")
+    checked = []
+    previous = 1.0
+    for index, record in enumerate(records):
+        if not isinstance(record, dict):
+            raise _BadRecord(f"[{index}]: record must be an object")
+        if "score" not in record:
+            raise _BadRecord(f"[{index}]: record is missing 'score'")
+        score = record.pop("score")
+        if type(score) not in (int, float) or not 0.0 <= score <= 1.0:  # a bool is no score
+            raise _BadRecord(f"[{index}]: score must be within [0, 1], got {score!r}")
+        for name, value in record.items():
+            if not isinstance(value, str):
+                raise _BadRecord(f"[{index}]: field {name!r} must be a string")
+        problem = missing_content(source, record)
+        if problem:
+            raise _BadRecord(f"[{index}]: {problem}")
+        if score > previous:
+            raise _BadRecord(f"[{index}]: records must be sorted descending by score")
+        previous = score
+        checked.append((record, float(score)))
+    return tuple(checked)
 
 
 def load_fixture(path: str | Path) -> SearchFixture:
-    """Parse a search fixture file, reporting the offending entry on failure."""
+    """Parse and check a search fixture file; a FixtureError names the first
+    bad record."""
     raw = _read_json(path)
     if not isinstance(raw, dict):
         raise FixtureError(f"{path}: fixture must be an object")
     raw_images = raw.get("image_index", {})
     if not isinstance(raw_images, dict):
         raise FixtureError(f"{path}:image_index must be an object of record lists")
-    image_index: dict[str, tuple[tuple[RetrievedItem, float], ...]] = {}
-    for key, records in raw_images.items():
-        where = f"{path}:image_index[{key!r}]"
-        image_index[key] = tuple(
-            _item_from_record(rec, Source.KG_IMAGE, i + 1, f"{where}[{i}]")
-            for i, rec in enumerate(_record_list(records, where))
-        )
-    web_index = tuple(
-        _item_from_record(rec, Source.WEB, i + 1, f"{path}:web_index[{i}]")
-        for i, rec in enumerate(_record_list(raw.get("web_index", []), f"{path}:web_index"))
-    )
+    image_index: dict[str, tuple[FixtureRecord, ...]] = {}
+    try:
+        for key, records in raw_images.items():
+            image_index[key] = _checked_records(records, Source.KG_IMAGE)
+    except _BadRecord as bad:
+        raise FixtureError(f"{path}:image_index[{key!r}]{bad}") from None
+    try:
+        web_index = _checked_records(raw.get("web_index", []), Source.WEB)
+    except _BadRecord as bad:
+        raise FixtureError(f"{path}:web_index{bad}") from None
     return SearchFixture(image_index=image_index, web_index=web_index)
-
-
-def _with_rank(item: RetrievedItem, rank: int) -> RetrievedItem:
-    return RetrievedItem(source=item.source, fields=item.fields, recall_rank=rank)
 
 
 class MockSearchBackend:
@@ -663,20 +670,18 @@ class MockSearchBackend:
         self._fixture = fixture
 
     def image_search(self, image_key: str, k: int) -> list[RetrievedItem]:
-        records = self._fixture.image_index.get(image_key, ())
-        return [_with_rank(item, rank) for rank, (item, _) in enumerate(records[:k], start=1)]
+        return self._fixture.image_search(image_key, k)
 
     def web_search(self, query_text: str, k: int, deadline: Deadline) -> list[RetrievedItem]:
         if deadline.expired():
             raise BackendTimeout("deadline expired before web search")
         ranked = sorted(
             self._fixture.web_index,
-            key=lambda pair: -jaccard_score(
-                query_text,
-                f"{pair[0].fields.get('title', '')} {pair[0].fields.get('snippet', '')}",
+            key=lambda record: -jaccard_score(
+                query_text, f"{record[0].get('title', '')} {record[0].get('snippet', '')}"
             ),
         )
-        return [_with_rank(item, rank) for rank, (item, _) in enumerate(ranked[:k], start=1)]
+        return _items(ranked[:k], Source.WEB)
 
 
 class RemoteSearchBackend:
@@ -689,17 +694,17 @@ class RemoteSearchBackend:
     def __init__(self, web_endpoint: str, bearer_token: Optional[str] = None,
                  image_fixture: Optional[SearchFixture] = None):
         self._http = _JsonEndpoint(web_endpoint, bearer_token)
-        self._image_mock = MockSearchBackend(image_fixture) if image_fixture else None
+        self._image_fixture = image_fixture
 
     def close(self) -> None:
         self._http.close()
 
     def image_search(self, image_key: str, k: int) -> list[RetrievedItem]:
-        if self._image_mock is None:
+        if self._image_fixture is None:
             raise BackendTransportError(
                 "image search has no remote endpoint; configure fixture_path"
             )
-        return self._image_mock.image_search(image_key, k)
+        return self._image_fixture.image_search(image_key, k)
 
     def web_search(self, query_text: str, k: int, deadline: Deadline) -> list[RetrievedItem]:
         body = self._http.post_json({"query": query_text, "k": k}, deadline)

@@ -17,7 +17,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Optional, Sequence
+from typing import Any, Collection, Optional, Sequence
 
 from . import __version__
 from .backends import (
@@ -80,7 +80,10 @@ def load_dataset(path: str | Path) -> list[Conversation]:
         try:
             record = json.loads(line)
             conversation = Conversation.from_dict(record)
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except KeyError as exc:
+            errors.append(f"line {number}: missing key {exc.args[0]!r}")
+            continue
+        except (json.JSONDecodeError, TypeError, ValueError) as exc:
             errors.append(f"line {number}: {exc}")
             continue
         if conversation.conversation_id in seen_ids:
@@ -313,6 +316,28 @@ def _read_trace_turns(path: str | Path) -> list[tuple[str, int, str]]:
     return turns
 
 
+def _require_coverage(turns: Sequence[tuple[str, int, str]],
+                      dataset_turns: Collection[tuple[str, int]]) -> None:
+    """Each trace turn must be a dataset turn, and each dataset turn must be
+    in the trace exactly once."""
+    seen: set[tuple[str, int]] = set()
+    repeated = []
+    for conversation_id, turn_index, _ in turns:
+        key = (conversation_id, turn_index)
+        if key not in dataset_turns:
+            raise EvalError(f"trace turn {key} not present in dataset")
+        if key in seen:
+            repeated.append(key)
+        seen.add(key)
+    if repeated:
+        raise EvalError(f"trace repeats turn {repeated[0]} "
+                        f"({len(repeated)} repeated record(s) in all)")
+    missing = [key for key in dataset_turns if key not in seen]
+    if missing:
+        raise EvalError(f"trace lacks turn {missing[0]} "
+                        f"({len(missing)} of the dataset's {len(dataset_turns)} turns missing)")
+
+
 def _manifest_hash_for(trace_path: Path) -> Optional[str]:
     manifest_path = trace_path.with_name(trace_path.name + ".manifest.json")
     if not manifest_path.exists():
@@ -332,12 +357,12 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         for turn in conversation.turns
     }
     judge = _make_judge(cfg, args.judge)
+    turns = _read_trace_turns(args.traces)
+    _require_coverage(turns, truths.keys())
     rows = []
     labels: list[JudgeLabel] = []
-    for conversation_id, turn_index, answer in _read_trace_turns(args.traces):
+    for conversation_id, turn_index, answer in turns:
         key = (conversation_id, turn_index)
-        if key not in truths:
-            raise EvalError(f"trace turn {key} not present in dataset")
         ground_truth = truths[key]
         if ground_truth is None:
             raise EvalError(f"turn {key} has no ground truth; cannot evaluate")

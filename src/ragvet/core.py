@@ -30,6 +30,7 @@ __all__ = [
     "InvalidConfigError",
     "validate_config",
     "parse_context_tags",
+    "missing_content",
 ]
 
 # Hard cap on kept context entries, matching the default rerank_k.
@@ -151,6 +152,16 @@ KG_CONTENT_FIELDS = ("description", "caption", "summary")
 WEB_CONTENT_FIELDS = ("snippet",)
 
 
+def missing_content(source: Source, fields: Mapping[str, str]) -> Optional[str]:
+    """Why ``fields`` lack the content an item from ``source`` needs, or None."""
+    if source is Source.KG_IMAGE:
+        if not any(fields.get(k) for k in KG_CONTENT_FIELDS):
+            return "kg_image item needs at least one of description/caption/summary"
+    elif not fields.get("snippet"):
+        return "web item must carry a snippet"
+    return None
+
+
 @dataclass(frozen=True)
 class RetrievedItem:
     """One recall result with its named text fields and recall position."""
@@ -163,13 +174,9 @@ class RetrievedItem:
         object.__setattr__(self, "source", Source(self.source))
         object.__setattr__(self, "fields", dict(self.fields))
         _require(self.recall_rank >= 1, "recall_rank must be >= 1")
-        if self.source is Source.KG_IMAGE:
-            _require(
-                any(self.fields.get(k) for k in KG_CONTENT_FIELDS),
-                "kg_image item needs at least one of description/caption/summary",
-            )
-        else:
-            _require(bool(self.fields.get("snippet")), "web item must carry a snippet")
+        problem = missing_content(self.source, self.fields)
+        if problem:
+            raise ValueError(problem)
 
     def content_fields(self) -> tuple[str, ...]:
         return KG_CONTENT_FIELDS if self.source is Source.KG_IMAGE else WEB_CONTENT_FIELDS

@@ -32,7 +32,7 @@ from ragvet.backends import (
     load_fixture,
     load_replay,
 )
-from ragvet.core import PipelineConfig, RoutingDecision, Source
+from ragvet.core import PipelineConfig, RetrievedItem, RoutingDecision, Source
 from ragvet.pipeline import run_turn
 from ragvet.retrieval import expand_query, recall
 from ragvet.runtime import Deadline, Trace
@@ -234,6 +234,69 @@ class TestLoadFixture:
         path.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(FixtureError, match="snippet"):
             load_fixture(path)
+
+
+def _items_from_records(records, source, k):
+    """The first ``k`` JSON records as items, built straight from the JSON."""
+    return [RetrievedItem(source=source,
+                          fields={name: value for name, value in record.items() if name != "score"},
+                          recall_rank=rank)
+            for rank, record in enumerate(records[:k], start=1)]
+
+
+class TestFixtureLookups:
+    """Every lookup returns exactly the items its fixture's JSON records make."""
+
+    @pytest.fixture(params=["e2e", "ablation", "inline"])
+    def fixture_case(self, request, tmp_path):
+        """(the fixture document, its file, the queries asked of it)."""
+        if request.param == "inline":
+            path = tmp_path / "fixture.json"
+            path.write_text(json.dumps(FIXTURE_DOC), encoding="utf-8")
+            return FIXTURE_DOC, path, ["red shoe", "blue kettle lore", "nothing matches"]
+        path = FIXTURES / f"{request.param}_search.json"
+        dataset = (FIXTURES / f"{request.param}_dataset.jsonl").read_text(encoding="utf-8")
+        queries = [turn["query"] for line in dataset.splitlines() if line.strip()
+                   for turn in json.loads(line)["turns"]]
+        return json.loads(path.read_text(encoding="utf-8")), path, queries
+
+    def test_image_search_returns_the_records_in_file_order(self, fixture_case):
+        doc, path, _ = fixture_case
+        fixture = load_fixture(path)
+        backends = (MockSearchBackend(fixture),
+                    RemoteSearchBackend("http://127.0.0.1:1/search", image_fixture=fixture))
+        for key, records in doc["image_index"].items():
+            for k in range(1, len(records) + 2):
+                want = _items_from_records(records, Source.KG_IMAGE, k)
+                for backend in backends:
+                    assert backend.image_search(key, k) == want, (key, k)
+
+    def test_web_search_returns_the_records_ranked_by_overlap(self, fixture_case, no_deadline):
+        doc, path, queries = fixture_case
+        backend = MockSearchBackend(load_fixture(path))
+        records = doc["web_index"]
+        for query in queries:
+            ranked = sorted(records, key=lambda record: -jaccard_score(
+                query, f"{record.get('title', '')} {record['snippet']}"))
+            for k in (1, PipelineConfig().recall_k, len(records) + 1):
+                want = _items_from_records(ranked, Source.WEB, k)
+                assert backend.web_search(query, k, no_deadline) == want, (query, k)
+
+    def test_items_are_built_per_lookup_only(self, tmp_path, monkeypatch, no_deadline):
+        built = []
+        check = RetrievedItem.__post_init__
+
+        def counted_check(item):
+            built.append(item)
+            check(item)
+
+        monkeypatch.setattr(RetrievedItem, "__post_init__", counted_check)
+        path = tmp_path / "fixture.json"
+        path.write_text(json.dumps(FIXTURE_DOC), encoding="utf-8")
+        backend = MockSearchBackend(load_fixture(path))
+        assert built == []
+        items = backend.image_search("img-1", 2) + backend.web_search("red shoe", 2, no_deadline)
+        assert built == items
 
 
 # Canned reply bodies served verbatim under /reply/<name>.

@@ -332,6 +332,27 @@ class TestEvalCommand:
         assert code == 1
         assert "ground truth" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit, names", [
+        (lambda lines: lines + lines[3:5], "trace repeats turn ('c04', 0) (2 repeated"),
+        (lambda lines: lines[:2] + lines[3:-1], "trace lacks turn ('c03', 0) (2 of the"),
+    ], ids=["repeated-turns", "missing-turns"])
+    def test_trace_must_hold_each_dataset_turn_once(self, tmp_path, capsys, edit, names):
+        config = write_config(tmp_path)
+        trace = tmp_path / "trace.jsonl"
+        assert main(["run", "--dataset", str(FIXTURES / "e2e_dataset.jsonl"),
+                     "--config", str(config), "--out", str(trace), "--mock"]) == 0
+        lines = trace.read_text(encoding="utf-8").splitlines()
+        trace.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        report = tmp_path / "report.json"
+        code = main(["eval", "--traces", str(trace),
+                     "--dataset", str(FIXTURES / "e2e_dataset.jsonl"),
+                     "--config", str(config), "--report", str(report)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error: ") and names in err[0], err
+        assert not report.exists()
+
     def test_malformed_judge_endpoint_fails_before_judging(self, tmp_path, capsys):
         config = write_config(tmp_path, judge_endpoint="judge.test/score")
         code = main([
@@ -394,6 +415,9 @@ MALFORMED_INPUTS = [
      {"dataset": {**RECORD, "turns": [{"query": 5}]}}, "line 1: query"),
     ("dataset-id-list", {"dataset": {**RECORD, "conversation_id": ["x"]}},
      "line 1: conversation_id"),
+    ("dataset-turns-missing",
+     {"dataset": {key: value for key, value in RECORD.items() if key != "turns"}},
+     "line 1: missing key 'turns'"),
     ("dataset-image-ref-number", {"dataset": {**RECORD, "image_ref": 7}}, "line 1: image_ref"),
     ("dataset-ground-truth-number",
      {"dataset": {**RECORD, "turns": [{"query": "q", "ground_truth": 5}]},
@@ -411,6 +435,24 @@ MALFORMED_INPUTS = [
     ("fixture-image-index-list", {"fixture": {"image_index": [1, 2]}},
      "fixture.json:image_index"),
     ("fixture-file-missing", {"fixture": None}, "fixture.json"),
+    ("fixture-record-not-object", {"fixture": {"web_index": ["page"]}},
+     "fixture.json:web_index[0]: record must be an object"),
+    ("fixture-score-missing", {"fixture": {"web_index": [{"snippet": "s"}]}},
+     "fixture.json:web_index[0]: record is missing 'score'"),
+    ("fixture-score-bool", {"fixture": {"web_index": [{"snippet": "s", "score": True}]}},
+     "fixture.json:web_index[0]: score"),
+    ("fixture-field-number",
+     {"fixture": {"image_index": {"img01": [{"description": 5, "score": 0.5}]}}},
+     "fixture.json:image_index['img01'][0]: field 'description'"),
+    ("fixture-kg-record-without-content",
+     {"fixture": {"image_index": {"img01": [{"title": "t", "score": 0.5}]}}},
+     "fixture.json:image_index['img01'][0]: kg_image item needs"),
+    ("fixture-web-record-without-snippet",
+     {"fixture": {"web_index": [{"title": "t", "score": 0.5}]}},
+     "fixture.json:web_index[0]: web item must carry a snippet"),
+    ("fixture-records-unsorted",
+     {"fixture": {"web_index": [{"snippet": "a", "score": 0.2}, {"snippet": "b", "score": 0.9}]}},
+     "fixture.json:web_index[1]: records must be sorted descending"),
 ]
 
 

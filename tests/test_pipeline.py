@@ -19,7 +19,7 @@ from ragvet.backends import (
     Role,
     SearchFixture,
 )
-from ragvet.core import Conversation, PipelineConfig, QueryTurn, Source, RetrievedItem
+from ragvet.core import Conversation, PipelineConfig, QueryTurn
 from ragvet.finalizer import Branch
 from ragvet.pipeline import VARIANTS, ConversationState, run_conversation, run_turn
 
@@ -48,10 +48,8 @@ def turn_script(query, *, routing=ROUTE_PLAIN, summary="summary tokens", rag="ra
 def image_fixture(image_key, query, summary="summary tokens"):
     """One KG record whose description matches the expanded query exactly."""
     description = f"{query} {summary}"
-    item = RetrievedItem(
-        source=Source.KG_IMAGE, fields={"description": description}, recall_rank=1
-    )
-    return SearchFixture(image_index={image_key: ((item, 0.9),)}, web_index=())
+    return SearchFixture(image_index={image_key: (({"description": description}, 0.9),)},
+                         web_index=())
 
 
 def make_backends(entries, fixture=None):
@@ -207,13 +205,9 @@ class TestRoutingPolicies:
         query = "who makes the kettle brand zylo"
         summary = "zylo logo"
         snippet = f"{query} {summary}"
-        item = RetrievedItem(
-            source=Source.WEB,
-            fields={"title": "zylo", "url": "https://z.test", "snippet": snippet,
-                    "last_updated": "2025-01-01"},
-            recall_rank=1,
-        )
-        fixture = SearchFixture(image_index={}, web_index=((item, 0.9),))
+        fields = {"title": "zylo", "url": "https://z.test", "snippet": snippet,
+                  "last_updated": "2025-01-01"}
+        fixture = SearchFixture(image_index={}, web_index=((fields, 0.9),))
         backends = make_backends(turn_script(query, summary=summary), fixture)
         outcome = run_turn(
             fresh_state(), one_turn(query), PipelineConfig(mode="task2plus"), backends

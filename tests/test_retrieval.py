@@ -14,7 +14,7 @@ from ragvet.backends import (
     Role,
     SearchFixture,
 )
-from ragvet.core import RetrievedItem, RoutingDecision, Source
+from ragvet.core import RoutingDecision, Source
 from ragvet.retrieval import (
     build_context,
     chunk_items,
@@ -189,19 +189,13 @@ class TestDynamicThreshold:
 
 def _search_fixture(n_web=0, image_records=()):
     web = tuple(
-        (RetrievedItem(source=Source.WEB,
-                       fields={"title": f"t{i}", "url": f"https://w.test/{i}",
-                               "snippet": f"red shoe page {i}", "last_updated": "2025-01-01"},
-                       recall_rank=i + 1), 0.5)
+        ({"title": f"t{i}", "url": f"https://w.test/{i}",
+          "snippet": f"red shoe page {i}", "last_updated": "2025-01-01"}, 0.5)
         for i in range(n_web)
     )
     image_index = {}
     if image_records:
-        image_index["img-1"] = tuple(
-            (RetrievedItem(source=Source.KG_IMAGE, fields={"description": d},
-                           recall_rank=i + 1), 0.5)
-            for i, d in enumerate(image_records)
-        )
+        image_index["img-1"] = tuple(({"description": d}, 0.5) for d in image_records)
     return MockSearchBackend(SearchFixture(image_index=image_index, web_index=web))
 
 
