@@ -8,9 +8,12 @@ and processes.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import heapq
 import json
 import math
+import os
 import re
 import socket
 import ssl
@@ -146,6 +149,8 @@ _MAX_HEAD = 64 * 1024
 _STATUS_LINE = re.compile(rb"HTTP/1\.([01]) ([0-9]{3})(?: .*)?")
 _CHUNK_SIZE = re.compile(rb"[0-9A-Fa-f]{1,16}")
 _BEARER_TOKEN = re.compile(r"[\x21-\x7e]+")
+# The environment variables ``ssl.create_default_context`` reads.
+_TLS_ENVIRON = ("SSL_CERT_FILE", "SSL_CERT_DIR", "SSLKEYLOGFILE")
 
 
 def _time_left(deadline: Deadline) -> Optional[float]:
@@ -157,6 +162,22 @@ def _time_left(deadline: Deadline) -> Optional[float]:
     if seconds <= 0:
         raise TimeoutError("deadline passed")
     return None if math.isinf(seconds) else seconds
+
+
+@functools.lru_cache(maxsize=8)
+def _tls_context_for(environ: tuple[Optional[str], ...]) -> ssl.SSLContext:
+    """``environ``, the values of ``_TLS_ENVIRON``, only keys the cache."""
+    return ssl.create_default_context()
+
+
+def _tls_context() -> ssl.SSLContext:
+    """The default TLS context for the trust settings now in the environment.
+
+    Loading the trust store takes tens of milliseconds and most of a megabyte,
+    so every endpoint built under the same settings shares one context;
+    nothing changes it once it is made.
+    """
+    return _tls_context_for(tuple(os.environ.get(name) for name in _TLS_ENVIRON))
 
 
 class _BadReply(Exception):
@@ -301,7 +322,7 @@ class _JsonEndpoint:
             raise ValueError("bearer_token must be visible ASCII (0x21-0x7E)")
         https = parts.scheme == "https"
         self.url = url
-        self._tls = ssl.create_default_context() if https else None
+        self._tls = _tls_context() if https else None
         self._address = (parts.hostname, parts.port or (443 if https else 80))
         host = f"[{parts.hostname}]" if ":" in parts.hostname else parts.hostname
         if parts.port is not None:
@@ -405,14 +426,19 @@ def _user_digest(user: str) -> str:
     return hashlib.sha256(user.encode("utf-8")).hexdigest()
 
 
+def _tokens(text: str) -> frozenset[str]:
+    return frozenset(text.lower().split())
+
+
+def _token_overlap(tokens_a: frozenset[str], tokens_b: frozenset[str]) -> float:
+    shared = len(tokens_a & tokens_b)
+    union = len(tokens_a) + len(tokens_b) - shared
+    return shared / union if union else 0.0
+
+
 def jaccard_score(a: str, b: str) -> float:
     """Token-set Jaccard overlap, lowercased and whitespace-tokenized."""
-    tokens_a = set(a.lower().split())
-    tokens_b = set(b.lower().split())
-    union = tokens_a | tokens_b
-    if not union:
-        return 0.0
-    return len(tokens_a & tokens_b) / len(union)
+    return _token_overlap(_tokens(a), _tokens(b))
 
 
 # ---------------------------------------------------------------------------
@@ -664,10 +690,17 @@ def load_fixture(path: str | Path) -> SearchFixture:
 
 
 class MockSearchBackend:
-    """Fixture-backed search. Pure function of (fixture, query)."""
+    """Fixture-backed search. Pure function of (fixture, query).
+
+    Web search ranks the pages by the Jaccard overlap of the query with each
+    page's title and snippet, best first, ties in fixture order. Each page's
+    token set is computed once, here.
+    """
 
     def __init__(self, fixture: SearchFixture):
         self._fixture = fixture
+        self._web_tokens = [_tokens(f"{fields.get('title', '')} {fields.get('snippet', '')}")
+                            for fields, _ in fixture.web_index]
 
     def image_search(self, image_key: str, k: int) -> list[RetrievedItem]:
         return self._fixture.image_search(image_key, k)
@@ -675,20 +708,19 @@ class MockSearchBackend:
     def web_search(self, query_text: str, k: int, deadline: Deadline) -> list[RetrievedItem]:
         if deadline.expired():
             raise BackendTimeout("deadline expired before web search")
-        ranked = sorted(
-            self._fixture.web_index,
-            key=lambda record: -jaccard_score(
-                query_text, f"{record[0].get('title', '')} {record[0].get('snippet', '')}"
-            ),
-        )
-        return _items(ranked[:k], Source.WEB)
+        query = _tokens(query_text)
+        scores = [_token_overlap(query, tokens) for tokens in self._web_tokens]
+        best = heapq.nsmallest(k, range(len(scores)), key=lambda i: -scores[i])
+        return _items([self._fixture.web_index[i] for i in best], Source.WEB)
 
 
 class RemoteSearchBackend:
     """Forwards web search to a configured endpoint.
 
     Knowledge-graph image search has no remote endpoint to configure, so
-    image lookups are served from an optional local fixture.
+    image lookups are served from an optional local fixture. Only task1 runs
+    look images up, so ``build_backends`` loads that fixture for them alone;
+    without one, an image lookup is a BackendTransportError.
     """
 
     def __init__(self, web_endpoint: str, bearer_token: Optional[str] = None,

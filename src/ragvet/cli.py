@@ -43,6 +43,7 @@ from .evaluation import (
     run_ablation,
 )
 from .pipeline import TurnOutcome, run_conversation
+from .retrieval import looks_up_images
 from .templates import PromptTemplate, load_all, load_template
 
 __all__ = ["load_dataset", "DatasetError", "RunManifest", "main", "entry"]
@@ -213,7 +214,10 @@ def build_backends(cfg: PipelineConfig, mock: bool) -> tuple[Backends, dict[str,
     ]
     if missing:
         raise InvalidConfigError(f"remote mode needs endpoints: {', '.join(missing)}")
-    image_fixture = load_fixture(cfg.fixture_path) if cfg.fixture_path else None
+    # Only a mode that looks images up reads the fixture, which serves those
+    # lookups; no remote endpoint does.
+    image_fixture = (load_fixture(cfg.fixture_path)
+                     if cfg.fixture_path and looks_up_images(cfg.mode) else None)
     bundle = Backends(
         router_model=_remote(cfg, "router_endpoint", RemoteModelBackend),
         vlm=_remote(cfg, "vlm_endpoint", RemoteModelBackend),

@@ -23,6 +23,7 @@ __all__ = [
     "RawChunk",
     "summarize_image",
     "expand_query",
+    "looks_up_images",
     "recall",
     "chunk_items",
     "rerank",
@@ -84,6 +85,12 @@ def expand_query(query: str, summary: str) -> str:
     return query if not summary else f"{query} {summary}"
 
 
+def looks_up_images(mode: str) -> bool:
+    """Whether recall in ``mode`` looks the turn's image up in the knowledge
+    graph; only task1 does, so only a task1 run needs the image index."""
+    return mode == "task1"
+
+
 def recall(
     expanded: str,
     image_ref: Optional[str],
@@ -104,7 +111,7 @@ def recall(
     if k < 1:
         raise ValueError("k must be >= 1")
     try:
-        if mode == "task1":
+        if looks_up_images(mode):
             if not image_ref:
                 return []
             return search_backend.image_search(image_ref, k)

@@ -124,3 +124,22 @@ def chunk(text: str, score: float, rank: int = 1) -> ScoredChunk:
 @pytest.fixture
 def no_deadline() -> Deadline:
     return Deadline.never()
+
+
+@pytest.fixture
+def tls_context_calls(monkeypatch, tmp_path) -> list[tuple]:
+    """The calls made to ``ssl.create_default_context`` from here on.
+
+    ``SSL_CERT_DIR`` is set to this test's own directory first, so the trust
+    settings are ones no earlier test built a context under.
+    """
+    monkeypatch.setenv("SSL_CERT_DIR", str(tmp_path))
+    calls: list[tuple] = []
+    create = ssl.create_default_context
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return create(*args, **kwargs)
+
+    monkeypatch.setattr(ssl, "create_default_context", counting)
+    return calls

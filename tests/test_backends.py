@@ -710,6 +710,38 @@ class TestHttps:
             backend.close()
         assert len(tls_server.opened) == 1
 
+    @pytest.mark.parametrize("trusted_first", [False, True],
+                             ids=["untrusted-first", "trusted-first"])
+    def test_trust_follows_the_environment_in_either_order(self, tls_server, monkeypatch,
+                                                           trusted_first):
+        for trusted in (trusted_first, not trusted_first):
+            if trusted:
+                monkeypatch.setenv("SSL_CERT_FILE", str(TLS_CERT))
+            else:
+                monkeypatch.delenv("SSL_CERT_FILE", raising=False)
+            backend = RemoteModelBackend(f"{tls_server.url}/echo")
+            try:
+                if trusted:
+                    assert backend.complete(_request(), Deadline.after_ms(2000)).text == "echo:hello"
+                else:
+                    with pytest.raises(BackendTransportError, match="CERTIFICATE_VERIFY_FAILED"):
+                        backend.complete(_request(), Deadline.after_ms(2000))
+            finally:
+                backend.close()
+
+    def test_endpoints_share_one_context_per_trust_settings(self, tls_context_calls,
+                                                            monkeypatch):
+        backends = [RemoteModelBackend(f"https://127.0.0.1:1/{i}") for i in range(3)]
+        assert len(tls_context_calls) == 1
+        monkeypatch.setenv("SSL_CERT_FILE", str(TLS_CERT))
+        backends += [RemoteModelBackend("https://127.0.0.1:1/a"),
+                     RemoteModelBackend("https://127.0.0.1:1/b")]
+        assert len(tls_context_calls) == 2
+        backends.append(RemoteModelBackend("http://127.0.0.1:1/plain"))
+        assert len(tls_context_calls) == 2
+        for backend in backends:
+            backend.close()
+
 
 RERANK_BAD_REPLIES = ["not-json"] + [name for name in CANNED_REPLIES if name.startswith("rerank-")]
 SEARCH_BAD_REPLIES = ["not-json"] + [name for name in CANNED_REPLIES if name.startswith("search-")]

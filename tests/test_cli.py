@@ -18,7 +18,8 @@ from ragvet.backends import (
     ReplayModelBackend,
     load_fixture,
 )
-from ragvet.cli import DatasetError, load_dataset, main
+from ragvet.cli import DatasetError, build_backends, load_dataset, main
+from ragvet.core import PipelineConfig, validate_config
 from ragvet.runtime import Deadline
 
 from conftest import FIXTURES, serve_http
@@ -34,6 +35,20 @@ def write_config(tmp_path, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config), encoding="utf-8")
     return path
+
+
+ENDPOINT_KEYS = ("router_endpoint", "vlm_endpoint", "reranker_endpoint", "web_search_endpoint")
+
+
+def remote_endpoints(scheme="http"):
+    return {key: f"{scheme}://127.0.0.1:1/{key}" for key in ENDPOINT_KEYS}
+
+
+def remote_config(scheme="http", **overrides):
+    return validate_config(PipelineConfig.from_dict({
+        "fixture_path": str(FIXTURES / "kg_search.json"), **remote_endpoints(scheme),
+        **overrides,
+    }))
 
 
 class TestLoadDataset:
@@ -214,9 +229,7 @@ class TestRunCommand:
         ("vlm_endpoint", "http:///complete"),  # no host
     ])
     def test_malformed_endpoint_fails_before_any_turn(self, tmp_path, capsys, key, url):
-        endpoints = {name: "http://127.0.0.1:1/x" for name in (
-            "router_endpoint", "vlm_endpoint", "reranker_endpoint", "web_search_endpoint")}
-        config = write_config(tmp_path, **{**endpoints, key: url})
+        config = write_config(tmp_path, **{**remote_endpoints(), key: url})
         out = tmp_path / "t.jsonl"
         code = main(["run", "--dataset", str(FIXTURES / "e2e_dataset.jsonl"),
                      "--config", str(config), "--out", str(out)])
@@ -243,6 +256,42 @@ class TestRunCommand:
         remote_lines = remote_out.read_text(encoding="utf-8").splitlines()
         assert len(remote_lines) == 26
         assert remote_lines == mock_out.read_text(encoding="utf-8").splitlines()
+
+
+class TestRemoteSetUp:
+    @pytest.mark.parametrize("mode, loads", [("task1", 1), ("task2plus", 0)])
+    def test_only_a_mode_that_looks_images_up_loads_the_fixture(self, monkeypatch, mode, loads):
+        calls = []
+
+        def counting(path):
+            calls.append(path)
+            return load_fixture(path)
+
+        monkeypatch.setattr("ragvet.cli.load_fixture", counting)
+        backends, _ = build_backends(remote_config(mode=mode), mock=False)
+        backends.close()
+        assert len(calls) == loads
+        if loads:
+            assert backends.search.image_search("kg-kettle", 1)
+
+    def test_remote_task1_rejects_a_malformed_fixture(self, tmp_path, capsys):
+        fixture = tmp_path / "fixture.json"
+        fixture.write_text(json.dumps({"image_index": [1, 2]}), encoding="utf-8")
+        config = write_config(tmp_path, mode="task1", fixture_path=str(fixture),
+                              **remote_endpoints())
+        out = tmp_path / "t.jsonl"
+        code = main(["run", "--dataset", str(FIXTURES / "e2e_dataset.jsonl"),
+                     "--config", str(config), "--out", str(out)])
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert "fixture.json:image_index" in lines[0]
+        assert not out.exists()
+
+    def test_https_endpoints_share_one_tls_context(self, tls_context_calls):
+        backends, _ = build_backends(remote_config("https", mode="task2plus"), mock=False)
+        backends.close()
+        assert len(tls_context_calls) == 1
 
 
 class _MockServices(BaseHTTPRequestHandler):

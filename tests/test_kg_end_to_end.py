@@ -1,0 +1,67 @@
+"""A task1 run end to end over a knowledge graph that has records.
+
+Image summary -> KG recall -> chunking -> rerank -> MAD cutoff -> ``[Info m]``
+context -> dual-path generation -> consistency -> verification, pinned per
+turn by ``kg_expected.json``. The set holds a grounded accept, a real-time
+turn with weak KG retrieval, an inconsistent turn, an image with no records
+and a two-turn conversation whose first turn reaches the second's prompt.
+The replay script answers the grounded and the follow-up turns only for
+prompts that carry their context and history.
+"""
+
+import json
+
+from ragvet.backends import load_fixture
+from ragvet.cli import load_dataset, main
+
+from conftest import FIXTURES
+
+KG_EXPECTED = json.loads((FIXTURES / "kg_expected.json").read_text(encoding="utf-8"))
+
+
+def _run_kg(tmp_path, name, workers):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "mode": "task1",
+        "fixture_path": str(FIXTURES / "kg_search.json"),
+        "replay_path": str(FIXTURES / "kg_replay.json"),
+    }), encoding="utf-8")
+    out = tmp_path / name
+    code = main([
+        "run", "--dataset", str(FIXTURES / "kg_dataset.jsonl"), "--config", str(config),
+        "--out", str(out), "--mock", "--mode", "task1", "--workers", str(workers),
+    ])
+    assert code == 0
+    return out
+
+
+def test_expected_file_holds_every_case():
+    branches = {expected["branch"] for expected in KG_EXPECTED.values()}
+    assert branches == {"ConsistentWithContext", "RealTimeLowRetrieval",
+                        "InconsistentWithContext", "ConsistentNoContext"}
+    assert "k05:1" in KG_EXPECTED  # the follow-up turn
+
+
+def test_task1_run_over_kg_matches_expected(tmp_path):
+    serial = _run_kg(tmp_path, "serial.jsonl", workers=1)
+    parallel = _run_kg(tmp_path, "parallel.jsonl", workers=4)
+    assert serial.read_bytes() == parallel.read_bytes()
+
+    records = [json.loads(line) for line in serial.read_text(encoding="utf-8").splitlines()]
+    got = {
+        f"{record['conversation_id']}:{record['turn_index']}": {
+            "branch": record["final"]["branch"],
+            "flags": record["flags"],
+            "answer": record["final"]["answer"],
+        }
+        for record in records
+    }
+    assert got == KG_EXPECTED
+
+    image_index = load_fixture(FIXTURES / "kg_search.json").image_index
+    images = {conversation.conversation_id: conversation.image_ref
+              for conversation in load_dataset(FIXTURES / "kg_dataset.jsonl")}
+    for record in records:
+        has_records = bool(image_index.get(images[record["conversation_id"]]))
+        assert bool(record["context"]["entries"]) == has_records, record["conversation_id"]
+        assert "recall" in record["stages"]
