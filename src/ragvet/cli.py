@@ -149,7 +149,9 @@ def _utc_now() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
 
-def load_config(path: Optional[str]) -> PipelineConfig:
+def load_config(path: Optional[str], mode: Optional[str] = None) -> PipelineConfig:
+    """The config file at ``path`` (the defaults when None), validated after
+    the environment's overrides and then ``mode``, if given, are applied."""
     if path is None:
         cfg = PipelineConfig()
     else:
@@ -161,6 +163,8 @@ def load_config(path: Optional[str]) -> PipelineConfig:
     overrides = {
         field: os.environ[env] for env, field in _ENV_OVERRIDES.items() if env in os.environ
     }
+    if mode:
+        overrides["mode"] = mode
     if overrides:
         cfg = PipelineConfig.from_dict({**cfg.to_dict(), **overrides})
     cfg = validate_config(cfg)
@@ -216,8 +220,9 @@ def build_backends(cfg: PipelineConfig, mock: bool) -> tuple[Backends, dict[str,
         raise InvalidConfigError(f"remote mode needs endpoints: {', '.join(missing)}")
     # Only a mode that looks images up reads the fixture, which serves those
     # lookups; no remote endpoint does.
-    image_fixture = (load_fixture(cfg.fixture_path)
-                     if cfg.fixture_path and looks_up_images(cfg.mode) else None)
+    if looks_up_images(cfg.mode) and not cfg.fixture_path:
+        raise InvalidConfigError(f"remote {cfg.mode} mode needs fixture_path for image lookups")
+    image_fixture = load_fixture(cfg.fixture_path) if looks_up_images(cfg.mode) else None
     bundle = Backends(
         router_model=_remote(cfg, "router_endpoint", RemoteModelBackend),
         vlm=_remote(cfg, "vlm_endpoint", RemoteModelBackend),
@@ -244,9 +249,9 @@ def _config_snapshot(cfg: PipelineConfig) -> dict[str, Any]:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
-    if args.mode:
-        cfg = validate_config(PipelineConfig.from_dict({**cfg.to_dict(), "mode": args.mode}))
+    if args.workers < 1:
+        raise InvalidConfigError(f"--workers must be at least 1, got {args.workers}")
+    cfg = load_config(args.config, mode=args.mode)
     dataset = load_dataset(args.dataset)
     backends, kinds = build_backends(cfg, mock=args.mock)
     out_path = Path(args.out)
@@ -263,13 +268,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     templates = load_all(cfg.prompt_paths)
     try:
-        if args.workers <= 1:
-            results = [run_conversation(conversation, cfg, backends, templates)
-                       for conversation in dataset]
-        else:
-            with ThreadPoolExecutor(max_workers=args.workers) as pool:
-                results = list(pool.map(
-                    lambda conv: run_conversation(conv, cfg, backends, templates), dataset))
+        with ThreadPoolExecutor(max_workers=args.workers) as pool:
+            results = list(pool.map(
+                lambda conv: run_conversation(conv, cfg, backends, templates), dataset))
     finally:
         backends.close()
     outcomes = [outcome for conversation_outcomes in results for outcome in conversation_outcomes]
@@ -391,11 +392,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_ablate(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
-    if args.mode_policy:
-        cfg = validate_config(
-            PipelineConfig.from_dict({**cfg.to_dict(), "mode": args.mode_policy})
-        )
+    cfg = load_config(args.config, mode=args.mode_policy)
     dataset = load_dataset(args.dataset)
     backends, _ = build_backends(cfg, mock=args.mock)
     judge = _make_judge(cfg, args.judge)

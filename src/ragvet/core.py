@@ -12,6 +12,7 @@ from enum import Enum
 from typing import Any, Mapping, Optional, Sequence
 
 from .templates import TEMPLATE_NAMES
+from .transport import BEARER_TOKEN
 
 __all__ = [
     "Source",
@@ -33,7 +34,7 @@ __all__ = [
     "missing_content",
 ]
 
-# Hard cap on kept context entries, matching the default rerank_k.
+# The most entries a context holds: rerank_k's upper bound and its default.
 MAX_CONTEXT_ENTRIES = 3
 
 _INFO_TAG = re.compile(r"^\[Info (\d+)\] (.*)$")
@@ -438,6 +439,7 @@ def validate_config(cfg: PipelineConfig) -> PipelineConfig:
         (cfg.recall_k >= 1, "recall_k >= 1"),
         (cfg.rerank_k >= 0, "rerank_k >= 0"),
         (cfg.rerank_k <= cfg.recall_k, "rerank_k <= recall_k"),
+        (cfg.rerank_k <= MAX_CONTEXT_ENTRIES, f"rerank_k <= {MAX_CONTEXT_ENTRIES}"),
         (0.0 <= cfg.score_floor <= 1.0, "0 <= score_floor <= 1"),
         (cfg.mad_scale >= 0.0, "mad_scale >= 0"),
         (0.0 <= cfg.min_retrieval_score <= 1.0, "0 <= min_retrieval_score <= 1"),
@@ -449,7 +451,7 @@ def validate_config(cfg: PipelineConfig) -> PipelineConfig:
         (cfg.abstain_margin_ms < cfg.turn_budget_ms, "abstain_margin_ms < turn_budget_ms"),
         (bool(cfg.abstain_text.strip()), "abstain_text must be non-empty"),
         (cfg.mode in ("task1", "task2plus"), "mode must be task1 or task2plus"),
-        (re.fullmatch(r"[\x21-\x7e]*", cfg.bearer_token or "") is not None,
+        (BEARER_TOKEN.fullmatch(cfg.bearer_token or "") is not None,
          "bearer_token must be visible ASCII (0x21-0x7E)"),
     )
     for ok, name in checks:

@@ -46,7 +46,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
-from .backends import BackendError, BackendTimeout, Backends, Role
+from .backends import BackendError, BackendTimeout, Backends
 from .core import (
     AnswerPair,
     Conversation,
@@ -253,7 +253,7 @@ def run_turn(
             with trace.stage("route"):
                 routing = route(
                     turn.query,
-                    backends.model_for(Role.ROUTER),
+                    backends.router_model,
                     clock.stage_deadline("route"),
                     trace=trace,
                     template=templates["routing"],

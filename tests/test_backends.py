@@ -1,11 +1,12 @@
 """Backend contracts: replay matching, deadlines, search, remote wire format."""
 
 import dataclasses
-import hashlib
 import json
+import re
 import socket
 import ssl
 import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
@@ -25,7 +26,6 @@ from ragvet.backends import (
     RemoteModelBackend,
     RemoteRerankerBackend,
     RemoteSearchBackend,
-    ReplayEntry,
     ReplayModelBackend,
     Role,
     jaccard_score,
@@ -77,44 +77,14 @@ class TestReplayModelBackend:
         with pytest.raises(EmptyCompletionError):
             backend.complete(_request(), no_deadline)
 
-    def test_hash_keyed_entry(self, no_deadline, tmp_path):
-        digest = hashlib.sha256(b"exact user text").hexdigest()
+    def test_unknown_entry_key_rejected_at_load(self, tmp_path):
         path = tmp_path / "replay.json"
-        path.write_text(
-            json.dumps([{"role": "router", "user_sha256": digest, "response": "matched"}]),
-            encoding="utf-8",
-        )
-        backend = ReplayModelBackend(load_replay(path))
-        assert backend.complete(_request(user="exact user text"), no_deadline).text == "matched"
-        with pytest.raises(NoScriptEntryError):
-            backend.complete(_request(user="other text"), no_deadline)
-
-    @pytest.mark.parametrize("sha_first", [False, True])
-    def test_first_match_wins_across_match_and_hash_entries(self, no_deadline, sha_first):
-        user = "exact user text"
-        by_match = ReplayEntry(role=Role.ROUTER, response="by match", match=("exact",))
-        by_hash = ReplayEntry(role=Role.ROUTER, response="by hash",
-                              user_sha256=hashlib.sha256(user.encode("utf-8")).hexdigest())
-        entries = [by_hash, by_match] if sha_first else [by_match, by_hash]
-        backend = ReplayModelBackend(entries)
-        expected = "by hash" if sha_first else "by match"
-        assert backend.complete(_request(user=user), no_deadline).text == expected
-
-    def test_user_text_hashed_at_most_once_per_request(self, no_deadline, monkeypatch):
-        user = "exact user text"
-        entries = [
-            ReplayEntry(role=Role.GENERATOR, response="other role", user_sha256="0" * 64),
-            ReplayEntry(role=Role.ROUTER, response="miss", user_sha256="1" * 64),
-            ReplayEntry(role=Role.ROUTER, response="miss", user_sha256="2" * 64),
-            ReplayEntry(role=Role.ROUTER, response="hit",
-                        user_sha256=hashlib.sha256(user.encode("utf-8")).hexdigest()),
-        ]
-        backend = ReplayModelBackend(entries)
-        real_sha256 = hashlib.sha256
-        hashed = []
-        monkeypatch.setattr(hashlib, "sha256", lambda data: hashed.append(data) or real_sha256(data))
-        assert backend.complete(_request(user=user), no_deadline).text == "hit"
-        assert len(hashed) == 1
+        path.write_text(json.dumps([
+            {"role": "router", "match": "q", "response": "ok"},
+            {"role": "router", "user_sha256": "0" * 64, "response": "by hash"},
+        ]), encoding="utf-8")
+        with pytest.raises(FixtureError, match=r"replay\.json\[1\]: .*'user_sha256'"):
+            load_replay(path)
 
     def test_deterministic_across_instances(self, no_deadline, tmp_path):
         entries = [{"role": "router", "match": "q", "response": "stable"}]
@@ -663,6 +633,97 @@ class TestHttpWire:
         with pytest.raises(BackendTransportError):
             _call(backend)
         assert len(handler.requests) == 2
+
+
+class _RawListener:
+    """A loopback socket that accepts one connection, keeps the bytes of the
+    one request it reads there in ``request``, and answers ``reply``."""
+
+    def __init__(self, reply):
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self._listener.settimeout(5)
+        self.url = f"http://127.0.0.1:{self._listener.getsockname()[1]}"
+        self.request = None
+        self._thread = threading.Thread(target=self._serve, args=(reply,), daemon=True)
+        self._thread.start()
+
+    def _serve(self, reply):
+        try:
+            conn, _ = self._listener.accept()
+        except TimeoutError:  # no call came
+            return
+        conn.settimeout(5)
+        with conn, conn.makefile("rb") as stream:
+            head = b""
+            while not head.endswith(b"\r\n\r\n"):
+                line = stream.readline()
+                if not line:  # the caller hung up
+                    return
+                head += line
+            length = int(re.search(rb"(?i)\r\ncontent-length: *([0-9]+)", head)[1])
+            self.request = head + stream.read(length)
+            conn.sendall(reply)
+
+    def close(self):
+        self._thread.join(timeout=10)
+        self._listener.close()
+        assert not self._thread.is_alive()
+
+
+def _json_reply(body):
+    return b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\nConnection: close\r\n\r\n%b" % (
+        len(body), body)
+
+
+@pytest.fixture
+def raw_listener():
+    """``raw_listener(reply)`` starts a ``_RawListener``, closed after the test."""
+    with ExitStack() as stack:
+        def listen(reply):
+            listener = _RawListener(reply)
+            stack.callback(listener.close)
+            return listener
+
+        yield listen
+
+
+class TestRequestBytes:
+    """The exact bytes each remote call sends: head, then JSON body."""
+
+    @staticmethod
+    def _head(listener, path, length):
+        return (f"POST {path} HTTP/1.1\r\nHost: {listener.url.removeprefix('http://')}\r\n"
+                "Accept-Encoding: identity\r\nContent-Type: application/json\r\n"
+                f"Authorization: Bearer tok\r\nContent-Length: {length}\r\n\r\n").encode("ascii")
+
+    def test_model_call(self, raw_listener):
+        listener = raw_listener(_json_reply(b'{"text": "hi"}'))
+        backend = RemoteModelBackend(f"{listener.url}/v1/complete?stream=0", bearer_token="tok")
+        request = ModelRequest(role=Role.VERIFIER, system="sys \u00e9", user='say "hi"\n',
+                               image_ref="img-1", max_tokens=64)
+        assert backend.complete(request, Deadline.after_ms(2000)).text == "hi"
+        backend.close()
+        body = (b'{"role": "verifier", "system": "sys \\u00e9", "user": "say \\"hi\\"\\n", '
+                b'"image_ref": "img-1", "max_tokens": 64, "deterministic": true}')
+        assert listener.request == self._head(listener, "/v1/complete?stream=0", len(body)) + body
+
+    def test_rerank_call(self, raw_listener):
+        listener = raw_listener(_json_reply(b'{"scores": [0.5, 1]}'))
+        backend = RemoteRerankerBackend(f"{listener.url}/rerank", bearer_token="tok")
+        assert backend.score_batch("red shoe", ["a red shoe", "kettle"],
+                                   Deadline.after_ms(2000)) == [0.5, 1.0]
+        backend.close()
+        body = b'{"query": "red shoe", "chunks": ["a red shoe", "kettle"]}'
+        assert listener.request == self._head(listener, "/rerank", len(body)) + body
+
+    def test_web_search_call(self, raw_listener):
+        listener = raw_listener(_json_reply(b'{"results": [{"snippet": "s"}]}'))
+        backend = RemoteSearchBackend(f"{listener.url}/", bearer_token="tok")
+        items = backend.web_search("zylo kettle", 4, Deadline.after_ms(2000))
+        assert [item.fields for item in items] == [{"snippet": "s"}]
+        backend.close()
+        body = b'{"query": "zylo kettle", "k": 4}'
+        assert listener.request == self._head(listener, "/", len(body)) + body
 
 
 # A test-only self-signed certificate and its key, valid 2024-2124, made with

@@ -206,6 +206,28 @@ class TestRunCommand:
         assert code == 1
         assert "replay_path" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_fail_before_any_turn(self, tmp_path, capsys, workers):
+        out = tmp_path / "t.jsonl"
+        code = main(["run", "--dataset", str(FIXTURES / "e2e_dataset.jsonl"),
+                     "--config", str(write_config(tmp_path)), "--out", str(out), "--mock",
+                     "--workers", workers])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: --workers must be at least 1, got {workers}"]
+        assert list(tmp_path.glob("t.jsonl*")) == []
+
+    def test_rerank_k_over_the_context_size_fails_before_any_turn(self, tmp_path, capsys):
+        config = write_config(tmp_path, rerank_k=5, score_floor=0.0, mad_scale=100.0)
+        out = tmp_path / "t.jsonl"
+        code = main(["run", "--dataset", str(FIXTURES / "e2e_dataset.jsonl"),
+                     "--config", str(config), "--out", str(out), "--mock"])
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert "rerank_k <= 3" in lines[0]
+        assert not out.exists()
+
     def test_env_override_applies_to_endpoints_only(self, tmp_path, monkeypatch, capsys):
         # Remote mode without endpoints fails; env vars must fill them in.
         config = tmp_path / "config.json"
@@ -286,6 +308,17 @@ class TestRemoteSetUp:
         assert code == 1
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
         assert "fixture.json:image_index" in lines[0]
+        assert not out.exists()
+
+    def test_remote_task1_without_fixture_fails_before_any_turn(self, tmp_path, capsys):
+        config = write_config(tmp_path, mode="task1", fixture_path=None, **remote_endpoints())
+        out = tmp_path / "t.jsonl"
+        code = main(["run", "--dataset", str(FIXTURES / "e2e_dataset.jsonl"),
+                     "--config", str(config), "--out", str(out)])
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert "fixture_path" in lines[0]
         assert not out.exists()
 
     def test_https_endpoints_share_one_tls_context(self, tls_context_calls):

@@ -8,6 +8,7 @@ from ragvet.core import (
     AnswerPair,
     Conversation,
     InvalidConfigError,
+    MAX_CONTEXT_ENTRIES,
     PipelineConfig,
     QueryTurn,
     RagContext,
@@ -108,6 +109,13 @@ class TestValidateConfig:
     def test_rerank_k_bounded_by_recall_k(self):
         cfg = PipelineConfig(rerank_k=11, recall_k=10)
         with pytest.raises(InvalidConfigError, match="rerank_k <= recall_k"):
+            validate_config(cfg)
+
+    def test_rerank_k_bounded_by_context_size(self):
+        cfg = PipelineConfig(rerank_k=MAX_CONTEXT_ENTRIES)
+        assert validate_config(cfg) is cfg
+        cfg = PipelineConfig(rerank_k=MAX_CONTEXT_ENTRIES + 1)
+        with pytest.raises(InvalidConfigError, match=f"rerank_k <= {MAX_CONTEXT_ENTRIES}"):
             validate_config(cfg)
 
     def test_abstain_margin_bounded_by_budget(self):

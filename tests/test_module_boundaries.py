@@ -1,6 +1,7 @@
 """No ragvet module or test module imports a ragvet module's private
-(underscore) names, and no ragvet module imports an HTTP client library:
-``backends`` speaks HTTP itself.
+(underscore) names, no ragvet module imports an HTTP client library
+(``transport`` speaks HTTP itself), and no ragvet module but ``transport``
+imports ``socket`` or ``ssl``.
 
 Dunder names such as ``__version__`` are public by convention and allowed.
 """
@@ -56,10 +57,11 @@ def test_no_private_import_in_tests(path):
 
 
 HTTP_CLIENTS = ("http.client", "urllib.request", "requests")
+NETWORK_MODULES = ("socket", "ssl")
 
 
-def http_client_imports(source: str) -> list[str]:
-    """Each imported module that is, or is inside, an HTTP client library;
+def banned_imports(source: str, banned: tuple[str, ...]) -> list[str]:
+    """Each imported module that is, or is inside, one of ``banned``;
     ``from a import b`` imports ``a.b`` as well as ``a``."""
     imported = []
     for node in ast.walk(ast.parse(source)):
@@ -69,7 +71,7 @@ def http_client_imports(source: str) -> list[str]:
             imported.append(node.module)
             imported.extend(f"{node.module}.{alias.name}" for alias in node.names)
     return [name for name in imported
-            if any(name == banned or name.startswith(f"{banned}.") for banned in HTTP_CLIENTS)]
+            if any(name == module or name.startswith(f"{module}.") for module in banned)]
 
 
 def test_detector_sees_every_form_of_http_client_import():
@@ -81,11 +83,31 @@ def test_detector_sees_every_form_of_http_client_import():
         "from urllib.parse import urlsplit\n"
         "import json, requests_toolbelt\n"
     )
-    assert http_client_imports(source) == [
+    assert banned_imports(source, HTTP_CLIENTS) == [
         "http.client", "urllib.request", "requests.adapters",
     ]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_http_client_library_import(path):
-    assert http_client_imports(path.read_text(encoding="utf-8")) == []
+    assert banned_imports(path.read_text(encoding="utf-8"), HTTP_CLIENTS) == []
+
+
+def test_detector_sees_every_form_of_socket_and_ssl_import():
+    source = (
+        "import socket\n"
+        "from ssl import SSLContext\n"
+        "import socketserver, sslkeylog\n"
+    )
+    assert banned_imports(source, NETWORK_MODULES) == ["socket", "ssl", "ssl.SSLContext"]
+
+
+def test_transport_is_the_module_that_opens_sockets():
+    assert banned_imports((PACKAGE / "transport.py").read_text(encoding="utf-8"),
+                          NETWORK_MODULES) == ["socket", "ssl"]
+
+
+@pytest.mark.parametrize("path", [path for path in MODULES if path.name != "transport.py"],
+                         ids=lambda path: path.name)
+def test_only_transport_imports_socket_or_ssl(path):
+    assert banned_imports(path.read_text(encoding="utf-8"), NETWORK_MODULES) == []
