@@ -14,6 +14,7 @@ final answers.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -157,11 +158,12 @@ class PromptedJudge:
             text = self._backend.complete(request, Deadline.after_ms(_JUDGE_TIMEOUT_MS)).text
         except BackendError as exc:
             raise EvalError(f"judge backend failed: {exc}") from exc
-        lowered = text.lower()
-        for label in Label:
-            if label.value.lower() in lowered:
-                return JudgeLabel.of(label)
-        raise EvalError(f"judge reply carries no label: {text!r}")
+        # Whole words only: "Unacceptable" names no label, "Not perfect: Incorrect" two.
+        words = set(re.findall(r"[a-z]+", text.lower()))
+        found = [label for label in Label if label.value.lower() in words]
+        if len(found) != 1:
+            raise EvalError(f"judge reply must name exactly one label: {text!r}")
+        return JudgeLabel.of(found[0])
 
 
 def judge_response(
@@ -171,8 +173,9 @@ def judge_response(
     token_limit: int = DEFAULT_TOKEN_LIMIT,
     abstain_text: str = "I don't know",
 ) -> JudgeLabel:
-    """Label one response; abstentions are Missing without any judge call."""
-    if final_answer.strip() == abstain_text:
+    """Label one response; an answer equal to ``abstain_text``, both trimmed,
+    is Missing without any judge call."""
+    if final_answer.strip() == abstain_text.strip():
         return JudgeLabel.of(Label.MISSING)
     return judge_backend.judge(truncate_tokens(final_answer, token_limit), ground_truth)
 

@@ -13,8 +13,8 @@ from typing import Optional, Sequence
 
 from .backends import EmptyCompletionError, ModelBackend, ModelRequest, Role
 from .core import AnswerPair, RagContext
-from .runtime import Deadline, Trace, flag_trace
-from .templates import PromptTemplate, default_template
+from .runtime import Deadline, Trace
+from .templates import PromptTemplate
 
 __all__ = [
     "build_generation_prompt",
@@ -43,8 +43,8 @@ def _history_block(history: Sequence[tuple[str, str]]) -> str:
 def build_generation_prompt(
     query: str,
     context_rendered: Optional[str],
-    history: Sequence[tuple[str, str]] = (),
-    template: Optional[PromptTemplate] = None,
+    history: Sequence[tuple[str, str]],
+    template: PromptTemplate,
 ) -> tuple[str, str]:
     """Render the answer prompt.
 
@@ -55,7 +55,7 @@ def build_generation_prompt(
         context_block = ""
     else:
         context_block = f"Context:\n{context_rendered or NO_CONTEXT_MARKER}\n\n"
-    return (template or default_template("generation")).build(
+    return template.build(
         image="",
         history_block=_history_block(history),
         context_block=context_block,
@@ -70,7 +70,7 @@ def _generate(
     vlm_backend: ModelBackend,
     deadline: Deadline,
     history: Sequence[tuple[str, str]],
-    template: Optional[PromptTemplate],
+    template: PromptTemplate,
 ) -> str:
     system, user = build_generation_prompt(query, context_rendered, history, template)
     request = ModelRequest(
@@ -93,8 +93,8 @@ def generate_rag(
     context: RagContext,
     vlm_backend: ModelBackend,
     deadline: Deadline,
-    history: Sequence[tuple[str, str]] = (),
-    template: Optional[PromptTemplate] = None,
+    history: Sequence[tuple[str, str]],
+    template: PromptTemplate,
 ) -> str:
     """The context-conditioned answer."""
     return _generate(query, image_ref, context.rendered, vlm_backend, deadline, history, template)
@@ -105,8 +105,8 @@ def generate_direct(
     image_ref: Optional[str],
     vlm_backend: ModelBackend,
     deadline: Deadline,
-    history: Sequence[tuple[str, str]] = (),
-    template: Optional[PromptTemplate] = None,
+    history: Sequence[tuple[str, str]],
+    template: PromptTemplate,
 ) -> str:
     """The prior-knowledge answer, generated without any context block."""
     return _generate(query, image_ref, None, vlm_backend, deadline, history, template)
@@ -117,9 +117,9 @@ def build_consistency_prompt(
     query: str,
     direct_answer: str,
     rag_answer: str,
-    template: Optional[PromptTemplate] = None,
+    template: PromptTemplate,
 ) -> tuple[str, str]:
-    return (template or default_template("consistency")).build(
+    return template.build(
         image="",
         contexts=context.rendered,
         queries=query,
@@ -128,11 +128,11 @@ def build_consistency_prompt(
     )
 
 
-def parse_yes_no(text: str, trace: Optional[Trace] = None) -> bool:
+def parse_yes_no(text: str, trace: Trace) -> bool:
     """Leading yes -> True, leading no -> False, anything else -> False."""
     match = _LEADING_YES_NO.match(text)
     if match is None:
-        flag_trace(trace, "consistency_parse_failure")
+        trace.flag("consistency_parse_failure")
         return False
     return match.group(1).lower() == "yes"
 
@@ -144,8 +144,8 @@ def check_consistency(
     pair: AnswerPair,
     vlm_backend: ModelBackend,
     deadline: Deadline,
-    trace: Optional[Trace] = None,
-    template: Optional[PromptTemplate] = None,
+    trace: Trace,
+    template: PromptTemplate,
 ) -> AnswerPair:
     """Ask the judge whether the two answers agree; store the verdict."""
     system, user = build_consistency_prompt(

@@ -16,8 +16,8 @@ from .backends import (
     SearchBackend,
 )
 from .core import ChunkRef, RagContext, RetrievedItem, RoutingDecision, ScoredChunk
-from .runtime import Deadline, Trace, flag_trace
-from .templates import PromptTemplate, default_template
+from .runtime import Deadline, Trace
+from .templates import PromptTemplate
 
 __all__ = [
     "RawChunk",
@@ -53,13 +53,13 @@ def summarize_image(
     image_ref: str,
     vlm_backend: ModelBackend,
     deadline: Deadline,
-    trace: Optional[Trace] = None,
-    template: Optional[PromptTemplate] = None,
+    trace: Trace,
+    template: PromptTemplate,
 ) -> str:
     """One-sentence, question-focused image summary; empty string on failure."""
     if not image_ref:
         raise ValueError("image_ref must be present")
-    system, user = (template or default_template("summarize")).build(query=query, image="")
+    system, user = template.build(query=query, image="")
     request = ModelRequest(
         role=Role.SUMMARIZER,
         system=system,
@@ -70,10 +70,10 @@ def summarize_image(
     try:
         response = vlm_backend.complete(request, deadline)
     except BackendTimeout:
-        flag_trace(trace, "summary_backend_timeout")
+        trace.flag("summary_backend_timeout")
         return ""
     except BackendError:
-        flag_trace(trace, "summary_backend_error")
+        trace.flag("summary_backend_error")
         return ""
     return response.text.strip()
 
@@ -97,9 +97,9 @@ def recall(
     decision: RoutingDecision,
     search_backend: SearchBackend,
     k: int,
-    mode: str = "task1",
-    trace: Optional[Trace] = None,
-    deadline: Deadline = Deadline.never(),
+    mode: str,
+    trace: Trace,
+    deadline: Deadline,
 ) -> list[RetrievedItem]:
     """Top-k recall in the modality the mode/routing policy selects.
 
@@ -119,7 +119,7 @@ def recall(
             return []
         return search_backend.web_search(expanded, k, deadline)
     except BackendError:
-        flag_trace(trace, "recall_backend_error")
+        trace.flag("recall_backend_error")
         return []
 
 
@@ -147,7 +147,7 @@ def rerank(
     chunks: Sequence[RawChunk],
     reranker_backend: RerankerBackend,
     deadline: Deadline,
-    trace: Optional[Trace] = None,
+    trace: Trace,
 ) -> list[ScoredChunk]:
     """Score every chunk against the expanded query in one backend call.
 
@@ -158,7 +158,7 @@ def rerank(
     try:
         scores = reranker_backend.score_batch(expanded, [chunk.text for chunk in chunks], deadline)
     except BackendError:
-        flag_trace(trace, "rerank_backend_error")
+        trace.flag("rerank_backend_error")
         return []
     return [
         ScoredChunk(text=chunk.text, parent=chunk.ref, score=score)

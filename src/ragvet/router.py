@@ -13,8 +13,8 @@ from typing import Optional
 
 from .backends import BackendError, BackendTimeout, ModelBackend, ModelRequest, Role
 from .core import RoutingDecision
-from .runtime import Deadline, Trace, flag_trace
-from .templates import PromptTemplate, default_template
+from .runtime import Deadline, Trace
+from .templates import PromptTemplate
 
 __all__ = ["build_routing_prompt", "parse_routing_response", "route", "FALLBACK_DECISION"]
 
@@ -33,11 +33,11 @@ _LABEL_VALUE = {
     ),
 }
 
-def build_routing_prompt(query: str, template: Optional[PromptTemplate] = None) -> tuple[str, str]:
+def build_routing_prompt(query: str, template: PromptTemplate) -> tuple[str, str]:
     """Render the classification prompt with {query} substituted verbatim."""
     if not query:
         raise ValueError("query must be non-empty")
-    return (template or default_template("routing")).build(query=query)
+    return template.build(query=query)
 
 
 def _scan_label(pattern: re.Pattern[str], text: str) -> Optional[bool]:
@@ -47,12 +47,12 @@ def _scan_label(pattern: re.Pattern[str], text: str) -> Optional[bool]:
     return values.pop() == "yes"
 
 
-def parse_routing_response(text: str, trace: Optional[Trace] = None) -> RoutingDecision:
+def parse_routing_response(text: str, trace: Trace) -> RoutingDecision:
     """Total parser: any text yields a decision, falling back on {e=1, r=0}."""
     needs_external = _scan_label(_LABEL_VALUE["needs_external"], text)
     is_real_time = _scan_label(_LABEL_VALUE["is_real_time"], text)
     if needs_external is None or is_real_time is None:
-        flag_trace(trace, "router_parse_failure")
+        trace.flag("router_parse_failure")
         return FALLBACK_DECISION
     return RoutingDecision(needs_external=needs_external, is_real_time=is_real_time)
 
@@ -61,8 +61,8 @@ def route(
     query: str,
     model_backend: ModelBackend,
     deadline: Deadline,
-    trace: Optional[Trace] = None,
-    template: Optional[PromptTemplate] = None,
+    trace: Trace,
+    template: PromptTemplate,
 ) -> RoutingDecision:
     """Prompt the router model and parse its reply; never raises."""
     system, user = build_routing_prompt(query, template)
@@ -72,9 +72,9 @@ def route(
     try:
         response = model_backend.complete(request, deadline)
     except BackendTimeout:
-        flag_trace(trace, "router_backend_timeout")
+        trace.flag("router_backend_timeout")
         return FALLBACK_DECISION
     except BackendError:
-        flag_trace(trace, "router_backend_error")
+        trace.flag("router_backend_error")
         return FALLBACK_DECISION
     return parse_routing_response(response.text, trace)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -24,10 +23,6 @@ class Deadline:
     @classmethod
     def after_ms(cls, budget_ms: float) -> "Deadline":
         return cls(time.monotonic() + budget_ms / 1000.0)
-
-    @classmethod
-    def never(cls) -> "Deadline":
-        return cls(math.inf)
 
     @property
     def expires_at(self) -> float:
@@ -70,9 +65,3 @@ class Trace:
         finally:
             elapsed = int((time.monotonic() - started) * 1000.0)
             self.timings_ms[name] = self.timings_ms.get(name, 0) + elapsed
-
-
-def flag_trace(trace: Trace | None, name: str) -> None:
-    """Flag the trace when one is being kept; no-op otherwise."""
-    if trace is not None:
-        trace.flag(name)

@@ -13,8 +13,8 @@ from typing import Optional
 
 from .backends import ModelBackend, ModelRequest, Role
 from .core import Finding, RagContext, SubQuestion, VerificationResult
-from .runtime import Deadline, Trace, flag_trace
-from .templates import PromptTemplate, default_template
+from .runtime import Deadline, Trace
+from .templates import PromptTemplate
 
 __all__ = ["build_cov_prompt", "parse_cov_response", "verify"]
 
@@ -30,9 +30,9 @@ def build_cov_prompt(
     context: RagContext,
     query: str,
     answer: str,
-    template: Optional[PromptTemplate] = None,
+    template: PromptTemplate,
 ) -> tuple[str, str]:
-    return (template or default_template("cov")).build(
+    return template.build(
         image="",
         contexts=context.rendered,
         queries=query,
@@ -48,7 +48,7 @@ def _parse_sub_questions(fragment: str) -> tuple[SubQuestion, ...]:
     return tuple(subs)
 
 
-def parse_cov_response(text: str, trace: Optional[Trace] = None) -> VerificationResult:
+def parse_cov_response(text: str, trace: Trace) -> VerificationResult:
     """Extract confidence, reasoning, and sub-question findings.
 
     The confidence comes from the first line starting with ``CONFIDENCE:``
@@ -59,11 +59,11 @@ def parse_cov_response(text: str, trace: Optional[Trace] = None) -> Verification
     fallback = VerificationResult(confidence=0.0, reasoning="", sub_questions=())
     confidence_match = _CONFIDENCE_LINE.search(text)
     if confidence_match is None:
-        flag_trace(trace, "cov_parse_failure")
+        trace.flag("cov_parse_failure")
         return fallback
     number = _FLOAT.search(confidence_match.group(1))
     if number is None:
-        flag_trace(trace, "cov_parse_failure")
+        trace.flag("cov_parse_failure")
         return fallback
     confidence = min(1.0, max(0.0, float(number.group(0))))
 
@@ -78,7 +78,7 @@ def parse_cov_response(text: str, trace: Optional[Trace] = None) -> Verification
         sub_questions = _parse_sub_questions(subq_split[1])
 
     if confidence > 0.0 and not reasoning and not sub_questions:
-        flag_trace(trace, "cov_parse_failure")
+        trace.flag("cov_parse_failure")
         return fallback
     return VerificationResult(
         confidence=confidence, reasoning=reasoning, sub_questions=sub_questions
@@ -92,8 +92,8 @@ def verify(
     answer: str,
     vlm_backend: ModelBackend,
     deadline: Deadline,
-    trace: Optional[Trace] = None,
-    template: Optional[PromptTemplate] = None,
+    trace: Trace,
+    template: PromptTemplate,
 ) -> VerificationResult:
     """Run the verification prompt over the candidate answer."""
     system, user = build_cov_prompt(context, query, answer, template)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import re
 import ssl
 import threading
@@ -123,7 +124,7 @@ def chunk(text: str, score: float, rank: int = 1) -> ScoredChunk:
 
 @pytest.fixture
 def no_deadline() -> Deadline:
-    return Deadline.never()
+    return Deadline(math.inf)
 
 
 @pytest.fixture

@@ -30,6 +30,8 @@ from ragvet.generation import parse_yes_no
 from ragvet.pipeline import run_conversation
 from ragvet.retrieval import dynamic_threshold
 from ragvet.router import parse_routing_response
+from ragvet.runtime import Trace
+from ragvet.templates import load_all
 from ragvet.verification import parse_cov_response
 
 from conftest import FIXTURES
@@ -208,7 +210,7 @@ def test_criterion_4_parser_totality_and_round_trip():
         rng = random.Random(41)
         for _ in range(100):
             text, confidence, n_subs = _well_formed_cov(rng)
-            result = parse_cov_response(text)
+            result = parse_cov_response(text, Trace())
             assert result.confidence == confidence
             assert len(result.sub_questions) == n_subs
 
@@ -217,13 +219,13 @@ def test_criterion_4_parser_totality_and_round_trip():
             base, _, _ = _well_formed_cov(rng)
             corpus.append(_fuzz(rng, base))
         for text in corpus:
-            result = parse_cov_response(text)
+            result = parse_cov_response(text, Trace())
             assert 0.0 <= result.confidence <= 1.0
             if not _CONFIDENCE_OK.search(text):
                 assert result.confidence == 0.0
-            routing = parse_routing_response(text)
+            routing = parse_routing_response(text, Trace())
             assert routing.needs_external in (True, False)
-            assert parse_yes_no(text) in (True, False)
+            assert parse_yes_no(text, Trace()) in (True, False)
 
 
 # --------------------------------------------------------------------------
@@ -317,6 +319,7 @@ def test_criterion_6_deadline_behavior():
             search=MockSearchBackend(SearchFixture(image_index={}, web_index=())),
         )
         cfg = validate_config(PipelineConfig(mode="task2plus", turn_budget_ms=10_000))
+        templates = load_all(cfg.prompt_paths)
         for i in range(4):
             conversation = Conversation(
                 conversation_id=f"slow{i}", image_ref=None,
@@ -324,7 +327,7 @@ def test_criterion_6_deadline_behavior():
                                  query=f"slowq{i} question"),),
             )
             started = time.perf_counter()
-            outcome = run_conversation(conversation, cfg, backends)[0]
+            outcome = run_conversation(conversation, cfg, backends, templates)[0]
             elapsed = time.perf_counter() - started
             assert outcome.final.abstained
             assert outcome.final.answer == cfg.abstain_text

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import re
 import socket
 import ssl
@@ -38,7 +39,9 @@ from ragvet.retrieval import expand_query, recall
 from ragvet.runtime import Deadline, Trace
 
 from conftest import FIXTURES, scripted_model, serve_http
-from test_pipeline import fresh_state, image_fixture, make_backends, one_turn, turn_script
+from test_pipeline import (
+    TEMPLATES, fresh_state, image_fixture, make_backends, one_turn, turn_script,
+)
 
 
 def _request(role=Role.ROUTER, user="hello", **kw):
@@ -170,7 +173,7 @@ class TestSearch:
         fixture = load_fixture(path)
         backend = MockSearchBackend(fixture)
         backend.image_search("img-1", 2)
-        backend.web_search("red shoe", 3, Deadline.never())
+        backend.web_search("red shoe", 3, Deadline(math.inf))
         assert fixture == load_fixture(path)
 
 
@@ -388,7 +391,7 @@ class TestRemoteBackends:
         )
         cfg = PipelineConfig(mode="task2plus", turn_budget_ms=400, abstain_margin_ms=20)
         started = time.monotonic()
-        outcome = run_turn(fresh_state(), one_turn(query), cfg, backends)
+        outcome = run_turn(fresh_state(), one_turn(query), cfg, backends, TEMPLATES)
         elapsed_ms = (time.monotonic() - started) * 1000
         assert "recall_backend_error" in outcome.flags
         assert outcome.context.empty
@@ -487,19 +490,19 @@ class TestKeepAliveTransport:
     def test_sequential_calls_share_one_connection(self, keep_alive_server, remote_model):
         backend = remote_model("/echo")
         for i in range(200):
-            assert backend.complete(_request(user=f"u{i}"), Deadline.never()).text == f"echo:u{i}"
+            assert backend.complete(_request(user=f"u{i}"), Deadline(math.inf)).text == f"echo:u{i}"
         assert len(keep_alive_server.opened) == 1
 
     def test_connection_dropped_while_idle_is_replaced(self, keep_alive_server, remote_model):
         backend = remote_model("/drop")
         for _ in range(2):
-            assert backend.complete(_request(), Deadline.never()).text == "echo:hello"
+            assert backend.complete(_request(), Deadline(math.inf)).text == "echo:hello"
         assert len(keep_alive_server.opened) == 2
 
     def test_http10_reply_connection_is_not_reused(self, keep_alive_server, remote_model):
         backend = remote_model("/http10")
         for _ in range(3):
-            backend.complete(_request(), Deadline.never())
+            backend.complete(_request(), Deadline(math.inf))
         assert len(keep_alive_server.opened) == 3
 
     @pytest.mark.parametrize("path", ["/broken", "/list"])
@@ -508,7 +511,7 @@ class TestKeepAliveTransport:
         backend = remote_model(path)
         for _ in range(2):
             with pytest.raises(BackendTransportError):
-                backend.complete(_request(), Deadline.never())
+                backend.complete(_request(), Deadline(math.inf))
         assert len(keep_alive_server.opened) == 1
 
     @pytest.mark.parametrize("token", ["tok\u2713", "a\r\nX-Evil: 1", "two words"])
@@ -830,7 +833,7 @@ class TestMalformedReplies:
             make_backends(turn_script(query), image_fixture("img-1", query)),
             reranker=RemoteRerankerBackend(f"{http_server}/reply/rerank-scores-missing"),
         )
-        outcome = run_turn(fresh_state(), one_turn(query), PipelineConfig(), backends)
+        outcome = run_turn(fresh_state(), one_turn(query), PipelineConfig(), backends, TEMPLATES)
         assert "rerank_backend_error" in outcome.flags
         assert outcome.context.empty
 
@@ -838,11 +841,11 @@ class TestMalformedReplies:
     def test_bad_search_reply_is_transport_error(self, http_server, reply):
         backend = RemoteSearchBackend(f"{http_server}/reply/{reply}")
         with pytest.raises(BackendTransportError):
-            backend.web_search("q", 5, Deadline.never())
+            backend.web_search("q", 5, Deadline(math.inf))
         trace = Trace()
         items = recall(expand_query("q", ""), None,
                        RoutingDecision(needs_external=True, is_real_time=False),
-                       backend, 5, mode="task2plus", trace=trace)
+                       backend, 5, "task2plus", trace, Deadline(math.inf))
         assert items == []
         assert "recall_backend_error" in trace.flags
 

@@ -1,6 +1,7 @@
 """Command-line behavior: dataset loading, run/eval/ablate, manifests."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -338,7 +339,7 @@ class _MockServices(BaseHTTPRequestHandler):
 
     def do_POST(self):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-        never = Deadline.never()
+        never = Deadline(math.inf)
         try:
             if self.path == "/model":
                 reply = self.model.complete(ModelRequest(**body), never)
@@ -393,6 +394,24 @@ class TestEvalCommand:
         assert report["counts"]["Perfect"] == accepted
         assert report["counts"]["Missing"] == 26 - accepted
         assert len(report["rows"]) == 26
+
+    def test_padded_abstain_text_scores_every_abstention_missing(self, tmp_path):
+        # A run writes the configured abstention text verbatim, padding included.
+        abstain_text = " I don't know "
+        config = write_config(tmp_path, abstain_text=abstain_text)
+        dataset = FIXTURES / "e2e_dataset.jsonl"
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text("".join(
+            json.dumps({"conversation_id": conversation.conversation_id,
+                        "turn_index": turn.turn_index, "final": {"answer": abstain_text}}) + "\n"
+            for conversation in load_dataset(dataset) for turn in conversation.turns
+        ), encoding="utf-8")
+        report_path = tmp_path / "report.json"
+        assert main(["eval", "--traces", str(trace), "--dataset", str(dataset),
+                     "--config", str(config), "--report", str(report_path)]) == 0
+        report = json.loads(report_path.read_text(encoding="utf-8"))
+        assert report["n"] == 26
+        assert report["missing_rate"] == 1.0
 
     def test_eval_requires_ground_truth(self, tmp_path, capsys):
         config = write_config(tmp_path)

@@ -88,6 +88,12 @@ class TestJudgeResponse:
         label = judge_response("I don't know", "anything", ExplodingJudge())
         assert label.label is Label.MISSING
 
+    def test_padded_abstain_text_is_missing(self):
+        # A trace carries the configured text verbatim, padding included.
+        label = judge_response(" I don't know ", "a kettle", MockJudge(),
+                               abstain_text=" I don't know ")
+        assert label.label is Label.MISSING
+
     def test_mock_exact_match_is_perfect(self):
         label = judge_response("  The Eiffel Tower ", "the eiffel tower", MockJudge())
         assert label.label is Label.PERFECT
@@ -132,6 +138,22 @@ class TestPromptedJudge:
     def test_unlabelled_reply_is_an_error(self):
         with pytest.raises(EvalError):
             self._judge("hmm, not sure").judge("a", "b")
+
+    @pytest.mark.parametrize("reply, label", [
+        ("Perfect.", Label.PERFECT),
+        ("incorrect", Label.INCORRECT),
+        ("Label: Acceptable", Label.ACCEPTABLE),
+        ("Unacceptable", None),
+        ("Imperfect", None),
+        ("Not perfect: Incorrect", None),
+    ])
+    def test_reply_must_name_exactly_one_label_word(self, reply, label):
+        judge = self._judge(reply)
+        if label is None:
+            with pytest.raises(EvalError, match="exactly one label"):
+                judge.judge("a", "b")
+        else:
+            assert judge.judge("a", "b").label is label
 
 
 class TestAggregate:
@@ -243,6 +265,36 @@ def test_ablation_report_is_pinned(ablation_setup, policy, mode):
     perfect, missing, incorrect, truthfulness = ABLATION_REPORTS[mode]
     assert report.to_dict()["counts"] == {
         "Perfect": perfect, "Acceptable": 0, "Missing": missing, "Incorrect": incorrect,
+    }
+    assert report.truthfulness == pytest.approx(truthfulness)
+
+
+# (Perfect, Acceptable, Missing, Incorrect, truthfulness) per mode over the
+# seven turns of the KG set under task1, where recall finds image records.
+# The replay scripts the follow-up turn k05:1 only for the history the full
+# pipeline builds, so a variant whose first answer differs gets no reply for
+# it and abstains with generation_backend_error.
+KG_ABLATION_REPORTS = {
+    "vision_only": (1, 0, 1, 5, -4 / 7),
+    "rag_naive": (2, 3, 0, 2, 3 / 14),
+    "no_cov_no_sc": (1, 0, 4, 2, -1 / 7),
+    "no_cov": (1, 3, 1, 2, 1 / 14),
+    "full": (1, 3, 3, 0, 5 / 14),
+}
+
+
+@pytest.mark.parametrize("mode", ABLATION_MODES)
+def test_kg_ablation_report_is_pinned(mode):
+    cfg = validate_config(PipelineConfig(mode="task1"))
+    model = ReplayModelBackend.from_file(FIXTURES / "kg_replay.json")
+    backends = Backends(
+        router_model=model, vlm=model, reranker=MockRerankerBackend(),
+        search=MockSearchBackend(load_fixture(FIXTURES / "kg_search.json")),
+    )
+    report = run_ablation(mode, load_dataset(FIXTURES / "kg_dataset.jsonl"), cfg, backends)
+    perfect, acceptable, missing, incorrect, truthfulness = KG_ABLATION_REPORTS[mode]
+    assert report.to_dict()["counts"] == {
+        "Perfect": perfect, "Acceptable": acceptable, "Missing": missing, "Incorrect": incorrect,
     }
     assert report.truthfulness == pytest.approx(truthfulness)
 

@@ -16,8 +16,12 @@ from ragvet.generation import (
 )
 from ragvet.retrieval import build_context
 from ragvet.runtime import Deadline, Trace
+from ragvet.templates import default_template
 
 from conftest import CountingModel, HonestConsistencyJudge, chunk, scripted_model
+
+GENERATION = default_template("generation")
+CONSISTENCY = default_template("consistency")
 
 
 def _context(*texts_scores):
@@ -27,23 +31,23 @@ def _context(*texts_scores):
 
 class TestGenerationPrompt:
     def test_rag_prompt_carries_rendered_context(self):
-        _, user = build_generation_prompt("what is it?", "[Info 1] a lamp")
+        _, user = build_generation_prompt("what is it?", "[Info 1] a lamp", (), GENERATION)
         assert "Context:\n[Info 1] a lamp" in user
         assert user.endswith("Question: what is it?")
 
     def test_empty_context_gets_marker(self):
-        _, user = build_generation_prompt("what is it?", "")
+        _, user = build_generation_prompt("what is it?", "", (), GENERATION)
         assert NO_CONTEXT_MARKER in user
 
     def test_direct_prompt_has_no_context_block(self):
-        _, user = build_generation_prompt("what is it?", None)
+        _, user = build_generation_prompt("what is it?", None, (), GENERATION)
         assert "Context:" not in user
         assert NO_CONTEXT_MARKER not in user
 
     def test_history_lines_oldest_first(self):
         _, user = build_generation_prompt(
             "and the price?", None,
-            history=[("what is it?", "a kettle"), ("color?", "blue")],
+            [("what is it?", "a kettle"), ("color?", "blue")], GENERATION,
         )
         assert user.index("Previous Q: what is it?") < user.index("Previous Q: color?")
         assert "Previous A: a kettle" in user
@@ -55,64 +59,68 @@ class TestGenerate:
         backend = scripted_model(
             {"role": Role.GENERATOR, "match": ["Context:", "capital"], "response": "Paris."}
         )
-        answer = generate_rag("capital of France?", None, _context(("fact", 0.9)), backend, no_deadline)
+        answer = generate_rag("capital of France?", None, _context(("fact", 0.9)), backend,
+                              no_deadline, (), GENERATION)
         assert answer == "Paris."
 
     def test_empty_context_still_answers(self, no_deadline):
         backend = scripted_model(
             {"role": Role.GENERATOR, "match": NO_CONTEXT_MARKER, "response": "Paris."}
         )
-        assert generate_rag("capital?", None, _context(), backend, no_deadline) == "Paris."
+        answer = generate_rag("capital?", None, _context(), backend, no_deadline, (), GENERATION)
+        assert answer == "Paris."
 
     def test_direct_and_rag_prompts_distinguishable(self, no_deadline):
         backend = scripted_model(
             {"role": Role.GENERATOR, "match": "Context:", "response": "grounded"},
             {"role": Role.GENERATOR, "match": "", "response": "prior"},
         )
-        assert generate_rag("q?", None, _context(("e", 0.9)), backend, no_deadline) == "grounded"
-        assert generate_direct("q?", None, backend, no_deadline) == "prior"
+        assert generate_rag("q?", None, _context(("e", 0.9)), backend, no_deadline,
+                            (), GENERATION) == "grounded"
+        assert generate_direct("q?", None, backend, no_deadline, (), GENERATION) == "prior"
 
     def test_backend_timeout_propagates(self):
         backend = scripted_model(
             {"role": Role.GENERATOR, "match": "", "response": "slow", "sleep_ms": 100}
         )
         with pytest.raises(BackendTimeout):
-            generate_direct("q?", None, backend, Deadline.after_ms(1))
+            generate_direct("q?", None, backend, Deadline.after_ms(1), (), GENERATION)
 
     def test_whitespace_only_answer_is_empty_completion(self, no_deadline):
         backend = scripted_model({"role": Role.GENERATOR, "match": "", "response": " \n\t "})
         with pytest.raises(EmptyCompletionError):
-            generate_rag("q?", None, _context(("e", 0.9)), backend, no_deadline)
+            generate_rag("q?", None, _context(("e", 0.9)), backend, no_deadline, (), GENERATION)
         with pytest.raises(EmptyCompletionError):
-            generate_direct("q?", None, backend, no_deadline)
+            generate_direct("q?", None, backend, no_deadline, (), GENERATION)
 
     def test_exactly_one_backend_call_each(self, no_deadline):
         backend = CountingModel(scripted_model({"role": Role.GENERATOR, "match": "", "response": "a"}))
-        generate_rag("q?", None, _context(), backend, no_deadline)
-        generate_direct("q?", None, backend, no_deadline)
+        generate_rag("q?", None, _context(), backend, no_deadline, (), GENERATION)
+        generate_direct("q?", None, backend, no_deadline, (), GENERATION)
         assert backend.calls == ["generator", "generator"]
 
 
 class TestConsistencyPrompt:
     def test_empty_context_fallback_string(self):
-        _, user = build_consistency_prompt(_context(), "q?", "a", "a2")
+        _, user = build_consistency_prompt(_context(), "q?", "a", "a2", CONSISTENCY)
         assert "No text context." in user
 
     def test_rendered_context_embedded(self):
-        _, user = build_consistency_prompt(_context(("evidence", 0.9)), "q?", "a", "a2")
+        context = _context(("evidence", 0.9))
+        _, user = build_consistency_prompt(context, "q?", "a", "a2", CONSISTENCY)
         assert "[Info 1] evidence" in user
 
     def test_multiline_answers_embedded_verbatim(self):
-        _, user = build_consistency_prompt(_context(), "q?", "line1\nline2", "other")
+        _, user = build_consistency_prompt(_context(), "q?", "line1\nline2", "other", CONSISTENCY)
         assert "line1\nline2" in user
 
 
 class TestParseYesNo:
     def test_yes(self):
-        assert parse_yes_no("yes") is True
+        assert parse_yes_no("yes", Trace()) is True
 
     def test_no_with_punctuation(self):
-        assert parse_yes_no("No.") is False
+        assert parse_yes_no("No.", Trace()) is False
 
     def test_prose_is_conservative_false_with_flag(self):
         trace = Trace()
@@ -120,29 +128,29 @@ class TestParseYesNo:
         assert "consistency_parse_failure" in trace.flags
 
     def test_leading_whitespace_tolerated(self):
-        assert parse_yes_no("  Yes, they are.") is True
+        assert parse_yes_no("  Yes, they are.", Trace()) is True
 
     @given(st.text(max_size=200))
     def test_total(self, text):
-        assert parse_yes_no(text) in (True, False)
+        assert parse_yes_no(text, Trace()) in (True, False)
 
 
 class TestCheckConsistency:
     def test_identical_answers_consistent_under_honest_judge(self, no_deadline):
         pair = AnswerPair(rag_answer="a kettle", direct_answer="a kettle")
         checked = check_consistency("q?", None, _context(), pair,
-                                    HonestConsistencyJudge(), no_deadline)
+                                    HonestConsistencyJudge(), no_deadline, Trace(), CONSISTENCY)
         assert checked.consistent is True
 
     def test_different_answers_inconsistent_under_honest_judge(self, no_deadline):
         pair = AnswerPair(rag_answer="a kettle", direct_answer="a toaster")
         checked = check_consistency("q?", None, _context(), pair,
-                                    HonestConsistencyJudge(), no_deadline)
+                                    HonestConsistencyJudge(), no_deadline, Trace(), CONSISTENCY)
         assert checked.consistent is False
 
     def test_verdict_stored_without_mutating_answers(self, no_deadline):
         pair = AnswerPair(rag_answer="x", direct_answer="x")
         checked = check_consistency("q?", None, _context(), pair,
-                                    HonestConsistencyJudge(), no_deadline)
+                                    HonestConsistencyJudge(), no_deadline, Trace(), CONSISTENCY)
         assert (checked.rag_answer, checked.direct_answer) == ("x", "x")
         assert pair.consistent is None

@@ -1,7 +1,8 @@
 """No ragvet module or test module imports a ragvet module's private
 (underscore) names, no ragvet module imports an HTTP client library
 (``transport`` speaks HTTP itself), and no ragvet module but ``transport``
-imports ``socket`` or ``ssl``.
+imports ``socket`` or ``ssl``. Every name a ragvet module other than
+``__init__`` imports is used in it, or listed in its ``__all__``.
 
 Dunder names such as ``__version__`` are public by convention and allowed.
 """
@@ -111,3 +112,42 @@ def test_transport_is_the_module_that_opens_sockets():
                          ids=lambda path: path.name)
 def test_only_transport_imports_socket_or_ssl(path):
     assert banned_imports(path.read_text(encoding="utf-8"), NETWORK_MODULES) == []
+
+
+def unused_imports(source: str) -> list[str]:
+    """Each name an import binds that the module never reads and does not
+    list in ``__all__``; ``from __future__`` imports bind no name."""
+    tree = ast.parse(source)
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.extend(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.extend(alias.asname or alias.name for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(target, ast.Name) and target.id == "__all__"
+                        for target in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    return [name for name in bound if name not in used]
+
+
+def test_detector_sees_every_form_of_unused_import():
+    source = (
+        "from __future__ import annotations\n"
+        "import os, os.path, json as j\n"
+        "import logging.handlers\n"
+        "from typing import Any, Optional as Opt\n"
+        "from .core import Kept, Dropped\n"
+        "__all__ = ['Kept']\n"
+        "def f(x: Any) -> None:\n"
+        "    return logging.handlers\n"
+    )
+    assert unused_imports(source) == ["os", "os", "j", "Opt", "Dropped"]
+
+
+@pytest.mark.parametrize("path", [path for path in MODULES if path.name != "__init__.py"],
+                         ids=lambda path: path.name)
+def test_every_imported_name_is_used(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

@@ -22,6 +22,7 @@ from ragvet.backends import (
 from ragvet.core import Conversation, PipelineConfig, QueryTurn
 from ragvet.finalizer import Branch
 from ragvet.pipeline import VARIANTS, ConversationState, run_conversation, run_turn
+from ragvet.templates import load_all
 
 from conftest import scripted_model
 
@@ -30,6 +31,8 @@ ROUTE_NONE = "1. Needs External Info: no\n2. Is Real-Time: no"
 ROUTE_REAL_TIME = "1. Needs External Info: yes\n2. Is Real-Time: yes"
 COV_FULL = "CONFIDENCE: 1.0\nREASONING: grounded in [Info 1]."
 COV_MID = "CONFIDENCE: 0.95\nREASONING: mostly grounded."
+# The packaged templates, which every PipelineConfig() here uses.
+TEMPLATES = load_all({})
 
 
 def turn_script(query, *, routing=ROUTE_PLAIN, summary="summary tokens", rag="rag answer",
@@ -122,7 +125,7 @@ class TestHappyPath:
     def test_scripted_accept_with_context(self):
         query = "what brand is this shoe"
         backends = make_backends(turn_script(query), image_fixture("img-1", query))
-        outcome = run_turn(fresh_state(), one_turn(query), PipelineConfig(), backends)
+        outcome = run_turn(fresh_state(), one_turn(query), PipelineConfig(), backends, TEMPLATES)
         assert outcome.final.answer == "rag answer"
         assert outcome.final.branch is Branch.CONSISTENT_WITH_CONTEXT
         assert not outcome.final.abstained
@@ -135,13 +138,13 @@ class TestHappyPath:
     def test_timings_bounded_by_wall_clock(self):
         query = "what brand is this shoe"
         backends = make_backends(turn_script(query), image_fixture("img-1", query))
-        outcome = run_turn(fresh_state(), one_turn(query), PipelineConfig(), backends)
+        outcome = run_turn(fresh_state(), one_turn(query), PipelineConfig(), backends, TEMPLATES)
         assert sum(outcome.timings_ms.values()) <= outcome.wall_clock_ms
 
     def test_outcome_type_rejects_timing_overrun(self):
         query = "what brand is this shoe"
         backends = make_backends(turn_script(query), image_fixture("img-1", query))
-        outcome = run_turn(fresh_state(), one_turn(query), PipelineConfig(), backends)
+        outcome = run_turn(fresh_state(), one_turn(query), PipelineConfig(), backends, TEMPLATES)
         with pytest.raises(ValueError, match="wall-clock"):
             dataclasses.replace(outcome, timings_ms={"route": outcome.wall_clock_ms + 1})
 
@@ -153,11 +156,11 @@ class TestHappyPath:
             router_model=model, vlm=model, reranker=reranker,
             search=MockSearchBackend(image_fixture("img-1", query)),
         )
-        outcome = run_turn(fresh_state(), one_turn(query), PipelineConfig(), backends)
+        outcome = run_turn(fresh_state(), one_turn(query), PipelineConfig(), backends, TEMPLATES)
         assert reranker.saw_direct, "the direct answer was not requested during rerank"
         plain = run_turn(
             fresh_state(), one_turn(query), PipelineConfig(),
-            make_backends(turn_script(query), image_fixture("img-1", query)),
+            make_backends(turn_script(query), image_fixture("img-1", query)), TEMPLATES,
         )
         assert outcome.to_record() == plain.to_record()
 
@@ -170,11 +173,11 @@ class TestHappyPath:
             router_model=router, vlm=vlm, reranker=MockRerankerBackend(),
             search=MockSearchBackend(image_fixture("img-1", query)),
         )
-        outcome = run_turn(fresh_state(), one_turn(query), PipelineConfig(), backends)
+        outcome = run_turn(fresh_state(), one_turn(query), PipelineConfig(), backends, TEMPLATES)
         assert router.saw_event, "the summary was not requested during routing"
         plain = run_turn(
             fresh_state(), one_turn(query), PipelineConfig(),
-            make_backends(turn_script(query), image_fixture("img-1", query)),
+            make_backends(turn_script(query), image_fixture("img-1", query)), TEMPLATES,
         )
         assert outcome.to_record() == plain.to_record()
 
@@ -182,7 +185,7 @@ class TestHappyPath:
         query = "what brand is this shoe"
         backends = make_backends(turn_script(query), image_fixture("img-1", query))
         before = threading.active_count()
-        outcome = run_turn(fresh_state(), one_turn(query), PipelineConfig(), backends)
+        outcome = run_turn(fresh_state(), one_turn(query), PipelineConfig(), backends, TEMPLATES)
         assert outcome.final.branch is Branch.CONSISTENT_WITH_CONTEXT
         assert threading.active_count() == before
 
@@ -192,7 +195,7 @@ class TestRoutingPolicies:
         query = "is the mug in the picture red"
         backends = make_backends(turn_script(query, routing=ROUTE_NONE))
         cfg = PipelineConfig(mode="task2plus")
-        outcome = run_turn(fresh_state(), one_turn(query), cfg, backends)
+        outcome = run_turn(fresh_state(), one_turn(query), cfg, backends, TEMPLATES)
         assert "retrieval_skipped" in outcome.flags
         assert outcome.context.empty
         for stage in ("summarize", "recall", "rerank"):
@@ -210,7 +213,7 @@ class TestRoutingPolicies:
         fixture = SearchFixture(image_index={}, web_index=((fields, 0.9),))
         backends = make_backends(turn_script(query, summary=summary), fixture)
         outcome = run_turn(
-            fresh_state(), one_turn(query), PipelineConfig(mode="task2plus"), backends
+            fresh_state(), one_turn(query), PipelineConfig(mode="task2plus"), backends, TEMPLATES
         )
         assert not outcome.context.empty
         assert outcome.final.branch is Branch.CONSISTENT_WITH_CONTEXT
@@ -218,7 +221,7 @@ class TestRoutingPolicies:
     def test_real_time_weak_retrieval_abstains(self):
         query = "what is the latest price of this"
         backends = make_backends(turn_script(query, routing=ROUTE_REAL_TIME))
-        outcome = run_turn(fresh_state(), one_turn(query), PipelineConfig(), backends)
+        outcome = run_turn(fresh_state(), one_turn(query), PipelineConfig(), backends, TEMPLATES)
         assert outcome.final.branch is Branch.REAL_TIME_LOW_RETRIEVAL
         assert outcome.final.abstained
 
@@ -229,7 +232,7 @@ class TestDegradation:
         cfg = PipelineConfig(turn_budget_ms=400, abstain_margin_ms=20)
         backends = make_backends(turn_script(query, rag_sleep_ms=2000))
         started = time.monotonic()
-        outcome = run_turn(fresh_state(), one_turn(query), cfg, backends)
+        outcome = run_turn(fresh_state(), one_turn(query), cfg, backends, TEMPLATES)
         elapsed_ms = (time.monotonic() - started) * 1000
         assert outcome.final.abstained
         assert "generation_timeout" in outcome.flags
@@ -246,13 +249,13 @@ class TestDegradation:
             model = ReplayModelBackend.from_file(path)
             backends = Backends(router_model=model, vlm=model, reranker=MockRerankerBackend(),
                                 search=MockSearchBackend(image_fixture("img-1", query)))
-            run_turn(fresh_state(), one_turn(query), PipelineConfig(), backends)
+            run_turn(fresh_state(), one_turn(query), PipelineConfig(), backends, TEMPLATES)
 
     def test_missing_generator_script_degrades(self):
         query = "no generator here"
         entries = [e for e in turn_script(query) if e["role"] is not Role.GENERATOR]
         outcome = run_turn(
-            fresh_state(), one_turn(query), PipelineConfig(), make_backends(entries)
+            fresh_state(), one_turn(query), PipelineConfig(), make_backends(entries), TEMPLATES
         )
         assert outcome.final.abstained
         assert "generation_backend_error" in outcome.flags
@@ -262,7 +265,7 @@ class TestDegradation:
         entries = [e for e in turn_script(query)
                    if e["role"] is not Role.GENERATOR or "Context:" in e["match"]]
         backends = make_backends(entries, image_fixture("img-1", query))
-        outcome = run_turn(fresh_state(), one_turn(query), PipelineConfig(), backends)
+        outcome = run_turn(fresh_state(), one_turn(query), PipelineConfig(), backends, TEMPLATES)
         assert outcome.final.abstained
         assert outcome.final.branch is Branch.DEFAULT_ABSTAIN
         assert "generation_backend_error" in outcome.flags
@@ -277,7 +280,7 @@ class TestDegradation:
         cfg = PipelineConfig(turn_budget_ms=400, abstain_margin_ms=20)
         backends = make_backends(entries, image_fixture("img-1", query))
         started = time.monotonic()
-        outcome = run_turn(fresh_state(), one_turn(query), cfg, backends)
+        outcome = run_turn(fresh_state(), one_turn(query), cfg, backends, TEMPLATES)
         elapsed_ms = (time.monotonic() - started) * 1000
         assert outcome.final.abstained
         assert "generation_timeout" in outcome.flags
@@ -291,7 +294,7 @@ class TestDegradation:
             if entry["role"] is Role.SUMMARIZER:
                 entry["sleep_ms"] = 1000
         cfg = PipelineConfig(turn_budget_ms=100, abstain_margin_ms=90)
-        outcome = run_turn(fresh_state(), one_turn(query), cfg, make_backends(entries))
+        outcome = run_turn(fresh_state(), one_turn(query), cfg, make_backends(entries), TEMPLATES)
         assert outcome.final.abstained
         assert "budget_exhausted" in outcome.flags
         assert "generate" not in outcome.stages
@@ -300,7 +303,7 @@ class TestDegradation:
         query = "judge is broken"
         entries = [e for e in turn_script(query) if e["role"] is not Role.CONSISTENCY_JUDGE]
         backends = make_backends(entries, image_fixture("img-1", query))
-        outcome = run_turn(fresh_state(), one_turn(query), PipelineConfig(), backends)
+        outcome = run_turn(fresh_state(), one_turn(query), PipelineConfig(), backends, TEMPLATES)
         assert outcome.final.branch is Branch.INCONSISTENT_WITH_CONTEXT
         assert "consistency_backend_error" in outcome.flags
 
@@ -308,7 +311,7 @@ class TestDegradation:
         query = "verifier is broken"
         entries = [e for e in turn_script(query) if e["role"] is not Role.VERIFIER]
         backends = make_backends(entries, image_fixture("img-1", query))
-        outcome = run_turn(fresh_state(), one_turn(query), PipelineConfig(), backends)
+        outcome = run_turn(fresh_state(), one_turn(query), PipelineConfig(), backends, TEMPLATES)
         assert outcome.verification.confidence == 0.0
         assert "cov_backend_error" in outcome.flags
         assert outcome.final.abstained
@@ -347,7 +350,7 @@ class TestEarlyExit:
     def test_real_time_low_retrieval_skips_generation_and_verification(self):
         query = "what is the latest price of this"
         model, backends = logged_backends(turn_script(query, routing=ROUTE_REAL_TIME))
-        outcome = run_turn(fresh_state(), one_turn(query), PipelineConfig(), backends)
+        outcome = run_turn(fresh_state(), one_turn(query), PipelineConfig(), backends, TEMPLATES)
         assert outcome.final.branch is Branch.REAL_TIME_LOW_RETRIEVAL
         assert roles_sent(model) == {Role.ROUTER, Role.SUMMARIZER}
         record = outcome.to_record()
@@ -361,7 +364,7 @@ class TestEarlyExit:
             turn_script(query, direct="another answer", consistent="no"),
             image_fixture("img-1", query),
         )
-        outcome = run_turn(fresh_state(), one_turn(query), PipelineConfig(), backends)
+        outcome = run_turn(fresh_state(), one_turn(query), PipelineConfig(), backends, TEMPLATES)
         assert outcome.final.branch is Branch.INCONSISTENT_WITH_CONTEXT
         assert Role.VERIFIER not in roles_sent(model)
         assert Role.CONSISTENCY_JUDGE in roles_sent(model)
@@ -373,7 +376,7 @@ class TestEarlyExit:
         query = "judge is down"
         entries = [e for e in turn_script(query) if e["role"] is not Role.CONSISTENCY_JUDGE]
         model, backends = logged_backends(entries, image_fixture("img-1", query))
-        outcome = run_turn(fresh_state(), one_turn(query), PipelineConfig(), backends)
+        outcome = run_turn(fresh_state(), one_turn(query), PipelineConfig(), backends, TEMPLATES)
         assert outcome.final.branch is Branch.INCONSISTENT_WITH_CONTEXT
         assert "consistency_backend_error" in outcome.flags
         assert Role.VERIFIER not in roles_sent(model)
@@ -385,7 +388,7 @@ class TestEarlyExit:
             turn_script(query, routing=ROUTE_NONE, direct="blue", consistent="no")
         )
         cfg = PipelineConfig(mode="task2plus")
-        outcome = run_turn(fresh_state(), one_turn(query), cfg, backends)
+        outcome = run_turn(fresh_state(), one_turn(query), cfg, backends, TEMPLATES)
         assert outcome.context.empty
         assert outcome.final.branch is Branch.DEFAULT_ABSTAIN
         assert Role.VERIFIER not in roles_sent(model)
@@ -408,7 +411,7 @@ class TestVariants:
     def test_stages_of_each_variant(self, variant, stages, two_answers, branch):
         query = "what brand is this shoe"
         model, backends = logged_backends(turn_script(query), image_fixture("img-1", query))
-        outcome = run_turn(fresh_state(), one_turn(query), PipelineConfig(), backends,
+        outcome = run_turn(fresh_state(), one_turn(query), PipelineConfig(), backends, TEMPLATES,
                            variant=variant)
         record = outcome.to_record()
         assert record["stages"] == stages
@@ -426,7 +429,7 @@ class TestVariants:
         model, backends = logged_backends(
             turn_script(query, direct="another answer"), image_fixture("img-1", query)
         )
-        outcome = run_turn(fresh_state(), one_turn(query), PipelineConfig(), backends,
+        outcome = run_turn(fresh_state(), one_turn(query), PipelineConfig(), backends, TEMPLATES,
                            variant="no_cov_no_sc")
         assert outcome.answers.consistent is False
         assert outcome.final.branch is Branch.INCONSISTENT_WITH_CONTEXT
@@ -436,7 +439,7 @@ class TestVariants:
     def test_only_full_applies_the_real_time_guard(self, variant):
         query = "what is the latest price of this"
         backends = make_backends(turn_script(query, routing=ROUTE_REAL_TIME))
-        outcome = run_turn(fresh_state(), one_turn(query), PipelineConfig(), backends,
+        outcome = run_turn(fresh_state(), one_turn(query), PipelineConfig(), backends, TEMPLATES,
                            variant=variant)
         assert outcome.routing.is_real_time
         assert outcome.final.branch is Branch.CONSISTENT_NO_CONTEXT
@@ -450,7 +453,7 @@ class TestVariants:
                 entry["sleep_ms"] = 2000
         cfg = PipelineConfig(turn_budget_ms=400, abstain_margin_ms=20)
         started = time.monotonic()
-        outcome = run_turn(fresh_state(), one_turn(query), cfg, make_backends(entries),
+        outcome = run_turn(fresh_state(), one_turn(query), cfg, make_backends(entries), TEMPLATES,
                            variant="vision_only")
         elapsed_ms = (time.monotonic() - started) * 1000
         assert outcome.final.abstained
@@ -461,7 +464,7 @@ class TestVariants:
         query = "judge is down"
         entries = [e for e in turn_script(query) if e["role"] is not Role.CONSISTENCY_JUDGE]
         backends = make_backends(entries, image_fixture("img-1", query))
-        outcome = run_turn(fresh_state(), one_turn(query), PipelineConfig(), backends,
+        outcome = run_turn(fresh_state(), one_turn(query), PipelineConfig(), backends, TEMPLATES,
                            variant="no_cov")
         assert "consistency_backend_error" in outcome.flags
         assert outcome.final.abstained
@@ -469,7 +472,7 @@ class TestVariants:
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError, match="unknown pipeline variant"):
-            run_turn(fresh_state(), one_turn("q"), PipelineConfig(), make_backends([]),
+            run_turn(fresh_state(), one_turn("q"), PipelineConfig(), make_backends([]), TEMPLATES,
                      variant="bogus")
 
 
@@ -478,7 +481,7 @@ class TestSummaryOverlap:
         query = "is the mug in the picture red"
         model, backends = logged_backends(turn_script(query, routing=ROUTE_NONE))
         outcome = run_turn(fresh_state(), one_turn(query), PipelineConfig(mode="task2plus"),
-                           backends)
+                           backends, TEMPLATES)
         assert "retrieval_skipped" in outcome.flags
         assert Role.SUMMARIZER not in roles_sent(model)
 
@@ -486,7 +489,7 @@ class TestSummaryOverlap:
         query = "who makes the kettle brand zylo"
         model, backends = logged_backends(turn_script(query))
         outcome = run_turn(fresh_state(), one_turn(query), PipelineConfig(mode="task2plus"),
-                           backends)
+                           backends, TEMPLATES)
         assert "summarize" in outcome.stages
         assert model.events.index(("reply", Role.ROUTER)) < model.events.index(
             ("request", Role.SUMMARIZER))
@@ -500,7 +503,7 @@ class TestSummaryOverlap:
         cfg = PipelineConfig(turn_budget_ms=400, abstain_margin_ms=20)
         backends = make_backends(entries, image_fixture("img-1", query))
         started = time.monotonic()
-        outcome = run_turn(fresh_state(), one_turn(query), cfg, backends)
+        outcome = run_turn(fresh_state(), one_turn(query), cfg, backends, TEMPLATES)
         elapsed_ms = (time.monotonic() - started) * 1000
         assert "summary_backend_timeout" in outcome.flags
         assert "summarize" in outcome.stages
@@ -510,7 +513,7 @@ class TestSummaryOverlap:
         query = "no summary here"
         entries = [e for e in turn_script(query) if e["role"] is not Role.SUMMARIZER]
         backends = make_backends(entries, image_fixture("img-1", query))
-        outcome = run_turn(fresh_state(), one_turn(query), PipelineConfig(), backends)
+        outcome = run_turn(fresh_state(), one_turn(query), PipelineConfig(), backends, TEMPLATES)
         assert outcome.flags == frozenset({"summary_backend_error"})
         assert list(outcome.stages) == RETRIEVED + ["generate", "consistency", "verify"]
         assert outcome.final.branch is Branch.CONSISTENT_WITH_CONTEXT
@@ -528,7 +531,7 @@ class TestWhitespaceAnswer:
             turn_script(query, rag=answers["rag"], direct=answers["direct"]),
             image_fixture("img-1", query),
         )
-        outcome = run_turn(fresh_state(), one_turn(query), PipelineConfig(), backends,
+        outcome = run_turn(fresh_state(), one_turn(query), PipelineConfig(), backends, TEMPLATES,
                            variant=variant)
         assert outcome.final.abstained
         assert outcome.final.branch is Branch.DEFAULT_ABSTAIN
@@ -548,7 +551,7 @@ class TestConversations:
         query = "only turn"
         backends = make_backends(turn_script(query, routing=ROUTE_NONE))
         outcomes = run_conversation(
-            self._conversation([query]), PipelineConfig(mode="task2plus"), backends
+            self._conversation([query]), PipelineConfig(mode="task2plus"), backends, TEMPLATES
         )
         assert len(outcomes) == 1
 
@@ -566,7 +569,7 @@ class TestConversations:
         )
         outcomes = run_conversation(
             self._conversation([first, second, third]),
-            PipelineConfig(mode="task2plus"), backends,
+            PipelineConfig(mode="task2plus"), backends, TEMPLATES,
         )
         assert len(outcomes) == 3
         third_gen = [
@@ -596,7 +599,8 @@ class TestConversations:
             search=MockSearchBackend(SearchFixture(image_index={}, web_index=())),
         )
         outcomes = run_conversation(
-            self._conversation([first, second]), PipelineConfig(mode="task2plus"), backends
+            self._conversation([first, second]), PipelineConfig(mode="task2plus"), backends,
+            TEMPLATES,
         )
         assert outcomes[0].final.abstained  # 0.9 < high bar without context
         second_gen = [
@@ -613,8 +617,8 @@ class TestConversations:
             turns=(QueryTurn(conversation_id="conv", turn_index=0, query=query,
                              image_ref="img-1"),),
         )
-        first = run_conversation(conversation, PipelineConfig(), build())
-        second = run_conversation(conversation, PipelineConfig(), build())
+        first = run_conversation(conversation, PipelineConfig(), build(), TEMPLATES)
+        second = run_conversation(conversation, PipelineConfig(), build(), TEMPLATES)
         as_bytes = lambda outcomes: json.dumps([o.to_record() for o in outcomes])
         assert as_bytes(first) == as_bytes(second)
 
@@ -636,7 +640,7 @@ class TestConversations:
         def record(i):
             image_ref = f"img-{i}"
             outcome = run_turn(fresh_state(image_ref), one_turn(queries[i], image_ref),
-                               PipelineConfig(), backends)
+                               PipelineConfig(), backends, TEMPLATES)
             return outcome.to_record()
 
         sequential = [record(i) for i in range(len(queries))]

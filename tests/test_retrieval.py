@@ -29,8 +29,11 @@ from ragvet.retrieval import (
     summarize_image,
 )
 from ragvet.runtime import Deadline, Trace
+from ragvet.templates import default_template
 
 from conftest import chunk, kg_item, scripted_model, web_item
+
+SUMMARIZE = default_template("summarize")
 
 
 def brute_force_threshold(scores, tau, lam):
@@ -60,7 +63,8 @@ class TestSummarizeImage:
             {"role": Role.SUMMARIZER, "match": "what brand is this?",
              "response": "A red running shoe with a white logo."}
         )
-        text = summarize_image("what brand is this?", "img-1", backend, no_deadline)
+        text = summarize_image("what brand is this?", "img-1", backend, no_deadline,
+                               Trace(), SUMMARIZE)
         assert text == "A red running shoe with a white logo."
 
     def test_timeout_degrades_to_empty(self):
@@ -68,7 +72,7 @@ class TestSummarizeImage:
             {"role": Role.SUMMARIZER, "match": "", "response": "late", "sleep_ms": 50}
         )
         trace = Trace()
-        text = summarize_image("q", "img-1", backend, Deadline.after_ms(1), trace=trace)
+        text = summarize_image("q", "img-1", backend, Deadline.after_ms(1), trace, SUMMARIZE)
         assert text == ""
         assert "summary_backend_timeout" in trace.flags
         assert expand_query("q", text) == "q"
@@ -76,12 +80,12 @@ class TestSummarizeImage:
     def test_empty_reply_treated_as_failure(self, no_deadline):
         backend = scripted_model({"role": Role.SUMMARIZER, "match": "", "response": ""})
         trace = Trace()
-        assert summarize_image("q", "img-1", backend, no_deadline, trace=trace) == ""
+        assert summarize_image("q", "img-1", backend, no_deadline, trace, SUMMARIZE) == ""
         assert "summary_backend_error" in trace.flags
 
     def test_missing_image_ref_rejected(self, no_deadline):
         with pytest.raises(ValueError):
-            summarize_image("q", "", scripted_model(), no_deadline)
+            summarize_image("q", "", scripted_model(), no_deadline, Trace(), SUMMARIZE)
 
 
 class TestChunkItems:
@@ -204,37 +208,40 @@ NO_EXTERNAL = RoutingDecision(needs_external=False, is_real_time=False)
 
 
 class TestRecall:
-    def test_web_search_caps_at_k(self):
+    def test_web_search_caps_at_k(self, no_deadline):
         expanded = expand_query("red shoe", "")
         items = recall(expanded, None, EXTERNAL, _search_fixture(n_web=12), 10,
-                       mode="task2plus")
+                       "task2plus", Trace(), no_deadline)
         assert len(items) == 10
         assert [i.recall_rank for i in items] == list(range(1, 11))
 
-    def test_empty_index_yields_nothing(self):
+    def test_empty_index_yields_nothing(self, no_deadline):
         expanded = expand_query("red shoe", "")
-        assert recall(expanded, None, EXTERNAL, _search_fixture(), 10, mode="task2plus") == []
+        assert recall(expanded, None, EXTERNAL, _search_fixture(), 10,
+                      "task2plus", Trace(), no_deadline) == []
 
-    def test_image_search_with_fewer_neighbors_than_k(self):
+    def test_image_search_with_fewer_neighbors_than_k(self, no_deadline):
         expanded = expand_query("what is this", "")
         backend = _search_fixture(image_records=("a", "b", "c"))
-        items = recall(expanded, "img-1", EXTERNAL, backend, 10, mode="task1")
+        items = recall(expanded, "img-1", EXTERNAL, backend, 10, "task1", Trace(), no_deadline)
         assert len(items) == 3
         assert all(i.source is Source.KG_IMAGE for i in items)
 
-    def test_task1_ignores_routing_flag(self):
+    def test_task1_ignores_routing_flag(self, no_deadline):
         expanded = expand_query("q", "")
         backend = _search_fixture(image_records=("a",))
-        assert len(recall(expanded, "img-1", NO_EXTERNAL, backend, 10, mode="task1")) == 1
+        items = recall(expanded, "img-1", NO_EXTERNAL, backend, 10, "task1", Trace(), no_deadline)
+        assert len(items) == 1
 
-    def test_task2plus_skips_when_no_external_needed(self):
+    def test_task2plus_skips_when_no_external_needed(self, no_deadline):
         expanded = expand_query("red shoe", "")
         assert recall(expanded, None, NO_EXTERNAL, _search_fixture(n_web=5), 10,
-                      mode="task2plus") == []
+                      "task2plus", Trace(), no_deadline) == []
 
-    def test_k_must_be_positive(self):
+    def test_k_must_be_positive(self, no_deadline):
         with pytest.raises(ValueError):
-            recall(expand_query("q", ""), None, EXTERNAL, _search_fixture(), 0)
+            recall(expand_query("q", ""), None, EXTERNAL, _search_fixture(), 0,
+                   "task1", Trace(), no_deadline)
 
 
 class TestFilterChunks:
@@ -312,7 +319,7 @@ class TestRerank:
     def test_one_batch_call_per_rerank_scores_in_chunk_order(self, no_deadline):
         reranker = CountingReranker()
         raw = chunk_items([web_item("c one\nc two"), web_item("c three", rank=2)])
-        scored = rerank(expand_query("q", ""), raw, reranker, no_deadline)
+        scored = rerank(expand_query("q", ""), raw, reranker, no_deadline, Trace())
         assert reranker.batches == [["c one", "c two", "c three"]]
         assert [(c.text, c.score) for c in scored] == [
             ("c one", 1.0), ("c two", 0.5), ("c three", pytest.approx(1 / 3)),
@@ -321,24 +328,24 @@ class TestRerank:
 
     def test_no_chunks_no_call(self, no_deadline):
         reranker = CountingReranker()
-        assert rerank(expand_query("q", ""), [], reranker, no_deadline) == []
+        assert rerank(expand_query("q", ""), [], reranker, no_deadline, Trace()) == []
         assert reranker.batches == []
 
     def test_scores_preserve_input_order(self, no_deadline):
         expanded = expand_query("red shoe", "")
         raw = chunk_items([web_item("red shoe\nblue kettle")])
-        scored = rerank(expanded, raw, MockRerankerBackend(), no_deadline)
+        scored = rerank(expanded, raw, MockRerankerBackend(), no_deadline, Trace())
         assert [c.text for c in scored] == ["red shoe", "blue kettle"]
         assert scored[0].score == 1.0
         assert scored[1].score == 0.0
 
     def test_empty_input_empty_output(self, no_deadline):
-        assert rerank(expand_query("q", ""), [], MockRerankerBackend(), no_deadline) == []
+        assert rerank(expand_query("q", ""), [], MockRerankerBackend(), no_deadline, Trace()) == []
 
     def test_backend_failure_yields_empty_with_flag(self):
         expanded = expand_query("q", "")
         raw = chunk_items([web_item("text")])
         trace = Trace()
-        scored = rerank(expanded, raw, MockRerankerBackend(), Deadline.after_ms(0), trace=trace)
+        scored = rerank(expanded, raw, MockRerankerBackend(), Deadline.after_ms(0), trace)
         assert scored == []
         assert "rerank_backend_error" in trace.flags

@@ -5,10 +5,13 @@ from hypothesis import given, strategies as st
 from ragvet.core import Finding, VerificationResult
 from ragvet.retrieval import build_context
 from ragvet.runtime import Trace
+from ragvet.templates import default_template
 from ragvet.verification import build_cov_prompt, parse_cov_response, verify
 from ragvet.backends import Role
 
 from conftest import chunk, scripted_model
+
+COV = default_template("cov")
 
 
 def _context(*texts_scores):
@@ -18,16 +21,16 @@ def _context(*texts_scores):
 
 class TestBuildCovPrompt:
     def test_empty_context_fallback_string(self):
-        _, user = build_cov_prompt(_context(), "q?", "answer")
+        _, user = build_cov_prompt(_context(), "q?", "answer", COV)
         assert "No text context provided." in user
 
     def test_both_phase_headings_present(self):
-        _, user = build_cov_prompt(_context(("e", 0.9)), "q?", "answer")
+        _, user = build_cov_prompt(_context(("e", 0.9)), "q?", "answer", COV)
         assert "Phase 1: Holistic Check" in user
         assert "Phase 2: Decompositional Check" in user
 
     def test_answer_containing_confidence_word_embeds_verbatim(self):
-        _, user = build_cov_prompt(_context(), "q?", "my CONFIDENCE: is high")
+        _, user = build_cov_prompt(_context(), "q?", "my CONFIDENCE: is high", COV)
         assert "my CONFIDENCE: is high" in user
 
 
@@ -38,7 +41,7 @@ class TestParseCovResponse:
             "REASONING: Matches the label.\n"
             "SUB-QUESTIONS: Q1: Is the brand visible?, Finding: Supported"
         )
-        result = parse_cov_response(text)
+        result = parse_cov_response(text, Trace())
         assert result.confidence == 0.9
         assert result.reasoning == "Matches the label."
         assert len(result.sub_questions) == 1
@@ -50,15 +53,15 @@ class TestParseCovResponse:
             "CONFIDENCE: 1.0\nREASONING: ok\n"
             "SUB-QUESTIONS: Q1: one?, Finding: Supported, Q2: two?, Finding: Unsupported"
         )
-        result = parse_cov_response(text)
+        result = parse_cov_response(text, Trace())
         assert [sq.finding for sq in result.sub_questions] == [
             Finding.SUPPORTED, Finding.UNSUPPORTED,
         ]
 
     def test_out_of_range_clamped(self):
-        result = parse_cov_response("CONFIDENCE: 1.7\nREASONING: overshoot")
+        result = parse_cov_response("CONFIDENCE: 1.7\nREASONING: overshoot", Trace())
         assert result.confidence == 1.0
-        result = parse_cov_response("CONFIDENCE: -0.3\nREASONING: undershoot")
+        result = parse_cov_response("CONFIDENCE: -0.3\nREASONING: undershoot", Trace())
         assert result.confidence == 0.0
 
     def test_prose_falls_back_to_zero_with_flag(self):
@@ -69,10 +72,11 @@ class TestParseCovResponse:
 
     def test_confidence_word_mid_line_ignored(self):
         text = "the answer says CONFIDENCE: 0.2 somewhere\nCONFIDENCE: 0.8\nREASONING: anchored"
-        assert parse_cov_response(text).confidence == 0.8
+        assert parse_cov_response(text, Trace()).confidence == 0.8
 
     def test_bracketed_confidence_parses(self):
-        assert parse_cov_response("CONFIDENCE: [0.75]\nREASONING: bracketed").confidence == 0.75
+        text = "CONFIDENCE: [0.75]\nREASONING: bracketed"
+        assert parse_cov_response(text, Trace()).confidence == 0.75
 
     def test_bare_confidence_without_body_degrades(self):
         trace = Trace()
@@ -81,15 +85,15 @@ class TestParseCovResponse:
         assert "cov_parse_failure" in trace.flags
 
     def test_unparsable_number_degrades(self):
-        assert parse_cov_response("CONFIDENCE: high\nREASONING: words").confidence == 0.0
+        assert parse_cov_response("CONFIDENCE: high\nREASONING: words", Trace()).confidence == 0.0
 
     def test_reasoning_stops_at_sub_questions(self):
         text = "CONFIDENCE: 0.9\nREASONING: first part\nSUB-QUESTIONS: Q1: q?, Finding: Supported"
-        assert parse_cov_response(text).reasoning == "first part"
+        assert parse_cov_response(text, Trace()).reasoning == "first part"
 
     @given(st.text(max_size=300))
     def test_total_and_bounded(self, text):
-        result = parse_cov_response(text)
+        result = parse_cov_response(text, Trace())
         assert 0.0 <= result.confidence <= 1.0
 
 
@@ -107,7 +111,7 @@ def test_round_trip_recovers_confidence_and_findings(confidence, reasoning, n_su
         for i in range(n_subs)
     )
     text = f"CONFIDENCE: {confidence!r}\nREASONING: {reasoning}\nSUB-QUESTIONS: {subs}"
-    result = parse_cov_response(text)
+    result = parse_cov_response(text, Trace())
     assert result.confidence == confidence
     assert len(result.sub_questions) == n_subs
 
@@ -118,6 +122,7 @@ class TestVerify:
             {"role": Role.VERIFIER, "match": "Proposed Answer",
              "response": "CONFIDENCE: 1.0\nREASONING: supported by [Info 1]."}
         )
-        result = verify("q?", None, _context(("e", 0.9)), "answer", backend, no_deadline)
+        result = verify("q?", None, _context(("e", 0.9)), "answer", backend, no_deadline,
+                        Trace(), COV)
         assert result.confidence == 1.0
 
