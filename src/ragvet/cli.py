@@ -44,7 +44,7 @@ from .evaluation import (
 )
 from .pipeline import TurnOutcome, run_conversation
 from .retrieval import looks_up_images
-from .templates import PromptTemplate, load_all, load_template
+from .templates import PromptTemplate, TemplateError, load_all
 
 __all__ = ["load_dataset", "DatasetError", "RunManifest", "main", "entry"]
 
@@ -167,20 +167,7 @@ def load_config(path: Optional[str], mode: Optional[str] = None) -> PipelineConf
         overrides["mode"] = mode
     if overrides:
         cfg = PipelineConfig.from_dict({**cfg.to_dict(), **overrides})
-    cfg = validate_config(cfg)
-    for name, template_path in cfg.prompt_paths.items():
-        if template_path:
-            _load_template(f"prompt_paths.{name}", template_path)
-    return cfg
-
-
-def _load_template(key: str, path: str) -> PromptTemplate:
-    """The template file under config ``key``; a file that cannot be read or
-    parsed is a config error naming the key."""
-    try:
-        return load_template(path)
-    except (OSError, ValueError) as exc:
-        raise InvalidConfigError(f"config key {key}: {exc}") from exc
+    return validate_config(cfg)
 
 
 def _remote(cfg: PipelineConfig, key: str, backend_class: type, **kwargs: Any) -> Any:
@@ -252,6 +239,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.workers < 1:
         raise InvalidConfigError(f"--workers must be at least 1, got {args.workers}")
     cfg = load_config(args.config, mode=args.mode)
+    templates = load_all(cfg.prompt_paths)
     dataset = load_dataset(args.dataset)
     backends, kinds = build_backends(cfg, mock=args.mock)
     out_path = Path(args.out)
@@ -266,7 +254,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     manifest_path = out_path.with_name(out_path.name + ".manifest.json")
     manifest.write(manifest_path)
 
-    templates = load_all(cfg.prompt_paths)
     try:
         with ThreadPoolExecutor(max_workers=args.workers) as pool:
             results = list(pool.map(
@@ -283,13 +270,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _make_judge(cfg: PipelineConfig, kind: str):
+def _make_judge(cfg: PipelineConfig, kind: str, template: PromptTemplate):
     if kind == "mock":
         return MockJudge()
     if not cfg.judge_endpoint:
         raise InvalidConfigError("endpoint judge needs judge_endpoint in the config")
-    template = (_load_template("judge_prompt_path", cfg.judge_prompt_path)
-                if cfg.judge_prompt_path else None)
     return PromptedJudge(_remote(cfg, "judge_endpoint", RemoteModelBackend), template)
 
 
@@ -355,13 +340,14 @@ def _manifest_hash_for(trace_path: Path) -> Optional[str]:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
+    templates = load_all(cfg.prompt_paths)
     dataset = load_dataset(args.dataset)
     truths: dict[tuple[str, int], Optional[str]] = {
         (conversation.conversation_id, turn.turn_index): turn.ground_truth
         for conversation in dataset
         for turn in conversation.turns
     }
-    judge = _make_judge(cfg, args.judge)
+    judge = _make_judge(cfg, args.judge, templates["judge"])
     turns = _read_trace_turns(args.traces)
     _require_coverage(turns, truths.keys())
     rows = []
@@ -393,11 +379,12 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_ablate(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, mode=args.mode_policy)
+    templates = load_all(cfg.prompt_paths)
     dataset = load_dataset(args.dataset)
     backends, _ = build_backends(cfg, mock=args.mock)
-    judge = _make_judge(cfg, args.judge)
+    judge = _make_judge(cfg, args.judge, templates["judge"])
     try:
-        report = run_ablation(args.mode, dataset, cfg, backends, judge=judge)
+        report = run_ablation(args.mode, dataset, cfg, backends, templates, judge)
     finally:
         backends.close()
     payload = {"mode": args.mode, **report.to_dict()}
@@ -455,7 +442,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidConfigError, DatasetError, FixtureError, EvalError) as exc:
+    except (InvalidConfigError, TemplateError, DatasetError, FixtureError, EvalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -376,7 +376,6 @@ class PipelineConfig:
     reranker_endpoint: Optional[str] = None
     web_search_endpoint: Optional[str] = None
     judge_endpoint: Optional[str] = None
-    judge_prompt_path: Optional[str] = None
     bearer_token: Optional[str] = None
     fixture_path: Optional[str] = None
     replay_path: Optional[str] = None

@@ -18,13 +18,13 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Optional, Protocol, Sequence
+from typing import Any, Protocol, Sequence
 
 from .backends import Backends, BackendError, ModelBackend, ModelRequest, Role
 from .core import Conversation, PipelineConfig
 from .pipeline import VARIANTS, run_conversation
 from .runtime import Deadline
-from .templates import PromptTemplate, load_all
+from .templates import PromptTemplate
 
 __all__ = [
     "Label",
@@ -132,22 +132,13 @@ class MockJudge:
         return JudgeLabel.of(Label.INCORRECT)
 
 
-_DEFAULT_JUDGE_SYSTEM = "You are a strict grader. Respond with exactly one word."
-_DEFAULT_JUDGE_USER = (
-    "Grade the answer against the reference.\n\n"
-    "Reference: {ground_truth}\n\nAnswer: {answer}\n\n"
-    "Respond with exactly one of: Perfect, Acceptable, Missing, Incorrect."
-)
-
-
 class PromptedJudge:
-    """LLM-backed judge; the grading prompt is supplied by configuration."""
+    """LLM-backed judge over the ``judge`` template (``prompts/judge.txt``
+    unless ``prompt_paths.judge`` overrides it)."""
 
-    def __init__(self, backend: ModelBackend, template: Optional[PromptTemplate] = None):
+    def __init__(self, backend: ModelBackend, template: PromptTemplate):
         self._backend = backend
-        self._template = template or PromptTemplate(
-            system=_DEFAULT_JUDGE_SYSTEM, user=_DEFAULT_JUDGE_USER
-        )
+        self._template = template
 
     def judge(self, answer: str, ground_truth: str) -> JudgeLabel:
         system, user = self._template.build(answer=answer, ground_truth=ground_truth)
@@ -171,10 +162,11 @@ def judge_response(
     ground_truth: str,
     judge_backend: JudgeBackend,
     token_limit: int = DEFAULT_TOKEN_LIMIT,
-    abstain_text: str = "I don't know",
+    abstain_text: str = PipelineConfig.abstain_text,
 ) -> JudgeLabel:
     """Label one response; an answer equal to ``abstain_text``, both trimmed,
-    is Missing without any judge call."""
+    is Missing without any judge call. ``abstain_text`` defaults to the
+    config's default, for callers that score a default-config run."""
     if final_answer.strip() == abstain_text.strip():
         return JudgeLabel.of(Label.MISSING)
     return judge_backend.judge(truncate_tokens(final_answer, token_limit), ground_truth)
@@ -211,13 +203,12 @@ def run_ablation(
     dataset: Sequence[Conversation],
     cfg: PipelineConfig,
     backends: Backends,
-    judge: Optional[JudgeBackend] = None,
+    templates: dict[str, PromptTemplate],
+    judge: JudgeBackend,
 ) -> MetricsReport:
     """Score one pipeline variant over the dataset with the given judge."""
     if mode not in ABLATION_MODES:
         raise EvalError(f"unknown ablation mode: {mode!r} (choose from {', '.join(ABLATION_MODES)})")
-    judge = judge or MockJudge()
-    templates = load_all(cfg.prompt_paths)
     labels: list[JudgeLabel] = []
     for conversation in dataset:
         outcomes = run_conversation(conversation, cfg, backends, templates, variant=mode)

@@ -56,7 +56,6 @@ def build_generation_prompt(
     else:
         context_block = f"Context:\n{context_rendered or NO_CONTEXT_MARKER}\n\n"
     return template.build(
-        image="",
         history_block=_history_block(history),
         context_block=context_block,
         query=query,
@@ -120,7 +119,6 @@ def build_consistency_prompt(
     template: PromptTemplate,
 ) -> tuple[str, str]:
     return template.build(
-        image="",
         contexts=context.rendered,
         queries=query,
         answer=direct_answer,

@@ -59,7 +59,7 @@ def summarize_image(
     """One-sentence, question-focused image summary; empty string on failure."""
     if not image_ref:
         raise ValueError("image_ref must be present")
-    system, user = template.build(query=query, image="")
+    system, user = template.build(query=query)
     request = ModelRequest(
         role=Role.SUMMARIZER,
         system=system,

@@ -9,6 +9,9 @@ come in two forms:
 The second form renders the fallback literal when the supplied value is
 empty. Substitution is single-pass: text inserted for a placeholder is never
 re-scanned, so values may safely contain braces or placeholder-like text.
+
+Every prompt, the endpoint judge's included, is one of ``TEMPLATE_NAMES``,
+read only through ``resolve_template``.
 """
 
 from __future__ import annotations
@@ -21,15 +24,15 @@ from typing import Mapping
 
 __all__ = [
     "PromptTemplate",
+    "TemplateError",
     "load_template",
-    "default_template_path",
     "default_template",
     "resolve_template",
     "load_all",
     "TEMPLATE_NAMES",
 ]
 
-TEMPLATE_NAMES = ("routing", "summarize", "generation", "consistency", "cov")
+TEMPLATE_NAMES = ("routing", "summarize", "generation", "consistency", "cov", "judge")
 
 _PROMPTS_DIR = Path(__file__).parent / "prompts"
 
@@ -66,11 +69,10 @@ class PromptTemplate:
         """Render (system, user) with the given placeholder values."""
         return render(self.system, values), render(self.user, values)
 
-
-def default_template_path(name: str) -> Path:
-    if name not in TEMPLATE_NAMES:
-        raise TemplateError(f"unknown template name: {name}")
-    return _PROMPTS_DIR / f"{name}.txt"
+    def placeholders(self) -> frozenset[str]:
+        """The name of every placeholder in either section."""
+        return frozenset(match.group(1) for section in (self.system, self.user)
+                         for match in _PLACEHOLDER.finditer(section))
 
 
 def load_template(path: str | Path) -> PromptTemplate:
@@ -97,15 +99,33 @@ def default_template(name: str) -> PromptTemplate:
     The cache holds at most one entry per name in ``TEMPLATE_NAMES``: an
     unknown name raises, and a raised call is not cached.
     """
-    return load_template(default_template_path(name))
+    if name not in TEMPLATE_NAMES:
+        raise TemplateError(f"unknown template name: {name}")
+    return load_template(_PROMPTS_DIR / f"{name}.txt")
 
 
 def resolve_template(name: str, overrides: Mapping[str, str]) -> PromptTemplate:
-    """Load a template honoring a configured path override."""
+    """The template at ``overrides[name]`` if one is set, else the packaged one.
+
+    An override may use only the placeholders of the packaged template, as
+    its caller supplies no others: it is rendered once with each of them set
+    to "". A file that cannot be read, parsed or rendered so is a
+    ``TemplateError`` naming its config key, ``prompt_paths.<name>``.
+    """
+    packaged = default_template(name)
     path = overrides.get(name)
-    return load_template(path) if path else default_template(name)
+    if not path:
+        return packaged
+    try:
+        template = load_template(path)
+        values = dict.fromkeys(packaged.placeholders(), "")
+        render(template.system, values)
+        render(template.user, values)
+    except (OSError, ValueError) as exc:
+        raise TemplateError(f"config key prompt_paths.{name}: {exc}") from exc
+    return template
 
 
 def load_all(overrides: Mapping[str, str]) -> dict[str, PromptTemplate]:
-    """Every pipeline template by name, honoring configured path overrides."""
+    """Every template by name, honoring configured path overrides."""
     return {name: resolve_template(name, overrides) for name in TEMPLATE_NAMES}

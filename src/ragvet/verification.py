@@ -33,7 +33,6 @@ def build_cov_prompt(
     template: PromptTemplate,
 ) -> tuple[str, str]:
     return template.build(
-        image="",
         contexts=context.rendered,
         queries=query,
         answers=answer,

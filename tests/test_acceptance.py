@@ -24,7 +24,7 @@ from ragvet.backends import (
 )
 from ragvet.cli import load_dataset, main
 from ragvet.core import Conversation, PipelineConfig, QueryTurn, parse_context_tags, validate_config
-from ragvet.evaluation import JudgeLabel, Label, aggregate, run_ablation
+from ragvet.evaluation import JudgeLabel, Label, MockJudge, aggregate, run_ablation
 from ragvet.finalizer import finalize
 from ragvet.generation import parse_yes_no
 from ragvet.pipeline import run_conversation
@@ -348,8 +348,9 @@ def test_criterion_8_ablation_directions():
             router_model=model, vlm=model, reranker=MockRerankerBackend(), search=search
         )
         dataset = load_dataset(FIXTURES / "ablation_dataset.jsonl")
-        full = run_ablation("full", dataset, cfg, backends)
-        no_cov = run_ablation("no_cov", dataset, cfg, backends)
-        rag_naive = run_ablation("rag_naive", dataset, cfg, backends)
+        templates = load_all(cfg.prompt_paths)
+        full = run_ablation("full", dataset, cfg, backends, templates, MockJudge())
+        no_cov = run_ablation("no_cov", dataset, cfg, backends, templates, MockJudge())
+        rag_naive = run_ablation("rag_naive", dataset, cfg, backends, templates, MockJudge())
         assert full.truthfulness > no_cov.truthfulness
         assert rag_naive.hallucination_rate > full.hallucination_rate

@@ -500,8 +500,9 @@ ROUTER_ENTRY = {"role": "router", "match": "", "response": "1. Needs External In
 # input is a config key -> value, or a whole file: "dataset" (one record),
 # "trace" (one record, judged by eval), "replay" or "fixture" (a document, or
 # None for a file that is not there). Paths are relative to the test's
-# directory, which holds no missing.txt and an unsectioned.txt template
-# without [system]/[user].
+# directory, which holds no missing.txt, an unsectioned.txt template without
+# [system]/[user] and a subject.txt template that uses {subject}, a
+# placeholder no packaged template has.
 MALFORMED_INPUTS = [
     ("config-integer-as-string", {"config": {"recall_k": "10"}}, "recall_k"),
     ("config-text-as-number", {"config": {"abstain_text": 5}}, "abstain_text"),
@@ -512,6 +513,12 @@ MALFORMED_INPUTS = [
      {"config": {"prompt_paths": {"routing": "unsectioned.txt"}}}, "prompt_paths.routing"),
     ("config-prompt-name-misspelled",
      {"config": {"prompt_paths": {"routnig": "unsectioned.txt"}}}, "routnig"),
+    ("config-prompt-unknown-placeholder",
+     {"config": {"prompt_paths": {"routing": "subject.txt"}}}, "prompt_paths.routing"),
+    ("eval-judge-prompt-unknown-placeholder",
+     {"config": {"prompt_paths": {"judge": "subject.txt"}}, "dataset": RECORD,
+      "trace": {"conversation_id": "c1", "turn_index": 0, "final": {"answer": "a"}}},
+     "prompt_paths.judge"),
     ("dataset-query-number",
      {"dataset": {**RECORD, "turns": [{"query": 5}]}}, "line 1: query"),
     ("dataset-id-list", {"dataset": {**RECORD, "conversation_id": ["x"]}},
@@ -563,6 +570,8 @@ def test_malformed_input_is_one_error_line_and_no_output(tmp_path, monkeypatch, 
                                                          inputs, names):
     monkeypatch.chdir(tmp_path)
     Path("unsectioned.txt").write_text("no sections here\n", encoding="utf-8")
+    Path("subject.txt").write_text("[system]\ns\n\n[user]\nAbout {subject}: {query}\n",
+                                   encoding="utf-8")
     overrides = dict(inputs.get("config", {}))
     for kind in ("replay", "fixture"):
         if kind in inputs:

@@ -27,9 +27,11 @@ from ragvet.evaluation import (
     run_ablation,
     truncate_tokens,
 )
-from ragvet.templates import PromptTemplate
+from ragvet.templates import PromptTemplate, load_all
 
 from conftest import FIXTURES, scripted_model
+
+TEMPLATES = load_all({})
 
 # Frozen reference rows the aggregator must reproduce, as
 # (perfect, missing, incorrect, accuracy%, missing%, hallucination%, truthfulness%).
@@ -220,29 +222,29 @@ class TestRunAblation:
     def test_unknown_mode_rejected(self, ablation_setup):
         cfg, dataset, backends = ablation_setup
         with pytest.raises(EvalError, match="unknown ablation mode"):
-            run_ablation("bogus", dataset, cfg, backends)
+            run_ablation("bogus", dataset, cfg, backends, TEMPLATES, MockJudge())
 
     def test_vision_only_never_abstains(self, ablation_setup):
         cfg, dataset, backends = ablation_setup
-        report = run_ablation("vision_only", dataset, cfg, backends)
+        report = run_ablation("vision_only", dataset, cfg, backends, TEMPLATES, MockJudge())
         assert report.missing_rate == 0.0
 
     def test_full_beats_no_cov_on_truthfulness(self, ablation_setup):
         cfg, dataset, backends = ablation_setup
-        full = run_ablation("full", dataset, cfg, backends)
-        no_cov = run_ablation("no_cov", dataset, cfg, backends)
+        full = run_ablation("full", dataset, cfg, backends, TEMPLATES, MockJudge())
+        no_cov = run_ablation("no_cov", dataset, cfg, backends, TEMPLATES, MockJudge())
         assert full.truthfulness > no_cov.truthfulness
         assert full.accuracy >= no_cov.accuracy
 
     def test_naive_rag_hallucinates_more_than_full(self, ablation_setup):
         cfg, dataset, backends = ablation_setup
-        naive = run_ablation("rag_naive", dataset, cfg, backends)
-        full = run_ablation("full", dataset, cfg, backends)
+        naive = run_ablation("rag_naive", dataset, cfg, backends, TEMPLATES, MockJudge())
+        full = run_ablation("full", dataset, cfg, backends, TEMPLATES, MockJudge())
         assert naive.hallucination_rate > full.hallucination_rate
 
     def test_exact_agreement_mode_abstains_on_split_answers(self, ablation_setup):
         cfg, dataset, backends = ablation_setup
-        report = run_ablation("no_cov_no_sc", dataset, cfg, backends)
+        report = run_ablation("no_cov_no_sc", dataset, cfg, backends, TEMPLATES, MockJudge())
         assert report.missing_rate > 0.0
 
 
@@ -261,7 +263,7 @@ ABLATION_REPORTS = {
 def test_ablation_report_is_pinned(ablation_setup, policy, mode):
     _, dataset, backends = ablation_setup
     cfg = validate_config(PipelineConfig(mode=policy))
-    report = run_ablation(mode, dataset, cfg, backends)
+    report = run_ablation(mode, dataset, cfg, backends, TEMPLATES, MockJudge())
     perfect, missing, incorrect, truthfulness = ABLATION_REPORTS[mode]
     assert report.to_dict()["counts"] == {
         "Perfect": perfect, "Acceptable": 0, "Missing": missing, "Incorrect": incorrect,
@@ -291,7 +293,8 @@ def test_kg_ablation_report_is_pinned(mode):
         router_model=model, vlm=model, reranker=MockRerankerBackend(),
         search=MockSearchBackend(load_fixture(FIXTURES / "kg_search.json")),
     )
-    report = run_ablation(mode, load_dataset(FIXTURES / "kg_dataset.jsonl"), cfg, backends)
+    report = run_ablation(mode, load_dataset(FIXTURES / "kg_dataset.jsonl"), cfg, backends,
+                          TEMPLATES, MockJudge())
     perfect, acceptable, missing, incorrect, truthfulness = KG_ABLATION_REPORTS[mode]
     assert report.to_dict()["counts"] == {
         "Perfect": perfect, "Acceptable": acceptable, "Missing": missing, "Incorrect": incorrect,
@@ -332,5 +335,6 @@ def test_forced_disagreement_drives_missing_rate_to_one(tmp_path):
         search=MockSearchBackend(SearchFixture(image_index={}, web_index=())),
     )
     cfg = validate_config(PipelineConfig(mode="task2plus"))
-    report = run_ablation("no_cov_no_sc", load_dataset(dataset_path), cfg, backends)
+    report = run_ablation("no_cov_no_sc", load_dataset(dataset_path), cfg, backends,
+                          TEMPLATES, MockJudge())
     assert report.missing_rate == 1.0

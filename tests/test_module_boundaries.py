@@ -1,8 +1,10 @@
 """No ragvet module or test module imports a ragvet module's private
 (underscore) names, no ragvet module imports an HTTP client library
 (``transport`` speaks HTTP itself), and no ragvet module but ``transport``
-imports ``socket`` or ``ssl``. Every name a ragvet module other than
-``__init__`` imports is used in it, or listed in its ``__all__``.
+imports ``socket`` or ``ssl``. No ragvet module but ``templates`` calls
+``load_template`` or ``PromptTemplate``, so every prompt comes through
+``resolve_template``. Every name a ragvet module other than ``__init__``
+imports is used in it, or listed in its ``__all__``.
 
 Dunder names such as ``__version__`` are public by convention and allowed.
 """
@@ -112,6 +114,50 @@ def test_transport_is_the_module_that_opens_sockets():
                          ids=lambda path: path.name)
 def test_only_transport_imports_socket_or_ssl(path):
     assert banned_imports(path.read_text(encoding="utf-8"), NETWORK_MODULES) == []
+
+
+TEMPLATE_READERS = ("load_template", "PromptTemplate")
+
+
+def template_reads(source: str) -> list[str]:
+    """Each call, in source order, of ``load_template`` or ``PromptTemplate``,
+    by bare name or as an attribute."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in TEMPLATE_READERS:
+                found.append((node.lineno, node.col_offset, name))
+    return [name for *_, name in sorted(found)]
+
+
+def test_detector_sees_every_form_of_template_read():
+    source = (
+        "from . import templates\n"
+        "from .templates import PromptTemplate, load_template, resolve_template\n"
+        "a = load_template(path)\n"
+        "b = templates.load_template(path)\n"
+        "c = PromptTemplate(system='s', user='u')\n"
+        "d = templates.PromptTemplate('s', 'u').build(x='y')\n"
+        "e: PromptTemplate = resolve_template('judge', {})\n"
+        "f = isinstance(e, PromptTemplate) and templates.default_template('cov')\n"
+    )
+    assert template_reads(source) == [
+        "load_template", "load_template", "PromptTemplate", "PromptTemplate",
+    ]
+
+
+def test_templates_is_the_module_that_reads_templates():
+    assert template_reads((PACKAGE / "templates.py").read_text(encoding="utf-8")) == [
+        "PromptTemplate", "load_template", "load_template",
+    ]
+
+
+@pytest.mark.parametrize("path", [path for path in MODULES if path.name != "templates.py"],
+                         ids=lambda path: path.name)
+def test_only_templates_reads_or_builds_a_template(path):
+    assert template_reads(path.read_text(encoding="utf-8")) == []
 
 
 def unused_imports(source: str) -> list[str]:

@@ -12,7 +12,7 @@ from ragvet.router import (
     route,
 )
 from ragvet.runtime import Deadline, Trace
-from ragvet.templates import default_template, default_template_path, load_template
+from ragvet.templates import default_template
 
 from conftest import scripted_model
 
@@ -25,10 +25,9 @@ class TestBuildRoutingPrompt:
         assert 'Question: "what is this?"' in user
 
     def test_equals_template_with_substitution(self):
-        template = load_template(default_template_path("routing"))
         system, user = build_routing_prompt("price today?", ROUTING)
-        assert system == template.system
-        assert user == template.user.replace("{query}", "price today?")
+        assert system == ROUTING.system
+        assert user == ROUTING.user.replace("{query}", "price today?")
 
     def test_empty_query_rejected(self):
         with pytest.raises(ValueError):

@@ -1,18 +1,33 @@
-"""Template file parsing and placeholder substitution."""
+"""Template file parsing and placeholder substitution, and the contract
+between each packaged template and the code that renders it."""
+
+import math
+from pathlib import Path
 
 import pytest
 
+import ragvet.templates
+from ragvet.core import AnswerPair, RagContext
+from ragvet.evaluation import PromptedJudge
+from ragvet.generation import check_consistency, generate_rag
+from ragvet.retrieval import summarize_image
+from ragvet.router import route
+from ragvet.runtime import Deadline, Trace
 from ragvet.templates import (
     TEMPLATE_NAMES,
     PromptTemplate,
     TemplateError,
     default_template,
-    default_template_path,
     load_all,
     load_template,
     render,
     resolve_template,
 )
+from ragvet.verification import verify
+
+from conftest import scripted_model
+
+PROMPTS = Path(ragvet.templates.__file__).parent / "prompts"
 
 
 class TestRender:
@@ -38,8 +53,9 @@ class TestRender:
 
 class TestLoadTemplate:
     def test_shipped_templates_load(self):
-        for name in ("routing", "summarize", "generation", "consistency", "cov"):
-            template = load_template(default_template_path(name))
+        assert sorted(path.stem for path in PROMPTS.glob("*.txt")) == sorted(TEMPLATE_NAMES)
+        for name in TEMPLATE_NAMES:
+            template = load_template(PROMPTS / f"{name}.txt")
             assert template.system
             assert template.user
 
@@ -57,7 +73,7 @@ class TestLoadTemplate:
 
     def test_unknown_template_name_rejected(self):
         with pytest.raises(TemplateError):
-            default_template_path("nope")
+            default_template("nope")
 
 
 class TestResolveTemplate:
@@ -70,7 +86,7 @@ class TestResolveTemplate:
 
     def test_default_used_without_override(self):
         template = resolve_template("routing", {})
-        assert template == load_template(default_template_path("routing"))
+        assert template == load_template(PROMPTS / "routing.txt")
 
     def test_default_parsed_once(self):
         assert default_template("cov") is default_template("cov")
@@ -88,3 +104,50 @@ class TestResolveTemplate:
 def test_prompt_template_build_renders_both_parts():
     template = PromptTemplate(system="sys {role}", user="user {role}")
     assert template.build(role="r") == ("sys r", "user r")
+
+
+def test_placeholders_name_both_sections_and_fallback_forms():
+    template = PromptTemplate(system="{role} {role}", user="{a if a else 'x'} {b} {1, 2}")
+    assert template.placeholders() == {"role", "a", "b"}
+
+
+# Each template's caller, run once over a model that answers every role.
+MODEL = scripted_model(
+    {"role": "router", "match": "", "response": "1. Needs External Info: no\n2. Is Real-Time: no"},
+    {"role": "summarizer", "match": "", "response": "a summary"},
+    {"role": "generator", "match": "", "response": "an answer"},
+    {"role": "consistency_judge", "match": "", "response": "yes"},
+    {"role": "verifier", "match": "", "response": "Perfect"},
+)
+CONTEXT = RagContext(entries=(), threshold_used=0.0, retrieval_score=0.0)
+NO_DEADLINE = Deadline(math.inf)
+CALLERS = {
+    "routing": lambda template: route("q?", MODEL, NO_DEADLINE, Trace(), template),
+    "summarize": lambda template: summarize_image(
+        "q?", "img", MODEL, NO_DEADLINE, Trace(), template),
+    "generation": lambda template: generate_rag(
+        "q?", None, CONTEXT, MODEL, NO_DEADLINE, (("q0", "a0"),), template),
+    "consistency": lambda template: check_consistency(
+        "q?", None, CONTEXT, AnswerPair(rag_answer="a", direct_answer="b"), MODEL,
+        NO_DEADLINE, Trace(), template),
+    "cov": lambda template: verify(
+        "q?", None, CONTEXT, "a", MODEL, NO_DEADLINE, Trace(), template),
+    "judge": lambda template: PromptedJudge(MODEL, template).judge("a", "b"),
+}
+
+
+@pytest.mark.parametrize("name", TEMPLATE_NAMES)
+def test_caller_supplies_exactly_the_packaged_placeholders(name, monkeypatch):
+    # resolve_template admits an override that uses only the packaged
+    # template's placeholders, so those must be the values its caller passes.
+    supplied = []
+    build = PromptTemplate.build
+
+    def capturing_build(self, **values):
+        supplied.append(set(values))
+        return build(self, **values)
+
+    monkeypatch.setattr(PromptTemplate, "build", capturing_build)
+    template = default_template(name)
+    CALLERS[name](template)
+    assert supplied == [template.placeholders()]
