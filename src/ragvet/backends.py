@@ -20,10 +20,12 @@ from typing import Any, Mapping, Optional, Protocol, Sequence
 
 from .core import RetrievedItem, Source, missing_content
 from .runtime import Deadline
+from .templates import PromptTemplate
 from .transport import BackendError, BackendTimeout, BackendTransportError, JsonEndpoint
 
 __all__ = [
     "Role",
+    "MAX_TOKENS",
     "ModelRequest",
     "ModelResponse",
     "BackendError",
@@ -44,6 +46,7 @@ __all__ = [
     "MockRerankerBackend",
     "RemoteRerankerBackend",
     "Backends",
+    "ask",
     "jaccard_score",
     "load_fixture",
     "load_replay",
@@ -58,6 +61,16 @@ class Role(str, Enum):
     VERIFIER = "verifier"
 
 
+# The most tokens each role's reply may decode.
+MAX_TOKENS = {
+    Role.ROUTER: 64,
+    Role.SUMMARIZER: 128,
+    Role.GENERATOR: 256,
+    Role.CONSISTENCY_JUDGE: 8,
+    Role.VERIFIER: 256,
+}
+
+
 @dataclass(frozen=True)
 class ModelRequest:
     role: Role
@@ -65,7 +78,6 @@ class ModelRequest:
     user: str
     image_ref: Optional[str] = None
     max_tokens: int = 256
-    deterministic: bool = True
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "role", Role(self.role))
@@ -79,7 +91,7 @@ class ModelRequest:
             "user": self.user,
             "image_ref": self.image_ref,
             "max_tokens": self.max_tokens,
-            "deterministic": self.deterministic,
+            "deterministic": True,
         }
 
 
@@ -121,6 +133,17 @@ class SearchBackend(Protocol):
     def image_search(self, image_key: str, k: int) -> list[RetrievedItem]: ...
 
     def web_search(self, query_text: str, k: int, deadline: Deadline) -> list[RetrievedItem]: ...
+
+
+def ask(model: ModelBackend, role: Role, template: PromptTemplate, deadline: Deadline,
+        image_ref: Optional[str] = None, **values: str) -> str:
+    """Render ``template`` with ``values``, send it as one ``role`` request
+    capped at ``MAX_TOKENS[role]``, and return the reply text. Backend
+    failures propagate."""
+    system, user = template.build(**values)
+    request = ModelRequest(role=role, system=system, user=user, image_ref=image_ref,
+                           max_tokens=MAX_TOKENS[role])
+    return model.complete(request, deadline).text
 
 
 def _tokens(text: str) -> frozenset[str]:
@@ -424,9 +447,9 @@ class RemoteSearchBackend:
 
     def web_search(self, query_text: str, k: int, deadline: Deadline) -> list[RetrievedItem]:
         body = self._http.post_json({"query": query_text, "k": k}, deadline)
-        results = body.get("results", [])
+        results = body.get("results")
         if not isinstance(results, list):
-            raise BackendTransportError("web search 'results' must be a list")
+            raise BackendTransportError("web search reply needs a 'results' list")
         return [_web_item(record, rank) for rank, record in enumerate(results[:k], start=1)]
 
 

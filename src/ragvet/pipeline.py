@@ -69,7 +69,7 @@ from .retrieval import (
     retrieval_score,
     summarize_image,
 )
-from .router import route
+from .router import FALLBACK_DECISION, route
 from .runtime import Deadline, Trace
 from .templates import PromptTemplate, load_all
 from .verification import verify
@@ -85,6 +85,19 @@ _STAGE_CUTOFFS = {
     "generate": 0.75,
     "consistency": 0.85,
     "verify": 1.00,
+}
+
+# Each stage whose backend call may fail: the flag a timeout sets, then the
+# flag any other backend failure sets. ``_stage`` is the one place either is
+# caught; the stage then yields its fallback value.
+_FAILURE_FLAGS = {
+    "route": ("router_backend_timeout", "router_backend_error"),
+    "summarize": ("summary_backend_timeout", "summary_backend_error"),
+    "recall": ("recall_backend_error", "recall_backend_error"),
+    "rerank": ("rerank_backend_error", "rerank_backend_error"),
+    "generate": ("generation_timeout", "generation_backend_error"),
+    "consistency": ("consistency_backend_timeout", "consistency_backend_error"),
+    "verify": ("cov_backend_timeout", "cov_backend_error"),
 }
 
 # The components each pipeline variant runs: the paper's ablations, then the
@@ -162,6 +175,19 @@ class _TurnClock:
         return math.ceil((time.monotonic() - self._origin) * 1000.0)
 
 
+def _stage(trace: Trace, name: str, fallback: Any, call: Callable[..., Any], *args: Any) -> Any:
+    """``call(*args)`` as trace stage ``name``; a backend failure sets the
+    stage's flag from ``_FAILURE_FLAGS`` and yields ``fallback`` instead."""
+    with trace.stage(name):
+        try:
+            return call(*args)
+        except BackendError as exc:
+            logger.debug("%s failed: %s", name, exc)
+            on_timeout, on_error = _FAILURE_FLAGS[name]
+            trace.flag(on_timeout if isinstance(exc, BackendTimeout) else on_error)
+            return fallback
+
+
 def _run_retrieval(
     turn: QueryTurn,
     routing: RoutingDecision,
@@ -174,19 +200,12 @@ def _run_retrieval(
     """``get_summary`` returns the image summary: it makes the call, or waits
     for one already started."""
     deadline = clock.stage_deadline("retrieval")
-    summary = ""
-    if turn.image_ref:
-        with trace.stage("summarize"):
-            summary = get_summary()
+    summary = _stage(trace, "summarize", "", get_summary) if turn.image_ref else ""
     expanded = expand_query(turn.query, summary)
-    with trace.stage("recall"):
-        items = recall(
-            expanded, turn.image_ref, routing, backends.search,
-            cfg.recall_k, mode=cfg.mode, trace=trace, deadline=deadline,
-        )
-    chunks = chunk_items(items)
-    with trace.stage("rerank"):
-        scored = rerank(expanded, chunks, backends.reranker, deadline, trace=trace)
+    items = _stage(trace, "recall", [], recall, expanded, turn.image_ref, routing,
+                   backends.search, cfg.recall_k, cfg.mode, deadline)
+    scored = _stage(trace, "rerank", [], rerank, expanded, chunk_items(items),
+                    backends.reranker, deadline)
     threshold = dynamic_threshold([c.score for c in scored], cfg.score_floor, cfg.mad_scale)
     kept = filter_chunks(scored, threshold, cfg.rerank_k)
     return build_context(kept, threshold, retrieval_score(kept))
@@ -234,10 +253,8 @@ def run_turn(
         )
 
     def summarize() -> str:
-        return summarize_image(
-            turn.query, turn.image_ref, backends.vlm, clock.stage_deadline("retrieval"),
-            trace=trace, template=templates["summarize"],
-        )
+        return summarize_image(turn.query, turn.image_ref, backends.vlm,
+                               clock.stage_deadline("retrieval"), templates["summarize"])
 
     def decide(pool: ThreadPoolExecutor) -> FinalDecision:
         nonlocal routing, context, answers, verification
@@ -248,14 +265,9 @@ def run_turn(
             get_summary = pool.submit(summarize).result
         is_real_time = False
         if "route" in runs:
-            with trace.stage("route"):
-                routing = route(
-                    turn.query,
-                    backends.router_model,
-                    clock.stage_deadline("route"),
-                    trace=trace,
-                    template=templates["routing"],
-                )
+            routing = _stage(trace, "route", FALLBACK_DECISION, route, turn.query,
+                             backends.router_model, clock.stage_deadline("route"), trace,
+                             templates["routing"])
             is_real_time = routing.is_real_time and variant == "full"
         direct = None
         if "direct" in runs and not retrieval_may_settle(cfg, is_real_time):
@@ -272,48 +284,34 @@ def run_turn(
         early = settled(cfg, is_real_time, context.retrieval_score, context.empty)
         if early is not None:
             return early
-        rag_answer = direct_answer = None
-        try:
-            with trace.stage("generate"):
-                if direct is None and "direct" in runs:
-                    direct = start_direct(pool)
-                if "rag" in runs:
-                    rag_answer = generate_rag(
-                        turn.query, turn.image_ref, context, backends.vlm,
-                        clock.stage_deadline("generate"), history, templates["generation"],
-                    )
-                if direct is not None:
-                    direct_answer = direct.result()
-        except BackendTimeout:
-            trace.flag("generation_timeout")
-            return degraded()
-        except BackendError as exc:
-            logger.debug("generation failed for %s/%d: %s",
-                         turn.conversation_id, turn.turn_index, exc)
-            trace.flag("generation_backend_error")
-            return degraded()
 
-        if out_of_budget():
+        def generate() -> tuple[Optional[str], Optional[str]]:
+            # A failed RAG call leaves the direct answer unread, so it adds no flag.
+            nonlocal direct
+            if direct is None and "direct" in runs:
+                direct = start_direct(pool)
+            rag_answer = None
+            if "rag" in runs:
+                rag_answer = generate_rag(
+                    turn.query, turn.image_ref, context, backends.vlm,
+                    clock.stage_deadline("generate"), history, templates["generation"],
+                )
+            return rag_answer, direct.result() if direct is not None else None
+
+        generated = _stage(trace, "generate", None, generate)
+        if generated is None or out_of_budget():
             return degraded()
+        rag_answer, direct_answer = generated
         if rag_answer is None or direct_answer is None:
             # One answer: nothing to compare it with, so it stands as given.
             consistent, answer = True, rag_answer if direct_answer is None else direct_answer
         else:
             answers = AnswerPair(rag_answer=rag_answer, direct_answer=direct_answer)
             if "consistency" in runs:
-                try:
-                    with trace.stage("consistency"):
-                        answers = check_consistency(
-                            turn.query, turn.image_ref, context, answers, backends.vlm,
-                            clock.stage_deadline("consistency"),
-                            trace=trace, template=templates["consistency"],
-                        )
-                except BackendTimeout:
-                    trace.flag("consistency_backend_timeout")
-                    answers = answers.with_consistency(False)
-                except BackendError:
-                    trace.flag("consistency_backend_error")
-                    answers = answers.with_consistency(False)
+                answers = _stage(trace, "consistency", answers.with_consistency(False),
+                                 check_consistency, turn.query, turn.image_ref, context,
+                                 answers, backends.vlm, clock.stage_deadline("consistency"),
+                                 trace, templates["consistency"])
                 if out_of_budget():
                     return degraded()
             else:
@@ -329,19 +327,9 @@ def run_turn(
             return early
         s_cov = 1.0
         if "verify" in runs:
-            try:
-                with trace.stage("verify"):
-                    verification = verify(
-                        turn.query, turn.image_ref, context, answer, backends.vlm,
-                        clock.stage_deadline("verify"),
-                        trace=trace, template=templates["cov"],
-                    )
-            except BackendTimeout:
-                trace.flag("cov_backend_timeout")
-                verification = VerificationResult(confidence=0.0)
-            except BackendError:
-                trace.flag("cov_backend_error")
-                verification = VerificationResult(confidence=0.0)
+            verification = _stage(trace, "verify", VerificationResult(confidence=0.0), verify,
+                                  turn.query, turn.image_ref, context, answer, backends.vlm,
+                                  clock.stage_deadline("verify"), trace, templates["cov"])
             s_cov = verification.confidence
 
         return finalize(

@@ -6,17 +6,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .backends import (
-    BackendError,
-    BackendTimeout,
-    ModelBackend,
-    ModelRequest,
-    RerankerBackend,
-    Role,
-    SearchBackend,
-)
+from .backends import ModelBackend, RerankerBackend, Role, SearchBackend, ask
 from .core import ChunkRef, RagContext, RetrievedItem, RoutingDecision, ScoredChunk
-from .runtime import Deadline, Trace
+from .runtime import Deadline
 from .templates import PromptTemplate
 
 __all__ = [
@@ -35,8 +27,6 @@ __all__ = [
     "retrieval_score",
 ]
 
-SUMMARY_MAX_TOKENS = 128
-
 # The dynamic cutoff always works on the largest scores, at most this many.
 TOP_SCORES_WINDOW = 10
 
@@ -53,29 +43,12 @@ def summarize_image(
     image_ref: str,
     vlm_backend: ModelBackend,
     deadline: Deadline,
-    trace: Trace,
     template: PromptTemplate,
 ) -> str:
-    """One-sentence, question-focused image summary; empty string on failure."""
+    """One-sentence, question-focused image summary. Backend failures propagate."""
     if not image_ref:
         raise ValueError("image_ref must be present")
-    system, user = template.build(query=query)
-    request = ModelRequest(
-        role=Role.SUMMARIZER,
-        system=system,
-        user=user,
-        image_ref=image_ref,
-        max_tokens=SUMMARY_MAX_TOKENS,
-    )
-    try:
-        response = vlm_backend.complete(request, deadline)
-    except BackendTimeout:
-        trace.flag("summary_backend_timeout")
-        return ""
-    except BackendError:
-        trace.flag("summary_backend_error")
-        return ""
-    return response.text.strip()
+    return ask(vlm_backend, Role.SUMMARIZER, template, deadline, image_ref, query=query).strip()
 
 
 def expand_query(query: str, summary: str) -> str:
@@ -98,7 +71,6 @@ def recall(
     search_backend: SearchBackend,
     k: int,
     mode: str,
-    trace: Trace,
     deadline: Deadline,
 ) -> list[RetrievedItem]:
     """Top-k recall in the modality the mode/routing policy selects.
@@ -106,21 +78,17 @@ def recall(
     task1 always searches the image knowledge graph; task2plus searches the
     web with the expanded query when external info is needed, by
     ``deadline``. Callers skip this stage entirely for task2plus queries
-    with needs_external false.
+    with needs_external false. Backend failures propagate.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    try:
-        if looks_up_images(mode):
-            if not image_ref:
-                return []
-            return search_backend.image_search(image_ref, k)
-        if not decision.needs_external:
+    if looks_up_images(mode):
+        if not image_ref:
             return []
-        return search_backend.web_search(expanded, k, deadline)
-    except BackendError:
-        trace.flag("recall_backend_error")
+        return search_backend.image_search(image_ref, k)
+    if not decision.needs_external:
         return []
+    return search_backend.web_search(expanded, k, deadline)
 
 
 def chunk_items(items: Sequence[RetrievedItem]) -> list[RawChunk]:
@@ -147,19 +115,15 @@ def rerank(
     chunks: Sequence[RawChunk],
     reranker_backend: RerankerBackend,
     deadline: Deadline,
-    trace: Trace,
 ) -> list[ScoredChunk]:
     """Score every chunk against the expanded query in one backend call.
 
     Scores keep input order. With no chunks there is no call at all.
+    Backend failures propagate.
     """
     if not chunks:
         return []
-    try:
-        scores = reranker_backend.score_batch(expanded, [chunk.text for chunk in chunks], deadline)
-    except BackendError:
-        trace.flag("rerank_backend_error")
-        return []
+    scores = reranker_backend.score_batch(expanded, [chunk.text for chunk in chunks], deadline)
     return [
         ScoredChunk(text=chunk.text, parent=chunk.ref, score=score)
         for chunk, score in zip(chunks, scores, strict=True)

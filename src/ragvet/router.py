@@ -1,9 +1,10 @@
 """Classify each query into (needs external info, is real-time).
 
 Parsing is label-anchored and case-insensitive, so reordered or decorated
-model output still parses. Any failure falls back to {e=1, r=0}: keeping
-retrieval available favors grounding, and not forcing the real-time branch
-avoids abstaining just because routing itself broke.
+model output still parses. Any failure falls back to {e=1, r=0}
+(``FALLBACK_DECISION``; ``run_turn`` applies it when the backend fails):
+keeping retrieval available favors grounding, and not forcing the real-time
+branch avoids abstaining just because routing itself broke.
 """
 
 from __future__ import annotations
@@ -11,16 +12,14 @@ from __future__ import annotations
 import re
 from typing import Optional
 
-from .backends import BackendError, BackendTimeout, ModelBackend, ModelRequest, Role
+from .backends import ModelBackend, Role, ask
 from .core import RoutingDecision
 from .runtime import Deadline, Trace
 from .templates import PromptTemplate
 
-__all__ = ["build_routing_prompt", "parse_routing_response", "route", "FALLBACK_DECISION"]
+__all__ = ["parse_routing_response", "route", "FALLBACK_DECISION"]
 
 FALLBACK_DECISION = RoutingDecision(needs_external=True, is_real_time=False)
-
-ROUTER_MAX_TOKENS = 64
 
 # A label, any non-alphanumeric separators, then a yes/no token. The lookahead
 # rejects the template's own "[yes/no]" echo ("yes" followed by a slash).
@@ -32,13 +31,6 @@ _LABEL_VALUE = {
         r"is\s+real[\s-]?time[^a-z0-9]*?(yes|no)\b(?!\s*/)", re.IGNORECASE
     ),
 }
-
-def build_routing_prompt(query: str, template: PromptTemplate) -> tuple[str, str]:
-    """Render the classification prompt with {query} substituted verbatim."""
-    if not query:
-        raise ValueError("query must be non-empty")
-    return template.build(query=query)
-
 
 def _scan_label(pattern: re.Pattern[str], text: str) -> Optional[bool]:
     values = {match.group(1).lower() for match in pattern.finditer(text)}
@@ -64,17 +56,9 @@ def route(
     trace: Trace,
     template: PromptTemplate,
 ) -> RoutingDecision:
-    """Prompt the router model and parse its reply; never raises."""
-    system, user = build_routing_prompt(query, template)
-    request = ModelRequest(
-        role=Role.ROUTER, system=system, user=user, max_tokens=ROUTER_MAX_TOKENS
-    )
-    try:
-        response = model_backend.complete(request, deadline)
-    except BackendTimeout:
-        trace.flag("router_backend_timeout")
-        return FALLBACK_DECISION
-    except BackendError:
-        trace.flag("router_backend_error")
-        return FALLBACK_DECISION
-    return parse_routing_response(response.text, trace)
+    """Classify ``query``, substituted verbatim; a reply that does not parse
+    falls back. Backend failures propagate."""
+    if not query:
+        raise ValueError("query must be non-empty")
+    return parse_routing_response(ask(model_backend, Role.ROUTER, template, deadline, query=query),
+                                  trace)

@@ -39,6 +39,8 @@ _PROMPTS_DIR = Path(__file__).parent / "prompts"
 _PLACEHOLDER = re.compile(
     r"\{([a-z_]+)(?:\s+if\s+\1\s+else\s+'([^']*)')?\}"
 )
+# A brace group shaped like a placeholder: a letter or "_" right after "{".
+_PLACEHOLDER_LIKE = re.compile(r"\{[A-Za-z_][^{}]*\}")
 
 _SECTION = re.compile(r"^\[(system|user)\]\s*$", re.MULTILINE)
 
@@ -109,8 +111,10 @@ def resolve_template(name: str, overrides: Mapping[str, str]) -> PromptTemplate:
 
     An override may use only the placeholders of the packaged template, as
     its caller supplies no others: it is rendered once with each of them set
-    to "". A file that cannot be read, parsed or rendered so is a
-    ``TemplateError`` naming its config key, ``prompt_paths.<name>``.
+    to "". A brace group shaped like a placeholder must be one, so that a
+    mistyped ``{Query}`` never reaches the model as literal text. A file
+    that cannot be read, parsed or rendered so is a ``TemplateError`` naming
+    its config key, ``prompt_paths.<name>``.
     """
     packaged = default_template(name)
     path = overrides.get(name)
@@ -118,6 +122,10 @@ def resolve_template(name: str, overrides: Mapping[str, str]) -> PromptTemplate:
         return packaged
     try:
         template = load_template(path)
+        for section in (template.system, template.user):
+            for group in _PLACEHOLDER_LIKE.findall(section):
+                if not _PLACEHOLDER.fullmatch(group):
+                    raise TemplateError(f"malformed placeholder {group}")
         values = dict.fromkeys(packaged.placeholders(), "")
         render(template.system, values)
         render(template.user, values)

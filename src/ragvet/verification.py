@@ -11,33 +11,18 @@ from __future__ import annotations
 import re
 from typing import Optional
 
-from .backends import ModelBackend, ModelRequest, Role
+from .backends import ModelBackend, Role, ask
 from .core import Finding, RagContext, SubQuestion, VerificationResult
 from .runtime import Deadline, Trace
 from .templates import PromptTemplate
 
-__all__ = ["build_cov_prompt", "parse_cov_response", "verify"]
-
-VERIFY_MAX_TOKENS = 256
+__all__ = ["parse_cov_response", "verify"]
 
 _CONFIDENCE_LINE = re.compile(r"^CONFIDENCE:(.*)$", re.MULTILINE)
 _REASONING_SPLIT = re.compile(r"^REASONING:", re.MULTILINE)
 _SUBQ_SPLIT = re.compile(r"^SUB-QUESTIONS:", re.MULTILINE)
 _FLOAT = re.compile(r"[-+]?\d*\.?\d+(?:[eE][-+]?\d+)?")
 _SUB_QUESTION = re.compile(r"Q\d+:\s*(.+?),\s*Finding:\s*(Supported|Unsupported)", re.IGNORECASE)
-
-def build_cov_prompt(
-    context: RagContext,
-    query: str,
-    answer: str,
-    template: PromptTemplate,
-) -> tuple[str, str]:
-    return template.build(
-        contexts=context.rendered,
-        queries=query,
-        answers=answer,
-    )
-
 
 def _parse_sub_questions(fragment: str) -> tuple[SubQuestion, ...]:
     subs = []
@@ -95,14 +80,7 @@ def verify(
     template: PromptTemplate,
 ) -> VerificationResult:
     """Run the verification prompt over the candidate answer."""
-    system, user = build_cov_prompt(context, query, answer, template)
-    request = ModelRequest(
-        role=Role.VERIFIER,
-        system=system,
-        user=user,
-        image_ref=image_ref,
-        max_tokens=VERIFY_MAX_TOKENS,
-    )
-    response = vlm_backend.complete(request, deadline)
-    return parse_cov_response(response.text, trace)
+    reply = ask(vlm_backend, Role.VERIFIER, template, deadline, image_ref,
+                contexts=context.rendered, queries=query, answers=answer)
+    return parse_cov_response(reply, trace)
 

@@ -74,14 +74,16 @@ def scripted_model(*entries: dict) -> ReplayModelBackend:
 
 
 class CountingModel:
-    """Wraps a model backend and counts completions per role."""
+    """Wraps a model backend and keeps every request, and its role, in order."""
 
     def __init__(self, inner):
         self.inner = inner
         self.calls: list[str] = []
+        self.requests: list[ModelRequest] = []
 
     def complete(self, request: ModelRequest, deadline: Deadline) -> ModelResponse:
         self.calls.append(request.role.value)
+        self.requests.append(request)
         return self.inner.complete(request, deadline)
 
 

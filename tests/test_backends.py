@@ -16,6 +16,7 @@ from http.server import BaseHTTPRequestHandler
 import pytest
 
 from ragvet.backends import (
+    MAX_TOKENS,
     BackendTimeout,
     BackendTransportError,
     EmptyCompletionError,
@@ -29,16 +30,17 @@ from ragvet.backends import (
     RemoteSearchBackend,
     ReplayModelBackend,
     Role,
+    ask,
     jaccard_score,
     load_fixture,
     load_replay,
 )
-from ragvet.core import PipelineConfig, RetrievedItem, RoutingDecision, Source
+from ragvet.core import PipelineConfig, RetrievedItem, Source
 from ragvet.pipeline import run_turn
-from ragvet.retrieval import expand_query, recall
-from ragvet.runtime import Deadline, Trace
+from ragvet.runtime import Deadline
+from ragvet.templates import PromptTemplate
 
-from conftest import FIXTURES, scripted_model, serve_http
+from conftest import FIXTURES, CountingModel, scripted_model, serve_http
 from test_pipeline import (
     TEMPLATES, fresh_state, image_fixture, make_backends, one_turn, turn_script,
 )
@@ -284,6 +286,7 @@ CANNED_REPLIES = {
     "rerank-too-few-scores": b'{"scores": [0.5]}',
     "rerank-too-many-scores": b'{"scores": [0.5, 0.5, 0.5]}',
     "search-body-not-object": b"[]",
+    "search-results-missing": b"{}",
     "search-results-not-list": b'{"results": {"snippet": "x"}}',
     "search-record-missing-snippet": b'{"results": [{"title": "t", "url": "https://a.test"}]}',
     "search-record-not-object": b'{"results": ["page"]}',
@@ -842,12 +845,13 @@ class TestMalformedReplies:
         backend = RemoteSearchBackend(f"{http_server}/reply/{reply}")
         with pytest.raises(BackendTransportError):
             backend.web_search("q", 5, Deadline(math.inf))
-        trace = Trace()
-        items = recall(expand_query("q", ""), None,
-                       RoutingDecision(needs_external=True, is_real_time=False),
-                       backend, 5, "task2plus", trace, Deadline(math.inf))
-        assert items == []
-        assert "recall_backend_error" in trace.flags
+        query = "what brand is this shoe"
+        backends = dataclasses.replace(make_backends(turn_script(query)), search=backend)
+        outcome = run_turn(fresh_state(), one_turn(query), PipelineConfig(mode="task2plus"),
+                           backends, TEMPLATES)
+        assert "recall_backend_error" in outcome.flags
+        assert "recall" in outcome.stages and "rerank" in outcome.stages
+        assert outcome.context.empty
 
 
 class TestRequestValidation:
@@ -858,3 +862,26 @@ class TestRequestValidation:
     def test_reranker_deadline_respected(self):
         with pytest.raises(BackendTimeout):
             MockRerankerBackend().score_batch("a", ["b"], Deadline.after_ms(0))
+
+
+class TestAsk:
+    def test_each_role_has_its_reply_cap(self):
+        assert {role.value: cap for role, cap in MAX_TOKENS.items()} == {
+            "router": 64, "summarizer": 128, "generator": 256,
+            "consistency_judge": 8, "verifier": 256,
+        }
+
+    def test_sends_the_rendered_template_with_the_role_cap(self, no_deadline):
+        model = CountingModel(scripted_model({"role": Role.SUMMARIZER, "response": " a shoe "}))
+        template = PromptTemplate(system="sys {query}", user="user {query}")
+        reply = ask(model, Role.SUMMARIZER, template, no_deadline, "img-1", query="q?")
+        assert reply == " a shoe "
+        assert model.requests == [ModelRequest(role=Role.SUMMARIZER, system="sys q?",
+                                               user="user q?", image_ref="img-1",
+                                               max_tokens=128)]
+
+    def test_backend_failure_propagates(self):
+        model = scripted_model({"role": Role.ROUTER, "response": "late", "sleep_ms": 50})
+        template = PromptTemplate(system="s", user="u")
+        with pytest.raises(BackendTimeout):
+            ask(model, Role.ROUTER, template, Deadline.after_ms(1))

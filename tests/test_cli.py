@@ -342,6 +342,7 @@ class _MockServices(BaseHTTPRequestHandler):
         never = Deadline(math.inf)
         try:
             if self.path == "/model":
+                assert body.pop("deterministic") is True
                 reply = self.model.complete(ModelRequest(**body), never)
                 payload = {"text": reply.text, "prompt_tokens": reply.prompt_tokens,
                            "completion_tokens": reply.completion_tokens}
@@ -515,6 +516,12 @@ MALFORMED_INPUTS = [
      {"config": {"prompt_paths": {"routnig": "unsectioned.txt"}}}, "routnig"),
     ("config-prompt-unknown-placeholder",
      {"config": {"prompt_paths": {"routing": "subject.txt"}}}, "prompt_paths.routing"),
+    ("config-prompt-capitalized-placeholder",
+     {"config": {"prompt_paths": {"routing": "capitalized.txt"}}},
+     "prompt_paths.routing: malformed placeholder {Query}"),
+    ("config-prompt-double-quoted-fallback",
+     {"config": {"prompt_paths": {"generation": "double_quoted.txt"}}},
+     "prompt_paths.generation: malformed placeholder"),
     ("eval-judge-prompt-unknown-placeholder",
      {"config": {"prompt_paths": {"judge": "subject.txt"}}, "dataset": RECORD,
       "trace": {"conversation_id": "c1", "turn_index": 0, "final": {"answer": "a"}}},
@@ -572,6 +579,10 @@ def test_malformed_input_is_one_error_line_and_no_output(tmp_path, monkeypatch, 
     Path("unsectioned.txt").write_text("no sections here\n", encoding="utf-8")
     Path("subject.txt").write_text("[system]\ns\n\n[user]\nAbout {subject}: {query}\n",
                                    encoding="utf-8")
+    Path("capitalized.txt").write_text("[system]\ns\n\n[user]\nQ: {Query}\n",
+                                       encoding="utf-8")
+    Path("double_quoted.txt").write_text(
+        '[system]\ns\n\n[user]\nQ: {query if query else "none"}\n', encoding="utf-8")
     overrides = dict(inputs.get("config", {}))
     for kind in ("replay", "fixture"):
         if kind in inputs:

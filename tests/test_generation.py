@@ -1,14 +1,14 @@
 """Dual-path generation prompts, yes/no parsing, and the consistency check."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
-from ragvet.backends import BackendTimeout, EmptyCompletionError, Role
+from ragvet.backends import MAX_TOKENS, BackendTimeout, EmptyCompletionError, Role
 from ragvet.core import AnswerPair
 from ragvet.generation import (
     NO_CONTEXT_MARKER,
-    build_consistency_prompt,
-    build_generation_prompt,
     check_consistency,
     generate_direct,
     generate_rag,
@@ -22,6 +22,7 @@ from conftest import CountingModel, HonestConsistencyJudge, chunk, scripted_mode
 
 GENERATION = default_template("generation")
 CONSISTENCY = default_template("consistency")
+NO_DEADLINE = Deadline(math.inf)
 
 
 def _context(*texts_scores):
@@ -29,26 +30,54 @@ def _context(*texts_scores):
     return build_context(kept, 0.1, max((s for _, s in texts_scores), default=0.0))
 
 
+def _model(role, response):
+    return CountingModel(scripted_model({"role": role, "response": response}))
+
+
+def rag_request(query, context, history=()):
+    """The request ``generate_rag`` sends."""
+    model = _model(Role.GENERATOR, "an answer")
+    generate_rag(query, "img-1", context, model, NO_DEADLINE, history, GENERATION)
+    [request] = model.requests
+    return request
+
+
+def direct_request(query, history=()):
+    """The request ``generate_direct`` sends."""
+    model = _model(Role.GENERATOR, "an answer")
+    generate_direct(query, "img-1", model, NO_DEADLINE, history, GENERATION)
+    [request] = model.requests
+    return request
+
+
+def consistency_request(context, query, direct_answer, rag_answer):
+    """The request ``check_consistency`` sends."""
+    model = _model(Role.CONSISTENCY_JUDGE, "yes")
+    pair = AnswerPair(rag_answer=rag_answer, direct_answer=direct_answer)
+    check_consistency(query, "img-1", context, pair, model, NO_DEADLINE, Trace(), CONSISTENCY)
+    [request] = model.requests
+    return request
+
+
 class TestGenerationPrompt:
     def test_rag_prompt_carries_rendered_context(self):
-        _, user = build_generation_prompt("what is it?", "[Info 1] a lamp", (), GENERATION)
-        assert "Context:\n[Info 1] a lamp" in user
-        assert user.endswith("Question: what is it?")
+        request = rag_request("what is it?", _context(("a lamp", 0.9)))
+        assert "Context:\n[Info 1] a lamp" in request.user
+        assert request.user.endswith("Question: what is it?")
+        assert (request.role, request.image_ref) == (Role.GENERATOR, "img-1")
+        assert request.max_tokens == MAX_TOKENS[Role.GENERATOR]
 
     def test_empty_context_gets_marker(self):
-        _, user = build_generation_prompt("what is it?", "", (), GENERATION)
-        assert NO_CONTEXT_MARKER in user
+        assert NO_CONTEXT_MARKER in rag_request("what is it?", _context()).user
 
     def test_direct_prompt_has_no_context_block(self):
-        _, user = build_generation_prompt("what is it?", None, (), GENERATION)
+        user = direct_request("what is it?").user
         assert "Context:" not in user
         assert NO_CONTEXT_MARKER not in user
 
     def test_history_lines_oldest_first(self):
-        _, user = build_generation_prompt(
-            "and the price?", None,
-            [("what is it?", "a kettle"), ("color?", "blue")], GENERATION,
-        )
+        history = [("what is it?", "a kettle"), ("color?", "blue")]
+        user = direct_request("and the price?", history).user
         assert user.index("Previous Q: what is it?") < user.index("Previous Q: color?")
         assert "Previous A: a kettle" in user
         assert "Previous A: blue" in user
@@ -102,17 +131,18 @@ class TestGenerate:
 
 class TestConsistencyPrompt:
     def test_empty_context_fallback_string(self):
-        _, user = build_consistency_prompt(_context(), "q?", "a", "a2", CONSISTENCY)
-        assert "No text context." in user
+        request = consistency_request(_context(), "q?", "a", "a2")
+        assert "No text context." in request.user
+        assert (request.role, request.image_ref) == (Role.CONSISTENCY_JUDGE, "img-1")
+        assert request.max_tokens == MAX_TOKENS[Role.CONSISTENCY_JUDGE]
 
     def test_rendered_context_embedded(self):
-        context = _context(("evidence", 0.9))
-        _, user = build_consistency_prompt(context, "q?", "a", "a2", CONSISTENCY)
-        assert "[Info 1] evidence" in user
+        request = consistency_request(_context(("evidence", 0.9)), "q?", "a", "a2")
+        assert "[Info 1] evidence" in request.user
 
     def test_multiline_answers_embedded_verbatim(self):
-        _, user = build_consistency_prompt(_context(), "q?", "line1\nline2", "other", CONSISTENCY)
-        assert "line1\nline2" in user
+        request = consistency_request(_context(), "q?", "line1\nline2", "other")
+        assert "line1\nline2" in request.user
 
 
 class TestParseYesNo:

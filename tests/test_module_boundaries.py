@@ -3,7 +3,9 @@
 (``transport`` speaks HTTP itself), and no ragvet module but ``transport``
 imports ``socket`` or ``ssl``. No ragvet module but ``templates`` calls
 ``load_template`` or ``PromptTemplate``, so every prompt comes through
-``resolve_template``. Every name a ragvet module other than ``__init__``
+``resolve_template``. Only ``backends.ask`` and ``PromptedJudge`` build a
+``ModelRequest``, and no stage module catches a backend failure: ``pipeline``
+is the one failure seam. Every name a ragvet module other than ``__init__``
 imports is used in it, or listed in its ``__all__``.
 
 Dunder names such as ``__version__`` are public by convention and allowed.
@@ -158,6 +160,88 @@ def test_templates_is_the_module_that_reads_templates():
                          ids=lambda path: path.name)
 def test_only_templates_reads_or_builds_a_template(path):
     assert template_reads(path.read_text(encoding="utf-8")) == []
+
+
+def request_builders(source: str) -> list[str]:
+    """The qualified name of the function around each ``ModelRequest`` call,
+    by bare name or as an attribute, in source order."""
+    found = []
+
+    def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = (*scope, node.name)
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "ModelRequest":
+                found.append((node.lineno, node.col_offset, ".".join(scope) or "<module>"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return [name for *_, name in sorted(found)]
+
+
+def test_detector_sees_every_form_of_request_build():
+    source = (
+        "from . import backends\n"
+        "from .backends import ModelRequest\n"
+        "default = ModelRequest(role='router', system='s', user='u')\n"
+        "class Judge:\n"
+        "    def judge(self):\n"
+        "        return backends.ModelRequest('verifier', 's', 'u')\n"
+        "def ask(model):\n"
+        "    return isinstance(model, ModelRequest) or ModelRequest(**model)\n"
+    )
+    assert request_builders(source) == ["<module>", "Judge.judge", "ask"]
+
+
+def test_only_ask_and_the_judge_build_model_requests():
+    builders = {path.name: request_builders(path.read_text(encoding="utf-8")) for path in MODULES}
+    assert {name: found for name, found in builders.items() if found} == {
+        "backends.py": ["ask"],
+        "evaluation.py": ["PromptedJudge.judge"],
+    }
+
+
+# Every backend failure type, and the handlers that would catch one by accident.
+BACKEND_FAILURES = ("BackendError", "BackendTimeout", "BackendTransportError",
+                    "EmptyCompletionError", "NoScriptEntryError", "Exception", "BaseException")
+STAGE_MODULES = ("router.py", "retrieval.py", "generation.py", "verification.py")
+
+
+def caught(source: str) -> list[str]:
+    """The name of each exception type an ``except`` clause names, by bare
+    name or as an attribute, alone or in a tuple; a bare ``except:`` is
+    ``BaseException``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ExceptHandler):
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            found.extend("BaseException" if kind is None else
+                         kind.id if isinstance(kind, ast.Name) else kind.attr
+                         for kind in types)
+    return found
+
+
+def test_detector_sees_every_form_of_except_clause():
+    source = (
+        "try:\n    pass\n"
+        "except (ValueError, backends.BackendTimeout):\n    pass\n"
+        "except BackendError as exc:\n    pass\n"
+        "except:\n    pass\n"
+    )
+    assert caught(source) == ["ValueError", "BackendTimeout", "BackendError", "BaseException"]
+
+
+def test_pipeline_is_the_module_that_catches_backend_failures():
+    assert caught((PACKAGE / "pipeline.py").read_text(encoding="utf-8")) == ["BackendError"]
+
+
+@pytest.mark.parametrize("name", STAGE_MODULES)
+def test_no_stage_module_catches_a_backend_failure(name):
+    source = (PACKAGE / name).read_text(encoding="utf-8")
+    assert [kind for kind in caught(source) if kind in BACKEND_FAILURES] == []
 
 
 def unused_imports(source: str) -> list[str]:

@@ -10,6 +10,8 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from ragvet.backends import (
+    BackendTimeout,
+    BackendTransportError,
     Backends,
     FixtureError,
     MockRerankerBackend,
@@ -19,9 +21,10 @@ from ragvet.backends import (
     Role,
     SearchFixture,
 )
-from ragvet.core import Conversation, PipelineConfig, QueryTurn
+from ragvet.core import Conversation, PipelineConfig, QueryTurn, VerificationResult
 from ragvet.finalizer import Branch
 from ragvet.pipeline import VARIANTS, ConversationState, run_conversation, run_turn
+from ragvet.router import FALLBACK_DECISION
 from ragvet.templates import load_all
 
 from conftest import scripted_model
@@ -287,6 +290,20 @@ class TestDegradation:
         assert elapsed_ms <= cfg.turn_budget_ms + 200
         assert outcome.answers is None
 
+    def test_failed_rag_call_leaves_the_direct_answer_unread(self):
+        # The RAG call fails at once while the direct one is still out; its
+        # later timeout is never read, so it adds no flag.
+        query = "rag fails first"
+        entries = turn_script(query)
+        entries[3]["sleep_ms"] = 2000  # the direct answer
+        backends = make_backends(entries, image_fixture("img-1", query))
+        backends.vlm = _Faulty(backends.vlm, "complete", Role.GENERATOR, "error",
+                               lambda request: "Context:" in request.user)
+        cfg = PipelineConfig(turn_budget_ms=400, abstain_margin_ms=20)
+        outcome = run_turn(fresh_state(), one_turn(query), cfg, backends, TEMPLATES)
+        assert outcome.flags == {"generation_backend_error"}
+        assert outcome.final.branch is Branch.DEFAULT_ABSTAIN
+
     def test_budget_exhaustion_short_circuits_before_generation(self):
         query = "expensive retrieval"
         entries = turn_script(query)
@@ -315,6 +332,108 @@ class TestDegradation:
         assert outcome.verification.confidence == 0.0
         assert "cov_backend_error" in outcome.flags
         assert outcome.final.abstained
+
+
+# Each stage whose backend call may fail: the flag a timeout sets, then the
+# flag any other backend error sets (the README's "Degradation flags").
+FAILURE_FLAGS = {
+    "route": ("router_backend_timeout", "router_backend_error"),
+    "summarize": ("summary_backend_timeout", "summary_backend_error"),
+    "recall": ("recall_backend_error", "recall_backend_error"),
+    "rerank": ("rerank_backend_error", "rerank_backend_error"),
+    "generate": ("generation_timeout", "generation_backend_error"),
+    "consistency": ("consistency_backend_timeout", "consistency_backend_error"),
+    "verify": ("cov_backend_timeout", "cov_backend_error"),
+}
+# The call each stage makes: its ``Backends`` field, method and model role.
+STAGE_CALLS = {
+    "route": ("router_model", "complete", Role.ROUTER),
+    "summarize": ("vlm", "complete", Role.SUMMARIZER),
+    "recall": ("search", "web_search", None),
+    "rerank": ("reranker", "score_batch", None),
+    "generate": ("vlm", "complete", Role.GENERATOR),
+    "consistency": ("vlm", "complete", Role.CONSISTENCY_JUDGE),
+    "verify": ("vlm", "complete", Role.VERIFIER),
+}
+SEAM_QUERY = "who makes the kettle brand zylo"
+SEAM_SUMMARY = "zylo logo"
+# How each stage's fallback shows: in the outcome, or in the queries searched.
+FALLBACK_SHOWN = {
+    "route": lambda outcome, searched: outcome.routing == FALLBACK_DECISION,
+    "summarize": lambda outcome, searched: searched == [SEAM_QUERY],
+    "recall": lambda outcome, searched: outcome.context.empty,
+    "rerank": lambda outcome, searched: outcome.context.empty,
+    "generate": lambda outcome, searched: outcome.answers is None
+    and outcome.final.branch is Branch.DEFAULT_ABSTAIN,
+    "consistency": lambda outcome, searched: outcome.answers.consistent is False,
+    "verify": lambda outcome, searched: outcome.verification == VerificationResult(0.0),
+}
+
+
+class _Faulty:
+    """Forwards every call to ``inner``, except that each call of ``method``
+    (for a model, each request of ``role`` that ``picks``) fails: a timeout
+    waits out the call's deadline first, any other error is raised at once."""
+
+    def __init__(self, inner, method, role, kind, picks=lambda request: True):
+        self.inner, self.method, self.role, self.kind = inner, method, role, kind
+        self.picks = picks
+
+    def __getattr__(self, name):
+        forward = getattr(self.inner, name)
+        if name != self.method:
+            return forward
+
+        def call(*args):
+            if self.role is not None and not (args[0].role is self.role and self.picks(args[0])):
+                return forward(*args)
+            if self.kind == "timeout":
+                time.sleep(args[-1].remaining_seconds())
+                raise BackendTimeout(f"{name} outlasted its deadline")
+            raise BackendTransportError(f"{name} failed")
+
+        return call
+
+
+class _QueryLog(MockSearchBackend):
+    """Mock search that keeps each web query it is sent."""
+
+    def __init__(self, fixture):
+        super().__init__(fixture)
+        self.queries: list[str] = []
+
+    def web_search(self, query_text, k, deadline):
+        self.queries.append(query_text)
+        return super().web_search(query_text, k, deadline)
+
+
+class TestFailureSeam:
+    @pytest.mark.parametrize("kind", ["timeout", "error"])
+    @pytest.mark.parametrize("stage", list(FAILURE_FLAGS))
+    def test_backend_failure_flags_and_falls_back_within_budget(self, stage, kind):
+        page = {"title": "zylo", "url": "https://z.test", "last_updated": "2025-01-01",
+                "snippet": f"{SEAM_QUERY} {SEAM_SUMMARY}"}
+        # A router that answered would skip retrieval; only its fallback retrieves.
+        routing = ROUTE_NONE if stage == "route" else ROUTE_PLAIN
+        search = _QueryLog(SearchFixture(image_index={}, web_index=((page, 0.9),)))
+        backends = dataclasses.replace(
+            make_backends(turn_script(SEAM_QUERY, routing=routing, summary=SEAM_SUMMARY)),
+            search=search,
+        )
+        field, method, role = STAGE_CALLS[stage]
+        backends = dataclasses.replace(
+            backends, **{field: _Faulty(getattr(backends, field), method, role, kind)})
+        cfg = PipelineConfig(mode="task2plus", turn_budget_ms=400, abstain_margin_ms=20)
+        started = time.monotonic()
+        outcome = run_turn(fresh_state(), one_turn(SEAM_QUERY), cfg, backends, TEMPLATES)
+        elapsed_ms = (time.monotonic() - started) * 1000
+        assert elapsed_ms <= cfg.turn_budget_ms + 200
+        flag = FAILURE_FLAGS[stage][kind == "error"]
+        assert flag in outcome.flags
+        if kind == "error":  # nothing else degrades
+            assert outcome.flags == {flag}
+        assert stage in outcome.stages
+        assert FALLBACK_SHOWN[stage](outcome, search.queries)
 
 
 class _RequestLog:
@@ -517,6 +636,14 @@ class TestSummaryOverlap:
         assert outcome.flags == frozenset({"summary_backend_error"})
         assert list(outcome.stages) == RETRIEVED + ["generate", "consistency", "verify"]
         assert outcome.final.branch is Branch.CONSISTENT_WITH_CONTEXT
+
+
+    def test_empty_summary_reply_is_flagged(self):
+        query = "blank summary"
+        backends = make_backends(turn_script(query, summary=""), image_fixture("img-1", query))
+        outcome = run_turn(fresh_state(), one_turn(query), PipelineConfig(), backends, TEMPLATES)
+        assert outcome.flags == frozenset({"summary_backend_error"})
+        assert "summarize" in outcome.stages
 
 
 class TestWhitespaceAnswer:

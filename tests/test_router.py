@@ -1,45 +1,54 @@
-"""Routing prompt construction, response parsing, and fallback behavior."""
+"""Routing prompt construction and response parsing. A backend failure
+falls back in ``run_turn`` (``tests/test_pipeline.py::TestFailureSeam``)."""
+
+import math
 
 import pytest
 from hypothesis import given, strategies as st
 
-from ragvet.backends import ReplayEntry, ReplayModelBackend, Role
+from ragvet.backends import MAX_TOKENS, Role
 from ragvet.core import RoutingDecision
-from ragvet.router import (
-    FALLBACK_DECISION,
-    build_routing_prompt,
-    parse_routing_response,
-    route,
-)
+from ragvet.router import FALLBACK_DECISION, parse_routing_response, route
 from ragvet.runtime import Deadline, Trace
 from ragvet.templates import default_template
 
-from conftest import scripted_model
+from conftest import CountingModel, scripted_model
 
 ROUTING = default_template("routing")
+ROUTE_PLAIN = "1. Needs External Info: yes\n2. Is Real-Time: no"
+
+
+def sent_request(query):
+    """The request ``route`` sends for ``query``."""
+    model = CountingModel(scripted_model({"role": Role.ROUTER, "response": ROUTE_PLAIN}))
+    route(query, model, Deadline(math.inf), Trace(), ROUTING)
+    [request] = model.requests
+    return request
 
 
 class TestBuildRoutingPrompt:
     def test_query_substituted_verbatim(self):
-        _, user = build_routing_prompt("what is this?", ROUTING)
-        assert 'Question: "what is this?"' in user
+        assert 'Question: "what is this?"' in sent_request("what is this?").user
 
     def test_equals_template_with_substitution(self):
-        system, user = build_routing_prompt("price today?", ROUTING)
-        assert system == ROUTING.system
-        assert user == ROUTING.user.replace("{query}", "price today?")
+        request = sent_request("price today?")
+        assert request.role is Role.ROUTER
+        assert request.system == ROUTING.system
+        assert request.user == ROUTING.user.replace("{query}", "price today?")
+        assert request.image_ref is None
+        assert request.max_tokens == MAX_TOKENS[Role.ROUTER]
 
     def test_empty_query_rejected(self):
+        model = CountingModel(scripted_model())
         with pytest.raises(ValueError):
-            build_routing_prompt("", ROUTING)
+            route("", model, Deadline(math.inf), Trace(), ROUTING)
+        assert model.requests == []
 
     def test_double_quote_passes_through(self):
-        _, user = build_routing_prompt('say "hi"', ROUTING)
-        assert 'Question: "say "hi""' in user
+        assert 'Question: "say "hi""' in sent_request('say "hi"').user
 
     def test_braces_in_query_survive(self):
-        _, user = build_routing_prompt("what is {query} here?", ROUTING)
-        assert 'Question: "what is {query} here?"' in user
+        assert 'Question: "what is {query} here?"' in sent_request("what is {query} here?").user
 
 
 class TestParseRoutingResponse:
@@ -107,18 +116,8 @@ class TestRoute:
         decision = route("what is this?", backend, no_deadline, Trace(), ROUTING)
         assert decision == RoutingDecision(needs_external=True, is_real_time=False)
 
-    def test_backend_timeout_falls_back(self):
-        backend = ReplayModelBackend(
-            [ReplayEntry(role=Role.ROUTER, response="irrelevant", sleep_ms=50)]
-        )
+    def test_unparsable_reply_falls_back_with_flag(self, no_deadline):
+        backend = scripted_model({"role": Role.ROUTER, "response": "I cannot classify this."})
         trace = Trace()
-        decision = route("q", backend, Deadline.after_ms(1), trace, ROUTING)
-        assert decision == FALLBACK_DECISION
-        assert "router_backend_timeout" in trace.flags
-
-    def test_missing_script_entry_falls_back(self, no_deadline):
-        backend = scripted_model()  # no entries at all
-        trace = Trace()
-        decision = route("q", backend, no_deadline, trace, ROUTING)
-        assert decision == FALLBACK_DECISION
-        assert "router_backend_error" in trace.flags
+        assert route("q", backend, no_deadline, trace, ROUTING) == FALLBACK_DECISION
+        assert trace.flags == {"router_parse_failure"}

@@ -92,6 +92,29 @@ class TestResolveTemplate:
         assert default_template("cov") is default_template("cov")
         assert resolve_template("cov", {}) is default_template("cov")
 
+    @pytest.mark.parametrize("group", [
+        "{Query}", '{query if query else "none"}', "{query }", "{query_Text}",
+    ])
+    def test_malformed_placeholder_rejected(self, tmp_path, group):
+        override = tmp_path / "typo.txt"
+        override.write_text(f"[system]\ns\n\n[user]\nQ: {{query}} {group}\n",
+                            encoding="utf-8")
+        with pytest.raises(TemplateError, match="prompt_paths.routing: malformed placeholder"):
+            resolve_template("routing", {"routing": str(override)})
+
+    def test_brace_text_not_shaped_like_a_placeholder_is_legal(self, tmp_path):
+        override = tmp_path / "json.txt"
+        override.write_text('[system]\nReply as {"k": 1} or { 2 }.\n\n[user]\nQ: {query}\n',
+                            encoding="utf-8")
+        template = resolve_template("routing", {"routing": str(override)})
+        assert template.build(query="x") == ('Reply as {"k": 1} or { 2 }.', "Q: x")
+
+    def test_packaged_templates_hold_only_well_formed_placeholders(self, tmp_path):
+        for name in TEMPLATE_NAMES:
+            override = tmp_path / f"{name}.txt"
+            override.write_bytes((PROMPTS / f"{name}.txt").read_bytes())
+            assert resolve_template(name, {name: str(override)}) == default_template(name)
+
     def test_load_all_honors_overrides(self, tmp_path):
         override = tmp_path / "custom_routing.txt"
         override.write_text("[system]\ncustom router\n\n[user]\nQ: {query}\n", encoding="utf-8")
@@ -124,7 +147,7 @@ NO_DEADLINE = Deadline(math.inf)
 CALLERS = {
     "routing": lambda template: route("q?", MODEL, NO_DEADLINE, Trace(), template),
     "summarize": lambda template: summarize_image(
-        "q?", "img", MODEL, NO_DEADLINE, Trace(), template),
+        "q?", "img", MODEL, NO_DEADLINE, template),
     "generation": lambda template: generate_rag(
         "q?", None, CONTEXT, MODEL, NO_DEADLINE, (("q0", "a0"),), template),
     "consistency": lambda template: check_consistency(

@@ -1,17 +1,20 @@
 """Verification prompt contents and response parsing."""
 
+import math
+
 from hypothesis import given, strategies as st
 
+from ragvet.backends import MAX_TOKENS, Role
 from ragvet.core import Finding, VerificationResult
 from ragvet.retrieval import build_context
-from ragvet.runtime import Trace
+from ragvet.runtime import Deadline, Trace
 from ragvet.templates import default_template
-from ragvet.verification import build_cov_prompt, parse_cov_response, verify
-from ragvet.backends import Role
+from ragvet.verification import parse_cov_response, verify
 
-from conftest import chunk, scripted_model
+from conftest import CountingModel, chunk, scripted_model
 
 COV = default_template("cov")
+COV_REPLY = "CONFIDENCE: 1.0\nREASONING: supported by [Info 1]."
 
 
 def _context(*texts_scores):
@@ -19,18 +22,28 @@ def _context(*texts_scores):
     return build_context(kept, 0.1, max((s for _, s in texts_scores), default=0.0))
 
 
+def cov_request(context, query, answer):
+    """The request ``verify`` sends."""
+    model = CountingModel(scripted_model({"role": Role.VERIFIER, "response": COV_REPLY}))
+    verify(query, "img-1", context, answer, model, Deadline(math.inf), Trace(), COV)
+    [request] = model.requests
+    return request
+
+
 class TestBuildCovPrompt:
     def test_empty_context_fallback_string(self):
-        _, user = build_cov_prompt(_context(), "q?", "answer", COV)
-        assert "No text context provided." in user
+        request = cov_request(_context(), "q?", "answer")
+        assert "No text context provided." in request.user
+        assert (request.role, request.image_ref) == (Role.VERIFIER, "img-1")
+        assert request.max_tokens == MAX_TOKENS[Role.VERIFIER]
 
     def test_both_phase_headings_present(self):
-        _, user = build_cov_prompt(_context(("e", 0.9)), "q?", "answer", COV)
+        user = cov_request(_context(("e", 0.9)), "q?", "answer").user
         assert "Phase 1: Holistic Check" in user
         assert "Phase 2: Decompositional Check" in user
 
     def test_answer_containing_confidence_word_embeds_verbatim(self):
-        _, user = build_cov_prompt(_context(), "q?", "my CONFIDENCE: is high", COV)
+        user = cov_request(_context(), "q?", "my CONFIDENCE: is high").user
         assert "my CONFIDENCE: is high" in user
 
 
@@ -119,8 +132,7 @@ def test_round_trip_recovers_confidence_and_findings(confidence, reasoning, n_su
 class TestVerify:
     def test_composition_with_scripted_backend(self, no_deadline):
         backend = scripted_model(
-            {"role": Role.VERIFIER, "match": "Proposed Answer",
-             "response": "CONFIDENCE: 1.0\nREASONING: supported by [Info 1]."}
+            {"role": Role.VERIFIER, "match": "Proposed Answer", "response": COV_REPLY}
         )
         result = verify("q?", None, _context(("e", 0.9)), "answer", backend, no_deadline,
                         Trace(), COV)
