@@ -17,7 +17,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Collection, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from . import __version__
 from .backends import (
@@ -35,12 +35,11 @@ from .core import Conversation, InvalidConfigError, PipelineConfig, validate_con
 from .evaluation import (
     ABLATION_MODES,
     EvalError,
-    JudgeLabel,
     MockJudge,
     PromptedJudge,
-    aggregate,
-    judge_response,
+    ground_truths,
     run_ablation,
+    score_answers,
 )
 from .pipeline import TurnOutcome, run_conversation
 from .retrieval import looks_up_images
@@ -140,9 +139,12 @@ class RunManifest:
         }
 
     def write(self, path: Path) -> None:
-        path.write_text(
-            json.dumps(self.to_dict(), indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
-        )
+        _write_json(path, self.to_dict())
+
+
+def _write_json(path: str | Path, payload: dict[str, Any]) -> None:
+    Path(path).write_text(json.dumps(payload, indent=2, ensure_ascii=False) + "\n",
+                          encoding="utf-8")
 
 
 def _utc_now() -> str:
@@ -306,28 +308,6 @@ def _read_trace_turns(path: str | Path) -> list[tuple[str, int, str]]:
     return turns
 
 
-def _require_coverage(turns: Sequence[tuple[str, int, str]],
-                      dataset_turns: Collection[tuple[str, int]]) -> None:
-    """Each trace turn must be a dataset turn, and each dataset turn must be
-    in the trace exactly once."""
-    seen: set[tuple[str, int]] = set()
-    repeated = []
-    for conversation_id, turn_index, _ in turns:
-        key = (conversation_id, turn_index)
-        if key not in dataset_turns:
-            raise EvalError(f"trace turn {key} not present in dataset")
-        if key in seen:
-            repeated.append(key)
-        seen.add(key)
-    if repeated:
-        raise EvalError(f"trace repeats turn {repeated[0]} "
-                        f"({len(repeated)} repeated record(s) in all)")
-    missing = [key for key in dataset_turns if key not in seen]
-    if missing:
-        raise EvalError(f"trace lacks turn {missing[0]} "
-                        f"({len(missing)} of the dataset's {len(dataset_turns)} turns missing)")
-
-
 def _manifest_hash_for(trace_path: Path) -> Optional[str]:
     manifest_path = trace_path.with_name(trace_path.name + ".manifest.json")
     if not manifest_path.exists():
@@ -341,39 +321,13 @@ def _manifest_hash_for(trace_path: Path) -> Optional[str]:
 def _cmd_eval(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     templates = load_all(cfg.prompt_paths)
-    dataset = load_dataset(args.dataset)
-    truths: dict[tuple[str, int], Optional[str]] = {
-        (conversation.conversation_id, turn.turn_index): turn.ground_truth
-        for conversation in dataset
-        for turn in conversation.turns
-    }
+    truths = ground_truths(load_dataset(args.dataset))
     judge = _make_judge(cfg, args.judge, templates["judge"])
-    turns = _read_trace_turns(args.traces)
-    _require_coverage(turns, truths.keys())
-    rows = []
-    labels: list[JudgeLabel] = []
-    for conversation_id, turn_index, answer in turns:
-        key = (conversation_id, turn_index)
-        ground_truth = truths[key]
-        if ground_truth is None:
-            raise EvalError(f"turn {key} has no ground truth; cannot evaluate")
-        label = judge_response(answer, ground_truth, judge, abstain_text=cfg.abstain_text)
-        labels.append(label)
-        rows.append({"conversation_id": conversation_id, "turn_index": turn_index,
-                     "label": label.label.value})
-    report = {
-        "manifest_hash": _manifest_hash_for(Path(args.traces)),
-        **aggregate(labels).to_dict(),
-        "rows": rows,
-    }
-    Path(args.report).write_text(
-        json.dumps(report, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
-    )
-    print(
-        f"evaluated {len(labels)} turns: accuracy {report['accuracy']:.4f}, "
-        f"missing {report['missing_rate']:.4f}, hallucination {report['hallucination_rate']:.4f}, "
-        f"truthfulness {report['truthfulness']:.4f} -> {args.report}"
-    )
+    metrics, rows = score_answers(_read_trace_turns(args.traces), truths, judge,
+                                  cfg.abstain_text)
+    _write_json(args.report, {"manifest_hash": _manifest_hash_for(Path(args.traces)),
+                              **metrics.to_dict(), "rows": rows})
+    print(f"evaluated {metrics.n} turns: {metrics.summary()} -> {args.report}")
     return 0
 
 
@@ -387,15 +341,9 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
         report = run_ablation(args.mode, dataset, cfg, backends, templates, judge)
     finally:
         backends.close()
-    payload = {"mode": args.mode, **report.to_dict()}
     if args.report:
-        Path(args.report).write_text(
-            json.dumps(payload, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
-        )
-    print(
-        f"ablation {args.mode}: accuracy {report.accuracy:.4f}, missing {report.missing_rate:.4f}, "
-        f"hallucination {report.hallucination_rate:.4f}, truthfulness {report.truthfulness:.4f}"
-    )
+        _write_json(args.report, {"mode": args.mode, **report.to_dict()})
+    print(f"ablation {args.mode}: {report.summary()}")
     return 0
 
 

@@ -1,15 +1,16 @@
 """Scoring protocol: four-level judge labels, rate aggregation, truncation,
-and the ablation harness.
+one scoring path for ``eval`` and ``ablate``, and the ablation harness.
 
 The abstention string maps straight to Missing without consulting any judge.
 Accuracy counts Perfect plus Acceptable; the truthfulness score weighs
-Perfect 1.0, Acceptable 0.5, and Incorrect -1.0, so it equals accuracy minus
-hallucination rate exactly when no Acceptable labels occur.
+Perfect 1.0, Acceptable 0.5, and Incorrect -1.0 (``_LABEL_VALUES``), so it
+equals accuracy minus hallucination rate exactly when no Acceptable labels
+occur. ``eval`` scores a trace's answers and ``ablate`` a fresh run's, both
+against ``ground_truths`` and through ``score_answers``.
 
 An ablation runs each conversation through ``run_conversation`` with the
 pipeline variant of the same name (``pipeline.VARIANTS``), so ablated turns
-share the full pipeline's flags, deadlines and early exits, then judges the
-final answers.
+share the full pipeline's flags, deadlines and early exits.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Protocol, Sequence
+from typing import Any, Mapping, Protocol, Sequence
 
 from .backends import Backends, BackendError, ModelBackend, ModelRequest, Role
 from .core import Conversation, PipelineConfig
@@ -28,13 +29,14 @@ from .templates import PromptTemplate
 
 __all__ = [
     "Label",
-    "JudgeLabel",
     "MetricsReport",
     "truncate_tokens",
     "MockJudge",
     "PromptedJudge",
     "judge_response",
     "aggregate",
+    "ground_truths",
+    "score_answers",
     "ABLATION_MODES",
     "run_ablation",
     "EvalError",
@@ -68,20 +70,6 @@ _LABEL_VALUES = {
 
 
 @dataclass(frozen=True)
-class JudgeLabel:
-    label: Label
-    value: float
-
-    def __post_init__(self) -> None:
-        if self.value != _LABEL_VALUES[self.label]:
-            raise ValueError(f"{self.label.value} must carry value {_LABEL_VALUES[self.label]}")
-
-    @classmethod
-    def of(cls, label: Label) -> "JudgeLabel":
-        return cls(label=label, value=_LABEL_VALUES[label])
-
-
-@dataclass(frozen=True)
 class MetricsReport:
     n: int
     counts: dict[Label, int]
@@ -100,6 +88,12 @@ class MetricsReport:
             "truthfulness": self.truthfulness,
         }
 
+    def summary(self) -> str:
+        """The four rates on one line, as ``eval`` and ``ablate`` print them."""
+        return (f"accuracy {self.accuracy:.4f}, missing {self.missing_rate:.4f}, "
+                f"hallucination {self.hallucination_rate:.4f}, "
+                f"truthfulness {self.truthfulness:.4f}")
+
 
 def truncate_tokens(text: str, n: int) -> str:
     """The first n whitespace-separated tokens of text, joined by single spaces."""
@@ -109,7 +103,7 @@ def truncate_tokens(text: str, n: int) -> str:
 
 
 class JudgeBackend(Protocol):
-    def judge(self, answer: str, ground_truth: str) -> JudgeLabel: ...
+    def judge(self, answer: str, ground_truth: str) -> Label: ...
 
 
 def _normalize(text: str) -> str:
@@ -120,16 +114,16 @@ class MockJudge:
     """Deterministic string judge: exact match is Perfect, containment in
     either direction is Acceptable, anything else is Incorrect."""
 
-    def judge(self, answer: str, ground_truth: str) -> JudgeLabel:
+    def judge(self, answer: str, ground_truth: str) -> Label:
         answer_n = _normalize(answer)
         truth_n = _normalize(ground_truth)
         if not answer_n or not truth_n:
-            return JudgeLabel.of(Label.INCORRECT)
+            return Label.INCORRECT
         if answer_n == truth_n:
-            return JudgeLabel.of(Label.PERFECT)
+            return Label.PERFECT
         if truth_n in answer_n or answer_n in truth_n:
-            return JudgeLabel.of(Label.ACCEPTABLE)
-        return JudgeLabel.of(Label.INCORRECT)
+            return Label.ACCEPTABLE
+        return Label.INCORRECT
 
 
 class PromptedJudge:
@@ -140,7 +134,7 @@ class PromptedJudge:
         self._backend = backend
         self._template = template
 
-    def judge(self, answer: str, ground_truth: str) -> JudgeLabel:
+    def judge(self, answer: str, ground_truth: str) -> Label:
         system, user = self._template.build(answer=answer, ground_truth=ground_truth)
         request = ModelRequest(
             role=Role.VERIFIER, system=system, user=user, max_tokens=JUDGE_MAX_TOKENS
@@ -154,7 +148,7 @@ class PromptedJudge:
         found = [label for label in Label if label.value.lower() in words]
         if len(found) != 1:
             raise EvalError(f"judge reply must name exactly one label: {text!r}")
-        return JudgeLabel.of(found[0])
+        return found[0]
 
 
 def judge_response(
@@ -163,33 +157,70 @@ def judge_response(
     judge_backend: JudgeBackend,
     token_limit: int = DEFAULT_TOKEN_LIMIT,
     abstain_text: str = PipelineConfig.abstain_text,
-) -> JudgeLabel:
+) -> Label:
     """Label one response; an answer equal to ``abstain_text``, both trimmed,
     is Missing without any judge call. ``abstain_text`` defaults to the
     config's default, for callers that score a default-config run."""
     if final_answer.strip() == abstain_text.strip():
-        return JudgeLabel.of(Label.MISSING)
+        return Label.MISSING
     return judge_backend.judge(truncate_tokens(final_answer, token_limit), ground_truth)
 
 
-def aggregate(labels: Sequence[JudgeLabel]) -> MetricsReport:
-    """Fold a completed label list into counts, rates, and truthfulness."""
+def aggregate(labels: Sequence[Label]) -> MetricsReport:
+    """Fold a completed label list into counts, rates, and truthfulness.
+    Every weight is a multiple of one half, so the weighted sum is exact."""
     if not labels:
         raise ValueError("cannot aggregate an empty label list")
-    counts = Counter(item.label for item in labels)
+    counts = Counter(labels)
     n = len(labels)
-    perfect = counts.get(Label.PERFECT, 0)
-    acceptable = counts.get(Label.ACCEPTABLE, 0)
-    missing = counts.get(Label.MISSING, 0)
-    incorrect = counts.get(Label.INCORRECT, 0)
     return MetricsReport(
         n=n,
         counts=dict(counts),
-        accuracy=(perfect + acceptable) / n,
-        missing_rate=missing / n,
-        hallucination_rate=incorrect / n,
-        truthfulness=(perfect * 1.0 + acceptable * 0.5 + incorrect * -1.0) / n,
+        accuracy=(counts[Label.PERFECT] + counts[Label.ACCEPTABLE]) / n,
+        missing_rate=counts[Label.MISSING] / n,
+        hallucination_rate=counts[Label.INCORRECT] / n,
+        truthfulness=sum(_LABEL_VALUES[label] * count for label, count in counts.items()) / n,
     )
+
+
+def ground_truths(dataset: Sequence[Conversation]) -> dict[tuple[str, int], str]:
+    """Every dataset turn's ground truth, keyed by (conversation_id,
+    turn_index); a turn without one is an ``EvalError``."""
+    truths = {(conversation.conversation_id, turn.turn_index): turn.ground_truth
+              for conversation in dataset for turn in conversation.turns}
+    missing = [key for key, truth in truths.items() if truth is None]
+    if missing:
+        raise EvalError(f"turn {missing[0]} has no ground truth; cannot evaluate")
+    return truths
+
+
+def score_answers(
+    answers: Sequence[tuple[str, int, str]],
+    truths: Mapping[tuple[str, int], str],
+    judge: JudgeBackend,
+    abstain_text: str,
+) -> tuple[MetricsReport, list[dict[str, Any]]]:
+    """Judge each (conversation_id, turn_index, answer) against its truth;
+    returns the metrics and one label row per answer, in order. The answers
+    must hold each turn of ``truths`` exactly once, or none is judged."""
+    counts = Counter((conversation_id, turn_index) for conversation_id, turn_index, _ in answers)
+    unknown = [key for key in counts if key not in truths]
+    if unknown:
+        raise EvalError(f"trace turn {unknown[0]} not present in dataset")
+    repeated = [key for key, count in counts.items() if count > 1]
+    if repeated:
+        raise EvalError(f"trace repeats turn {repeated[0]} "
+                        f"({len(answers) - len(counts)} repeated record(s) in all)")
+    missing = [key for key in truths if key not in counts]
+    if missing:
+        raise EvalError(f"trace lacks turn {missing[0]} "
+                        f"({len(missing)} of the dataset's {len(truths)} turns missing)")
+    labels = [judge_response(answer, truths[(conversation_id, turn_index)], judge,
+                             abstain_text=abstain_text)
+              for conversation_id, turn_index, answer in answers]
+    rows = [{"conversation_id": conversation_id, "turn_index": turn_index, "label": label.value}
+            for (conversation_id, turn_index, _), label in zip(answers, labels)]
+    return aggregate(labels), rows
 
 
 # ---------------------------------------------------------------------------
@@ -206,21 +237,13 @@ def run_ablation(
     templates: dict[str, PromptTemplate],
     judge: JudgeBackend,
 ) -> MetricsReport:
-    """Score one pipeline variant over the dataset with the given judge."""
+    """Score one pipeline variant over the dataset with the given judge;
+    a turn without a ground truth stops it before any turn runs."""
     if mode not in ABLATION_MODES:
         raise EvalError(f"unknown ablation mode: {mode!r} (choose from {', '.join(ABLATION_MODES)})")
-    labels: list[JudgeLabel] = []
-    for conversation in dataset:
-        outcomes = run_conversation(conversation, cfg, backends, templates, variant=mode)
-        for turn, outcome in zip(conversation.turns, outcomes):
-            if turn.ground_truth is None:
-                raise EvalError(
-                    f"{conversation.conversation_id}/{turn.turn_index}: no ground truth"
-                )
-            labels.append(
-                judge_response(
-                    outcome.final.answer, turn.ground_truth, judge,
-                    abstain_text=cfg.abstain_text,
-                )
-            )
-    return aggregate(labels)
+    truths = ground_truths(dataset)
+    answers = [(outcome.conversation_id, outcome.turn_index, outcome.final.answer)
+               for conversation in dataset
+               for outcome in run_conversation(conversation, cfg, backends, templates,
+                                               variant=mode)]
+    return score_answers(answers, truths, judge, cfg.abstain_text)[0]

@@ -1,10 +1,12 @@
 """Orchestrates one conversational turn end-to-end under the turn budget.
 
-The per-turn budget is divided by a static schedule (routing 5%, retrieval
-30%, generation 40%, consistency 10%, verification 15%) expressed as
-cumulative deadlines, so time a stage leaves unused rolls forward to the
-stages after it. No failure escapes a turn: everything degrades to an
-abstention with a flag explaining why.
+The per-turn budget is divided by a static schedule of cumulative
+deadlines: routing by 5%, the image summary by 20%, search and rerank by
+35%, generation by 75%, consistency by 85% and verification by 100%, so
+time a stage leaves unused rolls forward to the stages after it. A summary
+that times out thus still leaves search and rerank their share. No failure
+escapes a turn: everything degrades to an abstention with a flag explaining
+why.
 
 A turn is a small dependency graph, not a straight line:
 
@@ -81,6 +83,7 @@ __all__ = ["TurnOutcome", "ConversationState", "VARIANTS", "run_turn", "run_conv
 # Cumulative fractions of the turn budget each stage may consume.
 _STAGE_CUTOFFS = {
     "route": 0.05,
+    "summarize": 0.20,
     "retrieval": 0.35,
     "generate": 0.75,
     "consistency": 0.85,
@@ -254,7 +257,7 @@ def run_turn(
 
     def summarize() -> str:
         return summarize_image(turn.query, turn.image_ref, backends.vlm,
-                               clock.stage_deadline("retrieval"), templates["summarize"])
+                               clock.stage_deadline("summarize"), templates["summarize"])
 
     def decide(pool: ThreadPoolExecutor) -> FinalDecision:
         nonlocal routing, context, answers, verification

@@ -24,7 +24,7 @@ from ragvet.backends import (
 )
 from ragvet.cli import load_dataset, main
 from ragvet.core import Conversation, PipelineConfig, QueryTurn, parse_context_tags, validate_config
-from ragvet.evaluation import JudgeLabel, Label, MockJudge, aggregate, run_ablation
+from ragvet.evaluation import Label, MockJudge, aggregate, run_ablation
 from ragvet.finalizer import finalize
 from ragvet.generation import parse_yes_no
 from ragvet.pipeline import run_conversation
@@ -91,9 +91,9 @@ def test_criterion_1_metric_identities():
         assert min(fitting) == 104
         for perfect, missing, incorrect, acc, miss, hall, truth in TABLE_ROWS:
             labels = (
-                [JudgeLabel.of(Label.PERFECT)] * perfect
-                + [JudgeLabel.of(Label.MISSING)] * missing
-                + [JudgeLabel.of(Label.INCORRECT)] * incorrect
+                [Label.PERFECT] * perfect
+                + [Label.MISSING] * missing
+                + [Label.INCORRECT] * incorrect
             )
             report = aggregate(labels)
             assert report.n == 104
@@ -354,3 +354,20 @@ def test_criterion_8_ablation_directions():
         rag_naive = run_ablation("rag_naive", dataset, cfg, backends, templates, MockJudge())
         assert full.truthfulness > no_cov.truthfulness
         assert rag_naive.hallucination_rate > full.hallucination_rate
+
+        # Task 1 over the image KG: each component the paper adds raises
+        # truthfulness, from the vision-only answer up to the full pipeline.
+        cfg = validate_config(PipelineConfig(mode="task1"))
+        model = ReplayModelBackend.from_file(FIXTURES / "kg_replay.json")
+        backends = Backends(
+            router_model=model, vlm=model, reranker=MockRerankerBackend(),
+            search=MockSearchBackend(load_fixture(FIXTURES / "kg_search.json")),
+        )
+        dataset = load_dataset(FIXTURES / "kg_dataset.jsonl")
+        order = ("full", "rag_naive", "no_cov", "no_cov_no_sc", "vision_only")
+        truthfulness = [
+            run_ablation(mode, dataset, cfg, backends, templates, MockJudge()).truthfulness
+            for mode in order
+        ]
+        assert truthfulness == pytest.approx([5 / 14, 3 / 14, 1 / 14, -1 / 7, -4 / 7])
+        assert all(higher > lower for higher, lower in zip(truthfulness, truthfulness[1:]))

@@ -485,6 +485,33 @@ class TestAblateCommand:
         assert payload["hallucination_rate"] == 0.0
         assert "ablation full" in capsys.readouterr().out
 
+    def test_ablate_checks_every_ground_truth_before_running_a_turn(
+            self, tmp_path, capsys, monkeypatch):
+        config = write_config(
+            tmp_path,
+            fixture_path=str(FIXTURES / "ablation_search.json"),
+            replay_path=str(FIXTURES / "ablation_replay.json"),
+        )
+        records = [json.loads(line) for line in
+                   (FIXTURES / "ablation_dataset.jsonl").read_text(encoding="utf-8").splitlines()]
+        del records[-1]["turns"][0]["ground_truth"]
+        dataset = tmp_path / "last_without_truth.jsonl"
+        dataset.write_text("".join(json.dumps(record) + "\n" for record in records),
+                           encoding="utf-8")
+        requests = []
+        complete = ReplayModelBackend.complete
+
+        def logged(self, request, deadline):
+            requests.append(request)
+            return complete(self, request, deadline)
+
+        monkeypatch.setattr(ReplayModelBackend, "complete", logged)
+        code = main(["ablate", "--mode", "full", "--dataset", str(dataset),
+                     "--config", str(config), "--mock"])
+        assert code == 1
+        assert "ground truth" in capsys.readouterr().err
+        assert requests == []
+
 
 def test_version_flag():
     with pytest.raises(SystemExit) as excinfo:

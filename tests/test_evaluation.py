@@ -1,5 +1,6 @@
 """Scoring protocol: truncation, judging, aggregation, metric identities,
-and the ablation harness over the committed fixture set."""
+the one scoring path, and the ablation harness over the committed fixture
+set."""
 
 import random
 
@@ -14,17 +15,18 @@ from ragvet.backends import (
     load_fixture,
 )
 from ragvet.cli import load_dataset
-from ragvet.core import PipelineConfig, validate_config
+from ragvet.core import Conversation, PipelineConfig, validate_config
 from ragvet.evaluation import (
     ABLATION_MODES,
     EvalError,
-    JudgeLabel,
     Label,
     MockJudge,
     PromptedJudge,
     aggregate,
+    ground_truths,
     judge_response,
     run_ablation,
+    score_answers,
     truncate_tokens,
 )
 from ragvet.templates import PromptTemplate, load_all
@@ -46,10 +48,10 @@ METRIC_ROWS = [
 
 def labels_from_counts(perfect=0, acceptable=0, missing=0, incorrect=0):
     return (
-        [JudgeLabel.of(Label.PERFECT)] * perfect
-        + [JudgeLabel.of(Label.ACCEPTABLE)] * acceptable
-        + [JudgeLabel.of(Label.MISSING)] * missing
-        + [JudgeLabel.of(Label.INCORRECT)] * incorrect
+        [Label.PERFECT] * perfect
+        + [Label.ACCEPTABLE] * acceptable
+        + [Label.MISSING] * missing
+        + [Label.INCORRECT] * incorrect
     )
 
 
@@ -68,19 +70,6 @@ class TestTruncateTokens:
             truncate_tokens("a", -1)
 
 
-class TestJudgeLabel:
-    def test_value_mapping_enforced(self):
-        with pytest.raises(ValueError):
-            JudgeLabel(label=Label.PERFECT, value=0.5)
-
-    @pytest.mark.parametrize("label,value", [
-        (Label.PERFECT, 1.0), (Label.ACCEPTABLE, 0.5),
-        (Label.MISSING, 0.0), (Label.INCORRECT, -1.0),
-    ])
-    def test_fixed_values(self, label, value):
-        assert JudgeLabel.of(label).value == value
-
-
 class TestJudgeResponse:
     def test_abstention_is_missing_without_judge_call(self):
         class ExplodingJudge:
@@ -88,24 +77,24 @@ class TestJudgeResponse:
                 raise AssertionError("judge must not be consulted for abstentions")
 
         label = judge_response("I don't know", "anything", ExplodingJudge())
-        assert label.label is Label.MISSING
+        assert label is Label.MISSING
 
     def test_padded_abstain_text_is_missing(self):
         # A trace carries the configured text verbatim, padding included.
         label = judge_response(" I don't know ", "a kettle", MockJudge(),
                                abstain_text=" I don't know ")
-        assert label.label is Label.MISSING
+        assert label is Label.MISSING
 
     def test_mock_exact_match_is_perfect(self):
         label = judge_response("  The Eiffel Tower ", "the eiffel tower", MockJudge())
-        assert label.label is Label.PERFECT
+        assert label is Label.PERFECT
 
     def test_mock_containment_is_acceptable(self):
         label = judge_response("It is the Eiffel Tower in Paris", "eiffel tower", MockJudge())
-        assert label.label is Label.ACCEPTABLE
+        assert label is Label.ACCEPTABLE
 
     def test_mock_disjoint_is_incorrect(self):
-        assert judge_response("a kettle", "a falcon", MockJudge()).label is Label.INCORRECT
+        assert judge_response("a kettle", "a falcon", MockJudge()) is Label.INCORRECT
 
     def test_answer_truncated_before_judging(self):
         long_answer = "right " * 80 + "wrong tail"
@@ -114,7 +103,7 @@ class TestJudgeResponse:
         class CapturingJudge:
             def judge(self, answer, ground_truth):
                 seen["answer"] = answer
-                return JudgeLabel.of(Label.INCORRECT)
+                return Label.INCORRECT
 
         judge_response(long_answer, "right", CapturingJudge())
         assert len(seen["answer"].split()) == 75
@@ -123,7 +112,7 @@ class TestJudgeResponse:
     def test_never_incorrect_for_abstention(self):
         for truth in ("", "anything", "I don't know"):
             label = judge_response("I don't know", truth, MockJudge())
-            assert label.label is not Label.INCORRECT
+            assert label is not Label.INCORRECT
 
 
 class TestPromptedJudge:
@@ -135,7 +124,7 @@ class TestPromptedJudge:
         return PromptedJudge(backend, template)
 
     def test_label_token_extracted(self):
-        assert self._judge("Acceptable").judge("a", "b").label is Label.ACCEPTABLE
+        assert self._judge("Acceptable").judge("a", "b") is Label.ACCEPTABLE
 
     def test_unlabelled_reply_is_an_error(self):
         with pytest.raises(EvalError):
@@ -155,7 +144,7 @@ class TestPromptedJudge:
             with pytest.raises(EvalError, match="exactly one label"):
                 judge.judge("a", "b")
         else:
-            assert judge.judge("a", "b").label is label
+            assert judge.judge("a", "b") is label
 
 
 class TestAggregate:
@@ -168,6 +157,14 @@ class TestAggregate:
         assert report.missing_rate * 100 == pytest.approx(miss, abs=0.01)
         assert report.hallucination_rate * 100 == pytest.approx(hall, abs=0.01)
         assert report.truthfulness * 100 == pytest.approx(truth, abs=0.01)
+
+    @pytest.mark.parametrize("label,value", [
+        (Label.PERFECT, 1.0), (Label.ACCEPTABLE, 0.5),
+        (Label.MISSING, 0.0), (Label.INCORRECT, -1.0),
+    ])
+    def test_each_label_weighs_its_value(self, label, value):
+        assert aggregate([label]).truthfulness == value
+        assert aggregate([label, Label.MISSING]).truthfulness == value / 2
 
     def test_all_missing_truthfulness_zero(self):
         report = aggregate(labels_from_counts(missing=5))
@@ -204,6 +201,46 @@ class TestAggregate:
             shuffled = labels[:]
             rng.shuffle(shuffled)
             assert aggregate(shuffled) == aggregate(labels)
+
+
+class TestScoreAnswers:
+    def _dataset(self, *truths):
+        return [Conversation.from_dict({
+            "conversation_id": f"c{i}", "image_ref": None,
+            "turns": [{"query": "q", "ground_truth": truth}],
+        }) for i, truth in enumerate(truths)]
+
+    def test_ground_truths_key_each_turn(self):
+        assert ground_truths(self._dataset("a", "b")) == {("c0", 0): "a", ("c1", 0): "b"}
+
+    def test_a_turn_without_truth_is_named(self):
+        with pytest.raises(EvalError, match=r"turn \('c1', 0\) has no ground truth"):
+            ground_truths(self._dataset("a", None))
+
+    def test_rows_follow_the_answers_and_abstentions_are_missing(self):
+        truths = ground_truths(self._dataset("a kettle", "a falcon", "a zebra"))
+        answers = [("c2", 0, "a zebra"), ("c0", 0, "no idea"), ("c1", 0, " no idea ")]
+        report, rows = score_answers(answers, truths, MockJudge(), abstain_text="no idea")
+        assert rows == [
+            {"conversation_id": "c2", "turn_index": 0, "label": "Perfect"},
+            {"conversation_id": "c0", "turn_index": 0, "label": "Missing"},
+            {"conversation_id": "c1", "turn_index": 0, "label": "Missing"},
+        ]
+        assert report == aggregate([Label.PERFECT, Label.MISSING, Label.MISSING])
+
+    @pytest.mark.parametrize("answers, message", [
+        ([("c0", 0, "a"), ("c9", 0, "a")], r"turn \('c9', 0\) not present"),
+        ([("c0", 0, "a"), ("c0", 0, "a")], r"repeats turn \('c0', 0\)"),
+        ([("c0", 0, "a")], r"lacks turn \('c1', 0\)"),
+    ], ids=["unknown", "repeated", "missing"])
+    def test_answers_cover_each_turn_once_before_any_judging(self, answers, message):
+        class ExplodingJudge:
+            def judge(self, answer, ground_truth):
+                raise AssertionError("no answer is judged before coverage holds")
+
+        with pytest.raises(EvalError, match=message):
+            score_answers(answers, ground_truths(self._dataset("a", "b")), ExplodingJudge(),
+                          abstain_text="no idea")
 
 
 @pytest.fixture(scope="module")

@@ -2,10 +2,12 @@
 
 Each fixture set (``e2e``, ``ablation``, ``kg``) is run with ``run --mock``
 under ``task1`` and ``task2plus``, with one worker and with four, and every
-pipeline variant is scored with ``ablate --mock`` under both modes. The
-traces and reports must equal ``tests/fixtures/golden/`` exactly, so a
-refactor that changes any answer, flag, stage or score fails here. Run
-manifests carry timestamps and are not compared.
+pipeline variant is scored with ``ablate --mock`` under both modes. Each
+golden trace is also judged with ``eval --judge mock``; the golden traces
+have no manifest beside them, so the report's ``manifest_hash`` is null.
+The traces and reports must equal ``tests/fixtures/golden/`` exactly, so a
+refactor that changes any answer, flag, stage, label or score fails here.
+Run manifests carry timestamps and are not compared.
 
 Only a change meant to alter outputs regenerates the files:
 
@@ -27,16 +29,21 @@ GOLDEN = FIXTURES / "golden"
 SETS = ("e2e", "ablation", "kg")
 MODES = ("task1", "task2plus")
 REPORTS = GOLDEN / "ablate_reports.json"
+EVAL_REPORTS = GOLDEN / "eval_reports.json"
 
 
-def _common(tmp_path: Path, fixture_set: str) -> list[str]:
+def _inputs(tmp_path: Path, fixture_set: str) -> list[str]:
     config = tmp_path / f"{fixture_set}_config.json"
     config.write_text(json.dumps({
         "fixture_path": str(FIXTURES / f"{fixture_set}_search.json"),
         "replay_path": str(FIXTURES / f"{fixture_set}_replay.json"),
     }), encoding="utf-8")
     return ["--dataset", str(FIXTURES / f"{fixture_set}_dataset.jsonl"),
-            "--config", str(config), "--mock"]
+            "--config", str(config)]
+
+
+def _common(tmp_path: Path, fixture_set: str) -> list[str]:
+    return [*_inputs(tmp_path, fixture_set), "--mock"]
 
 
 def run_trace(tmp_path: Path, fixture_set: str, mode: str, workers: int) -> bytes:
@@ -57,15 +64,31 @@ def ablate_report(tmp_path: Path, fixture_set: str, mode: str, variant: str) -> 
     return out.read_text(encoding="utf-8")
 
 
+def eval_report(tmp_path: Path, fixture_set: str, trace: Path) -> str:
+    """The report ``eval --judge mock`` writes for a trace of one fixture set."""
+    out = tmp_path / f"{trace.stem}_eval.json"
+    code = main(["eval", *_inputs(tmp_path, fixture_set), "--judge", "mock",
+                 "--traces", str(trace), "--report", str(out)])
+    assert code == 0
+    return out.read_text(encoding="utf-8")
+
+
 def _report_key(fixture_set: str, mode: str, variant: str) -> str:
     return f"{fixture_set}/{mode}/{variant}"
 
 
+def _pinned(path: Path, key: str) -> str:
+    """The bytes the command writes for the report pinned under ``key``."""
+    expected = json.loads(path.read_text(encoding="utf-8"))
+    return json.dumps(expected[key], indent=2, ensure_ascii=False) + "\n"
+
+
 REPORT_CASES = [(s, m, v) for s in SETS for m in MODES for v in ABLATION_MODES]
+TRACE_CASES = [(s, m) for s in SETS for m in MODES]
 
 
 @pytest.mark.parametrize("workers", (1, 4))
-@pytest.mark.parametrize("fixture_set, mode", [(s, m) for s in SETS for m in MODES])
+@pytest.mark.parametrize("fixture_set, mode", TRACE_CASES)
 def test_trace_matches_golden(tmp_path, fixture_set, mode, workers):
     golden = GOLDEN / f"{fixture_set}_{mode}.jsonl"
     assert run_trace(tmp_path, fixture_set, mode, workers) == golden.read_bytes()
@@ -76,26 +99,49 @@ def test_golden_reports_cover_every_variant():
     assert sorted(keys) == sorted(_report_key(*case) for case in REPORT_CASES)
 
 
+def test_golden_eval_reports_cover_every_trace():
+    keys = json.loads(EVAL_REPORTS.read_text(encoding="utf-8")).keys()
+    assert sorted(keys) == sorted(f"{s}/{m}" for s, m in TRACE_CASES)
+
+
 @pytest.mark.parametrize("fixture_set, mode, variant", REPORT_CASES)
 def test_ablation_report_matches_golden(tmp_path, fixture_set, mode, variant):
-    expected = json.loads(REPORTS.read_text(encoding="utf-8"))
-    golden = json.dumps(expected[_report_key(fixture_set, mode, variant)],
-                        indent=2, ensure_ascii=False) + "\n"
+    golden = _pinned(REPORTS, _report_key(fixture_set, mode, variant))
     assert ablate_report(tmp_path, fixture_set, mode, variant) == golden
+
+
+@pytest.mark.parametrize("fixture_set, mode", TRACE_CASES)
+def test_eval_report_matches_golden(tmp_path, fixture_set, mode):
+    golden = _pinned(EVAL_REPORTS, f"{fixture_set}/{mode}")
+    assert eval_report(tmp_path, fixture_set, GOLDEN / f"{fixture_set}_{mode}.jsonl") == golden
+
+
+@pytest.mark.parametrize("fixture_set, mode", TRACE_CASES)
+def test_eval_of_a_run_scores_as_ablate_full(tmp_path, fixture_set, mode):
+    # One scorer: judging a full run's trace gives the full variant's metrics.
+    trace = tmp_path / f"{fixture_set}_{mode}.jsonl"
+    trace.write_bytes(run_trace(tmp_path, fixture_set, mode, workers=1))
+    evaluated = json.loads(eval_report(tmp_path, fixture_set, trace))
+    ablated = json.loads(ablate_report(tmp_path, fixture_set, mode, "full"))
+    del evaluated["manifest_hash"], evaluated["rows"], ablated["mode"]
+    assert evaluated == ablated
 
 
 def _regenerate() -> None:
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as scratch:
         tmp_path = Path(scratch)
-        for fixture_set in SETS:
-            for mode in MODES:
-                (GOLDEN / f"{fixture_set}_{mode}.jsonl").write_bytes(
-                    run_trace(tmp_path, fixture_set, mode, workers=1))
+        for fixture_set, mode in TRACE_CASES:
+            (GOLDEN / f"{fixture_set}_{mode}.jsonl").write_bytes(
+                run_trace(tmp_path, fixture_set, mode, workers=1))
         reports = {_report_key(*case): json.loads(ablate_report(tmp_path, *case))
                    for case in REPORT_CASES}
-    REPORTS.write_text(json.dumps(reports, indent=1, ensure_ascii=False) + "\n",
-                       encoding="utf-8")
+        eval_reports = {
+            f"{s}/{m}": json.loads(eval_report(tmp_path, s, GOLDEN / f"{s}_{m}.jsonl"))
+            for s, m in TRACE_CASES}
+    for path, pinned in ((REPORTS, reports), (EVAL_REPORTS, eval_reports)):
+        path.write_text(json.dumps(pinned, indent=1, ensure_ascii=False) + "\n",
+                        encoding="utf-8")
 
 
 if __name__ == "__main__":

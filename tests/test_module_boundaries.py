@@ -5,8 +5,10 @@ imports ``socket`` or ``ssl``. No ragvet module but ``templates`` calls
 ``load_template`` or ``PromptTemplate``, so every prompt comes through
 ``resolve_template``. Only ``backends.ask`` and ``PromptedJudge`` build a
 ``ModelRequest``, and no stage module catches a backend failure: ``pipeline``
-is the one failure seam. Every name a ragvet module other than ``__init__``
-imports is used in it, or listed in its ``__all__``.
+is the one failure seam. ``cli`` names neither ``judge_response`` nor
+``aggregate``: ``evaluation.score_answers`` is the one scoring path. Every
+name a ragvet module other than ``__init__`` imports is used in it, or listed
+in its ``__all__``.
 
 Dunder names such as ``__version__`` are public by convention and allowed.
 """
@@ -242,6 +244,36 @@ def test_pipeline_is_the_module_that_catches_backend_failures():
 def test_no_stage_module_catches_a_backend_failure(name):
     source = (PACKAGE / name).read_text(encoding="utf-8")
     assert [kind for kind in caught(source) if kind in BACKEND_FAILURES] == []
+
+
+SCORING_STEPS = ("judge_response", "aggregate")
+
+
+def names(source: str) -> set[str]:
+    """Every name the source mentions: bare, as an attribute, or imported."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.split(".")[-1])
+    return found
+
+
+def test_detector_sees_every_form_of_name():
+    source = (
+        "from .evaluation import judge_response as judge\n"
+        "import ragvet.evaluation.aggregate\n"
+        "labels = evaluation.score_answers(rows)\n"
+        "total = fold(labels)\n"
+    )
+    assert names(source) >= {"judge_response", "aggregate", "score_answers", "fold", "labels"}
+
+
+def test_cli_scores_only_through_score_answers():
+    assert names((PACKAGE / "cli.py").read_text(encoding="utf-8")) & set(SCORING_STEPS) == set()
 
 
 def unused_imports(source: str) -> list[str]:

@@ -357,10 +357,14 @@ STAGE_CALLS = {
 }
 SEAM_QUERY = "who makes the kettle brand zylo"
 SEAM_SUMMARY = "zylo logo"
+RETRIEVAL_FLAGS = {"recall_backend_error", "rerank_backend_error"}
 # How each stage's fallback shows: in the outcome, or in the queries searched.
+# A failed summary still leaves search and rerank their share of the budget,
+# so the bare query finds the page.
 FALLBACK_SHOWN = {
     "route": lambda outcome, searched: outcome.routing == FALLBACK_DECISION,
-    "summarize": lambda outcome, searched: searched == [SEAM_QUERY],
+    "summarize": lambda outcome, searched: searched == [SEAM_QUERY]
+    and not outcome.context.empty and not outcome.flags & RETRIEVAL_FLAGS,
     "recall": lambda outcome, searched: outcome.context.empty,
     "rerank": lambda outcome, searched: outcome.context.empty,
     "generate": lambda outcome, searched: outcome.answers is None
@@ -434,6 +438,22 @@ class TestFailureSeam:
             assert outcome.flags == {flag}
         assert stage in outcome.stages
         assert FALLBACK_SHOWN[stage](outcome, search.queries)
+
+    @pytest.mark.parametrize("kind", ["timeout", "error"])
+    def test_failed_task1_summary_keeps_the_kg_record(self, kind):
+        # task1 looks the image up whatever the summary says; a summary that
+        # times out must not spend the budget of the rerank after it.
+        fixture = image_fixture("img-1", SEAM_QUERY, SEAM_SUMMARY)
+        backends = make_backends(turn_script(SEAM_QUERY, summary=SEAM_SUMMARY), fixture)
+        backends = dataclasses.replace(
+            backends, vlm=_Faulty(backends.vlm, "complete", Role.SUMMARIZER, kind))
+        cfg = PipelineConfig(mode="task1", turn_budget_ms=400, abstain_margin_ms=20)
+        started = time.monotonic()
+        outcome = run_turn(fresh_state(), one_turn(SEAM_QUERY), cfg, backends, TEMPLATES)
+        elapsed_ms = (time.monotonic() - started) * 1000
+        assert elapsed_ms <= cfg.turn_budget_ms + 200
+        assert outcome.flags == {FAILURE_FLAGS["summarize"][kind == "error"]}
+        assert len(outcome.context.entries) == 1
 
 
 class _RequestLog:
