@@ -12,12 +12,12 @@ from __future__ import annotations
 import heapq
 import json
 import math
-import time
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Any, Mapping, Optional, Protocol, Sequence
 
+from . import runtime
 from .core import RetrievedItem, Source, missing_content
 from .runtime import Deadline
 from .templates import PromptTemplate
@@ -259,13 +259,12 @@ class ReplayModelBackend:
             )
         if entry.sleep_ms > 0:
             remaining = deadline.remaining_ms()
+            runtime.clock.sleep(min(entry.sleep_ms, remaining) / 1000.0)
             if entry.sleep_ms > remaining:
-                time.sleep(remaining / 1000.0)
                 raise BackendTimeout(
                     f"scripted {entry.sleep_ms} ms sleep exceeds deadline for role "
                     f"{request.role.value}"
                 )
-            time.sleep(entry.sleep_ms / 1000.0)
         if not entry.response:
             raise EmptyCompletionError(f"scripted empty completion for role {request.role.value}")
         return ModelResponse(

@@ -309,13 +309,14 @@ def _read_trace_turns(path: str | Path) -> list[tuple[str, int, str]]:
 
 
 def _manifest_hash_for(trace_path: Path) -> Optional[str]:
+    """None unless the trace's manifest is a JSON object with a string hash."""
     manifest_path = trace_path.with_name(trace_path.name + ".manifest.json")
-    if not manifest_path.exists():
-        return None
     try:
-        return json.loads(manifest_path.read_text(encoding="utf-8")).get("manifest_hash")
-    except (OSError, json.JSONDecodeError):
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except (OSError, ValueError):  # ValueError: not UTF-8, or not JSON
         return None
+    digest = manifest.get("manifest_hash") if isinstance(manifest, dict) else None
+    return digest if isinstance(digest, str) else None
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:

@@ -1,10 +1,11 @@
 """Orchestrates one conversational turn end-to-end under the turn budget.
 
 The per-turn budget is divided by a static schedule of cumulative
-deadlines: routing by 5%, the image summary by 20%, search and rerank by
-35%, generation by 75%, consistency by 85% and verification by 100%, so
-time a stage leaves unused rolls forward to the stages after it. A summary
-that times out thus still leaves search and rerank their share. No failure
+deadlines on ``runtime.clock``, which also times the stages and the turn:
+routing by 5%, the image summary by 20%, search and rerank by 35%,
+generation by 75%, consistency by 85% and verification by 100%, so time a
+stage leaves unused rolls forward to the stages after it. A summary that
+times out thus still leaves search and rerank their share. No failure
 escapes a turn: everything degrades to an abstention with a flag explaining
 why.
 
@@ -43,11 +44,11 @@ from __future__ import annotations
 
 import logging
 import math
-import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
+from . import runtime
 from .backends import BackendError, BackendTimeout, Backends
 from .core import (
     AnswerPair,
@@ -162,20 +163,19 @@ class ConversationState:
     history: list[tuple[str, str]] = field(default_factory=list)
 
 
-class _TurnClock:
+class _TurnBudget:
     """Cumulative stage deadlines over one turn budget."""
 
     def __init__(self, budget_ms: int):
-        self._origin = time.monotonic()
+        self._origin = runtime.clock.now()
         self._budget_ms = budget_ms
         self.turn_deadline = Deadline(self._origin + budget_ms / 1000.0)
 
     def stage_deadline(self, stage: str) -> Deadline:
-        cutoff = self._origin + _STAGE_CUTOFFS[stage] * self._budget_ms / 1000.0
-        return Deadline(min(cutoff, self.turn_deadline.expires_at))
+        return Deadline(self._origin + _STAGE_CUTOFFS[stage] * self._budget_ms / 1000.0)
 
     def elapsed_ms(self) -> int:
-        return math.ceil((time.monotonic() - self._origin) * 1000.0)
+        return math.ceil((runtime.clock.now() - self._origin) * 1000.0)
 
 
 def _stage(trace: Trace, name: str, fallback: Any, call: Callable[..., Any], *args: Any) -> Any:
@@ -196,13 +196,13 @@ def _run_retrieval(
     routing: RoutingDecision,
     cfg: PipelineConfig,
     backends: Backends,
-    clock: _TurnClock,
+    budget: _TurnBudget,
     trace: Trace,
     get_summary: Callable[[], str],
 ) -> RagContext:
     """``get_summary`` returns the image summary: it makes the call, or waits
     for one already started."""
-    deadline = clock.stage_deadline("retrieval")
+    deadline = budget.stage_deadline("retrieval")
     summary = _stage(trace, "summarize", "", get_summary) if turn.image_ref else ""
     expanded = expand_query(turn.query, summary)
     items = _stage(trace, "recall", [], recall, expanded, turn.image_ref, routing,
@@ -229,7 +229,7 @@ def run_turn(
     if variant not in VARIANTS:
         raise ValueError(f"unknown pipeline variant: {variant!r}")
     runs = VARIANTS[variant]
-    clock = _TurnClock(cfg.turn_budget_ms)
+    budget = _TurnBudget(cfg.turn_budget_ms)
     trace = Trace()
     history = tuple(state.history)
 
@@ -244,7 +244,7 @@ def run_turn(
         )
 
     def out_of_budget() -> bool:
-        if clock.turn_deadline.remaining_ms() < cfg.abstain_margin_ms:
+        if budget.turn_deadline.remaining_ms() < cfg.abstain_margin_ms:
             trace.flag("budget_exhausted")
             return True
         return False
@@ -252,12 +252,12 @@ def run_turn(
     def start_direct(pool: ThreadPoolExecutor) -> Future[str]:
         return pool.submit(
             generate_direct, turn.query, turn.image_ref, backends.vlm,
-            clock.stage_deadline("generate"), history, templates["generation"],
+            budget.stage_deadline("generate"), history, templates["generation"],
         )
 
     def summarize() -> str:
         return summarize_image(turn.query, turn.image_ref, backends.vlm,
-                               clock.stage_deadline("summarize"), templates["summarize"])
+                               budget.stage_deadline("summarize"), templates["summarize"])
 
     def decide(pool: ThreadPoolExecutor) -> FinalDecision:
         nonlocal routing, context, answers, verification
@@ -269,7 +269,7 @@ def run_turn(
         is_real_time = False
         if "route" in runs:
             routing = _stage(trace, "route", FALLBACK_DECISION, route, turn.query,
-                             backends.router_model, clock.stage_deadline("route"), trace,
+                             backends.router_model, budget.stage_deadline("route"), trace,
                              templates["routing"])
             is_real_time = routing.is_real_time and variant == "full"
         direct = None
@@ -280,7 +280,7 @@ def run_turn(
             if cfg.mode == "task2plus" and not routing.needs_external:
                 trace.flag("retrieval_skipped")
             else:
-                context = _run_retrieval(turn, routing, cfg, backends, clock, trace, get_summary)
+                context = _run_retrieval(turn, routing, cfg, backends, budget, trace, get_summary)
 
         if out_of_budget():
             return degraded()
@@ -297,7 +297,7 @@ def run_turn(
             if "rag" in runs:
                 rag_answer = generate_rag(
                     turn.query, turn.image_ref, context, backends.vlm,
-                    clock.stage_deadline("generate"), history, templates["generation"],
+                    budget.stage_deadline("generate"), history, templates["generation"],
                 )
             return rag_answer, direct.result() if direct is not None else None
 
@@ -313,7 +313,7 @@ def run_turn(
             if "consistency" in runs:
                 answers = _stage(trace, "consistency", answers.with_consistency(False),
                                  check_consistency, turn.query, turn.image_ref, context,
-                                 answers, backends.vlm, clock.stage_deadline("consistency"),
+                                 answers, backends.vlm, budget.stage_deadline("consistency"),
                                  trace, templates["consistency"])
                 if out_of_budget():
                     return degraded()
@@ -332,7 +332,7 @@ def run_turn(
         if "verify" in runs:
             verification = _stage(trace, "verify", VerificationResult(confidence=0.0), verify,
                                   turn.query, turn.image_ref, context, answer, backends.vlm,
-                                  clock.stage_deadline("verify"), trace, templates["cov"])
+                                  budget.stage_deadline("verify"), trace, templates["cov"])
             s_cov = verification.confidence
 
         return finalize(
@@ -361,7 +361,7 @@ def run_turn(
         stages=tuple(trace.stages),
         flags=frozenset(trace.flags),
         timings_ms=dict(trace.timings_ms),
-        wall_clock_ms=clock.elapsed_ms(),
+        wall_clock_ms=budget.elapsed_ms(),
     )
 
 

@@ -1,4 +1,7 @@
-"""Turn-local runtime plumbing: wall-clock deadlines and degradation traces."""
+"""Turn-local runtime plumbing: the one clock, deadlines and degradation traces.
+
+Every read of time and every wait in ragvet goes through ``clock``, which other
+modules reach as ``runtime.clock``, so that one swap of it moves them all."""
 
 from __future__ import annotations
 
@@ -8,8 +11,18 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 
+class Clock:
+    """Real monotonic time in seconds: ``now()`` reads it, ``sleep()`` waits."""
+
+    now = staticmethod(time.monotonic)
+    sleep = staticmethod(time.sleep)
+
+
+clock = Clock()
+
+
 class Deadline:
-    """A point on the monotonic clock by which work must finish.
+    """A point on ``clock`` by which work must finish.
 
     Instances are cheap and immutable; derive a tighter deadline by
     constructing a new one from an earlier expiry.
@@ -22,20 +35,16 @@ class Deadline:
 
     @classmethod
     def after_ms(cls, budget_ms: float) -> "Deadline":
-        return cls(time.monotonic() + budget_ms / 1000.0)
-
-    @property
-    def expires_at(self) -> float:
-        return self._expires_at
+        return cls(clock.now() + budget_ms / 1000.0)
 
     def remaining_ms(self) -> float:
-        return max(0.0, (self._expires_at - time.monotonic()) * 1000.0)
+        return max(0.0, (self._expires_at - clock.now()) * 1000.0)
 
     def remaining_seconds(self) -> float:
         return self.remaining_ms() / 1000.0
 
     def expired(self) -> bool:
-        return time.monotonic() >= self._expires_at
+        return clock.now() >= self._expires_at
 
     def __repr__(self) -> str:
         return f"Deadline(remaining_ms={self.remaining_ms():.1f})"
@@ -59,9 +68,9 @@ class Trace:
     @contextmanager
     def stage(self, name: str) -> Iterator[None]:
         self.stages.append(name)
-        started = time.monotonic()
+        started = clock.now()
         try:
             yield
         finally:
-            elapsed = int((time.monotonic() - started) * 1000.0)
+            elapsed = int((clock.now() - started) * 1000.0)
             self.timings_ms[name] = self.timings_ms.get(name, 0) + elapsed

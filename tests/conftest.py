@@ -13,6 +13,7 @@ from typing import Iterator, Optional
 
 import pytest
 
+from ragvet import runtime
 from ragvet.backends import ModelRequest, ModelResponse, ReplayEntry, ReplayModelBackend
 from ragvet.core import ChunkRef, RetrievedItem, ScoredChunk, Source
 from ragvet.runtime import Deadline
@@ -127,6 +128,35 @@ def chunk(text: str, score: float, rank: int = 1) -> ScoredChunk:
 @pytest.fixture
 def no_deadline() -> Deadline:
     return Deadline(math.inf)
+
+
+class VirtualClock:
+    """Stands in for ``runtime.clock``: time starts at 0 and moves only when
+    someone sleeps, by exactly the time slept, and ``sleep`` returns at once.
+
+    Every thread shares it, so a sleep on one thread moves the time the
+    others see. A test is exact only while one thread at a time waits on it.
+    """
+
+    def __init__(self) -> None:
+        self._now = 0.0
+        self._lock = threading.Lock()
+
+    def now(self) -> float:
+        return self._now
+
+    def sleep(self, seconds: float) -> None:
+        with self._lock:
+            self._now += max(0.0, seconds)
+
+
+@pytest.fixture
+def virtual_clock(monkeypatch) -> VirtualClock:
+    """Runs the test on a ``VirtualClock``: deadlines, stage timings, the turn
+    wall clock and scripted waits all read it."""
+    clock = VirtualClock()
+    monkeypatch.setattr(runtime, "clock", clock)
+    return clock
 
 
 @pytest.fixture

@@ -77,6 +77,17 @@ class TestReplayModelBackend:
             backend.complete(_request(), Deadline.after_ms(50))
         assert time.monotonic() - started < 1.0
 
+    def test_scripted_sleep_waits_on_the_runtime_clock(self, virtual_clock, no_deadline):
+        backend = scripted_model(
+            {"role": Role.ROUTER, "match": "", "response": "late", "sleep_ms": 5000},
+            {"role": Role.SUMMARIZER, "match": "", "response": "quick", "sleep_ms": 30},
+        )
+        with pytest.raises(BackendTimeout):
+            backend.complete(_request(), Deadline.after_ms(50))
+        assert virtual_clock.now() == pytest.approx(0.050)
+        assert backend.complete(_request(role=Role.SUMMARIZER), no_deadline).text == "quick"
+        assert virtual_clock.now() == pytest.approx(0.080)
+
     def test_empty_scripted_completion_is_distinct_error(self, no_deadline):
         backend = scripted_model({"role": Role.ROUTER, "match": "", "response": ""})
         with pytest.raises(EmptyCompletionError):

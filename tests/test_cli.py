@@ -365,13 +365,20 @@ class _MockServices(BaseHTTPRequestHandler):
 
 
 class TestEvalCommand:
-    def _run_then_eval(self, tmp_path):
+    def _run_then_eval(self, tmp_path, manifest=b""):
+        """Run the e2e set, then evaluate its trace; a ``manifest`` of None
+        deletes the run's manifest first, and any other bytes replace it."""
         config = write_config(tmp_path)
         trace = tmp_path / "trace.jsonl"
         assert main([
             "run", "--dataset", str(FIXTURES / "e2e_dataset.jsonl"),
             "--config", str(config), "--out", str(trace), "--mock",
         ]) == 0
+        manifest_path = tmp_path / "trace.jsonl.manifest.json"
+        if manifest is None:
+            manifest_path.unlink()
+        elif manifest:
+            manifest_path.write_bytes(manifest)
         report_path = tmp_path / "report.json"
         assert main([
             "eval", "--traces", str(trace),
@@ -385,6 +392,14 @@ class TestEvalCommand:
         report, base = self._run_then_eval(tmp_path)
         manifest = json.loads((base / "trace.jsonl.manifest.json").read_text())
         assert report["manifest_hash"] == manifest["manifest_hash"]
+
+    @pytest.mark.parametrize("manifest", [
+        None, b"{not json", b"\xff\xfe", b"[]", b'"a string"', b"{}", b'{"manifest_hash": 5}',
+    ], ids=["missing", "not-json", "not-utf8", "list", "string", "no-hash", "number-hash"])
+    def test_unusable_manifest_reports_a_null_hash(self, tmp_path, manifest):
+        report, _ = self._run_then_eval(tmp_path, manifest)
+        assert report["manifest_hash"] is None
+        assert report["n"] == 26
 
     def test_report_counts_match_fixture_plan(self, tmp_path):
         report, _ = self._run_then_eval(tmp_path)

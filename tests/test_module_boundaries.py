@@ -6,9 +6,12 @@ imports ``socket`` or ``ssl``. No ragvet module but ``templates`` calls
 ``resolve_template``. Only ``backends.ask`` and ``PromptedJudge`` build a
 ``ModelRequest``, and no stage module catches a backend failure: ``pipeline``
 is the one failure seam. ``cli`` names neither ``judge_response`` nor
-``aggregate``: ``evaluation.score_answers`` is the one scoring path. Every
-name a ragvet module other than ``__init__`` imports is used in it, or listed
-in its ``__all__``.
+``aggregate``: ``evaluation.score_answers`` is the one scoring path. No ragvet
+module but ``runtime`` names ``time.monotonic``, ``time.perf_counter`` or
+``time.sleep``, so every read of time and every wait goes through
+``runtime.clock``; ``cli``'s calendar stamp (``time.gmtime``) is no clock read.
+Every name a ragvet module other than ``__init__`` imports is used in it, or
+listed in its ``__all__``.
 
 Dunder names such as ``__version__`` are public by convention and allowed.
 """
@@ -43,13 +46,13 @@ def private_imports(source: str) -> list[str]:
 
 def test_detector_sees_relative_and_absolute_private_imports():
     source = (
-        "from .pipeline import run_turn, _TurnClock\n"
+        "from .pipeline import run_turn, _TurnBudget\n"
         "from ragvet.backends import _post_json\n"
         "from . import _internal, __version__\n"
         "from os import _exit\n"
     )
     assert private_imports(source) == [
-        ".pipeline:_TurnClock", "ragvet.backends:_post_json", ".:_internal",
+        ".pipeline:_TurnBudget", "ragvet.backends:_post_json", ".:_internal",
     ]
 
 
@@ -274,6 +277,56 @@ def test_detector_sees_every_form_of_name():
 
 def test_cli_scores_only_through_score_answers():
     assert names((PACKAGE / "cli.py").read_text(encoding="utf-8")) & set(SCORING_STEPS) == set()
+
+
+CLOCK_CALLS = ("monotonic", "monotonic_ns", "perf_counter", "perf_counter_ns", "sleep")
+
+
+def clock_calls(source: str) -> list[str]:
+    """``time.<name>`` for each clock read or wait of ``CLOCK_CALLS`` the
+    source names, in source order: imported from ``time``, or as an attribute
+    of a name that ``import time`` bound, under any alias."""
+    tree = ast.parse(source)
+    aliases = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for alias in node.names if alias.name == "time"}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "time":
+            found.extend((node.lineno, node.col_offset, alias.name)
+                         for alias in node.names if alias.name in CLOCK_CALLS)
+        elif (isinstance(node, ast.Attribute) and node.attr in CLOCK_CALLS
+              and isinstance(node.value, ast.Name) and node.value.id in aliases):
+            found.append((node.lineno, node.col_offset, node.attr))
+    return [f"time.{name}" for *_, name in sorted(found)]
+
+
+def test_detector_sees_every_form_of_clock_call():
+    source = (
+        "from time import monotonic, strftime\n"
+        "import time as t\n"
+        "t.sleep(0.1)\n"
+        "import time\n"
+        "stamp = time.strftime('%Y', time.gmtime())\n"
+        "elapsed = time.perf_counter() - started\n"
+        "from time import sleep as pause\n"
+        "runtime.clock.sleep(1.0)\n"
+        "clock.monotonic()\n"
+    )
+    assert clock_calls(source) == [
+        "time.monotonic", "time.sleep", "time.perf_counter", "time.sleep",
+    ]
+
+
+def test_runtime_is_the_module_that_reads_the_clock():
+    assert clock_calls((PACKAGE / "runtime.py").read_text(encoding="utf-8")) == [
+        "time.monotonic", "time.sleep",
+    ]
+
+
+@pytest.mark.parametrize("path", [path for path in MODULES if path.name != "runtime.py"],
+                         ids=lambda path: path.name)
+def test_only_runtime_reads_or_waits_on_the_clock(path):
+    assert clock_calls(path.read_text(encoding="utf-8")) == []
 
 
 def unused_imports(source: str) -> list[str]:

@@ -9,6 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from ragvet import runtime
 from ragvet.backends import (
     BackendTimeout,
     BackendTransportError,
@@ -230,16 +231,15 @@ class TestRoutingPolicies:
 
 
 class TestDegradation:
-    def test_generator_timeout_abstains_within_budget(self):
+    def test_generator_timeout_abstains_within_budget(self, virtual_clock):
         query = "slow one"
         cfg = PipelineConfig(turn_budget_ms=400, abstain_margin_ms=20)
         backends = make_backends(turn_script(query, rag_sleep_ms=2000))
-        started = time.monotonic()
         outcome = run_turn(fresh_state(), one_turn(query), cfg, backends, TEMPLATES)
-        elapsed_ms = (time.monotonic() - started) * 1000
         assert outcome.final.abstained
         assert "generation_timeout" in outcome.flags
-        assert elapsed_ms <= cfg.turn_budget_ms + 200
+        # The RAG call waits out generation's cutoff, 75 % of the budget.
+        assert outcome.timings_ms["generate"] == outcome.wall_clock_ms == 300
         assert outcome.answers is None
 
     def test_non_string_match_rejected_at_load_not_mid_turn(self, tmp_path):
@@ -275,6 +275,7 @@ class TestDegradation:
         assert outcome.answers is None
 
     def test_direct_call_timeout_abstains_within_budget(self):
+        # Real time: the direct answer waits on the worker while this thread retrieves.
         query = "slow direct one"
         entries = turn_script(query)
         for entry in entries:
@@ -293,6 +294,7 @@ class TestDegradation:
     def test_failed_rag_call_leaves_the_direct_answer_unread(self):
         # The RAG call fails at once while the direct one is still out; its
         # later timeout is never read, so it adds no flag.
+        # Real time: the direct answer waits on the worker while this thread retrieves.
         query = "rag fails first"
         entries = turn_script(query)
         entries[3]["sleep_ms"] = 2000  # the direct answer
@@ -305,6 +307,7 @@ class TestDegradation:
         assert outcome.final.branch is Branch.DEFAULT_ABSTAIN
 
     def test_budget_exhaustion_short_circuits_before_generation(self):
+        # Real time: in task1 the summary waits on the worker while this thread routes.
         query = "expensive retrieval"
         entries = turn_script(query)
         for entry in entries:
@@ -392,9 +395,29 @@ class _Faulty:
             if self.role is not None and not (args[0].role is self.role and self.picks(args[0])):
                 return forward(*args)
             if self.kind == "timeout":
-                time.sleep(args[-1].remaining_seconds())
+                runtime.clock.sleep(args[-1].remaining_seconds())
                 raise BackendTimeout(f"{name} outlasted its deadline")
             raise BackendTransportError(f"{name} failed")
+
+        return call
+
+
+class _TimeLeft:
+    """Forwards every call to ``inner`` and keeps, for each call of
+    ``method``, the ms its deadline had left."""
+
+    def __init__(self, inner, method):
+        self.inner, self.method = inner, method
+        self.left_ms: list[float] = []
+
+    def __getattr__(self, name):
+        forward = getattr(self.inner, name)
+        if name != self.method:
+            return forward
+
+        def call(*args):
+            self.left_ms.append(args[-1].remaining_ms())
+            return forward(*args)
 
         return call
 
@@ -411,38 +434,71 @@ class _QueryLog(MockSearchBackend):
         return super().web_search(query_text, k, deadline)
 
 
+# When each stage's timeout fires in a 400 ms turn: its cumulative cutoff.
+# Nothing else in a seam turn takes virtual time, so the turn ends then too.
+TIMEOUT_AT_MS = {"route": 20, "summarize": 80, "recall": 140, "rerank": 140,
+                 "generate": 300, "consistency": 340, "verify": 400}
+SEAM_PAGE = {"title": "zylo", "url": "https://z.test", "last_updated": "2025-01-01",
+             "snippet": f"{SEAM_QUERY} {SEAM_SUMMARY}"}
+
+
+def seam_backends(routing=ROUTE_PLAIN):
+    """``task2plus`` backends for ``SEAM_QUERY``, whose search finds ``SEAM_PAGE``."""
+    search = _QueryLog(SearchFixture(image_index={}, web_index=((SEAM_PAGE, 0.9),)))
+    return dataclasses.replace(
+        make_backends(turn_script(SEAM_QUERY, routing=routing, summary=SEAM_SUMMARY)),
+        search=search,
+    )
+
+
 class TestFailureSeam:
     @pytest.mark.parametrize("kind", ["timeout", "error"])
     @pytest.mark.parametrize("stage", list(FAILURE_FLAGS))
-    def test_backend_failure_flags_and_falls_back_within_budget(self, stage, kind):
-        page = {"title": "zylo", "url": "https://z.test", "last_updated": "2025-01-01",
-                "snippet": f"{SEAM_QUERY} {SEAM_SUMMARY}"}
+    def test_backend_failure_flags_and_falls_back_within_budget(self, stage, kind,
+                                                                virtual_clock):
         # A router that answered would skip retrieval; only its fallback retrieves.
-        routing = ROUTE_NONE if stage == "route" else ROUTE_PLAIN
-        search = _QueryLog(SearchFixture(image_index={}, web_index=((page, 0.9),)))
-        backends = dataclasses.replace(
-            make_backends(turn_script(SEAM_QUERY, routing=routing, summary=SEAM_SUMMARY)),
-            search=search,
-        )
+        backends = seam_backends(ROUTE_NONE if stage == "route" else ROUTE_PLAIN)
         field, method, role = STAGE_CALLS[stage]
-        backends = dataclasses.replace(
-            backends, **{field: _Faulty(getattr(backends, field), method, role, kind)})
+        faulty = _Faulty(getattr(backends, field), method, role, kind)
+        if stage == "generate":
+            # Only the RAG request fails, so the direct answer's worker never waits.
+            faulty.picks = lambda request: "Context:" in request.user
+        backends = dataclasses.replace(backends, **{field: faulty})
         cfg = PipelineConfig(mode="task2plus", turn_budget_ms=400, abstain_margin_ms=20)
-        started = time.monotonic()
         outcome = run_turn(fresh_state(), one_turn(SEAM_QUERY), cfg, backends, TEMPLATES)
-        elapsed_ms = (time.monotonic() - started) * 1000
-        assert elapsed_ms <= cfg.turn_budget_ms + 200
+        if kind == "timeout":
+            assert outcome.timings_ms[stage] == outcome.wall_clock_ms == TIMEOUT_AT_MS[stage]
+        else:
+            assert outcome.wall_clock_ms == 0
         flag = FAILURE_FLAGS[stage][kind == "error"]
         assert flag in outcome.flags
         if kind == "error":  # nothing else degrades
             assert outcome.flags == {flag}
         assert stage in outcome.stages
-        assert FALLBACK_SHOWN[stage](outcome, search.queries)
+        assert FALLBACK_SHOWN[stage](outcome, backends.search.queries)
+
+    def test_summary_timeout_leaves_search_and_rerank_their_slice(self, virtual_clock):
+        backends = seam_backends()
+        backends = dataclasses.replace(
+            backends, vlm=_Faulty(backends.vlm, "complete", Role.SUMMARIZER, "timeout"),
+            search=_TimeLeft(backends.search, "web_search"),
+            reranker=_TimeLeft(backends.reranker, "score_batch"))
+        cfg = PipelineConfig(mode="task2plus", turn_budget_ms=400, abstain_margin_ms=20)
+        outcome = run_turn(fresh_state(), one_turn(SEAM_QUERY), cfg, backends, TEMPLATES)
+        assert outcome.flags == {"summary_backend_timeout"}
+        # The summary ends at its 20 % cutoff; search and rerank still have
+        # until the 35 % retrieval cutoff.
+        assert outcome.timings_ms["summarize"] == 80
+        assert backends.search.left_ms == [pytest.approx(60)]
+        assert backends.reranker.left_ms == [pytest.approx(60)]
+        assert outcome.timings_ms["recall"] == outcome.timings_ms["rerank"] == 0
+        assert len(outcome.context.entries) == 1
 
     @pytest.mark.parametrize("kind", ["timeout", "error"])
     def test_failed_task1_summary_keeps_the_kg_record(self, kind):
         # task1 looks the image up whatever the summary says; a summary that
         # times out must not spend the budget of the rerank after it.
+        # Real time: in task1 the summary waits on the worker while this thread routes.
         fixture = image_fixture("img-1", SEAM_QUERY, SEAM_SUMMARY)
         backends = make_backends(turn_script(SEAM_QUERY, summary=SEAM_SUMMARY), fixture)
         backends = dataclasses.replace(
@@ -584,20 +640,21 @@ class TestVariants:
         assert outcome.final.branch is Branch.CONSISTENT_NO_CONTEXT
         assert outcome.final.answer == "rag answer"
 
-    def test_direct_timeout_under_vision_only_abstains_within_budget(self):
+    def test_direct_timeout_under_vision_only_abstains_within_budget(self, virtual_clock):
+        # Only the worker waits: vision_only neither routes nor retrieves.
         query = "slow direct one"
         entries = turn_script(query)
         for entry in entries:
             if entry["role"] is Role.GENERATOR and "Context:" not in entry["match"]:
                 entry["sleep_ms"] = 2000
         cfg = PipelineConfig(turn_budget_ms=400, abstain_margin_ms=20)
-        started = time.monotonic()
         outcome = run_turn(fresh_state(), one_turn(query), cfg, make_backends(entries), TEMPLATES,
                            variant="vision_only")
-        elapsed_ms = (time.monotonic() - started) * 1000
         assert outcome.final.abstained
         assert "generation_timeout" in outcome.flags
-        assert elapsed_ms <= cfg.turn_budget_ms + 200
+        # The worker's wait may end before the generate stage opens, so only
+        # the turn's wall clock is exact: generation's 75 % cutoff.
+        assert outcome.wall_clock_ms == 300
 
     def test_failed_judge_under_no_cov_flags_and_abstains(self):
         query = "judge is down"
@@ -634,6 +691,7 @@ class TestSummaryOverlap:
             ("request", Role.SUMMARIZER))
 
     def test_early_summary_timeout_is_flagged(self):
+        # Real time: in task1 the summary waits on the worker while this thread routes.
         query = "slow summary"
         entries = turn_script(query)
         for entry in entries:
