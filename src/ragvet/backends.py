@@ -1,10 +1,10 @@
 """Backend contracts plus deterministic mock and remote-service clients.
 
-One model contract covers all five inference roles; which physical endpoint
-serves a role is wiring, not interface. Mocks are pure functions of their
-fixture/script files, so identical inputs replay identically across runs
-and processes. The remote clients send their calls through
-``transport.JsonEndpoint``.
+One model contract covers the five inference roles of a turn and ``eval``'s
+judge; which physical endpoint serves a role is wiring, not interface. Mocks
+are pure functions of their fixture/script files, so identical inputs replay
+identically across runs and processes. The remote clients send their calls
+through ``transport.JsonEndpoint``.
 """
 
 from __future__ import annotations
@@ -59,6 +59,7 @@ class Role(str, Enum):
     GENERATOR = "generator"
     CONSISTENCY_JUDGE = "consistency_judge"
     VERIFIER = "verifier"
+    JUDGE = "judge"  # eval's endpoint judge; never on the turn path
 
 
 # The most tokens each role's reply may decode.
@@ -68,6 +69,7 @@ MAX_TOKENS = {
     Role.GENERATOR: 256,
     Role.CONSISTENCY_JUDGE: 8,
     Role.VERIFIER: 256,
+    Role.JUDGE: 16,
 }
 
 
@@ -220,6 +222,8 @@ def _read_json(path: str | Path) -> Any:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise FixtureError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise FixtureError(f"{path}: not UTF-8: {exc.reason} at byte {exc.start}") from exc
     except json.JSONDecodeError as exc:
         raise FixtureError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
 

@@ -69,7 +69,7 @@ def load_dataset(path: str | Path) -> list[Conversation]:
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DatasetError(f"cannot read dataset {path}: {exc}") from exc
     conversations: list[Conversation] = []
     errors: list[str] = []
@@ -142,6 +142,12 @@ class RunManifest:
         _write_json(path, self.to_dict())
 
 
+def _check_dir_of(path: Optional[str]) -> None:
+    """Fail before any work where writing ``path`` would fail after it."""
+    if path and not Path(path).parent.is_dir():
+        raise EvalError(f"cannot write {path}: no such directory")
+
+
 def _write_json(path: str | Path, payload: dict[str, Any]) -> None:
     Path(path).write_text(json.dumps(payload, indent=2, ensure_ascii=False) + "\n",
                           encoding="utf-8")
@@ -159,7 +165,7 @@ def load_config(path: Optional[str], mode: Optional[str] = None) -> PipelineConf
     else:
         try:
             data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
             raise InvalidConfigError(f"cannot load config {path}: {exc}") from exc
         cfg = PipelineConfig.from_dict(data)
     overrides = {
@@ -284,7 +290,7 @@ def _read_trace_turns(path: str | Path) -> list[tuple[str, int, str]]:
     """The (conversation_id, turn_index, final answer) of each trace record."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise EvalError(f"cannot read trace {path}: {exc}") from exc
     turns = []
     for number, line in enumerate(text.splitlines(), start=1):
@@ -320,6 +326,7 @@ def _manifest_hash_for(trace_path: Path) -> Optional[str]:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    _check_dir_of(args.report)
     cfg = load_config(args.config)
     templates = load_all(cfg.prompt_paths)
     truths = ground_truths(load_dataset(args.dataset))
@@ -333,6 +340,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_ablate(args: argparse.Namespace) -> int:
+    _check_dir_of(args.report)
     cfg = load_config(args.config, mode=args.mode_policy)
     templates = load_all(cfg.prompt_paths)
     dataset = load_dataset(args.dataset)
@@ -393,6 +401,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except (InvalidConfigError, TemplateError, DatasetError, FixtureError, EvalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # every reader turns its own into one of the above
+        print(f"error: cannot write {exc.filename}: {exc.strerror or exc}", file=sys.stderr)
         return 1
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Mapping, Protocol, Sequence
 
-from .backends import Backends, BackendError, ModelBackend, ModelRequest, Role
+from .backends import Backends, BackendError, ModelBackend, Role, ask
 from .core import Conversation, PipelineConfig
 from .pipeline import VARIANTS, run_conversation
 from .runtime import Deadline
@@ -43,8 +43,6 @@ __all__ = [
 ]
 
 DEFAULT_TOKEN_LIMIT = 75
-
-JUDGE_MAX_TOKENS = 16
 
 # The time one PromptedJudge call may take.
 _JUDGE_TIMEOUT_MS = 30_000
@@ -128,19 +126,17 @@ class MockJudge:
 
 class PromptedJudge:
     """LLM-backed judge over the ``judge`` template (``prompts/judge.txt``
-    unless ``prompt_paths.judge`` overrides it)."""
+    unless ``prompt_paths.judge`` overrides it), asked as ``Role.JUDGE``."""
 
     def __init__(self, backend: ModelBackend, template: PromptTemplate):
         self._backend = backend
         self._template = template
 
     def judge(self, answer: str, ground_truth: str) -> Label:
-        system, user = self._template.build(answer=answer, ground_truth=ground_truth)
-        request = ModelRequest(
-            role=Role.VERIFIER, system=system, user=user, max_tokens=JUDGE_MAX_TOKENS
-        )
         try:
-            text = self._backend.complete(request, Deadline.after_ms(_JUDGE_TIMEOUT_MS)).text
+            text = ask(self._backend, Role.JUDGE, self._template,
+                       Deadline.after_ms(_JUDGE_TIMEOUT_MS), answer=answer,
+                       ground_truth=ground_truth)
         except BackendError as exc:
             raise EvalError(f"judge backend failed: {exc}") from exc
         # Whole words only: "Unacceptable" names no label, "Not perfect: Incorrect" two.

@@ -7,7 +7,7 @@ generation by 75%, consistency by 85% and verification by 100%, so time a
 stage leaves unused rolls forward to the stages after it. A summary that
 times out thus still leaves search and rerank their share. No failure
 escapes a turn: everything degrades to an abstention with a flag explaining
-why.
+why. ``_stage`` alone opens, times and flags a stage (``_FAILURE_FLAGS``).
 
 A turn is a small dependency graph, not a straight line:
 
@@ -18,13 +18,14 @@ A turn is a small dependency graph, not a straight line:
   the beginning of generation, so an early exit never wastes it. The worker
   is joined before the turn returns, and only the calling thread opens trace
   stages.
-- In task1 retrieval always runs, so routing cannot change whether the image
-  summary is needed: a task1 turn with an image starts the summary on the
-  same worker at the start of the turn, routes meanwhile, and waits for it
-  inside the ``summarize`` stage. The direct answer queues behind it, which
-  costs nothing, since the RAG answer needs the summary too. In task2plus
-  routing can skip retrieval, so the summary waits for routing there, and a
-  turn routed past retrieval never asks for one.
+- Only the pipeline decides whether to retrieve: a mode that looks images
+  up (``retrieval.looks_up_images``, task1) always does, so a task1 turn
+  with an image starts the summary on the same worker at the start of the
+  turn, routes meanwhile, and waits for it inside the ``summarize`` stage.
+  The direct answer queues behind it, which costs nothing, since the RAG
+  answer needs the summary too. In task2plus routing can skip retrieval, so
+  the summary waits for routing there, and a turn routed past retrieval
+  never asks for one.
 - A stage is skipped once ``finalize``'s decision cannot depend on it
   (``finalizer.settled``). A real-time turn with weak retrieval ends before
   generation (no answers, no verification); an inconsistent turn ends before
@@ -67,6 +68,7 @@ from .retrieval import (
     dynamic_threshold,
     expand_query,
     filter_chunks,
+    looks_up_images,
     recall,
     rerank,
     retrieval_score,
@@ -91,9 +93,8 @@ _STAGE_CUTOFFS = {
     "verify": 1.00,
 }
 
-# Each stage whose backend call may fail: the flag a timeout sets, then the
-# flag any other backend failure sets. ``_stage`` is the one place either is
-# caught; the stage then yields its fallback value.
+# Each stage whose backend call may fail: the flag ``_stage`` sets on a
+# timeout, then the flag it sets on any other backend failure.
 _FAILURE_FLAGS = {
     "route": ("router_backend_timeout", "router_backend_error"),
     "summarize": ("summary_backend_timeout", "summary_backend_error"),
@@ -179,21 +180,24 @@ class _TurnBudget:
 
 
 def _stage(trace: Trace, name: str, fallback: Any, call: Callable[..., Any], *args: Any) -> Any:
-    """``call(*args)`` as trace stage ``name``; a backend failure sets the
-    stage's flag from ``_FAILURE_FLAGS`` and yields ``fallback`` instead."""
-    with trace.stage(name):
-        try:
-            return call(*args)
-        except BackendError as exc:
-            logger.debug("%s failed: %s", name, exc)
-            on_timeout, on_error = _FAILURE_FLAGS[name]
-            trace.flag(on_timeout if isinstance(exc, BackendTimeout) else on_error)
-            return fallback
+    """``call(*args)`` as stage ``name``, timed on ``runtime.clock``; a backend
+    failure sets the stage's flag (``_FAILURE_FLAGS``) and yields ``fallback``."""
+    trace.stages.append(name)
+    started = runtime.clock.now()
+    try:
+        return call(*args)
+    except BackendError as exc:
+        logger.debug("%s failed: %s", name, exc)
+        on_timeout, on_error = _FAILURE_FLAGS[name]
+        trace.flag(on_timeout if isinstance(exc, BackendTimeout) else on_error)
+        return fallback
+    finally:
+        elapsed = int((runtime.clock.now() - started) * 1000.0)
+        trace.timings_ms[name] = trace.timings_ms.get(name, 0) + elapsed
 
 
 def _run_retrieval(
     turn: QueryTurn,
-    routing: RoutingDecision,
     cfg: PipelineConfig,
     backends: Backends,
     budget: _TurnBudget,
@@ -205,8 +209,8 @@ def _run_retrieval(
     deadline = budget.stage_deadline("retrieval")
     summary = _stage(trace, "summarize", "", get_summary) if turn.image_ref else ""
     expanded = expand_query(turn.query, summary)
-    items = _stage(trace, "recall", [], recall, expanded, turn.image_ref, routing,
-                   backends.search, cfg.recall_k, cfg.mode, deadline)
+    items = _stage(trace, "recall", [], recall, expanded, turn.image_ref, backends.search,
+                   cfg.recall_k, cfg.mode, deadline)
     scored = _stage(trace, "rerank", [], rerank, expanded, chunk_items(items),
                     backends.reranker, deadline)
     threshold = dynamic_threshold([c.score for c in scored], cfg.score_floor, cfg.mad_scale)
@@ -262,7 +266,7 @@ def run_turn(
     def decide(pool: ThreadPoolExecutor) -> FinalDecision:
         nonlocal routing, context, answers, verification
         get_summary = summarize
-        if "retrieval" in runs and cfg.mode == "task1" and turn.image_ref:
+        if "retrieval" in runs and looks_up_images(cfg.mode) and turn.image_ref:
             # task1 retrieves whatever the router says, so the summary, its
             # first step, need not wait for routing.
             get_summary = pool.submit(summarize).result
@@ -277,10 +281,10 @@ def run_turn(
             direct = start_direct(pool)
 
         if "retrieval" in runs:
-            if cfg.mode == "task2plus" and not routing.needs_external:
+            if not looks_up_images(cfg.mode) and not routing.needs_external:
                 trace.flag("retrieval_skipped")
             else:
-                context = _run_retrieval(turn, routing, cfg, backends, budget, trace, get_summary)
+                context = _run_retrieval(turn, cfg, backends, budget, trace, get_summary)
 
         if out_of_budget():
             return degraded()

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .backends import ModelBackend, RerankerBackend, Role, SearchBackend, ask
-from .core import ChunkRef, RagContext, RetrievedItem, RoutingDecision, ScoredChunk
+from .core import ChunkRef, RagContext, RetrievedItem, ScoredChunk
 from .runtime import Deadline
 from .templates import PromptTemplate
 
@@ -67,27 +67,22 @@ def looks_up_images(mode: str) -> bool:
 def recall(
     expanded: str,
     image_ref: Optional[str],
-    decision: RoutingDecision,
     search_backend: SearchBackend,
     k: int,
     mode: str,
     deadline: Deadline,
 ) -> list[RetrievedItem]:
-    """Top-k recall in the modality the mode/routing policy selects.
+    """Top-k recall in the modality ``mode`` selects.
 
-    task1 always searches the image knowledge graph; task2plus searches the
-    web with the expanded query when external info is needed, by
-    ``deadline``. Callers skip this stage entirely for task2plus queries
-    with needs_external false. Backend failures propagate.
+    task1 looks the image up in the knowledge graph (nothing without an
+    image); task2plus searches the web with the expanded query, by
+    ``deadline``. Whether to recall at all is the caller's decision. Backend
+    failures propagate.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if looks_up_images(mode):
-        if not image_ref:
-            return []
-        return search_backend.image_search(image_ref, k)
-    if not decision.needs_external:
-        return []
+        return search_backend.image_search(image_ref, k) if image_ref else []
     return search_backend.web_search(expanded, k, deadline)
 
 

@@ -6,9 +6,7 @@ modules reach as ``runtime.clock``, so that one swap of it moves them all."""
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator
 
 
 class Clock:
@@ -52,7 +50,8 @@ class Deadline:
 
 @dataclass
 class Trace:
-    """Accumulates degradation flags and per-stage timings for one turn.
+    """Degradation flags and per-stage timings of one turn; ``pipeline._stage``
+    alone opens, times and records a stage.
 
     Stage timings stay in memory for diagnostics; the serialized trace record
     carries only the ordered stage names so that mock runs stay byte-stable.
@@ -64,13 +63,3 @@ class Trace:
 
     def flag(self, name: str) -> None:
         self.flags.add(name)
-
-    @contextmanager
-    def stage(self, name: str) -> Iterator[None]:
-        self.stages.append(name)
-        started = clock.now()
-        try:
-            yield
-        finally:
-            elapsed = int((clock.now() - started) * 1000.0)
-            self.timings_ms[name] = self.timings_ms.get(name, 0) + elapsed

@@ -879,7 +879,7 @@ class TestAsk:
     def test_each_role_has_its_reply_cap(self):
         assert {role.value: cap for role, cap in MAX_TOKENS.items()} == {
             "router": 64, "summarizer": 128, "generator": 256,
-            "consistency_judge": 8, "verifier": 256,
+            "consistency_judge": 8, "verifier": 256, "judge": 16,
         }
 
     def test_sends_the_rendered_template_with_the_role_cap(self, no_deadline):

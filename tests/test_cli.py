@@ -21,6 +21,7 @@ from ragvet.backends import (
 )
 from ragvet.cli import DatasetError, build_backends, load_dataset, main
 from ragvet.core import PipelineConfig, validate_config
+from ragvet.evaluation import MockJudge
 from ragvet.runtime import Deadline
 
 from conftest import FIXTURES, serve_http
@@ -470,6 +471,34 @@ class TestEvalCommand:
         assert len(err) == 1 and err[0].startswith("error: ") and names in err[0], err
         assert not report.exists()
 
+    def test_endpoint_judge_posts_the_judge_role_and_its_cap(self, tmp_path):
+        bodies = []
+
+        class Judge(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+
+            def do_POST(self):
+                bodies.append(json.loads(self.rfile.read(int(self.headers["Content-Length"]))))
+                data = json.dumps({"text": "Perfect"}).encode("utf-8")
+                self.send_response(200)
+                self.send_header("Content-Length", str(len(data)))
+                self.end_headers()
+                self.wfile.write(data)
+
+            def log_message(self, *args):
+                pass
+
+        dataset, trace, report = tmp_path / "d.jsonl", tmp_path / "t.jsonl", tmp_path / "r.json"
+        dataset.write_text(json.dumps(RECORD) + "\n", encoding="utf-8")
+        trace.write_text(json.dumps(TRACE_RECORD) + "\n", encoding="utf-8")
+        with serve_http(Judge) as server:
+            config = write_config(tmp_path, judge_endpoint=f"{server.url}/judge")
+            assert main(["eval", "--traces", str(trace), "--dataset", str(dataset),
+                         "--config", str(config), "--judge", "endpoint",
+                         "--report", str(report)]) == 0
+        assert [(body["role"], body["max_tokens"]) for body in bodies] == [("judge", 16)]
+        assert json.loads(report.read_text(encoding="utf-8"))["counts"]["Perfect"] == 1
+
     def test_malformed_judge_endpoint_fails_before_judging(self, tmp_path, capsys):
         config = write_config(tmp_path, judge_endpoint="judge.test/score")
         code = main([
@@ -537,6 +566,7 @@ def test_version_flag():
 
 RECORD = {"conversation_id": "c1", "image_ref": None,
           "turns": [{"query": "q", "ground_truth": "a"}]}
+TRACE_RECORD = {"conversation_id": "c1", "turn_index": 0, "final": {"answer": "a"}}
 ROUTER_ENTRY = {"role": "router", "match": "", "response": "1. Needs External Info: no"}
 
 # (id, the one input that is malformed, what the error line must name). An
@@ -647,3 +677,53 @@ def test_malformed_input_is_one_error_line_and_no_output(tmp_path, monkeypatch, 
     assert names in lines[0]
     assert not Path("out.jsonl").exists()
     assert not Path("out.jsonl.manifest.json").exists()
+
+
+@pytest.mark.parametrize("kind", ["config", "dataset", "replay", "fixture", "trace"])
+def test_undecodable_input_is_one_error_line_and_no_output(tmp_path, capsys, kind):
+    bad = tmp_path / f"{kind}.bin"
+    bad.write_bytes(b"\xff\xfe")
+    overrides = {f"{kind}_path": str(bad)} if kind in ("replay", "fixture") else {}
+    config = bad if kind == "config" else write_config(tmp_path, **overrides)
+    dataset = bad if kind == "dataset" else FIXTURES / "e2e_dataset.jsonl"
+    out = tmp_path / "out.jsonl"
+    argv = ["run", "--out", str(out), "--mock"]
+    if kind == "trace":
+        argv = ["eval", "--traces", str(bad), "--report", str(out)]
+    code = main([*argv, "--dataset", str(dataset), "--config", str(config)])
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(lines) == 1 and lines[0].startswith("error: ") and bad.name in lines[0], lines
+    assert not out.exists()
+    assert not (tmp_path / "out.jsonl.manifest.json").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "eval", "ablate"])
+def test_unwritable_output_fails_before_any_turn_or_judge_call(tmp_path, capsys, monkeypatch,
+                                                               command):
+    config = write_config(tmp_path)
+    dataset = str(FIXTURES / "e2e_dataset.jsonl")
+    trace = tmp_path / "trace.jsonl"
+    if command == "eval":
+        assert main(["run", "--dataset", dataset, "--config", str(config),
+                     "--out", str(trace), "--mock"]) == 0
+    calls = []
+
+    def recording(method):
+        def record(self, *args):
+            calls.append(method.__qualname__)
+            return method(self, *args)
+        return record
+
+    monkeypatch.setattr(ReplayModelBackend, "complete", recording(ReplayModelBackend.complete))
+    monkeypatch.setattr(MockJudge, "judge", recording(MockJudge.judge))
+    out = str(tmp_path / "missing" / "out.json")
+    argv = {"run": ["run", "--out", out, "--mock"],
+            "eval": ["eval", "--traces", str(trace), "--report", out],
+            "ablate": ["ablate", "--mode", "full", "--mock", "--report", out]}[command]
+    capsys.readouterr()
+    code = main([*argv, "--dataset", dataset, "--config", str(config)])
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(lines) == 1 and lines[0].startswith(f"error: cannot write {out}"), lines
+    assert calls == []

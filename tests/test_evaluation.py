@@ -119,7 +119,7 @@ class TestPromptedJudge:
     def _judge(self, reply):
         from ragvet.backends import Role
 
-        backend = scripted_model({"role": Role.VERIFIER, "match": "", "response": reply})
+        backend = scripted_model({"role": Role.JUDGE, "match": "", "response": reply})
         template = PromptTemplate(system="grade", user="{ground_truth} vs {answer}")
         return PromptedJudge(backend, template)
 

@@ -3,11 +3,11 @@
 (``transport`` speaks HTTP itself), and no ragvet module but ``transport``
 imports ``socket`` or ``ssl``. No ragvet module but ``templates`` calls
 ``load_template`` or ``PromptTemplate``, so every prompt comes through
-``resolve_template``. Only ``backends.ask`` and ``PromptedJudge`` build a
-``ModelRequest``, and no stage module catches a backend failure: ``pipeline``
-is the one failure seam. ``cli`` names neither ``judge_response`` nor
-``aggregate``: ``evaluation.score_answers`` is the one scoring path. No ragvet
-module but ``runtime`` names ``time.monotonic``, ``time.perf_counter`` or
+``resolve_template``. Only ``backends.ask`` builds a ``ModelRequest``, and
+no stage module catches a backend failure: ``pipeline`` is the one failure
+seam. ``cli`` names neither ``judge_response`` nor ``aggregate``:
+``evaluation.score_answers`` is the one scoring path. No ragvet module but
+``runtime`` names ``time.monotonic``, ``time.perf_counter`` or
 ``time.sleep``, so every read of time and every wait goes through
 ``runtime.clock``; ``cli``'s calendar stamp (``time.gmtime``) is no clock read.
 Every name a ragvet module other than ``__init__`` imports is used in it, or
@@ -201,12 +201,9 @@ def test_detector_sees_every_form_of_request_build():
     assert request_builders(source) == ["<module>", "Judge.judge", "ask"]
 
 
-def test_only_ask_and_the_judge_build_model_requests():
+def test_only_ask_builds_model_requests():
     builders = {path.name: request_builders(path.read_text(encoding="utf-8")) for path in MODULES}
-    assert {name: found for name, found in builders.items() if found} == {
-        "backends.py": ["ask"],
-        "evaluation.py": ["PromptedJudge.judge"],
-    }
+    assert {name: found for name, found in builders.items() if found} == {"backends.py": ["ask"]}
 
 
 # Every backend failure type, and the handlers that would catch one by accident.

@@ -8,6 +8,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ragvet import runtime
 from ragvet.backends import (
@@ -28,7 +29,7 @@ from ragvet.pipeline import VARIANTS, ConversationState, run_conversation, run_t
 from ragvet.router import FALLBACK_DECISION
 from ragvet.templates import load_all
 
-from conftest import scripted_model
+from conftest import VirtualClock, scripted_model
 
 ROUTE_PLAIN = "1. Needs External Info: yes\n2. Is Real-Time: no"
 ROUTE_NONE = "1. Needs External Info: no\n2. Is Real-Time: no"
@@ -221,6 +222,16 @@ class TestRoutingPolicies:
         )
         assert not outcome.context.empty
         assert outcome.final.branch is Branch.CONSISTENT_WITH_CONTEXT
+
+    def test_task1_retrieves_whatever_the_router_says(self):
+        query = "what brand is this kettle"
+        backends = make_backends(turn_script(query, routing=ROUTE_NONE),
+                                 image_fixture("img-1", query))
+        outcome = run_turn(fresh_state(), one_turn(query), PipelineConfig(mode="task1"),
+                           backends, TEMPLATES)
+        assert "retrieval_skipped" not in outcome.flags
+        assert outcome.stages[:4] == ("route", "summarize", "recall", "rerank")
+        assert len(outcome.context.entries) == 1
 
     def test_real_time_weak_retrieval_abstains(self):
         query = "what is the latest price of this"
@@ -510,6 +521,108 @@ class TestFailureSeam:
         assert elapsed_ms <= cfg.turn_budget_ms + 200
         assert outcome.flags == {FAILURE_FLAGS["summarize"][kind == "error"]}
         assert len(outcome.context.entries) == 1
+
+
+# What each call on the calling thread may do in a drawn turn: answer ("ok"),
+# stall until its deadline, fail in transport, reply empty, or, where a parser
+# reads the reply, send text that does not parse. An empty search reply is no
+# results, which is no failure. A rerank reply must score every chunk, so the
+# reranker has no empty reply.
+DRAWS = {
+    "route": ("ok", "stall", "error", "empty", "garbage"),
+    "summarize": ("ok", "stall", "error", "empty"),
+    "recall": ("ok", "stall", "error", "empty"),
+    "rerank": ("ok", "stall", "error"),
+    "generate": ("ok", "stall", "error", "empty"),
+    "consistency": ("ok", "stall", "error", "empty", "garbage"),
+    "verify": ("ok", "stall", "error", "empty", "garbage"),
+}
+PARSE_FLAGS = {"route": "router_parse_failure", "consistency": "consistency_parse_failure",
+               "verify": "cov_parse_failure"}
+# The stage of each call: a model call's by its role, any other call's by its method.
+CALL_STAGES = {role or method: stage for stage, (_, method, role) in STAGE_CALLS.items()}
+
+
+def drawn_flag(stage, draw):
+    """The flag a ``draw`` of ``stage``'s call must leave; None for none."""
+    if draw == "ok" or (draw == "empty" and stage == "recall"):
+        return None
+    if draw == "garbage":
+        return PARSE_FLAGS[stage]
+    return FAILURE_FLAGS[stage][draw != "stall"]
+
+
+def drawn_script(routing, draws):
+    """The replay script of a drawn ``SEAM_QUERY`` turn: each reply as drawn,
+    and a direct answer that is always there."""
+    replies = {"route": routing, "summarize": SEAM_SUMMARY, "generate": "rag answer",
+               "consistency": "yes", "verify": COV_FULL}
+    text = {stage: {"empty": "", "garbage": "garbage"}.get(draws[stage], reply)
+            for stage, reply in replies.items()}
+    return [
+        {"role": Role.ROUTER, "response": text["route"]},
+        {"role": Role.SUMMARIZER, "response": text["summarize"]},
+        {"role": Role.GENERATOR, "match": "Context:", "response": text["generate"]},
+        {"role": Role.GENERATOR, "response": "direct answer"},
+        {"role": Role.CONSISTENCY_JUDGE, "response": text["consistency"]},
+        {"role": Role.VERIFIER, "response": text["verify"]},
+    ]
+
+
+class _Drawn:
+    """Forwards every call to ``inner``, failing each calling-thread call as
+    ``draws`` says for its stage, and keeps the stage of each such call. The
+    direct answer, the one call on the per-turn worker, always passes, so
+    only the calling thread waits on the virtual clock."""
+
+    def __init__(self, inner, draws):
+        self.inner, self.draws = inner, draws
+        self.made: list[str] = []
+
+    def __getattr__(self, name):
+        forward = getattr(self.inner, name)
+
+        def call(*args):
+            request = args[0] if name == "complete" else None
+            if request and request.role is Role.GENERATOR and "Context:" not in request.user:
+                return forward(*args)
+            stage = CALL_STAGES[request.role if request else name]
+            self.made.append(stage)
+            draw = self.draws[stage]
+            if draw == "stall":
+                runtime.clock.sleep(args[-1].remaining_seconds())
+                raise BackendTimeout(f"{stage} outlasted its deadline")
+            if draw == "error":
+                raise BackendTransportError(f"{stage} failed")
+            if draw == "empty" and stage == "recall":
+                return []
+            return forward(*args)
+
+        return call
+
+
+class TestDrawnFaults:
+    @settings(max_examples=200, deadline=None)
+    @given(routing=st.sampled_from([ROUTE_PLAIN, ROUTE_NONE, ROUTE_REAL_TIME]),
+           draws=st.fixed_dictionaries({stage: st.sampled_from(kinds)
+                                        for stage, kinds in DRAWS.items()}))
+    def test_any_drawn_fault_degrades_with_a_flag_within_budget(self, routing, draws):
+        # A fresh virtual clock per example: each turn starts at 0, so every
+        # stage cutoff of the 10 s budget is exact.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(runtime, "clock", VirtualClock())
+            model = _Drawn(scripted_model(*drawn_script(routing, draws)), draws)
+            search = _Drawn(MockSearchBackend(SearchFixture(
+                image_index={}, web_index=((SEAM_PAGE, 0.9),))), draws)
+            reranker = _Drawn(MockRerankerBackend(), draws)
+            backends = Backends(router_model=model, vlm=model, reranker=reranker, search=search)
+            cfg = PipelineConfig(mode="task2plus")
+            outcome = run_turn(fresh_state(), one_turn(SEAM_QUERY), cfg, backends, TEMPLATES)
+        assert outcome.final.answer in ("rag answer", cfg.abstain_text)
+        made = model.made + search.made + reranker.made
+        expected = {drawn_flag(stage, draws[stage]) for stage in made} - {None}
+        assert expected <= outcome.flags
+        assert outcome.wall_clock_ms <= cfg.turn_budget_ms
 
 
 class _RequestLog:

@@ -15,7 +15,7 @@ from ragvet.backends import (
     Role,
     SearchFixture,
 )
-from ragvet.core import RoutingDecision, Source
+from ragvet.core import Source
 from ragvet.retrieval import (
     build_context,
     chunk_items,
@@ -189,45 +189,27 @@ def _search_fixture(n_web=0, image_records=()):
     return MockSearchBackend(SearchFixture(image_index=image_index, web_index=web))
 
 
-EXTERNAL = RoutingDecision(needs_external=True, is_real_time=False)
-NO_EXTERNAL = RoutingDecision(needs_external=False, is_real_time=False)
-
-
 class TestRecall:
     def test_web_search_caps_at_k(self, no_deadline):
         expanded = expand_query("red shoe", "")
-        items = recall(expanded, None, EXTERNAL, _search_fixture(n_web=12), 10,
-                       "task2plus", no_deadline)
+        items = recall(expanded, None, _search_fixture(n_web=12), 10, "task2plus", no_deadline)
         assert len(items) == 10
         assert [i.recall_rank for i in items] == list(range(1, 11))
 
     def test_empty_index_yields_nothing(self, no_deadline):
         expanded = expand_query("red shoe", "")
-        assert recall(expanded, None, EXTERNAL, _search_fixture(), 10,
-                      "task2plus", no_deadline) == []
+        assert recall(expanded, None, _search_fixture(), 10, "task2plus", no_deadline) == []
 
     def test_image_search_with_fewer_neighbors_than_k(self, no_deadline):
         expanded = expand_query("what is this", "")
         backend = _search_fixture(image_records=("a", "b", "c"))
-        items = recall(expanded, "img-1", EXTERNAL, backend, 10, "task1", no_deadline)
+        items = recall(expanded, "img-1", backend, 10, "task1", no_deadline)
         assert len(items) == 3
         assert all(i.source is Source.KG_IMAGE for i in items)
 
-    def test_task1_ignores_routing_flag(self, no_deadline):
-        expanded = expand_query("q", "")
-        backend = _search_fixture(image_records=("a",))
-        items = recall(expanded, "img-1", NO_EXTERNAL, backend, 10, "task1", no_deadline)
-        assert len(items) == 1
-
-    def test_task2plus_skips_when_no_external_needed(self, no_deadline):
-        expanded = expand_query("red shoe", "")
-        assert recall(expanded, None, NO_EXTERNAL, _search_fixture(n_web=5), 10,
-                      "task2plus", no_deadline) == []
-
     def test_k_must_be_positive(self, no_deadline):
         with pytest.raises(ValueError):
-            recall(expand_query("q", ""), None, EXTERNAL, _search_fixture(), 0,
-                   "task1", no_deadline)
+            recall(expand_query("q", ""), None, _search_fixture(), 0, "task1", no_deadline)
 
 
 class TestFilterChunks:

@@ -141,6 +141,7 @@ MODEL = scripted_model(
     {"role": "generator", "match": "", "response": "an answer"},
     {"role": "consistency_judge", "match": "", "response": "yes"},
     {"role": "verifier", "match": "", "response": "Perfect"},
+    {"role": "judge", "match": "", "response": "Perfect"},
 )
 CONTEXT = RagContext(entries=(), threshold_used=0.0, retrieval_score=0.0)
 NO_DEADLINE = Deadline(math.inf)
