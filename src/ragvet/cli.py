@@ -180,7 +180,7 @@ def load_config(path: Optional[str], mode: Optional[str] = None) -> PipelineConf
 
 def _remote(cfg: PipelineConfig, key: str, backend_class: type, **kwargs: Any) -> Any:
     """A remote backend on the endpoint under config ``key``; a malformed URL
-    is a config error naming the key."""
+    or a host that does not resolve is a config error naming the key."""
     try:
         return backend_class(getattr(cfg, key), cfg.bearer_token, **kwargs)
     except ValueError as exc:

@@ -2,6 +2,11 @@
 
 Every type validates its invariants at construction time and is immutable
 afterwards, so instances can be shared freely across concurrent turns.
+
+Each fact is stored once. A value that follows from others is computed,
+never passed in: ``RagContext.rendered`` and ``RagContext.retrieval_score``
+are derived from its entries. The image belongs to the conversation
+(``Conversation.image_ref``), not to each of its turns.
 """
 
 from __future__ import annotations
@@ -59,7 +64,7 @@ class Source(str, Enum):
 
 @dataclass(frozen=True)
 class QueryTurn:
-    """One user question inside a conversation.
+    """One user question inside a conversation, about the conversation's image.
 
     ``ground_truth`` exists for evaluation only; the pipeline never reads it.
     """
@@ -67,7 +72,6 @@ class QueryTurn:
     conversation_id: str
     turn_index: int
     query: str
-    image_ref: Optional[str] = None
     ground_truth: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -76,7 +80,6 @@ class QueryTurn:
         _require(self.turn_index >= 0, "turn_index must be >= 0")
         _require(isinstance(self.query, str) and bool(self.query.strip()),
                  "query must be a string, non-empty after trim")
-        _require(isinstance(self.image_ref, (str, type(None))), "image_ref must be a string or null")
         _require(isinstance(self.ground_truth, (str, type(None))),
                  "ground_truth must be a string or null")
 
@@ -88,8 +91,6 @@ class Conversation:
     conversation_id: str
     image_ref: Optional[str]
     turns: tuple[QueryTurn, ...]
-    domain: Optional[str] = None
-    query_type: Optional[str] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "turns", tuple(self.turns))
@@ -110,24 +111,16 @@ class Conversation:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "Conversation":
         conversation_id = data["conversation_id"]
-        image_ref = data.get("image_ref")
         turns = tuple(
             QueryTurn(
                 conversation_id=conversation_id,
                 turn_index=index,
                 query=turn["query"],
-                image_ref=image_ref,
                 ground_truth=turn.get("ground_truth"),
             )
             for index, turn in enumerate(data["turns"])
         )
-        return cls(
-            conversation_id=conversation_id,
-            image_ref=image_ref,
-            turns=turns,
-            domain=data.get("domain"),
-            query_type=data.get("query_type"),
-        )
+        return cls(conversation_id=conversation_id, image_ref=data.get("image_ref"), turns=turns)
 
 
 @dataclass(frozen=True)
@@ -238,14 +231,14 @@ def parse_context_tags(rendered: str) -> list[tuple[int, str]]:
 class RagContext:
     """The filtered, tagged evidence block handed to generation.
 
-    ``rendered`` is derived from ``entries``, one ``[Info m] text`` line per
-    entry in order, so ``parse_context_tags`` reads the entries back from it.
+    ``rendered`` (one ``[Info m] text`` line per entry in order, which
+    ``parse_context_tags`` reads back) and ``retrieval_score`` (the highest
+    entry score, 0.0 when empty) are derived from ``entries``.
     """
 
     entries: tuple[ScoredChunk, ...]
     rendered: str = field(init=False)
     threshold_used: float
-    retrieval_score: float
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "entries", tuple(self.entries))
@@ -265,6 +258,10 @@ class RagContext:
     @property
     def empty(self) -> bool:
         return not self.entries
+
+    @property
+    def retrieval_score(self) -> float:
+        return max((entry.score for entry in self.entries), default=0.0)
 
     def to_dict(self) -> dict[str, Any]:
         return {

@@ -151,15 +151,14 @@ def judge_response(
     final_answer: str,
     ground_truth: str,
     judge_backend: JudgeBackend,
-    token_limit: int = DEFAULT_TOKEN_LIMIT,
     abstain_text: str = PipelineConfig.abstain_text,
 ) -> Label:
-    """Label one response; an answer equal to ``abstain_text``, both trimmed,
-    is Missing without any judge call. ``abstain_text`` defaults to the
-    config's default, for callers that score a default-config run."""
+    """Label one response by its first ``DEFAULT_TOKEN_LIMIT`` tokens; one equal
+    to ``abstain_text``, both trimmed, is Missing without any judge call.
+    ``abstain_text`` defaults to the config's, for a default-config run."""
     if final_answer.strip() == abstain_text.strip():
         return Label.MISSING
-    return judge_backend.judge(truncate_tokens(final_answer, token_limit), ground_truth)
+    return judge_backend.judge(truncate_tokens(final_answer, DEFAULT_TOKEN_LIMIT), ground_truth)
 
 
 def aggregate(labels: Sequence[Label]) -> MetricsReport:

@@ -3,7 +3,8 @@
 The guards run in strict order and exactly one fires. The direct answer is
 never returned; the only outputs are the grounded answer and the abstention
 string. The last two abstention arms behave identically but stay distinct
-in the branch enum so traces show which guard fired.
+in the branch enum so traces show which guard fired. Whether a decision
+abstained is derived from its branch, never stored beside it.
 
 ``settled`` asks ``finalize`` whether its decision is already fixed before
 every input exists, so the pipeline can skip the stages that would only
@@ -38,11 +39,10 @@ _ACCEPT_BRANCHES = frozenset(
 class FinalDecision:
     answer: str
     branch: Branch
-    abstained: bool
 
-    def __post_init__(self) -> None:
-        if self.abstained == (self.branch in _ACCEPT_BRANCHES):
-            raise ValueError("abstained flag contradicts the branch that fired")
+    @property
+    def abstained(self) -> bool:
+        return self.branch not in _ACCEPT_BRANCHES
 
     def to_dict(self) -> dict:
         return {
@@ -64,10 +64,10 @@ def finalize(
     """Apply the acceptance rules in order; total over s_ret, s_cov in [0, 1]."""
 
     def abstain(branch: Branch) -> FinalDecision:
-        return FinalDecision(answer=cfg.abstain_text, branch=branch, abstained=True)
+        return FinalDecision(answer=cfg.abstain_text, branch=branch)
 
     def accept(branch: Branch) -> FinalDecision:
-        return FinalDecision(answer=rag_answer, branch=branch, abstained=False)
+        return FinalDecision(answer=rag_answer, branch=branch)
 
     if is_real_time and s_ret < cfg.min_retrieval_score:
         return abstain(Branch.REAL_TIME_LOW_RETRIEVAL)

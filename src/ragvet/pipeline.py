@@ -9,6 +9,9 @@ times out thus still leaves search and rerank their share. No failure
 escapes a turn: everything degrades to an abstention with a flag explaining
 why. ``_stage`` alone opens, times and flags a stage (``_FAILURE_FLAGS``).
 
+A turn is asked about its conversation's image, ``ConversationState.image_ref``;
+the retrieval score ``finalize`` weighs is derived from the context's entries.
+
 A turn is a small dependency graph, not a straight line:
 
 - The direct answer needs nothing but the query and the history, so it runs
@@ -71,7 +74,6 @@ from .retrieval import (
     looks_up_images,
     recall,
     rerank,
-    retrieval_score,
     summarize_image,
 )
 from .router import FALLBACK_DECISION, route
@@ -157,7 +159,8 @@ class TurnOutcome:
 
 @dataclass
 class ConversationState:
-    """Sequential multi-turn memory: the (query, final answer) history."""
+    """Sequential multi-turn memory: the conversation's image and the (query,
+    final answer) history."""
 
     conversation_id: str
     image_ref: Optional[str]
@@ -197,7 +200,8 @@ def _stage(trace: Trace, name: str, fallback: Any, call: Callable[..., Any], *ar
 
 
 def _run_retrieval(
-    turn: QueryTurn,
+    query: str,
+    image_ref: Optional[str],
     cfg: PipelineConfig,
     backends: Backends,
     budget: _TurnBudget,
@@ -207,15 +211,15 @@ def _run_retrieval(
     """``get_summary`` returns the image summary: it makes the call, or waits
     for one already started."""
     deadline = budget.stage_deadline("retrieval")
-    summary = _stage(trace, "summarize", "", get_summary) if turn.image_ref else ""
-    expanded = expand_query(turn.query, summary)
-    items = _stage(trace, "recall", [], recall, expanded, turn.image_ref, backends.search,
+    summary = _stage(trace, "summarize", "", get_summary) if image_ref else ""
+    expanded = expand_query(query, summary)
+    items = _stage(trace, "recall", [], recall, expanded, image_ref, backends.search,
                    cfg.recall_k, cfg.mode, deadline)
     scored = _stage(trace, "rerank", [], rerank, expanded, chunk_items(items),
                     backends.reranker, deadline)
     threshold = dynamic_threshold([c.score for c in scored], cfg.score_floor, cfg.mad_scale)
     kept = filter_chunks(scored, threshold, cfg.rerank_k)
-    return build_context(kept, threshold, retrieval_score(kept))
+    return build_context(kept, threshold)
 
 
 def run_turn(
@@ -228,6 +232,7 @@ def run_turn(
 ) -> TurnOutcome:
     """Route, retrieve, generate, check, verify, and finalize one turn.
 
+    The turn is asked about ``state.image_ref``, its conversation's image.
     ``variant`` names the entry of ``VARIANTS`` whose components run.
     """
     if variant not in VARIANTS:
@@ -236,16 +241,15 @@ def run_turn(
     budget = _TurnBudget(cfg.turn_budget_ms)
     trace = Trace()
     history = tuple(state.history)
+    image_ref = state.image_ref
 
     routing: Optional[RoutingDecision] = None
-    context = build_context([], cfg.score_floor, 0.0)
+    context = build_context([], cfg.score_floor)
     answers: Optional[AnswerPair] = None
     verification: Optional[VerificationResult] = None
 
     def degraded() -> FinalDecision:
-        return FinalDecision(
-            answer=cfg.abstain_text, branch=Branch.DEFAULT_ABSTAIN, abstained=True
-        )
+        return FinalDecision(answer=cfg.abstain_text, branch=Branch.DEFAULT_ABSTAIN)
 
     def out_of_budget() -> bool:
         if budget.turn_deadline.remaining_ms() < cfg.abstain_margin_ms:
@@ -255,18 +259,18 @@ def run_turn(
 
     def start_direct(pool: ThreadPoolExecutor) -> Future[str]:
         return pool.submit(
-            generate_direct, turn.query, turn.image_ref, backends.vlm,
+            generate_direct, turn.query, image_ref, backends.vlm,
             budget.stage_deadline("generate"), history, templates["generation"],
         )
 
     def summarize() -> str:
-        return summarize_image(turn.query, turn.image_ref, backends.vlm,
+        return summarize_image(turn.query, image_ref, backends.vlm,
                                budget.stage_deadline("summarize"), templates["summarize"])
 
     def decide(pool: ThreadPoolExecutor) -> FinalDecision:
         nonlocal routing, context, answers, verification
         get_summary = summarize
-        if "retrieval" in runs and looks_up_images(cfg.mode) and turn.image_ref:
+        if "retrieval" in runs and looks_up_images(cfg.mode) and image_ref:
             # task1 retrieves whatever the router says, so the summary, its
             # first step, need not wait for routing.
             get_summary = pool.submit(summarize).result
@@ -284,7 +288,8 @@ def run_turn(
             if not looks_up_images(cfg.mode) and not routing.needs_external:
                 trace.flag("retrieval_skipped")
             else:
-                context = _run_retrieval(turn, cfg, backends, budget, trace, get_summary)
+                context = _run_retrieval(turn.query, image_ref, cfg, backends, budget,
+                                         trace, get_summary)
 
         if out_of_budget():
             return degraded()
@@ -300,7 +305,7 @@ def run_turn(
             rag_answer = None
             if "rag" in runs:
                 rag_answer = generate_rag(
-                    turn.query, turn.image_ref, context, backends.vlm,
+                    turn.query, image_ref, context, backends.vlm,
                     budget.stage_deadline("generate"), history, templates["generation"],
                 )
             return rag_answer, direct.result() if direct is not None else None
@@ -316,7 +321,7 @@ def run_turn(
             answers = AnswerPair(rag_answer=rag_answer, direct_answer=direct_answer)
             if "consistency" in runs:
                 answers = _stage(trace, "consistency", answers.with_consistency(False),
-                                 check_consistency, turn.query, turn.image_ref, context,
+                                 check_consistency, turn.query, image_ref, context,
                                  answers, backends.vlm, budget.stage_deadline("consistency"),
                                  trace, templates["consistency"])
                 if out_of_budget():
@@ -335,7 +340,7 @@ def run_turn(
         s_cov = 1.0
         if "verify" in runs:
             verification = _stage(trace, "verify", VerificationResult(confidence=0.0), verify,
-                                  turn.query, turn.image_ref, context, answer, backends.vlm,
+                                  turn.query, image_ref, context, answer, backends.vlm,
                                   budget.stage_deadline("verify"), trace, templates["cov"])
             s_cov = verification.confidence
 

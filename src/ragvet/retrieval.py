@@ -4,6 +4,7 @@ reranking, the MAD-based dynamic score cutoff, and context construction."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from statistics import median
 from typing import Optional, Sequence
 
 from .backends import ModelBackend, RerankerBackend, Role, SearchBackend, ask
@@ -19,12 +20,10 @@ __all__ = [
     "recall",
     "chunk_items",
     "rerank",
-    "median",
     "mad",
     "dynamic_threshold",
     "filter_chunks",
     "build_context",
-    "retrieval_score",
 ]
 
 # The dynamic cutoff always works on the largest scores, at most this many.
@@ -125,21 +124,9 @@ def rerank(
     ]
 
 
-def median(values: Sequence[float]) -> float:
-    """Standard median; even counts average the two middle order statistics."""
-    if not values:
-        raise ValueError("median of empty sequence")
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2 == 1:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2.0
-
-
 def mad(values: Sequence[float]) -> float:
-    """Median absolute deviation, unscaled (no consistency constant)."""
-    if not values:
-        raise ValueError("mad of empty sequence")
+    """Median absolute deviation, unscaled (no consistency constant); an
+    empty sequence raises ``statistics.StatisticsError``, a ValueError."""
     center = median(values)
     return median([abs(v - center) for v in values])
 
@@ -170,13 +157,6 @@ def filter_chunks(
     return kept[:k_rerank]
 
 
-def build_context(
-    kept: Sequence[ScoredChunk], threshold: float, s_ret: float
-) -> RagContext:
-    """The context of the kept chunks, which renders them as tagged lines."""
-    return RagContext(entries=tuple(kept), threshold_used=threshold, retrieval_score=s_ret)
-
-
-def retrieval_score(scored: Sequence[ScoredChunk]) -> float:
-    """Maximum reranker score over the given chunks; 0.0 when empty."""
-    return max((chunk.score for chunk in scored), default=0.0)
+def build_context(kept: Sequence[ScoredChunk], threshold: float) -> RagContext:
+    """The context of the kept chunks; it renders and scores them itself."""
+    return RagContext(entries=tuple(kept), threshold_used=threshold)

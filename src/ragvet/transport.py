@@ -204,8 +204,9 @@ class JsonEndpoint:
     leaves it open. A socket that failed, or whose reply closes it (HTTP/1.0,
     ``Connection: close``, a body framed by the end of the connection), is
     closed instead. Idle sockets are closed by ``close`` or when the endpoint
-    is collected. A malformed URL or bearer token raises ValueError here,
-    before any call.
+    is collected. The host is resolved once, here: no timeout bounds name
+    resolution, so no call waits on it. A malformed URL or bearer token, or a
+    host that does not resolve, raises ValueError here, before any call.
     """
 
     def __init__(self, url: str, bearer_token: Optional[str]) -> None:
@@ -219,7 +220,12 @@ class JsonEndpoint:
         https = parts.scheme == "https"
         self.url = url
         self._tls = _tls_context() if https else None
-        self._address = (parts.hostname, parts.port or (443 if https else 80))
+        self._hostname = parts.hostname
+        port = parts.port or (443 if https else 80)
+        try:
+            self._addresses = socket.getaddrinfo(parts.hostname, port, type=socket.SOCK_STREAM)
+        except OSError as exc:
+            raise ValueError(f"cannot resolve host {parts.hostname!r}: {exc}") from exc
         host = f"[{parts.hostname}]" if ":" in parts.hostname else parts.hostname
         if parts.port is not None:
             host += f":{parts.port}"
@@ -241,16 +247,27 @@ class JsonEndpoint:
         _close_all(idle)
 
     def _connect(self, deadline: Deadline) -> socket.socket:
-        sock = socket.create_connection(self._address, timeout=_time_left(deadline))
-        try:
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            if self._tls is not None:
+        """A socket to the first resolved address that connects by ``deadline``. A
+        timeout ends the search at once; else the last address's error is raised."""
+        error: Optional[OSError] = None
+        for family, kind, proto, _, address in self._addresses:
+            sock = None
+            try:
+                sock = socket.socket(family, kind, proto)
                 sock.settimeout(_time_left(deadline))
-                sock = self._tls.wrap_socket(sock, server_hostname=self._address[0])
-        except OSError:
-            sock.close()
-            raise
-        return sock
+                sock.connect(address)
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                if self._tls is not None:
+                    sock.settimeout(_time_left(deadline))
+                    sock = self._tls.wrap_socket(sock, server_hostname=self._hostname)
+                return sock
+            except OSError as exc:
+                if sock is not None:
+                    sock.close()
+                if isinstance(exc, TimeoutError):
+                    raise
+                error = exc
+        raise error
 
     @staticmethod
     def _exchange(sock: socket.socket, request: bytes,

@@ -528,6 +528,35 @@ class TestKeepAliveTransport:
                 backend.complete(_request(), Deadline(math.inf))
         assert len(keep_alive_server.opened) == 1
 
+    def test_name_resolution_never_holds_a_call_past_its_deadline(self, remote_model,
+                                                                  monkeypatch):
+        """The host is resolved when the backend is built, so a resolver that
+        stalls afterwards cannot delay a call, which no timeout would bound."""
+        backend = remote_model("/drip")
+        released = threading.Event()
+        resolve = socket.getaddrinfo
+
+        def stalled(*args, **kwargs):
+            released.wait(2.0)
+            return resolve(*args, **kwargs)
+
+        monkeypatch.setattr(socket, "getaddrinfo", stalled)
+        started = time.monotonic()
+        try:
+            with pytest.raises(BackendTimeout):
+                backend.complete(_request(), Deadline.after_ms(200))
+        finally:
+            released.set()
+        assert time.monotonic() - started <= 0.2 + 0.2
+
+    def test_unresolvable_host_rejected_before_any_call(self, monkeypatch):
+        def unknown(host, *args, **kwargs):
+            raise socket.gaierror(socket.EAI_NONAME, "Name or service not known")
+
+        monkeypatch.setattr(socket, "getaddrinfo", unknown)
+        with pytest.raises(ValueError, match="no-such-host.test"):
+            RemoteModelBackend("http://no-such-host.test/complete")
+
     @pytest.mark.parametrize("token", ["tok\u2713", "a\r\nX-Evil: 1", "two words"])
     def test_bearer_token_outside_visible_ascii_rejected_unechoed(self, token):
         with pytest.raises(ValueError) as caught:

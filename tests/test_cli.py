@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import socket
 import subprocess
 import sys
 from http.server import BaseHTTPRequestHandler
@@ -259,6 +260,26 @@ class TestRunCommand:
                      "--config", str(config), "--out", str(out)])
         assert code == 1
         assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unresolvable_endpoint_host_fails_before_any_turn(self, tmp_path, capsys,
+                                                             monkeypatch):
+        resolve = socket.getaddrinfo
+
+        def resolver(host, *args, **kwargs):
+            if host == "no-such-host.test":
+                raise socket.gaierror(socket.EAI_NONAME, "Name or service not known")
+            return resolve(host, *args, **kwargs)
+
+        monkeypatch.setattr(socket, "getaddrinfo", resolver)
+        config = write_config(tmp_path, **{**remote_endpoints(),
+                                           "vlm_endpoint": "http://no-such-host.test/v"})
+        out = tmp_path / "t.jsonl"
+        code = main(["run", "--dataset", str(FIXTURES / "e2e_dataset.jsonl"),
+                     "--config", str(config), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "vlm_endpoint" in err and "no-such-host.test" in err
         assert not out.exists()
 
     def test_remote_run_with_workers_matches_the_mock_run(self, tmp_path):

@@ -77,15 +77,27 @@ class TestConstructionRejection:
             Conversation(conversation_id="c", image_ref=None, turns=turns)
 
 
+class TestConversationFromDict:
+    def test_image_belongs_to_the_conversation_and_extra_keys_are_ignored(self):
+        conversation = Conversation.from_dict({
+            "conversation_id": "c", "image_ref": "img-1", "domain": "food",
+            "query_type": "simple", "turns": [{"query": "a"}, {"query": "b"}],
+        })
+        assert conversation.image_ref == "img-1"
+        assert [turn.query for turn in conversation.turns] == ["a", "b"]
+        assert not hasattr(conversation, "domain")
+        assert not hasattr(conversation.turns[0], "image_ref")
+
+
 class TestRagContext:
     def test_entries_capped_at_three(self):
         chunks = [chunk(f"t{i}", 0.9) for i in range(4)]
         with pytest.raises(ValueError):
-            RagContext(entries=tuple(chunks), threshold_used=0.1, retrieval_score=0.9)
+            RagContext(entries=tuple(chunks), threshold_used=0.1)
 
     def test_entry_below_threshold_rejected(self):
         with pytest.raises(ValueError):
-            RagContext(entries=(chunk("t", 0.3),), threshold_used=0.5, retrieval_score=0.3)
+            RagContext(entries=(chunk("t", 0.3),), threshold_used=0.5)
 
     def test_tags_parse_back(self):
         parsed = parse_context_tags("[Info 1] a\n[Info 2] b")

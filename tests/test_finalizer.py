@@ -98,11 +98,12 @@ def test_abstention_string_is_configurable():
     assert decision.answer == "No comment."
 
 
-def test_decision_type_rejects_contradictory_flag():
-    with pytest.raises(ValueError):
-        FinalDecision(answer="x", branch=Branch.CONSISTENT_WITH_CONTEXT, abstained=True)
-    with pytest.raises(ValueError):
-        FinalDecision(answer="I don't know", branch=Branch.DEFAULT_ABSTAIN, abstained=False)
+@pytest.mark.parametrize("branch", list(Branch))
+def test_abstained_is_derived_from_the_branch(branch):
+    decision = FinalDecision(answer="x", branch=branch)
+    accepts = branch in (Branch.CONSISTENT_WITH_CONTEXT, Branch.CONSISTENT_NO_CONTEXT)
+    assert decision.abstained is not accepts
+    assert decision.to_dict() == {"answer": "x", "branch": branch.value, "abstained": not accepts}
 
 
 unit = st.floats(min_value=0.0, max_value=1.0)

@@ -27,7 +27,7 @@ NO_DEADLINE = Deadline(math.inf)
 
 def _context(*texts_scores):
     kept = [chunk(text, score) for text, score in texts_scores]
-    return build_context(kept, 0.1, max((s for _, s in texts_scores), default=0.0))
+    return build_context(kept, 0.1)
 
 
 def _model(role, response):

@@ -29,7 +29,7 @@ from ragvet.pipeline import VARIANTS, ConversationState, run_conversation, run_t
 from ragvet.router import FALLBACK_DECISION
 from ragvet.templates import load_all
 
-from conftest import VirtualClock, scripted_model
+from conftest import CountingModel, VirtualClock, scripted_model
 
 ROUTE_PLAIN = "1. Needs External Info: yes\n2. Is Real-Time: no"
 ROUTE_NONE = "1. Needs External Info: no\n2. Is Real-Time: no"
@@ -118,8 +118,8 @@ class _WaitBeforeReply:
         return self.inner.complete(request, deadline)
 
 
-def one_turn(query, image_ref="img-1"):
-    return QueryTurn(conversation_id="c1", turn_index=0, query=query, image_ref=image_ref)
+def one_turn(query):
+    return QueryTurn(conversation_id="c1", turn_index=0, query=query)
 
 
 def fresh_state(image_ref="img-1"):
@@ -139,6 +139,18 @@ class TestHappyPath:
         assert list(outcome.stages) == [
             "route", "summarize", "recall", "rerank", "generate", "consistency", "verify",
         ]
+
+    def test_every_model_call_sees_the_conversations_image(self):
+        query = "what brand is this shoe"
+        model = CountingModel(scripted_model(*turn_script(query)))
+        backends = Backends(router_model=model, vlm=model, reranker=MockRerankerBackend(),
+                            search=MockSearchBackend(image_fixture("img-7", query)))
+        outcome = run_turn(fresh_state("img-7"), one_turn(query), PipelineConfig(), backends,
+                           TEMPLATES)
+        assert outcome.final.branch is Branch.CONSISTENT_WITH_CONTEXT  # img-7's KG record
+        images = {request.role: request.image_ref for request in model.requests}
+        assert images == {Role.ROUTER: None, Role.SUMMARIZER: "img-7", Role.GENERATOR: "img-7",
+                          Role.CONSISTENCY_JUDGE: "img-7", Role.VERIFIER: "img-7"}
 
     def test_timings_bounded_by_wall_clock(self):
         query = "what brand is this shoe"
@@ -537,10 +549,20 @@ DRAWS = {
     "consistency": ("ok", "stall", "error", "empty", "garbage"),
     "verify": ("ok", "stall", "error", "empty", "garbage"),
 }
+# In task1 the summary runs on the per-turn worker while the calling thread
+# routes, so it draws only faults that do not wait; the image lookup that
+# recalls there takes no deadline to stall past.
+TASK1_DRAWS = {**DRAWS, "summarize": ("ok", "error", "empty"), "recall": ("ok", "error", "empty")}
 PARSE_FLAGS = {"route": "router_parse_failure", "consistency": "consistency_parse_failure",
                "verify": "cov_parse_failure"}
 # The stage of each call: a model call's by its role, any other call's by its method.
 CALL_STAGES = {role or method: stage for stage, (_, method, role) in STAGE_CALLS.items()}
+CALL_STAGES["image_search"] = "recall"
+
+
+def drawn_faults(mode):
+    kinds = TASK1_DRAWS if mode == "task1" else DRAWS
+    return st.fixed_dictionaries({stage: st.sampled_from(k) for stage, k in kinds.items()})
 
 
 def drawn_flag(stage, draw):
@@ -570,9 +592,9 @@ def drawn_script(routing, draws):
 
 
 class _Drawn:
-    """Forwards every call to ``inner``, failing each calling-thread call as
-    ``draws`` says for its stage, and keeps the stage of each such call. The
-    direct answer, the one call on the per-turn worker, always passes, so
+    """Forwards every call to ``inner``, failing each call as ``draws`` says
+    for its stage, and keeps the stage of each such call. The direct answer
+    always passes, and a task1 summary never stalls (``TASK1_DRAWS``), so
     only the calling thread waits on the virtual clock."""
 
     def __init__(self, inner, draws):
@@ -601,28 +623,46 @@ class _Drawn:
         return call
 
 
+def check_drawn_turn(mode, variant, routing, draws):
+    """Run a drawn ``SEAM_QUERY`` turn: it returns the scripted answer or the
+    abstention, every failure drawn for a call it made leaves a flag, and it
+    ends within its budget."""
+    # A fresh virtual clock per example: each turn starts at 0, so every
+    # stage cutoff of the 10 s budget is exact.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(runtime, "clock", VirtualClock())
+        model = _Drawn(scripted_model(*drawn_script(routing, draws)), draws)
+        search = _Drawn(MockSearchBackend(SearchFixture(
+            image_index=image_fixture("img-1", SEAM_QUERY, SEAM_SUMMARY).image_index,
+            web_index=((SEAM_PAGE, 0.9),))), draws)
+        reranker = _Drawn(MockRerankerBackend(), draws)
+        backends = Backends(router_model=model, vlm=model, reranker=reranker, search=search)
+        cfg = PipelineConfig(mode=mode)
+        outcome = run_turn(fresh_state(), one_turn(SEAM_QUERY), cfg, backends, TEMPLATES,
+                           variant)
+    scripted = "rag answer" if "rag" in VARIANTS[variant] else "direct answer"
+    assert outcome.final.answer in (scripted, cfg.abstain_text)
+    made = model.made + search.made + reranker.made
+    expected = {drawn_flag(stage, draws[stage]) for stage in made} - {None}
+    assert expected <= outcome.flags
+    assert outcome.wall_clock_ms <= cfg.turn_budget_ms
+
+
+ROUTINGS = st.sampled_from([ROUTE_PLAIN, ROUTE_NONE, ROUTE_REAL_TIME])
+
+
 class TestDrawnFaults:
     @settings(max_examples=200, deadline=None)
-    @given(routing=st.sampled_from([ROUTE_PLAIN, ROUTE_NONE, ROUTE_REAL_TIME]),
-           draws=st.fixed_dictionaries({stage: st.sampled_from(kinds)
-                                        for stage, kinds in DRAWS.items()}))
+    @given(routing=ROUTINGS, draws=drawn_faults("task2plus"))
     def test_any_drawn_fault_degrades_with_a_flag_within_budget(self, routing, draws):
-        # A fresh virtual clock per example: each turn starts at 0, so every
-        # stage cutoff of the 10 s budget is exact.
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(runtime, "clock", VirtualClock())
-            model = _Drawn(scripted_model(*drawn_script(routing, draws)), draws)
-            search = _Drawn(MockSearchBackend(SearchFixture(
-                image_index={}, web_index=((SEAM_PAGE, 0.9),))), draws)
-            reranker = _Drawn(MockRerankerBackend(), draws)
-            backends = Backends(router_model=model, vlm=model, reranker=reranker, search=search)
-            cfg = PipelineConfig(mode="task2plus")
-            outcome = run_turn(fresh_state(), one_turn(SEAM_QUERY), cfg, backends, TEMPLATES)
-        assert outcome.final.answer in ("rag answer", cfg.abstain_text)
-        made = model.made + search.made + reranker.made
-        expected = {drawn_flag(stage, draws[stage]) for stage in made} - {None}
-        assert expected <= outcome.flags
-        assert outcome.wall_clock_ms <= cfg.turn_budget_ms
+        check_drawn_turn("task2plus", "full", routing, draws)
+
+    @settings(max_examples=300, deadline=None)
+    @given(mode=st.sampled_from(["task1", "task2plus"]),
+           variant=st.sampled_from(sorted(VARIANTS)), routing=ROUTINGS, data=st.data())
+    def test_each_mode_and_variant_degrades_with_a_flag_within_budget(self, mode, variant,
+                                                                      routing, data):
+        check_drawn_turn(mode, variant, routing, data.draw(drawn_faults(mode)))
 
 
 class _RequestLog:
@@ -860,7 +900,7 @@ class TestWhitespaceAnswer:
 class TestConversations:
     def _conversation(self, queries):
         turns = tuple(
-            QueryTurn(conversation_id="conv", turn_index=i, query=q, image_ref=None)
+            QueryTurn(conversation_id="conv", turn_index=i, query=q)
             for i, q in enumerate(queries)
         )
         return Conversation(conversation_id="conv", image_ref=None, turns=turns)
@@ -932,8 +972,7 @@ class TestConversations:
             return make_backends(turn_script(query), image_fixture("img-1", query))
         conversation = Conversation(
             conversation_id="conv", image_ref="img-1",
-            turns=(QueryTurn(conversation_id="conv", turn_index=0, query=query,
-                             image_ref="img-1"),),
+            turns=(QueryTurn(conversation_id="conv", turn_index=0, query=query),),
         )
         first = run_conversation(conversation, PipelineConfig(), build(), TEMPLATES)
         second = run_conversation(conversation, PipelineConfig(), build(), TEMPLATES)
@@ -957,7 +996,7 @@ class TestConversations:
 
         def record(i):
             image_ref = f"img-{i}"
-            outcome = run_turn(fresh_state(image_ref), one_turn(queries[i], image_ref),
+            outcome = run_turn(fresh_state(image_ref), one_turn(queries[i]),
                                PipelineConfig(), backends, TEMPLATES)
             return outcome.to_record()
 

@@ -23,9 +23,7 @@ from ragvet.retrieval import (
     expand_query,
     filter_chunks,
     mad,
-    median,
     recall,
-    retrieval_score,
     rerank,
     summarize_image,
 )
@@ -109,15 +107,9 @@ class TestChunkItems:
 
 
 class TestMedianMad:
-    def test_odd_median(self):
-        assert median([1, 2, 3]) == 2
-
-    def test_even_median_averages_middle_pair(self):
-        assert median([1, 2, 3, 4]) == 2.5
-
-    def test_median_of_empty_rejected(self):
+    def test_mad_of_empty_rejected(self):
         with pytest.raises(ValueError):
-            median([])
+            mad([])
 
     def test_constant_values_have_zero_mad(self):
         assert mad([1, 1, 1]) == 0
@@ -125,12 +117,6 @@ class TestMedianMad:
     def test_hand_computed_mad(self):
         # median 3, deviations {2, 1, 1, 4}, median of those 1.5
         assert mad([1, 2, 4, 7]) == 1.5
-
-    def test_median_against_sort_oracle_1000_lists(self):
-        rng = random.Random(2024)
-        for _ in range(1000):
-            values = [rng.random() for _ in range(rng.randint(1, 30))]
-            assert median(values) == statistics.median(values)
 
     @given(st.lists(st.floats(min_value=0, max_value=1), min_size=1, max_size=20),
            st.floats(min_value=0.01, max_value=5))
@@ -249,27 +235,30 @@ class TestFilterChunks:
 class TestBuildContext:
     def test_two_entries_tagged_in_order(self):
         kept = [chunk("A", 0.9), chunk("B", 0.8)]
-        context = build_context(kept, 0.5, 0.9)
+        context = build_context(kept, 0.5)
         assert context.rendered == "[Info 1] A\n[Info 2] B"
 
     def test_empty_renders_empty(self):
-        context = build_context([], 0.5, 0.0)
+        context = build_context([], 0.5)
         assert context.rendered == ""
         assert context.empty
 
     def test_single_entry(self):
-        assert build_context([chunk("X", 0.9)], 0.5, 0.9).rendered == "[Info 1] X"
+        assert build_context([chunk("X", 0.9)], 0.5).rendered == "[Info 1] X"
 
 
 class TestRetrievalScore:
+    """The context's retrieval score is its highest entry score."""
+
     def test_empty_is_zero(self):
-        assert retrieval_score([]) == 0.0
+        assert build_context([], 0.1).retrieval_score == 0.0
 
     def test_maximum_wins(self):
-        assert retrieval_score([chunk("a", 0.2), chunk("b", 0.8), chunk("c", 0.5)]) == 0.8
+        kept = [chunk("a", 0.2), chunk("b", 0.8), chunk("c", 0.5)]
+        assert build_context(kept, 0.1).retrieval_score == 0.8
 
     def test_single(self):
-        assert retrieval_score([chunk("a", 0.3)]) == 0.3
+        assert build_context([chunk("a", 0.3)], 0.1).retrieval_score == 0.3
 
 
 class CountingReranker:

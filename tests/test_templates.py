@@ -143,7 +143,7 @@ MODEL = scripted_model(
     {"role": "verifier", "match": "", "response": "Perfect"},
     {"role": "judge", "match": "", "response": "Perfect"},
 )
-CONTEXT = RagContext(entries=(), threshold_used=0.0, retrieval_score=0.0)
+CONTEXT = RagContext(entries=(), threshold_used=0.0)
 NO_DEADLINE = Deadline(math.inf)
 CALLERS = {
     "routing": lambda template: route("q?", MODEL, NO_DEADLINE, Trace(), template),

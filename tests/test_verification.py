@@ -19,7 +19,7 @@ COV_REPLY = "CONFIDENCE: 1.0\nREASONING: supported by [Info 1]."
 
 def _context(*texts_scores):
     kept = [chunk(text, score) for text, score in texts_scores]
-    return build_context(kept, 0.1, max((s for _, s in texts_scores), default=0.0))
+    return build_context(kept, 0.1)
 
 
 def cov_request(context, query, answer):
