@@ -18,7 +18,6 @@ from .core import (
     RoutingDecision,
     ScoredChunk,
     VerificationResult,
-    validate_config,
 )
 from .finalizer import Branch, FinalDecision, finalize
 from .pipeline import ConversationState, TurnOutcome, run_conversation, run_turn
@@ -34,7 +33,6 @@ __all__ = [
     "RoutingDecision",
     "ScoredChunk",
     "VerificationResult",
-    "validate_config",
     "Branch",
     "FinalDecision",
     "finalize",

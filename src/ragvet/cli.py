@@ -31,7 +31,7 @@ from .backends import (
     ReplayModelBackend,
     load_fixture,
 )
-from .core import Conversation, InvalidConfigError, PipelineConfig, validate_config
+from .core import MODES, Conversation, InvalidConfigError, PipelineConfig
 from .evaluation import (
     ABLATION_MODES,
     EvalError,
@@ -158,24 +158,22 @@ def _utc_now() -> str:
 
 
 def load_config(path: Optional[str], mode: Optional[str] = None) -> PipelineConfig:
-    """The config file at ``path`` (the defaults when None), validated after
-    the environment's overrides and then ``mode``, if given, are applied."""
-    if path is None:
-        cfg = PipelineConfig()
-    else:
+    """The one config built from the file at ``path`` (the defaults when
+    None) with the environment's overrides, then ``mode`` if given, merged
+    over it."""
+    data: Any = {}
+    if path is not None:
         try:
             data = json.loads(Path(path).read_text(encoding="utf-8"))
         except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
             raise InvalidConfigError(f"cannot load config {path}: {exc}") from exc
-        cfg = PipelineConfig.from_dict(data)
     overrides = {
         field: os.environ[env] for env, field in _ENV_OVERRIDES.items() if env in os.environ
     }
     if mode:
         overrides["mode"] = mode
-    if overrides:
-        cfg = PipelineConfig.from_dict({**cfg.to_dict(), **overrides})
-    return validate_config(cfg)
+    # Anything but an object is left for from_dict to reject as it is.
+    return PipelineConfig.from_dict({**data, **overrides} if isinstance(data, dict) else data)
 
 
 def _remote(cfg: PipelineConfig, key: str, backend_class: type, **kwargs: Any) -> Any:
@@ -368,7 +366,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--dataset", required=True)
     run_parser.add_argument("--config", default=None)
     run_parser.add_argument("--out", required=True, help="trace file to write")
-    run_parser.add_argument("--mode", choices=["task1", "task2plus"], default=None)
+    run_parser.add_argument("--mode", choices=MODES, default=None)
     run_parser.add_argument("--mock", action="store_true", help="force fixture backends")
     run_parser.add_argument("--workers", type=int, default=1)
     run_parser.set_defaults(func=_cmd_run)
@@ -388,9 +386,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ablate_parser.add_argument("--report", default=None)
     ablate_parser.add_argument("--judge", choices=["mock", "endpoint"], default="mock")
     ablate_parser.add_argument("--mock", action="store_true")
-    ablate_parser.add_argument(
-        "--mode-policy", choices=["task1", "task2plus"], default=None, dest="mode_policy"
-    )
+    ablate_parser.add_argument("--mode-policy", choices=MODES, default=None, dest="mode_policy")
     ablate_parser.set_defaults(func=_cmd_ablate)
     return parser
 

@@ -12,7 +12,7 @@ are derived from its entries. The image belongs to the conversation
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from enum import Enum
 from typing import Any, Mapping, Optional, Sequence
 
@@ -34,13 +34,17 @@ __all__ = [
     "VerificationResult",
     "PipelineConfig",
     "InvalidConfigError",
-    "validate_config",
+    "MODES",
     "parse_context_tags",
     "missing_content",
 ]
 
 # The most entries a context holds: rerank_k's upper bound and its default.
 MAX_CONTEXT_ENTRIES = 3
+
+# The pipeline's modes, the default first: task1 looks the conversation's
+# image up in the knowledge graph, task2plus may search the web.
+MODES = ("task1", "task2plus")
 
 _INFO_TAG = re.compile(r"^\[Info (\d+)\] (.*)$")
 
@@ -344,9 +348,24 @@ class InvalidConfigError(ValueError):
     """A configuration field violates its declared constraint."""
 
 
+# The values each annotation of a PipelineConfig field admits; a bool is
+# never a number.
+_ANNOTATED_TYPES = {
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a number"),
+    "str": ((str,), "a string"),
+    "Optional[str]": ((str, type(None)), "a string or null"),
+    "Mapping[str, str]": ((Mapping,), "an object"),
+}
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """All tunables of the pipeline, with their shipped defaults.
+
+    A config that exists is valid: construction, ``from_dict`` and
+    ``dataclasses.replace`` all raise InvalidConfigError naming the first
+    field of the wrong type or the first constraint that fails.
 
     Threshold semantics:
       score_floor         minimum reranker score a chunk must reach
@@ -366,7 +385,7 @@ class PipelineConfig:
     turn_budget_ms: int = 10_000
     abstain_margin_ms: int = 500
     abstain_text: str = "I don't know"
-    mode: str = "task1"
+    mode: str = MODES[0]
     prompt_paths: Mapping[str, str] = field(default_factory=dict)
     router_endpoint: Optional[str] = None
     vlm_endpoint: Optional[str] = None
@@ -378,15 +397,47 @@ class PipelineConfig:
     replay_path: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if isinstance(self.prompt_paths, Mapping):
-            object.__setattr__(self, "prompt_paths", dict(self.prompt_paths))
+        for f in fields(self):
+            types, kind = _ANNOTATED_TYPES[f.type]
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise InvalidConfigError(
+                    f"config key {f.name} must be {kind}, got {type(value).__name__}"
+                )
+        object.__setattr__(self, "prompt_paths", dict(self.prompt_paths))
+        for name, path in self.prompt_paths.items():
+            if name not in TEMPLATE_NAMES:
+                raise InvalidConfigError(
+                    f"config key prompt_paths.{name} names no template "
+                    f"(choose from {', '.join(TEMPLATE_NAMES)})"
+                )
+            if not isinstance(path, str):
+                raise InvalidConfigError(f"config key prompt_paths.{name} must be a string path")
+        checks: Sequence[tuple[bool, str]] = (
+            (self.recall_k >= 1, "recall_k >= 1"),
+            (self.rerank_k >= 0, "rerank_k >= 0"),
+            (self.rerank_k <= self.recall_k, "rerank_k <= recall_k"),
+            (self.rerank_k <= MAX_CONTEXT_ENTRIES, f"rerank_k <= {MAX_CONTEXT_ENTRIES}"),
+            (0.0 <= self.score_floor <= 1.0, "0 <= score_floor <= 1"),
+            (self.mad_scale >= 0.0, "mad_scale >= 0"),
+            (0.0 <= self.min_retrieval_score <= 1.0, "0 <= min_retrieval_score <= 1"),
+            (0.0 <= self.low_confidence, "low_confidence >= 0"),
+            (self.low_confidence <= self.high_confidence, "low_confidence <= high_confidence"),
+            (self.high_confidence <= 1.0, "high_confidence <= 1"),
+            (self.turn_budget_ms > 0, "turn_budget_ms > 0"),
+            (self.abstain_margin_ms >= 0, "abstain_margin_ms >= 0"),
+            (self.abstain_margin_ms < self.turn_budget_ms, "abstain_margin_ms < turn_budget_ms"),
+            (bool(self.abstain_text.strip()), "abstain_text must be non-empty"),
+            (self.mode in MODES, f"mode must be {' or '.join(MODES)}"),
+            (BEARER_TOKEN.fullmatch(self.bearer_token or "") is not None,
+             "bearer_token must be visible ASCII (0x21-0x7E)"),
+        )
+        for ok, name in checks:
+            if not ok:
+                raise InvalidConfigError(f"config violates: {name}")
 
     def to_dict(self) -> dict[str, Any]:
-        data = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            data[f.name] = dict(value) if f.name == "prompt_paths" else value
-        return data
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "PipelineConfig":
@@ -398,59 +449,3 @@ class PipelineConfig:
             raise InvalidConfigError(f"unknown config keys: {', '.join(unknown)}")
         return cls(**dict(data))
 
-
-# The values each annotation of a PipelineConfig field admits; a bool is
-# never a number.
-_ANNOTATED_TYPES = {
-    "int": ((int,), "an integer"),
-    "float": ((int, float), "a number"),
-    "str": ((str,), "a string"),
-    "Optional[str]": ((str, type(None)), "a string or null"),
-    "Mapping[str, str]": ((Mapping,), "an object"),
-}
-_CONFIG_TYPES = {f.name: _ANNOTATED_TYPES[f.type] for f in fields(PipelineConfig)}
-
-
-def validate_config(cfg: PipelineConfig) -> PipelineConfig:
-    """Return cfg unchanged iff every field has its declared type and every
-    field constraint holds.
-
-    Raises InvalidConfigError naming the first offending key or constraint.
-    """
-    for name, (types, kind) in _CONFIG_TYPES.items():
-        value = getattr(cfg, name)
-        if isinstance(value, bool) or not isinstance(value, types):
-            raise InvalidConfigError(
-                f"config key {name} must be {kind}, got {type(value).__name__}"
-            )
-    for name, path in cfg.prompt_paths.items():
-        if name not in TEMPLATE_NAMES:
-            raise InvalidConfigError(
-                f"config key prompt_paths.{name} names no template "
-                f"(choose from {', '.join(TEMPLATE_NAMES)})"
-            )
-        if not isinstance(path, str):
-            raise InvalidConfigError(f"config key prompt_paths.{name} must be a string path")
-    checks: Sequence[tuple[bool, str]] = (
-        (cfg.recall_k >= 1, "recall_k >= 1"),
-        (cfg.rerank_k >= 0, "rerank_k >= 0"),
-        (cfg.rerank_k <= cfg.recall_k, "rerank_k <= recall_k"),
-        (cfg.rerank_k <= MAX_CONTEXT_ENTRIES, f"rerank_k <= {MAX_CONTEXT_ENTRIES}"),
-        (0.0 <= cfg.score_floor <= 1.0, "0 <= score_floor <= 1"),
-        (cfg.mad_scale >= 0.0, "mad_scale >= 0"),
-        (0.0 <= cfg.min_retrieval_score <= 1.0, "0 <= min_retrieval_score <= 1"),
-        (0.0 <= cfg.low_confidence, "low_confidence >= 0"),
-        (cfg.low_confidence <= cfg.high_confidence, "low_confidence <= high_confidence"),
-        (cfg.high_confidence <= 1.0, "high_confidence <= 1"),
-        (cfg.turn_budget_ms > 0, "turn_budget_ms > 0"),
-        (cfg.abstain_margin_ms >= 0, "abstain_margin_ms >= 0"),
-        (cfg.abstain_margin_ms < cfg.turn_budget_ms, "abstain_margin_ms < turn_budget_ms"),
-        (bool(cfg.abstain_text.strip()), "abstain_text must be non-empty"),
-        (cfg.mode in ("task1", "task2plus"), "mode must be task1 or task2plus"),
-        (BEARER_TOKEN.fullmatch(cfg.bearer_token or "") is not None,
-         "bearer_token must be visible ASCII (0x21-0x7E)"),
-    )
-    for ok, name in checks:
-        if not ok:
-            raise InvalidConfigError(f"config violates: {name}")
-    return cfg

@@ -108,13 +108,14 @@ _FAILURE_FLAGS = {
 }
 
 # The components each pipeline variant runs: the paper's ablations, then the
-# full pipeline.
+# full pipeline. "rag" routes, retrieves and answers from the context;
+# "direct" answers without it.
 VARIANTS: dict[str, frozenset[str]] = {
     "vision_only": frozenset({"direct"}),
-    "rag_naive": frozenset({"route", "retrieval", "rag"}),
-    "no_cov_no_sc": frozenset({"route", "retrieval", "rag", "direct"}),
-    "no_cov": frozenset({"route", "retrieval", "rag", "direct", "consistency"}),
-    "full": frozenset({"route", "retrieval", "rag", "direct", "consistency", "verify"}),
+    "rag_naive": frozenset({"rag"}),
+    "no_cov_no_sc": frozenset({"rag", "direct"}),
+    "no_cov": frozenset({"rag", "direct", "consistency"}),
+    "full": frozenset({"rag", "direct", "consistency", "verify"}),
 }
 
 
@@ -270,12 +271,12 @@ def run_turn(
     def decide(pool: ThreadPoolExecutor) -> FinalDecision:
         nonlocal routing, context, answers, verification
         get_summary = summarize
-        if "retrieval" in runs and looks_up_images(cfg.mode) and image_ref:
+        if "rag" in runs and looks_up_images(cfg.mode) and image_ref:
             # task1 retrieves whatever the router says, so the summary, its
             # first step, need not wait for routing.
             get_summary = pool.submit(summarize).result
         is_real_time = False
-        if "route" in runs:
+        if "rag" in runs:
             routing = _stage(trace, "route", FALLBACK_DECISION, route, turn.query,
                              backends.router_model, budget.stage_deadline("route"), trace,
                              templates["routing"])
@@ -284,7 +285,7 @@ def run_turn(
         if "direct" in runs and not retrieval_may_settle(cfg, is_real_time):
             direct = start_direct(pool)
 
-        if "retrieval" in runs:
+        if "rag" in runs:
             if not looks_up_images(cfg.mode) and not routing.needs_external:
                 trace.flag("retrieval_skipped")
             else:

@@ -19,8 +19,12 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass
+from importlib import resources
 from pathlib import Path
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
+
+if TYPE_CHECKING:
+    from importlib.resources.abc import Traversable
 
 __all__ = [
     "PromptTemplate",
@@ -33,8 +37,6 @@ __all__ = [
 ]
 
 TEMPLATE_NAMES = ("routing", "summarize", "generation", "consistency", "cov", "judge")
-
-_PROMPTS_DIR = Path(__file__).parent / "prompts"
 
 _PLACEHOLDER = re.compile(
     r"\{([a-z_]+)(?:\s+if\s+\1\s+else\s+'([^']*)')?\}"
@@ -77,9 +79,10 @@ class PromptTemplate:
                          for match in _PLACEHOLDER.finditer(section))
 
 
-def load_template(path: str | Path) -> PromptTemplate:
-    """Parse a [system]/[user] sectioned template file."""
-    text = Path(path).read_text(encoding="utf-8")
+def load_template(path: str | Path | Traversable) -> PromptTemplate:
+    """Parse a [system]/[user] sectioned template file, at a path or, for a
+    packaged template, a package resource."""
+    text = (Path(path) if isinstance(path, str) else path).read_text(encoding="utf-8")
     sections: dict[str, str] = {}
     matches = list(_SECTION.finditer(text))
     if not matches:
@@ -98,12 +101,14 @@ def load_template(path: str | Path) -> PromptTemplate:
 def default_template(name: str) -> PromptTemplate:
     """The packaged template ``name``, parsed once per process.
 
-    The cache holds at most one entry per name in ``TEMPLATE_NAMES``: an
-    unknown name raises, and a raised call is not cached.
+    It is read as a package resource, so it loads wherever the package was
+    imported from, a zip file included. The cache holds at most one entry
+    per name in ``TEMPLATE_NAMES``: an unknown name raises, and a raised
+    call is not cached.
     """
     if name not in TEMPLATE_NAMES:
         raise TemplateError(f"unknown template name: {name}")
-    return load_template(_PROMPTS_DIR / f"{name}.txt")
+    return load_template(resources.files(__package__) / "prompts" / f"{name}.txt")
 
 
 def resolve_template(name: str, overrides: Mapping[str, str]) -> PromptTemplate:

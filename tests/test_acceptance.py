@@ -23,7 +23,7 @@ from ragvet.backends import (
     load_fixture,
 )
 from ragvet.cli import load_dataset, main
-from ragvet.core import Conversation, PipelineConfig, QueryTurn, parse_context_tags, validate_config
+from ragvet.core import Conversation, PipelineConfig, QueryTurn, parse_context_tags
 from ragvet.evaluation import Label, MockJudge, aggregate, run_ablation
 from ragvet.finalizer import finalize
 from ragvet.generation import parse_yes_no
@@ -318,7 +318,7 @@ def test_criterion_6_deadline_behavior():
             router_model=model, vlm=model, reranker=MockRerankerBackend(),
             search=MockSearchBackend(SearchFixture(image_index={}, web_index=())),
         )
-        cfg = validate_config(PipelineConfig(mode="task2plus", turn_budget_ms=10_000))
+        cfg = PipelineConfig(mode="task2plus", turn_budget_ms=10_000)
         templates = load_all(cfg.prompt_paths)
         for i in range(4):
             conversation = Conversation(
@@ -341,7 +341,7 @@ def test_criterion_6_deadline_behavior():
 
 def test_criterion_8_ablation_directions():
     with criterion(8, "ablation direction check", 30.0):
-        cfg = validate_config(PipelineConfig(mode="task2plus"))
+        cfg = PipelineConfig(mode="task2plus")
         model = ReplayModelBackend.from_file(FIXTURES / "ablation_replay.json")
         search = MockSearchBackend(load_fixture(FIXTURES / "ablation_search.json"))
         backends = Backends(
@@ -357,7 +357,7 @@ def test_criterion_8_ablation_directions():
 
         # Task 1 over the image KG: each component the paper adds raises
         # truthfulness, from the vision-only answer up to the full pipeline.
-        cfg = validate_config(PipelineConfig(mode="task1"))
+        cfg = PipelineConfig(mode="task1")
         model = ReplayModelBackend.from_file(FIXTURES / "kg_replay.json")
         backends = Backends(
             router_model=model, vlm=model, reranker=MockRerankerBackend(),

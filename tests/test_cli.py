@@ -6,6 +6,7 @@ import os
 import socket
 import subprocess
 import sys
+import zipfile
 from http.server import BaseHTTPRequestHandler
 from pathlib import Path
 
@@ -20,8 +21,8 @@ from ragvet.backends import (
     ReplayModelBackend,
     load_fixture,
 )
-from ragvet.cli import DatasetError, build_backends, load_dataset, main
-from ragvet.core import PipelineConfig, validate_config
+from ragvet.cli import DatasetError, build_backends, load_config, load_dataset, main
+from ragvet.core import InvalidConfigError, PipelineConfig
 from ragvet.evaluation import MockJudge
 from ragvet.runtime import Deadline
 
@@ -48,10 +49,10 @@ def remote_endpoints(scheme="http"):
 
 
 def remote_config(scheme="http", **overrides):
-    return validate_config(PipelineConfig.from_dict({
+    return PipelineConfig.from_dict({
         "fixture_path": str(FIXTURES / "kg_search.json"), **remote_endpoints(scheme),
         **overrides,
-    }))
+    })
 
 
 class TestLoadDataset:
@@ -105,6 +106,35 @@ class TestLoadDataset:
         ])
         assert code == 1
         assert "JSON object" in capsys.readouterr().err
+
+
+class TestLoadConfig:
+    def test_mode_overrides_an_invalid_mode_in_the_file(self, tmp_path):
+        config = write_config(tmp_path, mode="task9")
+        assert load_config(str(config), mode="task1").mode == "task1"
+
+    def test_file_then_environment_then_mode(self, tmp_path, monkeypatch):
+        config = write_config(tmp_path, router_endpoint="http://file.test/r")
+        monkeypatch.setenv("RAGVET_ROUTER_ENDPOINT", "http://env.test/r")
+        cfg = load_config(str(config), mode="task1")
+        assert (cfg.router_endpoint, cfg.mode) == ("http://env.test/r", "task1")
+        assert load_config(str(config)).mode == "task2plus"
+
+    def test_non_object_file_rejected_despite_overrides(self, tmp_path, monkeypatch):
+        config = tmp_path / "config.json"
+        config.write_text("[1, 2]", encoding="utf-8")
+        monkeypatch.setenv("RAGVET_BEARER_TOKEN", "token")
+        with pytest.raises(InvalidConfigError, match="config must be a JSON object"):
+            load_config(str(config), mode="task1")
+
+    def test_one_config_built_per_call(self, tmp_path, monkeypatch):
+        built = []
+        check = PipelineConfig.__post_init__
+        monkeypatch.setattr(PipelineConfig, "__post_init__",
+                            lambda cfg: built.append(cfg) or check(cfg))
+        monkeypatch.setenv("RAGVET_BEARER_TOKEN", "token")
+        load_config(str(write_config(tmp_path)), mode="task1")
+        assert len(built) == 1
 
 
 class TestRunCommand:
@@ -187,6 +217,25 @@ class TestRunCommand:
         )
         assert result.returncode == 0, result.stderr
         assert len(out.read_text(encoding="utf-8").splitlines()) == 26
+
+    def test_package_zipped_writes_the_golden_trace(self, tmp_path):
+        # Only the zip is importable, so a prompt read as a plain file fails.
+        package = Path(ragvet.__file__).resolve().parent
+        archive = tmp_path / "ragvet.zip"
+        with zipfile.ZipFile(archive, "w") as zipped:
+            for path in sorted(package.rglob("*")):
+                if path.is_file() and "__pycache__" not in path.parts:
+                    zipped.write(path, path.relative_to(package.parent).as_posix())
+        out = tmp_path / "t.jsonl"
+        result = subprocess.run(
+            [sys.executable, "-m", "ragvet.cli", "run", "--mock", "--mode", "task2plus",
+             "--dataset", str(FIXTURES / "e2e_dataset.jsonl"),
+             "--config", str(write_config(tmp_path)), "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": str(archive)}, cwd=tmp_path,
+            capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert out.read_bytes() == (FIXTURES / "golden" / "e2e_task2plus.jsonl").read_bytes()
 
     def test_bearer_token_redacted_in_manifest(self, tmp_path):
         config = write_config(tmp_path, bearer_token="secret-token-value")

@@ -1,6 +1,8 @@
 """Domain type invariants, config validation, and the config round-trip."""
 
+import dataclasses
 import json
+import re
 
 import pytest
 
@@ -17,7 +19,6 @@ from ragvet.core import (
     Source,
     VerificationResult,
     parse_context_tags,
-    validate_config,
 )
 
 from conftest import chunk
@@ -109,37 +110,57 @@ class TestRagContext:
 
 
 class TestValidateConfig:
+    """A config is checked when it is built, however it is built."""
+
     def test_defaults_accepted(self):
-        cfg = PipelineConfig()
-        assert validate_config(cfg) is cfg
+        assert PipelineConfig() == PipelineConfig.from_dict({})
 
     def test_confidence_ordering_violation(self):
-        cfg = PipelineConfig(low_confidence=1.0, high_confidence=0.9)
         with pytest.raises(InvalidConfigError, match="low_confidence <= high_confidence"):
-            validate_config(cfg)
+            PipelineConfig(low_confidence=1.0, high_confidence=0.9)
 
     def test_rerank_k_bounded_by_recall_k(self):
-        cfg = PipelineConfig(rerank_k=11, recall_k=10)
         with pytest.raises(InvalidConfigError, match="rerank_k <= recall_k"):
-            validate_config(cfg)
+            PipelineConfig(rerank_k=11, recall_k=10)
 
     def test_rerank_k_bounded_by_context_size(self):
-        cfg = PipelineConfig(rerank_k=MAX_CONTEXT_ENTRIES)
-        assert validate_config(cfg) is cfg
-        cfg = PipelineConfig(rerank_k=MAX_CONTEXT_ENTRIES + 1)
+        assert PipelineConfig(rerank_k=MAX_CONTEXT_ENTRIES).rerank_k == MAX_CONTEXT_ENTRIES
         with pytest.raises(InvalidConfigError, match=f"rerank_k <= {MAX_CONTEXT_ENTRIES}"):
-            validate_config(cfg)
+            PipelineConfig(rerank_k=MAX_CONTEXT_ENTRIES + 1)
 
     def test_abstain_margin_bounded_by_budget(self):
-        cfg = PipelineConfig(abstain_margin_ms=10_000, turn_budget_ms=10_000)
         with pytest.raises(InvalidConfigError, match="abstain_margin_ms < turn_budget_ms"):
-            validate_config(cfg)
+            PipelineConfig(abstain_margin_ms=10_000, turn_budget_ms=10_000)
 
     @pytest.mark.parametrize("token", ["tok\u2713", "a\r\nX-Evil: 1", "two words"])
     def test_bearer_token_outside_visible_ascii_rejected_unechoed(self, token):
         with pytest.raises(InvalidConfigError, match="bearer_token") as caught:
-            validate_config(PipelineConfig(bearer_token=token))
+            PipelineConfig(bearer_token=token)
         assert token not in str(caught.value)
+
+    @pytest.mark.parametrize("build", [
+        lambda: PipelineConfig(recall_k=0),
+        lambda: PipelineConfig.from_dict({"recall_k": 0}),
+        lambda: dataclasses.replace(PipelineConfig(), recall_k=0),
+    ], ids=["constructor", "from_dict", "replace"])
+    def test_every_way_of_building_checks(self, build):
+        with pytest.raises(InvalidConfigError, match="recall_k >= 1"):
+            build()
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"recall_k": "10"}, "config key recall_k must be an integer, got str"),
+        ({"rerank_k": True}, "config key rerank_k must be an integer, got bool"),
+        ({"score_floor": None}, "config key score_floor must be a number, got NoneType"),
+        ({"mode": 1}, "config key mode must be a string, got int"),
+        ({"prompt_paths": ["x"]}, "config key prompt_paths must be an object, got list"),
+        ({"prompt_paths": {"routnig": "x.txt"}}, "config key prompt_paths.routnig names no"),
+        ({"prompt_paths": {"routing": 1}}, "config key prompt_paths.routing must be a string"),
+        ({"mode": "task9"}, "config violates: mode must be task1 or task2plus"),
+        ({"abstain_text": " "}, "config violates: abstain_text must be non-empty"),
+    ])
+    def test_type_and_constraint_messages(self, overrides, message):
+        with pytest.raises(InvalidConfigError, match=re.escape(message)):
+            PipelineConfig.from_dict(overrides)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(InvalidConfigError, match="unknown config keys"):

@@ -15,7 +15,7 @@ from ragvet.backends import (
     load_fixture,
 )
 from ragvet.cli import load_dataset
-from ragvet.core import Conversation, PipelineConfig, validate_config
+from ragvet.core import Conversation, PipelineConfig
 from ragvet.evaluation import (
     ABLATION_MODES,
     EvalError,
@@ -245,7 +245,7 @@ class TestScoreAnswers:
 
 @pytest.fixture(scope="module")
 def ablation_setup():
-    cfg = validate_config(PipelineConfig(mode="task2plus"))
+    cfg = PipelineConfig(mode="task2plus")
     model = ReplayModelBackend.from_file(FIXTURES / "ablation_replay.json")
     search = MockSearchBackend(load_fixture(FIXTURES / "ablation_search.json"))
     backends = Backends(
@@ -299,7 +299,7 @@ ABLATION_REPORTS = {
 @pytest.mark.parametrize("mode", ABLATION_MODES)
 def test_ablation_report_is_pinned(ablation_setup, policy, mode):
     _, dataset, backends = ablation_setup
-    cfg = validate_config(PipelineConfig(mode=policy))
+    cfg = PipelineConfig(mode=policy)
     report = run_ablation(mode, dataset, cfg, backends, TEMPLATES, MockJudge())
     perfect, missing, incorrect, truthfulness = ABLATION_REPORTS[mode]
     assert report.to_dict()["counts"] == {
@@ -324,7 +324,7 @@ KG_ABLATION_REPORTS = {
 
 @pytest.mark.parametrize("mode", ABLATION_MODES)
 def test_kg_ablation_report_is_pinned(mode):
-    cfg = validate_config(PipelineConfig(mode="task1"))
+    cfg = PipelineConfig(mode="task1")
     model = ReplayModelBackend.from_file(FIXTURES / "kg_replay.json")
     backends = Backends(
         router_model=model, vlm=model, reranker=MockRerankerBackend(),
@@ -371,7 +371,7 @@ def test_forced_disagreement_drives_missing_rate_to_one(tmp_path):
         router_model=model, vlm=model, reranker=MockRerankerBackend(),
         search=MockSearchBackend(SearchFixture(image_index={}, web_index=())),
     )
-    cfg = validate_config(PipelineConfig(mode="task2plus"))
+    cfg = PipelineConfig(mode="task2plus")
     report = run_ablation("no_cov_no_sc", load_dataset(dataset_path), cfg, backends,
                           TEMPLATES, MockJudge())
     assert report.missing_rate == 1.0

@@ -17,6 +17,7 @@ Dunder names such as ``__version__`` are public by convention and allowed.
 """
 
 import ast
+import warnings
 from pathlib import Path
 
 import pytest
@@ -363,3 +364,9 @@ def test_detector_sees_every_form_of_unused_import():
                          ids=lambda path: path.name)
 def test_every_imported_name_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("module", ["ragvet", "ragvet.templates"])
+def test_a_deprecation_in_ragvet_code_fails_the_suite(module):
+    with pytest.raises(DeprecationWarning):
+        warnings.warn_explicit("old api", DeprecationWarning, "m.py", 1, module=module)

@@ -23,7 +23,14 @@ from ragvet.backends import (
     Role,
     SearchFixture,
 )
-from ragvet.core import Conversation, PipelineConfig, QueryTurn, VerificationResult
+from ragvet.core import (
+    MODES,
+    Conversation,
+    InvalidConfigError,
+    PipelineConfig,
+    QueryTurn,
+    VerificationResult,
+)
 from ragvet.finalizer import Branch
 from ragvet.pipeline import VARIANTS, ConversationState, run_conversation, run_turn
 from ragvet.router import FALLBACK_DECISION
@@ -665,6 +672,84 @@ class TestDrawnFaults:
         check_drawn_turn(mode, variant, routing, data.draw(drawn_faults(mode)))
 
 
+CONFIG_QUERY = "which kettle brand is zylo"
+
+
+def config_turn(values):
+    """Build a config from ``values`` and run one ``CONFIG_QUERY`` turn on it,
+    whose search finds six pages and whose image six KG records, all of them
+    matching: the turn returns the scripted answer or the abstention, within
+    its budget. Building the config may raise InvalidConfigError instead."""
+    cfg = PipelineConfig(**values)
+    records = tuple(({"description": f"{CONFIG_QUERY} summary tokens record {i}"}, 0.9)
+                    for i in range(6))
+    pages = tuple(({**SEAM_PAGE, "snippet": f"{CONFIG_QUERY} summary tokens page {i}"}, 0.9)
+                  for i in range(6))
+    backends = make_backends(turn_script(CONFIG_QUERY), SearchFixture(
+        image_index={"img-1": records}, web_index=pages))
+    # A fresh virtual clock per example: the turn starts at 0.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(runtime, "clock", VirtualClock())
+        outcome = run_turn(fresh_state(), one_turn(CONFIG_QUERY), cfg, backends, TEMPLATES)
+    assert outcome.final.answer in ("rag answer", cfg.abstain_text)
+    assert outcome.wall_clock_ms <= cfg.turn_budget_ms
+
+
+# Values that hold every bound, together: rerank_k <= recall_k,
+# low_confidence <= high_confidence and abstain_margin_ms < turn_budget_ms
+# hold for any draw.
+WITHIN_BOUNDS = {
+    "recall_k": st.integers(3, 12),
+    "rerank_k": st.integers(0, 3),
+    "score_floor": st.floats(0.0, 1.0),
+    "mad_scale": st.floats(0.0, 5.0),
+    "min_retrieval_score": st.floats(0.0, 1.0),
+    "low_confidence": st.floats(0.0, 0.9),
+    "high_confidence": st.floats(0.9, 1.0),
+    "turn_budget_ms": st.integers(1_000, 20_000),
+    "abstain_margin_ms": st.integers(0, 999),
+    "mode": st.sampled_from(MODES),
+}
+# Values on both sides of every bound.
+ACROSS_BOUNDS = {
+    "recall_k": st.integers(-1, 12),
+    "rerank_k": st.integers(-1, 5),
+    "score_floor": st.floats(-0.1, 1.1),
+    "mad_scale": st.floats(-0.5, 5.0),
+    "min_retrieval_score": st.floats(-0.1, 1.1),
+    "low_confidence": st.floats(-0.1, 1.1),
+    "high_confidence": st.floats(-0.1, 1.1),
+    "turn_budget_ms": st.integers(-1, 20_000),
+    "abstain_margin_ms": st.integers(-1, 20_000),
+    "mode": st.sampled_from(MODES + ("task9",)),
+}
+# One or two fields drawn across their bounds, the rest within them, so that
+# both rejected configs and turns run on odd but valid ones are common.
+DRAWN_CONFIGS = st.sets(st.sampled_from(sorted(WITHIN_BOUNDS)), min_size=1, max_size=2).flatmap(
+    lambda across: st.fixed_dictionaries({
+        name: (ACROSS_BOUNDS if name in across else WITHIN_BOUNDS)[name]
+        for name in WITHIN_BOUNDS
+    }))
+
+
+class TestDrawnConfigs:
+    @settings(max_examples=100, deadline=None)
+    @given(values=DRAWN_CONFIGS)
+    def test_a_config_is_rejected_when_built_or_runs_a_turn(self, values):
+        try:
+            config_turn(values)
+        except InvalidConfigError:
+            pass
+
+    @pytest.mark.parametrize("values, violated", [
+        ({"rerank_k": 5}, "rerank_k <= 3"),
+        ({"recall_k": 0}, "recall_k >= 1"),
+    ])
+    def test_a_config_that_would_crash_a_turn_is_never_built(self, values, violated):
+        with pytest.raises(InvalidConfigError, match=violated):
+            config_turn({"mode": "task2plus", **values})
+
+
 class _RequestLog:
     """Logs every request, and in ``events`` each request and reply in order."""
 
@@ -765,7 +850,7 @@ class TestVariants:
         assert record["stages"] == stages
         assert (record["answers"] is not None) == two_answers
         assert (record["verification"] is not None) == ("verify" in VARIANTS[variant])
-        assert (record["routing"] is not None) == ("route" in VARIANTS[variant])
+        assert (record["routing"] is not None) == ("rag" in VARIANTS[variant])
         assert outcome.final.branch is branch
         assert outcome.final.answer == "rag answer"
         assert outcome.flags == frozenset()
