@@ -34,6 +34,7 @@ __all__ = [
     "VerificationResult",
     "PipelineConfig",
     "InvalidConfigError",
+    "ReplyParseError",
     "MODES",
     "parse_context_tags",
     "missing_content",
@@ -346,6 +347,10 @@ class VerificationResult:
 
 class InvalidConfigError(ValueError):
     """A configuration field violates its declared constraint."""
+
+
+class ReplyParseError(ValueError):
+    """A model reply does not parse; ``pipeline._stage`` flags it and falls back."""
 
 
 # The values each annotation of a PipelineConfig field admits; a bool is

@@ -12,8 +12,8 @@ import re
 from typing import Optional, Sequence
 
 from .backends import EmptyCompletionError, ModelBackend, Role, ask
-from .core import AnswerPair, RagContext
-from .runtime import Deadline, Trace
+from .core import AnswerPair, RagContext, ReplyParseError
+from .runtime import Deadline
 from .templates import PromptTemplate
 
 __all__ = [
@@ -85,12 +85,12 @@ def generate_direct(
     return _generate(query, image_ref, None, vlm_backend, deadline, history, template)
 
 
-def parse_yes_no(text: str, trace: Trace) -> bool:
-    """Leading yes -> True, leading no -> False, anything else -> False."""
+def parse_yes_no(text: str) -> bool:
+    """Leading yes -> True, leading no -> False; anything else raises
+    ``ReplyParseError``, and ``pipeline._stage`` reads the pair as inconsistent."""
     match = _LEADING_YES_NO.match(text)
     if match is None:
-        trace.flag("consistency_parse_failure")
-        return False
+        raise ReplyParseError(f"consistency reply does not parse: {text!r}")
     return match.group(1).lower() == "yes"
 
 
@@ -101,11 +101,10 @@ def check_consistency(
     pair: AnswerPair,
     vlm_backend: ModelBackend,
     deadline: Deadline,
-    trace: Trace,
     template: PromptTemplate,
 ) -> AnswerPair:
     """Ask the judge whether the two answers agree; store the verdict."""
     reply = ask(vlm_backend, Role.CONSISTENCY_JUDGE, template, deadline, image_ref,
                 contexts=context.rendered, queries=query,
                 answer=pair.direct_answer, ragged_answer=pair.rag_answer)
-    return pair.with_consistency(parse_yes_no(reply, trace))
+    return pair.with_consistency(parse_yes_no(reply))

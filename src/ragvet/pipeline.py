@@ -60,6 +60,7 @@ from .core import (
     PipelineConfig,
     QueryTurn,
     RagContext,
+    ReplyParseError,
     RoutingDecision,
     VerificationResult,
 )
@@ -77,7 +78,7 @@ from .retrieval import (
     summarize_image,
 )
 from .router import FALLBACK_DECISION, route
-from .runtime import Deadline, Trace
+from .runtime import Deadline
 from .templates import PromptTemplate, load_all
 from .verification import verify
 
@@ -95,16 +96,17 @@ _STAGE_CUTOFFS = {
     "verify": 1.00,
 }
 
-# Each stage whose backend call may fail: the flag ``_stage`` sets on a
-# timeout, then the flag it sets on any other backend failure.
+# Each stage whose backend call may fail: the flag ``_stage`` sets on a timeout,
+# on any other backend failure, and on a reply that does not parse (None: no parser).
 _FAILURE_FLAGS = {
-    "route": ("router_backend_timeout", "router_backend_error"),
-    "summarize": ("summary_backend_timeout", "summary_backend_error"),
-    "recall": ("recall_backend_error", "recall_backend_error"),
-    "rerank": ("rerank_backend_error", "rerank_backend_error"),
-    "generate": ("generation_timeout", "generation_backend_error"),
-    "consistency": ("consistency_backend_timeout", "consistency_backend_error"),
-    "verify": ("cov_backend_timeout", "cov_backend_error"),
+    "route": ("router_backend_timeout", "router_backend_error", "router_parse_failure"),
+    "summarize": ("summary_backend_timeout", "summary_backend_error", None),
+    "recall": ("recall_backend_error", "recall_backend_error", None),
+    "rerank": ("rerank_backend_error", "rerank_backend_error", None),
+    "generate": ("generation_timeout", "generation_backend_error", None),
+    "consistency": ("consistency_backend_timeout", "consistency_backend_error",
+                    "consistency_parse_failure"),
+    "verify": ("cov_backend_timeout", "cov_backend_error", "cov_parse_failure"),
 }
 
 # The components each pipeline variant runs: the paper's ablations, then the
@@ -168,6 +170,22 @@ class ConversationState:
     history: list[tuple[str, str]] = field(default_factory=list)
 
 
+@dataclass
+class _Trace:
+    """Degradation flags and per-stage timings of one turn.
+
+    Stage timings stay in memory for diagnostics; the serialized trace record
+    carries only the ordered stage names so that mock runs stay byte-stable.
+    """
+
+    flags: set[str] = field(default_factory=set)
+    stages: list[str] = field(default_factory=list)
+    timings_ms: dict[str, int] = field(default_factory=dict)
+
+    def flag(self, name: str) -> None:
+        self.flags.add(name)
+
+
 class _TurnBudget:
     """Cumulative stage deadlines over one turn budget."""
 
@@ -183,17 +201,19 @@ class _TurnBudget:
         return math.ceil((runtime.clock.now() - self._origin) * 1000.0)
 
 
-def _stage(trace: Trace, name: str, fallback: Any, call: Callable[..., Any], *args: Any) -> Any:
+def _stage(trace: _Trace, name: str, fallback: Any, call: Callable[..., Any], *args: Any) -> Any:
     """``call(*args)`` as stage ``name``, timed on ``runtime.clock``; a backend
-    failure sets the stage's flag (``_FAILURE_FLAGS``) and yields ``fallback``."""
+    failure or a reply that does not parse sets the stage's flag
+    (``_FAILURE_FLAGS``) and yields ``fallback``."""
     trace.stages.append(name)
     started = runtime.clock.now()
     try:
         return call(*args)
-    except BackendError as exc:
+    except (BackendError, ReplyParseError) as exc:
         logger.debug("%s failed: %s", name, exc)
-        on_timeout, on_error = _FAILURE_FLAGS[name]
-        trace.flag(on_timeout if isinstance(exc, BackendTimeout) else on_error)
+        on_timeout, on_error, on_parse = _FAILURE_FLAGS[name]
+        trace.flag(on_parse if isinstance(exc, ReplyParseError)
+                   else on_timeout if isinstance(exc, BackendTimeout) else on_error)
         return fallback
     finally:
         elapsed = int((runtime.clock.now() - started) * 1000.0)
@@ -206,7 +226,7 @@ def _run_retrieval(
     cfg: PipelineConfig,
     backends: Backends,
     budget: _TurnBudget,
-    trace: Trace,
+    trace: _Trace,
     get_summary: Callable[[], str],
 ) -> RagContext:
     """``get_summary`` returns the image summary: it makes the call, or waits
@@ -240,7 +260,7 @@ def run_turn(
         raise ValueError(f"unknown pipeline variant: {variant!r}")
     runs = VARIANTS[variant]
     budget = _TurnBudget(cfg.turn_budget_ms)
-    trace = Trace()
+    trace = _Trace()
     history = tuple(state.history)
     image_ref = state.image_ref
 
@@ -278,7 +298,7 @@ def run_turn(
         is_real_time = False
         if "rag" in runs:
             routing = _stage(trace, "route", FALLBACK_DECISION, route, turn.query,
-                             backends.router_model, budget.stage_deadline("route"), trace,
+                             backends.router_model, budget.stage_deadline("route"),
                              templates["routing"])
             is_real_time = routing.is_real_time and variant == "full"
         direct = None
@@ -324,7 +344,7 @@ def run_turn(
                 answers = _stage(trace, "consistency", answers.with_consistency(False),
                                  check_consistency, turn.query, image_ref, context,
                                  answers, backends.vlm, budget.stage_deadline("consistency"),
-                                 trace, templates["consistency"])
+                                 templates["consistency"])
                 if out_of_budget():
                     return degraded()
             else:
@@ -342,7 +362,7 @@ def run_turn(
         if "verify" in runs:
             verification = _stage(trace, "verify", VerificationResult(confidence=0.0), verify,
                                   turn.query, image_ref, context, answer, backends.vlm,
-                                  budget.stage_deadline("verify"), trace, templates["cov"])
+                                  budget.stage_deadline("verify"), templates["cov"])
             s_cov = verification.confidence
 
         return finalize(

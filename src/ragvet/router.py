@@ -1,20 +1,20 @@
 """Classify each query into (needs external info, is real-time).
 
 Parsing is label-anchored and case-insensitive, so reordered or decorated
-model output still parses. Any failure falls back to {e=1, r=0}
-(``FALLBACK_DECISION``; ``run_turn`` applies it when the backend fails):
-keeping retrieval available favors grounding, and not forcing the real-time
-branch avoids abstaining just because routing itself broke.
+model output still parses. A reply that does not parse raises
+``ReplyParseError``; ``pipeline._stage`` then applies {e=1, r=0}
+(``FALLBACK_DECISION``), as it does when the backend fails: keeping
+retrieval available favors grounding, and not forcing the real-time branch
+avoids abstaining just because routing itself broke.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Optional
 
 from .backends import ModelBackend, Role, ask
-from .core import RoutingDecision
-from .runtime import Deadline, Trace
+from .core import ReplyParseError, RoutingDecision
+from .runtime import Deadline
 from .templates import PromptTemplate
 
 __all__ = ["parse_routing_response", "route", "FALLBACK_DECISION"]
@@ -32,33 +32,28 @@ _LABEL_VALUE = {
     ),
 }
 
-def _scan_label(pattern: re.Pattern[str], text: str) -> Optional[bool]:
+def _scan_label(pattern: re.Pattern[str], text: str) -> bool:
     values = {match.group(1).lower() for match in pattern.finditer(text)}
-    if len(values) != 1:
-        return None  # absent, or conflicting occurrences
+    if len(values) != 1:  # absent, or conflicting occurrences
+        raise ReplyParseError(f"routing reply does not parse: {text!r}")
     return values.pop() == "yes"
 
 
-def parse_routing_response(text: str, trace: Trace) -> RoutingDecision:
-    """Total parser: any text yields a decision, falling back on {e=1, r=0}."""
-    needs_external = _scan_label(_LABEL_VALUE["needs_external"], text)
-    is_real_time = _scan_label(_LABEL_VALUE["is_real_time"], text)
-    if needs_external is None or is_real_time is None:
-        trace.flag("router_parse_failure")
-        return FALLBACK_DECISION
-    return RoutingDecision(needs_external=needs_external, is_real_time=is_real_time)
+def parse_routing_response(text: str) -> RoutingDecision:
+    """The decision ``text`` states; ``ReplyParseError`` if a label is
+    absent or conflicting."""
+    return RoutingDecision(needs_external=_scan_label(_LABEL_VALUE["needs_external"], text),
+                           is_real_time=_scan_label(_LABEL_VALUE["is_real_time"], text))
 
 
 def route(
     query: str,
     model_backend: ModelBackend,
     deadline: Deadline,
-    trace: Trace,
     template: PromptTemplate,
 ) -> RoutingDecision:
-    """Classify ``query``, substituted verbatim; a reply that does not parse
-    falls back. Backend failures propagate."""
+    """Classify ``query``, substituted verbatim. Backend failures and
+    ``ReplyParseError`` propagate."""
     if not query:
         raise ValueError("query must be non-empty")
-    return parse_routing_response(ask(model_backend, Role.ROUTER, template, deadline, query=query),
-                                  trace)
+    return parse_routing_response(ask(model_backend, Role.ROUTER, template, deadline, query=query))

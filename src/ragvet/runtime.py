@@ -1,4 +1,4 @@
-"""Turn-local runtime plumbing: the one clock, deadlines and degradation traces.
+"""Turn-local runtime plumbing: the one clock and the deadlines read on it.
 
 Every read of time and every wait in ragvet goes through ``clock``, which other
 modules reach as ``runtime.clock``, so that one swap of it moves them all."""
@@ -6,7 +6,6 @@ modules reach as ``runtime.clock``, so that one swap of it moves them all."""
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 
 
 class Clock:
@@ -46,20 +45,3 @@ class Deadline:
 
     def __repr__(self) -> str:
         return f"Deadline(remaining_ms={self.remaining_ms():.1f})"
-
-
-@dataclass
-class Trace:
-    """Degradation flags and per-stage timings of one turn; ``pipeline._stage``
-    alone opens, times and records a stage.
-
-    Stage timings stay in memory for diagnostics; the serialized trace record
-    carries only the ordered stage names so that mock runs stay byte-stable.
-    """
-
-    flags: set[str] = field(default_factory=set)
-    stages: list[str] = field(default_factory=list)
-    timings_ms: dict[str, int] = field(default_factory=dict)
-
-    def flag(self, name: str) -> None:
-        self.flags.add(name)

@@ -103,12 +103,15 @@ def default_template(name: str) -> PromptTemplate:
 
     It is read as a package resource, so it loads wherever the package was
     imported from, a zip file included. The cache holds at most one entry
-    per name in ``TEMPLATE_NAMES``: an unknown name raises, and a raised
-    call is not cached.
+    per name in ``TEMPLATE_NAMES``: an unknown name or an unreadable file
+    raises ``TemplateError``, and a raised call is not cached.
     """
     if name not in TEMPLATE_NAMES:
         raise TemplateError(f"unknown template name: {name}")
-    return load_template(resources.files(__package__) / "prompts" / f"{name}.txt")
+    try:
+        return load_template(resources.files(__package__) / "prompts" / f"{name}.txt")
+    except OSError as exc:
+        raise TemplateError(f"cannot read packaged prompt prompts/{name}.txt: {exc}") from exc
 
 
 def resolve_template(name: str, overrides: Mapping[str, str]) -> PromptTemplate:

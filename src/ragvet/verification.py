@@ -2,8 +2,8 @@
 
 Both phases (holistic, then decompositional) live in one prompt; the model
 reports them as a confidence-first block so that even a truncated reply
-still carries a usable score. Parsing is total: any text yields a result,
-with unusable replies collapsing to confidence 0.0.
+still carries a usable score. An unusable reply raises ``ReplyParseError``;
+``pipeline._stage`` then scores the answer at confidence 0.0.
 """
 
 from __future__ import annotations
@@ -12,8 +12,8 @@ import re
 from typing import Optional
 
 from .backends import ModelBackend, Role, ask
-from .core import Finding, RagContext, SubQuestion, VerificationResult
-from .runtime import Deadline, Trace
+from .core import Finding, RagContext, ReplyParseError, SubQuestion, VerificationResult
+from .runtime import Deadline
 from .templates import PromptTemplate
 
 __all__ = ["parse_cov_response", "verify"]
@@ -32,23 +32,19 @@ def _parse_sub_questions(fragment: str) -> tuple[SubQuestion, ...]:
     return tuple(subs)
 
 
-def parse_cov_response(text: str, trace: Trace) -> VerificationResult:
+def parse_cov_response(text: str) -> VerificationResult:
     """Extract confidence, reasoning, and sub-question findings.
 
     The confidence comes from the first line starting with ``CONFIDENCE:``
     (anchored at line start, so the word appearing inside an answer is
-    ignored) and is clamped into [0, 1]. A reply carrying neither reasoning
-    nor sub-questions is treated as malformed and collapses to 0.0.
+    ignored) and is clamped into [0, 1]. A reply without a number on that
+    line, or with a positive confidence but neither reasoning nor
+    sub-questions, is malformed: ``ReplyParseError``.
     """
-    fallback = VerificationResult(confidence=0.0, reasoning="", sub_questions=())
     confidence_match = _CONFIDENCE_LINE.search(text)
-    if confidence_match is None:
-        trace.flag("cov_parse_failure")
-        return fallback
-    number = _FLOAT.search(confidence_match.group(1))
+    number = _FLOAT.search(confidence_match.group(1)) if confidence_match else None
     if number is None:
-        trace.flag("cov_parse_failure")
-        return fallback
+        raise ReplyParseError(f"verification reply has no confidence: {text!r}")
     confidence = min(1.0, max(0.0, float(number.group(0))))
 
     reasoning = ""
@@ -62,8 +58,7 @@ def parse_cov_response(text: str, trace: Trace) -> VerificationResult:
         sub_questions = _parse_sub_questions(subq_split[1])
 
     if confidence > 0.0 and not reasoning and not sub_questions:
-        trace.flag("cov_parse_failure")
-        return fallback
+        raise ReplyParseError(f"verification reply has no reasoning: {text!r}")
     return VerificationResult(
         confidence=confidence, reasoning=reasoning, sub_questions=sub_questions
     )
@@ -76,11 +71,11 @@ def verify(
     answer: str,
     vlm_backend: ModelBackend,
     deadline: Deadline,
-    trace: Trace,
     template: PromptTemplate,
 ) -> VerificationResult:
-    """Run the verification prompt over the candidate answer."""
+    """Run the verification prompt over the candidate answer. Backend
+    failures and ``ReplyParseError`` propagate."""
     reply = ask(vlm_backend, Role.VERIFIER, template, deadline, image_ref,
                 contexts=context.rendered, queries=query, answers=answer)
-    return parse_cov_response(reply, trace)
+    return parse_cov_response(reply)
 

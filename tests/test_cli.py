@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import shutil
 import socket
 import subprocess
 import sys
@@ -236,6 +237,24 @@ class TestRunCommand:
         )
         assert result.returncode == 0, result.stderr
         assert out.read_bytes() == (FIXTURES / "golden" / "e2e_task2plus.jsonl").read_bytes()
+
+    def test_missing_packaged_prompt_is_reported_as_a_read(self, tmp_path):
+        package = Path(ragvet.__file__).resolve().parent
+        copy = tmp_path / "site" / "ragvet"
+        shutil.copytree(package, copy, ignore=shutil.ignore_patterns("__pycache__"))
+        (copy / "prompts" / "cov.txt").unlink()
+        result = subprocess.run(
+            [sys.executable, "-m", "ragvet.cli", "run", "--mock", "--mode", "task2plus",
+             "--dataset", str(FIXTURES / "e2e_dataset.jsonl"),
+             "--config", str(write_config(tmp_path)), "--out", str(tmp_path / "t.jsonl")],
+            env={**os.environ, "PYTHONPATH": str(copy.parent)}, cwd=tmp_path,
+            capture_output=True, text=True, timeout=60,
+        )
+        lines = result.stderr.splitlines()
+        assert result.returncode == 1
+        assert len(lines) == 1 and lines[0].startswith("error:"), lines
+        assert "packaged prompt prompts/cov.txt" in lines[0]
+        assert "cannot write" not in lines[0]
 
     def test_bearer_token_redacted_in_manifest(self, tmp_path):
         config = write_config(tmp_path, bearer_token="secret-token-value")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ragvet.backends import MAX_TOKENS, BackendTimeout, EmptyCompletionError, Role
-from ragvet.core import AnswerPair
+from ragvet.core import AnswerPair, ReplyParseError
 from ragvet.generation import (
     NO_CONTEXT_MARKER,
     check_consistency,
@@ -15,7 +15,7 @@ from ragvet.generation import (
     parse_yes_no,
 )
 from ragvet.retrieval import build_context
-from ragvet.runtime import Deadline, Trace
+from ragvet.runtime import Deadline
 from ragvet.templates import default_template
 
 from conftest import CountingModel, HonestConsistencyJudge, chunk, scripted_model
@@ -54,7 +54,7 @@ def consistency_request(context, query, direct_answer, rag_answer):
     """The request ``check_consistency`` sends."""
     model = _model(Role.CONSISTENCY_JUDGE, "yes")
     pair = AnswerPair(rag_answer=rag_answer, direct_answer=direct_answer)
-    check_consistency(query, "img-1", context, pair, model, NO_DEADLINE, Trace(), CONSISTENCY)
+    check_consistency(query, "img-1", context, pair, model, NO_DEADLINE, CONSISTENCY)
     [request] = model.requests
     return request
 
@@ -147,40 +147,43 @@ class TestConsistencyPrompt:
 
 class TestParseYesNo:
     def test_yes(self):
-        assert parse_yes_no("yes", Trace()) is True
+        assert parse_yes_no("yes") is True
 
     def test_no_with_punctuation(self):
-        assert parse_yes_no("No.", Trace()) is False
+        assert parse_yes_no("No.") is False
 
-    def test_prose_is_conservative_false_with_flag(self):
-        trace = Trace()
-        assert parse_yes_no("The answers are consistent", trace) is False
-        assert "consistency_parse_failure" in trace.flags
+    def test_prose_raises(self):
+        with pytest.raises(ReplyParseError):
+            parse_yes_no("The answers are consistent")
 
     def test_leading_whitespace_tolerated(self):
-        assert parse_yes_no("  Yes, they are.", Trace()) is True
+        assert parse_yes_no("  Yes, they are.") is True
 
     @given(st.text(max_size=200))
-    def test_total(self, text):
-        assert parse_yes_no(text, Trace()) in (True, False)
+    def test_bool_or_reply_parse_error(self, text):
+        try:
+            verdict = parse_yes_no(text)
+        except ReplyParseError:
+            return
+        assert verdict in (True, False)
 
 
 class TestCheckConsistency:
     def test_identical_answers_consistent_under_honest_judge(self, no_deadline):
         pair = AnswerPair(rag_answer="a kettle", direct_answer="a kettle")
         checked = check_consistency("q?", None, _context(), pair,
-                                    HonestConsistencyJudge(), no_deadline, Trace(), CONSISTENCY)
+                                    HonestConsistencyJudge(), no_deadline, CONSISTENCY)
         assert checked.consistent is True
 
     def test_different_answers_inconsistent_under_honest_judge(self, no_deadline):
         pair = AnswerPair(rag_answer="a kettle", direct_answer="a toaster")
         checked = check_consistency("q?", None, _context(), pair,
-                                    HonestConsistencyJudge(), no_deadline, Trace(), CONSISTENCY)
+                                    HonestConsistencyJudge(), no_deadline, CONSISTENCY)
         assert checked.consistent is False
 
     def test_verdict_stored_without_mutating_answers(self, no_deadline):
         pair = AnswerPair(rag_answer="x", direct_answer="x")
         checked = check_consistency("q?", None, _context(), pair,
-                                    HonestConsistencyJudge(), no_deadline, Trace(), CONSISTENCY)
+                                    HonestConsistencyJudge(), no_deadline, CONSISTENCY)
         assert (checked.rag_answer, checked.direct_answer) == ("x", "x")
         assert pair.consistent is None

@@ -4,8 +4,10 @@
 imports ``socket`` or ``ssl``. No ragvet module but ``templates`` calls
 ``load_template`` or ``PromptTemplate``, so every prompt comes through
 ``resolve_template``. Only ``backends.ask`` builds a ``ModelRequest``, and
-no stage module catches a backend failure: ``pipeline`` is the one failure
-seam. ``cli`` names neither ``judge_response`` nor ``aggregate``:
+no stage module catches a backend failure or a ``ReplyParseError``:
+``pipeline`` is the one failure seam. No ragvet module but ``pipeline`` names
+a ``Trace`` or calls a ``.flag(`` method, so every degradation flag is set
+there. ``cli`` names neither ``judge_response`` nor ``aggregate``:
 ``evaluation.score_answers`` is the one scoring path. No ragvet module but
 ``runtime`` names ``time.monotonic``, ``time.perf_counter`` or
 ``time.sleep``, so every read of time and every wait goes through
@@ -207,9 +209,11 @@ def test_only_ask_builds_model_requests():
     assert {name: found for name, found in builders.items() if found} == {"backends.py": ["ask"]}
 
 
-# Every backend failure type, and the handlers that would catch one by accident.
-BACKEND_FAILURES = ("BackendError", "BackendTimeout", "BackendTransportError",
-                    "EmptyCompletionError", "NoScriptEntryError", "Exception", "BaseException")
+# Every backend failure type, the reply-parse error, and the handlers that
+# would catch one by accident.
+STAGE_FAILURES = ("BackendError", "BackendTimeout", "BackendTransportError",
+                  "EmptyCompletionError", "NoScriptEntryError", "ReplyParseError", "ValueError",
+                  "Exception", "BaseException")
 STAGE_MODULES = ("router.py", "retrieval.py", "generation.py", "verification.py")
 
 
@@ -238,13 +242,15 @@ def test_detector_sees_every_form_of_except_clause():
 
 
 def test_pipeline_is_the_module_that_catches_backend_failures():
-    assert caught((PACKAGE / "pipeline.py").read_text(encoding="utf-8")) == ["BackendError"]
+    assert caught((PACKAGE / "pipeline.py").read_text(encoding="utf-8")) == [
+        "BackendError", "ReplyParseError",
+    ]
 
 
 @pytest.mark.parametrize("name", STAGE_MODULES)
 def test_no_stage_module_catches_a_backend_failure(name):
     source = (PACKAGE / name).read_text(encoding="utf-8")
-    assert [kind for kind in caught(source) if kind in BACKEND_FAILURES] == []
+    assert [kind for kind in caught(source) if kind in STAGE_FAILURES] == []
 
 
 SCORING_STEPS = ("judge_response", "aggregate")
@@ -275,6 +281,30 @@ def test_detector_sees_every_form_of_name():
 
 def test_cli_scores_only_through_score_answers():
     assert names((PACKAGE / "cli.py").read_text(encoding="utf-8")) & set(SCORING_STEPS) == set()
+
+
+def flag_calls(source: str) -> int:
+    """How many calls of a ``.flag`` method the source makes."""
+    return sum(isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+               and node.func.attr == "flag" for node in ast.walk(ast.parse(source)))
+
+
+def test_detector_sees_every_flag_call():
+    source = (
+        "trace.flag('router_parse_failure')\n"
+        "self.turn.trace.flag(name)\n"
+        "flag('bare')\n"
+        "trace.flags.add('added')\n"
+    )
+    assert flag_calls(source) == 2
+
+
+@pytest.mark.parametrize("path", [path for path in MODULES if path.name != "pipeline.py"],
+                         ids=lambda path: path.name)
+def test_only_pipeline_names_a_trace_or_sets_a_flag(path):
+    source = path.read_text(encoding="utf-8")
+    assert "Trace" not in names(source)
+    assert flag_calls(source) == 0
 
 
 CLOCK_CALLS = ("monotonic", "monotonic_ns", "perf_counter", "perf_counter_ns", "sleep")

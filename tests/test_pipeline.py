@@ -19,6 +19,7 @@ from ragvet.backends import (
     MockRerankerBackend,
     MockSearchBackend,
     ModelRequest,
+    ModelResponse,
     ReplayModelBackend,
     Role,
     SearchFixture,
@@ -378,6 +379,9 @@ FAILURE_FLAGS = {
     "consistency": ("consistency_backend_timeout", "consistency_backend_error"),
     "verify": ("cov_backend_timeout", "cov_backend_error"),
 }
+# Each stage whose reply a parser reads: the flag a reply that does not parse sets.
+PARSE_FLAGS = {"route": "router_parse_failure", "consistency": "consistency_parse_failure",
+               "verify": "cov_parse_failure"}
 # The call each stage makes: its ``Backends`` field, method and model role.
 STAGE_CALLS = {
     "route": ("router_model", "complete", Role.ROUTER),
@@ -410,7 +414,8 @@ FALLBACK_SHOWN = {
 class _Faulty:
     """Forwards every call to ``inner``, except that each call of ``method``
     (for a model, each request of ``role`` that ``picks``) fails: a timeout
-    waits out the call's deadline first, any other error is raised at once."""
+    waits out the call's deadline first, an error is raised at once, and
+    garbage is a reply that no parser accepts."""
 
     def __init__(self, inner, method, role, kind, picks=lambda request: True):
         self.inner, self.method, self.role, self.kind = inner, method, role, kind
@@ -427,6 +432,8 @@ class _Faulty:
             if self.kind == "timeout":
                 runtime.clock.sleep(args[-1].remaining_seconds())
                 raise BackendTimeout(f"{name} outlasted its deadline")
+            if self.kind == "garbage":
+                return ModelResponse(text="garbage")
             raise BackendTransportError(f"{name} failed")
 
         return call
@@ -482,8 +489,10 @@ def seam_backends(routing=ROUTE_PLAIN):
 
 
 class TestFailureSeam:
-    @pytest.mark.parametrize("kind", ["timeout", "error"])
-    @pytest.mark.parametrize("stage", list(FAILURE_FLAGS))
+    @pytest.mark.parametrize("stage, kind", [
+        (stage, kind) for stage in FAILURE_FLAGS
+        for kind in ("timeout", "error", "garbage")
+        if kind != "garbage" or stage in PARSE_FLAGS])
     def test_backend_failure_flags_and_falls_back_within_budget(self, stage, kind,
                                                                 virtual_clock):
         # A router that answered would skip retrieval; only its fallback retrieves.
@@ -500,9 +509,9 @@ class TestFailureSeam:
             assert outcome.timings_ms[stage] == outcome.wall_clock_ms == TIMEOUT_AT_MS[stage]
         else:
             assert outcome.wall_clock_ms == 0
-        flag = FAILURE_FLAGS[stage][kind == "error"]
+        flag = PARSE_FLAGS[stage] if kind == "garbage" else FAILURE_FLAGS[stage][kind == "error"]
         assert flag in outcome.flags
-        if kind == "error":  # nothing else degrades
+        if kind != "timeout":  # nothing else degrades
             assert outcome.flags == {flag}
         assert stage in outcome.stages
         assert FALLBACK_SHOWN[stage](outcome, backends.search.queries)
@@ -560,8 +569,6 @@ DRAWS = {
 # routes, so it draws only faults that do not wait; the image lookup that
 # recalls there takes no deadline to stall past.
 TASK1_DRAWS = {**DRAWS, "summarize": ("ok", "error", "empty"), "recall": ("ok", "error", "empty")}
-PARSE_FLAGS = {"route": "router_parse_failure", "consistency": "consistency_parse_failure",
-               "verify": "cov_parse_failure"}
 # The stage of each call: a model call's by its role, any other call's by its method.
 CALL_STAGES = {role or method: stage for stage, (_, method, role) in STAGE_CALLS.items()}
 CALL_STAGES["image_search"] = "recall"

@@ -1,5 +1,6 @@
-"""Routing prompt construction and response parsing. A backend failure
-falls back in ``run_turn`` (``tests/test_pipeline.py::TestFailureSeam``)."""
+"""Routing prompt construction and response parsing. A backend failure or
+a reply that does not parse falls back in ``run_turn``
+(``tests/test_pipeline.py::TestFailureSeam``)."""
 
 import math
 
@@ -7,9 +8,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ragvet.backends import MAX_TOKENS, Role
-from ragvet.core import RoutingDecision
-from ragvet.router import FALLBACK_DECISION, parse_routing_response, route
-from ragvet.runtime import Deadline, Trace
+from ragvet.core import ReplyParseError, RoutingDecision
+from ragvet.router import parse_routing_response, route
+from ragvet.runtime import Deadline
 from ragvet.templates import default_template
 
 from conftest import CountingModel, scripted_model
@@ -21,7 +22,7 @@ ROUTE_PLAIN = "1. Needs External Info: yes\n2. Is Real-Time: no"
 def sent_request(query):
     """The request ``route`` sends for ``query``."""
     model = CountingModel(scripted_model({"role": Role.ROUTER, "response": ROUTE_PLAIN}))
-    route(query, model, Deadline(math.inf), Trace(), ROUTING)
+    route(query, model, Deadline(math.inf), ROUTING)
     [request] = model.requests
     return request
 
@@ -41,7 +42,7 @@ class TestBuildRoutingPrompt:
     def test_empty_query_rejected(self):
         model = CountingModel(scripted_model())
         with pytest.raises(ValueError):
-            route("", model, Deadline(math.inf), Trace(), ROUTING)
+            route("", model, Deadline(math.inf), ROUTING)
         assert model.requests == []
 
     def test_double_quote_passes_through(self):
@@ -54,43 +55,42 @@ class TestBuildRoutingPrompt:
 class TestParseRoutingResponse:
     def test_numbered_label_format(self):
         text = "1. Needs External Info: yes\n2. Is Real-Time: no"
-        decision = parse_routing_response(text, Trace())
+        decision = parse_routing_response(text)
         assert decision == RoutingDecision(needs_external=True, is_real_time=False)
 
     def test_case_insensitive(self):
-        decision = parse_routing_response("needs external info: NO ... is real-time: no", Trace())
+        decision = parse_routing_response("needs external info: NO ... is real-time: no")
         assert decision == RoutingDecision(needs_external=False, is_real_time=False)
 
     def test_reordered_labels_parse(self):
-        decision = parse_routing_response("Is Real-Time: yes\nNeeds External Info: no", Trace())
+        decision = parse_routing_response("Is Real-Time: yes\nNeeds External Info: no")
         assert decision == RoutingDecision(needs_external=False, is_real_time=True)
 
-    def test_unclassifiable_falls_back_with_flag(self):
-        trace = Trace()
-        decision = parse_routing_response("I cannot classify this.", trace)
-        assert decision == FALLBACK_DECISION
-        assert "router_parse_failure" in trace.flags
+    def test_unclassifiable_raises(self):
+        with pytest.raises(ReplyParseError):
+            parse_routing_response("I cannot classify this.")
 
     def test_template_echo_is_not_an_answer(self):
-        trace = Trace()
         echoed = "1. Needs External Info: [yes/no]\n2. Is Real-Time: [yes/no]"
-        assert parse_routing_response(echoed, trace) == FALLBACK_DECISION
-        assert "router_parse_failure" in trace.flags
+        with pytest.raises(ReplyParseError):
+            parse_routing_response(echoed)
 
-    def test_conflicting_repeats_fall_back(self):
+    def test_conflicting_repeats_raise(self):
         text = "Needs External Info: yes\nNeeds External Info: no\nIs Real-Time: no"
-        assert parse_routing_response(text, Trace()) == FALLBACK_DECISION
+        with pytest.raises(ReplyParseError):
+            parse_routing_response(text)
 
     def test_bracketed_values_parse(self):
-        decision = parse_routing_response(
-            "1. Needs External Info: [yes]\n2. Is Real-Time: [no]", Trace()
-        )
+        decision = parse_routing_response("1. Needs External Info: [yes]\n2. Is Real-Time: [no]")
         assert decision == RoutingDecision(needs_external=True, is_real_time=False)
 
 
 @given(st.text(max_size=300))
-def test_parser_is_total(text):
-    decision = parse_routing_response(text, Trace())
+def test_parser_decides_or_raises_reply_parse_error(text):
+    try:
+        decision = parse_routing_response(text)
+    except ReplyParseError:
+        return
     assert isinstance(decision, RoutingDecision)
 
 
@@ -102,7 +102,7 @@ def test_parser_is_total(text):
 )
 def test_single_labelled_tokens_map_exactly(external, real_time, prefix, sep):
     text = f"{prefix}1. Needs External Info{sep}{external}\n2. Is Real-Time{sep}{real_time}"
-    decision = parse_routing_response(text, Trace())
+    decision = parse_routing_response(text)
     assert decision.needs_external == (external.lower() == "yes")
     assert decision.is_real_time == (real_time.lower() == "yes")
 
@@ -113,11 +113,10 @@ class TestRoute:
             {"role": Role.ROUTER, "match": "what is this?",
              "response": "1. Needs External Info: yes\n2. Is Real-Time: no"}
         )
-        decision = route("what is this?", backend, no_deadline, Trace(), ROUTING)
+        decision = route("what is this?", backend, no_deadline, ROUTING)
         assert decision == RoutingDecision(needs_external=True, is_real_time=False)
 
-    def test_unparsable_reply_falls_back_with_flag(self, no_deadline):
+    def test_unparsable_reply_raises(self, no_deadline):
         backend = scripted_model({"role": Role.ROUTER, "response": "I cannot classify this."})
-        trace = Trace()
-        assert route("q", backend, no_deadline, trace, ROUTING) == FALLBACK_DECISION
-        assert trace.flags == {"router_parse_failure"}
+        with pytest.raises(ReplyParseError):
+            route("q", backend, no_deadline, ROUTING)

@@ -12,7 +12,7 @@ from ragvet.evaluation import PromptedJudge
 from ragvet.generation import check_consistency, generate_rag
 from ragvet.retrieval import summarize_image
 from ragvet.router import route
-from ragvet.runtime import Deadline, Trace
+from ragvet.runtime import Deadline
 from ragvet.templates import (
     TEMPLATE_NAMES,
     PromptTemplate,
@@ -140,22 +140,22 @@ MODEL = scripted_model(
     {"role": "summarizer", "match": "", "response": "a summary"},
     {"role": "generator", "match": "", "response": "an answer"},
     {"role": "consistency_judge", "match": "", "response": "yes"},
-    {"role": "verifier", "match": "", "response": "Perfect"},
+    {"role": "verifier", "match": "", "response": "CONFIDENCE: 1.0\nREASONING: supported"},
     {"role": "judge", "match": "", "response": "Perfect"},
 )
 CONTEXT = RagContext(entries=(), threshold_used=0.0)
 NO_DEADLINE = Deadline(math.inf)
 CALLERS = {
-    "routing": lambda template: route("q?", MODEL, NO_DEADLINE, Trace(), template),
+    "routing": lambda template: route("q?", MODEL, NO_DEADLINE, template),
     "summarize": lambda template: summarize_image(
         "q?", "img", MODEL, NO_DEADLINE, template),
     "generation": lambda template: generate_rag(
         "q?", None, CONTEXT, MODEL, NO_DEADLINE, (("q0", "a0"),), template),
     "consistency": lambda template: check_consistency(
         "q?", None, CONTEXT, AnswerPair(rag_answer="a", direct_answer="b"), MODEL,
-        NO_DEADLINE, Trace(), template),
+        NO_DEADLINE, template),
     "cov": lambda template: verify(
-        "q?", None, CONTEXT, "a", MODEL, NO_DEADLINE, Trace(), template),
+        "q?", None, CONTEXT, "a", MODEL, NO_DEADLINE, template),
     "judge": lambda template: PromptedJudge(MODEL, template).judge("a", "b"),
 }
 

@@ -2,12 +2,13 @@
 
 import math
 
+import pytest
 from hypothesis import given, strategies as st
 
 from ragvet.backends import MAX_TOKENS, Role
-from ragvet.core import Finding, VerificationResult
+from ragvet.core import Finding, ReplyParseError
 from ragvet.retrieval import build_context
-from ragvet.runtime import Deadline, Trace
+from ragvet.runtime import Deadline
 from ragvet.templates import default_template
 from ragvet.verification import parse_cov_response, verify
 
@@ -25,7 +26,7 @@ def _context(*texts_scores):
 def cov_request(context, query, answer):
     """The request ``verify`` sends."""
     model = CountingModel(scripted_model({"role": Role.VERIFIER, "response": COV_REPLY}))
-    verify(query, "img-1", context, answer, model, Deadline(math.inf), Trace(), COV)
+    verify(query, "img-1", context, answer, model, Deadline(math.inf), COV)
     [request] = model.requests
     return request
 
@@ -54,7 +55,7 @@ class TestParseCovResponse:
             "REASONING: Matches the label.\n"
             "SUB-QUESTIONS: Q1: Is the brand visible?, Finding: Supported"
         )
-        result = parse_cov_response(text, Trace())
+        result = parse_cov_response(text)
         assert result.confidence == 0.9
         assert result.reasoning == "Matches the label."
         assert len(result.sub_questions) == 1
@@ -66,47 +67,47 @@ class TestParseCovResponse:
             "CONFIDENCE: 1.0\nREASONING: ok\n"
             "SUB-QUESTIONS: Q1: one?, Finding: Supported, Q2: two?, Finding: Unsupported"
         )
-        result = parse_cov_response(text, Trace())
+        result = parse_cov_response(text)
         assert [sq.finding for sq in result.sub_questions] == [
             Finding.SUPPORTED, Finding.UNSUPPORTED,
         ]
 
     def test_out_of_range_clamped(self):
-        result = parse_cov_response("CONFIDENCE: 1.7\nREASONING: overshoot", Trace())
+        result = parse_cov_response("CONFIDENCE: 1.7\nREASONING: overshoot")
         assert result.confidence == 1.0
-        result = parse_cov_response("CONFIDENCE: -0.3\nREASONING: undershoot", Trace())
+        result = parse_cov_response("CONFIDENCE: -0.3\nREASONING: undershoot")
         assert result.confidence == 0.0
 
-    def test_prose_falls_back_to_zero_with_flag(self):
-        trace = Trace()
-        result = parse_cov_response("I think it's fine.", trace)
-        assert result == VerificationResult(confidence=0.0)
-        assert "cov_parse_failure" in trace.flags
+    def test_prose_raises(self):
+        with pytest.raises(ReplyParseError):
+            parse_cov_response("I think it's fine.")
 
     def test_confidence_word_mid_line_ignored(self):
         text = "the answer says CONFIDENCE: 0.2 somewhere\nCONFIDENCE: 0.8\nREASONING: anchored"
-        assert parse_cov_response(text, Trace()).confidence == 0.8
+        assert parse_cov_response(text).confidence == 0.8
 
     def test_bracketed_confidence_parses(self):
         text = "CONFIDENCE: [0.75]\nREASONING: bracketed"
-        assert parse_cov_response(text, Trace()).confidence == 0.75
+        assert parse_cov_response(text).confidence == 0.75
 
-    def test_bare_confidence_without_body_degrades(self):
-        trace = Trace()
-        result = parse_cov_response("CONFIDENCE: 0.9", trace)
-        assert result.confidence == 0.0
-        assert "cov_parse_failure" in trace.flags
+    def test_bare_confidence_without_body_raises(self):
+        with pytest.raises(ReplyParseError):
+            parse_cov_response("CONFIDENCE: 0.9")
 
-    def test_unparsable_number_degrades(self):
-        assert parse_cov_response("CONFIDENCE: high\nREASONING: words", Trace()).confidence == 0.0
+    def test_unparsable_number_raises(self):
+        with pytest.raises(ReplyParseError):
+            parse_cov_response("CONFIDENCE: high\nREASONING: words")
 
     def test_reasoning_stops_at_sub_questions(self):
         text = "CONFIDENCE: 0.9\nREASONING: first part\nSUB-QUESTIONS: Q1: q?, Finding: Supported"
-        assert parse_cov_response(text, Trace()).reasoning == "first part"
+        assert parse_cov_response(text).reasoning == "first part"
 
     @given(st.text(max_size=300))
-    def test_total_and_bounded(self, text):
-        result = parse_cov_response(text, Trace())
+    def test_bounded_or_reply_parse_error(self, text):
+        try:
+            result = parse_cov_response(text)
+        except ReplyParseError:
+            return
         assert 0.0 <= result.confidence <= 1.0
 
 
@@ -124,7 +125,7 @@ def test_round_trip_recovers_confidence_and_findings(confidence, reasoning, n_su
         for i in range(n_subs)
     )
     text = f"CONFIDENCE: {confidence!r}\nREASONING: {reasoning}\nSUB-QUESTIONS: {subs}"
-    result = parse_cov_response(text, Trace())
+    result = parse_cov_response(text)
     assert result.confidence == confidence
     assert len(result.sub_questions) == n_subs
 
@@ -134,7 +135,6 @@ class TestVerify:
         backend = scripted_model(
             {"role": Role.VERIFIER, "match": "Proposed Answer", "response": COV_REPLY}
         )
-        result = verify("q?", None, _context(("e", 0.9)), "answer", backend, no_deadline,
-                        Trace(), COV)
+        result = verify("q?", None, _context(("e", 0.9)), "answer", backend, no_deadline, COV)
         assert result.confidence == 1.0
 
