@@ -263,7 +263,8 @@ class ReplayModelBackend:
             )
         if entry.sleep_ms > 0:
             remaining = deadline.remaining_ms()
-            runtime.clock.sleep(min(entry.sleep_ms, remaining) / 1000.0)
+            clock = runtime.clock
+            clock.wait_until(clock.now() + min(entry.sleep_ms, remaining) / 1000.0)
             if entry.sleep_ms > remaining:
                 raise BackendTimeout(
                     f"scripted {entry.sleep_ms} ms sleep exceeds deadline for role "
@@ -284,7 +285,8 @@ class ReplayModelBackend:
 
 
 class RemoteModelBackend:
-    """One HTTP round-trip per completion against a configured endpoint."""
+    """One HTTP round-trip per completion against a configured endpoint; a
+    reply's usage fields, where present, must be integers >= 0."""
 
     def __init__(self, endpoint: str, bearer_token: Optional[str] = None):
         self._http = JsonEndpoint(endpoint, bearer_token)
@@ -299,17 +301,13 @@ class RemoteModelBackend:
             raise BackendTransportError(f"completion from {self._http.url} has no 'text' string")
         if not text:
             raise EmptyCompletionError(f"empty completion from {self._http.url}")
-        try:
-            return ModelResponse(
-                text=text,
-                prompt_tokens=int(body.get("prompt_tokens", 0)),
-                completion_tokens=int(body.get("completion_tokens", 0)),
-                latency_ms=int(body.get("latency_ms", 0)),
-            )
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise BackendTransportError(
-                f"bad usage fields from {self._http.url}: {exc}"
-            ) from exc
+        usage = {key: body.get(key, 0)
+                 for key in ("prompt_tokens", "completion_tokens", "latency_ms")}
+        for key, value in usage.items():
+            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+                raise BackendTransportError(f"{key} from {self._http.url} must be an integer"
+                                            f" >= 0, got {value!r:.50}")
+        return ModelResponse(text=text, **usage)
 
 
 # ---------------------------------------------------------------------------

@@ -142,8 +142,10 @@ class RunManifest:
         _write_json(path, self.to_dict())
 
 
-def _check_dir_of(path: Optional[str]) -> None:
+def _check_writable(path: Optional[str]) -> None:
     """Fail before any work where writing ``path`` would fail after it."""
+    if path and Path(path).is_dir():
+        raise EvalError(f"cannot write {path}: is a directory")
     if path and not Path(path).parent.is_dir():
         raise EvalError(f"cannot write {path}: no such directory")
 
@@ -244,6 +246,7 @@ def _config_snapshot(cfg: PipelineConfig) -> dict[str, Any]:
 def _cmd_run(args: argparse.Namespace) -> int:
     if args.workers < 1:
         raise InvalidConfigError(f"--workers must be at least 1, got {args.workers}")
+    _check_writable(args.out)
     cfg = load_config(args.config, mode=args.mode)
     templates = load_all(cfg.prompt_paths)
     dataset = load_dataset(args.dataset)
@@ -324,7 +327,7 @@ def _manifest_hash_for(trace_path: Path) -> Optional[str]:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    _check_dir_of(args.report)
+    _check_writable(args.report)
     cfg = load_config(args.config)
     templates = load_all(cfg.prompt_paths)
     truths = ground_truths(load_dataset(args.dataset))
@@ -338,7 +341,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_ablate(args: argparse.Namespace) -> int:
-    _check_dir_of(args.report)
+    _check_writable(args.report)
     cfg = load_config(args.config, mode=args.mode_policy)
     templates = load_all(cfg.prompt_paths)
     dataset = load_dataset(args.dataset)

@@ -15,12 +15,12 @@ the retrieval score ``finalize`` weighs is derived from the context's entries.
 A turn is a small dependency graph, not a straight line:
 
 - The direct answer needs nothing but the query and the history, so it runs
-  on one background worker alongside summarize, recall, rerank and the RAG
-  answer. It starts right after routing, unless some retrieval result could
-  settle the turn before generation (a real-time query); then it starts at
-  the beginning of generation, so an early exit never wastes it. The worker
-  is joined before the turn returns, and only the calling thread opens trace
-  stages.
+  on the turn's ``runtime.Worker`` alongside summarize, recall, rerank and
+  the RAG answer. It starts right after routing, unless some retrieval result
+  could settle the turn before generation (a real-time query); then it
+  starts at the beginning of generation, so an early exit never wastes it.
+  The worker is joined before the turn returns, each hand-off waiting on
+  ``runtime.clock``, and only the calling thread opens trace stages.
 - Only the pipeline decides whether to retrieve: a mode that looks images
   up (``retrieval.looks_up_images``, task1) always does, so a task1 turn
   with an image starts the summary on the same worker at the start of the
@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
@@ -78,7 +77,7 @@ from .retrieval import (
     summarize_image,
 )
 from .router import FALLBACK_DECISION, route
-from .runtime import Deadline
+from .runtime import Deadline, Handle, Worker
 from .templates import PromptTemplate, load_all
 from .verification import verify
 
@@ -278,8 +277,8 @@ def run_turn(
             return True
         return False
 
-    def start_direct(pool: ThreadPoolExecutor) -> Future[str]:
-        return pool.submit(
+    def start_direct(worker: Worker) -> Handle[str]:
+        return worker.submit(
             generate_direct, turn.query, image_ref, backends.vlm,
             budget.stage_deadline("generate"), history, templates["generation"],
         )
@@ -288,13 +287,13 @@ def run_turn(
         return summarize_image(turn.query, image_ref, backends.vlm,
                                budget.stage_deadline("summarize"), templates["summarize"])
 
-    def decide(pool: ThreadPoolExecutor) -> FinalDecision:
+    def decide(worker: Worker) -> FinalDecision:
         nonlocal routing, context, answers, verification
         get_summary = summarize
         if "rag" in runs and looks_up_images(cfg.mode) and image_ref:
             # task1 retrieves whatever the router says, so the summary, its
             # first step, need not wait for routing.
-            get_summary = pool.submit(summarize).result
+            get_summary = worker.submit(summarize).result
         is_real_time = False
         if "rag" in runs:
             routing = _stage(trace, "route", FALLBACK_DECISION, route, turn.query,
@@ -303,7 +302,7 @@ def run_turn(
             is_real_time = routing.is_real_time and variant == "full"
         direct = None
         if "direct" in runs and not retrieval_may_settle(cfg, is_real_time):
-            direct = start_direct(pool)
+            direct = start_direct(worker)
 
         if "rag" in runs:
             if not looks_up_images(cfg.mode) and not routing.needs_external:
@@ -322,7 +321,7 @@ def run_turn(
             # A failed RAG call leaves the direct answer unread, so it adds no flag.
             nonlocal direct
             if direct is None and "direct" in runs:
-                direct = start_direct(pool)
+                direct = start_direct(worker)
             rag_answer = None
             if "rag" in runs:
                 rag_answer = generate_rag(
@@ -377,8 +376,8 @@ def run_turn(
 
     # Leaving the block joins the worker, so no thread outlives the turn and
     # the wall clock below covers the wait for it.
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="ragvet-turn") as pool:
-        final = decide(pool)
+    with Worker() as worker:
+        final = decide(worker)
     return TurnOutcome(
         conversation_id=turn.conversation_id,
         turn_index=turn.turn_index,

@@ -1,18 +1,30 @@
-"""Turn-local runtime plumbing: the one clock and the deadlines read on it.
+"""Turn-local runtime plumbing: the one clock, the deadlines read on it, and
+the per-turn worker, whose every hand-off waits on it.
 
 Every read of time and every wait in ragvet goes through ``clock``, which other
 modules reach as ``runtime.clock``, so that one swap of it moves them all."""
 
 from __future__ import annotations
 
+import math
 import time
+from concurrent.futures import ThreadPoolExecutor
+from typing import Any, Callable, Generic, TypeVar
+
+T = TypeVar("T")
 
 
 class Clock:
-    """Real monotonic time in seconds: ``now()`` reads it, ``sleep()`` waits."""
+    """Real monotonic time in seconds. ``wait_until`` returns at once when the
+    moment has passed: no ``sleep(0)``, which would give the GIL away."""
 
     now = staticmethod(time.monotonic)
-    sleep = staticmethod(time.sleep)
+
+    @staticmethod
+    def wait_until(moment: float) -> None:
+        delay = moment - time.monotonic()
+        if delay > 0:
+            time.sleep(delay)
 
 
 clock = Clock()
@@ -45,3 +57,47 @@ class Deadline:
 
     def __repr__(self) -> str:
         return f"Deadline(remaining_ms={self.remaining_ms():.1f})"
+
+
+class Handle(Generic[T]):
+    """A call submitted to a ``Worker``: ``result()`` waits for it, then moves
+    the waiting thread on to the time it finished."""
+
+    __slots__ = ("future", "finished_at")
+
+    def result(self) -> T:
+        try:
+            return self.future.result()
+        finally:
+            clock.wait_until(self.finished_at)
+
+
+class Worker:
+    """The one background thread of a turn, as a context manager. Calls run in
+    the order submitted, each from its submitter's time; leaving the block
+    joins the thread and moves on to the time the last call finished."""
+
+    def __init__(self) -> None:
+        self._pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="ragvet-turn")
+        self._finished_at = -math.inf
+
+    def __enter__(self) -> "Worker":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self._pool.shutdown()
+        clock.wait_until(self._finished_at)
+
+    def submit(self, call: Callable[..., T], *args: Any) -> Handle[T]:
+        handle: Handle[T] = Handle()
+        started_at = clock.now()
+
+        def run() -> T:
+            clock.wait_until(started_at)
+            try:
+                return call(*args)
+            finally:
+                handle.finished_at = self._finished_at = clock.now()
+
+        handle.future = self._pool.submit(run)
+        return handle

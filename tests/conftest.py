@@ -137,28 +137,30 @@ def no_deadline() -> Deadline:
 
 class VirtualClock:
     """Stands in for ``runtime.clock``: time starts at 0 and moves only when
-    someone sleeps, by exactly the time slept, and ``sleep`` returns at once.
+    a thread waits, straight to the moment it waits for, and ``wait_until``
+    returns at once.
 
-    Every thread shares it, so a sleep on one thread moves the time the
-    others see. A test is exact only while one thread at a time waits on it.
+    Each thread keeps its own time. ``runtime.Worker`` hands time over with
+    every hand-off: a worker call starts at its submitter's time, and a
+    thread that waits for the call moves on to the time it finished. So a
+    thread's time is the time its own work and the calls it waited for took,
+    and every stage timing is exact however many threads wait.
     """
 
     def __init__(self) -> None:
-        self._now = 0.0
-        self._lock = threading.Lock()
+        self._local = threading.local()
 
     def now(self) -> float:
-        return self._now
+        return getattr(self._local, "now", 0.0)
 
-    def sleep(self, seconds: float) -> None:
-        with self._lock:
-            self._now += max(0.0, seconds)
+    def wait_until(self, moment: float) -> None:
+        self._local.now = max(self.now(), moment)
 
 
 @pytest.fixture
 def virtual_clock(monkeypatch) -> VirtualClock:
     """Runs the test on a ``VirtualClock``: deadlines, stage timings, the turn
-    wall clock and scripted waits all read it."""
+    wall clock, scripted waits and waits on the per-turn worker all read it."""
     clock = VirtualClock()
     monkeypatch.setattr(runtime, "clock", clock)
     return clock

@@ -309,6 +309,13 @@ CANNED_REPLIES = {
     "completion-completion-tokens-not-numeric": b'{"text": "hi", "completion_tokens": [2]}',
     "completion-latency-not-numeric": b'{"text": "hi", "latency_ms": null}',
     "completion-latency-negative": b'{"text": "hi", "latency_ms": -5}',
+    "completion-prompt-tokens-numeric-string": b'{"text": "hi", "prompt_tokens": "12"}',
+    "completion-prompt-tokens-fraction": b'{"text": "hi", "prompt_tokens": 3.7}',
+    "completion-prompt-tokens-bool": b'{"text": "hi", "prompt_tokens": true}',
+    "completion-prompt-tokens-negative": b'{"text": "hi", "prompt_tokens": -5}',
+    "completion-completion-tokens-whole-float": b'{"text": "hi", "completion_tokens": 2.0}',
+    "completion-completion-tokens-negative": b'{"text": "hi", "completion_tokens": -1}',
+    "completion-latency-bool": b'{"text": "hi", "latency_ms": false}',
 }
 
 

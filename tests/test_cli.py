@@ -787,9 +787,10 @@ def test_undecodable_input_is_one_error_line_and_no_output(tmp_path, capsys, kin
     assert not (tmp_path / "out.jsonl.manifest.json").exists()
 
 
+@pytest.mark.parametrize("target", ["no-parent", "directory"])
 @pytest.mark.parametrize("command", ["run", "eval", "ablate"])
 def test_unwritable_output_fails_before_any_turn_or_judge_call(tmp_path, capsys, monkeypatch,
-                                                               command):
+                                                               command, target):
     config = write_config(tmp_path)
     dataset = str(FIXTURES / "e2e_dataset.jsonl")
     trace = tmp_path / "trace.jsonl"
@@ -806,7 +807,10 @@ def test_unwritable_output_fails_before_any_turn_or_judge_call(tmp_path, capsys,
 
     monkeypatch.setattr(ReplayModelBackend, "complete", recording(ReplayModelBackend.complete))
     monkeypatch.setattr(MockJudge, "judge", recording(MockJudge.judge))
-    out = str(tmp_path / "missing" / "out.json")
+    if target == "directory":
+        (tmp_path / "out").mkdir()
+    out, reason = {"no-parent": (str(tmp_path / "missing" / "out.json"), "no such directory"),
+                   "directory": (str(tmp_path / "out"), "is a directory")}[target]
     argv = {"run": ["run", "--out", out, "--mock"],
             "eval": ["eval", "--traces", str(trace), "--report", out],
             "ablate": ["ablate", "--mode", "full", "--mock", "--report", out]}[command]
@@ -814,5 +818,6 @@ def test_unwritable_output_fails_before_any_turn_or_judge_call(tmp_path, capsys,
     code = main([*argv, "--dataset", dataset, "--config", str(config)])
     lines = capsys.readouterr().err.splitlines()
     assert code == 1
-    assert len(lines) == 1 and lines[0].startswith(f"error: cannot write {out}"), lines
+    assert lines == [f"error: cannot write {out}: {reason}"]
     assert calls == []
+    assert not Path(f"{out}.manifest.json").exists()

@@ -12,6 +12,10 @@ there. ``cli`` names neither ``judge_response`` nor ``aggregate``:
 ``runtime`` names ``time.monotonic``, ``time.perf_counter`` or
 ``time.sleep``, so every read of time and every wait goes through
 ``runtime.clock``; ``cli``'s calendar stamp (``time.gmtime``) is no clock read.
+No ragvet module but ``runtime`` imports ``concurrent.futures`` or starts a
+``threading.Thread``, so every wait on another thread of a turn is a wait on
+``runtime.clock`` too; ``cli``'s ``--workers`` pool runs conversations, not a
+turn, and is exempt.
 Every name a ragvet module other than ``__init__`` imports is used in it, or
 listed in its ``__all__``.
 
@@ -337,7 +341,7 @@ def test_detector_sees_every_form_of_clock_call():
         "stamp = time.strftime('%Y', time.gmtime())\n"
         "elapsed = time.perf_counter() - started\n"
         "from time import sleep as pause\n"
-        "runtime.clock.sleep(1.0)\n"
+        "runtime.clock.wait_until(1.0)\n"
         "clock.monotonic()\n"
     )
     assert clock_calls(source) == [
@@ -347,7 +351,7 @@ def test_detector_sees_every_form_of_clock_call():
 
 def test_runtime_is_the_module_that_reads_the_clock():
     assert clock_calls((PACKAGE / "runtime.py").read_text(encoding="utf-8")) == [
-        "time.monotonic", "time.sleep",
+        "time.monotonic", "time.monotonic", "time.sleep",
     ]
 
 
@@ -355,6 +359,46 @@ def test_runtime_is_the_module_that_reads_the_clock():
                          ids=lambda path: path.name)
 def test_only_runtime_reads_or_waits_on_the_clock(path):
     assert clock_calls(path.read_text(encoding="utf-8")) == []
+
+
+THREAD_MODULES = ("concurrent.futures", "_thread")
+POOL_IMPORTS = ["concurrent.futures", "concurrent.futures.ThreadPoolExecutor"]
+
+
+def thread_starts(source: str) -> int:
+    """How many calls of ``Thread`` the source makes, by bare name or as an
+    attribute."""
+    return sum(isinstance(node, ast.Call)
+               and (node.func.id if isinstance(node.func, ast.Name)
+                    else getattr(node.func, "attr", None)) == "Thread"
+               for node in ast.walk(ast.parse(source)))
+
+
+def test_detector_sees_every_form_of_thread_start():
+    source = (
+        "import threading\n"
+        "from threading import Thread, Lock\n"
+        "threading.Thread(target=f).start()\n"
+        "Thread(target=f)\n"
+        "lock = Lock()\n"
+        "threading.Event().wait()\n"
+    )
+    assert thread_starts(source) == 2
+
+
+@pytest.mark.parametrize("name", ["runtime.py", "cli.py"])
+def test_runtime_and_cli_import_the_thread_pool(name):
+    source = (PACKAGE / name).read_text(encoding="utf-8")
+    assert banned_imports(source, THREAD_MODULES) == POOL_IMPORTS
+
+
+@pytest.mark.parametrize("path", [path for path in MODULES
+                                  if path.name not in ("runtime.py", "cli.py")],
+                         ids=lambda path: path.name)
+def test_only_runtime_starts_a_thread_of_a_turn(path):
+    source = path.read_text(encoding="utf-8")
+    assert banned_imports(source, THREAD_MODULES) == []
+    assert thread_starts(source) == 0
 
 
 def unused_imports(source: str) -> list[str]:
