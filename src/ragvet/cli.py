@@ -74,7 +74,9 @@ def load_dataset(path: str | Path) -> list[Conversation]:
     conversations: list[Conversation] = []
     errors: list[str] = []
     seen_ids: set[str] = set()
-    for number, line in enumerate(text.splitlines(), start=1):
+    # JSONL separates records by "\n" alone: str.splitlines would also break a
+    # line at a raw U+2028, U+2029 or U+0085, which JSON allows inside a string.
+    for number, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:
@@ -287,14 +289,15 @@ def _make_judge(cfg: PipelineConfig, kind: str, template: PromptTemplate):
     return PromptedJudge(_remote(cfg, "judge_endpoint", RemoteModelBackend), template)
 
 
-def _read_trace_turns(path: str | Path) -> list[tuple[str, int, str]]:
-    """The (conversation_id, turn_index, final answer) of each trace record."""
+def _read_trace_turns(path: str | Path) -> list[tuple[int, str, int, str, bool]]:
+    """The line number, conversation_id, turn_index, final answer and
+    ``final.abstained`` (False when left out) of each trace record."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise EvalError(f"cannot read trace {path}: {exc}") from exc
     turns = []
-    for number, line in enumerate(text.splitlines(), start=1):
+    for number, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:
@@ -302,14 +305,17 @@ def _read_trace_turns(path: str | Path) -> list[tuple[str, int, str]]:
         except json.JSONDecodeError as exc:
             raise EvalError(f"trace line {number} is not valid JSON: {exc}") from exc
         try:
-            turn = (record["conversation_id"], record["turn_index"], record["final"]["answer"])
-            well_formed = [type(value) for value in turn] == [str, int, str]
-        except (KeyError, TypeError):
+            final = record["final"]
+            turn = (record["conversation_id"], record["turn_index"], final["answer"],
+                    final.get("abstained", False))
+            well_formed = [type(value) for value in turn] == [str, int, str, bool]
+        except (KeyError, TypeError, AttributeError):
             well_formed = False
         if not well_formed:
             raise EvalError(f"trace line {number} needs a string conversation_id, an integer "
-                            "turn_index and a string final.answer")
-        turns.append(turn)
+                            "turn_index, a string final.answer and, if present, a boolean "
+                            "final.abstained")
+        turns.append((number, *turn))
     if not turns:
         raise EvalError("empty trace file")
     return turns
@@ -332,7 +338,14 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     templates = load_all(cfg.prompt_paths)
     truths = ground_truths(load_dataset(args.dataset))
     judge = _make_judge(cfg, args.judge, templates["judge"])
-    metrics, rows = score_answers(_read_trace_turns(args.traces), truths, judge,
+    records = _read_trace_turns(args.traces)
+    for number, _, _, answer, abstained in records:
+        # A trace written under another abstain_text would score its
+        # abstentions as answers.
+        if abstained and answer.strip() != cfg.abstain_text.strip():
+            raise EvalError(f"trace line {number} abstained with {answer!r}, but the "
+                            f"config's abstain_text is {cfg.abstain_text!r}")
+    metrics, rows = score_answers([record[1:4] for record in records], truths, judge,
                                   cfg.abstain_text)
     _write_json(args.report, {"manifest_hash": _manifest_hash_for(Path(args.traces)),
                               **metrics.to_dict(), "rows": rows})

@@ -350,7 +350,7 @@ class InvalidConfigError(ValueError):
 
 
 class ReplyParseError(ValueError):
-    """A model reply does not parse; ``pipeline._stage`` flags it and falls back."""
+    """A model reply does not parse; ``pipeline._Turn.stage`` flags it and falls back."""
 
 
 # The values each annotation of a PipelineConfig field admits; a bool is

@@ -87,7 +87,7 @@ def generate_direct(
 
 def parse_yes_no(text: str) -> bool:
     """Leading yes -> True, leading no -> False; anything else raises
-    ``ReplyParseError``, and ``pipeline._stage`` reads the pair as inconsistent."""
+    ``ReplyParseError``, and ``pipeline._Turn.stage`` reads the pair as inconsistent."""
     match = _LEADING_YES_NO.match(text)
     if match is None:
         raise ReplyParseError(f"consistency reply does not parse: {text!r}")

@@ -7,7 +7,8 @@ generation by 75%, consistency by 85% and verification by 100%, so time a
 stage leaves unused rolls forward to the stages after it. A summary that
 times out thus still leaves search and rerank their share. No failure
 escapes a turn: everything degrades to an abstention with a flag explaining
-why. ``_stage`` alone opens, times and flags a stage (``_FAILURE_FLAGS``).
+why. A turn in flight is one ``_Turn``: its ``stage`` method alone opens,
+times and flags a stage, and ``_STAGES`` holds each stage's cutoff and flags.
 
 A turn is asked about its conversation's image, ``ConversationState.image_ref``;
 the retrieval score ``finalize`` weighs is derived from the context's entries.
@@ -85,27 +86,18 @@ logger = logging.getLogger(__name__)
 
 __all__ = ["TurnOutcome", "ConversationState", "VARIANTS", "run_turn", "run_conversation"]
 
-# Cumulative fractions of the turn budget each stage may consume.
-_STAGE_CUTOFFS = {
-    "route": 0.05,
-    "summarize": 0.20,
-    "retrieval": 0.35,
-    "generate": 0.75,
-    "consistency": 0.85,
-    "verify": 1.00,
-}
-
-# Each stage whose backend call may fail: the flag ``_stage`` sets on a timeout,
-# on any other backend failure, and on a reply that does not parse (None: no parser).
-_FAILURE_FLAGS = {
-    "route": ("router_backend_timeout", "router_backend_error", "router_parse_failure"),
-    "summarize": ("summary_backend_timeout", "summary_backend_error", None),
-    "recall": ("recall_backend_error", "recall_backend_error", None),
-    "rerank": ("rerank_backend_error", "rerank_backend_error", None),
-    "generate": ("generation_timeout", "generation_backend_error", None),
-    "consistency": ("consistency_backend_timeout", "consistency_backend_error",
+# Each stage: the cumulative fraction of the turn budget it may use, then the
+# flag ``_Turn.stage`` sets on a timeout, on any other backend failure, and on a
+# reply that does not parse (None: no parser).
+_STAGES = {
+    "route": (0.05, "router_backend_timeout", "router_backend_error", "router_parse_failure"),
+    "summarize": (0.20, "summary_backend_timeout", "summary_backend_error", None),
+    "recall": (0.35, "recall_backend_error", "recall_backend_error", None),
+    "rerank": (0.35, "rerank_backend_error", "rerank_backend_error", None),
+    "generate": (0.75, "generation_timeout", "generation_backend_error", None),
+    "consistency": (0.85, "consistency_backend_timeout", "consistency_backend_error",
                     "consistency_parse_failure"),
-    "verify": ("cov_backend_timeout", "cov_backend_error", "cov_parse_failure"),
+    "verify": (1.00, "cov_backend_timeout", "cov_backend_error", "cov_parse_failure"),
 }
 
 # The components each pipeline variant runs: the paper's ablations, then the
@@ -169,77 +161,183 @@ class ConversationState:
     history: list[tuple[str, str]] = field(default_factory=list)
 
 
-@dataclass
-class _Trace:
-    """Degradation flags and per-stage timings of one turn.
+class _Turn:
+    """One turn in flight: its budget's origin on ``runtime.clock``, its
+    degradation flags, stage order and per-stage timings, and what it has found
+    so far.
 
     Stage timings stay in memory for diagnostics; the serialized trace record
     carries only the ordered stage names so that mock runs stay byte-stable.
     """
 
-    flags: set[str] = field(default_factory=set)
-    stages: list[str] = field(default_factory=list)
-    timings_ms: dict[str, int] = field(default_factory=dict)
+    def __init__(self, cfg: PipelineConfig):
+        self.cfg = cfg
+        self.origin = runtime.clock.now()
+        self.flags: set[str] = set()
+        self.stages: list[str] = []
+        self.timings_ms: dict[str, int] = {}
+        self.routing: Optional[RoutingDecision] = None
+        self.context = build_context([], cfg.score_floor)
+        self.answers: Optional[AnswerPair] = None
+        self.verification: Optional[VerificationResult] = None
+
+    def deadline(self, stage: str) -> Deadline:
+        """The end of ``stage``'s cumulative share of the budget (``_STAGES``)."""
+        return Deadline(self.origin + _STAGES[stage][0] * self.cfg.turn_budget_ms / 1000.0)
 
     def flag(self, name: str) -> None:
         self.flags.add(name)
 
+    def out_of_budget(self) -> bool:
+        """Less than ``abstain_margin_ms`` of the whole turn budget is left;
+        flags ``budget_exhausted`` if so."""
+        turn_deadline = Deadline(self.origin + self.cfg.turn_budget_ms / 1000.0)
+        exhausted = turn_deadline.remaining_ms() < self.cfg.abstain_margin_ms
+        if exhausted:
+            self.flag("budget_exhausted")
+        return exhausted
 
-class _TurnBudget:
-    """Cumulative stage deadlines over one turn budget."""
+    def stage(self, name: str, fallback: Any, call: Callable[..., Any], *args: Any) -> Any:
+        """``call(*args)`` as stage ``name``, timed on ``runtime.clock``; a backend
+        failure or a reply that does not parse sets the stage's flag
+        (``_STAGES``) and yields ``fallback``."""
+        self.stages.append(name)
+        started = runtime.clock.now()
+        try:
+            return call(*args)
+        except (BackendError, ReplyParseError) as exc:
+            logger.debug("%s failed: %s", name, exc)
+            _, on_timeout, on_error, on_parse = _STAGES[name]
+            self.flag(on_parse if isinstance(exc, ReplyParseError)
+                      else on_timeout if isinstance(exc, BackendTimeout) else on_error)
+            return fallback
+        finally:
+            self.timings_ms[name] = int((runtime.clock.now() - started) * 1000.0)
 
-    def __init__(self, budget_ms: int):
-        self._origin = runtime.clock.now()
-        self._budget_ms = budget_ms
-        self.turn_deadline = Deadline(self._origin + budget_ms / 1000.0)
-
-    def stage_deadline(self, stage: str) -> Deadline:
-        return Deadline(self._origin + _STAGE_CUTOFFS[stage] * self._budget_ms / 1000.0)
-
-    def elapsed_ms(self) -> int:
-        return math.ceil((runtime.clock.now() - self._origin) * 1000.0)
-
-
-def _stage(trace: _Trace, name: str, fallback: Any, call: Callable[..., Any], *args: Any) -> Any:
-    """``call(*args)`` as stage ``name``, timed on ``runtime.clock``; a backend
-    failure or a reply that does not parse sets the stage's flag
-    (``_FAILURE_FLAGS``) and yields ``fallback``."""
-    trace.stages.append(name)
-    started = runtime.clock.now()
-    try:
-        return call(*args)
-    except (BackendError, ReplyParseError) as exc:
-        logger.debug("%s failed: %s", name, exc)
-        on_timeout, on_error, on_parse = _FAILURE_FLAGS[name]
-        trace.flag(on_parse if isinstance(exc, ReplyParseError)
-                   else on_timeout if isinstance(exc, BackendTimeout) else on_error)
-        return fallback
-    finally:
-        elapsed = int((runtime.clock.now() - started) * 1000.0)
-        trace.timings_ms[name] = trace.timings_ms.get(name, 0) + elapsed
+    def outcome(self, turn: QueryTurn, final: FinalDecision) -> TurnOutcome:
+        """The finished turn; its wall clock runs until now."""
+        return TurnOutcome(
+            conversation_id=turn.conversation_id, turn_index=turn.turn_index, query=turn.query,
+            final=final, routing=self.routing, context=self.context, answers=self.answers,
+            verification=self.verification, stages=tuple(self.stages),
+            flags=frozenset(self.flags), timings_ms=dict(self.timings_ms),
+            wall_clock_ms=math.ceil((runtime.clock.now() - self.origin) * 1000.0))
 
 
-def _run_retrieval(
-    query: str,
-    image_ref: Optional[str],
-    cfg: PipelineConfig,
-    backends: Backends,
-    budget: _TurnBudget,
-    trace: _Trace,
-    get_summary: Callable[[], str],
-) -> RagContext:
+def _run_retrieval(t: _Turn, query: str, image_ref: Optional[str], backends: Backends,
+                   get_summary: Callable[[], str]) -> RagContext:
     """``get_summary`` returns the image summary: it makes the call, or waits
     for one already started."""
-    deadline = budget.stage_deadline("retrieval")
-    summary = _stage(trace, "summarize", "", get_summary) if image_ref else ""
+    cfg = t.cfg
+    summary = t.stage("summarize", "", get_summary) if image_ref else ""
     expanded = expand_query(query, summary)
-    items = _stage(trace, "recall", [], recall, expanded, image_ref, backends.search,
-                   cfg.recall_k, cfg.mode, deadline)
-    scored = _stage(trace, "rerank", [], rerank, expanded, chunk_items(items),
-                    backends.reranker, deadline)
+    items = t.stage("recall", [], recall, expanded, image_ref, backends.search,
+                    cfg.recall_k, cfg.mode, t.deadline("recall"))
+    scored = t.stage("rerank", [], rerank, expanded, chunk_items(items),
+                     backends.reranker, t.deadline("rerank"))
     threshold = dynamic_threshold([c.score for c in scored], cfg.score_floor, cfg.mad_scale)
     kept = filter_chunks(scored, threshold, cfg.rerank_k)
     return build_context(kept, threshold)
+
+
+def _decide(t: _Turn, worker: Worker, state: ConversationState, query: str,
+            backends: Backends, templates: dict[str, PromptTemplate],
+            variant: str) -> FinalDecision:
+    """Run ``variant``'s stages of turn ``t`` in order, the overlapping calls on
+    ``worker``, and decide it; ``t`` keeps what each stage finds."""
+    cfg, runs, image_ref, history = t.cfg, VARIANTS[variant], state.image_ref, tuple(state.history)
+    degraded = FinalDecision(answer=cfg.abstain_text, branch=Branch.DEFAULT_ABSTAIN)
+
+    def start_direct() -> Handle[str]:
+        return worker.submit(generate_direct, query, image_ref, backends.vlm,
+                             t.deadline("generate"), history, templates["generation"])
+
+    def summarize() -> str:
+        return summarize_image(query, image_ref, backends.vlm, t.deadline("summarize"),
+                               templates["summarize"])
+
+    get_summary = summarize
+    if "rag" in runs and looks_up_images(cfg.mode) and image_ref:
+        # task1 retrieves whatever the router says, so the summary, its
+        # first step, need not wait for routing.
+        get_summary = worker.submit(summarize).result
+    is_real_time = False
+    if "rag" in runs:
+        t.routing = t.stage("route", FALLBACK_DECISION, route, query, backends.router_model,
+                            t.deadline("route"), templates["routing"])
+        is_real_time = t.routing.is_real_time and variant == "full"
+    direct = None
+    if "direct" in runs and not retrieval_may_settle(cfg, is_real_time):
+        direct = start_direct()
+
+    if "rag" in runs:
+        if not looks_up_images(cfg.mode) and not t.routing.needs_external:
+            t.flag("retrieval_skipped")
+        else:
+            t.context = _run_retrieval(t, query, image_ref, backends, get_summary)
+
+    if t.out_of_budget():
+        return degraded
+    early = settled(cfg, is_real_time, t.context.retrieval_score, t.context.empty)
+    if early is not None:
+        return early
+
+    def generate() -> tuple[Optional[str], Optional[str]]:
+        # A failed RAG call leaves the direct answer unread, so it adds no flag.
+        nonlocal direct
+        if direct is None and "direct" in runs:
+            direct = start_direct()
+        rag_answer = None
+        if "rag" in runs:
+            rag_answer = generate_rag(
+                query, image_ref, t.context, backends.vlm,
+                t.deadline("generate"), history, templates["generation"],
+            )
+        return rag_answer, direct.result() if direct is not None else None
+
+    generated = t.stage("generate", None, generate)
+    if generated is None or t.out_of_budget():
+        return degraded
+    rag_answer, direct_answer = generated
+    if rag_answer is None or direct_answer is None:
+        # One answer: nothing to compare it with, so it stands as given.
+        consistent, answer = True, rag_answer if direct_answer is None else direct_answer
+    else:
+        answers = AnswerPair(rag_answer=rag_answer, direct_answer=direct_answer)
+        if "consistency" in runs:
+            t.answers = t.stage("consistency", answers.with_consistency(False),
+                                check_consistency, query, image_ref, t.context, answers,
+                                backends.vlm, t.deadline("consistency"),
+                                templates["consistency"])
+            if t.out_of_budget():
+                return degraded
+        else:
+            # Without the judge, two answers agree only when they match exactly.
+            t.answers = answers.with_consistency(rag_answer.strip() == direct_answer.strip())
+        consistent, answer = bool(t.answers.consistent), t.answers.rag_answer
+
+    early = settled(
+        cfg, is_real_time, t.context.retrieval_score, t.context.empty,
+        consistent=consistent, rag_answer=answer,
+    )
+    if early is not None:
+        return early
+    s_cov = 1.0
+    if "verify" in runs:
+        t.verification = t.stage("verify", VerificationResult(confidence=0.0), verify,
+                                 query, image_ref, t.context, answer, backends.vlm,
+                                 t.deadline("verify"), templates["cov"])
+        s_cov = t.verification.confidence
+
+    return finalize(
+        is_real_time=is_real_time,
+        s_ret=t.context.retrieval_score,
+        context_empty=t.context.empty,
+        consistent=consistent,
+        s_cov=s_cov,
+        rag_answer=answer,
+        cfg=cfg,
+    )
 
 
 def run_turn(
@@ -257,141 +355,12 @@ def run_turn(
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown pipeline variant: {variant!r}")
-    runs = VARIANTS[variant]
-    budget = _TurnBudget(cfg.turn_budget_ms)
-    trace = _Trace()
-    history = tuple(state.history)
-    image_ref = state.image_ref
-
-    routing: Optional[RoutingDecision] = None
-    context = build_context([], cfg.score_floor)
-    answers: Optional[AnswerPair] = None
-    verification: Optional[VerificationResult] = None
-
-    def degraded() -> FinalDecision:
-        return FinalDecision(answer=cfg.abstain_text, branch=Branch.DEFAULT_ABSTAIN)
-
-    def out_of_budget() -> bool:
-        if budget.turn_deadline.remaining_ms() < cfg.abstain_margin_ms:
-            trace.flag("budget_exhausted")
-            return True
-        return False
-
-    def start_direct(worker: Worker) -> Handle[str]:
-        return worker.submit(
-            generate_direct, turn.query, image_ref, backends.vlm,
-            budget.stage_deadline("generate"), history, templates["generation"],
-        )
-
-    def summarize() -> str:
-        return summarize_image(turn.query, image_ref, backends.vlm,
-                               budget.stage_deadline("summarize"), templates["summarize"])
-
-    def decide(worker: Worker) -> FinalDecision:
-        nonlocal routing, context, answers, verification
-        get_summary = summarize
-        if "rag" in runs and looks_up_images(cfg.mode) and image_ref:
-            # task1 retrieves whatever the router says, so the summary, its
-            # first step, need not wait for routing.
-            get_summary = worker.submit(summarize).result
-        is_real_time = False
-        if "rag" in runs:
-            routing = _stage(trace, "route", FALLBACK_DECISION, route, turn.query,
-                             backends.router_model, budget.stage_deadline("route"),
-                             templates["routing"])
-            is_real_time = routing.is_real_time and variant == "full"
-        direct = None
-        if "direct" in runs and not retrieval_may_settle(cfg, is_real_time):
-            direct = start_direct(worker)
-
-        if "rag" in runs:
-            if not looks_up_images(cfg.mode) and not routing.needs_external:
-                trace.flag("retrieval_skipped")
-            else:
-                context = _run_retrieval(turn.query, image_ref, cfg, backends, budget,
-                                         trace, get_summary)
-
-        if out_of_budget():
-            return degraded()
-        early = settled(cfg, is_real_time, context.retrieval_score, context.empty)
-        if early is not None:
-            return early
-
-        def generate() -> tuple[Optional[str], Optional[str]]:
-            # A failed RAG call leaves the direct answer unread, so it adds no flag.
-            nonlocal direct
-            if direct is None and "direct" in runs:
-                direct = start_direct(worker)
-            rag_answer = None
-            if "rag" in runs:
-                rag_answer = generate_rag(
-                    turn.query, image_ref, context, backends.vlm,
-                    budget.stage_deadline("generate"), history, templates["generation"],
-                )
-            return rag_answer, direct.result() if direct is not None else None
-
-        generated = _stage(trace, "generate", None, generate)
-        if generated is None or out_of_budget():
-            return degraded()
-        rag_answer, direct_answer = generated
-        if rag_answer is None or direct_answer is None:
-            # One answer: nothing to compare it with, so it stands as given.
-            consistent, answer = True, rag_answer if direct_answer is None else direct_answer
-        else:
-            answers = AnswerPair(rag_answer=rag_answer, direct_answer=direct_answer)
-            if "consistency" in runs:
-                answers = _stage(trace, "consistency", answers.with_consistency(False),
-                                 check_consistency, turn.query, image_ref, context,
-                                 answers, backends.vlm, budget.stage_deadline("consistency"),
-                                 templates["consistency"])
-                if out_of_budget():
-                    return degraded()
-            else:
-                # Without the judge, two answers agree only when they match exactly.
-                answers = answers.with_consistency(rag_answer.strip() == direct_answer.strip())
-            consistent, answer = bool(answers.consistent), answers.rag_answer
-
-        early = settled(
-            cfg, is_real_time, context.retrieval_score, context.empty,
-            consistent=consistent, rag_answer=answer,
-        )
-        if early is not None:
-            return early
-        s_cov = 1.0
-        if "verify" in runs:
-            verification = _stage(trace, "verify", VerificationResult(confidence=0.0), verify,
-                                  turn.query, image_ref, context, answer, backends.vlm,
-                                  budget.stage_deadline("verify"), templates["cov"])
-            s_cov = verification.confidence
-
-        return finalize(
-            is_real_time=is_real_time,
-            s_ret=context.retrieval_score,
-            context_empty=context.empty,
-            consistent=consistent,
-            s_cov=s_cov,
-            rag_answer=answer,
-            cfg=cfg,
-        )
-
+    t = _Turn(cfg)
     # Leaving the block joins the worker, so no thread outlives the turn and
-    # the wall clock below covers the wait for it.
+    # the outcome's wall clock covers the wait for it.
     with Worker() as worker:
-        final = decide(worker)
-    return TurnOutcome(
-        conversation_id=turn.conversation_id,
-        turn_index=turn.turn_index,
-        query=turn.query,
-        final=final,
-        routing=routing,
-        context=context,
-        answers=answers,
-        verification=verification,
-        stages=tuple(trace.stages),
-        flags=frozenset(trace.flags),
-        timings_ms=dict(trace.timings_ms),
-        wall_clock_ms=budget.elapsed_ms(),
-    )
+        final = _decide(t, worker, state, turn.query, backends, templates, variant)
+    return t.outcome(turn, final)
 
 
 def run_conversation(

@@ -2,7 +2,7 @@
 
 Parsing is label-anchored and case-insensitive, so reordered or decorated
 model output still parses. A reply that does not parse raises
-``ReplyParseError``; ``pipeline._stage`` then applies {e=1, r=0}
+``ReplyParseError``; ``pipeline._Turn.stage`` then applies {e=1, r=0}
 (``FALLBACK_DECISION``), as it does when the backend fails: keeping
 retrieval available favors grounding, and not forcing the real-time branch
 avoids abstaining just because routing itself broke.

@@ -3,7 +3,7 @@
 Both phases (holistic, then decompositional) live in one prompt; the model
 reports them as a confidence-first block so that even a truncated reply
 still carries a usable score. An unusable reply raises ``ReplyParseError``;
-``pipeline._stage`` then scores the answer at confidence 0.0.
+``pipeline._Turn.stage`` then scores the answer at confidence 0.0.
 """
 
 from __future__ import annotations

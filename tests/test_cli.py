@@ -89,6 +89,16 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match="duplicate"):
             load_dataset(path)
 
+    def test_a_raw_line_separator_inside_a_string_does_not_end_the_line(self, tmp_path):
+        # JSON allows a raw U+2028 or U+0085 inside a string; only "\n" ends a record.
+        path = tmp_path / "d.jsonl"
+        query = "who makes\u2028this\x85kettle"
+        path.write_text(json.dumps({"conversation_id": "c1", "image_ref": None,
+                                    "turns": [{"query": query}]}, ensure_ascii=False) + "\n",
+                        encoding="utf-8")
+        [conversation] = load_dataset(path)
+        assert conversation.turns[0].query == query
+
     def test_conversation_without_turns_rejected(self, tmp_path):
         path = tmp_path / "d.jsonl"
         path.write_text(
@@ -518,6 +528,42 @@ class TestEvalCommand:
         report = json.loads(report_path.read_text(encoding="utf-8"))
         assert report["n"] == 26
         assert report["missing_rate"] == 1.0
+
+    def test_an_answer_holding_a_raw_line_separator_is_evaluated(self, tmp_path):
+        # The trace is written without escaping non-ASCII, so the answer's raw
+        # U+2028 stands inside its record's line.
+        answer = "Acme\u2028Corp"
+        replay = tmp_path / "replay.json"
+        replay.write_text(json.dumps([ROUTER_ENTRY, {"role": "generator", "response": answer}]),
+                          encoding="utf-8")
+        config = write_config(tmp_path, replay_path=str(replay))
+        dataset = tmp_path / "d.jsonl"
+        dataset.write_text(json.dumps(RECORD) + "\n", encoding="utf-8")
+        trace = tmp_path / "trace.jsonl"
+        assert main(["run", "--dataset", str(dataset), "--config", str(config),
+                     "--out", str(trace), "--mock"]) == 0
+        assert "\u2028" in trace.read_text(encoding="utf-8")
+        report = tmp_path / "report.json"
+        assert main(["eval", "--traces", str(trace), "--dataset", str(dataset),
+                     "--config", str(config), "--report", str(report)]) == 0
+        assert json.loads(report.read_text(encoding="utf-8"))["n"] == 1
+
+    def test_an_abstention_under_another_abstain_text_stops_eval(self, tmp_path, capsys):
+        dataset = str(FIXTURES / "e2e_dataset.jsonl")
+        trace = tmp_path / "trace.jsonl"
+        assert main(["run", "--dataset", dataset, "--out", str(trace), "--mock",
+                     "--config", str(write_config(tmp_path, abstain_text="N/A"))]) == 0
+        first = next(number for number, line in enumerate(trace.read_text().split("\n"), 1)
+                     if json.loads(line)["final"]["abstained"])
+        capsys.readouterr()
+        report = tmp_path / "report.json"
+        code = main(["eval", "--traces", str(trace), "--dataset", dataset,
+                     "--config", str(write_config(tmp_path)), "--report", str(report)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith(f"error: trace line {first} "), err
+        assert "'N/A'" in err[0] and '"I don\'t know"' in err[0]
+        assert not report.exists()
 
     def test_eval_requires_ground_truth(self, tmp_path, capsys):
         config = write_config(tmp_path)

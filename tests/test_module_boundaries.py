@@ -6,12 +6,12 @@ imports ``socket`` or ``ssl``. No ragvet module but ``templates`` calls
 ``resolve_template``. Only ``backends.ask`` builds a ``ModelRequest``, and
 no stage module catches a backend failure or a ``ReplyParseError``:
 ``pipeline`` is the one failure seam. No ragvet module but ``pipeline`` names
-a ``Trace`` or calls a ``.flag(`` method, so every degradation flag is set
-there. ``cli`` names neither ``judge_response`` nor ``aggregate``:
-``evaluation.score_answers`` is the one scoring path. No ragvet module but
-``runtime`` names ``time.monotonic``, ``time.perf_counter`` or
-``time.sleep``, so every read of time and every wait goes through
-``runtime.clock``; ``cli``'s calendar stamp (``time.gmtime``) is no clock read.
+its turn class, ``_Turn``, which holds a turn's trace, or calls a ``.flag(``
+method, so every degradation flag is set there. ``cli`` names neither
+``judge_response`` nor ``aggregate``: ``evaluation.score_answers`` is the one
+scoring path. No ragvet module but ``runtime`` names ``time.monotonic``,
+``time.perf_counter`` or ``time.sleep``, so every read of time and every wait
+goes through ``runtime.clock``; ``cli``'s calendar stamp (``time.gmtime``) is no clock read.
 No ragvet module but ``runtime`` imports ``concurrent.futures`` or starts a
 ``threading.Thread``, so every wait on another thread of a turn is a wait on
 ``runtime.clock`` too; ``cli``'s ``--workers`` pool runs conversations, not a
@@ -53,13 +53,13 @@ def private_imports(source: str) -> list[str]:
 
 def test_detector_sees_relative_and_absolute_private_imports():
     source = (
-        "from .pipeline import run_turn, _TurnBudget\n"
+        "from .pipeline import run_turn, _Turn\n"
         "from ragvet.backends import _post_json\n"
         "from . import _internal, __version__\n"
         "from os import _exit\n"
     )
     assert private_imports(source) == [
-        ".pipeline:_TurnBudget", "ragvet.backends:_post_json", ".:_internal",
+        ".pipeline:_Turn", "ragvet.backends:_post_json", ".:_internal",
     ]
 
 
@@ -303,11 +303,21 @@ def test_detector_sees_every_flag_call():
     assert flag_calls(source) == 2
 
 
+# The class that holds a turn's trace and sets its flags.
+TURN_CLASS = "_Turn"
+
+
+def test_pipeline_is_the_module_that_names_the_turn_and_sets_flags():
+    source = (PACKAGE / "pipeline.py").read_text(encoding="utf-8")
+    assert TURN_CLASS in names(source)
+    assert flag_calls(source) == 3
+
+
 @pytest.mark.parametrize("path", [path for path in MODULES if path.name != "pipeline.py"],
                          ids=lambda path: path.name)
 def test_only_pipeline_names_a_trace_or_sets_a_flag(path):
     source = path.read_text(encoding="utf-8")
-    assert "Trace" not in names(source)
+    assert TURN_CLASS not in names(source)
     assert flag_calls(source) == 0
 
 

@@ -5,6 +5,7 @@ import json
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -496,6 +497,29 @@ def seam_backends(routing=ROUTE_PLAIN):
         make_backends(turn_script(SEAM_QUERY, routing=routing, summary=SEAM_SUMMARY)),
         search=search,
     )
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def degradation_table():
+    """The rows of README's "Degradation flags" table, each a dict from
+    column heading to cell text, code quotes stripped."""
+    section = README.read_text(encoding="utf-8").split("\n## Degradation flags\n")[1]
+    rows = [[cell.strip().strip("`") for cell in line.strip("|").split("|")]
+            for line in section.split("\n## ")[0].split("\n") if line.startswith("|")]
+    header, _, *body = rows
+    return [dict(zip(header, row)) for row in body]
+
+
+def test_readme_degradation_table_matches_the_seam():
+    table = {row["stage"]: (row["budget cutoff"], row["flag on timeout"],
+                            row["flag on any other backend error"],
+                            row["flag when the reply does not parse"])
+             for row in degradation_table()}
+    assert table == {stage: (f"{TIMEOUT_AT_MS[stage] * 100 // 400} %", *FAILURE_FLAGS[stage],
+                             PARSE_FLAGS.get(stage, "—"))
+                     for stage in FAILURE_FLAGS}
 
 
 class TestFailureSeam:
