@@ -10,15 +10,13 @@ through ``transport.JsonEndpoint``.
 from __future__ import annotations
 
 import heapq
-import json
-import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Any, Mapping, Optional, Protocol, Sequence
 
 from . import runtime
-from .core import RetrievedItem, Source, missing_content
+from .core import RetrievedItem, Source, missing_content, read_json
 from .runtime import Deadline
 from .templates import PromptTemplate
 from .transport import BackendError, BackendTimeout, BackendTransportError, JsonEndpoint
@@ -216,20 +214,8 @@ class ReplayEntry:
         return cls(role=role, response=data["response"], match=tuple(match), sleep_ms=sleep_ms)
 
 
-def _read_json(path: str | Path) -> Any:
-    """The JSON document in a fixture or replay file; FixtureError if there is none."""
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise FixtureError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise FixtureError(f"{path}: not UTF-8: {exc.reason} at byte {exc.start}") from exc
-    except json.JSONDecodeError as exc:
-        raise FixtureError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-
-
 def load_replay(path: str | Path) -> list[ReplayEntry]:
-    raw = _read_json(path)
+    raw = read_json(path, FixtureError)
     if not isinstance(raw, list):
         raise FixtureError(f"{path}: replay file must hold a list of entries")
     return [ReplayEntry.from_dict(entry, f"{path}[{i}]") for i, entry in enumerate(raw)]
@@ -378,7 +364,7 @@ def _checked_records(records: Any, source: Source) -> tuple[FixtureRecord, ...]:
 def load_fixture(path: str | Path) -> SearchFixture:
     """Parse and check a search fixture file; a FixtureError names the first
     bad record."""
-    raw = _read_json(path)
+    raw = read_json(path, FixtureError)
     if not isinstance(raw, dict):
         raise FixtureError(f"{path}: fixture must be an object")
     raw_images = raw.get("image_index", {})
@@ -478,9 +464,11 @@ class MockRerankerBackend:
 
 
 def _rerank_score(value: Any) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or math.isnan(value):
+    # NaN is the one number unequal to itself. A score is clamped before it
+    # becomes a float, which an integer too large for a float would not.
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value != value:
         raise BackendTransportError(f"rerank score must be a number, got {value!r}")
-    return min(1.0, max(0.0, float(value)))
+    return float(min(1.0, max(0.0, value)))
 
 
 class RemoteRerankerBackend:

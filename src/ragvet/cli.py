@@ -15,7 +15,6 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Optional, Sequence
 
@@ -31,7 +30,9 @@ from .backends import (
     ReplayModelBackend,
     load_fixture,
 )
-from .core import MODES, Conversation, InvalidConfigError, PipelineConfig
+from .core import (
+    MODES, Conversation, InvalidConfigError, PipelineConfig, read_json, read_jsonl,
+)
 from .evaluation import (
     ABLATION_MODES,
     EvalError,
@@ -45,7 +46,7 @@ from .pipeline import TurnOutcome, run_conversation
 from .retrieval import looks_up_images
 from .templates import PromptTemplate, TemplateError, load_all
 
-__all__ = ["load_dataset", "DatasetError", "RunManifest", "main", "entry"]
+__all__ = ["load_dataset", "DatasetError", "main", "entry"]
 
 _ENV_OVERRIDES = {
     "RAGVET_ROUTER_ENDPOINT": "router_endpoint",
@@ -67,81 +68,38 @@ def load_dataset(path: str | Path) -> list[Conversation]:
     Every malformed line is collected and reported; any failure aborts the
     whole load so partial datasets never reach evaluation.
     """
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DatasetError(f"cannot read dataset {path}: {exc}") from exc
-    conversations: list[Conversation] = []
-    errors: list[str] = []
     seen_ids: set[str] = set()
-    # JSONL separates records by "\n" alone: str.splitlines would also break a
-    # line at a raw U+2028, U+2029 or U+0085, which JSON allows inside a string.
-    for number, line in enumerate(text.split("\n"), start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-            conversation = Conversation.from_dict(record)
-        except KeyError as exc:
-            errors.append(f"line {number}: missing key {exc.args[0]!r}")
-            continue
-        except (json.JSONDecodeError, TypeError, ValueError) as exc:
-            errors.append(f"line {number}: {exc}")
-            continue
-        if conversation.conversation_id in seen_ids:
-            errors.append(f"line {number}: duplicate conversation_id {conversation.conversation_id!r}")
-            continue
-        seen_ids.add(conversation.conversation_id)
-        conversations.append(conversation)
-    if errors:
-        raise DatasetError(f"dataset {path} has bad lines: " + "; ".join(errors))
+
+    def conversation(record: Any) -> Conversation:
+        parsed = Conversation.from_dict(record)
+        if parsed.conversation_id in seen_ids:
+            raise ValueError(f"duplicate conversation_id {parsed.conversation_id!r}")
+        seen_ids.add(parsed.conversation_id)
+        return parsed
+
+    conversations = [parsed for _, parsed in read_jsonl(path, DatasetError, conversation)]
     if not conversations:
         raise DatasetError("empty dataset")
     return conversations
 
 
-@dataclass
-class RunManifest:
-    """Provenance record for one pipeline run.
+def _run_manifest(cfg: PipelineConfig, dataset_path: str, record_count: int,
+                  backend_kinds: dict[str, str]) -> dict[str, Any]:
+    """Provenance record of a run that starts now; credentials never reach disk.
 
     ``manifest_hash`` covers only the reproducible inputs (config, dataset
     size, backend kinds, version) so reports referencing it stay stable
     across re-runs of the same inputs.
     """
-
-    config: dict[str, Any]
-    dataset_path: str
-    record_count: int
-    backend_kinds: dict[str, str]
-    version: str
-    started_at: str
-    finished_at: Optional[str] = None
-
-    @property
-    def manifest_hash(self) -> str:
-        stable = {
-            "config": self.config,
-            "record_count": self.record_count,
-            "backend_kinds": self.backend_kinds,
-            "version": self.version,
-        }
-        payload = json.dumps(stable, sort_keys=True, ensure_ascii=False)
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "manifest_hash": self.manifest_hash,
-            "version": self.version,
-            "config": self.config,
-            "dataset_path": self.dataset_path,
-            "record_count": self.record_count,
-            "backend_kinds": self.backend_kinds,
-            "started_at": self.started_at,
-            "finished_at": self.finished_at,
-        }
-
-    def write(self, path: Path) -> None:
-        _write_json(path, self.to_dict())
+    config = cfg.to_dict()
+    if config["bearer_token"]:
+        config["bearer_token"] = "<redacted>"
+    stable = {"config": config, "record_count": record_count,
+              "backend_kinds": backend_kinds, "version": __version__}
+    payload = json.dumps(stable, sort_keys=True, ensure_ascii=False).encode("utf-8")
+    return {"manifest_hash": hashlib.sha256(payload).hexdigest(), "version": __version__,
+            "config": config, "dataset_path": dataset_path, "record_count": record_count,
+            "backend_kinds": backend_kinds, "started_at": _utc_now(), "finished_at": None}
 
 
 def _check_writable(path: Optional[str]) -> None:
@@ -165,12 +123,7 @@ def load_config(path: Optional[str], mode: Optional[str] = None) -> PipelineConf
     """The one config built from the file at ``path`` (the defaults when
     None) with the environment's overrides, then ``mode`` if given, merged
     over it."""
-    data: Any = {}
-    if path is not None:
-        try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
-            raise InvalidConfigError(f"cannot load config {path}: {exc}") from exc
+    data = {} if path is None else read_json(path, InvalidConfigError)
     overrides = {
         field: os.environ[env] for env, field in _ENV_OVERRIDES.items() if env in os.environ
     }
@@ -237,14 +190,6 @@ def write_trace(outcomes: Sequence[TurnOutcome], path: Path) -> None:
     path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 
-def _config_snapshot(cfg: PipelineConfig) -> dict[str, Any]:
-    """Manifest view of the config; credentials never reach disk."""
-    snapshot = cfg.to_dict()
-    if snapshot.get("bearer_token"):
-        snapshot["bearer_token"] = "<redacted>"
-    return snapshot
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     if args.workers < 1:
         raise InvalidConfigError(f"--workers must be at least 1, got {args.workers}")
@@ -254,16 +199,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.dataset)
     backends, kinds = build_backends(cfg, mock=args.mock)
     out_path = Path(args.out)
-    manifest = RunManifest(
-        config=_config_snapshot(cfg),
-        dataset_path=str(args.dataset),
-        record_count=len(dataset),
-        backend_kinds=kinds,
-        version=__version__,
-        started_at=_utc_now(),
-    )
+    manifest = _run_manifest(cfg, str(args.dataset), len(dataset), kinds)
     manifest_path = out_path.with_name(out_path.name + ".manifest.json")
-    manifest.write(manifest_path)
+    _write_json(manifest_path, manifest)
 
     try:
         with ThreadPoolExecutor(max_workers=args.workers) as pool:
@@ -273,8 +211,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         backends.close()
     outcomes = [outcome for conversation_outcomes in results for outcome in conversation_outcomes]
     write_trace(outcomes, out_path)
-    manifest.finished_at = _utc_now()
-    manifest.write(manifest_path)
+    _write_json(manifest_path, {**manifest, "finished_at": _utc_now()})
     abstained = sum(1 for outcome in outcomes if outcome.final.abstained)
     print(f"ran {len(outcomes)} turns over {len(dataset)} conversations "
           f"({abstained} abstained) -> {out_path}")
@@ -292,18 +229,8 @@ def _make_judge(cfg: PipelineConfig, kind: str, template: PromptTemplate):
 def _read_trace_turns(path: str | Path) -> list[tuple[int, str, int, str, bool]]:
     """The line number, conversation_id, turn_index, final answer and
     ``final.abstained`` (False when left out) of each trace record."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise EvalError(f"cannot read trace {path}: {exc}") from exc
     turns = []
-    for number, line in enumerate(text.split("\n"), start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise EvalError(f"trace line {number} is not valid JSON: {exc}") from exc
+    for number, record in read_jsonl(path, EvalError):
         try:
             final = record["final"]
             turn = (record["conversation_id"], record["turn_index"], final["answer"],
@@ -323,10 +250,10 @@ def _read_trace_turns(path: str | Path) -> list[tuple[int, str, int, str, bool]]
 
 def _manifest_hash_for(trace_path: Path) -> Optional[str]:
     """None unless the trace's manifest is a JSON object with a string hash."""
-    manifest_path = trace_path.with_name(trace_path.name + ".manifest.json")
     try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except (OSError, ValueError):  # ValueError: not UTF-8, or not JSON
+        manifest = read_json(trace_path.with_name(trace_path.name + ".manifest.json"),
+                             ValueError)
+    except ValueError:
         return None
     digest = manifest.get("manifest_hash") if isinstance(manifest, dict) else None
     return digest if isinstance(digest, str) else None

@@ -7,14 +7,19 @@ Each fact is stored once. A value that follows from others is computed,
 never passed in: ``RagContext.rendered`` and ``RagContext.retrieval_score``
 are derived from its entries. The image belongs to the conversation
 (``Conversation.image_ref``), not to each of its turns.
+
+Every input file is read by one of two readers: ``read_json`` for a file
+that holds one JSON document, ``read_jsonl`` for a file of JSON lines.
 """
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import asdict, dataclass, field, fields, replace
 from enum import Enum
-from typing import Any, Mapping, Optional, Sequence
+from pathlib import Path
+from typing import Any, Callable, Mapping, Optional, Sequence
 
 from .templates import TEMPLATE_NAMES
 from .transport import BEARER_TOKEN
@@ -38,10 +43,16 @@ __all__ = [
     "MODES",
     "parse_context_tags",
     "missing_content",
+    "read_json",
+    "read_jsonl",
 ]
 
 # The most entries a context holds: rerank_k's upper bound and its default.
 MAX_CONTEXT_ENTRIES = 3
+
+# The largest turn budget, a day (the paper's is 10 s). A budget of 10**13 ms
+# would overflow the timeout a remote call sets on its socket.
+MAX_TURN_BUDGET_MS = 86_400_000
 
 # The pipeline's modes, the default first: task1 looks the conversation's
 # image up in the knowledge graph, task2plus may search the web.
@@ -430,6 +441,7 @@ class PipelineConfig:
             (self.low_confidence <= self.high_confidence, "low_confidence <= high_confidence"),
             (self.high_confidence <= 1.0, "high_confidence <= 1"),
             (self.turn_budget_ms > 0, "turn_budget_ms > 0"),
+            (self.turn_budget_ms <= MAX_TURN_BUDGET_MS, f"turn_budget_ms <= {MAX_TURN_BUDGET_MS}"),
             (self.abstain_margin_ms >= 0, "abstain_margin_ms >= 0"),
             (self.abstain_margin_ms < self.turn_budget_ms, "abstain_margin_ms < turn_budget_ms"),
             (bool(self.abstain_text.strip()), "abstain_text must be non-empty"),
@@ -454,3 +466,58 @@ class PipelineConfig:
             raise InvalidConfigError(f"unknown config keys: {', '.join(unknown)}")
         return cls(**dict(data))
 
+
+def _read_text(path: str | Path, error: type[Exception]) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise error(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8: {exc.reason} at byte {exc.start}") from exc
+
+
+def _decode(text: str) -> Any:
+    """The JSON value in ``text``; ValueError if there is none, as when it is
+    nested too deeply for the decoder."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("invalid JSON: nested too deeply") from None
+    except ValueError as exc:  # not JSON, or an integer too long to convert
+        raise ValueError(f"invalid JSON: {exc}") from None
+
+
+def read_json(path: str | Path, error: type[Exception]) -> Any:
+    """The JSON document in the file at ``path``; ``error`` naming the file
+    if it cannot be read, is not UTF-8 or holds no JSON document."""
+    text = _read_text(path, error)
+    try:
+        return _decode(text)
+    except ValueError as exc:
+        raise error(f"{path}: {exc}") from exc
+
+
+def read_jsonl(path: str | Path, error: type[Exception],
+               check: Callable[[Any], Any] = lambda record: record) -> list[tuple[int, Any]]:
+    """The line number and ``check(record)`` of each non-blank line of the
+    JSONL file at ``path``, in file order.
+
+    ``error`` names the file if it cannot be read or is not UTF-8, or else
+    names in one message every line that is not JSON or that ``check``
+    rejects with a KeyError, TypeError or ValueError.
+    """
+    checked, problems = [], []
+    # JSONL separates records by "\n" alone: str.splitlines would also break a
+    # line at a raw U+2028, U+2029 or U+0085, which JSON allows inside a string.
+    for number, line in enumerate(_read_text(path, error).split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            checked.append((number, check(_decode(line))))
+        except KeyError as exc:
+            problems.append(f"line {number}: missing key {exc.args[0]!r}")
+        except (TypeError, ValueError) as exc:
+            problems.append(f"line {number}: {exc}")
+    if problems:
+        raise error(f"{path} has bad lines: " + "; ".join(problems))
+    return checked

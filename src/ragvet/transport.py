@@ -292,7 +292,8 @@ class JsonEndpoint:
         BackendTimeout is raised once ``deadline`` passes, at whatever point
         of the call. An unreachable host, a TLS failure, a reply that breaks
         HTTP/1.1 framing, a status other than 200, or a body that is not a
-        JSON object raises BackendTransportError.
+        JSON object (one nested too deeply to decode included) raises
+        BackendTransportError.
         """
         # Checked before taking a socket, so that a late call does not close
         # a pooled one.
@@ -328,7 +329,7 @@ class JsonEndpoint:
             raise BackendTransportError(f"{self.url} answered {status}: {text}")
         try:
             parsed = json.loads(data)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
             raise BackendTransportError(f"malformed body from {self.url}: {exc}") from exc
         if not isinstance(parsed, dict):
             raise BackendTransportError(f"body from {self.url} must be a JSON object")

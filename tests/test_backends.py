@@ -288,7 +288,10 @@ class TestFixtureLookups:
 # Canned reply bodies served verbatim under /reply/<name>.
 CANNED_REPLIES = {
     "not-json": b"<html>busy</html>",
+    "nested": b"[" * 100_000 + b"]" * 100_000,
     "out-of-range-scores": b'{"scores": [1.7, -0.2]}',
+    "out-of-range-integer-scores": b'{"scores": [1%s, -1%s]}' % (b"0" * 400, b"0" * 400),
+    "out-of-range-integer-score": b'{"scores": [1%s]}' % (b"0" * 400),
     "rerank-scores-missing": b"{}",
     "rerank-scores-not-list": b'{"scores": 0.5}',
     "rerank-score-not-numeric": b'{"scores": [0.5, "high"]}',
@@ -396,6 +399,22 @@ class TestRemoteBackends:
     def test_remote_reranker_clamps_scores(self, http_server, no_deadline):
         backend = RemoteRerankerBackend(f"{http_server}/reply/out-of-range-scores")
         assert backend.score_batch("q", ["a", "b"], no_deadline) == [1.0, 0.0]
+
+    def test_remote_reranker_clamps_integer_scores_beyond_a_float(self, http_server,
+                                                                  no_deadline):
+        backend = RemoteRerankerBackend(f"{http_server}/reply/out-of-range-integer-scores")
+        assert backend.score_batch("q", ["a", "b"], no_deadline) == [1.0, 0.0]
+
+    def test_integer_score_beyond_a_float_keeps_the_turn(self, http_server):
+        query = "what brand is this shoe"
+        backends = dataclasses.replace(
+            make_backends(turn_script(query), image_fixture("img-1", query)),
+            reranker=RemoteRerankerBackend(f"{http_server}/reply/out-of-range-integer-score"),
+        )
+        outcome = run_turn(fresh_state(), one_turn(query), PipelineConfig(), backends, TEMPLATES)
+        assert outcome.flags == frozenset()
+        assert outcome.context.retrieval_score == 1.0
+        assert outcome.final.answer == "rag answer"
 
     def test_remote_search_times_out_at_the_deadline(self, http_server):
         backend = RemoteSearchBackend(f"{http_server}/slow")
@@ -857,9 +876,13 @@ class TestHttps:
             backend.close()
 
 
-RERANK_BAD_REPLIES = ["not-json"] + [name for name in CANNED_REPLIES if name.startswith("rerank-")]
-SEARCH_BAD_REPLIES = ["not-json"] + [name for name in CANNED_REPLIES if name.startswith("search-")]
-COMPLETION_BAD_REPLIES = ["not-json"] + [
+RERANK_BAD_REPLIES = ["not-json", "nested"] + [
+    name for name in CANNED_REPLIES if name.startswith("rerank-")
+]
+SEARCH_BAD_REPLIES = ["not-json", "nested"] + [
+    name for name in CANNED_REPLIES if name.startswith("search-")
+]
+COMPLETION_BAD_REPLIES = ["not-json", "nested"] + [
     name for name in CANNED_REPLIES if name.startswith("completion-")
 ]
 
@@ -886,6 +909,16 @@ class TestMalformedReplies:
         outcome = run_turn(fresh_state(), one_turn(query), PipelineConfig(), backends, TEMPLATES)
         assert "rerank_backend_error" in outcome.flags
         assert outcome.context.empty
+
+    def test_nested_router_reply_degrades_turn_with_a_flag(self, http_server):
+        query = "what brand is this shoe"
+        router = RemoteModelBackend(f"{http_server}/reply/nested")
+        backends = dataclasses.replace(
+            make_backends(turn_script(query), image_fixture("img-1", query)), router_model=router)
+        outcome = run_turn(fresh_state(), one_turn(query), PipelineConfig(), backends, TEMPLATES)
+        router.close()
+        assert "router_backend_error" in outcome.flags
+        assert "route" in outcome.stages
 
     @pytest.mark.parametrize("reply", SEARCH_BAD_REPLIES)
     def test_bad_search_reply_is_transport_error(self, http_server, reply):

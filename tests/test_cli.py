@@ -42,6 +42,9 @@ def write_config(tmp_path, **overrides):
     return path
 
 
+# A JSON document nested too deeply for the decoder, which breaks its format too.
+NESTED = b"[" * 100_000 + b"]" * 100_000
+
 ENDPOINT_KEYS = ("router_endpoint", "vlm_endpoint", "reranker_endpoint", "web_search_endpoint")
 
 
@@ -98,6 +101,22 @@ class TestLoadDataset:
                         encoding="utf-8")
         [conversation] = load_dataset(path)
         assert conversation.turns[0].query == query
+
+    def test_every_bad_line_is_reported_in_one_error(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        good = json.dumps({"conversation_id": "c1", "image_ref": None,
+                           "turns": [{"query": "q"}]})
+        path.write_bytes(b"\n".join([good.encode(), b"not json", NESTED, b'{"turns": []}',
+                                      good.encode()]) + b"\n")
+        with pytest.raises(DatasetError) as caught:
+            load_dataset(path)
+        message = str(caught.value)
+        assert str(path) in message
+        for problem in ["line 2: invalid JSON", "line 3: invalid JSON: nested too deeply",
+                        "line 4: missing key 'conversation_id'",
+                        "line 5: duplicate conversation_id 'c1'"]:
+            assert problem in message
+        assert "line 1:" not in message
 
     def test_conversation_without_turns_rejected(self, tmp_path):
         path = tmp_path / "d.jsonl"
@@ -495,7 +514,9 @@ class TestEvalCommand:
 
     @pytest.mark.parametrize("manifest", [
         None, b"{not json", b"\xff\xfe", b"[]", b'"a string"', b"{}", b'{"manifest_hash": 5}',
-    ], ids=["missing", "not-json", "not-utf8", "list", "string", "no-hash", "number-hash"])
+        NESTED,
+    ], ids=["missing", "not-json", "not-utf8", "list", "string", "no-hash", "number-hash",
+            "nested"])
     def test_unusable_manifest_reports_a_null_hash(self, tmp_path, manifest):
         report, _ = self._run_then_eval(tmp_path, manifest)
         assert report["manifest_hash"] is None
@@ -814,10 +835,14 @@ def test_malformed_input_is_one_error_line_and_no_output(tmp_path, monkeypatch, 
     assert not Path("out.jsonl.manifest.json").exists()
 
 
-@pytest.mark.parametrize("kind", ["config", "dataset", "replay", "fixture", "trace"])
-def test_undecodable_input_is_one_error_line_and_no_output(tmp_path, capsys, kind):
+INPUT_KINDS = ["config", "dataset", "replay", "fixture", "trace"]
+@pytest.mark.parametrize("kind, content",
+                         [(kind, b"\xff\xfe") for kind in INPUT_KINDS]
+                         + [(kind, NESTED) for kind in INPUT_KINDS],
+                         ids=INPUT_KINDS + [f"{kind}-nested" for kind in INPUT_KINDS])
+def test_undecodable_input_is_one_error_line_and_no_output(tmp_path, capsys, kind, content):
     bad = tmp_path / f"{kind}.bin"
-    bad.write_bytes(b"\xff\xfe")
+    bad.write_bytes(content)
     overrides = {f"{kind}_path": str(bad)} if kind in ("replay", "fixture") else {}
     config = bad if kind == "config" else write_config(tmp_path, **overrides)
     dataset = bad if kind == "dataset" else FIXTURES / "e2e_dataset.jsonl"

@@ -132,6 +132,12 @@ class TestValidateConfig:
         with pytest.raises(InvalidConfigError, match="abstain_margin_ms < turn_budget_ms"):
             PipelineConfig(abstain_margin_ms=10_000, turn_budget_ms=10_000)
 
+    def test_turn_budget_bounded_by_a_day(self):
+        # A larger budget overflows the timeout of its first remote call.
+        assert PipelineConfig(turn_budget_ms=86_400_000).turn_budget_ms == 86_400_000
+        with pytest.raises(InvalidConfigError, match="turn_budget_ms <= 86400000"):
+            PipelineConfig(turn_budget_ms=10**13)
+
     @pytest.mark.parametrize("token", ["tok\u2713", "a\r\nX-Evil: 1", "two words"])
     def test_bearer_token_outside_visible_ascii_rejected_unechoed(self, token):
         with pytest.raises(InvalidConfigError, match="bearer_token") as caught:

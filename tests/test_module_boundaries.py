@@ -16,6 +16,9 @@ No ragvet module but ``runtime`` imports ``concurrent.futures`` or starts a
 ``threading.Thread``, so every wait on another thread of a turn is a wait on
 ``runtime.clock`` too; ``cli``'s ``--workers`` pool runs conversations, not a
 turn, and is exempt.
+Only ``core`` (whose ``read_json`` and ``read_jsonl`` read every input file)
+and ``transport`` (which decodes each reply) call ``json.loads`` or
+``json.load``, so no other module reads a JSON file its own way.
 Every name a ragvet module other than ``__init__`` imports is used in it, or
 listed in its ``__all__``.
 
@@ -409,6 +412,53 @@ def test_only_runtime_starts_a_thread_of_a_turn(path):
     source = path.read_text(encoding="utf-8")
     assert banned_imports(source, THREAD_MODULES) == []
     assert thread_starts(source) == 0
+
+
+JSON_DECODERS = ("loads", "load")
+
+
+def json_decodes(source: str) -> list[str]:
+    """``json.<name>`` for each JSON decode of ``JSON_DECODERS`` the source
+    names, in source order: imported from ``json``, or as an attribute of a
+    name that ``import json`` bound, under any alias."""
+    tree = ast.parse(source)
+    aliases = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for alias in node.names if alias.name == "json"}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "json":
+            found.extend((node.lineno, node.col_offset, alias.name)
+                         for alias in node.names if alias.name in JSON_DECODERS)
+        elif (isinstance(node, ast.Attribute) and node.attr in JSON_DECODERS
+              and isinstance(node.value, ast.Name) and node.value.id in aliases):
+            found.append((node.lineno, node.col_offset, node.attr))
+    return [f"json.{name}" for *_, name in sorted(found)]
+
+
+def test_detector_sees_every_form_of_json_decode():
+    source = (
+        "import json as j\n"
+        "record = j.loads(line)\n"
+        "from json import dumps, load\n"
+        "import json\n"
+        "text = json.dumps(json.load(handle))\n"
+        "from json import loads as decode\n"
+        "core.read_json(path, ValueError)\n"
+        "reply.loads()\n"
+    )
+    assert json_decodes(source) == ["json.loads", "json.load", "json.load", "json.loads"]
+
+
+@pytest.mark.parametrize("name", ["core.py", "transport.py"])
+def test_core_and_transport_decode_json(name):
+    assert json_decodes((PACKAGE / name).read_text(encoding="utf-8")) == ["json.loads"]
+
+
+@pytest.mark.parametrize("path", [path for path in MODULES
+                                  if path.name not in ("core.py", "transport.py")],
+                         ids=lambda path: path.name)
+def test_only_core_and_transport_decode_json(path):
+    assert json_decodes(path.read_text(encoding="utf-8")) == []
 
 
 def unused_imports(source: str) -> list[str]:
