@@ -5,12 +5,17 @@ judge; which physical endpoint serves a role is wiring, not interface. Mocks
 are pure functions of their fixture/script files, so identical inputs replay
 identically across runs and processes. The remote clients send their calls
 through ``transport.JsonEndpoint``.
+
+Each search class serves the data it owns: ``SearchFixture`` answers image
+lookups and web searches from its file, ``RemoteSearchBackend`` web searches
+from its endpoint. A run's search backend serves the lookup its mode makes,
+so a task1 run, remote or mock, looks images up in a ``SearchFixture``.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Any, Mapping, Optional, Protocol, Sequence
@@ -39,7 +44,6 @@ __all__ = [
     "ReplayModelBackend",
     "RemoteModelBackend",
     "SearchFixture",
-    "MockSearchBackend",
     "RemoteSearchBackend",
     "MockRerankerBackend",
     "RemoteRerankerBackend",
@@ -130,6 +134,9 @@ class RerankerBackend(Protocol):
 
 
 class SearchBackend(Protocol):
+    """A run's search backend serves the lookup its mode makes: a task1 run
+    calls ``image_search`` alone, a task2plus run ``web_search`` alone."""
+
     def image_search(self, image_key: str, k: int) -> list[RetrievedItem]: ...
 
     def web_search(self, query_text: str, k: int, deadline: Deadline) -> list[RetrievedItem]: ...
@@ -300,65 +307,80 @@ class RemoteModelBackend:
 # Search fixture and backends
 
 
-# One search fixture record: its text fields and its fixture score.
-FixtureRecord = tuple[Mapping[str, str], float]
-
-
 @dataclass(frozen=True)
 class SearchFixture:
-    """The mock knowledge-graph and web corpus, hard negatives included.
+    """The mock knowledge-graph and web corpus, hard negatives included, and
+    the search backend that serves it. Pure function of (fixture, query).
 
     ``image_index`` maps an image key to its visually-similar records;
-    ``web_index`` is one flat list of page records. A record is a (fields,
-    score) pair, held as ``load_fixture`` parsed and checked it; each lookup
-    builds the items it returns, ranked from 1. The score orders records but
-    never leaves the backend.
+    ``web_index`` is one flat list of page records. A record is its text
+    fields, in the order ``load_fixture`` checked; each lookup builds the
+    items it returns, ranked from 1. Web search ranks the pages by the
+    Jaccard overlap of the query with each page's title and snippet, best
+    first, ties in fixture order; each page's token set is computed once,
+    when the fixture is built.
     """
 
-    image_index: Mapping[str, tuple[FixtureRecord, ...]]
-    web_index: tuple[FixtureRecord, ...]
+    image_index: Mapping[str, Sequence[Mapping[str, str]]]
+    web_index: Sequence[Mapping[str, str]]
+    _web_tokens: tuple[frozenset[str], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_web_tokens", tuple(
+            _tokens(f"{page.get('title', '')} {page.get('snippet', '')}")
+            for page in self.web_index))
 
     def image_search(self, image_key: str, k: int) -> list[RetrievedItem]:
         """The first ``k`` records under ``image_key``; none for an unknown key."""
         return _items(self.image_index.get(image_key, ())[:k], Source.KG_IMAGE)
 
+    def web_search(self, query_text: str, k: int, deadline: Deadline) -> list[RetrievedItem]:
+        if deadline.expired():
+            raise BackendTimeout("deadline expired before web search")
+        query = _tokens(query_text)
+        scores = [_token_overlap(query, tokens) for tokens in self._web_tokens]
+        best = heapq.nsmallest(k, range(len(scores)), key=lambda i: -scores[i])
+        return _items([self.web_index[i] for i in best], Source.WEB)
 
-def _items(records: Sequence[FixtureRecord], source: Source) -> list[RetrievedItem]:
+
+def _items(records: Sequence[Mapping[str, str]], source: Source) -> list[RetrievedItem]:
     """``records`` as items in their order; each item copies its fields."""
     return [RetrievedItem(source=source, fields=fields, recall_rank=rank)
-            for rank, (fields, _) in enumerate(records, start=1)]
+            for rank, fields in enumerate(records, start=1)]
 
 
-class _BadRecord(Exception):
-    """A record list that fails a check; the message follows the list's location."""
+def _checked_records(records: Any, path: str | Path,
+                     key: Optional[str] = None) -> tuple[Mapping[str, str], ...]:
+    """Check one parsed record list, the one under image key ``key`` or, when
+    None, ``web_index``, and return its records: each JSON object once its
+    score is checked and popped. A FixtureError names the bad record."""
+    source = Source.WEB if key is None else Source.KG_IMAGE
 
+    def bad(problem: str) -> FixtureError:
+        where = "web_index" if key is None else f"image_index[{key!r}]"
+        return FixtureError(f"{path}:{where}{problem}")
 
-def _checked_records(records: Any, source: Source) -> tuple[FixtureRecord, ...]:
-    """Check one parsed record list and return its records: each JSON object
-    becomes the fields of its record once its score is popped."""
     if not isinstance(records, list):
-        raise _BadRecord(" must be a list of records")
-    checked = []
+        raise bad(" must be a list of records")
     previous = 1.0
     for index, record in enumerate(records):
         if not isinstance(record, dict):
-            raise _BadRecord(f"[{index}]: record must be an object")
+            raise bad(f"[{index}]: record must be an object")
         if "score" not in record:
-            raise _BadRecord(f"[{index}]: record is missing 'score'")
+            raise bad(f"[{index}]: record is missing 'score'")
         score = record.pop("score")
         if type(score) not in (int, float) or not 0.0 <= score <= 1.0:  # a bool is no score
-            raise _BadRecord(f"[{index}]: score must be within [0, 1], got {score!r}")
+            raise bad(f"[{index}]: score must be within [0, 1], got {score!r}")
         for name, value in record.items():
             if not isinstance(value, str):
-                raise _BadRecord(f"[{index}]: field {name!r} must be a string")
+                raise bad(f"[{index}]: field {name!r} must be a string")
         problem = missing_content(source, record)
         if problem:
-            raise _BadRecord(f"[{index}]: {problem}")
+            raise bad(f"[{index}]: {problem}")
         if score > previous:
-            raise _BadRecord(f"[{index}]: records must be sorted descending by score")
+            raise bad(f"[{index}]: records must be sorted descending by score")
         previous = score
-        checked.append((record, float(score)))
-    return tuple(checked)
+    return tuple(records)
 
 
 def load_fixture(path: str | Path) -> SearchFixture:
@@ -370,67 +392,21 @@ def load_fixture(path: str | Path) -> SearchFixture:
     raw_images = raw.get("image_index", {})
     if not isinstance(raw_images, dict):
         raise FixtureError(f"{path}:image_index must be an object of record lists")
-    image_index: dict[str, tuple[FixtureRecord, ...]] = {}
-    try:
-        for key, records in raw_images.items():
-            image_index[key] = _checked_records(records, Source.KG_IMAGE)
-    except _BadRecord as bad:
-        raise FixtureError(f"{path}:image_index[{key!r}]{bad}") from None
-    try:
-        web_index = _checked_records(raw.get("web_index", []), Source.WEB)
-    except _BadRecord as bad:
-        raise FixtureError(f"{path}:web_index{bad}") from None
-    return SearchFixture(image_index=image_index, web_index=web_index)
-
-
-class MockSearchBackend:
-    """Fixture-backed search. Pure function of (fixture, query).
-
-    Web search ranks the pages by the Jaccard overlap of the query with each
-    page's title and snippet, best first, ties in fixture order. Each page's
-    token set is computed once, here.
-    """
-
-    def __init__(self, fixture: SearchFixture):
-        self._fixture = fixture
-        self._web_tokens = [_tokens(f"{fields.get('title', '')} {fields.get('snippet', '')}")
-                            for fields, _ in fixture.web_index]
-
-    def image_search(self, image_key: str, k: int) -> list[RetrievedItem]:
-        return self._fixture.image_search(image_key, k)
-
-    def web_search(self, query_text: str, k: int, deadline: Deadline) -> list[RetrievedItem]:
-        if deadline.expired():
-            raise BackendTimeout("deadline expired before web search")
-        query = _tokens(query_text)
-        scores = [_token_overlap(query, tokens) for tokens in self._web_tokens]
-        best = heapq.nsmallest(k, range(len(scores)), key=lambda i: -scores[i])
-        return _items([self._fixture.web_index[i] for i in best], Source.WEB)
+    return SearchFixture(
+        image_index={key: _checked_records(records, path, key)
+                     for key, records in raw_images.items()},
+        web_index=_checked_records(raw.get("web_index", []), path))
 
 
 class RemoteSearchBackend:
-    """Forwards web search to a configured endpoint.
+    """Forwards web search to a configured endpoint; image lookups are the
+    fixture's (``SearchFixture.image_search``)."""
 
-    Knowledge-graph image search has no remote endpoint to configure, so
-    image lookups are served from an optional local fixture. Only task1 runs
-    look images up, so ``build_backends`` loads that fixture for them alone;
-    without one, an image lookup is a BackendTransportError.
-    """
-
-    def __init__(self, web_endpoint: str, bearer_token: Optional[str] = None,
-                 image_fixture: Optional[SearchFixture] = None):
+    def __init__(self, web_endpoint: str, bearer_token: Optional[str] = None):
         self._http = JsonEndpoint(web_endpoint, bearer_token)
-        self._image_fixture = image_fixture
 
     def close(self) -> None:
         self._http.close()
-
-    def image_search(self, image_key: str, k: int) -> list[RetrievedItem]:
-        if self._image_fixture is None:
-            raise BackendTransportError(
-                "image search has no remote endpoint; configure fixture_path"
-            )
-        return self._image_fixture.image_search(image_key, k)
 
     def web_search(self, query_text: str, k: int, deadline: Deadline) -> list[RetrievedItem]:
         body = self._http.post_json({"query": query_text, "k": k}, deadline)

@@ -23,7 +23,6 @@ from .backends import (
     Backends,
     FixtureError,
     MockRerankerBackend,
-    MockSearchBackend,
     RemoteModelBackend,
     RemoteRerankerBackend,
     RemoteSearchBackend,
@@ -133,54 +132,44 @@ def load_config(path: Optional[str], mode: Optional[str] = None) -> PipelineConf
     return PipelineConfig.from_dict({**data, **overrides} if isinstance(data, dict) else data)
 
 
-def _remote(cfg: PipelineConfig, key: str, backend_class: type, **kwargs: Any) -> Any:
+def _remote(cfg: PipelineConfig, key: str, backend_class: type) -> Any:
     """A remote backend on the endpoint under config ``key``; a malformed URL
     or a host that does not resolve is a config error naming the key."""
     try:
-        return backend_class(getattr(cfg, key), cfg.bearer_token, **kwargs)
+        return backend_class(getattr(cfg, key), cfg.bearer_token)
     except ValueError as exc:
         raise InvalidConfigError(f"{key}: {exc}") from exc
 
 
 def build_backends(cfg: PipelineConfig, mock: bool) -> tuple[Backends, dict[str, str]]:
-    """Wire mock or remote backends; returns the bundle and its kind map."""
-    if mock:
-        if not cfg.replay_path:
-            raise InvalidConfigError("mock mode needs replay_path in the config")
-        if not cfg.fixture_path:
-            raise InvalidConfigError("mock mode needs fixture_path in the config")
-        model = ReplayModelBackend.from_file(cfg.replay_path)
-        search = MockSearchBackend(load_fixture(cfg.fixture_path))
-        bundle = Backends(
-            router_model=model, vlm=model, reranker=MockRerankerBackend(), search=search
-        )
-        kinds = {"model": "replay", "reranker": "jaccard-mock", "search": "fixture"}
-        return bundle, kinds
-    missing = [
-        name
-        for name, value in (
-            ("router_endpoint", cfg.router_endpoint),
-            ("vlm_endpoint", cfg.vlm_endpoint),
-            ("reranker_endpoint", cfg.reranker_endpoint),
-            ("web_search_endpoint", cfg.web_search_endpoint),
-        )
-        if not value
-    ]
+    """Wire mock or remote backends; returns the bundle and its kind map.
+
+    Search is the loaded fixture in a mock run, and in a remote run of a mode
+    that looks images up, since no remote endpoint serves image lookups; a
+    remote task2plus run searches the web endpoint.
+    """
+    from_fixture = mock or looks_up_images(cfg.mode)
+    required = (("replay_path", "fixture_path") if mock else
+                ("router_endpoint", "vlm_endpoint", "reranker_endpoint",
+                 "fixture_path" if from_fixture else "web_search_endpoint"))
+    missing = [key for key in required if not getattr(cfg, key)]
     if missing:
-        raise InvalidConfigError(f"remote mode needs endpoints: {', '.join(missing)}")
-    # Only a mode that looks images up reads the fixture, which serves those
-    # lookups; no remote endpoint does.
-    if looks_up_images(cfg.mode) and not cfg.fixture_path:
-        raise InvalidConfigError(f"remote {cfg.mode} mode needs fixture_path for image lookups")
-    image_fixture = load_fixture(cfg.fixture_path) if looks_up_images(cfg.mode) else None
+        run = "mock" if mock else f"remote {cfg.mode}"
+        raise InvalidConfigError(f"{run} mode needs {', '.join(missing)} in the config")
+    if mock:
+        model = ReplayModelBackend.from_file(cfg.replay_path)
+        bundle = Backends(router_model=model, vlm=model, reranker=MockRerankerBackend(),
+                          search=load_fixture(cfg.fixture_path))
+        return bundle, {"model": "replay", "reranker": "jaccard-mock", "search": "fixture"}
+    fixture = load_fixture(cfg.fixture_path) if from_fixture else None
     bundle = Backends(
         router_model=_remote(cfg, "router_endpoint", RemoteModelBackend),
         vlm=_remote(cfg, "vlm_endpoint", RemoteModelBackend),
         reranker=_remote(cfg, "reranker_endpoint", RemoteRerankerBackend),
-        search=_remote(cfg, "web_search_endpoint", RemoteSearchBackend,
-                       image_fixture=image_fixture),
+        search=fixture or _remote(cfg, "web_search_endpoint", RemoteSearchBackend),
     )
-    kinds = {"model": "remote", "reranker": "remote", "search": "remote-web"}
+    kinds = {"model": "remote", "reranker": "remote",
+             "search": "fixture" if from_fixture else "remote-web"}
     return bundle, kinds
 
 

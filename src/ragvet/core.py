@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Any, Callable, Mapping, Optional, Sequence
 
 from .templates import TEMPLATE_NAMES
-from .transport import BEARER_TOKEN
+from .transport import BEARER_TOKEN, check_surrogates
 
 __all__ = [
     "Source",
@@ -59,6 +59,11 @@ MAX_TURN_BUDGET_MS = 86_400_000
 MODES = ("task1", "task2plus")
 
 _INFO_TAG = re.compile(r"^\[Info (\d+)\] (.*)$")
+
+# A UTF-16 surrogate code point, which no UTF-8 text holds: what the JSON
+# escape of a lone surrogate decodes to, and what os.environ makes of a
+# byte that is not UTF-8.
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 def _require(condition: bool, message: str) -> None:
@@ -420,6 +425,8 @@ class PipelineConfig:
                 raise InvalidConfigError(
                     f"config key {f.name} must be {kind}, got {type(value).__name__}"
                 )
+            if isinstance(value, str) and _SURROGATE.search(value):
+                raise InvalidConfigError(f"config key {f.name} holds a lone surrogate, not text")
         object.__setattr__(self, "prompt_paths", dict(self.prompt_paths))
         for name, path in self.prompt_paths.items():
             if name not in TEMPLATE_NAMES:
@@ -427,7 +434,7 @@ class PipelineConfig:
                     f"config key prompt_paths.{name} names no template "
                     f"(choose from {', '.join(TEMPLATE_NAMES)})"
                 )
-            if not isinstance(path, str):
+            if not isinstance(path, str) or _SURROGATE.search(path):
                 raise InvalidConfigError(f"config key prompt_paths.{name} must be a string path")
         checks: Sequence[tuple[bool, str]] = (
             (self.recall_k >= 1, "recall_k >= 1"),
@@ -478,9 +485,12 @@ def _read_text(path: str | Path, error: type[Exception]) -> str:
 
 def _decode(text: str) -> Any:
     """The JSON value in ``text``; ValueError if there is none, as when it is
-    nested too deeply for the decoder."""
+    nested too deeply for the decoder or a string holds the escape of a lone
+    surrogate, which no UTF-8 output could write."""
     try:
-        return json.loads(text)
+        value = json.loads(text)
+        check_surrogates(text)
+        return value
     except RecursionError:
         raise ValueError("invalid JSON: nested too deeply") from None
     except ValueError as exc:  # not JSON, or an integer too long to convert

@@ -1,7 +1,9 @@
 """The remote backends' HTTP/1.1 JSON transport, and the errors it raises.
 
 ``JsonEndpoint`` is the one place that touches ``socket`` and ``ssl``;
-``backends`` re-exports the error classes.
+``backends`` re-exports the error classes. ``check_surrogates`` rejects JSON
+text that would decode to a lone surrogate, for each reply here and for each
+input file ``core`` reads.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from urllib.parse import urlsplit
 from .runtime import Deadline
 
 __all__ = ["BackendError", "BackendTimeout", "BackendTransportError", "BEARER_TOKEN",
-           "JsonEndpoint"]
+           "JsonEndpoint", "check_surrogates"]
 
 
 class BackendError(Exception):
@@ -38,6 +40,11 @@ class BackendTransportError(BackendError):
 
 # A bearer token: visible ASCII (0x21-0x7E), sent in the Authorization header as it is.
 BEARER_TOKEN = re.compile(r"[\x21-\x7e]*")
+
+# In JSON text, an escaped backslash or, in group 1, the escape of a UTF-16
+# surrogate (\ud800-\udfff). Matching escaped backslashes keeps "\\ud800", a
+# backslash and five letters, from reading as an escape.
+_SURROGATE_ESCAPE = re.compile(r"\\(?:\\|u([dD][89a-fA-F][0-9a-fA-F]{2}))")
 
 # Idle keep-alive connections one endpoint keeps for later calls.
 _MAX_IDLE = 8
@@ -74,6 +81,28 @@ def _tls_context() -> ssl.SSLContext:
     nothing changes it once it is made.
     """
     return _tls_context_for(tuple(os.environ.get(name) for name in _TLS_ENVIRON))
+
+
+def check_surrogates(text: str) -> None:
+    """Raise json.JSONDecodeError, a ValueError, at the first escape of a
+    lone UTF-16 surrogate in the JSON ``text``: ``json.loads`` decodes one to
+    a string that no UTF-8 file can hold. A high surrogate escape directly
+    followed by a low one is a pair, one character."""
+    if "\\" not in text:  # no escape at all, found at memchr speed: the common case
+        return
+    lone = high = None  # high: a high surrogate escape no low one has followed yet
+    for match in _SURROGATE_ESCAPE.finditer(text):
+        low = match[1] is not None and match[1][1] in "cdefCDEF"
+        if high is not None and low and match.start() == high.end():
+            high = None
+        elif high is not None or low:
+            lone = high or match
+            break
+        elif match[1] is not None:
+            high = match
+    lone = lone or high
+    if lone is not None:
+        raise json.JSONDecodeError(f"lone surrogate escape {lone[0]}", text, lone.start())
 
 
 class _BadReply(Exception):
@@ -292,8 +321,8 @@ class JsonEndpoint:
         BackendTimeout is raised once ``deadline`` passes, at whatever point
         of the call. An unreachable host, a TLS failure, a reply that breaks
         HTTP/1.1 framing, a status other than 200, or a body that is not a
-        JSON object (one nested too deeply to decode included) raises
-        BackendTransportError.
+        JSON object in UTF-8 (one nested too deeply to decode, or holding the
+        escape of a lone surrogate, included) raises BackendTransportError.
         """
         # Checked before taking a socket, so that a late call does not close
         # a pooled one.
@@ -328,7 +357,9 @@ class JsonEndpoint:
             text = data[:200].decode("utf-8", "replace")
             raise BackendTransportError(f"{self.url} answered {status}: {text}")
         try:
-            parsed = json.loads(data)
+            text = data.decode("utf-8-sig")
+            parsed = json.loads(text)
+            check_surrogates(text)
         except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
             raise BackendTransportError(f"malformed body from {self.url}: {exc}") from exc
         if not isinstance(parsed, dict):

@@ -16,7 +16,6 @@ import pytest
 from ragvet.backends import (
     Backends,
     MockRerankerBackend,
-    MockSearchBackend,
     ReplayEntry,
     ReplayModelBackend,
     SearchFixture,
@@ -330,7 +329,7 @@ def test_criterion_6_deadline_behavior():
         model = ReplayModelBackend([ReplayEntry.from_dict(e, "inline") for e in entries])
         backends = Backends(
             router_model=model, vlm=model, reranker=MockRerankerBackend(),
-            search=MockSearchBackend(SearchFixture(image_index={}, web_index=())),
+            search=SearchFixture(image_index={}, web_index=()),
         )
         cfg = PipelineConfig(mode="task2plus", turn_budget_ms=10_000)
         templates = load_all(cfg.prompt_paths)
@@ -357,7 +356,7 @@ def test_criterion_8_ablation_directions():
     with criterion(8, "ablation direction check", 30.0):
         cfg = PipelineConfig(mode="task2plus")
         model = ReplayModelBackend.from_file(FIXTURES / "ablation_replay.json")
-        search = MockSearchBackend(load_fixture(FIXTURES / "ablation_search.json"))
+        search = load_fixture(FIXTURES / "ablation_search.json")
         backends = Backends(
             router_model=model, vlm=model, reranker=MockRerankerBackend(), search=search
         )
@@ -375,7 +374,7 @@ def test_criterion_8_ablation_directions():
         model = ReplayModelBackend.from_file(FIXTURES / "kg_replay.json")
         backends = Backends(
             router_model=model, vlm=model, reranker=MockRerankerBackend(),
-            search=MockSearchBackend(load_fixture(FIXTURES / "kg_search.json")),
+            search=load_fixture(FIXTURES / "kg_search.json"),
         )
         dataset = load_dataset(FIXTURES / "kg_dataset.jsonl")
         order = ("full", "rag_naive", "no_cov", "no_cov_no_sc", "vision_only")

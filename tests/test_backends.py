@@ -14,6 +14,7 @@ from contextlib import ExitStack
 from http.server import BaseHTTPRequestHandler
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ragvet.backends import (
     MAX_TOKENS,
@@ -22,7 +23,6 @@ from ragvet.backends import (
     EmptyCompletionError,
     FixtureError,
     MockRerankerBackend,
-    MockSearchBackend,
     ModelRequest,
     NoScriptEntryError,
     RemoteModelBackend,
@@ -39,6 +39,7 @@ from ragvet.core import PipelineConfig, RetrievedItem, Source
 from ragvet.pipeline import run_turn
 from ragvet.runtime import Deadline
 from ragvet.templates import PromptTemplate
+from ragvet.transport import check_surrogates
 
 from conftest import FIXTURES, CountingModel, scripted_model, serve_http
 from test_pipeline import (
@@ -151,7 +152,7 @@ FIXTURE_DOC = {
 def search_backend(tmp_path):
     path = tmp_path / "fixture.json"
     path.write_text(json.dumps(FIXTURE_DOC), encoding="utf-8")
-    return MockSearchBackend(load_fixture(path))
+    return load_fixture(path)
 
 
 class TestSearch:
@@ -184,9 +185,8 @@ class TestSearch:
         path = tmp_path / "fixture.json"
         path.write_text(json.dumps(FIXTURE_DOC), encoding="utf-8")
         fixture = load_fixture(path)
-        backend = MockSearchBackend(fixture)
-        backend.image_search("img-1", 2)
-        backend.web_search("red shoe", 3, Deadline(math.inf))
+        fixture.image_search("img-1", 2)
+        fixture.web_search("red shoe", 3, Deadline(math.inf))
         assert fixture == load_fixture(path)
 
 
@@ -249,17 +249,14 @@ class TestFixtureLookups:
     def test_image_search_returns_the_records_in_file_order(self, fixture_case):
         doc, path, _ = fixture_case
         fixture = load_fixture(path)
-        backends = (MockSearchBackend(fixture),
-                    RemoteSearchBackend("http://127.0.0.1:1/search", image_fixture=fixture))
         for key, records in doc["image_index"].items():
             for k in range(1, len(records) + 2):
                 want = _items_from_records(records, Source.KG_IMAGE, k)
-                for backend in backends:
-                    assert backend.image_search(key, k) == want, (key, k)
+                assert fixture.image_search(key, k) == want, (key, k)
 
     def test_web_search_returns_the_records_ranked_by_overlap(self, fixture_case, no_deadline):
         doc, path, queries = fixture_case
-        backend = MockSearchBackend(load_fixture(path))
+        backend = load_fixture(path)
         records = doc["web_index"]
         for query in queries:
             ranked = sorted(records, key=lambda record: -jaccard_score(
@@ -279,7 +276,7 @@ class TestFixtureLookups:
         monkeypatch.setattr(RetrievedItem, "__post_init__", counted_check)
         path = tmp_path / "fixture.json"
         path.write_text(json.dumps(FIXTURE_DOC), encoding="utf-8")
-        backend = MockSearchBackend(load_fixture(path))
+        backend = load_fixture(path)
         assert built == []
         items = backend.image_search("img-1", 2) + backend.web_search("red shoe", 2, no_deadline)
         assert built == items
@@ -289,6 +286,11 @@ class TestFixtureLookups:
 CANNED_REPLIES = {
     "not-json": b"<html>busy</html>",
     "nested": b"[" * 100_000 + b"]" * 100_000,
+    # Well formed for every role but for the escape of a lone surrogate, which
+    # decodes to a string no UTF-8 trace can hold.
+    "lone-surrogate": b'{"text": "\\ud800", "scores": [0.5, 0.5],'
+                      b' "results": [{"snippet": "\\ud800"}]}',
+    "surrogate-pair": b'{"text": "\\ud83d\\ude00"}',
     "out-of-range-scores": b'{"scores": [1.7, -0.2]}',
     "out-of-range-integer-scores": b'{"scores": [1%s, -1%s]}' % (b"0" * 400, b"0" * 400),
     "out-of-range-integer-score": b'{"scores": [1%s]}' % (b"0" * 400),
@@ -374,6 +376,10 @@ class TestRemoteBackends:
         response = backend.complete(_request(role=Role.GENERATOR), no_deadline)
         assert response.text == "echo:generator"
         assert response.prompt_tokens == 3
+
+    def test_an_escaped_surrogate_pair_is_one_character(self, http_server, no_deadline):
+        backend = RemoteModelBackend(f"{http_server}/reply/surrogate-pair")
+        assert backend.complete(_request(), no_deadline).text == "\U0001f600"
 
     def test_timeout_maps_to_backend_timeout(self, http_server):
         backend = RemoteModelBackend(f"{http_server}/slow")
@@ -876,13 +882,13 @@ class TestHttps:
             backend.close()
 
 
-RERANK_BAD_REPLIES = ["not-json", "nested"] + [
+RERANK_BAD_REPLIES = ["not-json", "nested", "lone-surrogate"] + [
     name for name in CANNED_REPLIES if name.startswith("rerank-")
 ]
-SEARCH_BAD_REPLIES = ["not-json", "nested"] + [
+SEARCH_BAD_REPLIES = ["not-json", "nested", "lone-surrogate"] + [
     name for name in CANNED_REPLIES if name.startswith("search-")
 ]
-COMPLETION_BAD_REPLIES = ["not-json", "nested"] + [
+COMPLETION_BAD_REPLIES = ["not-json", "nested", "lone-surrogate"] + [
     name for name in CANNED_REPLIES if name.startswith("completion-")
 ]
 
@@ -932,6 +938,29 @@ class TestMalformedReplies:
         assert "recall_backend_error" in outcome.flags
         assert "recall" in outcome.stages and "rerank" in outcome.stages
         assert outcome.context.empty
+
+
+# Pieces of strings whose JSON escapes hold lone and paired surrogates, and
+# escaped backslashes before "ud800" text that is no escape.
+SURROGATE_STRINGS = st.lists(st.sampled_from(
+    ["a", "ud800", "\\", '"', "\ud83d", "\ude00", "\ud800", "\udfff", "\U0001f600"]),
+    max_size=8).map("".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(SURROGATE_STRINGS, max_size=4))
+def test_check_surrogates_rejects_what_the_decoder_would_keep(strings):
+    """The JSON text of ``strings`` is rejected exactly when ``json.loads``
+    decodes it to a string holding a surrogate, at a surrogate's escape."""
+    text = json.dumps(strings)
+    kept = any(re.search("[\ud800-\udfff]", string) for string in json.loads(text))
+    try:
+        check_surrogates(text)
+    except json.JSONDecodeError as error:
+        assert kept, text
+        assert re.fullmatch(r"\\u[dD][89a-fA-F][0-9a-fA-F]{2}", text[error.pos:error.pos + 6])
+    else:
+        assert not kept, text
 
 
 class TestRequestValidation:

@@ -17,8 +17,8 @@ import ragvet
 from ragvet.backends import (
     BackendError,
     MockRerankerBackend,
-    MockSearchBackend,
     ModelRequest,
+    RemoteSearchBackend,
     ReplayModelBackend,
     load_fixture,
 )
@@ -156,6 +156,17 @@ class TestLoadConfig:
         monkeypatch.setenv("RAGVET_BEARER_TOKEN", "token")
         with pytest.raises(InvalidConfigError, match="config must be a JSON object"):
             load_config(str(config), mode="task1")
+
+    def test_an_override_that_is_not_utf8_is_rejected(self, monkeypatch):
+        monkeypatch.setenv("RAGVET_JUDGE_ENDPOINT", os.fsdecode(b"\xff"))
+        with pytest.raises(InvalidConfigError,
+                           match="config key judge_endpoint holds a lone surrogate"):
+            load_config(None)
+
+    def test_an_escaped_surrogate_pair_is_one_character(self, tmp_path):
+        config = write_config(tmp_path, abstain_text="\U0001f600")
+        assert "\\ud83d\\ude00" in config.read_text(encoding="utf-8")
+        assert load_config(str(config)).abstain_text == "\U0001f600"
 
     def test_one_config_built_per_call(self, tmp_path, monkeypatch):
         built = []
@@ -337,7 +348,7 @@ class TestRunCommand:
         monkeypatch.setenv("RAGVET_RERANKER_ENDPOINT", "http://127.0.0.1:1/k")
         code = main([
             "run", "--dataset", str(FIXTURES / "e2e_dataset.jsonl"),
-            "--config", str(config), "--out", str(tmp_path / "t.jsonl"),
+            "--config", str(config), "--out", str(tmp_path / "t.jsonl"), "--mode", "task2plus",
         ])
         # web_search_endpoint still missing: the error must name only it
         err = capsys.readouterr().err
@@ -379,40 +390,59 @@ class TestRunCommand:
         assert "vlm_endpoint" in err and "no-such-host.test" in err
         assert not out.exists()
 
-    def test_remote_run_with_workers_matches_the_mock_run(self, tmp_path):
+    @pytest.mark.parametrize("fixture_set, mode, turns", [("e2e", "task2plus", 26),
+                                                          ("kg", "task1", 7)])
+    def test_remote_run_with_workers_matches_the_mock_run(self, tmp_path, fixture_set, mode,
+                                                          turns):
         """Four workers share each remote backend's connections; every turn's
-        record must equal the one the same services give in-process."""
+        record must equal the one the same services give in-process. A task1
+        run looks images up in its fixture, so it is configured without a web
+        search endpoint."""
+        dataset = str(FIXTURES / f"{fixture_set}_dataset.jsonl")
+        files = {"mode": mode, "fixture_path": str(FIXTURES / f"{fixture_set}_search.json"),
+                 "replay_path": str(FIXTURES / f"{fixture_set}_replay.json")}
         mock_out, remote_out = tmp_path / "mock.jsonl", tmp_path / "remote.jsonl"
-        assert main(["run", "--dataset", str(FIXTURES / "e2e_dataset.jsonl"),
-                     "--config", str(write_config(tmp_path)), "--out", str(mock_out),
+        assert main(["run", "--dataset", dataset, "--config",
+                     str(write_config(tmp_path, **files)), "--out", str(mock_out),
                      "--mock"]) == 0
         with serve_http(_MockServices) as server:
-            config = write_config(
-                tmp_path, router_endpoint=f"{server.url}/model",
-                vlm_endpoint=f"{server.url}/model", reranker_endpoint=f"{server.url}/rerank",
-                web_search_endpoint=f"{server.url}/search")
-            assert main(["run", "--dataset", str(FIXTURES / "e2e_dataset.jsonl"),
-                         "--config", str(config), "--out", str(remote_out),
-                         "--workers", "4"]) == 0
+            base = f"{server.url}/{fixture_set}"
+            endpoints = {"router_endpoint": f"{base}/model", "vlm_endpoint": f"{base}/model",
+                         "reranker_endpoint": f"{base}/rerank"}
+            if mode == "task2plus":
+                endpoints["web_search_endpoint"] = f"{base}/search"
+            config = write_config(tmp_path, **files, **endpoints)
+            assert main(["run", "--dataset", dataset, "--config", str(config),
+                         "--out", str(remote_out), "--workers", "4"]) == 0
             assert server.opened
         remote_lines = remote_out.read_text(encoding="utf-8").splitlines()
-        assert len(remote_lines) == 26
+        assert len(remote_lines) == turns
         assert remote_lines == mock_out.read_text(encoding="utf-8").splitlines()
 
 
 class TestRemoteSetUp:
     @pytest.mark.parametrize("mode, loads", [("task1", 1), ("task2plus", 0)])
     def test_only_a_mode_that_looks_images_up_loads_the_fixture(self, monkeypatch, mode, loads):
-        calls = []
+        """A task1 run searches the fixture it loads and builds no web client,
+        though a web search endpoint is configured; a task2plus run searches
+        the web client and loads no fixture."""
+        fixtures, web_clients = [], []
 
         def counting(path):
-            calls.append(path)
-            return load_fixture(path)
+            fixtures.append(load_fixture(path))
+            return fixtures[-1]
+
+        def web_client(*args):
+            web_clients.append(RemoteSearchBackend(*args))
+            return web_clients[-1]
 
         monkeypatch.setattr("ragvet.cli.load_fixture", counting)
-        backends, _ = build_backends(remote_config(mode=mode), mock=False)
+        monkeypatch.setattr("ragvet.cli.RemoteSearchBackend", web_client)
+        backends, kinds = build_backends(remote_config(mode=mode), mock=False)
         backends.close()
-        assert len(calls) == loads
+        assert (len(fixtures), len(web_clients)) == (loads, 1 - loads)
+        assert backends.search is (fixtures + web_clients)[0]
+        assert kinds["search"] == ("fixture" if loads else "remote-web")
         if loads:
             assert backends.search.image_search("kg-kettle", 1)
 
@@ -448,24 +478,28 @@ class TestRemoteSetUp:
 
 
 class _MockServices(BaseHTTPRequestHandler):
-    """The e2e fixtures' mock backends served over keep-alive HTTP."""
+    """The mock backends of the e2e and kg fixture sets, served over
+    keep-alive HTTP under ``/<set>/model``, ``/<set>/rerank`` and, for e2e,
+    ``/e2e/search``."""
 
     protocol_version = "HTTP/1.1"
     disable_nagle_algorithm = True
-    model = ReplayModelBackend.from_file(FIXTURES / "e2e_replay.json")
-    search = MockSearchBackend(load_fixture(FIXTURES / "e2e_search.json"))
+    models = {name: ReplayModelBackend.from_file(FIXTURES / f"{name}_replay.json")
+              for name in ("e2e", "kg")}
+    search = load_fixture(FIXTURES / "e2e_search.json")
     reranker = MockRerankerBackend()
 
     def do_POST(self):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        fixture_set, service = self.path.strip("/").split("/")
         never = Deadline(math.inf)
         try:
-            if self.path == "/model":
+            if service == "model":
                 assert body.pop("deterministic") is True
-                reply = self.model.complete(ModelRequest(**body), never)
+                reply = self.models[fixture_set].complete(ModelRequest(**body), never)
                 payload = {"text": reply.text, "prompt_tokens": reply.prompt_tokens,
                            "completion_tokens": reply.completion_tokens}
-            elif self.path == "/rerank":
+            elif service == "rerank":
                 payload = {"scores": self.reranker.score_batch(body["query"], body["chunks"],
                                                                never)}
             else:
@@ -836,10 +870,39 @@ def test_malformed_input_is_one_error_line_and_no_output(tmp_path, monkeypatch, 
 
 
 INPUT_KINDS = ["config", "dataset", "replay", "fixture", "trace"]
+
+
+def _answer_a_lone_surrogate(trace_lines):
+    """``trace_lines`` with the first answer that is no abstention made the
+    lone surrogate U+D800."""
+    records = [json.loads(line) for line in trace_lines if line.strip()]
+    answered = next(record for record in records if not record["final"]["abstained"])
+    answered["final"]["answer"] = "\ud800"
+    return [json.dumps(record) for record in records]
+
+
+# Each kind of input, well formed but for one string holding "\ud800", the
+# JSON escape of a lone surrogate, which no UTF-8 trace, report or manifest
+# can hold.
+LONE_SURROGATE = {
+    "config": [json.dumps({"mode": "task2plus", "abstain_text": "\ud800",
+                           "fixture_path": str(FIXTURES / "e2e_search.json"),
+                           "replay_path": str(FIXTURES / "e2e_replay.json")})],
+    "dataset": [json.dumps({**RECORD, "turns": [{"query": "\ud800"}]})],
+    "replay": [json.dumps([{"role": "generator", "response": "\ud800"}])],
+    "fixture": [json.dumps({"web_index": [{"snippet": "\ud800", "score": 0.5}]})],
+    "trace": _answer_a_lone_surrogate(
+        (FIXTURES / "golden" / "e2e_task2plus.jsonl").read_text(encoding="utf-8").split("\n")),
+}
+
+
 @pytest.mark.parametrize("kind, content",
                          [(kind, b"\xff\xfe") for kind in INPUT_KINDS]
-                         + [(kind, NESTED) for kind in INPUT_KINDS],
-                         ids=INPUT_KINDS + [f"{kind}-nested" for kind in INPUT_KINDS])
+                         + [(kind, NESTED) for kind in INPUT_KINDS]
+                         + [(kind, "\n".join(LONE_SURROGATE[kind]).encode("ascii"))
+                            for kind in INPUT_KINDS],
+                         ids=INPUT_KINDS + [f"{kind}-nested" for kind in INPUT_KINDS]
+                         + [f"{kind}-surrogate" for kind in INPUT_KINDS])
 def test_undecodable_input_is_one_error_line_and_no_output(tmp_path, capsys, kind, content):
     bad = tmp_path / f"{kind}.bin"
     bad.write_bytes(content)

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -168,6 +169,14 @@ class TestValidateConfig:
         with pytest.raises(InvalidConfigError, match=re.escape(message)):
             PipelineConfig.from_dict(overrides)
 
+    @pytest.mark.parametrize("overrides, key", [
+        ({"abstain_text": "\ud800"}, "abstain_text"),
+        ({"prompt_paths": {"routing": "\udcff.txt"}}, "prompt_paths.routing"),
+    ])
+    def test_a_lone_surrogate_is_not_text(self, overrides, key):
+        with pytest.raises(InvalidConfigError, match=f"config key {re.escape(key)}"):
+            PipelineConfig.from_dict(overrides)
+
     def test_unknown_key_rejected(self):
         with pytest.raises(InvalidConfigError, match="unknown config keys"):
             PipelineConfig.from_dict({"rerank_top_k": 3})
@@ -184,3 +193,29 @@ class TestValidateConfig:
 def test_round_trip_identity(instance):
     data = json.loads(json.dumps(instance.to_dict()))
     assert type(instance).from_dict(data) == instance
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_configuration_table_matches_the_config():
+    """README's Configuration table names every PipelineConfig field exactly
+    once, with its default ("unset" for None), and no other key."""
+    section = README.read_text(encoding="utf-8").split("\n## Configuration\n")[1]
+    rows = [[cell.strip() for cell in line.strip("|").split("|")]
+            for line in section.split("\n## ")[0].split("\n") if line.startswith("|")]
+    header, _, *body = rows
+    assert header[:2] == ["key", "default"]
+    named = sorted((key.strip().strip("`"), row[1].strip("`"))
+                   for row in body for key in row[0].split(","))
+    defaults = PipelineConfig()
+    documented = sorted((f.name, _as_documented(getattr(defaults, f.name)))
+                        for f in dataclasses.fields(PipelineConfig))
+    assert named == documented
+
+
+def _as_documented(value):
+    """A default as README's table writes it."""
+    if value is None:
+        return "unset"
+    return json.dumps(value) if isinstance(value, dict) else str(value)

@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 from ragvet.backends import (
     Backends,
     MockRerankerBackend,
-    MockSearchBackend,
     ReplayModelBackend,
     load_fixture,
 )
@@ -247,7 +246,7 @@ class TestScoreAnswers:
 def ablation_setup():
     cfg = PipelineConfig(mode="task2plus")
     model = ReplayModelBackend.from_file(FIXTURES / "ablation_replay.json")
-    search = MockSearchBackend(load_fixture(FIXTURES / "ablation_search.json"))
+    search = load_fixture(FIXTURES / "ablation_search.json")
     backends = Backends(
         router_model=model, vlm=model, reranker=MockRerankerBackend(), search=search
     )
@@ -328,7 +327,7 @@ def test_kg_ablation_report_is_pinned(mode):
     model = ReplayModelBackend.from_file(FIXTURES / "kg_replay.json")
     backends = Backends(
         router_model=model, vlm=model, reranker=MockRerankerBackend(),
-        search=MockSearchBackend(load_fixture(FIXTURES / "kg_search.json")),
+        search=load_fixture(FIXTURES / "kg_search.json"),
     )
     report = run_ablation(mode, load_dataset(FIXTURES / "kg_dataset.jsonl"), cfg, backends,
                           TEMPLATES, MockJudge())
@@ -369,7 +368,7 @@ def test_forced_disagreement_drives_missing_rate_to_one(tmp_path):
     model = ReplayModelBackend([ReplayEntry.from_dict(e, "inline") for e in entries])
     backends = Backends(
         router_model=model, vlm=model, reranker=MockRerankerBackend(),
-        search=MockSearchBackend(SearchFixture(image_index={}, web_index=())),
+        search=SearchFixture(image_index={}, web_index=()),
     )
     cfg = PipelineConfig(mode="task2plus")
     report = run_ablation("no_cov_no_sc", load_dataset(dataset_path), cfg, backends,

@@ -17,7 +17,6 @@ from ragvet.backends import (
     Backends,
     FixtureError,
     MockRerankerBackend,
-    MockSearchBackend,
     ModelRequest,
     ModelResponse,
     ReplayModelBackend,
@@ -65,13 +64,12 @@ def turn_script(query, *, routing=ROUTE_PLAIN, summary="summary tokens", rag="ra
 def image_fixture(image_key, query, summary="summary tokens"):
     """One KG record whose description matches the expanded query exactly."""
     description = f"{query} {summary}"
-    return SearchFixture(image_index={image_key: (({"description": description}, 0.9),)},
-                         web_index=())
+    return SearchFixture(image_index={image_key: ({"description": description},)}, web_index=())
 
 
 def make_backends(entries, fixture=None):
     model = scripted_model(*entries)
-    search = MockSearchBackend(fixture or SearchFixture(image_index={}, web_index=()))
+    search = fixture or SearchFixture(image_index={}, web_index=())
     return Backends(router_model=model, vlm=model, reranker=MockRerankerBackend(), search=search)
 
 
@@ -159,7 +157,7 @@ class TestHappyPath:
         query = "what brand is this shoe"
         model = CountingModel(scripted_model(*turn_script(query)))
         backends = Backends(router_model=model, vlm=model, reranker=MockRerankerBackend(),
-                            search=MockSearchBackend(image_fixture("img-7", query)))
+                            search=image_fixture("img-7", query))
         outcome = run_turn(fresh_state("img-7"), one_turn(query), PipelineConfig(), backends,
                            TEMPLATES)
         assert outcome.final.branch is Branch.CONSISTENT_WITH_CONTEXT  # img-7's KG record
@@ -186,7 +184,7 @@ class TestHappyPath:
         reranker = _WaitForDirect(model.direct_seen)
         backends = Backends(
             router_model=model, vlm=model, reranker=reranker,
-            search=MockSearchBackend(image_fixture("img-1", query)),
+            search=image_fixture("img-1", query),
         )
         outcome = run_turn(fresh_state(), one_turn(query), PipelineConfig(), backends, TEMPLATES)
         assert reranker.saw_direct, "the direct answer was not requested during rerank"
@@ -203,7 +201,7 @@ class TestHappyPath:
         router = _WaitBeforeReply(model, vlm.seen)
         backends = Backends(
             router_model=router, vlm=vlm, reranker=MockRerankerBackend(),
-            search=MockSearchBackend(image_fixture("img-1", query)),
+            search=image_fixture("img-1", query),
         )
         outcome = run_turn(fresh_state(), one_turn(query), PipelineConfig(), backends, TEMPLATES)
         assert router.saw_event, "the summary was not requested during routing"
@@ -242,7 +240,7 @@ class TestRoutingPolicies:
         snippet = f"{query} {summary}"
         fields = {"title": "zylo", "url": "https://z.test", "snippet": snippet,
                   "last_updated": "2025-01-01"}
-        fixture = SearchFixture(image_index={}, web_index=((fields, 0.9),))
+        fixture = SearchFixture(image_index={}, web_index=(fields,))
         backends = make_backends(turn_script(query, summary=summary), fixture)
         outcome = run_turn(
             fresh_state(), one_turn(query), PipelineConfig(mode="task2plus"), backends, TEMPLATES
@@ -289,7 +287,7 @@ class TestDegradation:
         with pytest.raises(FixtureError, match=r"replay\.json\[2\]: match"):
             model = ReplayModelBackend.from_file(path)
             backends = Backends(router_model=model, vlm=model, reranker=MockRerankerBackend(),
-                                search=MockSearchBackend(image_fixture("img-1", query)))
+                                search=image_fixture("img-1", query))
             run_turn(fresh_state(), one_turn(query), PipelineConfig(), backends, TEMPLATES)
 
     def test_missing_generator_script_degrades(self):
@@ -470,12 +468,11 @@ class _TimeLeft:
         return call
 
 
-class _QueryLog(MockSearchBackend):
-    """Mock search that keeps each web query it is sent."""
+@dataclasses.dataclass(frozen=True)
+class _QueryLog(SearchFixture):
+    """A search fixture that keeps each web query it is sent."""
 
-    def __init__(self, fixture):
-        super().__init__(fixture)
-        self.queries: list[str] = []
+    queries: list = dataclasses.field(default_factory=list)
 
     def web_search(self, query_text, k, deadline):
         self.queries.append(query_text)
@@ -492,7 +489,7 @@ SEAM_PAGE = {"title": "zylo", "url": "https://z.test", "last_updated": "2025-01-
 
 def seam_backends(routing=ROUTE_PLAIN):
     """``task2plus`` backends for ``SEAM_QUERY``, whose search finds ``SEAM_PAGE``."""
-    search = _QueryLog(SearchFixture(image_index={}, web_index=((SEAM_PAGE, 0.9),)))
+    search = _QueryLog(image_index={}, web_index=(SEAM_PAGE,))
     return dataclasses.replace(
         make_backends(turn_script(SEAM_QUERY, routing=routing, summary=SEAM_SUMMARY)),
         search=search,
@@ -706,9 +703,9 @@ def check_drawn_turn(mode, variant, routing, draws):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(runtime, "clock", VirtualClock())
         model = _Drawn(scripted_model(*drawn_script(routing, draws)), draws)
-        search = _Drawn(MockSearchBackend(SearchFixture(
+        search = _Drawn(SearchFixture(
             image_index=image_fixture("img-1", SEAM_QUERY, SEAM_SUMMARY).image_index,
-            web_index=((SEAM_PAGE, 0.9),))), draws)
+            web_index=(SEAM_PAGE,)), draws)
         reranker = _Drawn(MockRerankerBackend(), draws)
         backends = Backends(router_model=model, vlm=model, reranker=reranker, search=search)
         cfg = PipelineConfig(mode=mode)
@@ -753,9 +750,9 @@ def config_turn(values):
     matching: the turn returns the scripted answer or the abstention, within
     its budget. Building the config may raise InvalidConfigError instead."""
     cfg = PipelineConfig(**values)
-    records = tuple(({"description": f"{CONFIG_QUERY} summary tokens record {i}"}, 0.9)
+    records = tuple({"description": f"{CONFIG_QUERY} summary tokens record {i}"}
                     for i in range(6))
-    pages = tuple(({**SEAM_PAGE, "snippet": f"{CONFIG_QUERY} summary tokens page {i}"}, 0.9)
+    pages = tuple({**SEAM_PAGE, "snippet": f"{CONFIG_QUERY} summary tokens page {i}"}
                   for i in range(6))
     backends = make_backends(turn_script(CONFIG_QUERY), SearchFixture(
         image_index={"img-1": records}, web_index=pages))
@@ -841,7 +838,7 @@ class _RequestLog:
 
 def logged_backends(entries, fixture=None):
     model = _RequestLog(scripted_model(*entries))
-    search = MockSearchBackend(fixture or SearchFixture(image_index={}, web_index=()))
+    search = fixture or SearchFixture(image_index={}, web_index=())
     backends = Backends(router_model=model, vlm=model, reranker=MockRerankerBackend(),
                         search=search)
     return model, backends
@@ -1076,7 +1073,7 @@ class TestConversations:
         model = _RequestLog(scripted_model(*entries))
         backends = Backends(
             router_model=model, vlm=model, reranker=MockRerankerBackend(),
-            search=MockSearchBackend(SearchFixture(image_index={}, web_index=())),
+            search=SearchFixture(image_index={}, web_index=()),
         )
         outcomes = run_conversation(
             self._conversation([first, second, third]),
@@ -1107,7 +1104,7 @@ class TestConversations:
         model = _RequestLog(scripted_model(*entries))
         backends = Backends(
             router_model=model, vlm=model, reranker=MockRerankerBackend(),
-            search=MockSearchBackend(SearchFixture(image_index={}, web_index=())),
+            search=SearchFixture(image_index={}, web_index=()),
         )
         outcomes = run_conversation(
             self._conversation([first, second]), PipelineConfig(mode="task2plus"), backends,

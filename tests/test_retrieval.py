@@ -11,7 +11,6 @@ from hypothesis import assume, given, strategies as st
 from ragvet.backends import (
     MAX_TOKENS,
     MockRerankerBackend,
-    MockSearchBackend,
     Role,
     SearchFixture,
 )
@@ -165,14 +164,14 @@ class TestDynamicThreshold:
 
 def _search_fixture(n_web=0, image_records=()):
     web = tuple(
-        ({"title": f"t{i}", "url": f"https://w.test/{i}",
-          "snippet": f"red shoe page {i}", "last_updated": "2025-01-01"}, 0.5)
+        {"title": f"t{i}", "url": f"https://w.test/{i}",
+         "snippet": f"red shoe page {i}", "last_updated": "2025-01-01"}
         for i in range(n_web)
     )
     image_index = {}
     if image_records:
-        image_index["img-1"] = tuple(({"description": d}, 0.5) for d in image_records)
-    return MockSearchBackend(SearchFixture(image_index=image_index, web_index=web))
+        image_index["img-1"] = tuple({"description": d} for d in image_records)
+    return SearchFixture(image_index=image_index, web_index=web)
 
 
 class TestRecall:
