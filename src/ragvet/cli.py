@@ -3,7 +3,9 @@
 Thresholds live in a versioned config file; flags carry only paths and mode.
 Mock mode wires every backend to the committed fixture and replay files, so
 identical argv plus identical files reproduce identical trace and report
-bytes.
+bytes. ``run`` and ``ablate`` run their turns through one dataset loop,
+``_run_turns``; ``eval`` and ``ablate`` score the answers through one
+scorer, ``evaluation.score_answers``.
 """
 
 from __future__ import annotations
@@ -32,16 +34,8 @@ from .backends import (
 from .core import (
     MODES, Conversation, InvalidConfigError, PipelineConfig, read_json, read_jsonl,
 )
-from .evaluation import (
-    ABLATION_MODES,
-    EvalError,
-    MockJudge,
-    PromptedJudge,
-    ground_truths,
-    run_ablation,
-    score_answers,
-)
-from .pipeline import TurnOutcome, run_conversation
+from .evaluation import EvalError, MockJudge, PromptedJudge, ground_truths, score_answers
+from .pipeline import VARIANTS, TurnOutcome, run_conversation
 from .retrieval import looks_up_images
 from .templates import PromptTemplate, TemplateError, load_all
 
@@ -99,6 +93,11 @@ def _run_manifest(cfg: PipelineConfig, dataset_path: str, record_count: int,
     return {"manifest_hash": hashlib.sha256(payload).hexdigest(), "version": __version__,
             "config": config, "dataset_path": dataset_path, "record_count": record_count,
             "backend_kinds": backend_kinds, "started_at": _utc_now(), "finished_at": None}
+
+
+def _shown(path: str | Path) -> str:
+    """``path`` as text for an output: a byte that is not UTF-8 reads as ``\\x..``."""
+    return os.fsencode(path).decode("utf-8", "backslashreplace")
 
 
 def _check_writable(path: Optional[str]) -> None:
@@ -179,6 +178,20 @@ def write_trace(outcomes: Sequence[TurnOutcome], path: Path) -> None:
     path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 
+def _run_turns(cfg: PipelineConfig, templates: dict[str, PromptTemplate],
+               dataset: Sequence[Conversation], backends: Backends, workers: int,
+               variant: str = "full") -> list[TurnOutcome]:
+    """Every turn of ``dataset`` under ``variant``, in dataset order, running
+    ``workers`` conversations at once; closes ``backends`` when done."""
+    try:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(
+                lambda conv: run_conversation(conv, cfg, backends, templates, variant), dataset))
+    finally:
+        backends.close()
+    return [outcome for conversation_outcomes in results for outcome in conversation_outcomes]
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     if args.workers < 1:
         raise InvalidConfigError(f"--workers must be at least 1, got {args.workers}")
@@ -188,22 +201,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.dataset)
     backends, kinds = build_backends(cfg, mock=args.mock)
     out_path = Path(args.out)
-    manifest = _run_manifest(cfg, str(args.dataset), len(dataset), kinds)
+    manifest = _run_manifest(cfg, _shown(args.dataset), len(dataset), kinds)
     manifest_path = out_path.with_name(out_path.name + ".manifest.json")
     _write_json(manifest_path, manifest)
-
-    try:
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(
-                lambda conv: run_conversation(conv, cfg, backends, templates), dataset))
-    finally:
-        backends.close()
-    outcomes = [outcome for conversation_outcomes in results for outcome in conversation_outcomes]
+    outcomes = _run_turns(cfg, templates, dataset, backends, args.workers)
     write_trace(outcomes, out_path)
     _write_json(manifest_path, {**manifest, "finished_at": _utc_now()})
     abstained = sum(1 for outcome in outcomes if outcome.final.abstained)
     print(f"ran {len(outcomes)} turns over {len(dataset)} conversations "
-          f"({abstained} abstained) -> {out_path}")
+          f"({abstained} abstained) -> {_shown(out_path)}")
     return 0
 
 
@@ -265,7 +271,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
                                   cfg.abstain_text)
     _write_json(args.report, {"manifest_hash": _manifest_hash_for(Path(args.traces)),
                               **metrics.to_dict(), "rows": rows})
-    print(f"evaluated {metrics.n} turns: {metrics.summary()} -> {args.report}")
+    print(f"evaluated {metrics.n} turns: {metrics.summary()} -> {_shown(args.report)}")
     return 0
 
 
@@ -276,10 +282,12 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.dataset)
     backends, _ = build_backends(cfg, mock=args.mock)
     judge = _make_judge(cfg, args.judge, templates["judge"])
-    try:
-        report = run_ablation(args.mode, dataset, cfg, backends, templates, judge)
-    finally:
-        backends.close()
+    truths = ground_truths(dataset)  # before any turn runs
+    # One conversation at a time: ablate takes no --workers.
+    outcomes = _run_turns(cfg, templates, dataset, backends, workers=1, variant=args.mode)
+    answers = [(outcome.conversation_id, outcome.turn_index, outcome.final.answer)
+               for outcome in outcomes]
+    report, _ = score_answers(answers, truths, judge, cfg.abstain_text)
     if args.report:
         _write_json(args.report, {"mode": args.mode, **report.to_dict()})
     print(f"ablation {args.mode}: {report.summary()}")
@@ -312,7 +320,7 @@ def _build_parser() -> argparse.ArgumentParser:
     eval_parser.set_defaults(func=_cmd_eval)
 
     ablate_parser = subparsers.add_parser("ablate", help="score a reduced pipeline variant")
-    ablate_parser.add_argument("--mode", choices=list(ABLATION_MODES), required=True)
+    ablate_parser.add_argument("--mode", choices=list(VARIANTS), required=True)
     ablate_parser.add_argument("--dataset", required=True)
     ablate_parser.add_argument("--config", default=None)
     ablate_parser.add_argument("--report", default=None)
@@ -328,11 +336,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.func(args)
     except (InvalidConfigError, TemplateError, DatasetError, FixtureError, EvalError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        message = str(exc)
     except OSError as exc:  # every reader turns its own into one of the above
-        print(f"error: cannot write {exc.filename}: {exc.strerror or exc}", file=sys.stderr)
-        return 1
+        message = f"cannot write {exc.filename}: {exc.strerror or exc}"
+    # A path in the message may hold a line break; the error stays one line.
+    print("error: " + message.replace("\n", "\\n"), file=sys.stderr)
+    return 1
 
 
 def entry() -> None:

@@ -1,5 +1,5 @@
 """Scoring protocol: four-level judge labels, rate aggregation, truncation,
-one scoring path for ``eval`` and ``ablate``, and the ablation harness.
+and one scoring path for ``eval`` and ``ablate``.
 
 The abstention string maps straight to Missing without consulting any judge.
 Accuracy counts Perfect plus Acceptable; the truthfulness score weighs
@@ -7,10 +7,6 @@ Perfect 1.0, Acceptable 0.5, and Incorrect -1.0 (``_LABEL_VALUES``), so it
 equals accuracy minus hallucination rate exactly when no Acceptable labels
 occur. ``eval`` scores a trace's answers and ``ablate`` a fresh run's, both
 against ``ground_truths`` and through ``score_answers``.
-
-An ablation runs each conversation through ``run_conversation`` with the
-pipeline variant of the same name (``pipeline.VARIANTS``), so ablated turns
-share the full pipeline's flags, deadlines and early exits.
 """
 
 from __future__ import annotations
@@ -21,9 +17,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Mapping, Protocol, Sequence
 
-from .backends import Backends, BackendError, ModelBackend, Role, ask
+from .backends import BackendError, ModelBackend, Role, ask
 from .core import Conversation, PipelineConfig
-from .pipeline import VARIANTS, run_conversation
 from .runtime import Deadline
 from .templates import PromptTemplate
 
@@ -37,8 +32,6 @@ __all__ = [
     "aggregate",
     "ground_truths",
     "score_answers",
-    "ABLATION_MODES",
-    "run_ablation",
     "EvalError",
 ]
 
@@ -216,29 +209,3 @@ def score_answers(
     rows = [{"conversation_id": conversation_id, "turn_index": turn_index, "label": label.value}
             for (conversation_id, turn_index, _), label in zip(answers, labels)]
     return aggregate(labels), rows
-
-
-# ---------------------------------------------------------------------------
-# Ablation harness
-
-ABLATION_MODES = tuple(VARIANTS)
-
-
-def run_ablation(
-    mode: str,
-    dataset: Sequence[Conversation],
-    cfg: PipelineConfig,
-    backends: Backends,
-    templates: dict[str, PromptTemplate],
-    judge: JudgeBackend,
-) -> MetricsReport:
-    """Score one pipeline variant over the dataset with the given judge;
-    a turn without a ground truth stops it before any turn runs."""
-    if mode not in ABLATION_MODES:
-        raise EvalError(f"unknown ablation mode: {mode!r} (choose from {', '.join(ABLATION_MODES)})")
-    truths = ground_truths(dataset)
-    answers = [(outcome.conversation_id, outcome.turn_index, outcome.final.answer)
-               for conversation in dataset
-               for outcome in run_conversation(conversation, cfg, backends, templates,
-                                               variant=mode)]
-    return score_answers(answers, truths, judge, cfg.abstain_text)[0]

@@ -16,7 +16,10 @@ import pytest
 from ragvet import runtime
 from ragvet.backends import ModelRequest, ModelResponse, ReplayEntry, ReplayModelBackend
 from ragvet.core import ChunkRef, RetrievedItem, ScoredChunk, Source
+from ragvet.evaluation import MetricsReport, MockJudge, ground_truths, score_answers
+from ragvet.pipeline import run_conversation
 from ragvet.runtime import Deadline
+from ragvet.templates import load_all
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -109,6 +112,16 @@ class HonestConsistencyJudge:
         assert first and second, "consistency prompt shape changed"
         verdict = "yes" if first.group(1) == second.group(1) else "no"
         return ModelResponse(text=verdict)
+
+
+def score_variant(mode: str, dataset, cfg, backends) -> MetricsReport:
+    """The metrics ``ablate --mode <mode> --judge mock`` reports: every
+    conversation run under the variant, its answers scored by ``score_answers``."""
+    templates = load_all(cfg.prompt_paths)
+    answers = [(outcome.conversation_id, outcome.turn_index, outcome.final.answer)
+               for conversation in dataset
+               for outcome in run_conversation(conversation, cfg, backends, templates, mode)]
+    return score_answers(answers, ground_truths(dataset), MockJudge(), cfg.abstain_text)[0]
 
 
 def web_item(snippet: str, rank: int = 1, title: str = "t", url: str = "https://x.test/") -> RetrievedItem:

@@ -29,7 +29,7 @@ from ragvet.core import (
     ReplyParseError,
     parse_context_tags,
 )
-from ragvet.evaluation import Label, MockJudge, aggregate, run_ablation
+from ragvet.evaluation import Label, aggregate
 from ragvet.finalizer import finalize
 from ragvet.generation import parse_yes_no
 from ragvet.pipeline import run_conversation
@@ -38,7 +38,7 @@ from ragvet.router import parse_routing_response
 from ragvet.templates import load_all
 from ragvet.verification import parse_cov_response
 
-from conftest import FIXTURES
+from conftest import FIXTURES, score_variant
 
 
 @contextmanager
@@ -361,10 +361,9 @@ def test_criterion_8_ablation_directions():
             router_model=model, vlm=model, reranker=MockRerankerBackend(), search=search
         )
         dataset = load_dataset(FIXTURES / "ablation_dataset.jsonl")
-        templates = load_all(cfg.prompt_paths)
-        full = run_ablation("full", dataset, cfg, backends, templates, MockJudge())
-        no_cov = run_ablation("no_cov", dataset, cfg, backends, templates, MockJudge())
-        rag_naive = run_ablation("rag_naive", dataset, cfg, backends, templates, MockJudge())
+        full = score_variant("full", dataset, cfg, backends)
+        no_cov = score_variant("no_cov", dataset, cfg, backends)
+        rag_naive = score_variant("rag_naive", dataset, cfg, backends)
         assert full.truthfulness > no_cov.truthfulness
         assert rag_naive.hallucination_rate > full.hallucination_rate
 
@@ -378,9 +377,7 @@ def test_criterion_8_ablation_directions():
         )
         dataset = load_dataset(FIXTURES / "kg_dataset.jsonl")
         order = ("full", "rag_naive", "no_cov", "no_cov_no_sc", "vision_only")
-        truthfulness = [
-            run_ablation(mode, dataset, cfg, backends, templates, MockJudge()).truthfulness
-            for mode in order
-        ]
+        truthfulness = [score_variant(mode, dataset, cfg, backends).truthfulness
+                        for mode in order]
         assert truthfulness == pytest.approx([5 / 14, 3 / 14, 1 / 14, -1 / 7, -4 / 7])
         assert all(higher > lower for higher, lower in zip(truthfulness, truthfulness[1:]))

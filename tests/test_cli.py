@@ -1,5 +1,6 @@
 """Command-line behavior: dataset loading, run/eval/ablate, manifests."""
 
+import io
 import json
 import math
 import os
@@ -7,11 +8,13 @@ import shutil
 import socket
 import subprocess
 import sys
+import tempfile
 import zipfile
 from http.server import BaseHTTPRequestHandler
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import ragvet
 from ragvet.backends import (
@@ -25,6 +28,7 @@ from ragvet.backends import (
 from ragvet.cli import DatasetError, build_backends, load_config, load_dataset, main
 from ragvet.core import InvalidConfigError, PipelineConfig
 from ragvet.evaluation import MockJudge
+from ragvet.pipeline import VARIANTS
 from ragvet.runtime import Deadline
 
 from conftest import FIXTURES, serve_http
@@ -219,6 +223,26 @@ class TestRunCommand:
             ]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_a_dataset_path_that_is_not_utf8_is_recorded_with_escapes(self, tmp_path):
+        # Python reads the byte 0xff of a file name as the lone surrogate U+DCFF.
+        escaped = tmp_path / os.fsdecode(b"d\xff.jsonl")
+        try:
+            shutil.copyfile(FIXTURES / "e2e_dataset.jsonl", escaped)
+        except OSError:
+            pytest.skip("this filesystem refuses a file name that is not UTF-8")
+        plain = shutil.copyfile(FIXTURES / "e2e_dataset.jsonl", tmp_path / "d.jsonl")
+        config = write_config(tmp_path)
+        manifests = []
+        for dataset in (escaped, plain):
+            out = tmp_path / f"{dataset.stem.encode('ascii', 'replace').decode()}.trace"
+            assert main(["run", "--dataset", str(dataset), "--config", str(config),
+                         "--out", str(out), "--mock"]) == 0
+            assert out.read_bytes() == (FIXTURES / "golden" / "e2e_task2plus.jsonl").read_bytes()
+            manifests.append(json.loads(
+                out.with_name(out.name + ".manifest.json").read_text(encoding="utf-8")))
+        assert manifests[0]["dataset_path"].endswith("d\\xff.jsonl")
+        assert manifests[0]["manifest_hash"] == manifests[1]["manifest_hash"]
 
     def test_e2e_answers_and_flags_match_expected(self, tmp_path):
         expected = json.loads((FIXTURES / "e2e_expected.json").read_text(encoding="utf-8"))
@@ -746,6 +770,17 @@ class TestAblateCommand:
         assert "ground truth" in capsys.readouterr().err
         assert requests == []
 
+    def test_unknown_variant_exits_2_before_any_backend_is_built(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        built = []
+        monkeypatch.setattr("ragvet.cli.build_backends", lambda *args, **kwargs: built.append(args))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["ablate", "--mode", "bogus", "--dataset", str(FIXTURES / "e2e_dataset.jsonl"),
+                  "--config", str(write_config(tmp_path)), "--mock"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+        assert built == []
+
 
 def test_version_flag():
     with pytest.raises(SystemExit) as excinfo:
@@ -955,3 +990,113 @@ def test_unwritable_output_fails_before_any_turn_or_judge_call(tmp_path, capsys,
     assert lines == [f"error: cannot write {out}: {reason}"]
     assert calls == []
     assert not Path(f"{out}.manifest.json").exists()
+
+
+RAGVET_VARIABLES = ("RAGVET_ROUTER_ENDPOINT", "RAGVET_VLM_ENDPOINT", "RAGVET_RERANKER_ENDPOINT",
+                    "RAGVET_WEB_SEARCH_ENDPOINT", "RAGVET_JUDGE_ENDPOINT", "RAGVET_BEARER_TOKEN")
+
+# Bytes as argv or the environment carries them: anything but NUL, so a value
+# may hold a byte that is not UTF-8, which Python reads as a lone surrogate,
+# or a line break. A file name holds no "/" either.
+FILE_NAMES = st.binary(min_size=1, max_size=16).map(
+    lambda name: name.replace(b"\0", b"").replace(b"/", b"")).filter(
+        lambda name: name not in (b"", b".", b".."))
+ENV_VALUES = st.one_of(
+    st.text(st.characters(min_codepoint=0x21, max_codepoint=0x7E)).map(str.encode),
+    st.binary(max_size=16).map(lambda value: value.replace(b"\0", b"")))
+
+
+def often(usual, *others):
+    """``usual`` half the time, otherwise one of ``others``."""
+    return st.sampled_from((usual,) * len(others) + others)
+
+
+# An input is a copy of its fixture file, a file that is not there, a file in
+# a directory that is not there, or a directory; an output is a new file, a
+# file in a directory that is not there, or a directory.
+DRAWN_INPUT_KINDS = often("copy", "missing", "no-directory", "directory")
+DRAWN_OUTPUT_KINDS = often("new", "no-directory", "directory")
+BOUNDARY_CONFIG = {"mode": "task2plus", "fixture_path": str(FIXTURES / "ablation_search.json"),
+                   "replay_path": str(FIXTURES / "ablation_replay.json")}
+COPIED = {"--dataset": FIXTURES / "ablation_dataset.jsonl", "--config": Path("config.json"),
+          "--traces": FIXTURES / "golden" / "ablation_task2plus.jsonl"}
+
+
+@st.composite
+def boundary_calls(draw) -> tuple[list[str], list[tuple[str, bytes, str]]]:
+    """One ``run``, ``eval`` or ``ablate`` call over the ablation fixture set:
+    its argv but the paths, and the flag, file name and kind of each path."""
+    def path(flag, kinds):
+        return flag, draw(FILE_NAMES), draw(kinds)
+
+    command = draw(st.sampled_from(["run", "eval", "ablate"]))
+    paths = [path("--dataset", DRAWN_INPUT_KINDS)]
+    if draw(often(True, False)):
+        paths.append(path("--config", DRAWN_INPUT_KINDS))
+    if command == "run":
+        return ["run", "--mock"], [*paths, path("--out", DRAWN_OUTPUT_KINDS)]
+    if command == "eval":
+        return ["eval"], [*paths, path("--traces", DRAWN_INPUT_KINDS),
+                          path("--report", DRAWN_OUTPUT_KINDS)]
+    if draw(often(True, False)):
+        paths.append(path("--report", DRAWN_OUTPUT_KINDS))
+    return ["ablate", "--mode", draw(st.sampled_from(sorted(VARIANTS))), "--mock"], paths
+
+
+def _drawn_path(flag: str, name: bytes, kind: str) -> str:
+    """A path of ``kind`` named ``name`` for ``flag``, in a directory of its own
+    under the current one."""
+    directory = Path(flag.lstrip("-"))
+    directory.mkdir()
+    path = directory / os.fsdecode(name)
+    if kind == "copy":
+        shutil.copyfile(COPIED[flag], path)
+    elif kind == "directory":
+        path.mkdir()
+    elif kind == "no-directory":
+        path = Path(f"{directory}-absent") / os.fsdecode(name)
+    return str(path)
+
+
+@settings(max_examples=100, deadline=None)
+@given(call=boundary_calls(),
+       env=st.dictionaries(st.sampled_from(RAGVET_VARIABLES), ENV_VALUES, max_size=2))
+# A dataset and an output whose names are not UTF-8, written to a strict stdout.
+@example(call=(["run", "--mock"], [("--dataset", b"d\xff.jsonl", "copy"),
+                                   ("--config", b"c", "copy"), ("--out", b"\xff", "new")]),
+         env={})
+# A path holding a line break, named in the error.
+@example(call=(["eval"], [("--dataset", b"d", "copy"), ("--traces", b"t\nt", "missing"),
+                          ("--report", b"r", "new")]), env={})
+# An environment override that is not UTF-8.
+@example(call=(["ablate", "--mode", "full", "--mock"], [("--dataset", b"d", "copy")]),
+         env={"RAGVET_BEARER_TOKEN": b"\xff"})
+def test_argv_paths_and_environment_end_in_success_or_one_error_line(call, env):
+    argv, paths = call
+    with tempfile.TemporaryDirectory() as directory, pytest.MonkeyPatch.context() as patch:
+        patch.chdir(directory)
+        try:
+            Path(os.fsdecode(b"\xff")).touch()
+        except OSError:
+            pytest.skip("this filesystem refuses a file name that is not UTF-8")
+        Path("config.json").write_text(json.dumps(BOUNDARY_CONFIG), encoding="utf-8")
+        argv = [*argv, *(part for flag, name, kind in paths
+                         for part in (flag, _drawn_path(flag, name, kind)))]
+        for variable in RAGVET_VARIABLES:
+            patch.delenv(variable, raising=False)
+        for variable, value in env.items():
+            patch.setenv(variable, os.fsdecode(value))
+        # The streams of a UTF-8 locale: stdout encodes strictly, and stderr
+        # writes a lone surrogate as an escape.
+        patch.setattr(sys, "stdout", io.TextIOWrapper(io.BytesIO(), encoding="utf-8",
+                                                      write_through=True))
+        stderr = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="backslashreplace",
+                                  write_through=True)
+        patch.setattr(sys, "stderr", stderr)
+        code = main(argv)
+        err = stderr.buffer.getvalue().decode("utf-8")
+    if code == 0:
+        assert err == ""
+    else:
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err

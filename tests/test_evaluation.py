@@ -1,6 +1,6 @@
 """Scoring protocol: truncation, judging, aggregation, metric identities,
-the one scoring path, and the ablation harness over the committed fixture
-set."""
+the one scoring path, and every pipeline variant scored over the committed
+fixture sets."""
 
 import random
 
@@ -16,7 +16,6 @@ from ragvet.backends import (
 from ragvet.cli import load_dataset
 from ragvet.core import Conversation, PipelineConfig
 from ragvet.evaluation import (
-    ABLATION_MODES,
     EvalError,
     Label,
     MockJudge,
@@ -24,15 +23,13 @@ from ragvet.evaluation import (
     aggregate,
     ground_truths,
     judge_response,
-    run_ablation,
     score_answers,
     truncate_tokens,
 )
-from ragvet.templates import PromptTemplate, load_all
+from ragvet.pipeline import VARIANTS
+from ragvet.templates import PromptTemplate
 
-from conftest import FIXTURES, scripted_model
-
-TEMPLATES = load_all({})
+from conftest import FIXTURES, score_variant, scripted_model
 
 # Frozen reference rows the aggregator must reproduce, as
 # (perfect, missing, incorrect, accuracy%, missing%, hallucination%, truthfulness%).
@@ -255,32 +252,27 @@ def ablation_setup():
 
 
 class TestRunAblation:
-    def test_unknown_mode_rejected(self, ablation_setup):
-        cfg, dataset, backends = ablation_setup
-        with pytest.raises(EvalError, match="unknown ablation mode"):
-            run_ablation("bogus", dataset, cfg, backends, TEMPLATES, MockJudge())
-
     def test_vision_only_never_abstains(self, ablation_setup):
         cfg, dataset, backends = ablation_setup
-        report = run_ablation("vision_only", dataset, cfg, backends, TEMPLATES, MockJudge())
+        report = score_variant("vision_only", dataset, cfg, backends)
         assert report.missing_rate == 0.0
 
     def test_full_beats_no_cov_on_truthfulness(self, ablation_setup):
         cfg, dataset, backends = ablation_setup
-        full = run_ablation("full", dataset, cfg, backends, TEMPLATES, MockJudge())
-        no_cov = run_ablation("no_cov", dataset, cfg, backends, TEMPLATES, MockJudge())
+        full = score_variant("full", dataset, cfg, backends)
+        no_cov = score_variant("no_cov", dataset, cfg, backends)
         assert full.truthfulness > no_cov.truthfulness
         assert full.accuracy >= no_cov.accuracy
 
     def test_naive_rag_hallucinates_more_than_full(self, ablation_setup):
         cfg, dataset, backends = ablation_setup
-        naive = run_ablation("rag_naive", dataset, cfg, backends, TEMPLATES, MockJudge())
-        full = run_ablation("full", dataset, cfg, backends, TEMPLATES, MockJudge())
+        naive = score_variant("rag_naive", dataset, cfg, backends)
+        full = score_variant("full", dataset, cfg, backends)
         assert naive.hallucination_rate > full.hallucination_rate
 
     def test_exact_agreement_mode_abstains_on_split_answers(self, ablation_setup):
         cfg, dataset, backends = ablation_setup
-        report = run_ablation("no_cov_no_sc", dataset, cfg, backends, TEMPLATES, MockJudge())
+        report = score_variant("no_cov_no_sc", dataset, cfg, backends)
         assert report.missing_rate > 0.0
 
 
@@ -295,11 +287,11 @@ ABLATION_REPORTS = {
 
 
 @pytest.mark.parametrize("policy", ["task1", "task2plus"])
-@pytest.mark.parametrize("mode", ABLATION_MODES)
+@pytest.mark.parametrize("mode", VARIANTS)
 def test_ablation_report_is_pinned(ablation_setup, policy, mode):
     _, dataset, backends = ablation_setup
     cfg = PipelineConfig(mode=policy)
-    report = run_ablation(mode, dataset, cfg, backends, TEMPLATES, MockJudge())
+    report = score_variant(mode, dataset, cfg, backends)
     perfect, missing, incorrect, truthfulness = ABLATION_REPORTS[mode]
     assert report.to_dict()["counts"] == {
         "Perfect": perfect, "Acceptable": 0, "Missing": missing, "Incorrect": incorrect,
@@ -321,7 +313,7 @@ KG_ABLATION_REPORTS = {
 }
 
 
-@pytest.mark.parametrize("mode", ABLATION_MODES)
+@pytest.mark.parametrize("mode", VARIANTS)
 def test_kg_ablation_report_is_pinned(mode):
     cfg = PipelineConfig(mode="task1")
     model = ReplayModelBackend.from_file(FIXTURES / "kg_replay.json")
@@ -329,8 +321,7 @@ def test_kg_ablation_report_is_pinned(mode):
         router_model=model, vlm=model, reranker=MockRerankerBackend(),
         search=load_fixture(FIXTURES / "kg_search.json"),
     )
-    report = run_ablation(mode, load_dataset(FIXTURES / "kg_dataset.jsonl"), cfg, backends,
-                          TEMPLATES, MockJudge())
+    report = score_variant(mode, load_dataset(FIXTURES / "kg_dataset.jsonl"), cfg, backends)
     perfect, acceptable, missing, incorrect, truthfulness = KG_ABLATION_REPORTS[mode]
     assert report.to_dict()["counts"] == {
         "Perfect": perfect, "Acceptable": acceptable, "Missing": missing, "Incorrect": incorrect,
@@ -371,6 +362,5 @@ def test_forced_disagreement_drives_missing_rate_to_one(tmp_path):
         search=SearchFixture(image_index={}, web_index=()),
     )
     cfg = PipelineConfig(mode="task2plus")
-    report = run_ablation("no_cov_no_sc", load_dataset(dataset_path), cfg, backends,
-                          TEMPLATES, MockJudge())
+    report = score_variant("no_cov_no_sc", load_dataset(dataset_path), cfg, backends)
     assert report.missing_rate == 1.0

@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 from ragvet.cli import main
-from ragvet.evaluation import ABLATION_MODES
+from ragvet.pipeline import VARIANTS
 
 from conftest import FIXTURES
 
@@ -83,7 +83,7 @@ def _pinned(path: Path, key: str) -> str:
     return json.dumps(expected[key], indent=2, ensure_ascii=False) + "\n"
 
 
-REPORT_CASES = [(s, m, v) for s in SETS for m in MODES for v in ABLATION_MODES]
+REPORT_CASES = [(s, m, v) for s in SETS for m in MODES for v in VARIANTS]
 TRACE_CASES = [(s, m) for s in SETS for m in MODES]
 
 

@@ -9,9 +9,12 @@ no stage module catches a backend failure or a ``ReplyParseError``:
 its turn class, ``_Turn``, which holds a turn's trace, or calls a ``.flag(``
 method, so every degradation flag is set there. ``cli`` names neither
 ``judge_response`` nor ``aggregate``: ``evaluation.score_answers`` is the one
-scoring path. No ragvet module but ``runtime`` names ``time.monotonic``,
-``time.perf_counter`` or ``time.sleep``, so every read of time and every wait
-goes through ``runtime.clock``; ``cli``'s calendar stamp (``time.gmtime``) is no clock read.
+scoring path. ``evaluation`` imports nothing from ``pipeline``, and
+``cli._run_turns`` is the one caller of ``run_conversation``: ``run`` and
+``ablate`` run their turns through one dataset loop. No ragvet module but
+``runtime`` names ``time.monotonic``, ``time.perf_counter`` or
+``time.sleep``, so every read of time and every wait goes through
+``runtime.clock``; ``cli``'s calendar stamp (``time.gmtime``) is no clock read.
 No ragvet module but ``runtime`` imports ``concurrent.futures`` or starts a
 ``threading.Thread``, so every wait on another thread of a turn is a wait on
 ``runtime.clock`` too; ``cli``'s ``--workers`` pool runs conversations, not a
@@ -177,9 +180,10 @@ def test_only_templates_reads_or_builds_a_template(path):
     assert template_reads(path.read_text(encoding="utf-8")) == []
 
 
-def request_builders(source: str) -> list[str]:
-    """The qualified name of the function around each ``ModelRequest`` call,
-    by bare name or as an attribute, in source order."""
+def callers(source: str, name: str) -> list[str]:
+    """The qualified name of the function around each call of ``name``, by
+    bare name or as an attribute, in source order; a lambda is part of the
+    function it is written in."""
     found = []
 
     def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
@@ -187,8 +191,8 @@ def request_builders(source: str) -> list[str]:
             scope = (*scope, node.name)
         if isinstance(node, ast.Call):
             func = node.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name == "ModelRequest":
+            called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if called == name:
                 found.append((node.lineno, node.col_offset, ".".join(scope) or "<module>"))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
@@ -208,12 +212,68 @@ def test_detector_sees_every_form_of_request_build():
         "def ask(model):\n"
         "    return isinstance(model, ModelRequest) or ModelRequest(**model)\n"
     )
-    assert request_builders(source) == ["<module>", "Judge.judge", "ask"]
+    assert callers(source, "ModelRequest") == ["<module>", "Judge.judge", "ask"]
 
 
 def test_only_ask_builds_model_requests():
-    builders = {path.name: request_builders(path.read_text(encoding="utf-8")) for path in MODULES}
+    builders = {path.name: callers(path.read_text(encoding="utf-8"), "ModelRequest")
+                for path in MODULES}
     assert {name: found for name, found in builders.items() if found} == {"backends.py": ["ask"]}
+
+
+def ragvet_imports(source: str, module: str) -> list[str]:
+    """``module.<name>`` for each name imported from ragvet module ``module``,
+    and ``module`` for each import of the module itself, relative or
+    absolute, in source order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.extend(module for alias in node.names if alias.name == f"ragvet.{module}")
+        elif isinstance(node, ast.ImportFrom) and (node.level or node.module == "ragvet"
+                                                   or (node.module or "").startswith("ragvet.")):
+            source_module = (node.module or "").removeprefix("ragvet").lstrip(".")
+            if source_module == module:
+                found.extend(f"{module}.{alias.name}" for alias in node.names)
+            elif not source_module:
+                found.extend(module for alias in node.names if alias.name == module)
+    return found
+
+
+def test_detector_sees_every_form_of_module_import():
+    source = (
+        "from .pipeline import VARIANTS, run_conversation as run\n"
+        "from ragvet.pipeline import TurnOutcome\n"
+        "from . import core, pipeline\n"
+        "from ragvet import pipeline as p\n"
+        "import ragvet.pipeline\n"
+        "from .pipelines import other\n"
+        "from pipeline import unrelated\n"
+        "import pipeline\n"
+    )
+    assert ragvet_imports(source, "pipeline") == [
+        "pipeline.VARIANTS", "pipeline.run_conversation", "pipeline.TurnOutcome",
+        "pipeline", "pipeline", "pipeline",
+    ]
+
+
+def test_evaluation_imports_nothing_from_pipeline():
+    assert ragvet_imports((PACKAGE / "evaluation.py").read_text(encoding="utf-8"),
+                          "pipeline") == []
+
+
+def test_detector_sees_a_call_in_a_lambda_as_its_function():
+    source = (
+        "def loop(pool, data):\n"
+        "    return pool.map(lambda c: pipeline.run_conversation(c), data)\n"
+        "run_conversation(conversation)\n"
+    )
+    assert callers(source, "run_conversation") == ["loop", "<module>"]
+
+
+def test_one_dataset_loop_runs_conversations():
+    loops = {path.name: callers(path.read_text(encoding="utf-8"), "run_conversation")
+             for path in MODULES}
+    assert {name: found for name, found in loops.items() if found} == {"cli.py": ["_run_turns"]}
 
 
 # Every backend failure type, the reply-parse error, and the handlers that
