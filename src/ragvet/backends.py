@@ -17,6 +17,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 from pathlib import Path
 from typing import Any, Mapping, Optional, Protocol, Sequence
 
@@ -349,53 +350,56 @@ def _items(records: Sequence[Mapping[str, str]], source: Source) -> list[Retriev
             for rank, fields in enumerate(records, start=1)]
 
 
-def _checked_records(records: Any, path: str | Path,
-                     key: Optional[str] = None) -> tuple[Mapping[str, str], ...]:
-    """Check one parsed record list, the one under image key ``key`` or, when
-    None, ``web_index``, and return its records: each JSON object once its
-    score is checked and popped. A FixtureError names the bad record."""
-    source = Source.WEB if key is None else Source.KG_IMAGE
-
-    def bad(problem: str) -> FixtureError:
-        where = "web_index" if key is None else f"image_index[{key!r}]"
-        return FixtureError(f"{path}:{where}{problem}")
-
-    if not isinstance(records, list):
-        raise bad(" must be a list of records")
-    previous = 1.0
-    for index, record in enumerate(records):
-        if not isinstance(record, dict):
-            raise bad(f"[{index}]: record must be an object")
-        if "score" not in record:
-            raise bad(f"[{index}]: record is missing 'score'")
-        score = record.pop("score")
-        if type(score) not in (int, float) or not 0.0 <= score <= 1.0:  # a bool is no score
-            raise bad(f"[{index}]: score must be within [0, 1], got {score!r}")
-        for name, value in record.items():
-            if not isinstance(value, str):
-                raise bad(f"[{index}]: field {name!r} must be a string")
-        problem = missing_content(source, record)
-        if problem:
-            raise bad(f"[{index}]: {problem}")
-        if score > previous:
-            raise bad(f"[{index}]: records must be sorted descending by score")
-        previous = score
-    return tuple(records)
+def _bad(path: str | Path, key: Optional[str], problem: str) -> FixtureError:
+    """A FixtureError naming the record list under image key ``key`` or, when
+    None, ``web_index``, then ``problem``, which starts with ``[index]`` when
+    one record is bad."""
+    where = "web_index" if key is None else f"image_index[{key!r}]"
+    return FixtureError(f"{path}:{where}{problem}")
 
 
 def load_fixture(path: str | Path) -> SearchFixture:
     """Parse and check a search fixture file; a FixtureError names the first
-    bad record."""
+    bad record.
+
+    One pass checks every record list, the image lists in file order and then
+    ``web_index``, and keeps each record as its JSON object once its score is
+    checked and popped. Any other top-level key is rejected.
+    """
     raw = read_json(path, FixtureError)
     if not isinstance(raw, dict):
         raise FixtureError(f"{path}: fixture must be an object")
-    raw_images = raw.get("image_index", {})
-    if not isinstance(raw_images, dict):
+    unknown = sorted(raw.keys() - {"image_index", "web_index"})
+    if unknown:
+        raise FixtureError(f"{path}: unknown fixture key {unknown[0]!r}")
+    image_index = raw.get("image_index", {})
+    if not isinstance(image_index, dict):
         raise FixtureError(f"{path}:image_index must be an object of record lists")
-    return SearchFixture(
-        image_index={key: _checked_records(records, path, key)
-                     for key, records in raw_images.items()},
-        web_index=_checked_records(raw.get("web_index", []), path))
+    web_index = raw.get("web_index", [])
+    kg_image, web = Source.KG_IMAGE, Source.WEB  # an enum member lookup is slow
+    for key, records in chain(image_index.items(), [(None, web_index)]):
+        if not isinstance(records, list):
+            raise _bad(path, key, " must be a list of records")
+        source = web if key is None else kg_image
+        previous = 1.0
+        for index, record in enumerate(records):
+            if not isinstance(record, dict):
+                raise _bad(path, key, f"[{index}]: record must be an object")
+            if "score" not in record:
+                raise _bad(path, key, f"[{index}]: record is missing 'score'")
+            score = record.pop("score")
+            if type(score) not in (int, float) or not 0.0 <= score <= 1.0:  # a bool is no score
+                raise _bad(path, key, f"[{index}]: score must be within [0, 1], got {score!r}")
+            for name, value in record.items():
+                if not isinstance(value, str):
+                    raise _bad(path, key, f"[{index}]: field {name!r} must be a string")
+            if problem := missing_content(source, record):
+                raise _bad(path, key, f"[{index}]: {problem}")
+            if score > previous:
+                raise _bad(path, key, f"[{index}]: records must be sorted descending by score")
+            previous = score
+    return SearchFixture({key: tuple(records) for key, records in image_index.items()},
+                         tuple(web_index))
 
 
 class RemoteSearchBackend:

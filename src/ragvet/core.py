@@ -165,16 +165,25 @@ class RoutingDecision:
 # Content fields eligible for chunking, in fixed order.
 KG_CONTENT_FIELDS = ("description", "caption", "summary")
 WEB_CONTENT_FIELDS = ("snippet",)
+# The content rule: an item needs one non-empty field of its source's
+# content fields, or it has this problem.
+_CONTENT_RULES = {
+    Source.KG_IMAGE: (KG_CONTENT_FIELDS,
+                      "kg_image item needs at least one of description/caption/summary"),
+    Source.WEB: (WEB_CONTENT_FIELDS, "web item must carry a snippet"),
+}
 
 
 def missing_content(source: Source, fields: Mapping[str, str]) -> Optional[str]:
-    """Why ``fields`` lack the content an item from ``source`` needs, or None."""
-    if source is Source.KG_IMAGE:
-        if not any(fields.get(k) for k in KG_CONTENT_FIELDS):
-            return "kg_image item needs at least one of description/caption/summary"
-    elif not fields.get("snippet"):
-        return "web item must carry a snippet"
-    return None
+    """Why ``fields`` lack the content an item from ``source`` needs, or None.
+
+    ``load_fixture`` calls this once per record, so it loops rather than
+    building a generator."""
+    names, problem = _CONTENT_RULES[source]
+    for name in names:
+        if fields.get(name):
+            return None
+    return problem
 
 
 @dataclass(frozen=True)
@@ -194,7 +203,7 @@ class RetrievedItem:
             raise ValueError(problem)
 
     def content_fields(self) -> tuple[str, ...]:
-        return KG_CONTENT_FIELDS if self.source is Source.KG_IMAGE else WEB_CONTENT_FIELDS
+        return _CONTENT_RULES[self.source][0]
 
     def to_dict(self) -> dict[str, Any]:
         return {

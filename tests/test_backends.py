@@ -7,11 +7,14 @@ import re
 import socket
 import ssl
 import sys
+import tempfile
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 from http.server import BaseHTTPRequestHandler
+from pathlib import Path
+from typing import Any
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,6 +33,7 @@ from ragvet.backends import (
     RemoteSearchBackend,
     ReplayModelBackend,
     Role,
+    SearchFixture,
     ask,
     jaccard_score,
     load_fixture,
@@ -190,6 +194,72 @@ class TestSearch:
         assert fixture == load_fixture(path)
 
 
+GOOD_RECORDS = {"image_index": {"description": "a red shoe"}, "web_index": {"snippet": "facts"}}
+# The record list each fault case breaks, by the name its messages give it.
+FAULTY_LISTS = {"image_index": "image_index['k1']", "web_index": "web_index"}
+CONTENT_PROBLEMS = {
+    "image_index": "kg_image item needs at least one of description/caption/summary",
+    "web_index": "web item must carry a snippet",
+}
+
+
+def _list_faults(where: str) -> list[tuple[str, Any, str]]:
+    """Each fault of one record list under ``where``, as (case, the list, the
+    message after the list's name); a bad record follows one good record."""
+    good = GOOD_RECORDS[where]
+
+    def second(record):
+        return [dict(good, score=0.9), record]
+
+    def scored(score):
+        return second(dict(good, score=score))
+
+    return [
+        ("not_a_list", dict(good, score=0.9), " must be a list of records"),
+        ("record_not_an_object", second(["x"]), "[1]: record must be an object"),
+        ("no_score", second(dict(good)), "[1]: record is missing 'score'"),
+        ("score_bool", scored(True), "[1]: score must be within [0, 1], got True"),
+        ("score_string", scored("0.5"), "[1]: score must be within [0, 1], got '0.5'"),
+        ("score_null", scored(None), "[1]: score must be within [0, 1], got None"),
+        ("score_nan", scored(math.nan), "[1]: score must be within [0, 1], got nan"),
+        ("score_infinity", scored(math.inf), "[1]: score must be within [0, 1], got inf"),
+        ("score_below_0", scored(-0.1), "[1]: score must be within [0, 1], got -0.1"),
+        ("score_above_1", scored(1.4), "[1]: score must be within [0, 1], got 1.4"),
+        ("field_not_a_string", second(dict(good, score=0.5, extra=3)),
+         "[1]: field 'extra' must be a string"),
+        ("no_content_field", second({"title": "t", "score": 0.5}),
+         f"[1]: {CONTENT_PROBLEMS[where]}"),
+        ("empty_content", second({"caption": "", "snippet": "", "score": 0.5}),
+         f"[1]: {CONTENT_PROBLEMS[where]}"),
+        ("unsorted", [dict(good, score=0.2), dict(good, score=0.9)],
+         "[1]: records must be sorted descending by score"),
+    ]
+
+
+def _with_list(where: str, records: Any) -> dict[str, Any]:
+    """A fixture whose lists are good but the one under image key 'k1' or
+    ``web_index``, which is ``records``."""
+    doc = {"image_index": {"ok": [dict(GOOD_RECORDS["image_index"], score=1)]},
+           "web_index": [dict(GOOD_RECORDS["web_index"], score=1)]}
+    if where == "web_index":
+        doc["web_index"] = records
+    else:
+        doc["image_index"]["k1"] = records
+    return doc
+
+
+# Every FixtureError a parsed fixture can raise, as (case, document, message
+# after the path), the messages verbatim.
+FIXTURE_FAULTS = [
+    ("fixture_not_an_object", [], ": fixture must be an object"),
+    ("image_index_not_an_object", {"image_index": []},
+     ":image_index must be an object of record lists"),
+    *((f"{where}-{case}", _with_list(where, records),
+       f":{FAULTY_LISTS[where]}{message}")
+      for where in FAULTY_LISTS for case, records, message in _list_faults(where)),
+]
+
+
 class TestLoadFixture:
     def test_bad_json_reports_line(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -197,29 +267,123 @@ class TestLoadFixture:
         with pytest.raises(FixtureError, match="line"):
             load_fixture(path)
 
-    def test_out_of_range_score_names_entry(self, tmp_path):
-        doc = {"web_index": [{"snippet": "x", "score": 1.4}]}
+    @pytest.mark.parametrize("doc, message", [case[1:] for case in FIXTURE_FAULTS],
+                             ids=[case[0] for case in FIXTURE_FAULTS])
+    def test_fault_message(self, tmp_path, doc, message):
         path = tmp_path / "f.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
-        with pytest.raises(FixtureError, match=r"web_index\[0\]"):
+        with pytest.raises(FixtureError) as caught:
             load_fixture(path)
+        assert str(caught.value) == f"{path}{message}"
 
-    def test_unsorted_scores_rejected(self, tmp_path):
-        doc = {"web_index": [
-            {"snippet": "x", "score": 0.2},
-            {"snippet": "y", "score": 0.9},
-        ]}
+    def test_a_misspelled_top_level_key_is_named(self, tmp_path):
         path = tmp_path / "f.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
-        with pytest.raises(FixtureError, match="sorted descending"):
+        path.write_text(json.dumps({"image_indx": {"k": [{"caption": "c", "score": 1}]},
+                                    "web_index": [], "notes": ""}), encoding="utf-8")
+        with pytest.raises(FixtureError) as caught:
             load_fixture(path)
+        assert str(caught.value) == f"{path}: unknown fixture key 'image_indx'"
 
-    def test_missing_snippet_rejected(self, tmp_path):
-        doc = {"web_index": [{"title": "t", "score": 0.5}]}
-        path = tmp_path / "f.json"
+
+# Faults a drawn index plants in one record; "unsorted" needs a record before it.
+RECORD_FAULTS = ("not_an_object", "no_score", "bad_score", "field_not_a_string", "no_content",
+                 "unsorted")
+# The text fields a drawn good record holds.
+KG_FIELD_SETS = [{"description": "d"}, {"caption": "c", "summary": ""},
+                 {"description": "", "summary": "s", "title": "t"}]
+WEB_FIELD_SETS = [{"snippet": "s"}, {"title": "", "snippet": "s", "url": "u"}]
+
+
+def _plant(records: list, index: int, fault: str) -> Any:
+    """``records`` with ``fault`` planted at ``index``, or, when ``index`` is
+    -1, the list replaced by a non-list."""
+    if index == -1:
+        return {"records": records}
+    record = records[index]
+    if fault == "not_an_object":
+        records[index] = [record]
+    elif fault == "no_score":
+        del record["score"]
+    elif fault == "bad_score":
+        record["score"] = 1.5
+    elif fault == "field_not_a_string":
+        record["extra"] = 7
+    elif fault == "no_content":
+        records[index] = {"title": "t", "score": record["score"]}
+    else:  # every drawn score is at most 0.9, so 1.0 outranks the record before
+        record["score"] = 1.0
+    return records
+
+
+@st.composite
+def drawn_indexes(draw, max_faults: int):
+    """(a fixture document with one to ``max_faults`` faults planted, or none
+    when it is 0; the start of the first fault's message after the path)."""
+    keys = draw(st.lists(st.sampled_from(["a", "b'", 'c"', "d e"]), unique=True, max_size=4))
+
+    def records(field_sets):
+        scores = sorted(draw(st.lists(st.floats(0, 0.9), max_size=4)), reverse=True)
+        fields = draw(st.lists(st.sampled_from(field_sets), min_size=len(scores),
+                               max_size=len(scores)))
+        return [dict(found, score=score) for found, score in zip(fields, scores)]
+
+    lists = [(f"image_index[{key!r}]", records(KG_FIELD_SETS)) for key in keys]
+    lists.append(("web_index", records(WEB_FIELD_SETS)))
+    # A position is (list, record index), -1 standing for the whole list, so
+    # positions sort in the order the loader checks them.
+    positions = [(at, index) for at, (_, found) in enumerate(lists)
+                 for index in range(-1, len(found))]
+    planted = sorted(draw(st.lists(st.sampled_from(positions), unique=True,
+                                   min_size=min(max_faults, 1), max_size=max_faults)))
+    for at, index in planted:
+        name, found = lists[at]
+        if isinstance(found, list):  # else a list fault already replaced it
+            usable = RECORD_FAULTS if index > 0 else RECORD_FAULTS[:-1]
+            fault = "" if index == -1 else draw(st.sampled_from(usable))
+            lists[at] = (name, _plant(found, index, fault))
+    doc = {"image_index": {key: found for key, (_, found) in zip(keys, lists)},
+           "web_index": lists[-1][1]}
+    if not planted:
+        return doc, None
+    at, index = planted[0]
+    return doc, lists[at][0] + (" must be" if index == -1 else f"[{index}]: ")
+
+
+def _load_drawn(doc: dict[str, Any]):
+    """(the file ``doc`` was written to, what loading it returned or raised)."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "f.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
-        with pytest.raises(FixtureError, match="snippet"):
-            load_fixture(path)
+        try:
+            return path, load_fixture(path)
+        except FixtureError as error:
+            return path, error
+
+
+@settings(max_examples=50, deadline=None)
+@given(drawn=drawn_indexes(max_faults=2))
+def test_a_fixture_error_names_the_first_bad_record(drawn):
+    doc, first = drawn
+    path, loaded = _load_drawn(doc)
+    assert isinstance(loaded, FixtureError)
+    assert str(loaded).startswith(f"{path}:{first}"), (str(loaded), first)
+
+
+@settings(max_examples=25, deadline=None)
+@given(drawn=drawn_indexes(max_faults=0))
+def test_a_fault_free_fixture_loads_its_records_without_scores(drawn):
+    doc, _ = drawn
+    _, loaded = _load_drawn(doc)
+    assert isinstance(loaded, SearchFixture)
+
+    def unscored(records):
+        return tuple({name: value for name, value in record.items() if name != "score"}
+                     for record in records)
+
+    assert list(loaded.image_index) == list(doc["image_index"])
+    assert loaded.image_index == {key: unscored(records)
+                                  for key, records in doc["image_index"].items()}
+    assert loaded.web_index == unscored(doc["web_index"])
 
 
 def _items_from_records(records, source, k):
