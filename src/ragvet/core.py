@@ -9,7 +9,10 @@ are derived from its entries. The image belongs to the conversation
 (``Conversation.image_ref``), not to each of its turns.
 
 Every input file is read by one of two readers: ``read_json`` for a file
-that holds one JSON document, ``read_jsonl`` for a file of JSON lines.
+that holds one JSON document, ``read_jsonl`` for a file of JSON lines. Both,
+and ``transport`` for each reply, decode JSON text with ``decode_json``, which
+alone calls ``json.loads`` and rejects the escape of a lone surrogate
+(``check_surrogates``).
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from pathlib import Path
 from typing import Any, Callable, Mapping, Optional, Sequence
 
 from .templates import TEMPLATE_NAMES
-from .transport import BEARER_TOKEN, check_surrogates
 
 __all__ = [
     "Source",
@@ -43,6 +45,9 @@ __all__ = [
     "MODES",
     "parse_context_tags",
     "missing_content",
+    "BEARER_TOKEN",
+    "check_surrogates",
+    "decode_json",
     "read_json",
     "read_jsonl",
 ]
@@ -64,6 +69,14 @@ _INFO_TAG = re.compile(r"^\[Info (\d+)\] (.*)$")
 # escape of a lone surrogate decodes to, and what os.environ makes of a
 # byte that is not UTF-8.
 _SURROGATE = re.compile("[\ud800-\udfff]")
+
+# In JSON text, an escaped backslash or, in group 1, the escape of a UTF-16
+# surrogate (\ud800-\udfff). Matching escaped backslashes keeps "\\ud800", a
+# backslash and five letters, from reading as an escape.
+_SURROGATE_ESCAPE = re.compile(r"\\(?:\\|u([dD][89a-fA-F][0-9a-fA-F]{2}))")
+
+# A bearer token: visible ASCII (0x21-0x7E), sent in the Authorization header as it is.
+BEARER_TOKEN = re.compile(r"[\x21-\x7e]*")
 
 
 def _require(condition: bool, message: str) -> None:
@@ -492,7 +505,29 @@ def _read_text(path: str | Path, error: type[Exception]) -> str:
         raise error(f"{path}: not UTF-8: {exc.reason} at byte {exc.start}") from exc
 
 
-def _decode(text: str) -> Any:
+def check_surrogates(text: str) -> None:
+    """Raise json.JSONDecodeError, a ValueError, at the first escape of a
+    lone UTF-16 surrogate in the JSON ``text``: ``json.loads`` decodes one to
+    a string that no UTF-8 file can hold. A high surrogate escape directly
+    followed by a low one is a pair, one character."""
+    if "\\" not in text:  # no escape at all, found at memchr speed: the common case
+        return
+    lone = high = None  # high: a high surrogate escape no low one has followed yet
+    for match in _SURROGATE_ESCAPE.finditer(text):
+        low = match[1] is not None and match[1][1] in "cdefCDEF"
+        if high is not None and low and match.start() == high.end():
+            high = None
+        elif high is not None or low:
+            lone = high or match
+            break
+        elif match[1] is not None:
+            high = match
+    lone = lone or high
+    if lone is not None:
+        raise json.JSONDecodeError(f"lone surrogate escape {lone[0]}", text, lone.start())
+
+
+def decode_json(text: str) -> Any:
     """The JSON value in ``text``; ValueError if there is none, as when it is
     nested too deeply for the decoder or a string holds the escape of a lone
     surrogate, which no UTF-8 output could write."""
@@ -511,7 +546,7 @@ def read_json(path: str | Path, error: type[Exception]) -> Any:
     if it cannot be read, is not UTF-8 or holds no JSON document."""
     text = _read_text(path, error)
     try:
-        return _decode(text)
+        return decode_json(text)
     except ValueError as exc:
         raise error(f"{path}: {exc}") from exc
 
@@ -532,7 +567,7 @@ def read_jsonl(path: str | Path, error: type[Exception],
         if not line.strip():
             continue
         try:
-            checked.append((number, check(_decode(line))))
+            checked.append((number, check(decode_json(line))))
         except KeyError as exc:
             problems.append(f"line {number}: missing key {exc.args[0]!r}")
         except (TypeError, ValueError) as exc:

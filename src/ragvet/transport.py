@@ -1,9 +1,9 @@
 """The remote backends' HTTP/1.1 JSON transport, and the errors it raises.
 
 ``JsonEndpoint`` is the one place that touches ``socket`` and ``ssl``;
-``backends`` re-exports the error classes. ``check_surrogates`` rejects JSON
-text that would decode to a lone surrogate, for each reply here and for each
-input file ``core`` reads.
+``backends`` re-exports the error classes. This module carries HTTP and
+nothing else: a reply's body is decoded by ``core.decode_json``, the decoder
+of every input file too.
 """
 
 from __future__ import annotations
@@ -20,10 +20,10 @@ import weakref
 from typing import Any, Mapping, Optional
 from urllib.parse import urlsplit
 
+from .core import BEARER_TOKEN, decode_json
 from .runtime import Deadline
 
-__all__ = ["BackendError", "BackendTimeout", "BackendTransportError", "BEARER_TOKEN",
-           "JsonEndpoint", "check_surrogates"]
+__all__ = ["BackendError", "BackendTimeout", "BackendTransportError", "JsonEndpoint"]
 
 
 class BackendError(Exception):
@@ -38,16 +38,6 @@ class BackendTransportError(BackendError):
     """The remote service could not be reached or answered abnormally."""
 
 
-# A bearer token: visible ASCII (0x21-0x7E), sent in the Authorization header as it is.
-BEARER_TOKEN = re.compile(r"[\x21-\x7e]*")
-
-# In JSON text, an escaped backslash or, in group 1, the escape of a UTF-16
-# surrogate (\ud800-\udfff). Matching escaped backslashes keeps "\\ud800", a
-# backslash and five letters, from reading as an escape.
-_SURROGATE_ESCAPE = re.compile(r"\\(?:\\|u([dD][89a-fA-F][0-9a-fA-F]{2}))")
-
-# Idle keep-alive connections one endpoint keeps for later calls.
-_MAX_IDLE = 8
 # The most bytes a reply's head (status line and headers) or a chunk line may take.
 _MAX_HEAD = 64 * 1024
 _STATUS_LINE = re.compile(rb"HTTP/1\.([01]) ([0-9]{3})(?: .*)?")
@@ -81,28 +71,6 @@ def _tls_context() -> ssl.SSLContext:
     nothing changes it once it is made.
     """
     return _tls_context_for(tuple(os.environ.get(name) for name in _TLS_ENVIRON))
-
-
-def check_surrogates(text: str) -> None:
-    """Raise json.JSONDecodeError, a ValueError, at the first escape of a
-    lone UTF-16 surrogate in the JSON ``text``: ``json.loads`` decodes one to
-    a string that no UTF-8 file can hold. A high surrogate escape directly
-    followed by a low one is a pair, one character."""
-    if "\\" not in text:  # no escape at all, found at memchr speed: the common case
-        return
-    lone = high = None  # high: a high surrogate escape no low one has followed yet
-    for match in _SURROGATE_ESCAPE.finditer(text):
-        low = match[1] is not None and match[1][1] in "cdefCDEF"
-        if high is not None and low and match.start() == high.end():
-            high = None
-        elif high is not None or low:
-            lone = high or match
-            break
-        elif match[1] is not None:
-            high = match
-    lone = lone or high
-    if lone is not None:
-        raise json.JSONDecodeError(f"lone surrogate escape {lone[0]}", text, lone.start())
 
 
 class _BadReply(Exception):
@@ -164,7 +132,8 @@ class _Reply:
         return self._take(size)
 
     def _head(self) -> tuple[int, bool, dict[bytes, bytes]]:
-        """The status, whether the reply is HTTP/1.1, and the headers by lowercased name."""
+        """The status, whether the reply is HTTP/1.1, and the headers by
+        lowercased name; the values of a repeated header are joined by ", "."""
         status_line, *lines = self._until(b"\r\n\r\n").split(b"\r\n")
         match = _STATUS_LINE.fullmatch(status_line)
         if match is None:
@@ -174,7 +143,8 @@ class _Reply:
             name, colon, value = line.partition(b":")
             if not colon:
                 raise _BadReply(f"malformed header line {line[:80]!r}")
-            headers[name.strip().lower()] = value.strip()
+            name, value = name.strip().lower(), value.strip()
+            headers[name] = headers[name] + b", " + value if name in headers else value
         return int(match[2]), match[1] == b"1", headers
 
     def _chunked(self) -> bytes:
@@ -201,6 +171,8 @@ class _Reply:
         keep = http11 and b"close" not in headers.get(b"connection", b"").lower()
         coding = headers.get(b"transfer-encoding")
         length = headers.get(b"content-length")
+        if coding is not None and length is not None:
+            raise _BadReply("both Transfer-Encoding and Content-Length")
         if status in (204, 304):
             body = b""
         elif coding is not None:
@@ -208,9 +180,10 @@ class _Reply:
                 raise _BadReply(f"unsupported Transfer-Encoding {coding[:40]!r}")
             body = self._chunked()
         elif length is not None:
-            if not length.isdigit():
+            lengths = {value.strip() for value in length.split(b",")}
+            if len(lengths) != 1 or not (size := lengths.pop()).isdigit():
                 raise _BadReply(f"bad Content-Length {length[:40]!r}")
-            body = self._exactly(int(length))
+            body = self._exactly(int(size))
         else:  # the body ends with the connection
             while self._receive():
                 pass
@@ -230,12 +203,14 @@ class JsonEndpoint:
 
     The pool is shared by every calling thread. A call takes an idle socket,
     or opens one, and gives it back only after reading a whole reply that
-    leaves it open. A socket that failed, or whose reply closes it (HTTP/1.0,
-    ``Connection: close``, a body framed by the end of the connection), is
-    closed instead. Idle sockets are closed by ``close`` or when the endpoint
-    is collected. The host is resolved once, here: no timeout bounds name
-    resolution, so no call waits on it. A malformed URL or bearer token, or a
-    host that does not resolve, raises ValueError here, before any call.
+    leaves it open, so the pool never holds more sockets than calls were ever
+    in flight at once. A socket that failed, or whose reply closes it
+    (HTTP/1.0, ``Connection: close``, a body framed by the end of the
+    connection), is closed instead. Idle sockets are closed by ``close`` or
+    when the endpoint is collected. The host is resolved once, here: no
+    timeout bounds name resolution, so no call waits on it. A malformed URL or
+    bearer token, or a host that does not resolve, raises ValueError here,
+    before any call.
     """
 
     def __init__(self, url: str, bearer_token: Optional[str]) -> None:
@@ -309,10 +284,8 @@ class JsonEndpoint:
         """Give ``sock`` back to the pool, or close it."""
         if reusable:
             with self._lock:
-                if len(self._idle) < _MAX_IDLE:
-                    self._idle.append(sock)
-                    return
-        if sock is not None:
+                self._idle.append(sock)
+        elif sock is not None:
             sock.close()
 
     def post_json(self, payload: Mapping[str, Any], deadline: Deadline) -> dict[str, Any]:
@@ -357,10 +330,8 @@ class JsonEndpoint:
             text = data[:200].decode("utf-8", "replace")
             raise BackendTransportError(f"{self.url} answered {status}: {text}")
         try:
-            text = data.decode("utf-8-sig")
-            parsed = json.loads(text)
-            check_surrogates(text)
-        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
+            parsed = decode_json(data.decode("utf-8-sig"))
+        except ValueError as exc:  # UnicodeDecodeError included
             raise BackendTransportError(f"malformed body from {self.url}: {exc}") from exc
         if not isinstance(parsed, dict):
             raise BackendTransportError(f"body from {self.url} must be a JSON object")

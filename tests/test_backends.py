@@ -39,11 +39,11 @@ from ragvet.backends import (
     load_fixture,
     load_replay,
 )
-from ragvet.core import PipelineConfig, RetrievedItem, Source
+from ragvet.core import PipelineConfig, RetrievedItem, Source, check_surrogates
 from ragvet.pipeline import run_turn
 from ragvet.runtime import Deadline
 from ragvet.templates import PromptTemplate
-from ragvet.transport import check_surrogates
+from ragvet.transport import JsonEndpoint
 
 from conftest import FIXTURES, CountingModel, scripted_model, serve_http
 from test_pipeline import (
@@ -724,6 +724,37 @@ class TestKeepAliveTransport:
                 backend.complete(_request(), Deadline(math.inf))
         assert len(keep_alive_server.opened) == 1
 
+    def test_connections_follow_the_calls_in_flight(self):
+        """16 callers, 5 times over, each call held at the server until all 16
+        have arrived: every socket goes back to the pool, so 16 are opened."""
+        barrier = threading.Barrier(16)
+
+        class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+            disable_nagle_algorithm = True
+
+            def do_POST(self):
+                self.rfile.read(int(self.headers["Content-Length"]))
+                barrier.wait(timeout=10)
+                self.send_response(200)
+                self.send_header("Content-Length", "2")
+                self.end_headers()
+                self.wfile.write(b"{}")
+
+            def log_message(self, *args):
+                pass
+
+        with serve_http(Handler) as server, ThreadPoolExecutor(max_workers=16) as pool:
+            endpoint = JsonEndpoint(server.url, None)
+            try:
+                for _ in range(5):
+                    futures = [pool.submit(endpoint.post_json, {"caller": i},
+                                           Deadline.after_ms(10_000)) for i in range(16)]
+                    assert [future.result(timeout=15) for future in futures] == [{}] * 16
+            finally:
+                endpoint.close()
+            assert len(server.opened) == 16
+
     def test_name_resolution_never_holds_a_call_past_its_deadline(self, remote_model,
                                                                   monkeypatch):
         """The host is resolved when the backend is built, so a resolver that
@@ -839,6 +870,17 @@ class TestHttpWire:
         assert [_call(backend), _call(backend)] == ["hi", "hi"]
         assert len(server.opened) == 2
 
+    def test_body_after_a_byte_order_mark_is_read(self, scripted_server):
+        reply = b"HTTP/1.1 200 OK\r\nContent-Length: 17\r\n\r\n\xef\xbb\xbf" + BODY
+        _, _, backend = scripted_server((reply, False))
+        assert _call(backend) == "hi"
+
+    def test_repeated_equal_content_length_is_one_length(self, scripted_server):
+        reply = b"HTTP/1.1 200 OK\r\nContent-Length: 14\r\nContent-Length: 14\r\n\r\n" + BODY
+        server, _, backend = scripted_server((reply, False), (OK, False))
+        assert [_call(backend), _call(backend)] == ["hi", "hi"]
+        assert len(server.opened) == 1
+
     def test_100_continue_is_skipped(self, scripted_server):
         server, _, backend = scripted_server(((b"HTTP/1.1 100 Continue\r\n\r\n", OK), False),
                                              (OK, False))
@@ -852,8 +894,12 @@ class TestHttpWire:
         b"HTTP/1.1 200 OK\r\nContent-Length: -14\r\n\r\n" + BODY,
         b"HTTP/1.1 200 OK\r\nContent-Length: +14\r\n\r\n" + BODY,
         b"HTTP/1.1 200 OK\r\nContent-Length: fourteen\r\n\r\n" + BODY,
+        b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length: 14\r\n\r\n" + BODY,
+        b"HTTP/1.1 200 OK\r\nContent-Length: 14, 2\r\n\r\n" + BODY,
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\nContent-Length: 14\r\n\r\n"
+        b"e\r\n" + BODY + b"\r\n0\r\n\r\n",
     ], ids=["204", "head-over-64KiB", "status-line", "negative-length", "signed-length",
-            "word-length"])
+            "word-length", "conflicting-lengths", "listed-lengths", "chunked-and-length"])
     def test_bad_reply_is_transport_error_before_the_deadline(self, scripted_server, reply):
         """The server keeps the connection open, so a caller that waited for
         more of the reply would end in BackendTimeout at the deadline."""
@@ -1079,6 +1125,14 @@ class TestMalformedReplies:
         outcome = run_turn(fresh_state(), one_turn(query), PipelineConfig(), backends, TEMPLATES)
         assert "rerank_backend_error" in outcome.flags
         assert outcome.context.empty
+
+    def test_nested_reply_is_a_transport_error_naming_the_endpoint(self, http_server,
+                                                                   no_deadline):
+        endpoint = JsonEndpoint(f"{http_server}/reply/nested", None)
+        with pytest.raises(BackendTransportError,
+                           match=re.escape(f"malformed body from {endpoint.url}: ")):
+            endpoint.post_json({}, no_deadline)
+        endpoint.close()
 
     def test_nested_router_reply_degrades_turn_with_a_flag(self, http_server):
         query = "what brand is this shoe"

@@ -956,6 +956,26 @@ def test_undecodable_input_is_one_error_line_and_no_output(tmp_path, capsys, kin
     assert not (tmp_path / "out.jsonl.manifest.json").exists()
 
 
+def test_config_with_a_byte_order_mark_is_one_error_line(tmp_path, capsys):
+    """Input files are read as UTF-8, where a byte order mark is no JSON;
+    only a reply's body may start with one."""
+    config = write_config(tmp_path)
+    config.write_bytes(b"\xef\xbb\xbf" + config.read_bytes())
+    code = main(["run", "--out", str(tmp_path / "out.jsonl"), "--mock",
+                 "--dataset", str(FIXTURES / "e2e_dataset.jsonl"), "--config", str(config)])
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(lines) == 1 and lines[0].startswith(f"error: {config}: invalid JSON"), lines
+
+
+def test_config_nested_too_deeply_names_the_file(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_bytes(NESTED)
+    with pytest.raises(InvalidConfigError) as caught:
+        load_config(str(config))
+    assert str(caught.value) == f"{config}: invalid JSON: nested too deeply"
+
+
 @pytest.mark.parametrize("target", ["no-parent", "directory"])
 @pytest.mark.parametrize("command", ["run", "eval", "ablate"])
 def test_unwritable_output_fails_before_any_turn_or_judge_call(tmp_path, capsys, monkeypatch,

@@ -19,9 +19,11 @@ No ragvet module but ``runtime`` imports ``concurrent.futures`` or starts a
 ``threading.Thread``, so every wait on another thread of a turn is a wait on
 ``runtime.clock`` too; ``cli``'s ``--workers`` pool runs conversations, not a
 turn, and is exempt.
-Only ``core`` (whose ``read_json`` and ``read_jsonl`` read every input file)
-and ``transport`` (which decodes each reply) call ``json.loads`` or
-``json.load``, so no other module reads a JSON file its own way.
+Only ``core`` calls ``json.loads`` or ``json.load``: its ``decode_json``
+decodes every input file (through ``read_json`` and ``read_jsonl``) and every
+reply ``transport`` reads, so no other module decides its own way what JSON
+text is accepted. ``core`` imports no ragvet module but ``templates``, so
+``transport`` depends on ``core`` and never the other way round.
 Every name a ragvet module other than ``__init__`` imports is used in it, or
 listed in its ``__all__``.
 
@@ -509,16 +511,21 @@ def test_detector_sees_every_form_of_json_decode():
     assert json_decodes(source) == ["json.loads", "json.load", "json.load", "json.loads"]
 
 
-@pytest.mark.parametrize("name", ["core.py", "transport.py"])
-def test_core_and_transport_decode_json(name):
-    assert json_decodes((PACKAGE / name).read_text(encoding="utf-8")) == ["json.loads"]
+def test_core_is_the_module_that_decodes_json():
+    assert json_decodes((PACKAGE / "core.py").read_text(encoding="utf-8")) == ["json.loads"]
 
 
-@pytest.mark.parametrize("path", [path for path in MODULES
-                                  if path.name not in ("core.py", "transport.py")],
+@pytest.mark.parametrize("path", [path for path in MODULES if path.name != "core.py"],
                          ids=lambda path: path.name)
-def test_only_core_and_transport_decode_json(path):
+def test_only_core_decodes_json(path):
     assert json_decodes(path.read_text(encoding="utf-8")) == []
+
+
+def test_core_imports_no_ragvet_module_but_templates():
+    source = (PACKAGE / "core.py").read_text(encoding="utf-8")
+    assert ragvet_imports(source, "templates") != []
+    assert [found for path in MODULES if path.stem not in ("templates", "__init__")
+            for found in ragvet_imports(source, path.stem)] == []
 
 
 def unused_imports(source: str) -> list[str]:
