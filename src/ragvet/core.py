@@ -78,6 +78,10 @@ _SURROGATE_ESCAPE = re.compile(r"\\(?:\\|u([dD][89a-fA-F][0-9a-fA-F]{2}))")
 # A bearer token: visible ASCII (0x21-0x7E), sent in the Authorization header as it is.
 BEARER_TOKEN = re.compile(r"[\x21-\x7e]*")
 
+# A URL whose authority, after "//" and up to the first "/", "?" or "#",
+# holds an "@": user info, such as a user name and password.
+_USER_INFO = re.compile(r"[^/?#]*//[^/?#]*@")
+
 
 def _require(condition: bool, message: str) -> None:
     if not condition:
@@ -481,6 +485,12 @@ class PipelineConfig:
         for ok, name in checks:
             if not ok:
                 raise InvalidConfigError(f"config violates: {name}")
+        for f in fields(self):
+            # The URL is not echoed: the user info may hold a password.
+            if f.name.endswith("_endpoint") and _USER_INFO.match(getattr(self, f.name) or ""):
+                raise InvalidConfigError(
+                    f"config key {f.name} must not carry user info in its URL; "
+                    "set the credential as bearer_token")
 
     def to_dict(self) -> dict[str, Any]:
         return asdict(self)

@@ -34,12 +34,16 @@ class Deadline:
     """A point on ``clock`` by which work must finish.
 
     Instances are cheap and immutable; derive a tighter deadline by
-    constructing a new one from an earlier expiry.
+    constructing a new one from an earlier expiry. The expiry must be finite,
+    so every wait bounded by a deadline ends: an infinite or NaN one raises
+    ValueError.
     """
 
     __slots__ = ("_expires_at",)
 
     def __init__(self, expires_at: float) -> None:
+        if not math.isfinite(expires_at):
+            raise ValueError(f"a deadline must be finite, got {expires_at!r}")
         self._expires_at = expires_at
 
     @classmethod
@@ -48,9 +52,6 @@ class Deadline:
 
     def remaining_ms(self) -> float:
         return max(0.0, (self._expires_at - clock.now()) * 1000.0)
-
-    def remaining_seconds(self) -> float:
-        return self.remaining_ms() / 1000.0
 
     def expired(self) -> bool:
         return clock.now() >= self._expires_at

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 import os
 import re
 import socket
@@ -40,21 +39,26 @@ class BackendTransportError(BackendError):
 
 # The most bytes a reply's head (status line and headers) or a chunk line may take.
 _MAX_HEAD = 64 * 1024
+# The most bytes a reply's body may take, so that a huge or endless body is a
+# transport error, not a MemoryError. The largest body either benchmark
+# workload receives is 2,646 bytes (web_rag_remote; kg_multiturn_remote's is
+# 191), so the cap leaves room for any real reply.
+_MAX_BODY = 64 * 1024 * 1024
 _STATUS_LINE = re.compile(rb"HTTP/1\.([01]) ([0-9]{3})(?: .*)?")
 _CHUNK_SIZE = re.compile(rb"[0-9A-Fa-f]{1,16}")
+# A Content-Length of at most 16 digits: int() refuses a decimal of thousands.
+_CONTENT_LENGTH = re.compile(rb"[0-9]{1,16}")
 # The environment variables ``ssl.create_default_context`` reads.
 _TLS_ENVIRON = ("SSL_CERT_FILE", "SSL_CERT_DIR", "SSLKEYLOGFILE")
 
 
-def _time_left(deadline: Deadline) -> Optional[float]:
-    """Seconds until ``deadline``, as a socket timeout; None when it is unbounded.
-
-    A deadline that has passed raises TimeoutError.
-    """
-    seconds = deadline.remaining_seconds()
+def _time_left(deadline: Deadline) -> float:
+    """Seconds until ``deadline``, as a socket timeout, which is finite as
+    every deadline is. A deadline that has passed raises TimeoutError."""
+    seconds = deadline.remaining_ms() / 1000.0
     if seconds <= 0:
         raise TimeoutError("deadline passed")
-    return None if math.isinf(seconds) else seconds
+    return seconds
 
 
 @functools.lru_cache(maxsize=8)
@@ -77,13 +81,21 @@ class _BadReply(Exception):
     """The reply breaks HTTP/1.1 framing."""
 
 
+def _body_size(size: int) -> int:
+    """``size``, the bytes of a body so far or in all, unless it is over ``_MAX_BODY``."""
+    if size > _MAX_BODY:
+        raise _BadReply(f"reply body over {_MAX_BODY} bytes")
+    return size
+
+
 class _Reply:
     """Reads one HTTP/1.1 reply from a socket.
 
     Before each recv the socket's timeout becomes the time left until the
     deadline, so however slowly the bytes arrive, the reply is read by then
     or TimeoutError is raised. ConnectionError is raised only while no byte
-    of the reply has arrived; later, a lost connection is a ``_BadReply``.
+    of the reply has arrived; later, a lost connection is a ``_BadReply``, as
+    is a body over ``_MAX_BODY`` bytes.
     """
 
     def __init__(self, sock: socket.socket, deadline: Deadline) -> None:
@@ -148,7 +160,7 @@ class _Reply:
         return int(match[2]), match[1] == b"1", headers
 
     def _chunked(self) -> bytes:
-        parts = []
+        parts, total = [], 0
         while True:
             digits = self._until(b"\r\n").partition(b";")[0].strip()  # drops chunk extensions
             if not _CHUNK_SIZE.fullmatch(digits):
@@ -156,6 +168,7 @@ class _Reply:
             size = int(digits, 16)
             if size == 0:
                 break
+            total = _body_size(total + size)
             parts.append(self._exactly(size))
             if self._until(b"\r\n"):
                 raise _BadReply("chunk data longer than its size")
@@ -181,12 +194,13 @@ class _Reply:
             body = self._chunked()
         elif length is not None:
             lengths = {value.strip() for value in length.split(b",")}
-            if len(lengths) != 1 or not (size := lengths.pop()).isdigit():
+            if len(lengths) != 1 or not _CONTENT_LENGTH.fullmatch(size := lengths.pop()):
                 raise _BadReply(f"bad Content-Length {length[:40]!r}")
-            body = self._exactly(int(size))
+            body = self._exactly(_body_size(int(size)))
         else:  # the body ends with the connection
+            _body_size(len(self._buffer))
             while self._receive():
-                pass
+                _body_size(len(self._buffer))
             return status, bytes(self._buffer), False
         return status, body, keep and not self._buffer
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import re
 import ssl
 import threading
@@ -15,7 +14,7 @@ import pytest
 
 from ragvet import runtime
 from ragvet.backends import ModelRequest, ModelResponse, ReplayEntry, ReplayModelBackend
-from ragvet.core import ChunkRef, RetrievedItem, ScoredChunk, Source
+from ragvet.core import MAX_TURN_BUDGET_MS, ChunkRef, RetrievedItem, ScoredChunk, Source
 from ragvet.evaluation import MetricsReport, MockJudge, ground_truths, score_answers
 from ragvet.pipeline import run_conversation
 from ragvet.runtime import Deadline
@@ -143,9 +142,15 @@ def chunk(text: str, score: float, rank: int = 1) -> ScoredChunk:
     return ScoredChunk(text=text, parent=parent, score=score)
 
 
+def day_deadline() -> Deadline:
+    """A deadline a day away, the longest turn budget: a test's stand-in for
+    no deadline, which a ``Deadline`` cannot be."""
+    return Deadline.after_ms(MAX_TURN_BUDGET_MS)
+
+
 @pytest.fixture
 def no_deadline() -> Deadline:
-    return Deadline(math.inf)
+    return day_deadline()
 
 
 class VirtualClock:

@@ -19,10 +19,12 @@ from typing import Any
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ragvet import transport
 from ragvet.backends import (
     MAX_TOKENS,
     BackendTimeout,
     BackendTransportError,
+    Backends,
     EmptyCompletionError,
     FixtureError,
     MockRerankerBackend,
@@ -45,9 +47,10 @@ from ragvet.runtime import Deadline
 from ragvet.templates import PromptTemplate
 from ragvet.transport import JsonEndpoint
 
-from conftest import FIXTURES, CountingModel, scripted_model, serve_http
+from conftest import FIXTURES, CountingModel, day_deadline, scripted_model, serve_http
 from test_pipeline import (
-    TEMPLATES, fresh_state, image_fixture, make_backends, one_turn, turn_script,
+    COV_FULL, DRAWN_STAGES, FAILURE_FLAGS, ROLE_STAGES, ROUTE_PLAIN, TEMPLATES, fresh_state,
+    image_fixture, make_backends, one_turn, turn_script,
 )
 
 
@@ -190,7 +193,7 @@ class TestSearch:
         path.write_text(json.dumps(FIXTURE_DOC), encoding="utf-8")
         fixture = load_fixture(path)
         fixture.image_search("img-1", 2)
-        fixture.web_search("red shoe", 3, Deadline(math.inf))
+        fixture.web_search("red shoe", 3, day_deadline())
         assert fixture == load_fixture(path)
 
 
@@ -608,6 +611,19 @@ class TestRemoteBackends:
         assert elapsed_ms <= cfg.turn_budget_ms + 200
 
 
+def _drip(handler):
+    """Answer with one byte of a 40-byte body every 250 ms, until the caller hangs up."""
+    handler.send_response(200)
+    handler.send_header("Content-Length", "40")
+    handler.end_headers()
+    try:
+        for _ in range(40):
+            handler.wfile.write(b" ")
+            time.sleep(0.25)
+    except OSError:  # the caller gave up and hung up
+        pass
+
+
 class _KeepAliveHandler(BaseHTTPRequestHandler):
     """HTTP/1.1 endpoint that keeps its connections open unless a path says otherwise."""
 
@@ -617,16 +633,8 @@ class _KeepAliveHandler(BaseHTTPRequestHandler):
 
     def do_POST(self):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-        if self.path == "/drip":  # one byte of a 40-byte body every 250 ms
-            self.send_response(200)
-            self.send_header("Content-Length", "40")
-            self.end_headers()
-            try:
-                for _ in range(40):
-                    self.wfile.write(b" ")
-                    time.sleep(0.25)
-            except OSError:  # the caller gave up and hung up
-                pass
+        if self.path == "/drip":
+            _drip(self)
             return
         if self.path == "/http10":  # an HTTP/1.0 reply, which ends its connection
             self.protocol_version = "HTTP/1.0"
@@ -700,19 +708,19 @@ class TestKeepAliveTransport:
     def test_sequential_calls_share_one_connection(self, keep_alive_server, remote_model):
         backend = remote_model("/echo")
         for i in range(200):
-            assert backend.complete(_request(user=f"u{i}"), Deadline(math.inf)).text == f"echo:u{i}"
+            assert backend.complete(_request(user=f"u{i}"), day_deadline()).text == f"echo:u{i}"
         assert len(keep_alive_server.opened) == 1
 
     def test_connection_dropped_while_idle_is_replaced(self, keep_alive_server, remote_model):
         backend = remote_model("/drop")
         for _ in range(2):
-            assert backend.complete(_request(), Deadline(math.inf)).text == "echo:hello"
+            assert backend.complete(_request(), day_deadline()).text == "echo:hello"
         assert len(keep_alive_server.opened) == 2
 
     def test_http10_reply_connection_is_not_reused(self, keep_alive_server, remote_model):
         backend = remote_model("/http10")
         for _ in range(3):
-            backend.complete(_request(), Deadline(math.inf))
+            backend.complete(_request(), day_deadline())
         assert len(keep_alive_server.opened) == 3
 
     @pytest.mark.parametrize("path", ["/broken", "/list"])
@@ -721,7 +729,7 @@ class TestKeepAliveTransport:
         backend = remote_model(path)
         for _ in range(2):
             with pytest.raises(BackendTransportError):
-                backend.complete(_request(), Deadline(math.inf))
+                backend.complete(_request(), day_deadline())
         assert len(keep_alive_server.opened) == 1
 
     def test_connections_follow_the_calls_in_flight(self):
@@ -840,6 +848,19 @@ def scripted_server():
 
 BODY = b'{"text": "hi"}'
 OK = b"HTTP/1.1 200 OK\r\nContent-Length: 14\r\n\r\n" + BODY
+# Raw replies that each break one rule of a reply, by name: the bytes, and
+# whether the server hangs up after them. The wrong shape has neither a
+# completion's "text", nor rerank "scores", nor search "results".
+BAD_REPLIES = {
+    "closed-mid-body": (b"HTTP/1.1 200 OK\r\nContent-Length: 40\r\n\r\n" + BODY, True),
+    "status-500": (b"HTTP/1.1 500 Internal Server Error\r\nContent-Length: 4\r\n\r\nboom", False),
+    "not-an-object": (b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n[]", False),
+    "wrong-shape": (b'HTTP/1.1 200 OK\r\nContent-Length: 12\r\n\r\n{"wrong": 1}', False),
+    "status-line": (b"ICY 200 OK\r\nContent-Length: 14\r\n\r\n" + BODY, False),
+    "header-line": (b"HTTP/1.1 200 OK\r\nContent-Length 14\r\n\r\n" + BODY, False),
+    "5000-digit-length": (b"HTTP/1.1 200 OK\r\nContent-Length: " + b"9" * 5000
+                          + b"\r\n\r\n" + BODY, False),
+}
 
 
 def _call(backend):
@@ -890,16 +911,19 @@ class TestHttpWire:
     @pytest.mark.parametrize("reply", [
         b"HTTP/1.1 204 No Content\r\n\r\n",
         b"HTTP/1.1 200 OK\r\nX-Pad: " + b"a" * 70_000 + b"\r\nContent-Length: 14\r\n\r\n" + BODY,
-        b"ICY 200 OK\r\nContent-Length: 14\r\n\r\n" + BODY,
+        BAD_REPLIES["status-line"][0],
+        BAD_REPLIES["header-line"][0],
         b"HTTP/1.1 200 OK\r\nContent-Length: -14\r\n\r\n" + BODY,
         b"HTTP/1.1 200 OK\r\nContent-Length: +14\r\n\r\n" + BODY,
         b"HTTP/1.1 200 OK\r\nContent-Length: fourteen\r\n\r\n" + BODY,
+        BAD_REPLIES["5000-digit-length"][0],
         b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length: 14\r\n\r\n" + BODY,
         b"HTTP/1.1 200 OK\r\nContent-Length: 14, 2\r\n\r\n" + BODY,
         b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\nContent-Length: 14\r\n\r\n"
         b"e\r\n" + BODY + b"\r\n0\r\n\r\n",
-    ], ids=["204", "head-over-64KiB", "status-line", "negative-length", "signed-length",
-            "word-length", "conflicting-lengths", "listed-lengths", "chunked-and-length"])
+    ], ids=["204", "head-over-64KiB", "status-line", "header-line", "negative-length",
+            "signed-length", "word-length", "5000-digit-length", "conflicting-lengths",
+            "listed-lengths", "chunked-and-length"])
     def test_bad_reply_is_transport_error_before_the_deadline(self, scripted_server, reply):
         """The server keeps the connection open, so a caller that waited for
         more of the reply would end in BackendTimeout at the deadline."""
@@ -909,9 +933,30 @@ class TestHttpWire:
             _call(backend)
         assert time.monotonic() - started < 1.0
 
+    @pytest.mark.parametrize("reply", [
+        b"HTTP/1.1 200 OK\r\nContent-Length: 15\r\n\r\n",
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n" + b"8\r\n12345678\r\n" * 2,
+        b"HTTP/1.0 200 OK\r\n\r\n" + b" " * 15,
+    ], ids=["content-length", "chunked", "read-to-close"])
+    def test_body_over_the_cap_is_transport_error_before_the_deadline(
+            self, scripted_server, monkeypatch, reply):
+        """Every body below is endless: the server sends no more of it and
+        keeps the connection open. A Content-Length over the cap fails before
+        any body byte arrives; the others, once the bytes pass it."""
+        monkeypatch.setattr(transport, "_MAX_BODY", 14)
+        _, _, backend = scripted_server((reply, False))
+        started = time.monotonic()
+        with pytest.raises(BackendTransportError, match="reply body over 14 bytes"):
+            _call(backend)
+        assert time.monotonic() - started < 1.0
+
+    def test_body_at_the_cap_is_read(self, scripted_server, monkeypatch):
+        monkeypatch.setattr(transport, "_MAX_BODY", len(BODY))
+        _, _, backend = scripted_server((OK, False))
+        assert _call(backend) == "hi"
+
     def test_connection_closed_mid_body_is_transport_error(self, scripted_server):
-        reply = b"HTTP/1.1 200 OK\r\nContent-Length: 40\r\n\r\n" + BODY
-        _, _, backend = scripted_server((reply, True))
+        _, _, backend = scripted_server(BAD_REPLIES["closed-mid-body"])
         with pytest.raises(BackendTransportError):
             _call(backend)
 
@@ -1148,7 +1193,7 @@ class TestMalformedReplies:
     def test_bad_search_reply_is_transport_error(self, http_server, reply):
         backend = RemoteSearchBackend(f"{http_server}/reply/{reply}")
         with pytest.raises(BackendTransportError):
-            backend.web_search("q", 5, Deadline(math.inf))
+            backend.web_search("q", 5, day_deadline())
         query = "what brand is this shoe"
         backends = dataclasses.replace(make_backends(turn_script(query)), search=backend)
         outcome = run_turn(fresh_state(), one_turn(query), PipelineConfig(mode="task2plus"),
@@ -1156,6 +1201,138 @@ class TestMalformedReplies:
         assert "recall_backend_error" in outcome.flags
         assert "recall" in outcome.stages and "rerank" in outcome.stages
         assert outcome.context.empty
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Deadline(math.inf), lambda: Deadline(-math.inf), lambda: Deadline(math.nan),
+    lambda: Deadline.after_ms(math.inf), lambda: Deadline.after_ms(math.nan),
+], ids=["inf", "-inf", "nan", "after-inf-ms", "after-nan-ms"])
+def test_a_deadline_is_finite(build):
+    """So no wait a deadline bounds can be endless, and no socket blocks."""
+    with pytest.raises(ValueError, match="must be finite"):
+        build()
+
+
+# The query of every turn on the fault server, and the call names of
+# ``test_pipeline.DRAWS``: one per remote call of a turn.
+FAULT_QUERY = "what brand is this shoe"
+TURN_CALLS = ("route", "summarize", "web_search", "rerank", "rag", "direct", "consistency",
+              "verify")
+
+
+def _call_name(service, body):
+    """The ``TURN_CALLS`` name of a request to ``service`` with JSON ``body``."""
+    if service != "model":
+        return service
+    if body["role"] == Role.GENERATOR:
+        return "rag" if "Context:" in body["user"] else "direct"
+    return ROLE_STAGES[Role(body["role"])]
+
+
+def _good_reply(service, body):
+    """The JSON reply of a call the fault server does not fault."""
+    if service == "web_search":  # one page that the expanded query matches exactly
+        return {"results": [{"snippet": body["query"]}]}
+    if service == "rerank":
+        return {"scores": [jaccard_score(body["query"], chunk) for chunk in body["chunks"]]}
+    text = {Role.ROUTER: ROUTE_PLAIN, Role.SUMMARIZER: "summary tokens",
+            Role.CONSISTENCY_JUDGE: "yes", Role.VERIFIER: COV_FULL}
+    return {"text": text.get(Role(body["role"]), "rag answer")}
+
+
+class _FaultHandler(BaseHTTPRequestHandler):
+    """Serves the remote calls of a whole ``task2plus`` turn under
+    ``/<call>/<fault>/<service>``, ``<service>`` one of ``model``, ``rerank``
+    and ``web_search``: the call named ``<call>`` gets ``<fault>`` (``drip`` or
+    a ``BAD_REPLIES`` name), and every other call a good reply."""
+
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+
+    def do_POST(self):
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        call, fault, service = self.path.strip("/").split("/")
+        if _call_name(service, body) != call:
+            data = json.dumps(_good_reply(service, body)).encode("utf-8")
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(data)))
+            self.end_headers()
+            self.wfile.write(data)
+        elif fault == "drip":
+            _drip(self)
+        else:
+            data, self.close_connection = BAD_REPLIES[fault]
+            self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture(scope="module")
+def fault_server():
+    with serve_http(_FaultHandler) as server:
+        yield server.url
+
+
+def _faulted_turn(url, call, fault, cfg):
+    """One ``FAULT_QUERY`` turn through the real remote backends, on the fault
+    server at ``url``, with ``call`` answered by ``fault``."""
+    base = f"{url}/{call}/{fault}"
+    model = RemoteModelBackend(f"{base}/model")
+    backends = Backends(router_model=model, vlm=model,
+                        reranker=RemoteRerankerBackend(f"{base}/rerank"),
+                        search=RemoteSearchBackend(f"{base}/web_search"))
+    try:
+        return run_turn(fresh_state(), one_turn(FAULT_QUERY), cfg, backends, TEMPLATES)
+    finally:
+        backends.close()
+
+
+class TestWholeTurnFaults:
+    """Whole turns through real sockets: a fault in any one remote call ends
+    the turn with that stage's flag, never an exception, within the budget."""
+
+    CFG = PipelineConfig(mode="task2plus", turn_budget_ms=400, abstain_margin_ms=20)
+
+    def test_a_turn_with_no_fault_is_answered(self, fault_server):
+        outcome = _faulted_turn(fault_server, "none", "none", self.CFG)
+        assert outcome.flags == frozenset()
+        assert outcome.final.answer == "rag answer"
+        assert outcome.context.retrieval_score == 1.0
+
+    @pytest.mark.parametrize("fault", ["drip", *BAD_REPLIES])
+    @pytest.mark.parametrize("call", TURN_CALLS)
+    def test_one_faulted_call_flags_its_stage_within_budget(self, fault_server, call, fault):
+        started = time.monotonic()
+        outcome = _faulted_turn(fault_server, call, fault, self.CFG)
+        elapsed_ms = (time.monotonic() - started) * 1000
+        flag = FAILURE_FLAGS[DRAWN_STAGES.get(call, call)][fault != "drip"]
+        assert flag in outcome.flags
+        assert elapsed_ms <= self.CFG.turn_budget_ms + 200
+
+    def test_every_socket_timeout_is_finite(self, fault_server, tls_server, monkeypatch):
+        """Connecting, the TLS handshake, sending and every read of a whole
+        turn and of an https call each wait at most the time left."""
+        timeouts = []
+        settimeout = socket.socket.settimeout
+
+        def recording(sock, value):
+            # The servers' own threads are not the caller's.
+            if threading.current_thread().name.startswith(("MainThread", "ragvet-turn")):
+                timeouts.append(value)
+            settimeout(sock, value)
+
+        monkeypatch.setattr(socket.socket, "settimeout", recording)
+        assert _faulted_turn(fault_server, "none", "none", self.CFG).flags == frozenset()
+        monkeypatch.setenv("SSL_CERT_FILE", str(TLS_CERT))
+        backend = RemoteModelBackend(f"{tls_server.url}/echo")
+        try:
+            assert backend.complete(_request(), Deadline.after_ms(2000)).text == "echo:hello"
+        finally:
+            backend.close()
+        # At least a send and a read for each of the turn's 7 calls and the https call.
+        assert len(timeouts) >= 2 * 8
+        assert all(isinstance(value, float) and 0 < value <= 2.0 for value in timeouts), timeouts
 
 
 # Pieces of strings whose JSON escapes hold lone and paired surrogates, and

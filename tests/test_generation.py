@@ -1,6 +1,5 @@
 """Dual-path generation prompts, yes/no parsing, and the consistency check."""
 
-import math
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,11 +17,11 @@ from ragvet.retrieval import build_context
 from ragvet.runtime import Deadline
 from ragvet.templates import default_template
 
-from conftest import CountingModel, HonestConsistencyJudge, chunk, scripted_model
+from conftest import CountingModel, HonestConsistencyJudge, chunk, day_deadline, scripted_model
 
 GENERATION = default_template("generation")
 CONSISTENCY = default_template("consistency")
-NO_DEADLINE = Deadline(math.inf)
+NO_DEADLINE = day_deadline()
 
 
 def _context(*texts_scores):

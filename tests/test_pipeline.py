@@ -128,7 +128,7 @@ class _WaitBeforeReply:
 def wait_out(deadline):
     """Wait on ``runtime.clock`` until ``deadline`` has passed."""
     clock = runtime.clock
-    clock.wait_until(clock.now() + deadline.remaining_seconds())
+    clock.wait_until(clock.now() + deadline.remaining_ms() / 1000.0)
 
 
 def one_turn(query):

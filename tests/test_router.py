@@ -2,7 +2,6 @@
 a reply that does not parse falls back in ``run_turn``
 (``tests/test_pipeline.py::TestFailureSeam``)."""
 
-import math
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,10 +9,9 @@ from hypothesis import given, strategies as st
 from ragvet.backends import MAX_TOKENS, Role
 from ragvet.core import ReplyParseError, RoutingDecision
 from ragvet.router import parse_routing_response, route
-from ragvet.runtime import Deadline
 from ragvet.templates import default_template
 
-from conftest import CountingModel, scripted_model
+from conftest import CountingModel, day_deadline, scripted_model
 
 ROUTING = default_template("routing")
 ROUTE_PLAIN = "1. Needs External Info: yes\n2. Is Real-Time: no"
@@ -22,7 +20,7 @@ ROUTE_PLAIN = "1. Needs External Info: yes\n2. Is Real-Time: no"
 def sent_request(query):
     """The request ``route`` sends for ``query``."""
     model = CountingModel(scripted_model({"role": Role.ROUTER, "response": ROUTE_PLAIN}))
-    route(query, model, Deadline(math.inf), ROUTING)
+    route(query, model, day_deadline(), ROUTING)
     [request] = model.requests
     return request
 
@@ -42,7 +40,7 @@ class TestBuildRoutingPrompt:
     def test_empty_query_rejected(self):
         model = CountingModel(scripted_model())
         with pytest.raises(ValueError):
-            route("", model, Deadline(math.inf), ROUTING)
+            route("", model, day_deadline(), ROUTING)
         assert model.requests == []
 
     def test_double_quote_passes_through(self):

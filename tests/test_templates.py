@@ -1,7 +1,6 @@
 """Template file parsing and placeholder substitution, and the contract
 between each packaged template and the code that renders it."""
 
-import math
 from pathlib import Path
 
 import pytest
@@ -12,7 +11,6 @@ from ragvet.evaluation import PromptedJudge
 from ragvet.generation import check_consistency, generate_rag
 from ragvet.retrieval import summarize_image
 from ragvet.router import route
-from ragvet.runtime import Deadline
 from ragvet.templates import (
     TEMPLATE_NAMES,
     PromptTemplate,
@@ -25,7 +23,7 @@ from ragvet.templates import (
 )
 from ragvet.verification import verify
 
-from conftest import scripted_model
+from conftest import day_deadline, scripted_model
 
 PROMPTS = Path(ragvet.templates.__file__).parent / "prompts"
 
@@ -144,7 +142,7 @@ MODEL = scripted_model(
     {"role": "judge", "match": "", "response": "Perfect"},
 )
 CONTEXT = RagContext(entries=(), threshold_used=0.0)
-NO_DEADLINE = Deadline(math.inf)
+NO_DEADLINE = day_deadline()
 CALLERS = {
     "routing": lambda template: route("q?", MODEL, NO_DEADLINE, template),
     "summarize": lambda template: summarize_image(

@@ -1,18 +1,15 @@
 """Verification prompt contents and response parsing."""
 
-import math
-
 import pytest
 from hypothesis import given, strategies as st
 
 from ragvet.backends import MAX_TOKENS, Role
 from ragvet.core import Finding, ReplyParseError
 from ragvet.retrieval import build_context
-from ragvet.runtime import Deadline
 from ragvet.templates import default_template
 from ragvet.verification import parse_cov_response, verify
 
-from conftest import CountingModel, chunk, scripted_model
+from conftest import CountingModel, chunk, day_deadline, scripted_model
 
 COV = default_template("cov")
 COV_REPLY = "CONFIDENCE: 1.0\nREASONING: supported by [Info 1]."
@@ -26,7 +23,7 @@ def _context(*texts_scores):
 def cov_request(context, query, answer):
     """The request ``verify`` sends."""
     model = CountingModel(scripted_model({"role": Role.VERIFIER, "response": COV_REPLY}))
-    verify(query, "img-1", context, answer, model, Deadline(math.inf), COV)
+    verify(query, "img-1", context, answer, model, day_deadline(), COV)
     [request] = model.requests
     return request
 
