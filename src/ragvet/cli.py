@@ -1,11 +1,11 @@
-"""Command-line entry point: run, eval, and ablate subcommands.
+"""Command-line entry point: run and eval subcommands.
 
-Thresholds live in a versioned config file; flags carry only paths and mode.
-Mock mode wires every backend to the committed fixture and replay files, so
-identical argv plus identical files reproduce identical trace and report
-bytes. ``run`` and ``ablate`` run their turns through one dataset loop,
-``_run_turns``; ``eval`` and ``ablate`` score the answers through one
-scorer, ``evaluation.score_answers``.
+Thresholds live in a versioned config file; flags carry only paths, mode and
+pipeline variant. Mock mode wires every backend to the committed fixture and
+replay files, so identical argv plus identical files reproduce identical
+trace and report bytes. Every variant, the paper's ablations included, runs
+through ``run`` (``--variant``), which writes its trace and manifest, and is
+scored by ``eval`` through ``evaluation.score_answers``.
 """
 
 from __future__ import annotations
@@ -77,22 +77,26 @@ def load_dataset(path: str | Path) -> list[Conversation]:
 
 
 def _run_manifest(cfg: PipelineConfig, dataset_path: str, record_count: int,
-                  backend_kinds: dict[str, str]) -> dict[str, Any]:
+                  backend_kinds: dict[str, str], variant: str) -> dict[str, Any]:
     """Provenance record of a run that starts now; credentials never reach disk.
 
     ``manifest_hash`` covers only the reproducible inputs (config, dataset
-    size, backend kinds, version) so reports referencing it stay stable
-    across re-runs of the same inputs.
+    size, backend kinds, version and a variant other than ``full``) so
+    reports referencing it stay stable across re-runs of the same inputs. A
+    full run records no variant, so its manifest is what it was before
+    variants ran through ``run``.
     """
     config = cfg.to_dict()
     if config["bearer_token"]:
         config["bearer_token"] = "<redacted>"
+    reduced = {} if variant == "full" else {"variant": variant}
     stable = {"config": config, "record_count": record_count,
-              "backend_kinds": backend_kinds, "version": __version__}
+              "backend_kinds": backend_kinds, "version": __version__, **reduced}
     payload = json.dumps(stable, sort_keys=True, ensure_ascii=False).encode("utf-8")
     return {"manifest_hash": hashlib.sha256(payload).hexdigest(), "version": __version__,
             "config": config, "dataset_path": dataset_path, "record_count": record_count,
-            "backend_kinds": backend_kinds, "started_at": _utc_now(), "finished_at": None}
+            "backend_kinds": backend_kinds, **reduced, "started_at": _utc_now(),
+            "finished_at": None}
 
 
 def _shown(path: str | Path) -> str:
@@ -100,11 +104,11 @@ def _shown(path: str | Path) -> str:
     return os.fsencode(path).decode("utf-8", "backslashreplace")
 
 
-def _check_writable(path: Optional[str]) -> None:
+def _check_writable(path: str) -> None:
     """Fail before any work where writing ``path`` would fail after it."""
-    if path and Path(path).is_dir():
+    if Path(path).is_dir():
         raise EvalError(f"cannot write {path}: is a directory")
-    if path and not Path(path).parent.is_dir():
+    if not Path(path).parent.is_dir():
         raise EvalError(f"cannot write {path}: no such directory")
 
 
@@ -180,7 +184,7 @@ def write_trace(outcomes: Sequence[TurnOutcome], path: Path) -> None:
 
 def _run_turns(cfg: PipelineConfig, templates: dict[str, PromptTemplate],
                dataset: Sequence[Conversation], backends: Backends, workers: int,
-               variant: str = "full") -> list[TurnOutcome]:
+               variant: str) -> list[TurnOutcome]:
     """Every turn of ``dataset`` under ``variant``, in dataset order, running
     ``workers`` conversations at once; closes ``backends`` when done."""
     try:
@@ -201,10 +205,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.dataset)
     backends, kinds = build_backends(cfg, mock=args.mock)
     out_path = Path(args.out)
-    manifest = _run_manifest(cfg, _shown(args.dataset), len(dataset), kinds)
+    manifest = _run_manifest(cfg, _shown(args.dataset), len(dataset), kinds, args.variant)
     manifest_path = out_path.with_name(out_path.name + ".manifest.json")
     _write_json(manifest_path, manifest)
-    outcomes = _run_turns(cfg, templates, dataset, backends, args.workers)
+    outcomes = _run_turns(cfg, templates, dataset, backends, args.workers, args.variant)
     write_trace(outcomes, out_path)
     _write_json(manifest_path, {**manifest, "finished_at": _utc_now()})
     abstained = sum(1 for outcome in outcomes if outcome.final.abstained)
@@ -275,25 +279,6 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_ablate(args: argparse.Namespace) -> int:
-    _check_writable(args.report)
-    cfg = load_config(args.config, mode=args.mode_policy)
-    templates = load_all(cfg.prompt_paths)
-    dataset = load_dataset(args.dataset)
-    backends, _ = build_backends(cfg, mock=args.mock)
-    judge = _make_judge(cfg, args.judge, templates["judge"])
-    truths = ground_truths(dataset)  # before any turn runs
-    # One conversation at a time: ablate takes no --workers.
-    outcomes = _run_turns(cfg, templates, dataset, backends, workers=1, variant=args.mode)
-    answers = [(outcome.conversation_id, outcome.turn_index, outcome.final.answer)
-               for outcome in outcomes]
-    report, _ = score_answers(answers, truths, judge, cfg.abstain_text)
-    if args.report:
-        _write_json(args.report, {"mode": args.mode, **report.to_dict()})
-    print(f"ablation {args.mode}: {report.summary()}")
-    return 0
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ragvet",
@@ -309,6 +294,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--mode", choices=MODES, default=None)
     run_parser.add_argument("--mock", action="store_true", help="force fixture backends")
     run_parser.add_argument("--workers", type=int, default=1)
+    run_parser.add_argument("--variant", choices=list(VARIANTS), default="full",
+                            help="pipeline variant: the full pipeline or a reduced one")
     run_parser.set_defaults(func=_cmd_run)
 
     eval_parser = subparsers.add_parser("eval", help="judge a trace file against a dataset")
@@ -319,15 +306,6 @@ def _build_parser() -> argparse.ArgumentParser:
     eval_parser.add_argument("--report", required=True)
     eval_parser.set_defaults(func=_cmd_eval)
 
-    ablate_parser = subparsers.add_parser("ablate", help="score a reduced pipeline variant")
-    ablate_parser.add_argument("--mode", choices=list(VARIANTS), required=True)
-    ablate_parser.add_argument("--dataset", required=True)
-    ablate_parser.add_argument("--config", default=None)
-    ablate_parser.add_argument("--report", default=None)
-    ablate_parser.add_argument("--judge", choices=["mock", "endpoint"], default="mock")
-    ablate_parser.add_argument("--mock", action="store_true")
-    ablate_parser.add_argument("--mode-policy", choices=MODES, default=None, dest="mode_policy")
-    ablate_parser.set_defaults(func=_cmd_ablate)
     return parser
 
 

@@ -23,6 +23,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from enum import Enum
 from pathlib import Path
 from typing import Any, Callable, Mapping, Optional, Sequence
+from urllib.parse import urlsplit
 
 from .templates import TEMPLATE_NAMES
 
@@ -46,6 +47,7 @@ __all__ = [
     "parse_context_tags",
     "missing_content",
     "BEARER_TOKEN",
+    "check_endpoint_url",
     "check_surrogates",
     "decode_json",
     "read_json",
@@ -81,6 +83,31 @@ BEARER_TOKEN = re.compile(r"[\x21-\x7e]*")
 # A URL whose authority, after "//" and up to the first "/", "?" or "#",
 # holds an "@": user info, such as a user name and password.
 _USER_INFO = re.compile(r"[^/?#]*//[^/?#]*@")
+
+# A character an endpoint URL may not hold: one outside ASCII, a space or a
+# control character.
+_NOT_URL_TEXT = re.compile(r"[^\x21-\x7e]")
+
+
+def check_endpoint_url(url: str, name: str, error: type[Exception]) -> None:
+    """Raise ``error`` about ``name`` unless a remote call can use ``url``: an
+    http:// or https:// URL with a host, no user info and, if it names one, a
+    port from 1 to 65535, in ASCII without spaces or control characters.
+
+    The message does not echo the URL: its user info may hold a password.
+    """
+    if _USER_INFO.match(url):
+        raise error(f"{name} must not carry user info in its URL; "
+                    "set the credential as bearer_token")
+    try:
+        parts = urlsplit(url)
+        usable = (parts.scheme in ("http", "https") and bool(parts.hostname)
+                  and parts.port != 0 and not _NOT_URL_TEXT.search(url))
+    except ValueError:  # a port that is not a number up to 65535, or a broken IPv6 host
+        usable = False
+    if not usable:
+        raise error(f"{name} must be an http:// or https:// URL with a host and, if any, "
+                    "a port from 1 to 65535, in ASCII without spaces or control characters")
 
 
 def _require(condition: bool, message: str) -> None:
@@ -486,11 +513,9 @@ class PipelineConfig:
             if not ok:
                 raise InvalidConfigError(f"config violates: {name}")
         for f in fields(self):
-            # The URL is not echoed: the user info may hold a password.
-            if f.name.endswith("_endpoint") and _USER_INFO.match(getattr(self, f.name) or ""):
-                raise InvalidConfigError(
-                    f"config key {f.name} must not carry user info in its URL; "
-                    "set the credential as bearer_token")
+            url = getattr(self, f.name)
+            if f.name.endswith("_endpoint") and url:
+                check_endpoint_url(url, f"config key {f.name}", InvalidConfigError)
 
     def to_dict(self) -> dict[str, Any]:
         return asdict(self)

@@ -1,12 +1,12 @@
 """Scoring protocol: four-level judge labels, rate aggregation, truncation,
-and one scoring path for ``eval`` and ``ablate``.
+and the one scoring path, ``eval``'s.
 
 The abstention string maps straight to Missing without consulting any judge.
 Accuracy counts Perfect plus Acceptable; the truthfulness score weighs
 Perfect 1.0, Acceptable 0.5, and Incorrect -1.0 (``_LABEL_VALUES``), so it
 equals accuracy minus hallucination rate exactly when no Acceptable labels
-occur. ``eval`` scores a trace's answers and ``ablate`` a fresh run's, both
-against ``ground_truths`` and through ``score_answers``.
+occur. ``eval`` scores the answers of a trace that ``run`` wrote under any
+pipeline variant against ``ground_truths``, through ``score_answers``.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ class MetricsReport:
         }
 
     def summary(self) -> str:
-        """The four rates on one line, as ``eval`` and ``ablate`` print them."""
+        """The four rates on one line, as ``eval`` prints them."""
         return (f"accuracy {self.accuracy:.4f}, missing {self.missing_rate:.4f}, "
                 f"hallucination {self.hallucination_rate:.4f}, "
                 f"truthfulness {self.truthfulness:.4f}")

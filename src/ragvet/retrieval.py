@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from statistics import median
 from typing import Optional, Sequence
 
-from .backends import ModelBackend, RerankerBackend, Role, SearchBackend, ask
+from .backends import EmptyCompletionError, ModelBackend, RerankerBackend, Role, SearchBackend, ask
 from .core import ChunkRef, RagContext, RetrievedItem, ScoredChunk
 from .runtime import Deadline
 from .templates import PromptTemplate
@@ -44,10 +44,15 @@ def summarize_image(
     deadline: Deadline,
     template: PromptTemplate,
 ) -> str:
-    """One-sentence, question-focused image summary. Backend failures propagate."""
+    """One-sentence, question-focused image summary. Backend failures
+    propagate, a whitespace-only summary as EmptyCompletionError."""
     if not image_ref:
         raise ValueError("image_ref must be present")
-    return ask(vlm_backend, Role.SUMMARIZER, template, deadline, image_ref, query=query).strip()
+    summary = ask(vlm_backend, Role.SUMMARIZER, template, deadline, image_ref,
+                  query=query).strip()
+    if not summary:
+        raise EmptyCompletionError("summarizer completion is whitespace only")
+    return summary
 
 
 def expand_query(query: str, summary: str) -> str:

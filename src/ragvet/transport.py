@@ -19,7 +19,7 @@ import weakref
 from typing import Any, Mapping, Optional
 from urllib.parse import urlsplit
 
-from .core import BEARER_TOKEN, decode_json
+from .core import BEARER_TOKEN, MAX_TURN_BUDGET_MS, check_endpoint_url, decode_json
 from .runtime import Deadline
 
 __all__ = ["BackendError", "BackendTimeout", "BackendTransportError", "JsonEndpoint"]
@@ -53,9 +53,11 @@ _TLS_ENVIRON = ("SSL_CERT_FILE", "SSL_CERT_DIR", "SSLKEYLOGFILE")
 
 
 def _time_left(deadline: Deadline) -> float:
-    """Seconds until ``deadline``, as a socket timeout, which is finite as
-    every deadline is. A deadline that has passed raises TimeoutError."""
-    seconds = deadline.remaining_ms() / 1000.0
+    """Seconds until ``deadline``, as a socket timeout, at most the longest
+    turn budget: a timeout of 1e12 s or more overflows the platform's time_t.
+    Every socket operation re-arms the timeout, so a far deadline still bounds
+    the call. A deadline that has passed raises TimeoutError."""
+    seconds = min(deadline.remaining_ms(), MAX_TURN_BUDGET_MS) / 1000.0
     if seconds <= 0:
         raise TimeoutError("deadline passed")
     return seconds
@@ -228,11 +230,8 @@ class JsonEndpoint:
     """
 
     def __init__(self, url: str, bearer_token: Optional[str]) -> None:
+        check_endpoint_url(url, "an endpoint URL", ValueError)
         parts = urlsplit(url)
-        if (parts.scheme not in ("http", "https") or not parts.hostname
-                or not url.isascii() or re.search(r"[\x00-\x20\x7f]", url)):
-            raise ValueError(f"{url!r} is not an http:// or https:// URL with a host, "
-                             "in ASCII without spaces")
         if bearer_token and not BEARER_TOKEN.fullmatch(bearer_token):
             raise ValueError("bearer_token must be visible ASCII (0x21-0x7E)")
         https = parts.scheme == "https"

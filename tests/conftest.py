@@ -114,8 +114,9 @@ class HonestConsistencyJudge:
 
 
 def score_variant(mode: str, dataset, cfg, backends) -> MetricsReport:
-    """The metrics ``ablate --mode <mode> --judge mock`` reports: every
-    conversation run under the variant, its answers scored by ``score_answers``."""
+    """The metrics ``eval --judge mock`` reports for a ``run --variant <mode>``
+    trace: every conversation run under the variant, its answers scored by
+    ``score_answers``."""
     templates = load_all(cfg.prompt_paths)
     answers = [(outcome.conversation_id, outcome.turn_index, outcome.final.answer)
                for conversation in dataset

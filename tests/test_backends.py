@@ -548,6 +548,16 @@ class TestRemoteBackends:
         backend = RemoteModelBackend(f"{http_server}/reply/surrogate-pair")
         assert backend.complete(_request(), no_deadline).text == "\U0001f600"
 
+    def test_a_far_deadline_bounds_the_call_without_overflow(self, http_server):
+        # A socket timeout of 1e12 s or more overflows time_t; each socket
+        # operation waits at most the longest turn budget instead.
+        endpoint = JsonEndpoint(f"{http_server}/complete", None)
+        try:
+            reply = endpoint.post_json({"role": "generator"}, Deadline.after_ms(1e15))
+        finally:
+            endpoint.close()
+        assert reply["text"] == "echo:generator"
+
     def test_timeout_maps_to_backend_timeout(self, http_server):
         backend = RemoteModelBackend(f"{http_server}/slow")
         with pytest.raises(BackendTimeout):
@@ -800,10 +810,13 @@ class TestKeepAliveTransport:
 
     @pytest.mark.parametrize("endpoint", ["localhost:8000/complete", "http:///complete",
                                           "ftp://host/complete", "http://host:port/",
-                                          "http://host/two words", "http://host/caf\u00e9"])
+                                          "http://host/two words", "http://host/caf\u00e9",
+                                          "http://:80/", "http://host:0/", "http://host:65536/",
+                                          "http://[::1/", "http://user:pw@host/"])
     def test_malformed_endpoint_rejected_before_any_call(self, endpoint):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as caught:
             RemoteModelBackend(endpoint)
+        assert endpoint not in str(caught.value)
 
 
 def _scripted_handler(replies):

@@ -1,4 +1,4 @@
-"""Command-line behavior: dataset loading, run/eval/ablate, manifests."""
+"""Command-line behavior: dataset loading, run/eval, variants, manifests."""
 
 import io
 import json
@@ -735,62 +735,80 @@ class TestEvalCommand:
         assert "judge_endpoint" in capsys.readouterr().err
 
 
-class TestAblateCommand:
-    def test_ablate_writes_report(self, tmp_path, capsys):
-        config = write_config(
-            tmp_path,
-            fixture_path=str(FIXTURES / "ablation_search.json"),
-            replay_path=str(FIXTURES / "ablation_replay.json"),
-        )
-        report_path = tmp_path / "ablate.json"
-        code = main([
-            "ablate", "--mode", "full",
-            "--dataset", str(FIXTURES / "ablation_dataset.jsonl"),
-            "--config", str(config), "--mock", "--report", str(report_path),
-        ])
-        assert code == 0
-        payload = json.loads(report_path.read_text(encoding="utf-8"))
-        assert payload["mode"] == "full"
-        assert payload["hallucination_rate"] == 0.0
-        assert "ablation full" in capsys.readouterr().out
+ABLATION_INPUTS = {"fixture_path": str(FIXTURES / "ablation_search.json"),
+                   "replay_path": str(FIXTURES / "ablation_replay.json")}
+# The keys of a full run's manifest, in the order written.
+FULL_MANIFEST_KEYS = ["manifest_hash", "version", "config", "dataset_path", "record_count",
+                      "backend_kinds", "started_at", "finished_at"]
 
-    def test_ablate_checks_every_ground_truth_before_running_a_turn(
-            self, tmp_path, capsys, monkeypatch):
-        config = write_config(
-            tmp_path,
-            fixture_path=str(FIXTURES / "ablation_search.json"),
-            replay_path=str(FIXTURES / "ablation_replay.json"),
-        )
-        records = [json.loads(line) for line in
-                   (FIXTURES / "ablation_dataset.jsonl").read_text(encoding="utf-8").splitlines()]
-        del records[-1]["turns"][0]["ground_truth"]
-        dataset = tmp_path / "last_without_truth.jsonl"
-        dataset.write_text("".join(json.dumps(record) + "\n" for record in records),
-                           encoding="utf-8")
-        requests = []
-        complete = ReplayModelBackend.complete
 
-        def logged(self, request, deadline):
-            requests.append(request)
-            return complete(self, request, deadline)
+class TestRunVariant:
+    def _run(self, tmp_path, name, *variant):
+        """Run the ablation set (under ``--variant`` if given) and return its
+        trace path and manifest."""
+        out = tmp_path / name
+        assert main(["run", *variant, "--dataset", str(FIXTURES / "ablation_dataset.jsonl"),
+                     "--config", str(write_config(tmp_path, **ABLATION_INPUTS)),
+                     "--out", str(out), "--mock"]) == 0
+        manifest = out.with_name(out.name + ".manifest.json").read_text(encoding="utf-8")
+        return out, json.loads(manifest)
 
-        monkeypatch.setattr(ReplayModelBackend, "complete", logged)
-        code = main(["ablate", "--mode", "full", "--dataset", str(dataset),
-                     "--config", str(config), "--mock"])
-        assert code == 1
-        assert "ground truth" in capsys.readouterr().err
-        assert requests == []
+    def test_a_variant_run_is_traced_and_scored_by_eval(self, tmp_path, capsys):
+        trace, manifest = self._run(tmp_path, "no_cov.jsonl", "--variant", "no_cov")
+        report = tmp_path / "report.json"
+        assert main(["eval", "--traces", str(trace),
+                     "--dataset", str(FIXTURES / "ablation_dataset.jsonl"),
+                     "--config", str(write_config(tmp_path, **ABLATION_INPUTS)),
+                     "--report", str(report)]) == 0
+        records = [json.loads(line) for line in trace.read_text(encoding="utf-8").splitlines()]
+        assert len(records) == 6
+        assert all("verify" not in record["stages"] for record in records)
+        payload = json.loads(report.read_text(encoding="utf-8"))
+        assert payload["manifest_hash"] == manifest["manifest_hash"]
+        assert payload["hallucination_rate"] == 0.5
+        assert "ran 6 turns" in capsys.readouterr().out
+
+    def test_full_is_the_default_and_leaves_the_manifest_as_it_was(self, tmp_path):
+        plain, default = self._run(tmp_path, "plain.jsonl")
+        full, named = self._run(tmp_path, "full.jsonl", "--variant", "full")
+        assert full.read_bytes() == plain.read_bytes()
+        assert list(default) == list(named) == FULL_MANIFEST_KEYS
+        assert named["manifest_hash"] == default["manifest_hash"]
+
+    def test_a_reduced_variant_is_recorded_and_hashed(self, tmp_path):
+        _, full = self._run(tmp_path, "full.jsonl")
+        hashes = {full["manifest_hash"]}
+        for variant in sorted(set(VARIANTS) - {"full"}):
+            _, manifest = self._run(tmp_path, f"{variant}.jsonl", "--variant", variant)
+            assert manifest["variant"] == variant
+            assert list(manifest) == [*FULL_MANIFEST_KEYS[:6], "variant",
+                                      *FULL_MANIFEST_KEYS[6:]]
+            hashes.add(manifest["manifest_hash"])
+        assert len(hashes) == len(VARIANTS)
 
     def test_unknown_variant_exits_2_before_any_backend_is_built(self, tmp_path, capsys,
                                                                  monkeypatch):
         built = []
         monkeypatch.setattr("ragvet.cli.build_backends", lambda *args, **kwargs: built.append(args))
         with pytest.raises(SystemExit) as excinfo:
-            main(["ablate", "--mode", "bogus", "--dataset", str(FIXTURES / "e2e_dataset.jsonl"),
-                  "--config", str(write_config(tmp_path)), "--mock"])
+            main(["run", "--variant", "bogus", "--dataset", str(FIXTURES / "e2e_dataset.jsonl"),
+                  "--config", str(write_config(tmp_path)), "--out", str(tmp_path / "t.jsonl"),
+                  "--mock"])
         assert excinfo.value.code == 2
         assert "invalid choice: 'bogus'" in capsys.readouterr().err
         assert built == []
+        assert list(tmp_path.glob("t.jsonl*")) == []
+
+
+def test_the_commands_are_run_and_eval(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--help"])
+    assert excinfo.value.code == 0
+    assert "{run,eval}" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as excinfo:
+        main(["ablate", "--mode", "full", "--dataset", str(FIXTURES / "e2e_dataset.jsonl")])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'ablate'" in capsys.readouterr().err
 
 
 def test_version_flag():
@@ -830,6 +848,13 @@ MALFORMED_INPUTS = [
     ("config-prompt-double-quoted-fallback",
      {"config": {"prompt_paths": {"generation": "double_quoted.txt"}}},
      "prompt_paths.generation: malformed placeholder"),
+    ("config-endpoint-not-http", {"config": {"router_endpoint": "ftp://exa mple/\u0001"}},
+     "config key router_endpoint must be an http:// or https:// URL"),
+    ("config-endpoint-without-host", {"config": {"vlm_endpoint": "http://:80/"}},
+     "config key vlm_endpoint must be an http:// or https:// URL"),
+    ("config-endpoint-port-out-of-range",
+     {"config": {"reranker_endpoint": "http://rerank.test:65536/"}},
+     "config key reranker_endpoint must be an http:// or https:// URL"),
     ("eval-judge-prompt-unknown-placeholder",
      {"config": {"prompt_paths": {"judge": "subject.txt"}}, "dataset": RECORD,
       "trace": {"conversation_id": "c1", "turn_index": 0, "final": {"answer": "a"}}},
@@ -988,7 +1013,7 @@ def test_config_nested_too_deeply_names_the_file(tmp_path):
 
 
 @pytest.mark.parametrize("target", ["no-parent", "directory"])
-@pytest.mark.parametrize("command", ["run", "eval", "ablate"])
+@pytest.mark.parametrize("command", ["run", "eval", "variant"])
 def test_unwritable_output_fails_before_any_turn_or_judge_call(tmp_path, capsys, monkeypatch,
                                                                command, target):
     config = write_config(tmp_path)
@@ -1013,7 +1038,7 @@ def test_unwritable_output_fails_before_any_turn_or_judge_call(tmp_path, capsys,
                    "directory": (str(tmp_path / "out"), "is a directory")}[target]
     argv = {"run": ["run", "--out", out, "--mock"],
             "eval": ["eval", "--traces", str(trace), "--report", out],
-            "ablate": ["ablate", "--mode", "full", "--mock", "--report", out]}[command]
+            "variant": ["run", "--variant", "no_cov", "--out", out, "--mock"]}[command]
     capsys.readouterr()
     code = main([*argv, "--dataset", dataset, "--config", str(config)])
     lines = capsys.readouterr().err.splitlines()
@@ -1055,23 +1080,22 @@ COPIED = {"--dataset": FIXTURES / "ablation_dataset.jsonl", "--config": Path("co
 
 @st.composite
 def boundary_calls(draw) -> tuple[list[str], list[tuple[str, bytes, str]]]:
-    """One ``run``, ``eval`` or ``ablate`` call over the ablation fixture set:
-    its argv but the paths, and the flag, file name and kind of each path."""
+    """One ``run`` (under any variant) or ``eval`` call over the ablation
+    fixture set: its argv but the paths, and the flag, file name and kind of
+    each path."""
     def path(flag, kinds):
         return flag, draw(FILE_NAMES), draw(kinds)
 
-    command = draw(st.sampled_from(["run", "eval", "ablate"]))
+    command = draw(st.sampled_from(["run", "eval"]))
     paths = [path("--dataset", DRAWN_INPUT_KINDS)]
     if draw(often(True, False)):
         paths.append(path("--config", DRAWN_INPUT_KINDS))
-    if command == "run":
-        return ["run", "--mock"], [*paths, path("--out", DRAWN_OUTPUT_KINDS)]
     if command == "eval":
         return ["eval"], [*paths, path("--traces", DRAWN_INPUT_KINDS),
                           path("--report", DRAWN_OUTPUT_KINDS)]
-    if draw(often(True, False)):
-        paths.append(path("--report", DRAWN_OUTPUT_KINDS))
-    return ["ablate", "--mode", draw(st.sampled_from(sorted(VARIANTS))), "--mock"], paths
+    variant = draw(often(None, *sorted(VARIANTS)))
+    argv = ["run", "--mock", *(() if variant is None else ("--variant", variant))]
+    return argv, [*paths, path("--out", DRAWN_OUTPUT_KINDS)]
 
 
 def _drawn_path(flag: str, name: bytes, kind: str) -> str:
@@ -1100,7 +1124,8 @@ def _drawn_path(flag: str, name: bytes, kind: str) -> str:
 @example(call=(["eval"], [("--dataset", b"d", "copy"), ("--traces", b"t\nt", "missing"),
                           ("--report", b"r", "new")]), env={})
 # An environment override that is not UTF-8.
-@example(call=(["ablate", "--mode", "full", "--mock"], [("--dataset", b"d", "copy")]),
+@example(call=(["run", "--mock", "--variant", "no_cov"],
+               [("--dataset", b"d", "copy"), ("--out", b"o", "new")]),
          env={"RAGVET_BEARER_TOKEN": b"\xff"})
 def test_argv_paths_and_environment_end_in_success_or_one_error_line(call, env):
     argv, paths = call

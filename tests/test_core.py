@@ -159,6 +159,22 @@ class TestValidateConfig:
     def test_an_at_sign_after_the_host_is_no_user_info(self, url):
         assert PipelineConfig(vlm_endpoint=url).vlm_endpoint == url
 
+    @pytest.mark.parametrize("url", ["ftp://exa mple/\u0001", "http://:80/", "models.test/v1",
+                                     "ftp://models.test/", "http://models.test/caf\u00e9",
+                                     "http://models.test/a\tb", "http://models.test:0/",
+                                     "http://models.test:65536/", "http://models.test:x/",
+                                     "http://[::1/"])
+    def test_an_endpoint_no_remote_call_can_use_is_rejected_unechoed(self, url):
+        with pytest.raises(InvalidConfigError,
+                           match="config key router_endpoint must be an http") as caught:
+            PipelineConfig(router_endpoint=url)
+        assert url not in str(caught.value)
+
+    @pytest.mark.parametrize("url", ["http://models.test:65535/v1", "https://[::1]:8443/",
+                                     "http://127.0.0.1/?q=a", "http://models.test:/"])
+    def test_a_usable_endpoint_is_kept(self, url):
+        assert PipelineConfig(router_endpoint=url).router_endpoint == url
+
     @pytest.mark.parametrize("build", [
         lambda: PipelineConfig(recall_k=0),
         lambda: PipelineConfig.from_dict({"recall_k": 0}),

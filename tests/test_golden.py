@@ -1,13 +1,16 @@
 """Mock-run outputs, byte for byte against the committed golden files.
 
 Each fixture set (``e2e``, ``ablation``, ``kg``) is run with ``run --mock``
-under ``task1`` and ``task2plus``, with one worker and with four, and every
-pipeline variant is scored with ``ablate --mock`` under both modes. Each
-golden trace is also judged with ``eval --judge mock``; the golden traces
-have no manifest beside them, so the report's ``manifest_hash`` is null.
-The traces and reports must equal ``tests/fixtures/golden/`` exactly, so a
-refactor that changes any answer, flag, stage, label or score fails here.
-Run manifests carry timestamps and are not compared.
+under ``task1`` and ``task2plus``, with one worker and with four. Every
+pipeline variant is run with ``run --mock --variant`` under both modes and
+its trace judged with ``eval --judge mock``; the report, without its
+``manifest_hash`` and ``rows`` and with the variant as ``mode``, is pinned in
+``ablate_reports.json``. Each golden trace is also judged with ``eval``; the
+golden traces have no manifest beside them, so the report's
+``manifest_hash`` is null. The traces and reports must equal
+``tests/fixtures/golden/`` exactly, so a refactor that changes any answer,
+flag, stage, label or score fails here. Run manifests carry timestamps and
+are not compared.
 
 Only a change meant to alter outputs regenerates the files:
 
@@ -42,26 +45,23 @@ def _inputs(tmp_path: Path, fixture_set: str) -> list[str]:
             "--config", str(config)]
 
 
-def _common(tmp_path: Path, fixture_set: str) -> list[str]:
-    return [*_inputs(tmp_path, fixture_set), "--mock"]
-
-
-def run_trace(tmp_path: Path, fixture_set: str, mode: str, workers: int) -> bytes:
-    """The trace ``run --mock`` writes for one fixture set and mode."""
-    out = tmp_path / f"{fixture_set}_{mode}_{workers}.jsonl"
-    code = main(["run", *_common(tmp_path, fixture_set), "--mode", mode,
-                 "--out", str(out), "--workers", str(workers)])
+def run_trace(tmp_path: Path, fixture_set: str, mode: str, workers: int,
+              variant: str = "full") -> Path:
+    """The trace ``run --mock`` writes for one fixture set, mode and variant."""
+    out = tmp_path / f"{fixture_set}_{mode}_{variant}_{workers}.jsonl"
+    code = main(["run", *_inputs(tmp_path, fixture_set), "--mock", "--mode", mode,
+                 "--variant", variant, "--out", str(out), "--workers", str(workers)])
     assert code == 0
-    return out.read_bytes()
+    return out
 
 
-def ablate_report(tmp_path: Path, fixture_set: str, mode: str, variant: str) -> str:
-    """The report ``ablate --mock`` writes for one fixture set, mode and variant."""
-    out = tmp_path / f"{fixture_set}_{mode}_{variant}.json"
-    code = main(["ablate", *_common(tmp_path, fixture_set), "--mode-policy", mode,
-                 "--mode", variant, "--report", str(out)])
-    assert code == 0
-    return out.read_text(encoding="utf-8")
+def variant_report(tmp_path: Path, fixture_set: str, mode: str, variant: str) -> str:
+    """The report pinned for one fixture set, mode and variant: ``eval`` of
+    its ``run``, without ``manifest_hash`` and ``rows``, the variant as ``mode``."""
+    trace = run_trace(tmp_path, fixture_set, mode, 1, variant)
+    evaluated = json.loads(eval_report(tmp_path, fixture_set, trace))
+    del evaluated["manifest_hash"], evaluated["rows"]
+    return json.dumps({"mode": variant, **evaluated}, indent=2, ensure_ascii=False) + "\n"
 
 
 def eval_report(tmp_path: Path, fixture_set: str, trace: Path) -> str:
@@ -91,7 +91,13 @@ TRACE_CASES = [(s, m) for s in SETS for m in MODES]
 @pytest.mark.parametrize("fixture_set, mode", TRACE_CASES)
 def test_trace_matches_golden(tmp_path, fixture_set, mode, workers):
     golden = GOLDEN / f"{fixture_set}_{mode}.jsonl"
-    assert run_trace(tmp_path, fixture_set, mode, workers) == golden.read_bytes()
+    assert run_trace(tmp_path, fixture_set, mode, workers).read_bytes() == golden.read_bytes()
+
+
+@pytest.mark.parametrize("fixture_set, mode, variant", REPORT_CASES)
+def test_variant_trace_is_the_same_with_four_workers(tmp_path, fixture_set, mode, variant):
+    one = run_trace(tmp_path, fixture_set, mode, 1, variant).read_bytes()
+    assert run_trace(tmp_path, fixture_set, mode, 4, variant).read_bytes() == one
 
 
 def test_golden_reports_cover_every_variant():
@@ -105,9 +111,9 @@ def test_golden_eval_reports_cover_every_trace():
 
 
 @pytest.mark.parametrize("fixture_set, mode, variant", REPORT_CASES)
-def test_ablation_report_matches_golden(tmp_path, fixture_set, mode, variant):
+def test_variant_report_matches_golden(tmp_path, fixture_set, mode, variant):
     golden = _pinned(REPORTS, _report_key(fixture_set, mode, variant))
-    assert ablate_report(tmp_path, fixture_set, mode, variant) == golden
+    assert variant_report(tmp_path, fixture_set, mode, variant) == golden
 
 
 @pytest.mark.parametrize("fixture_set, mode", TRACE_CASES)
@@ -116,25 +122,14 @@ def test_eval_report_matches_golden(tmp_path, fixture_set, mode):
     assert eval_report(tmp_path, fixture_set, GOLDEN / f"{fixture_set}_{mode}.jsonl") == golden
 
 
-@pytest.mark.parametrize("fixture_set, mode", TRACE_CASES)
-def test_eval_of_a_run_scores_as_ablate_full(tmp_path, fixture_set, mode):
-    # One scorer: judging a full run's trace gives the full variant's metrics.
-    trace = tmp_path / f"{fixture_set}_{mode}.jsonl"
-    trace.write_bytes(run_trace(tmp_path, fixture_set, mode, workers=1))
-    evaluated = json.loads(eval_report(tmp_path, fixture_set, trace))
-    ablated = json.loads(ablate_report(tmp_path, fixture_set, mode, "full"))
-    del evaluated["manifest_hash"], evaluated["rows"], ablated["mode"]
-    assert evaluated == ablated
-
-
 def _regenerate() -> None:
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as scratch:
         tmp_path = Path(scratch)
         for fixture_set, mode in TRACE_CASES:
             (GOLDEN / f"{fixture_set}_{mode}.jsonl").write_bytes(
-                run_trace(tmp_path, fixture_set, mode, workers=1))
-        reports = {_report_key(*case): json.loads(ablate_report(tmp_path, *case))
+                run_trace(tmp_path, fixture_set, mode, workers=1).read_bytes())
+        reports = {_report_key(*case): json.loads(variant_report(tmp_path, *case))
                    for case in REPORT_CASES}
         eval_reports = {
             f"{s}/{m}": json.loads(eval_report(tmp_path, s, GOLDEN / f"{s}_{m}.jsonl"))

@@ -10,8 +10,8 @@ its turn class, ``_Turn``, which holds a turn's trace, or calls a ``.flag(``
 method, so every degradation flag is set there. ``cli`` names neither
 ``judge_response`` nor ``aggregate``: ``evaluation.score_answers`` is the one
 scoring path. ``evaluation`` imports nothing from ``pipeline``, and
-``cli._run_turns`` is the one caller of ``run_conversation``: ``run`` and
-``ablate`` run their turns through one dataset loop. No ragvet module but
+``cli._run_turns`` is the one caller of ``run_conversation``: every
+pipeline variant runs through ``run``'s one dataset loop. No ragvet module but
 ``runtime`` names ``time.monotonic``, ``time.perf_counter`` or
 ``time.sleep``, so every read of time and every wait goes through
 ``runtime.clock``; ``cli``'s calendar stamp (``time.gmtime``) is no clock read.

@@ -1019,9 +1019,11 @@ class TestSummaryOverlap:
         assert outcome.final.branch is Branch.CONSISTENT_WITH_CONTEXT
 
 
-    def test_empty_summary_reply_is_flagged(self):
+    @pytest.mark.parametrize("summary", ["", "  \n "], ids=["empty", "whitespace"])
+    def test_empty_summary_reply_is_flagged(self, summary):
         query = "blank summary"
-        backends = make_backends(turn_script(query, summary=""), image_fixture("img-1", query))
+        backends = make_backends(turn_script(query, summary=summary),
+                                 image_fixture("img-1", query))
         outcome = run_turn(fresh_state(), one_turn(query), PipelineConfig(), backends, TEMPLATES)
         assert outcome.flags == frozenset({"summary_backend_error"})
         assert "summarize" in outcome.stages
