@@ -44,7 +44,6 @@ __all__ = [
     "InvalidConfigError",
     "ReplyParseError",
     "MODES",
-    "parse_context_tags",
     "missing_content",
     "BEARER_TOKEN",
     "check_endpoint_url",
@@ -64,8 +63,6 @@ MAX_TURN_BUDGET_MS = 86_400_000
 # The pipeline's modes, the default first: task1 looks the conversation's
 # image up in the knowledge graph, task2plus may search the web.
 MODES = ("task1", "task2plus")
-
-_INFO_TAG = re.compile(r"^\[Info (\d+)\] (.*)$")
 
 # A UTF-16 surrogate code point, which no UTF-8 text holds: what the JSON
 # escape of a lone surrogate decodes to, and what os.environ makes of a
@@ -285,29 +282,13 @@ class ScoredChunk:
         return {"text": self.text, "parent": self.parent.to_dict(), "score": self.score}
 
 
-def parse_context_tags(rendered: str) -> list[tuple[int, str]]:
-    """Parse rendered context text back into (tag number, chunk text) pairs.
-
-    Raises ValueError if any line is not a well-formed ``[Info m]`` line.
-    """
-    if rendered == "":
-        return []
-    parsed = []
-    for line in rendered.split("\n"):
-        match = _INFO_TAG.match(line)
-        if match is None:
-            raise ValueError(f"line is not a tagged context entry: {line!r}")
-        parsed.append((int(match.group(1)), match.group(2)))
-    return parsed
-
-
 @dataclass(frozen=True)
 class RagContext:
     """The filtered, tagged evidence block handed to generation.
 
-    ``rendered`` (one ``[Info m] text`` line per entry in order, which
-    ``parse_context_tags`` reads back) and ``retrieval_score`` (the highest
-    entry score, 0.0 when empty) are derived from ``entries``.
+    ``rendered`` (one ``[Info m] text`` line per entry in order) and
+    ``retrieval_score`` (the highest entry score, 0.0 when empty) are derived
+    from ``entries``.
     """
 
     entries: tuple[ScoredChunk, ...]

@@ -1,14 +1,25 @@
-"""Shared test backends and builders."""
+"""Shared test backends and builders, and the one scripted loopback service.
+
+``serve_http(answer)``, or the ``service`` fixture, serves every socket test:
+HTTP/1.1 keep-alive on a loopback port, Nagle off, over TLS when given a
+server context. ``answer`` maps each logged ``Request`` to a reply: a JSON
+object, a (status, body) pair, ``Raw`` bytes, ``DRIP`` or ``NO_REPLY``.
+"""
 
 from __future__ import annotations
 
+import itertools
+import json
 import re
 import ssl
 import threading
-from contextlib import contextmanager
-from http.server import ThreadingHTTPServer
+import time
+from contextlib import ExitStack, contextmanager
+from dataclasses import dataclass
+from email.message import Message
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Any, Callable, Iterator, Optional
 
 import pytest
 
@@ -41,31 +52,162 @@ def pytest_collection_modifyitems(items: list[pytest.Item]) -> None:
                 item.add_marker(pytest.mark.filterwarnings(check))
 
 
+class Raw:
+    """A reply written as it is: its byte parts sent 50 ms apart, then a
+    hang-up if ``close``."""
+
+    def __init__(self, *parts: bytes, close: bool = False) -> None:
+        self.parts = parts
+        self.close = close
+
+
+# A reply body, a whole reply that carries it, and raw replies that each break
+# one rule of a reply, by name. The wrong shape has neither a completion's
+# "text", nor rerank "scores", nor search "results".
+BODY = b'{"text": "hi"}'
+OK = b"HTTP/1.1 200 OK\r\nContent-Length: 14\r\n\r\n" + BODY
+BAD_REPLIES = {
+    "closed-mid-body": Raw(b"HTTP/1.1 200 OK\r\nContent-Length: 40\r\n\r\n" + BODY, close=True),
+    "status-500": Raw(b"HTTP/1.1 500 Internal Server Error\r\nContent-Length: 4\r\n\r\nboom"),
+    "not-an-object": Raw(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n[]"),
+    "wrong-shape": Raw(b'HTTP/1.1 200 OK\r\nContent-Length: 12\r\n\r\n{"wrong": 1}'),
+    "status-line": Raw(b"ICY 200 OK\r\nContent-Length: 14\r\n\r\n" + BODY),
+    "header-line": Raw(b"HTTP/1.1 200 OK\r\nContent-Length 14\r\n\r\n" + BODY),
+    "5000-digit-length": Raw(b"HTTP/1.1 200 OK\r\nContent-Length: " + b"9" * 5000
+                             + b"\r\n\r\n" + BODY),
+}
+# One byte of a 40-byte body every 250 ms, until the caller hangs up.
+DRIP = "drip"
+# Nothing, until the caller hangs up.
+NO_REPLY = "no reply"
+
+
+@dataclass(frozen=True)
+class Request:
+    """One request as the service read it: ``raw`` holds its exact bytes, head
+    then body, and ``connection`` numbers the connection it came on."""
+
+    path: str
+    headers: Message
+    body: Any
+    raw: bytes
+    connection: int
+
+
+class _Recording:
+    """A request stream that keeps the bytes read from it until ``take``."""
+
+    def __init__(self, stream) -> None:
+        self.stream = stream
+        self.kept = bytearray()
+
+    def readline(self, limit: int = -1) -> bytes:
+        line = self.stream.readline(limit)
+        self.kept += line
+        return line
+
+    def read(self, size: int = -1) -> bytes:
+        data = self.stream.read(size)
+        self.kept += data
+        return data
+
+    def take(self) -> bytes:
+        data = bytes(self.kept)
+        self.kept.clear()
+        return data
+
+    def close(self) -> None:
+        self.stream.close()
+
+
+class _Service(BaseHTTPRequestHandler):
+    """Logs each request and sends the reply its server's ``answer`` maps it to."""
+
+    protocol_version = "HTTP/1.1"
+    # Without this each reply's body waits on the caller's delayed ACK.
+    disable_nagle_algorithm = True
+    # How long an idle connection, a drip or a request left with no reply
+    # waits on a caller that does not hang up.
+    timeout = 5
+
+    def setup(self) -> None:
+        super().setup()
+        self.rfile = _Recording(self.rfile)
+        self.number = next(self.server.connection_numbers)
+
+    def do_POST(self) -> None:
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        request = Request(self.path, self.headers, body, self.rfile.take(), self.number)
+        self.server.requests.append(request)
+        reply = self.server.answer(request)
+        if isinstance(reply, dict):
+            reply = (200, json.dumps(reply).encode("utf-8"))
+        if isinstance(reply, tuple):
+            status, data = reply
+            self.send_response(status)
+            self.send_header("Content-Length", str(len(data)))
+            self.end_headers()
+            self.wfile.write(data)
+            return
+        self.close_connection = True
+        if isinstance(reply, Raw):
+            for i, part in enumerate(reply.parts):
+                if i:
+                    time.sleep(0.05)
+                self.wfile.write(part)
+            self.close_connection = reply.close
+        elif reply == DRIP:
+            self.send_response(200)
+            self.send_header("Content-Length", "40")
+            self.end_headers()
+            try:
+                for _ in range(40):
+                    self.wfile.write(b" ")
+                    time.sleep(0.25)
+            except OSError:  # the caller gave up and hung up
+                pass
+        else:
+            assert reply == NO_REPLY, reply
+            try:
+                self.connection.recv(1)  # b"" once the caller hangs up
+            except OSError:
+                pass
+
+    def log_message(self, *args) -> None:  # keep test output quiet
+        pass
+
+
 class LoopbackServer(ThreadingHTTPServer):
-    """A threaded loopback HTTP server that logs every connection it accepts."""
+    """The scripted service on a loopback port: each request is logged in
+    ``requests`` and answered with ``answer(request)``."""
 
     request_queue_size = 64  # room for many callers connecting at once
 
-    def __init__(self, handler_class: type, tls: Optional[ssl.SSLContext] = None) -> None:
-        super().__init__(("127.0.0.1", 0), handler_class)
+    def __init__(self, answer: Callable[[Request], Any],
+                 tls: Optional[ssl.SSLContext] = None) -> None:
+        super().__init__(("127.0.0.1", 0), _Service)
         if tls is not None:
             self.socket = tls.wrap_socket(self.socket, server_side=True)
         scheme = "http" if tls is None else "https"
         self.url = f"{scheme}://127.0.0.1:{self.server_address[1]}"
-        self.opened: list[tuple[str, int]] = []
+        self.answer = answer
+        self.requests: list[Request] = []
+        self.connection_numbers = itertools.count()
 
-    def process_request(self, request, client_address) -> None:
-        self.opened.append(client_address)
-        super().process_request(request, client_address)
+    @property
+    def connections(self) -> int:
+        """How many connections carried a request."""
+        return len({request.connection for request in self.requests})
 
 
 @contextmanager
-def serve_http(handler_class: type,
+def serve_http(answer: Callable[[Request], Any],
                tls: Optional[ssl.SSLContext] = None) -> Iterator[LoopbackServer]:
-    """Serve ``handler_class`` on a loopback port until the block ends, over TLS
+    """Serve ``answer`` on a loopback port until the block ends, over TLS
     when ``tls`` is a server context."""
-    server = LoopbackServer(handler_class, tls)
-    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+    server = LoopbackServer(answer, tls)
+    # Shutting down waits for the next poll; most tests start a service of their own.
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
     thread.start()
     try:
         yield server
@@ -73,6 +215,13 @@ def serve_http(handler_class: type,
         server.shutdown()
         server.server_close()
         thread.join()
+
+
+@pytest.fixture
+def service() -> Iterator[Callable[..., LoopbackServer]]:
+    """``service(answer, tls=None)`` serves ``answer`` until the test ends."""
+    with ExitStack() as stack:
+        yield lambda answer, tls=None: stack.enter_context(serve_http(answer, tls))
 
 
 def scripted_model(*entries: dict) -> ReplayModelBackend:

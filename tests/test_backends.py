@@ -11,8 +11,6 @@ import tempfile
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import ExitStack
-from http.server import BaseHTTPRequestHandler
 from pathlib import Path
 from typing import Any
 
@@ -47,7 +45,10 @@ from ragvet.runtime import Deadline
 from ragvet.templates import PromptTemplate
 from ragvet.transport import JsonEndpoint
 
-from conftest import FIXTURES, CountingModel, day_deadline, scripted_model, serve_http
+from conftest import (
+    BAD_REPLIES, BODY, DRIP, FIXTURES, NO_REPLY, OK, CountingModel, Raw, day_deadline,
+    scripted_model, serve_http,
+)
 from test_pipeline import (
     COV_FULL, DRAWN_STAGES, FAILURE_FLAGS, ROLE_STAGES, ROUTE_PLAIN, TEMPLATES, fresh_state,
     image_fixture, make_backends, one_turn, turn_script,
@@ -449,7 +450,7 @@ class TestFixtureLookups:
         assert built == items
 
 
-# Canned reply bodies served verbatim under /reply/<name>.
+# Canned reply bodies, each sent with status 200.
 CANNED_REPLIES = {
     "not-json": b"<html>busy</html>",
     "nested": b"[" * 100_000 + b"]" * 100_000,
@@ -491,80 +492,46 @@ CANNED_REPLIES = {
 }
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """Tiny inference endpoint: echoes a completion derived from the request."""
-
-    def do_POST(self):
-        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-        if self.path.startswith("/reply/"):
-            data = CANNED_REPLIES[self.path.removeprefix("/reply/")]
-            self.send_response(200)
-            self.send_header("Content-Length", str(len(data)))
-            self.end_headers()
-            self.wfile.write(data)
-            return
-        if self.path == "/slow":  # outlasts every caller's deadline, then hangs up
-            time.sleep(1.0)
-            return
-        if self.path == "/broken":
-            self.send_response(500)
-            self.end_headers()
-            self.wfile.write(b"boom")
-            return
-        if self.path == "/rerank":
-            payload = {"scores": [jaccard_score(body["query"], c) for c in body["chunks"]]}
-        else:
-            payload = {
-                "text": f"echo:{body['role']}",
-                "prompt_tokens": 3,
-                "completion_tokens": 2,
-                "latency_ms": 1,
-            }
-        data = json.dumps(payload).encode("utf-8")
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
-
-    def log_message(self, *args):  # keep test output quiet
-        pass
+def _canned(service, name):
+    """The URL of a service that answers every request with canned reply ``name``."""
+    return service(lambda request: (200, CANNED_REPLIES[name])).url
 
 
-@pytest.fixture(scope="module")
-def http_server():
-    with serve_http(_Handler) as server:
-        yield server.url
+def _echo_user(request):
+    return {"text": f"echo:{request.body['user']}"}
 
 
 class TestRemoteBackends:
-    def test_round_trip_wire_format(self, http_server, no_deadline):
-        backend = RemoteModelBackend(f"{http_server}/complete", bearer_token="tok")
+    def test_round_trip_wire_format(self, service, no_deadline):
+        server = service(lambda request: {"text": f"echo:{request.body['role']}",
+                                          "prompt_tokens": 3, "completion_tokens": 2,
+                                          "latency_ms": 1})
+        backend = RemoteModelBackend(f"{server.url}/complete", bearer_token="tok")
         response = backend.complete(_request(role=Role.GENERATOR), no_deadline)
         assert response.text == "echo:generator"
         assert response.prompt_tokens == 3
 
-    def test_an_escaped_surrogate_pair_is_one_character(self, http_server, no_deadline):
-        backend = RemoteModelBackend(f"{http_server}/reply/surrogate-pair")
+    def test_an_escaped_surrogate_pair_is_one_character(self, service, no_deadline):
+        backend = RemoteModelBackend(_canned(service, "surrogate-pair"))
         assert backend.complete(_request(), no_deadline).text == "\U0001f600"
 
-    def test_a_far_deadline_bounds_the_call_without_overflow(self, http_server):
+    def test_a_far_deadline_bounds_the_call_without_overflow(self, service):
         # A socket timeout of 1e12 s or more overflows time_t; each socket
         # operation waits at most the longest turn budget instead.
-        endpoint = JsonEndpoint(f"{http_server}/complete", None)
+        endpoint = JsonEndpoint(service(lambda request: {"text": "echo:generator"}).url, None)
         try:
             reply = endpoint.post_json({"role": "generator"}, Deadline.after_ms(1e15))
         finally:
             endpoint.close()
         assert reply["text"] == "echo:generator"
 
-    def test_timeout_maps_to_backend_timeout(self, http_server):
-        backend = RemoteModelBackend(f"{http_server}/slow")
+    def test_timeout_maps_to_backend_timeout(self, service):
+        backend = RemoteModelBackend(service(lambda request: NO_REPLY).url)
         with pytest.raises(BackendTimeout):
             backend.complete(_request(), Deadline.after_ms(100))
 
-    def test_http_error_maps_to_transport_error(self, http_server, no_deadline):
-        backend = RemoteModelBackend(f"{http_server}/broken")
+    def test_http_error_maps_to_transport_error(self, service, no_deadline):
+        backend = RemoteModelBackend(service(lambda request: (500, b"boom")).url)
         with pytest.raises(BackendTransportError):
             backend.complete(_request(), no_deadline)
 
@@ -573,44 +540,45 @@ class TestRemoteBackends:
         with pytest.raises(BackendTransportError):
             backend.complete(_request(), no_deadline)
 
-    def test_remote_reranker_scores(self, http_server, no_deadline):
-        backend = RemoteRerankerBackend(f"{http_server}/rerank")
+    def test_remote_reranker_scores(self, service, no_deadline):
+        server = service(lambda request: {"scores": [jaccard_score(request.body["query"], chunk)
+                                                     for chunk in request.body["chunks"]]})
+        backend = RemoteRerankerBackend(f"{server.url}/rerank")
         scores = backend.score_batch("red shoe", ["red shoe", "blue kettle", "red kettle"],
                                      no_deadline)
         assert scores == [1.0, 0.0, pytest.approx(1 / 3)]
 
-    def test_remote_reranker_clamps_scores(self, http_server, no_deadline):
-        backend = RemoteRerankerBackend(f"{http_server}/reply/out-of-range-scores")
+    def test_remote_reranker_clamps_scores(self, service, no_deadline):
+        backend = RemoteRerankerBackend(_canned(service, "out-of-range-scores"))
         assert backend.score_batch("q", ["a", "b"], no_deadline) == [1.0, 0.0]
 
-    def test_remote_reranker_clamps_integer_scores_beyond_a_float(self, http_server,
-                                                                  no_deadline):
-        backend = RemoteRerankerBackend(f"{http_server}/reply/out-of-range-integer-scores")
+    def test_remote_reranker_clamps_integer_scores_beyond_a_float(self, service, no_deadline):
+        backend = RemoteRerankerBackend(_canned(service, "out-of-range-integer-scores"))
         assert backend.score_batch("q", ["a", "b"], no_deadline) == [1.0, 0.0]
 
-    def test_integer_score_beyond_a_float_keeps_the_turn(self, http_server):
+    def test_integer_score_beyond_a_float_keeps_the_turn(self, service):
         query = "what brand is this shoe"
         backends = dataclasses.replace(
             make_backends(turn_script(query), image_fixture("img-1", query)),
-            reranker=RemoteRerankerBackend(f"{http_server}/reply/out-of-range-integer-score"),
+            reranker=RemoteRerankerBackend(_canned(service, "out-of-range-integer-score")),
         )
         outcome = run_turn(fresh_state(), one_turn(query), PipelineConfig(), backends, TEMPLATES)
         assert outcome.flags == frozenset()
         assert outcome.context.retrieval_score == 1.0
         assert outcome.final.answer == "rag answer"
 
-    def test_remote_search_times_out_at_the_deadline(self, http_server):
-        backend = RemoteSearchBackend(f"{http_server}/slow")
+    def test_remote_search_times_out_at_the_deadline(self, service):
+        backend = RemoteSearchBackend(service(lambda request: NO_REPLY).url)
         started = time.monotonic()
         with pytest.raises(BackendTimeout):
             backend.web_search("q", 5, Deadline.after_ms(100))
         assert time.monotonic() - started < 0.5
 
-    def test_slow_search_ends_the_turn_within_budget(self, http_server):
+    def test_slow_search_ends_the_turn_within_budget(self, service):
         query = "who makes the kettle brand zylo"
         backends = dataclasses.replace(
             make_backends(turn_script(query)),
-            search=RemoteSearchBackend(f"{http_server}/slow"),
+            search=RemoteSearchBackend(service(lambda request: NO_REPLY).url),
         )
         cfg = PipelineConfig(mode="task2plus", turn_budget_ms=400, abstain_margin_ms=20)
         started = time.monotonic()
@@ -621,87 +589,22 @@ class TestRemoteBackends:
         assert elapsed_ms <= cfg.turn_budget_ms + 200
 
 
-def _drip(handler):
-    """Answer with one byte of a 40-byte body every 250 ms, until the caller hangs up."""
-    handler.send_response(200)
-    handler.send_header("Content-Length", "40")
-    handler.end_headers()
-    try:
-        for _ in range(40):
-            handler.wfile.write(b" ")
-            time.sleep(0.25)
-    except OSError:  # the caller gave up and hung up
-        pass
-
-
-class _KeepAliveHandler(BaseHTTPRequestHandler):
-    """HTTP/1.1 endpoint that keeps its connections open unless a path says otherwise."""
-
-    protocol_version = "HTTP/1.1"
-    # Without this each reply's body waits on the caller's delayed ACK.
-    disable_nagle_algorithm = True
-
-    def do_POST(self):
-        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-        if self.path == "/drip":
-            _drip(self)
-            return
-        if self.path == "/http10":  # an HTTP/1.0 reply, which ends its connection
-            self.protocol_version = "HTTP/1.0"
-        # "/http10" hangs up as HTTP/1.0 says; "/drop" hangs up after a reply
-        # that says nothing of closing, as a server does with an idle connection.
-        self.close_connection = self.path in ("/http10", "/drop")
-        if self.path == "/broken":
-            self._reply(500, b"boom")
-        elif self.path == "/list":
-            self._reply(200, b"[]")
-        else:
-            if self.path == "/overlap":  # long enough for concurrent calls to overlap
-                time.sleep(0.02)
-            self._reply(200, json.dumps({"text": f"echo:{body['user']}"}).encode("utf-8"))
-
-    def _reply(self, status, data):
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture
-def keep_alive_server():
-    with serve_http(_KeepAliveHandler) as server:
-        yield server
-
-
-@pytest.fixture
-def remote_model(keep_alive_server):
-    """A factory of model backends on the keep-alive server; each is closed after the test."""
-    made = []
-
-    def make(path):
-        made.append(RemoteModelBackend(f"{keep_alive_server.url}{path}"))
-        return made[-1]
-
-    yield make
-    for backend in made:
-        backend.close()
-
-
 class TestKeepAliveTransport:
-    def test_dripped_reply_times_out_at_the_deadline(self, remote_model):
-        backend = remote_model("/drip")
+    def test_dripped_reply_times_out_at_the_deadline(self, service):
+        backend = RemoteModelBackend(service(lambda request: DRIP).url)
         started = time.monotonic()
         with pytest.raises(BackendTimeout):
             backend.complete(_request(), Deadline.after_ms(1000))
         assert time.monotonic() - started <= 1.0 + 0.2
 
-    def test_concurrent_calls_each_get_their_own_reply(self, remote_model):
+    def test_concurrent_calls_each_get_their_own_reply(self, service):
         """Two callers handed one connection would read each other's replies."""
-        backend = remote_model("/overlap")
+
+        def overlapping(request):  # long enough for concurrent calls to overlap
+            time.sleep(0.02)
+            return _echo_user(request)
+
+        backend = RemoteModelBackend(service(overlapping).url)
         users = [f"caller {i}" for i in range(16)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -715,69 +618,65 @@ class TestKeepAliveTransport:
         finally:
             sys.setswitchinterval(interval)
 
-    def test_sequential_calls_share_one_connection(self, keep_alive_server, remote_model):
-        backend = remote_model("/echo")
+    def test_sequential_calls_share_one_connection(self, service):
+        server = service(_echo_user)
+        backend = RemoteModelBackend(server.url)
         for i in range(200):
             assert backend.complete(_request(user=f"u{i}"), day_deadline()).text == f"echo:u{i}"
-        assert len(keep_alive_server.opened) == 1
+        assert server.connections == 1
 
-    def test_connection_dropped_while_idle_is_replaced(self, keep_alive_server, remote_model):
-        backend = remote_model("/drop")
+    def test_connection_dropped_while_idle_is_replaced(self, service):
+        # The server hangs up after a reply that says nothing of closing, as
+        # a server does with an idle connection.
+        server = service(lambda request: Raw(OK, close=True))
+        backend = RemoteModelBackend(server.url)
         for _ in range(2):
-            assert backend.complete(_request(), day_deadline()).text == "echo:hello"
-        assert len(keep_alive_server.opened) == 2
+            assert backend.complete(_request(), day_deadline()).text == "hi"
+        assert server.connections == 2
 
-    def test_http10_reply_connection_is_not_reused(self, keep_alive_server, remote_model):
-        backend = remote_model("/http10")
+    def test_http10_reply_connection_is_not_reused(self, service):
+        # The server keeps the connection open: only the caller can end it.
+        server = service(lambda request: Raw(b"HTTP/1.0 200 OK\r\nContent-Length: 14\r\n\r\n"
+                                             + BODY))
+        backend = RemoteModelBackend(server.url)
         for _ in range(3):
             backend.complete(_request(), day_deadline())
-        assert len(keep_alive_server.opened) == 3
+        assert server.connections == 3
 
-    @pytest.mark.parametrize("path", ["/broken", "/list"])
-    def test_bad_reply_is_transport_error_and_keeps_the_connection(
-            self, keep_alive_server, remote_model, path):
-        backend = remote_model(path)
+    @pytest.mark.parametrize("reply", [(500, b"boom"), (200, b"[]")], ids=["500", "list"])
+    def test_bad_reply_is_transport_error_and_keeps_the_connection(self, service, reply):
+        server = service(lambda request: reply)
+        backend = RemoteModelBackend(server.url)
         for _ in range(2):
             with pytest.raises(BackendTransportError):
                 backend.complete(_request(), day_deadline())
-        assert len(keep_alive_server.opened) == 1
+        assert server.connections == 1
 
-    def test_connections_follow_the_calls_in_flight(self):
+    def test_connections_follow_the_calls_in_flight(self, service):
         """16 callers, 5 times over, each call held at the server until all 16
         have arrived: every socket goes back to the pool, so 16 are opened."""
         barrier = threading.Barrier(16)
 
-        class Handler(BaseHTTPRequestHandler):
-            protocol_version = "HTTP/1.1"
-            disable_nagle_algorithm = True
+        def held(request):
+            barrier.wait(timeout=10)
+            return {}
 
-            def do_POST(self):
-                self.rfile.read(int(self.headers["Content-Length"]))
-                barrier.wait(timeout=10)
-                self.send_response(200)
-                self.send_header("Content-Length", "2")
-                self.end_headers()
-                self.wfile.write(b"{}")
-
-            def log_message(self, *args):
-                pass
-
-        with serve_http(Handler) as server, ThreadPoolExecutor(max_workers=16) as pool:
-            endpoint = JsonEndpoint(server.url, None)
-            try:
+        server = service(held)
+        endpoint = JsonEndpoint(server.url, None)
+        try:
+            with ThreadPoolExecutor(max_workers=16) as pool:
                 for _ in range(5):
                     futures = [pool.submit(endpoint.post_json, {"caller": i},
                                            Deadline.after_ms(10_000)) for i in range(16)]
                     assert [future.result(timeout=15) for future in futures] == [{}] * 16
-            finally:
-                endpoint.close()
-            assert len(server.opened) == 16
+        finally:
+            endpoint.close()
+        assert server.connections == 16
 
-    def test_name_resolution_never_holds_a_call_past_its_deadline(self, remote_model,
-                                                                  monkeypatch):
+    def test_name_resolution_never_holds_a_call_past_its_deadline(self, service, monkeypatch):
         """The host is resolved when the backend is built, so a resolver that
         stalls afterwards cannot delay a call, which no timeout would bound."""
-        backend = remote_model("/drip")
+        backend = RemoteModelBackend(service(lambda request: DRIP).url)
         released = threading.Event()
         resolve = socket.getaddrinfo
 
@@ -819,61 +718,12 @@ class TestKeepAliveTransport:
         assert endpoint not in str(caught.value)
 
 
-def _scripted_handler(replies):
-    """An HTTP/1.1 handler that answers its n-th request with ``replies[n]``:
-    the raw reply (bytes, or a tuple of parts sent 50 ms apart), and whether to
-    hang up after it. ``requests`` logs each request's path and headers."""
-
-    class Handler(BaseHTTPRequestHandler):
-        protocol_version = "HTTP/1.1"
-        disable_nagle_algorithm = True
-        requests = []
-
-        def do_POST(self):
-            self.rfile.read(int(self.headers["Content-Length"]))
-            self.requests.append((self.path, dict(self.headers)))
-            data, self.close_connection = replies[len(self.requests) - 1]
-            for i, part in enumerate((data,) if isinstance(data, bytes) else data):
-                if i:
-                    time.sleep(0.05)
-                self.wfile.write(part)
-
-        def log_message(self, *args):
-            pass
-
-    return Handler
-
-
-@pytest.fixture
-def scripted_server():
-    """``scripted_server(*replies)`` serves ``replies`` in order; it returns the
-    server, its handler class and a model backend on it, closed after the test."""
-    with ExitStack() as stack:
-        def serve(*replies):
-            handler = _scripted_handler(replies)
-            server = stack.enter_context(serve_http(handler))
-            backend = RemoteModelBackend(f"{server.url}/v1/complete?stream=0", bearer_token="tok")
-            stack.callback(backend.close)
-            return server, handler, backend
-
-        yield serve
-
-
-BODY = b'{"text": "hi"}'
-OK = b"HTTP/1.1 200 OK\r\nContent-Length: 14\r\n\r\n" + BODY
-# Raw replies that each break one rule of a reply, by name: the bytes, and
-# whether the server hangs up after them. The wrong shape has neither a
-# completion's "text", nor rerank "scores", nor search "results".
-BAD_REPLIES = {
-    "closed-mid-body": (b"HTTP/1.1 200 OK\r\nContent-Length: 40\r\n\r\n" + BODY, True),
-    "status-500": (b"HTTP/1.1 500 Internal Server Error\r\nContent-Length: 4\r\n\r\nboom", False),
-    "not-an-object": (b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n[]", False),
-    "wrong-shape": (b'HTTP/1.1 200 OK\r\nContent-Length: 12\r\n\r\n{"wrong": 1}', False),
-    "status-line": (b"ICY 200 OK\r\nContent-Length: 14\r\n\r\n" + BODY, False),
-    "header-line": (b"HTTP/1.1 200 OK\r\nContent-Length 14\r\n\r\n" + BODY, False),
-    "5000-digit-length": (b"HTTP/1.1 200 OK\r\nContent-Length: " + b"9" * 5000
-                          + b"\r\n\r\n" + BODY, False),
-}
+def _scripted(service, *replies):
+    """A service that answers its n-th request with ``replies[n]``, and a
+    model backend on it."""
+    answers = iter(replies)
+    server = service(lambda request: next(answers))
+    return server, RemoteModelBackend(f"{server.url}/v1/complete?stream=0", bearer_token="tok")
 
 
 def _call(backend):
@@ -881,55 +731,56 @@ def _call(backend):
 
 
 class TestHttpWire:
-    def test_request_head(self, scripted_server):
-        server, handler, backend = scripted_server((OK, False))
+    def test_request_head(self, service):
+        server, backend = _scripted(service, Raw(OK))
         assert _call(backend) == "hi"
-        path, headers = handler.requests[0]
-        assert path == "/v1/complete?stream=0"
-        assert headers["Host"] == server.url.removeprefix("http://")
-        assert headers["Authorization"] == "Bearer tok"
-        assert headers["Content-Type"] == "application/json"
+        request = server.requests[0]
+        assert request.path == "/v1/complete?stream=0"
+        assert request.headers["Host"] == server.url.removeprefix("http://")
+        assert request.headers["Authorization"] == "Bearer tok"
+        assert request.headers["Content-Type"] == "application/json"
 
-    def test_chunked_reply_with_extension_and_trailer(self, scripted_server):
-        chunked = (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n6;note=fi",
-                   b'rst\r\n{"text\r\n8\r\n": "hi"}\r\n0\r\nX-Check',
-                   b"sum: 1\r\n\r\n")
-        server, _, backend = scripted_server((chunked, False), (OK, False))
+    def test_chunked_reply_with_extension_and_trailer(self, service):
+        chunked = Raw(b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n6;note=fi",
+                      b'rst\r\n{"text\r\n8\r\n": "hi"}\r\n0\r\nX-Check',
+                      b"sum: 1\r\n\r\n")
+        server, backend = _scripted(service, chunked, Raw(OK))
         assert [_call(backend), _call(backend)] == ["hi", "hi"]
-        assert len(server.opened) == 1
+        assert server.connections == 1
 
-    def test_http10_body_ends_with_the_connection(self, scripted_server):
-        reply = (b"HTTP/1.0 200 OK\r\nContent-Type: application/json\r\n\r\n", BODY)
-        server, _, backend = scripted_server((reply, True), (reply, True))
+    def test_http10_body_ends_with_the_connection(self, service):
+        reply = Raw(b"HTTP/1.0 200 OK\r\nContent-Type: application/json\r\n\r\n", BODY,
+                    close=True)
+        server, backend = _scripted(service, reply, reply)
         assert [_call(backend), _call(backend)] == ["hi", "hi"]
-        assert len(server.opened) == 2
+        assert server.connections == 2
 
-    def test_body_after_a_byte_order_mark_is_read(self, scripted_server):
-        reply = b"HTTP/1.1 200 OK\r\nContent-Length: 17\r\n\r\n\xef\xbb\xbf" + BODY
-        _, _, backend = scripted_server((reply, False))
+    def test_body_after_a_byte_order_mark_is_read(self, service):
+        reply = Raw(b"HTTP/1.1 200 OK\r\nContent-Length: 17\r\n\r\n\xef\xbb\xbf" + BODY)
+        _, backend = _scripted(service, reply)
         assert _call(backend) == "hi"
 
-    def test_repeated_equal_content_length_is_one_length(self, scripted_server):
-        reply = b"HTTP/1.1 200 OK\r\nContent-Length: 14\r\nContent-Length: 14\r\n\r\n" + BODY
-        server, _, backend = scripted_server((reply, False), (OK, False))
+    def test_repeated_equal_content_length_is_one_length(self, service):
+        reply = Raw(b"HTTP/1.1 200 OK\r\nContent-Length: 14\r\nContent-Length: 14\r\n\r\n"
+                    + BODY)
+        server, backend = _scripted(service, reply, Raw(OK))
         assert [_call(backend), _call(backend)] == ["hi", "hi"]
-        assert len(server.opened) == 1
+        assert server.connections == 1
 
-    def test_100_continue_is_skipped(self, scripted_server):
-        server, _, backend = scripted_server(((b"HTTP/1.1 100 Continue\r\n\r\n", OK), False),
-                                             (OK, False))
+    def test_100_continue_is_skipped(self, service):
+        server, backend = _scripted(service, Raw(b"HTTP/1.1 100 Continue\r\n\r\n", OK), Raw(OK))
         assert [_call(backend), _call(backend)] == ["hi", "hi"]
-        assert len(server.opened) == 1
+        assert server.connections == 1
 
     @pytest.mark.parametrize("reply", [
         b"HTTP/1.1 204 No Content\r\n\r\n",
         b"HTTP/1.1 200 OK\r\nX-Pad: " + b"a" * 70_000 + b"\r\nContent-Length: 14\r\n\r\n" + BODY,
-        BAD_REPLIES["status-line"][0],
-        BAD_REPLIES["header-line"][0],
+        *BAD_REPLIES["status-line"].parts,
+        *BAD_REPLIES["header-line"].parts,
         b"HTTP/1.1 200 OK\r\nContent-Length: -14\r\n\r\n" + BODY,
         b"HTTP/1.1 200 OK\r\nContent-Length: +14\r\n\r\n" + BODY,
         b"HTTP/1.1 200 OK\r\nContent-Length: fourteen\r\n\r\n" + BODY,
-        BAD_REPLIES["5000-digit-length"][0],
+        *BAD_REPLIES["5000-digit-length"].parts,
         b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length: 14\r\n\r\n" + BODY,
         b"HTTP/1.1 200 OK\r\nContent-Length: 14, 2\r\n\r\n" + BODY,
         b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\nContent-Length: 14\r\n\r\n"
@@ -937,10 +788,10 @@ class TestHttpWire:
     ], ids=["204", "head-over-64KiB", "status-line", "header-line", "negative-length",
             "signed-length", "word-length", "5000-digit-length", "conflicting-lengths",
             "listed-lengths", "chunked-and-length"])
-    def test_bad_reply_is_transport_error_before_the_deadline(self, scripted_server, reply):
+    def test_bad_reply_is_transport_error_before_the_deadline(self, service, reply):
         """The server keeps the connection open, so a caller that waited for
         more of the reply would end in BackendTimeout at the deadline."""
-        _, _, backend = scripted_server((reply, False))
+        _, backend = _scripted(service, Raw(reply))
         started = time.monotonic()
         with pytest.raises(BackendTransportError):
             _call(backend)
@@ -952,124 +803,75 @@ class TestHttpWire:
         b"HTTP/1.0 200 OK\r\n\r\n" + b" " * 15,
     ], ids=["content-length", "chunked", "read-to-close"])
     def test_body_over_the_cap_is_transport_error_before_the_deadline(
-            self, scripted_server, monkeypatch, reply):
+            self, service, monkeypatch, reply):
         """Every body below is endless: the server sends no more of it and
         keeps the connection open. A Content-Length over the cap fails before
         any body byte arrives; the others, once the bytes pass it."""
         monkeypatch.setattr(transport, "_MAX_BODY", 14)
-        _, _, backend = scripted_server((reply, False))
+        _, backend = _scripted(service, Raw(reply))
         started = time.monotonic()
         with pytest.raises(BackendTransportError, match="reply body over 14 bytes"):
             _call(backend)
         assert time.monotonic() - started < 1.0
 
-    def test_body_at_the_cap_is_read(self, scripted_server, monkeypatch):
+    def test_body_at_the_cap_is_read(self, service, monkeypatch):
         monkeypatch.setattr(transport, "_MAX_BODY", len(BODY))
-        _, _, backend = scripted_server((OK, False))
+        _, backend = _scripted(service, Raw(OK))
         assert _call(backend) == "hi"
 
-    def test_connection_closed_mid_body_is_transport_error(self, scripted_server):
-        _, _, backend = scripted_server(BAD_REPLIES["closed-mid-body"])
+    def test_connection_closed_mid_body_is_transport_error(self, service):
+        _, backend = _scripted(service, BAD_REPLIES["closed-mid-body"])
         with pytest.raises(BackendTransportError):
             _call(backend)
 
-    def test_reused_connection_lost_mid_reply_is_not_retried(self, scripted_server):
-        _, handler, backend = scripted_server((OK, False), (OK[:20], True))
+    def test_reused_connection_lost_mid_reply_is_not_retried(self, service):
+        server, backend = _scripted(service, Raw(OK), Raw(OK[:20], close=True))
         assert _call(backend) == "hi"
         with pytest.raises(BackendTransportError):
             _call(backend)
-        assert len(handler.requests) == 2
-
-
-class _RawListener:
-    """A loopback socket that accepts one connection, keeps the bytes of the
-    one request it reads there in ``request``, and answers ``reply``."""
-
-    def __init__(self, reply):
-        self._listener = socket.create_server(("127.0.0.1", 0))
-        self._listener.settimeout(5)
-        self.url = f"http://127.0.0.1:{self._listener.getsockname()[1]}"
-        self.request = None
-        self._thread = threading.Thread(target=self._serve, args=(reply,), daemon=True)
-        self._thread.start()
-
-    def _serve(self, reply):
-        try:
-            conn, _ = self._listener.accept()
-        except TimeoutError:  # no call came
-            return
-        conn.settimeout(5)
-        with conn, conn.makefile("rb") as stream:
-            head = b""
-            while not head.endswith(b"\r\n\r\n"):
-                line = stream.readline()
-                if not line:  # the caller hung up
-                    return
-                head += line
-            length = int(re.search(rb"(?i)\r\ncontent-length: *([0-9]+)", head)[1])
-            self.request = head + stream.read(length)
-            conn.sendall(reply)
-
-    def close(self):
-        self._thread.join(timeout=10)
-        self._listener.close()
-        assert not self._thread.is_alive()
-
-
-def _json_reply(body):
-    return b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\nConnection: close\r\n\r\n%b" % (
-        len(body), body)
-
-
-@pytest.fixture
-def raw_listener():
-    """``raw_listener(reply)`` starts a ``_RawListener``, closed after the test."""
-    with ExitStack() as stack:
-        def listen(reply):
-            listener = _RawListener(reply)
-            stack.callback(listener.close)
-            return listener
-
-        yield listen
+        assert len(server.requests) == 2
 
 
 class TestRequestBytes:
     """The exact bytes each remote call sends: head, then JSON body."""
 
     @staticmethod
-    def _head(listener, path, length):
-        return (f"POST {path} HTTP/1.1\r\nHost: {listener.url.removeprefix('http://')}\r\n"
+    def _head(server, path, length):
+        return (f"POST {path} HTTP/1.1\r\nHost: {server.url.removeprefix('http://')}\r\n"
                 "Accept-Encoding: identity\r\nContent-Type: application/json\r\n"
                 f"Authorization: Bearer tok\r\nContent-Length: {length}\r\n\r\n").encode("ascii")
 
-    def test_model_call(self, raw_listener):
-        listener = raw_listener(_json_reply(b'{"text": "hi"}'))
-        backend = RemoteModelBackend(f"{listener.url}/v1/complete?stream=0", bearer_token="tok")
+    def test_model_call(self, service):
+        server = service(lambda request: {"text": "hi"})
+        backend = RemoteModelBackend(f"{server.url}/v1/complete?stream=0", bearer_token="tok")
         request = ModelRequest(role=Role.VERIFIER, system="sys \u00e9", user='say "hi"\n',
                                image_ref="img-1", max_tokens=64)
         assert backend.complete(request, Deadline.after_ms(2000)).text == "hi"
         backend.close()
         body = (b'{"role": "verifier", "system": "sys \\u00e9", "user": "say \\"hi\\"\\n", '
                 b'"image_ref": "img-1", "max_tokens": 64, "deterministic": true}')
-        assert listener.request == self._head(listener, "/v1/complete?stream=0", len(body)) + body
+        assert [request.raw for request in server.requests] == [
+            self._head(server, "/v1/complete?stream=0", len(body)) + body]
 
-    def test_rerank_call(self, raw_listener):
-        listener = raw_listener(_json_reply(b'{"scores": [0.5, 1]}'))
-        backend = RemoteRerankerBackend(f"{listener.url}/rerank", bearer_token="tok")
+    def test_rerank_call(self, service):
+        server = service(lambda request: {"scores": [0.5, 1]})
+        backend = RemoteRerankerBackend(f"{server.url}/rerank", bearer_token="tok")
         assert backend.score_batch("red shoe", ["a red shoe", "kettle"],
                                    Deadline.after_ms(2000)) == [0.5, 1.0]
         backend.close()
         body = b'{"query": "red shoe", "chunks": ["a red shoe", "kettle"]}'
-        assert listener.request == self._head(listener, "/rerank", len(body)) + body
+        assert [request.raw for request in server.requests] == [
+            self._head(server, "/rerank", len(body)) + body]
 
-    def test_web_search_call(self, raw_listener):
-        listener = raw_listener(_json_reply(b'{"results": [{"snippet": "s"}]}'))
-        backend = RemoteSearchBackend(f"{listener.url}/", bearer_token="tok")
+    def test_web_search_call(self, service):
+        server = service(lambda request: {"results": [{"snippet": "s"}]})
+        backend = RemoteSearchBackend(f"{server.url}/", bearer_token="tok")
         items = backend.web_search("zylo kettle", 4, Deadline.after_ms(2000))
         assert [item.fields for item in items] == [{"snippet": "s"}]
         backend.close()
         body = b'{"query": "zylo kettle", "k": 4}'
-        assert listener.request == self._head(listener, "/", len(body)) + body
+        assert [request.raw for request in server.requests] == [
+            self._head(server, "/", len(body)) + body]
 
 
 # A test-only self-signed certificate and its key, valid 2024-2124, made with
@@ -1082,18 +884,18 @@ TLS_KEY = FIXTURES / "tls_localhost.key"
 
 
 @pytest.fixture
-def tls_server():
-    """The keep-alive handler over TLS, with the self-signed certificate for 127.0.0.1."""
+def tls_server(service):
+    """A service over TLS, with the self-signed certificate for 127.0.0.1,
+    that echoes each request's user text."""
     context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
     context.load_cert_chain(TLS_CERT, TLS_KEY)
-    with serve_http(_KeepAliveHandler, tls=context) as server:
-        yield server
+    return service(_echo_user, context)
 
 
 class TestHttps:
     def test_untrusted_certificate_is_transport_error(self, tls_server, monkeypatch):
         monkeypatch.delenv("SSL_CERT_FILE", raising=False)
-        backend = RemoteModelBackend(f"{tls_server.url}/echo")
+        backend = RemoteModelBackend(tls_server.url)
         with pytest.raises(BackendTransportError, match="CERTIFICATE_VERIFY_FAILED"):
             backend.complete(_request(), Deadline.after_ms(2000))
         backend.close()
@@ -1108,14 +910,14 @@ class TestHttps:
 
     def test_trusted_calls_share_one_connection(self, tls_server, monkeypatch):
         monkeypatch.setenv("SSL_CERT_FILE", str(TLS_CERT))
-        backend = RemoteModelBackend(f"{tls_server.url}/echo")
+        backend = RemoteModelBackend(tls_server.url)
         try:
             for i in range(3):
                 reply = backend.complete(_request(user=f"u{i}"), Deadline.after_ms(2000))
                 assert reply.text == f"echo:u{i}"
         finally:
             backend.close()
-        assert len(tls_server.opened) == 1
+        assert tls_server.connections == 1
 
     @pytest.mark.parametrize("trusted_first", [False, True],
                              ids=["untrusted-first", "trusted-first"])
@@ -1126,7 +928,7 @@ class TestHttps:
                 monkeypatch.setenv("SSL_CERT_FILE", str(TLS_CERT))
             else:
                 monkeypatch.delenv("SSL_CERT_FILE", raising=False)
-            backend = RemoteModelBackend(f"{tls_server.url}/echo")
+            backend = RemoteModelBackend(tls_server.url)
             try:
                 if trusted:
                     assert backend.complete(_request(), Deadline.after_ms(2000)).text == "echo:hello"
@@ -1163,38 +965,37 @@ COMPLETION_BAD_REPLIES = ["not-json", "nested", "lone-surrogate"] + [
 
 class TestMalformedReplies:
     @pytest.mark.parametrize("reply", COMPLETION_BAD_REPLIES)
-    def test_bad_completion_reply_is_transport_error(self, http_server, no_deadline, reply):
-        backend = RemoteModelBackend(f"{http_server}/reply/{reply}")
+    def test_bad_completion_reply_is_transport_error(self, service, no_deadline, reply):
+        backend = RemoteModelBackend(_canned(service, reply))
         with pytest.raises(BackendTransportError):
             backend.complete(_request(), no_deadline)
 
     @pytest.mark.parametrize("reply", RERANK_BAD_REPLIES)
-    def test_bad_rerank_reply_is_transport_error(self, http_server, no_deadline, reply):
-        backend = RemoteRerankerBackend(f"{http_server}/reply/{reply}")
+    def test_bad_rerank_reply_is_transport_error(self, service, no_deadline, reply):
+        backend = RemoteRerankerBackend(_canned(service, reply))
         with pytest.raises(BackendTransportError):
             backend.score_batch("q", ["a", "b"], no_deadline)
 
-    def test_bad_rerank_reply_degrades_turn_to_empty_context(self, http_server):
+    def test_bad_rerank_reply_degrades_turn_to_empty_context(self, service):
         query = "what brand is this shoe"
         backends = dataclasses.replace(
             make_backends(turn_script(query), image_fixture("img-1", query)),
-            reranker=RemoteRerankerBackend(f"{http_server}/reply/rerank-scores-missing"),
+            reranker=RemoteRerankerBackend(_canned(service, "rerank-scores-missing")),
         )
         outcome = run_turn(fresh_state(), one_turn(query), PipelineConfig(), backends, TEMPLATES)
         assert "rerank_backend_error" in outcome.flags
         assert outcome.context.empty
 
-    def test_nested_reply_is_a_transport_error_naming_the_endpoint(self, http_server,
-                                                                   no_deadline):
-        endpoint = JsonEndpoint(f"{http_server}/reply/nested", None)
+    def test_nested_reply_is_a_transport_error_naming_the_endpoint(self, service, no_deadline):
+        endpoint = JsonEndpoint(_canned(service, "nested"), None)
         with pytest.raises(BackendTransportError,
                            match=re.escape(f"malformed body from {endpoint.url}: ")):
             endpoint.post_json({}, no_deadline)
         endpoint.close()
 
-    def test_nested_router_reply_degrades_turn_with_a_flag(self, http_server):
+    def test_nested_router_reply_degrades_turn_with_a_flag(self, service):
         query = "what brand is this shoe"
-        router = RemoteModelBackend(f"{http_server}/reply/nested")
+        router = RemoteModelBackend(_canned(service, "nested"))
         backends = dataclasses.replace(
             make_backends(turn_script(query), image_fixture("img-1", query)), router_model=router)
         outcome = run_turn(fresh_state(), one_turn(query), PipelineConfig(), backends, TEMPLATES)
@@ -1203,8 +1004,8 @@ class TestMalformedReplies:
         assert "route" in outcome.stages
 
     @pytest.mark.parametrize("reply", SEARCH_BAD_REPLIES)
-    def test_bad_search_reply_is_transport_error(self, http_server, reply):
-        backend = RemoteSearchBackend(f"{http_server}/reply/{reply}")
+    def test_bad_search_reply_is_transport_error(self, service, reply):
+        backend = RemoteSearchBackend(_canned(service, reply))
         with pytest.raises(BackendTransportError):
             backend.web_search("q", 5, day_deadline())
         query = "what brand is this shoe"
@@ -1226,104 +1027,126 @@ def test_a_deadline_is_finite(build):
         build()
 
 
-# The query of every turn on the fault server, and the call names of
+# The query of every whole turn, and the call names of
 # ``test_pipeline.DRAWS``: one per remote call of a turn.
 FAULT_QUERY = "what brand is this shoe"
 TURN_CALLS = ("route", "summarize", "web_search", "rerank", "rag", "direct", "consistency",
               "verify")
+# Each fault a whole turn's call may get, by name; all but the whole replies
+# among them leave their connection unusable.
+FAULTS = {DRIP: DRIP, **BAD_REPLIES}
+WHOLE_REPLIES = ("status-500", "not-an-object", "wrong-shape")
 
 
-def _call_name(service, body):
-    """The ``TURN_CALLS`` name of a request to ``service`` with JSON ``body``."""
+def _call_name(request):
+    """The ``TURN_CALLS`` name of a turn's request."""
+    service = request.path.strip("/")  # model, rerank or web_search
     if service != "model":
         return service
-    if body["role"] == Role.GENERATOR:
-        return "rag" if "Context:" in body["user"] else "direct"
-    return ROLE_STAGES[Role(body["role"])]
+    if request.body["role"] == Role.GENERATOR:
+        return "rag" if "Context:" in request.body["user"] else "direct"
+    return ROLE_STAGES[Role(request.body["role"])]
 
 
-def _good_reply(service, body):
-    """The JSON reply of a call the fault server does not fault."""
-    if service == "web_search":  # one page that the expanded query matches exactly
+def _good_answer(request):
+    """The good reply to a turn's request under ``/model``, ``/rerank`` or
+    ``/web_search``."""
+    body = request.body
+    if request.path == "/web_search":  # one page that the expanded query matches exactly
         return {"results": [{"snippet": body["query"]}]}
-    if service == "rerank":
+    if request.path == "/rerank":
         return {"scores": [jaccard_score(body["query"], chunk) for chunk in body["chunks"]]}
     text = {Role.ROUTER: ROUTE_PLAIN, Role.SUMMARIZER: "summary tokens",
             Role.CONSISTENCY_JUDGE: "yes", Role.VERIFIER: COV_FULL}
     return {"text": text.get(Role(body["role"]), "rag answer")}
 
 
-class _FaultHandler(BaseHTTPRequestHandler):
-    """Serves the remote calls of a whole ``task2plus`` turn under
-    ``/<call>/<fault>/<service>``, ``<service>`` one of ``model``, ``rerank``
-    and ``web_search``: the call named ``<call>`` gets ``<fault>`` (``drip`` or
-    a ``BAD_REPLIES`` name), and every other call a good reply."""
-
-    protocol_version = "HTTP/1.1"
-    disable_nagle_algorithm = True
-
-    def do_POST(self):
-        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-        call, fault, service = self.path.strip("/").split("/")
-        if _call_name(service, body) != call:
-            data = json.dumps(_good_reply(service, body)).encode("utf-8")
-            self.send_response(200)
-            self.send_header("Content-Length", str(len(data)))
-            self.end_headers()
-            self.wfile.write(data)
-        elif fault == "drip":
-            _drip(self)
-        else:
-            data, self.close_connection = BAD_REPLIES[fault]
-            self.wfile.write(data)
-
-    def log_message(self, *args):
-        pass
+def _turn_backends(url):
+    """The real remote backends of a turn, on the service at ``url``."""
+    model = RemoteModelBackend(f"{url}/model")
+    return Backends(router_model=model, vlm=model,
+                    reranker=RemoteRerankerBackend(f"{url}/rerank"),
+                    search=RemoteSearchBackend(f"{url}/web_search"))
 
 
-@pytest.fixture(scope="module")
-def fault_server():
-    with serve_http(_FaultHandler) as server:
-        yield server.url
+class _Pool:
+    """The remote backends of every turn of a test class, pooled on one
+    service. A turn faults at most one call; ``done`` keeps each turn's
+    ``fault``, (call, fault name) or None, and ``cut`` each request answered
+    by a fault that leaves its connection unusable."""
+
+    def __init__(self):
+        self.fault = None
+        self.done = set()
+        self.cut = []
+
+    def answer(self, request):
+        if self.fault is None or _call_name(request) != self.fault[0]:
+            return _good_answer(request)
+        if self.fault[1] not in WHOLE_REPLIES:
+            self.cut.append(request)
+        return FAULTS[self.fault[1]]
+
+    def turn(self, cfg, call=None, fault=None):
+        """(the outcome of one ``FAULT_QUERY`` turn, the milliseconds it took)."""
+        self.fault = None if call is None else (call, fault)
+        self.done.add(self.fault)
+        started = time.monotonic()
+        outcome = run_turn(fresh_state(), one_turn(FAULT_QUERY), cfg, self.backends, TEMPLATES)
+        return outcome, (time.monotonic() - started) * 1000
 
 
-def _faulted_turn(url, call, fault, cfg):
-    """One ``FAULT_QUERY`` turn through the real remote backends, on the fault
-    server at ``url``, with ``call`` answered by ``fault``."""
-    base = f"{url}/{call}/{fault}"
-    model = RemoteModelBackend(f"{base}/model")
-    backends = Backends(router_model=model, vlm=model,
-                        reranker=RemoteRerankerBackend(f"{base}/rerank"),
-                        search=RemoteSearchBackend(f"{base}/web_search"))
-    try:
-        return run_turn(fresh_state(), one_turn(FAULT_QUERY), cfg, backends, TEMPLATES)
-    finally:
-        backends.close()
+@pytest.fixture(scope="class")
+def pool():
+    shared = _Pool()
+    with serve_http(shared.answer) as server:
+        shared.server = server
+        shared.backends = _turn_backends(server.url)
+        yield shared
+        shared.backends.close()
 
 
 class TestWholeTurnFaults:
     """Whole turns through real sockets: a fault in any one remote call ends
-    the turn with that stage's flag, never an exception, within the budget."""
+    the turn with that stage's flag, never an exception, within the budget.
+    The faulted turns share one pooled ``Backends``."""
 
     CFG = PipelineConfig(mode="task2plus", turn_budget_ms=400, abstain_margin_ms=20)
 
-    def test_a_turn_with_no_fault_is_answered(self, fault_server):
-        outcome = _faulted_turn(fault_server, "none", "none", self.CFG)
+    @staticmethod
+    def _assert_answered(outcome):
         assert outcome.flags == frozenset()
         assert outcome.final.answer == "rag answer"
         assert outcome.context.retrieval_score == 1.0
 
-    @pytest.mark.parametrize("fault", ["drip", *BAD_REPLIES])
-    @pytest.mark.parametrize("call", TURN_CALLS)
-    def test_one_faulted_call_flags_its_stage_within_budget(self, fault_server, call, fault):
-        started = time.monotonic()
-        outcome = _faulted_turn(fault_server, call, fault, self.CFG)
-        elapsed_ms = (time.monotonic() - started) * 1000
-        flag = FAILURE_FLAGS[DRAWN_STAGES.get(call, call)][fault != "drip"]
+    def _assert_flagged_within_budget(self, pool, call, fault):
+        outcome, elapsed_ms = pool.turn(self.CFG, call, fault)
+        flag = FAILURE_FLAGS[DRAWN_STAGES.get(call, call)][fault != DRIP]
         assert flag in outcome.flags
         assert elapsed_ms <= self.CFG.turn_budget_ms + 200
 
-    def test_every_socket_timeout_is_finite(self, fault_server, tls_server, monkeypatch):
+    def test_a_turn_with_no_fault_is_answered(self, pool):
+        self._assert_answered(pool.turn(self.CFG)[0])
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    @pytest.mark.parametrize("call", TURN_CALLS)
+    def test_one_faulted_call_flags_its_stage_within_budget(self, pool, call, fault):
+        self._assert_flagged_within_budget(pool, call, fault)
+
+    def test_no_faulted_socket_stays_in_the_pool(self, pool):
+        """After the faulted turns, on their pool (any of them not run yet
+        runs first), a turn with no fault is answered, and no connection that
+        a fault left unusable carried a later request."""
+        for call in TURN_CALLS:
+            for fault in FAULTS:
+                if (call, fault) not in pool.done:
+                    self._assert_flagged_within_budget(pool, call, fault)
+        self._assert_answered(pool.turn(self.CFG)[0])
+        last = {request.connection: request for request in pool.server.requests}
+        assert [request.path for request in pool.cut
+                if last[request.connection] is not request] == []
+
+    def test_every_socket_timeout_is_finite(self, service, tls_server, monkeypatch):
         """Connecting, the TLS handshake, sending and every read of a whole
         turn and of an https call each wait at most the time left."""
         timeouts = []
@@ -1335,10 +1158,15 @@ class TestWholeTurnFaults:
                 timeouts.append(value)
             settimeout(sock, value)
 
+        backends = _turn_backends(service(_good_answer).url)
         monkeypatch.setattr(socket.socket, "settimeout", recording)
-        assert _faulted_turn(fault_server, "none", "none", self.CFG).flags == frozenset()
+        try:
+            outcome = run_turn(fresh_state(), one_turn(FAULT_QUERY), self.CFG, backends, TEMPLATES)
+            assert outcome.flags == frozenset()
+        finally:
+            backends.close()
         monkeypatch.setenv("SSL_CERT_FILE", str(TLS_CERT))
-        backend = RemoteModelBackend(f"{tls_server.url}/echo")
+        backend = RemoteModelBackend(tls_server.url)
         try:
             assert backend.complete(_request(), Deadline.after_ms(2000)).text == "echo:hello"
         finally:

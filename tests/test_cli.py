@@ -9,7 +9,6 @@ import subprocess
 import sys
 import tempfile
 import zipfile
-from http.server import BaseHTTPRequestHandler
 from pathlib import Path
 
 import pytest
@@ -29,7 +28,7 @@ from ragvet.core import InvalidConfigError, PipelineConfig
 from ragvet.evaluation import MockJudge
 from ragvet.pipeline import VARIANTS
 
-from conftest import FIXTURES, day_deadline, serve_http
+from conftest import FIXTURES, day_deadline
 
 
 def write_config(tmp_path, **overrides):
@@ -427,8 +426,8 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("fixture_set, mode, turns", [("e2e", "task2plus", 26),
                                                           ("kg", "task1", 7)])
-    def test_remote_run_with_workers_matches_the_mock_run(self, tmp_path, fixture_set, mode,
-                                                          turns):
+    def test_remote_run_with_workers_matches_the_mock_run(self, service, tmp_path, fixture_set,
+                                                          mode, turns):
         """Four workers share each remote backend's connections; every turn's
         record must equal the one the same services give in-process. A task1
         run looks images up in its fixture, so it is configured without a web
@@ -440,16 +439,16 @@ class TestRunCommand:
         assert main(["run", "--dataset", dataset, "--config",
                      str(write_config(tmp_path, **files)), "--out", str(mock_out),
                      "--mock"]) == 0
-        with serve_http(_MockServices) as server:
-            base = f"{server.url}/{fixture_set}"
-            endpoints = {"router_endpoint": f"{base}/model", "vlm_endpoint": f"{base}/model",
-                         "reranker_endpoint": f"{base}/rerank"}
-            if mode == "task2plus":
-                endpoints["web_search_endpoint"] = f"{base}/search"
-            config = write_config(tmp_path, **files, **endpoints)
-            assert main(["run", "--dataset", dataset, "--config", str(config),
-                         "--out", str(remote_out), "--workers", "4"]) == 0
-            assert server.opened
+        server = service(_mock_services(fixture_set))
+        url = server.url
+        endpoints = {"router_endpoint": f"{url}/model", "vlm_endpoint": f"{url}/model",
+                     "reranker_endpoint": f"{url}/rerank"}
+        if mode == "task2plus":
+            endpoints["web_search_endpoint"] = f"{url}/search"
+        config = write_config(tmp_path, **files, **endpoints)
+        assert main(["run", "--dataset", dataset, "--config", str(config),
+                     "--out", str(remote_out), "--workers", "4"]) == 0
+        assert server.requests
         remote_lines = remote_out.read_text(encoding="utf-8").splitlines()
         assert len(remote_lines) == turns
         assert remote_lines == mock_out.read_text(encoding="utf-8").splitlines()
@@ -512,44 +511,30 @@ class TestRemoteSetUp:
         assert len(tls_context_calls) == 1
 
 
-class _MockServices(BaseHTTPRequestHandler):
-    """The mock backends of the e2e and kg fixture sets, served over
-    keep-alive HTTP under ``/<set>/model``, ``/<set>/rerank`` and, for e2e,
-    ``/e2e/search``."""
-
-    protocol_version = "HTTP/1.1"
-    disable_nagle_algorithm = True
-    models = {name: ReplayModelBackend.from_file(FIXTURES / f"{name}_replay.json")
-              for name in ("e2e", "kg")}
-    search = load_fixture(FIXTURES / "e2e_search.json")
+def _mock_services(fixture_set):
+    """A service answer that serves the mock backends of ``fixture_set``
+    (e2e or kg) under ``/model``, ``/rerank`` and ``/search``."""
+    model = ReplayModelBackend.from_file(FIXTURES / f"{fixture_set}_replay.json")
+    search = load_fixture(FIXTURES / f"{fixture_set}_search.json")
     reranker = MockRerankerBackend()
 
-    def do_POST(self):
-        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-        fixture_set, service = self.path.strip("/").split("/")
-        deadline = day_deadline()
+    def answer(request):
+        body, deadline = request.body, day_deadline()
         try:
-            if service == "model":
-                assert body.pop("deterministic") is True
-                reply = self.models[fixture_set].complete(ModelRequest(**body), deadline)
-                payload = {"text": reply.text, "prompt_tokens": reply.prompt_tokens,
-                           "completion_tokens": reply.completion_tokens}
-            elif service == "rerank":
-                payload = {"scores": self.reranker.score_batch(body["query"], body["chunks"],
-                                                               deadline)}
-            else:
-                items = self.search.web_search(body["query"], body["k"], deadline)
-                payload = {"results": [dict(item.fields) for item in items]}
-            status, data = 200, json.dumps(payload).encode("utf-8")
+            if request.path == "/model":
+                assert body["deterministic"] is True
+                fields = {name: value for name, value in body.items() if name != "deterministic"}
+                reply = model.complete(ModelRequest(**fields), deadline)
+                return {"text": reply.text, "prompt_tokens": reply.prompt_tokens,
+                        "completion_tokens": reply.completion_tokens}
+            if request.path == "/rerank":
+                return {"scores": reranker.score_batch(body["query"], body["chunks"], deadline)}
+            items = search.web_search(body["query"], body["k"], deadline)
+            return {"results": [dict(item.fields) for item in items]}
         except BackendError as exc:
-            status, data = 500, str(exc).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
+            return 500, str(exc).encode("utf-8")
 
-    def log_message(self, *args):
-        pass
+    return answer
 
 
 class TestEvalCommand:
@@ -696,32 +681,17 @@ class TestEvalCommand:
         assert len(err) == 1 and err[0].startswith("error: ") and names in err[0], err
         assert not report.exists()
 
-    def test_endpoint_judge_posts_the_judge_role_and_its_cap(self, tmp_path):
-        bodies = []
-
-        class Judge(BaseHTTPRequestHandler):
-            protocol_version = "HTTP/1.1"
-
-            def do_POST(self):
-                bodies.append(json.loads(self.rfile.read(int(self.headers["Content-Length"]))))
-                data = json.dumps({"text": "Perfect"}).encode("utf-8")
-                self.send_response(200)
-                self.send_header("Content-Length", str(len(data)))
-                self.end_headers()
-                self.wfile.write(data)
-
-            def log_message(self, *args):
-                pass
-
+    def test_endpoint_judge_posts_the_judge_role_and_its_cap(self, service, tmp_path):
         dataset, trace, report = tmp_path / "d.jsonl", tmp_path / "t.jsonl", tmp_path / "r.json"
         dataset.write_text(json.dumps(RECORD) + "\n", encoding="utf-8")
         trace.write_text(json.dumps(TRACE_RECORD) + "\n", encoding="utf-8")
-        with serve_http(Judge) as server:
-            config = write_config(tmp_path, judge_endpoint=f"{server.url}/judge")
-            assert main(["eval", "--traces", str(trace), "--dataset", str(dataset),
-                         "--config", str(config), "--judge", "endpoint",
-                         "--report", str(report)]) == 0
-        assert [(body["role"], body["max_tokens"]) for body in bodies] == [("judge", 16)]
+        server = service(lambda request: {"text": "Perfect"})
+        config = write_config(tmp_path, judge_endpoint=f"{server.url}/judge")
+        assert main(["eval", "--traces", str(trace), "--dataset", str(dataset),
+                     "--config", str(config), "--judge", "endpoint",
+                     "--report", str(report)]) == 0
+        assert [(request.body["role"], request.body["max_tokens"])
+                for request in server.requests] == [("judge", 16)]
         assert json.loads(report.read_text(encoding="utf-8"))["counts"]["Perfect"] == 1
 
     def test_malformed_judge_endpoint_fails_before_judging(self, tmp_path, capsys):

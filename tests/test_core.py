@@ -19,7 +19,6 @@ from ragvet.core import (
     RoutingDecision,
     Source,
     VerificationResult,
-    parse_context_tags,
 )
 
 from conftest import chunk
@@ -100,14 +99,6 @@ class TestRagContext:
     def test_entry_below_threshold_rejected(self):
         with pytest.raises(ValueError):
             RagContext(entries=(chunk("t", 0.3),), threshold_used=0.5)
-
-    def test_tags_parse_back(self):
-        parsed = parse_context_tags("[Info 1] a\n[Info 2] b")
-        assert parsed == [(1, "a"), (2, "b")]
-
-    def test_untagged_line_rejected(self):
-        with pytest.raises(ValueError):
-            parse_context_tags("[Info 1] a\nstray line")
 
 
 class TestValidateConfig:

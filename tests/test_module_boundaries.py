@@ -26,6 +26,10 @@ text is accepted. ``core`` imports no ragvet module but ``templates``, so
 ``transport`` depends on ``core`` and never the other way round.
 Every name a ragvet module other than ``__init__`` imports is used in it, or
 listed in its ``__all__``.
+No test module but ``conftest`` derives a class from
+``BaseHTTPRequestHandler``, ``HTTPServer`` or ``ThreadingHTTPServer``, or
+builds one of those servers: every socket test is served by conftest's one
+scripted loopback service.
 
 Dunder names such as ``__version__`` are public by convention and allowed.
 """
@@ -79,6 +83,59 @@ def test_no_private_cross_module_import(path):
 @pytest.mark.parametrize("path", TEST_MODULES, ids=lambda path: path.name)
 def test_no_private_import_in_tests(path):
     assert private_imports(path.read_text(encoding="utf-8")) == []
+
+
+HTTP_SERVERS = ("HTTPServer", "ThreadingHTTPServer")
+
+
+def http_servers(source: str) -> list[str]:
+    """Each class the source derives from ``BaseHTTPRequestHandler``, an
+    ``HTTPServer`` or a ``ThreadingHTTPServer``, and each server of those two
+    it builds, by bare name or as an attribute, in source order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef):
+            kinds = [base.id if isinstance(base, ast.Name) else getattr(base, "attr", None)
+                     for base in node.bases]
+            found.extend((node.lineno, node.col_offset, f"class {node.name}({kind})")
+                         for kind in kinds if kind in ("BaseHTTPRequestHandler", *HTTP_SERVERS))
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in HTTP_SERVERS:
+                found.append((node.lineno, node.col_offset, f"{name}()"))
+    return [name for *_, name in sorted(found)]
+
+
+def test_detector_sees_every_form_of_http_server():
+    source = (
+        "from http.server import HTTPServer\n"
+        "class Handler(http.server.BaseHTTPRequestHandler):\n"
+        "    protocol_version = 'HTTP/1.1'\n"
+        "server = http.server.ThreadingHTTPServer(('127.0.0.1', 0), Handler)\n"
+        "class Loopback(HTTPServer, object):\n"
+        "    pass\n"
+        "HTTPServer(('127.0.0.1', 0), Handler).serve_forever()\n"
+        "socket.create_server(('127.0.0.1', 0))\n"
+        "class Quiet(Handler):\n"
+        "    pass\n"
+    )
+    assert http_servers(source) == [
+        "class Handler(BaseHTTPRequestHandler)", "ThreadingHTTPServer()",
+        "class Loopback(HTTPServer)", "HTTPServer()",
+    ]
+
+
+def test_conftest_holds_the_one_test_service():
+    assert http_servers((Path(__file__).parent / "conftest.py").read_text(encoding="utf-8")) == [
+        "class _Service(BaseHTTPRequestHandler)", "class LoopbackServer(ThreadingHTTPServer)",
+    ]
+
+
+@pytest.mark.parametrize("path", [path for path in TEST_MODULES if path.name != "conftest.py"],
+                         ids=lambda path: path.name)
+def test_no_test_module_but_conftest_serves_http(path):
+    assert http_servers(path.read_text(encoding="utf-8")) == []
 
 
 HTTP_CLIENTS = ("http.client", "urllib.request", "requests")
