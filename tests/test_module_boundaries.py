@@ -1,354 +1,126 @@
-"""No ragvet module or test module imports a ragvet module's private
-(underscore) names, no ragvet module imports an HTTP client library
-(``transport`` speaks HTTP itself), and no ragvet module but ``transport``
-imports ``socket`` or ``ssl``. No ragvet module but ``templates`` calls
-``load_template`` or ``PromptTemplate``, so every prompt comes through
-``resolve_template``. Only ``backends.ask`` builds a ``ModelRequest``, and
-no stage module catches a backend failure or a ``ReplyParseError``:
-``pipeline`` is the one failure seam. No ragvet module but ``pipeline`` names
-its turn class, ``_Turn``, which holds a turn's trace, or calls a ``.flag(``
-method, so every degradation flag is set there. ``cli`` names neither
-``judge_response`` nor ``aggregate``: ``evaluation.score_answers`` is the one
-scoring path. ``evaluation`` imports nothing from ``pipeline``, and
-``cli._run_turns`` is the one caller of ``run_conversation``: every
-pipeline variant runs through ``run``'s one dataset loop. No ragvet module but
-``runtime`` names ``time.monotonic``, ``time.perf_counter`` or
-``time.sleep``, so every read of time and every wait goes through
-``runtime.clock``; ``cli``'s calendar stamp (``time.gmtime``) is no clock read.
-No ragvet module but ``runtime`` imports ``concurrent.futures`` or starts a
-``threading.Thread``, so every wait on another thread of a turn is a wait on
-``runtime.clock`` too; ``cli``'s ``--workers`` pool runs conversations, not a
-turn, and is exempt.
-Only ``core`` calls ``json.loads`` or ``json.load``: its ``decode_json``
-decodes every input file (through ``read_json`` and ``read_jsonl``) and every
-reply ``transport`` reads, so no other module decides its own way what JSON
-text is accepted. ``core`` imports no ragvet module but ``templates``, so
-``transport`` depends on ``core`` and never the other way round.
-Every name a ragvet module other than ``__init__`` imports is used in it, or
-listed in its ``__all__``.
-No test module but ``conftest`` derives a class from
-``BaseHTTPRequestHandler``, ``HTTPServer`` or ``ThreadingHTTPServer``, or
-builds one of those servers: every socket test is served by conftest's one
-scripted loopback service.
+"""Module-boundary rules, checked on the parsed source of each module.
+
+Each rule is one row of ``RULES``: a detector, a pattern that picks the
+findings the rule is about, the modules it covers, and the exact findings
+each owner module must have. Every other module it covers must have none.
+``test_rule`` checks each (rule, module) pair; ``CASES`` pins what each
+detector sees. The rules, one line each from the rows' reasons:
+
+- private: no ragvet or test module imports a private (underscore) name of a ragvet module
+- http_clients: no ragvet module imports an HTTP client library; transport speaks HTTP itself
+- sockets: only transport imports socket or ssl
+- thread_pools: only runtime (a turn's calls) and cli (--workers conversations) use a thread pool
+- threads: no ragvet module starts a threading.Thread; a turn waits on other threads via runtime
+- clock: only runtime reads the clock or sleeps; cli's calendar stamp (time.gmtime) is no read
+- json: only core decodes JSON: decode_json decodes every input file and every reply
+- core_imports: core imports no ragvet module but templates, so transport depends on core
+- templates: only templates reads or builds a template; every prompt comes via resolve_template
+- requests: only backends.ask builds a ModelRequest
+- stage_failures: no stage module catches a backend failure or a ReplyParseError
+- seam: pipeline catches exactly BackendError and ReplyParseError; it is the one failure seam
+- turn_class: only pipeline names _Turn, the class that holds a turn's trace
+- flags: only pipeline calls a .flag( method, so every degradation flag is set there
+- scoring: cli names neither judge_response nor aggregate; evaluation.score_answers scores
+- evaluation_imports: evaluation imports nothing from pipeline
+- conversations: cli._run_turns is the one caller of run_conversation: run's one dataset loop
+- unused: every name a ragvet module but __init__ imports is used in it or listed in __all__
+- http_classes: only conftest derives an HTTP handler or server class: one loopback service
+- http_servers: no test module builds an HTTPServer or a ThreadingHTTPServer
+- file_writes: no ragvet module but cli calls open, write_text or write_bytes
+- bench_checker: the benchmark's checker, stub, workloads and compare import no ragvet module
 
 Dunder names such as ``__version__`` are public by convention and allowed.
 """
 
 import ast
+import functools
+import re
 import warnings
 from pathlib import Path
+from typing import Callable, Iterable, NamedTuple
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ragvet"
-MODULES = sorted(PACKAGE.glob("*.py"))
-TEST_MODULES = sorted(Path(__file__).resolve().parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "ragvet"
+SRC = sorted(PACKAGE.glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
-def _is_private(name: str) -> bool:
-    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+@functools.cache
+def parse(path: Path) -> ast.Module:
+    """The syntax tree of ``path``, parsed once for every rule that reads it."""
+    return ast.parse(path.read_text(encoding="utf-8"))
 
 
-def private_imports(source: str) -> list[str]:
-    """``module:name`` for each underscore name imported from a ragvet module."""
+def in_order(found: Iterable[tuple[ast.AST, str]]) -> list[str]:
+    """The names of ``(node, name)`` pairs, in the source order of the nodes."""
+    return [name for _, name in sorted(found, key=lambda pair: (pair[0].lineno,
+                                                                 pair[0].col_offset))]
+
+
+def imports(tree: ast.Module) -> list[str]:
+    """Each module and name the source imports, dotted, in source order:
+    ``import a.b`` imports ``a.b``, and ``from a import b`` imports ``a`` and
+    ``a.b``. A relative import is read as one from ``ragvet``, the one
+    package that has them."""
     found = []
-    for node in ast.walk(ast.parse(source)):
-        if not isinstance(node, ast.ImportFrom):
-            continue
-        module = node.module or ""
-        if node.level == 0 and module.split(".")[0] != "ragvet":
-            continue
-        found.extend(f"{'.' * node.level}{module}:{alias.name}"
-                     for alias in node.names if _is_private(alias.name))
-    return found
-
-
-def test_detector_sees_relative_and_absolute_private_imports():
-    source = (
-        "from .pipeline import run_turn, _Turn\n"
-        "from ragvet.backends import _post_json\n"
-        "from . import _internal, __version__\n"
-        "from os import _exit\n"
-    )
-    assert private_imports(source) == [
-        ".pipeline:_Turn", "ragvet.backends:_post_json", ".:_internal",
-    ]
-
-
-@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
-def test_no_private_cross_module_import(path):
-    assert private_imports(path.read_text(encoding="utf-8")) == []
-
-
-@pytest.mark.parametrize("path", TEST_MODULES, ids=lambda path: path.name)
-def test_no_private_import_in_tests(path):
-    assert private_imports(path.read_text(encoding="utf-8")) == []
-
-
-HTTP_SERVERS = ("HTTPServer", "ThreadingHTTPServer")
-
-
-def http_servers(source: str) -> list[str]:
-    """Each class the source derives from ``BaseHTTPRequestHandler``, an
-    ``HTTPServer`` or a ``ThreadingHTTPServer``, and each server of those two
-    it builds, by bare name or as an attribute, in source order."""
-    found = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.ClassDef):
-            kinds = [base.id if isinstance(base, ast.Name) else getattr(base, "attr", None)
-                     for base in node.bases]
-            found.extend((node.lineno, node.col_offset, f"class {node.name}({kind})")
-                         for kind in kinds if kind in ("BaseHTTPRequestHandler", *HTTP_SERVERS))
-        elif isinstance(node, ast.Call):
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name in HTTP_SERVERS:
-                found.append((node.lineno, node.col_offset, f"{name}()"))
-    return [name for *_, name in sorted(found)]
-
-
-def test_detector_sees_every_form_of_http_server():
-    source = (
-        "from http.server import HTTPServer\n"
-        "class Handler(http.server.BaseHTTPRequestHandler):\n"
-        "    protocol_version = 'HTTP/1.1'\n"
-        "server = http.server.ThreadingHTTPServer(('127.0.0.1', 0), Handler)\n"
-        "class Loopback(HTTPServer, object):\n"
-        "    pass\n"
-        "HTTPServer(('127.0.0.1', 0), Handler).serve_forever()\n"
-        "socket.create_server(('127.0.0.1', 0))\n"
-        "class Quiet(Handler):\n"
-        "    pass\n"
-    )
-    assert http_servers(source) == [
-        "class Handler(BaseHTTPRequestHandler)", "ThreadingHTTPServer()",
-        "class Loopback(HTTPServer)", "HTTPServer()",
-    ]
-
-
-def test_conftest_holds_the_one_test_service():
-    assert http_servers((Path(__file__).parent / "conftest.py").read_text(encoding="utf-8")) == [
-        "class _Service(BaseHTTPRequestHandler)", "class LoopbackServer(ThreadingHTTPServer)",
-    ]
-
-
-@pytest.mark.parametrize("path", [path for path in TEST_MODULES if path.name != "conftest.py"],
-                         ids=lambda path: path.name)
-def test_no_test_module_but_conftest_serves_http(path):
-    assert http_servers(path.read_text(encoding="utf-8")) == []
-
-
-HTTP_CLIENTS = ("http.client", "urllib.request", "requests")
-NETWORK_MODULES = ("socket", "ssl")
-
-
-def banned_imports(source: str, banned: tuple[str, ...]) -> list[str]:
-    """Each imported module that is, or is inside, one of ``banned``;
-    ``from a import b`` imports ``a.b`` as well as ``a``."""
-    imported = []
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            imported.extend(alias.name for alias in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
-            imported.append(node.module)
-            imported.extend(f"{node.module}.{alias.name}" for alias in node.names)
-    return [name for name in imported
-            if any(name == module or name.startswith(f"{module}.") for module in banned)]
+            found.extend((node, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["ragvet" if node.level else "", node.module]))
+            found.append((node, module))
+            found.extend((node, f"{module}.{alias.name}") for alias in node.names)
+    return in_order(found)
 
 
-def test_detector_sees_every_form_of_http_client_import():
-    source = (
-        "import http.client\n"
-        "from urllib import request\n"
-        "import requests.adapters as adapters\n"
-        "from http.server import BaseHTTPRequestHandler\n"
-        "from urllib.parse import urlsplit\n"
-        "import json, requests_toolbelt\n"
-    )
-    assert banned_imports(source, HTTP_CLIENTS) == [
-        "http.client", "urllib.request", "requests.adapters",
-    ]
-
-
-@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
-def test_no_http_client_library_import(path):
-    assert banned_imports(path.read_text(encoding="utf-8"), HTTP_CLIENTS) == []
-
-
-def test_detector_sees_every_form_of_socket_and_ssl_import():
-    source = (
-        "import socket\n"
-        "from ssl import SSLContext\n"
-        "import socketserver, sslkeylog\n"
-    )
-    assert banned_imports(source, NETWORK_MODULES) == ["socket", "ssl", "ssl.SSLContext"]
-
-
-def test_transport_is_the_module_that_opens_sockets():
-    assert banned_imports((PACKAGE / "transport.py").read_text(encoding="utf-8"),
-                          NETWORK_MODULES) == ["socket", "ssl"]
-
-
-@pytest.mark.parametrize("path", [path for path in MODULES if path.name != "transport.py"],
-                         ids=lambda path: path.name)
-def test_only_transport_imports_socket_or_ssl(path):
-    assert banned_imports(path.read_text(encoding="utf-8"), NETWORK_MODULES) == []
-
-
-TEMPLATE_READERS = ("load_template", "PromptTemplate")
-
-
-def template_reads(source: str) -> list[str]:
-    """Each call, in source order, of ``load_template`` or ``PromptTemplate``,
-    by bare name or as an attribute."""
-    found = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Call):
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name in TEMPLATE_READERS:
-                found.append((node.lineno, node.col_offset, name))
-    return [name for *_, name in sorted(found)]
-
-
-def test_detector_sees_every_form_of_template_read():
-    source = (
-        "from . import templates\n"
-        "from .templates import PromptTemplate, load_template, resolve_template\n"
-        "a = load_template(path)\n"
-        "b = templates.load_template(path)\n"
-        "c = PromptTemplate(system='s', user='u')\n"
-        "d = templates.PromptTemplate('s', 'u').build(x='y')\n"
-        "e: PromptTemplate = resolve_template('judge', {})\n"
-        "f = isinstance(e, PromptTemplate) and templates.default_template('cov')\n"
-    )
-    assert template_reads(source) == [
-        "load_template", "load_template", "PromptTemplate", "PromptTemplate",
-    ]
-
-
-def test_templates_is_the_module_that_reads_templates():
-    assert template_reads((PACKAGE / "templates.py").read_text(encoding="utf-8")) == [
-        "PromptTemplate", "load_template", "load_template",
-    ]
-
-
-@pytest.mark.parametrize("path", [path for path in MODULES if path.name != "templates.py"],
-                         ids=lambda path: path.name)
-def test_only_templates_reads_or_builds_a_template(path):
-    assert template_reads(path.read_text(encoding="utf-8")) == []
-
-
-def callers(source: str, name: str) -> list[str]:
-    """The qualified name of the function around each call of ``name``, by
-    bare name or as an attribute, in source order; a lambda is part of the
-    function it is written in."""
+def calls(tree: ast.Module) -> list[str]:
+    """``name() in scope`` for each call of a bare name, and ``.name() in
+    scope`` for each call of an attribute, in source order. The scope is the
+    qualified name of the function or class around the call, ``<module>``
+    outside them; a lambda is part of the function it is written in."""
     found = []
 
     def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scope = (*scope, node.name)
-        if isinstance(node, ast.Call):
-            func = node.func
-            called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if called == name:
-                found.append((node.lineno, node.col_offset, ".".join(scope) or "<module>"))
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+            name = node.func.id if isinstance(node.func, ast.Name) else f".{node.func.attr}"
+            found.append((node, f"{name}() in {'.'.join(scope) or '<module>'}"))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
-    visit(ast.parse(source), ())
-    return [name for *_, name in sorted(found)]
+    visit(tree, ())
+    return in_order(found)
 
 
-def test_detector_sees_every_form_of_request_build():
-    source = (
-        "from . import backends\n"
-        "from .backends import ModelRequest\n"
-        "default = ModelRequest(role='router', system='s', user='u')\n"
-        "class Judge:\n"
-        "    def judge(self):\n"
-        "        return backends.ModelRequest('verifier', 's', 'u')\n"
-        "def ask(model):\n"
-        "    return isinstance(model, ModelRequest) or ModelRequest(**model)\n"
-    )
-    assert callers(source, "ModelRequest") == ["<module>", "Judge.judge", "ask"]
-
-
-def test_only_ask_builds_model_requests():
-    builders = {path.name: callers(path.read_text(encoding="utf-8"), "ModelRequest")
-                for path in MODULES}
-    assert {name: found for name, found in builders.items() if found} == {"backends.py": ["ask"]}
-
-
-def ragvet_imports(source: str, module: str) -> list[str]:
-    """``module.<name>`` for each name imported from ragvet module ``module``,
-    and ``module`` for each import of the module itself, relative or
-    absolute, in source order."""
-    found = []
-    for node in ast.walk(ast.parse(source)):
+def uses(tree: ast.Module) -> list[str]:
+    """``module.name`` for each name the source takes from an absolute import,
+    in source order: by ``from module import name``, or as an attribute of a
+    name an ``import`` bound, under any alias (``import a.b`` binds ``a``)."""
+    modules = {}
+    for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            found.extend(module for alias in node.names if alias.name == f"ragvet.{module}")
-        elif isinstance(node, ast.ImportFrom) and (node.level or node.module == "ragvet"
-                                                   or (node.module or "").startswith("ragvet.")):
-            source_module = (node.module or "").removeprefix("ragvet").lstrip(".")
-            if source_module == module:
-                found.extend(f"{module}.{alias.name}" for alias in node.names)
-            elif not source_module:
-                found.extend(module for alias in node.names if alias.name == module)
-    return found
+            for alias in node.names:
+                module = alias.name if alias.asname else alias.name.split(".")[0]
+                modules[alias.asname or module] = module
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.extend((node, f"{node.module}.{alias.name}") for alias in node.names)
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in modules):
+            found.append((node, f"{modules[node.value.id]}.{node.attr}"))
+    return in_order(found)
 
 
-def test_detector_sees_every_form_of_module_import():
-    source = (
-        "from .pipeline import VARIANTS, run_conversation as run\n"
-        "from ragvet.pipeline import TurnOutcome\n"
-        "from . import core, pipeline\n"
-        "from ragvet import pipeline as p\n"
-        "import ragvet.pipeline\n"
-        "from .pipelines import other\n"
-        "from pipeline import unrelated\n"
-        "import pipeline\n"
-    )
-    assert ragvet_imports(source, "pipeline") == [
-        "pipeline.VARIANTS", "pipeline.run_conversation", "pipeline.TurnOutcome",
-        "pipeline", "pipeline", "pipeline",
-    ]
-
-
-def test_evaluation_imports_nothing_from_pipeline():
-    assert ragvet_imports((PACKAGE / "evaluation.py").read_text(encoding="utf-8"),
-                          "pipeline") == []
-
-
-def test_detector_sees_a_call_in_a_lambda_as_its_function():
-    source = (
-        "def loop(pool, data):\n"
-        "    return pool.map(lambda c: pipeline.run_conversation(c), data)\n"
-        "run_conversation(conversation)\n"
-    )
-    assert callers(source, "run_conversation") == ["loop", "<module>"]
-
-
-def test_one_dataset_loop_runs_conversations():
-    loops = {path.name: callers(path.read_text(encoding="utf-8"), "run_conversation")
-             for path in MODULES}
-    assert {name: found for name, found in loops.items() if found} == {"cli.py": ["_run_turns"]}
-
-
-# Every backend failure type, the reply-parse error, and the handlers that
-# would catch one by accident.
-STAGE_FAILURES = ("BackendError", "BackendTimeout", "BackendTransportError",
-                  "EmptyCompletionError", "NoScriptEntryError", "ReplyParseError", "ValueError",
-                  "Exception", "BaseException")
-STAGE_MODULES = ("router.py", "retrieval.py", "generation.py", "verification.py")
-
-
-def caught(source: str) -> list[str]:
+def catches(tree: ast.Module) -> list[str]:
     """The name of each exception type an ``except`` clause names, by bare
     name or as an attribute, alone or in a tuple; a bare ``except:`` is
     ``BaseException``."""
     found = []
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         if isinstance(node, ast.ExceptHandler):
             types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
             found.extend("BaseException" if kind is None else
@@ -357,238 +129,30 @@ def caught(source: str) -> list[str]:
     return found
 
 
-def test_detector_sees_every_form_of_except_clause():
-    source = (
-        "try:\n    pass\n"
-        "except (ValueError, backends.BackendTimeout):\n    pass\n"
-        "except BackendError as exc:\n    pass\n"
-        "except:\n    pass\n"
-    )
-    assert caught(source) == ["ValueError", "BackendTimeout", "BackendError", "BaseException"]
-
-
-def test_pipeline_is_the_module_that_catches_backend_failures():
-    assert caught((PACKAGE / "pipeline.py").read_text(encoding="utf-8")) == [
-        "BackendError", "ReplyParseError",
-    ]
-
-
-@pytest.mark.parametrize("name", STAGE_MODULES)
-def test_no_stage_module_catches_a_backend_failure(name):
-    source = (PACKAGE / name).read_text(encoding="utf-8")
-    assert [kind for kind in caught(source) if kind in STAGE_FAILURES] == []
-
-
-SCORING_STEPS = ("judge_response", "aggregate")
-
-
-def names(source: str) -> set[str]:
-    """Every name the source mentions: bare, as an attribute, or imported."""
+def names(tree: ast.Module) -> list[str]:
+    """Every name the source mentions, sorted: bare, as an attribute, or imported."""
     found = set()
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             found.add(node.id)
         elif isinstance(node, ast.Attribute):
             found.add(node.attr)
         elif isinstance(node, ast.alias):
             found.add(node.name.split(".")[-1])
-    return found
+    return sorted(found)
 
 
-def test_detector_sees_every_form_of_name():
-    source = (
-        "from .evaluation import judge_response as judge\n"
-        "import ragvet.evaluation.aggregate\n"
-        "labels = evaluation.score_answers(rows)\n"
-        "total = fold(labels)\n"
-    )
-    assert names(source) >= {"judge_response", "aggregate", "score_answers", "fold", "labels"}
+def derives(tree: ast.Module) -> list[str]:
+    """``class Name(Base)`` for each base of each class the source defines, by
+    bare name or as an attribute, in source order."""
+    return in_order((node, f"class {node.name}({getattr(base, 'id', None) or base.attr})")
+                    for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                    for base in node.bases if isinstance(base, (ast.Name, ast.Attribute)))
 
 
-def test_cli_scores_only_through_score_answers():
-    assert names((PACKAGE / "cli.py").read_text(encoding="utf-8")) & set(SCORING_STEPS) == set()
-
-
-def flag_calls(source: str) -> int:
-    """How many calls of a ``.flag`` method the source makes."""
-    return sum(isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-               and node.func.attr == "flag" for node in ast.walk(ast.parse(source)))
-
-
-def test_detector_sees_every_flag_call():
-    source = (
-        "trace.flag('router_parse_failure')\n"
-        "self.turn.trace.flag(name)\n"
-        "flag('bare')\n"
-        "trace.flags.add('added')\n"
-    )
-    assert flag_calls(source) == 2
-
-
-# The class that holds a turn's trace and sets its flags.
-TURN_CLASS = "_Turn"
-
-
-def test_pipeline_is_the_module_that_names_the_turn_and_sets_flags():
-    source = (PACKAGE / "pipeline.py").read_text(encoding="utf-8")
-    assert TURN_CLASS in names(source)
-    assert flag_calls(source) == 3
-
-
-@pytest.mark.parametrize("path", [path for path in MODULES if path.name != "pipeline.py"],
-                         ids=lambda path: path.name)
-def test_only_pipeline_names_a_trace_or_sets_a_flag(path):
-    source = path.read_text(encoding="utf-8")
-    assert TURN_CLASS not in names(source)
-    assert flag_calls(source) == 0
-
-
-CLOCK_CALLS = ("monotonic", "monotonic_ns", "perf_counter", "perf_counter_ns", "sleep")
-
-
-def clock_calls(source: str) -> list[str]:
-    """``time.<name>`` for each clock read or wait of ``CLOCK_CALLS`` the
-    source names, in source order: imported from ``time``, or as an attribute
-    of a name that ``import time`` bound, under any alias."""
-    tree = ast.parse(source)
-    aliases = {alias.asname or alias.name for node in ast.walk(tree)
-               if isinstance(node, ast.Import) for alias in node.names if alias.name == "time"}
-    found = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "time":
-            found.extend((node.lineno, node.col_offset, alias.name)
-                         for alias in node.names if alias.name in CLOCK_CALLS)
-        elif (isinstance(node, ast.Attribute) and node.attr in CLOCK_CALLS
-              and isinstance(node.value, ast.Name) and node.value.id in aliases):
-            found.append((node.lineno, node.col_offset, node.attr))
-    return [f"time.{name}" for *_, name in sorted(found)]
-
-
-def test_detector_sees_every_form_of_clock_call():
-    source = (
-        "from time import monotonic, strftime\n"
-        "import time as t\n"
-        "t.sleep(0.1)\n"
-        "import time\n"
-        "stamp = time.strftime('%Y', time.gmtime())\n"
-        "elapsed = time.perf_counter() - started\n"
-        "from time import sleep as pause\n"
-        "runtime.clock.wait_until(1.0)\n"
-        "clock.monotonic()\n"
-    )
-    assert clock_calls(source) == [
-        "time.monotonic", "time.sleep", "time.perf_counter", "time.sleep",
-    ]
-
-
-def test_runtime_is_the_module_that_reads_the_clock():
-    assert clock_calls((PACKAGE / "runtime.py").read_text(encoding="utf-8")) == [
-        "time.monotonic", "time.monotonic", "time.sleep",
-    ]
-
-
-@pytest.mark.parametrize("path", [path for path in MODULES if path.name != "runtime.py"],
-                         ids=lambda path: path.name)
-def test_only_runtime_reads_or_waits_on_the_clock(path):
-    assert clock_calls(path.read_text(encoding="utf-8")) == []
-
-
-THREAD_MODULES = ("concurrent.futures", "_thread")
-POOL_IMPORTS = ["concurrent.futures", "concurrent.futures.ThreadPoolExecutor"]
-
-
-def thread_starts(source: str) -> int:
-    """How many calls of ``Thread`` the source makes, by bare name or as an
-    attribute."""
-    return sum(isinstance(node, ast.Call)
-               and (node.func.id if isinstance(node.func, ast.Name)
-                    else getattr(node.func, "attr", None)) == "Thread"
-               for node in ast.walk(ast.parse(source)))
-
-
-def test_detector_sees_every_form_of_thread_start():
-    source = (
-        "import threading\n"
-        "from threading import Thread, Lock\n"
-        "threading.Thread(target=f).start()\n"
-        "Thread(target=f)\n"
-        "lock = Lock()\n"
-        "threading.Event().wait()\n"
-    )
-    assert thread_starts(source) == 2
-
-
-@pytest.mark.parametrize("name", ["runtime.py", "cli.py"])
-def test_runtime_and_cli_import_the_thread_pool(name):
-    source = (PACKAGE / name).read_text(encoding="utf-8")
-    assert banned_imports(source, THREAD_MODULES) == POOL_IMPORTS
-
-
-@pytest.mark.parametrize("path", [path for path in MODULES
-                                  if path.name not in ("runtime.py", "cli.py")],
-                         ids=lambda path: path.name)
-def test_only_runtime_starts_a_thread_of_a_turn(path):
-    source = path.read_text(encoding="utf-8")
-    assert banned_imports(source, THREAD_MODULES) == []
-    assert thread_starts(source) == 0
-
-
-JSON_DECODERS = ("loads", "load")
-
-
-def json_decodes(source: str) -> list[str]:
-    """``json.<name>`` for each JSON decode of ``JSON_DECODERS`` the source
-    names, in source order: imported from ``json``, or as an attribute of a
-    name that ``import json`` bound, under any alias."""
-    tree = ast.parse(source)
-    aliases = {alias.asname or alias.name for node in ast.walk(tree)
-               if isinstance(node, ast.Import) for alias in node.names if alias.name == "json"}
-    found = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "json":
-            found.extend((node.lineno, node.col_offset, alias.name)
-                         for alias in node.names if alias.name in JSON_DECODERS)
-        elif (isinstance(node, ast.Attribute) and node.attr in JSON_DECODERS
-              and isinstance(node.value, ast.Name) and node.value.id in aliases):
-            found.append((node.lineno, node.col_offset, node.attr))
-    return [f"json.{name}" for *_, name in sorted(found)]
-
-
-def test_detector_sees_every_form_of_json_decode():
-    source = (
-        "import json as j\n"
-        "record = j.loads(line)\n"
-        "from json import dumps, load\n"
-        "import json\n"
-        "text = json.dumps(json.load(handle))\n"
-        "from json import loads as decode\n"
-        "core.read_json(path, ValueError)\n"
-        "reply.loads()\n"
-    )
-    assert json_decodes(source) == ["json.loads", "json.load", "json.load", "json.loads"]
-
-
-def test_core_is_the_module_that_decodes_json():
-    assert json_decodes((PACKAGE / "core.py").read_text(encoding="utf-8")) == ["json.loads"]
-
-
-@pytest.mark.parametrize("path", [path for path in MODULES if path.name != "core.py"],
-                         ids=lambda path: path.name)
-def test_only_core_decodes_json(path):
-    assert json_decodes(path.read_text(encoding="utf-8")) == []
-
-
-def test_core_imports_no_ragvet_module_but_templates():
-    source = (PACKAGE / "core.py").read_text(encoding="utf-8")
-    assert ragvet_imports(source, "templates") != []
-    assert [found for path in MODULES if path.stem not in ("templates", "__init__")
-            for found in ragvet_imports(source, path.stem)] == []
-
-
-def unused_imports(source: str) -> list[str]:
+def imports_unused(tree: ast.Module) -> list[str]:
     """Each name an import binds that the module never reads and does not
     list in ``__all__``; ``from __future__`` imports bind no name."""
-    tree = ast.parse(source)
     bound = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -604,8 +168,263 @@ def unused_imports(source: str) -> list[str]:
     return [name for name in bound if name not in used]
 
 
-def test_detector_sees_every_form_of_unused_import():
-    source = (
+Detector = Callable[[ast.Module], list[str]]
+
+
+def find(detector: Detector, pattern: str, tree: ast.Module) -> list[str]:
+    """The findings of ``detector`` in which ``pattern`` matches."""
+    return [found for found in detector(tree) if re.search(pattern, found)]
+
+
+class Rule(NamedTuple):
+    """One boundary rule. ``pattern`` is searched in each finding of
+    ``detector``, and an empty one keeps them all; ``owners`` maps a module's
+    file name to its exact findings."""
+
+    name: str
+    detector: Detector
+    pattern: str
+    modules: list[Path]
+    owners: dict[str, list[str]]
+    reason: str
+
+
+# Every backend failure type, the reply-parse error, and the handlers that
+# would catch one by accident.
+STAGE_FAILURES = ("BackendError", "BackendTimeout", "BackendTransportError",
+                  "EmptyCompletionError", "NoScriptEntryError", "ReplyParseError", "ValueError",
+                  "Exception", "BaseException")
+POOL_IMPORTS = ["concurrent.futures", "concurrent.futures.ThreadPoolExecutor"]
+# The perfbench modules that judge a run; run.py, client.py and tracing.py
+# drive ragvet and import it by design.
+BENCH_CHECKER = [ROOT / "perfbench" / name
+                 for name in ("checker.py", "stub.py", "workloads.py", "compare.py")]
+
+RULES = [
+    # `^ragvet\b.*\.` is a dotted name in ragvet up to its last dot; the last
+    # part `_\w*$` starts with an underscore, and `(?!_\w*__$)` spares a dunder.
+    Rule("private", imports, r"^ragvet\b.*\._(?!_\w*__$)\w*$", SRC + TESTS, {},
+         "no ragvet or test module imports a private (underscore) name of a ragvet module"),
+    Rule("http_clients", imports, r"^(http\.client|urllib\.request|requests)\b", SRC, {},
+         "no ragvet module imports an HTTP client library; transport speaks HTTP itself"),
+    Rule("sockets", imports, r"^(socket|ssl)\b", SRC, {"transport.py": ["socket", "ssl"]},
+         "only transport imports socket or ssl"),
+    Rule("thread_pools", imports, r"^(concurrent\.futures|_thread)\b", SRC,
+         {"cli.py": POOL_IMPORTS, "runtime.py": POOL_IMPORTS},
+         "only runtime (a turn's calls) and cli (--workers conversations) use a thread pool"),
+    Rule("threads", calls, r"\bThread\(", SRC, {},
+         "no ragvet module starts a threading.Thread; a turn waits on other threads via runtime"),
+    Rule("clock", uses, r"^time\.(monotonic|monotonic_ns|perf_counter|perf_counter_ns|sleep)$",
+         SRC, {"runtime.py": ["time.monotonic", "time.monotonic", "time.sleep"]},
+         "only runtime reads the clock or sleeps; cli's calendar stamp (time.gmtime) is no read"),
+    Rule("json", uses, r"^json\.loads?$", SRC, {"core.py": ["json.loads"]},
+         "only core decodes JSON: decode_json decodes every input file and every reply"),
+    Rule("core_imports", imports, r"^ragvet\b", [PACKAGE / "core.py"],
+         {"core.py": ["ragvet.templates", "ragvet.templates.TEMPLATE_NAMES"]},
+         "core imports no ragvet module but templates, so transport depends on core"),
+    Rule("templates", calls, r"\b(load_template|PromptTemplate)\(", SRC,
+         {"templates.py": ["PromptTemplate() in load_template",
+                           "load_template() in default_template",
+                           "load_template() in resolve_template"]},
+         "only templates reads or builds a template; every prompt comes via resolve_template"),
+    Rule("requests", calls, r"\bModelRequest\(", SRC, {"backends.py": ["ModelRequest() in ask"]},
+         "only backends.ask builds a ModelRequest"),
+    Rule("stage_failures", catches, rf"^({'|'.join(STAGE_FAILURES)})$",
+         [PACKAGE / f"{name}.py" for name in ("router", "retrieval", "generation", "verification")],
+         {}, "no stage module catches a backend failure or a ReplyParseError"),
+    Rule("seam", catches, "", [PACKAGE / "pipeline.py"],
+         {"pipeline.py": ["BackendError", "ReplyParseError"]},
+         "pipeline catches exactly BackendError and ReplyParseError; it is the one failure seam"),
+    Rule("turn_class", names, r"^_Turn$", SRC, {"pipeline.py": ["_Turn"]},
+         "only pipeline names _Turn, the class that holds a turn's trace"),
+    Rule("flags", calls, r"\.flag\(", SRC,
+         {"pipeline.py": [".flag() in _Turn.out_of_budget", ".flag() in _Turn.stage",
+                          ".flag() in _decide"]},
+         "only pipeline calls a .flag( method, so every degradation flag is set there"),
+    Rule("scoring", names, r"^(judge_response|aggregate)$", [PACKAGE / "cli.py"], {},
+         "cli names neither judge_response nor aggregate; evaluation.score_answers scores"),
+    Rule("evaluation_imports", imports, r"^ragvet\.pipeline\b", [PACKAGE / "evaluation.py"], {},
+         "evaluation imports nothing from pipeline"),
+    Rule("conversations", calls, r"\brun_conversation\(", SRC,
+         {"cli.py": ["run_conversation() in _run_turns"]},
+         "cli._run_turns is the one caller of run_conversation: run's one dataset loop"),
+    Rule("unused", imports_unused, "", [path for path in SRC if path.name != "__init__.py"], {},
+         "every name a ragvet module but __init__ imports is used in it or listed in __all__"),
+    Rule("http_classes", derives, r"\((BaseHTTPRequestHandler|HTTPServer|ThreadingHTTPServer)\)$",
+         TESTS, {"conftest.py": ["class _Service(BaseHTTPRequestHandler)",
+                                 "class LoopbackServer(ThreadingHTTPServer)"]},
+         "only conftest derives an HTTP handler or server class: one loopback service"),
+    Rule("http_servers", calls, r"\b(HTTPServer|ThreadingHTTPServer)\(", TESTS, {},
+         "no test module builds an HTTPServer or a ThreadingHTTPServer"),
+    Rule("file_writes", calls, r"\b(write_text|write_bytes|open)\(", SRC,
+         {"cli.py": [".write_text() in _write_json", ".write_text() in write_trace"]},
+         "no ragvet module but cli calls open, write_text or write_bytes"),
+    Rule("bench_checker", imports, r"^ragvet\b", BENCH_CHECKER, {},
+         "the benchmark's checker, stub, workloads and compare import no ragvet module"),
+]
+RULE = {rule.name: rule for rule in RULES}
+CHECKS = [(rule, path) for rule in RULES for path in rule.modules]
+
+
+@pytest.mark.parametrize(("rule", "path"), CHECKS,
+                         ids=[f"{rule.name}-{path.name}" for rule, path in CHECKS])
+def test_rule(rule, path):
+    found = find(rule.detector, rule.pattern, parse(path))
+    verb = rule.detector.__name__.replace("_", " ")
+    assert found == rule.owners.get(path.name, []), (
+        f"{rule.name}: {path.name} {verb} {', '.join(found) or 'nothing'} ({rule.reason})")
+
+
+def test_the_docstring_lists_every_rule():
+    assert [line for line in __doc__.splitlines() if line.startswith("- ")] == [
+        f"- {rule.name}: {rule.reason}" for rule in RULES]
+
+
+HTTP_SERVER_SOURCE = (
+    "from http.server import HTTPServer\n"
+    "class Handler(http.server.BaseHTTPRequestHandler):\n"
+    "    protocol_version = 'HTTP/1.1'\n"
+    "server = http.server.ThreadingHTTPServer(('127.0.0.1', 0), Handler)\n"
+    "class Loopback(HTTPServer, object):\n"
+    "    pass\n"
+    "HTTPServer(('127.0.0.1', 0), Handler).serve_forever()\n"
+    "socket.create_server(('127.0.0.1', 0))\n"
+    "class Quiet(Handler):\n"
+    "    pass\n"
+)
+
+# Each case: a detector, the pattern of a rule that uses it, a source, and
+# exactly what the rule finds there.
+CASES = [
+    pytest.param(imports, RULE["private"].pattern, (
+        "from .pipeline import run_turn, _Turn\n"
+        "from ragvet.backends import _post_json\n"
+        "from . import _internal, __version__\n"
+        "from os import _exit\n"
+    ), ["ragvet.pipeline._Turn", "ragvet.backends._post_json", "ragvet._internal"], id="private"),
+    pytest.param(imports, RULE["http_clients"].pattern, (
+        "import http.client\n"
+        "from urllib import request\n"
+        "import requests.adapters as adapters\n"
+        "from http.server import BaseHTTPRequestHandler\n"
+        "from urllib.parse import urlsplit\n"
+        "import json, requests_toolbelt\n"
+    ), ["http.client", "urllib.request", "requests.adapters"], id="http_clients"),
+    pytest.param(imports, RULE["sockets"].pattern, (
+        "import socket\n"
+        "from ssl import SSLContext\n"
+        "import socketserver, sslkeylog\n"
+    ), ["socket", "ssl", "ssl.SSLContext"], id="sockets"),
+    pytest.param(imports, RULE["evaluation_imports"].pattern, (
+        "from .pipeline import VARIANTS, run_conversation as run\n"
+        "from ragvet.pipeline import TurnOutcome\n"
+        "from . import core, pipeline\n"
+        "from ragvet import pipeline as p\n"
+        "import ragvet.pipeline\n"
+        "from .pipelines import other\n"
+        "from pipeline import unrelated\n"
+        "import pipeline\n"
+    ), ["ragvet.pipeline", "ragvet.pipeline.VARIANTS", "ragvet.pipeline.run_conversation",
+        "ragvet.pipeline", "ragvet.pipeline.TurnOutcome", "ragvet.pipeline", "ragvet.pipeline",
+        "ragvet.pipeline"], id="evaluation_imports"),
+    pytest.param(imports, RULE["bench_checker"].pattern, (
+        "import ragvet.cli\n"
+        "from ragvet.pipeline import run_turn\n"
+        "from workloads import DA\n"
+        "import ragvet_like\n"
+    ), ["ragvet.cli", "ragvet.pipeline", "ragvet.pipeline.run_turn"], id="bench_checker"),
+    pytest.param(calls, RULE["templates"].pattern, (
+        "from . import templates\n"
+        "from .templates import PromptTemplate, load_template, resolve_template\n"
+        "a = load_template(path)\n"
+        "b = templates.load_template(path)\n"
+        "c = PromptTemplate(system='s', user='u')\n"
+        "d = templates.PromptTemplate('s', 'u').build(x='y')\n"
+        "e: PromptTemplate = resolve_template('judge', {})\n"
+        "f = isinstance(e, PromptTemplate) and templates.default_template('cov')\n"
+    ), ["load_template() in <module>", ".load_template() in <module>",
+        "PromptTemplate() in <module>", ".PromptTemplate() in <module>"], id="templates"),
+    pytest.param(calls, RULE["requests"].pattern, (
+        "from . import backends\n"
+        "from .backends import ModelRequest\n"
+        "default = ModelRequest(role='router', system='s', user='u')\n"
+        "class Judge:\n"
+        "    def judge(self):\n"
+        "        return backends.ModelRequest('verifier', 's', 'u')\n"
+        "def ask(model):\n"
+        "    return isinstance(model, ModelRequest) or ModelRequest(**model)\n"
+    ), ["ModelRequest() in <module>", ".ModelRequest() in Judge.judge", "ModelRequest() in ask"],
+        id="requests"),
+    pytest.param(calls, RULE["conversations"].pattern, (
+        "def loop(pool, data):\n"
+        "    return pool.map(lambda c: pipeline.run_conversation(c), data)\n"
+        "run_conversation(conversation)\n"
+    ), [".run_conversation() in loop", "run_conversation() in <module>"], id="conversations"),
+    pytest.param(calls, RULE["flags"].pattern, (
+        "trace.flag('router_parse_failure')\n"
+        "self.turn.trace.flag(name)\n"
+        "flag('bare')\n"
+        "trace.flags.add('added')\n"
+    ), [".flag() in <module>", ".flag() in <module>"], id="flags"),
+    pytest.param(calls, RULE["threads"].pattern, (
+        "import threading\n"
+        "from threading import Thread, Lock\n"
+        "threading.Thread(target=f).start()\n"
+        "Thread(target=f)\n"
+        "lock = Lock()\n"
+        "threading.Event().wait()\n"
+    ), [".Thread() in <module>", "Thread() in <module>"], id="threads"),
+    pytest.param(calls, RULE["http_servers"].pattern, HTTP_SERVER_SOURCE,
+                 [".ThreadingHTTPServer() in <module>", "HTTPServer() in <module>"],
+                 id="http_servers"),
+    pytest.param(calls, RULE["file_writes"].pattern, (
+        "Path(path).write_text(text)\n"
+        "with open(path, 'w') as handle:\n"
+        "    handle.write(text)\n"
+        "os.open(path, flags)\n"
+        "path.write_bytes(data)\n"
+        "path.read_text()\n"
+        "reopen(path)\n"
+    ), [".write_text() in <module>", "open() in <module>", ".open() in <module>",
+        ".write_bytes() in <module>"], id="file_writes"),
+    pytest.param(uses, RULE["clock"].pattern, (
+        "from time import monotonic, strftime\n"
+        "import time as t\n"
+        "t.sleep(0.1)\n"
+        "import time\n"
+        "stamp = time.strftime('%Y', time.gmtime())\n"
+        "elapsed = time.perf_counter() - started\n"
+        "from time import sleep as pause\n"
+        "runtime.clock.wait_until(1.0)\n"
+        "clock.monotonic()\n"
+    ), ["time.monotonic", "time.sleep", "time.perf_counter", "time.sleep"], id="clock"),
+    pytest.param(uses, RULE["json"].pattern, (
+        "import json as j\n"
+        "record = j.loads(line)\n"
+        "from json import dumps, load\n"
+        "import json\n"
+        "text = json.dumps(json.load(handle))\n"
+        "from json import loads as decode\n"
+        "core.read_json(path, ValueError)\n"
+        "reply.loads()\n"
+    ), ["json.loads", "json.load", "json.load", "json.loads"], id="json"),
+    pytest.param(catches, RULE["stage_failures"].pattern, (
+        "try:\n    pass\n"
+        "except (ValueError, backends.BackendTimeout):\n    pass\n"
+        "except BackendError as exc:\n    pass\n"
+        "except:\n    pass\n"
+    ), ["ValueError", "BackendTimeout", "BackendError", "BaseException"], id="stage_failures"),
+    pytest.param(names, "", (
+        "from .evaluation import judge_response as judge\n"
+        "import ragvet.evaluation.aggregate\n"
+        "labels = evaluation.score_answers(rows)\n"
+        "total = fold(labels)\n"
+    ), ["aggregate", "evaluation", "fold", "judge_response", "labels", "rows", "score_answers",
+        "total"], id="names"),
+    pytest.param(derives, RULE["http_classes"].pattern, HTTP_SERVER_SOURCE,
+                 ["class Handler(BaseHTTPRequestHandler)", "class Loopback(HTTPServer)"],
+                 id="http_classes"),
+    pytest.param(imports_unused, "", (
         "from __future__ import annotations\n"
         "import os, os.path, json as j\n"
         "import logging.handlers\n"
@@ -614,14 +433,13 @@ def test_detector_sees_every_form_of_unused_import():
         "__all__ = ['Kept']\n"
         "def f(x: Any) -> None:\n"
         "    return logging.handlers\n"
-    )
-    assert unused_imports(source) == ["os", "os", "j", "Opt", "Dropped"]
+    ), ["os", "os", "j", "Opt", "Dropped"], id="unused"),
+]
 
 
-@pytest.mark.parametrize("path", [path for path in MODULES if path.name != "__init__.py"],
-                         ids=lambda path: path.name)
-def test_every_imported_name_is_used(path):
-    assert unused_imports(path.read_text(encoding="utf-8")) == []
+@pytest.mark.parametrize(("detector", "pattern", "source", "expected"), CASES)
+def test_detector_finds(detector, pattern, source, expected):
+    assert find(detector, pattern, ast.parse(source)) == expected
 
 
 @pytest.mark.parametrize("module", ["ragvet", "ragvet.templates"])
