@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 from enum import Enum
 from pathlib import Path
@@ -459,6 +460,12 @@ class PipelineConfig:
                 raise InvalidConfigError(
                     f"config key {f.name} must be {kind}, got {type(value).__name__}"
                 )
+            # 1e400 decodes to inf, and an integer past a float's range
+            # overflows the first float product it enters; NaN fails any comparison.
+            if f.type == "float" and not -sys.float_info.max <= value <= sys.float_info.max:
+                raise InvalidConfigError(
+                    f"config key {f.name} must be a finite number within a float's range"
+                )
             if isinstance(value, str) and _SURROGATE.search(value):
                 raise InvalidConfigError(f"config key {f.name} holds a lone surrogate, not text")
         object.__setattr__(self, "prompt_paths", dict(self.prompt_paths))
@@ -543,12 +550,17 @@ def check_surrogates(text: str) -> None:
         raise json.JSONDecodeError(f"lone surrogate escape {lone[0]}", text, lone.start())
 
 
+def _not_json(constant: str) -> Any:
+    raise ValueError(f"{constant} is not a JSON value")
+
+
 def decode_json(text: str) -> Any:
     """The JSON value in ``text``; ValueError if there is none, as when it is
-    nested too deeply for the decoder or a string holds the escape of a lone
-    surrogate, which no UTF-8 output could write."""
+    nested too deeply for the decoder, holds ``NaN`` or ``Infinity``, which
+    Python's decoder would read as numbers, or a string holds the escape of a
+    lone surrogate, which no UTF-8 output could write."""
     try:
-        value = json.loads(text)
+        value = json.loads(text, parse_constant=_not_json)
         check_surrogates(text)
         return value
     except RecursionError:

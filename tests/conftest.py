@@ -1,16 +1,25 @@
-"""Shared test backends and builders, and the one scripted loopback service.
+"""Shared test backends and builders: the one scripted loopback service, the
+one in-process backend tap, and the turn-call vocabulary that both share.
 
 ``serve_http(answer)``, or the ``service`` fixture, serves every socket test:
 HTTP/1.1 keep-alive on a loopback port, Nagle off, over TLS when given a
 server context. ``answer`` maps each logged ``Request`` to a reply: a JSON
 object, a (status, body) pair, ``Raw`` bytes, ``DRIP`` or ``NO_REPLY``.
+
+``tap(inner, answer)`` is its in-process twin: it wraps a model, reranker,
+search backend or judge, logs each ``Call`` and answers it with
+``answer(call)``: None passes it on to ``inner``, ``STALL`` waits out its
+deadline, an exception is raised, and any other value is the reply.
+
+A ``Request`` and a ``Call`` are named alike, by ``call_name``: one of
+``TURN_CALLS``, so one fault schedule reads the same over sockets and in
+process.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import re
 import ssl
 import threading
 import time
@@ -24,10 +33,28 @@ from typing import Any, Callable, Iterator, Optional
 import pytest
 
 from ragvet import runtime
-from ragvet.backends import ModelRequest, ModelResponse, ReplayEntry, ReplayModelBackend
-from ragvet.core import MAX_TURN_BUDGET_MS, ChunkRef, RetrievedItem, ScoredChunk, Source
+from ragvet.backends import (
+    BackendTimeout,
+    Backends,
+    EmptyCompletionError,
+    MockRerankerBackend,
+    ModelRequest,
+    ModelResponse,
+    ReplayEntry,
+    ReplayModelBackend,
+    Role,
+    SearchFixture,
+)
+from ragvet.core import (
+    MAX_TURN_BUDGET_MS,
+    ChunkRef,
+    QueryTurn,
+    RetrievedItem,
+    ScoredChunk,
+    Source,
+)
 from ragvet.evaluation import MetricsReport, MockJudge, ground_truths, score_answers
-from ragvet.pipeline import run_conversation
+from ragvet.pipeline import ConversationState, run_conversation
 from ragvet.runtime import Deadline
 from ragvet.templates import load_all
 
@@ -50,6 +77,25 @@ def pytest_collection_modifyitems(items: list[pytest.Item]) -> None:
         if suite in item.path.parents:
             for check in WARNING_CHECKS:
                 item.add_marker(pytest.mark.filterwarnings(check))
+
+
+# A test on the virtual clock waits no real time, so one that spends more
+# than this many seconds of it waits somewhere that bypasses runtime.clock.
+VIRTUAL_CLOCK_REAL_S = 1.0
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_call(item: pytest.Item) -> Iterator[None]:
+    """Fail a test that takes the ``virtual_clock`` fixture and spends more
+    than ``VIRTUAL_CLOCK_REAL_S`` of real time, naming it."""
+    if "virtual_clock" not in getattr(item, "fixturenames", ()):
+        return (yield)
+    started = time.monotonic()
+    result = yield
+    spent = time.monotonic() - started
+    if spent > VIRTUAL_CLOCK_REAL_S:
+        pytest.fail(f"{item.nodeid} spent {spent:.2f} s of real time on the virtual clock")
+    return result
 
 
 class Raw:
@@ -92,6 +138,13 @@ class Request:
     body: Any
     raw: bytes
     connection: int
+
+    @property
+    def name(self) -> str:
+        """Its ``TURN_CALLS`` name: the path is ``/model``, ``/rerank`` or
+        ``/web_search``."""
+        role = self.body.get("role")
+        return call_name(self.path.strip("/"), role and Role(role), self.body.get("user", ""))
 
 
 class _Recording:
@@ -230,36 +283,156 @@ def scripted_model(*entries: dict) -> ReplayModelBackend:
                                for i, entry in enumerate(entries)])
 
 
-class CountingModel:
-    """Wraps a model backend and keeps every request, and its role, in order."""
+# The turn-call vocabulary. Each call a turn makes is named after its stage,
+# but the generator's two, the RAG answer and the direct answer, and the two
+# searches, which are named after their methods.
+TURN_CALLS = ("route", "summarize", "image_search", "web_search", "rerank", "rag", "direct",
+              "consistency", "verify")
+# The stage of each model call but the generator's, by its role.
+ROLE_STAGES = {Role.ROUTER: "route", Role.SUMMARIZER: "summarize",
+               Role.CONSISTENCY_JUDGE: "consistency", Role.VERIFIER: "verify"}
+# The stage of each call that is not named after its stage.
+DRAWN_STAGES = {"web_search": "recall", "image_search": "recall", "rag": "generate",
+                "direct": "generate"}
+# Each stage whose backend call may fail: the flag a timeout sets, then the
+# flag any other backend error sets (the README's "Degradation flags").
+FAILURE_FLAGS = {
+    "route": ("router_backend_timeout", "router_backend_error"),
+    "summarize": ("summary_backend_timeout", "summary_backend_error"),
+    "recall": ("recall_backend_error", "recall_backend_error"),
+    "rerank": ("rerank_backend_error", "rerank_backend_error"),
+    "generate": ("generation_timeout", "generation_backend_error"),
+    "consistency": ("consistency_backend_timeout", "consistency_backend_error"),
+    "verify": ("cov_backend_timeout", "cov_backend_error"),
+}
 
-    def __init__(self, inner):
-        self.inner = inner
-        self.calls: list[str] = []
-        self.requests: list[ModelRequest] = []
 
-    def complete(self, request: ModelRequest, deadline: Deadline) -> ModelResponse:
-        self.calls.append(request.role.value)
-        self.requests.append(request)
-        return self.inner.complete(request, deadline)
+def call_name(kind: str, role: Optional[Role], user: str) -> str:
+    """The ``TURN_CALLS`` name of a call: ``kind`` is the backend method a
+    tapped call took, or the service a loopback ``Request`` came to;
+    ``role`` and ``user`` are a model request's. A judge's call is ``judge``."""
+    if kind not in ("complete", "model"):
+        return "rerank" if kind == "score_batch" else kind
+    if role is Role.GENERATOR:
+        return "rag" if "Context:" in user else "direct"
+    return ROLE_STAGES.get(role, role.value)
 
 
-class HonestConsistencyJudge:
-    """Answers yes iff the two proposed answers in the prompt are equal.
+# A tap's answer that waits out the call's deadline on ``runtime.clock`` and
+# then raises BackendTimeout, as a backend that never replies does.
+STALL = object()
 
-    Parses the judge prompt itself, so it holds the contract that identical
-    answers always come back consistent.
-    """
 
-    _ANSWER_1 = re.compile(r"## Proposed Answer 1:\n\n(.*?)\n\n## Proposed Answer 2:", re.DOTALL)
-    _ANSWER_2 = re.compile(r"## Proposed Answer 2:\n\n(.*?)\n\n## Your Task:", re.DOTALL)
+@dataclass
+class Call:
+    """One call a ``tap`` took. ``user`` is a model request's user text, else
+    the call's first argument: a query, an image key or a judged answer.
+    ``left_ms`` is what its deadline had left, None for a call without one;
+    ``returned`` is how many calls the tap had taken when it returned."""
 
-    def complete(self, request: ModelRequest, deadline: Deadline) -> ModelResponse:
-        first = self._ANSWER_1.search(request.user)
-        second = self._ANSWER_2.search(request.user)
-        assert first and second, "consistency prompt shape changed"
-        verdict = "yes" if first.group(1) == second.group(1) else "no"
-        return ModelResponse(text=verdict)
+    method: str
+    args: tuple
+    name: str
+    role: Optional[Role]
+    user: str
+    left_ms: Optional[float]
+    thread: str
+    returned: Optional[int] = None
+
+
+class tap:
+    """Wraps a model, reranker, search backend or judge ``inner``: each call
+    of a backend method is logged in ``calls``, then answered with
+    ``answer(call)``. None passes the call on to ``inner``; ``STALL`` waits
+    out its deadline; an exception is raised; a string a model call gets is
+    a completion, and ``""`` fails as a remote model's empty one does; any
+    other value is the reply. Every other attribute is ``inner``'s."""
+
+    METHODS = ("complete", "score_batch", "web_search", "image_search", "judge")
+
+    def __init__(self, inner: Any, answer: Callable[[Call], Any] = lambda call: None) -> None:
+        self.inner, self.answer = inner, answer
+        self.calls: list[Call] = []
+
+    @property
+    def requests(self) -> list[ModelRequest]:
+        """The request of each model call, in order."""
+        return [call.args[0] for call in self.calls if call.method == "complete"]
+
+    def __getattr__(self, name: str) -> Any:
+        if name not in self.METHODS:
+            return getattr(self.inner, name)
+        return lambda *args: self._take(name, args)
+
+    def _take(self, method: str, args: tuple) -> Any:
+        role = args[0].role if method == "complete" else None
+        user = args[0].user if method == "complete" else args[0]
+        deadline = args[-1] if isinstance(args[-1], Deadline) else None
+        call = Call(method, args, call_name(method, role, user), role, user,
+                    None if deadline is None else deadline.remaining_ms(),
+                    threading.current_thread().name)
+        self.calls.append(call)
+        try:
+            reply = self.answer(call)
+            if reply is None:
+                return getattr(self.inner, method)(*args)
+            if reply is STALL:
+                runtime.clock.wait_until(runtime.clock.now() + deadline.remaining_ms() / 1000.0)
+                raise BackendTimeout(f"{call.name} outlasted its deadline")
+            if isinstance(reply, BaseException):
+                raise reply
+            if method != "complete" or not isinstance(reply, str):
+                return reply
+            if not reply:
+                raise EmptyCompletionError(f"empty completion for {call.name}")
+            return ModelResponse(text=reply)
+        finally:
+            call.returned = len(self.calls)
+
+
+ROUTE_PLAIN = "1. Needs External Info: yes\n2. Is Real-Time: no"
+ROUTE_NONE = "1. Needs External Info: no\n2. Is Real-Time: no"
+ROUTE_REAL_TIME = "1. Needs External Info: yes\n2. Is Real-Time: yes"
+COV_FULL = "CONFIDENCE: 1.0\nREASONING: grounded in [Info 1]."
+# The packaged templates, which every PipelineConfig() of a test uses.
+TEMPLATES = load_all({})
+
+
+def turn_script(query, *, routing=ROUTE_PLAIN, summary="summary tokens", rag="rag answer",
+                direct=None, consistent="yes", cov=COV_FULL, rag_sleep_ms=0):
+    """The replay script of one turn for ``query``: each role answers as given."""
+    return [
+        {"role": Role.ROUTER, "match": query, "response": routing},
+        {"role": Role.SUMMARIZER, "match": query, "response": summary},
+        {"role": Role.GENERATOR, "match": ["Context:", query], "response": rag,
+         "sleep_ms": rag_sleep_ms},
+        {"role": Role.GENERATOR, "match": query, "response": direct or rag},
+        {"role": Role.CONSISTENCY_JUDGE, "match": query, "response": consistent},
+        {"role": Role.VERIFIER, "match": query, "response": cov},
+    ]
+
+
+def image_fixture(image_key, query, summary="summary tokens"):
+    """One KG record whose description matches the expanded query exactly."""
+    description = f"{query} {summary}"
+    return SearchFixture(image_index={image_key: ({"description": description},)}, web_index=())
+
+
+def make_backends(entries, fixture=None, answer=lambda call: None) -> Backends:
+    """The backends of a replay script and a search fixture (an empty one if
+    none), each tapped with ``answer``; the router and the VLM share one tap."""
+    model = tap(scripted_model(*entries), answer)
+    search = tap(fixture or SearchFixture(image_index={}, web_index=()), answer)
+    return Backends(router_model=model, vlm=model, reranker=tap(MockRerankerBackend(), answer),
+                    search=search)
+
+
+def one_turn(query):
+    return QueryTurn(conversation_id="c1", turn_index=0, query=query)
+
+
+def fresh_state(image_ref="img-1"):
+    return ConversationState(conversation_id="c1", image_ref=image_ref)
 
 
 def score_variant(mode: str, dataset, cfg, backends) -> MetricsReport:

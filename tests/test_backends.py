@@ -46,12 +46,9 @@ from ragvet.templates import PromptTemplate
 from ragvet.transport import JsonEndpoint
 
 from conftest import (
-    BAD_REPLIES, BODY, DRIP, FIXTURES, NO_REPLY, OK, CountingModel, Raw, day_deadline,
-    scripted_model, serve_http,
-)
-from test_pipeline import (
-    COV_FULL, DRAWN_STAGES, FAILURE_FLAGS, ROLE_STAGES, ROUTE_PLAIN, TEMPLATES, fresh_state,
-    image_fixture, make_backends, one_turn, turn_script,
+    BAD_REPLIES, BODY, COV_FULL, DRAWN_STAGES, DRIP, FAILURE_FLAGS, FIXTURES, NO_REPLY, OK,
+    ROUTE_PLAIN, TEMPLATES, TURN_CALLS, Raw, day_deadline, fresh_state, image_fixture,
+    make_backends, one_turn, scripted_model, serve_http, tap, turn_script,
 )
 
 
@@ -225,7 +222,6 @@ def _list_faults(where: str) -> list[tuple[str, Any, str]]:
         ("score_bool", scored(True), "[1]: score must be within [0, 1], got True"),
         ("score_string", scored("0.5"), "[1]: score must be within [0, 1], got '0.5'"),
         ("score_null", scored(None), "[1]: score must be within [0, 1], got None"),
-        ("score_nan", scored(math.nan), "[1]: score must be within [0, 1], got nan"),
         ("score_infinity", scored(math.inf), "[1]: score must be within [0, 1], got inf"),
         ("score_below_0", scored(-0.1), "[1]: score must be within [0, 1], got -0.1"),
         ("score_above_1", scored(1.4), "[1]: score must be within [0, 1], got 1.4"),
@@ -275,10 +271,20 @@ class TestLoadFixture:
                              ids=[case[0] for case in FIXTURE_FAULTS])
     def test_fault_message(self, tmp_path, doc, message):
         path = tmp_path / "f.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
+        # json.dumps writes inf as Infinity, which is not JSON; 1e400 is, and decodes to inf.
+        path.write_text(json.dumps(doc).replace("Infinity", "1e400"), encoding="utf-8")
         with pytest.raises(FixtureError) as caught:
             load_fixture(path)
         assert str(caught.value) == f"{path}{message}"
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_a_score_that_is_no_json_number_is_not_json(self, tmp_path, constant):
+        path = tmp_path / "f.json"
+        path.write_text(f'{{"image_index": {{}}, "web_index": [{{"snippet": "s", '
+                        f'"score": {constant}}}]}}', encoding="utf-8")
+        with pytest.raises(FixtureError) as caught:
+            load_fixture(path)
+        assert str(caught.value) == f"{path}: invalid JSON: {constant} is not a JSON value"
 
     def test_a_misspelled_top_level_key_is_named(self, tmp_path):
         path = tmp_path / "f.json"
@@ -467,6 +473,7 @@ CANNED_REPLIES = {
     "rerank-score-not-numeric": b'{"scores": [0.5, "high"]}',
     "rerank-score-bool": b'{"scores": [0.5, true]}',
     "rerank-score-nan": b'{"scores": [0.5, NaN]}',
+    "rerank-score-infinity": b'{"scores": [Infinity, -Infinity]}',
     "rerank-too-few-scores": b'{"scores": [0.5]}',
     "rerank-too-many-scores": b'{"scores": [0.5, 0.5, 0.5]}',
     "search-body-not-object": b"[]",
@@ -1027,25 +1034,14 @@ def test_a_deadline_is_finite(build):
         build()
 
 
-# The query of every whole turn, and the call names of
-# ``test_pipeline.DRAWS``: one per remote call of a turn.
+# The query of every whole turn, and the name of each remote call a turn
+# makes: every turn call but the image lookup, which is the fixture's.
 FAULT_QUERY = "what brand is this shoe"
-TURN_CALLS = ("route", "summarize", "web_search", "rerank", "rag", "direct", "consistency",
-              "verify")
+REMOTE_CALLS = tuple(call for call in TURN_CALLS if call != "image_search")
 # Each fault a whole turn's call may get, by name; all but the whole replies
 # among them leave their connection unusable.
 FAULTS = {DRIP: DRIP, **BAD_REPLIES}
 WHOLE_REPLIES = ("status-500", "not-an-object", "wrong-shape")
-
-
-def _call_name(request):
-    """The ``TURN_CALLS`` name of a turn's request."""
-    service = request.path.strip("/")  # model, rerank or web_search
-    if service != "model":
-        return service
-    if request.body["role"] == Role.GENERATOR:
-        return "rag" if "Context:" in request.body["user"] else "direct"
-    return ROLE_STAGES[Role(request.body["role"])]
 
 
 def _good_answer(request):
@@ -1081,7 +1077,7 @@ class _Pool:
         self.cut = []
 
     def answer(self, request):
-        if self.fault is None or _call_name(request) != self.fault[0]:
+        if self.fault is None or request.name != self.fault[0]:
             return _good_answer(request)
         if self.fault[1] not in WHOLE_REPLIES:
             self.cut.append(request)
@@ -1129,7 +1125,7 @@ class TestWholeTurnFaults:
         self._assert_answered(pool.turn(self.CFG)[0])
 
     @pytest.mark.parametrize("fault", FAULTS)
-    @pytest.mark.parametrize("call", TURN_CALLS)
+    @pytest.mark.parametrize("call", REMOTE_CALLS)
     def test_one_faulted_call_flags_its_stage_within_budget(self, pool, call, fault):
         self._assert_flagged_within_budget(pool, call, fault)
 
@@ -1137,7 +1133,7 @@ class TestWholeTurnFaults:
         """After the faulted turns, on their pool (any of them not run yet
         runs first), a turn with no fault is answered, and no connection that
         a fault left unusable carried a later request."""
-        for call in TURN_CALLS:
+        for call in REMOTE_CALLS:
             for fault in FAULTS:
                 if (call, fault) not in pool.done:
                     self._assert_flagged_within_budget(pool, call, fault)
@@ -1217,7 +1213,7 @@ class TestAsk:
         }
 
     def test_sends_the_rendered_template_with_the_role_cap(self, no_deadline):
-        model = CountingModel(scripted_model({"role": Role.SUMMARIZER, "response": " a shoe "}))
+        model = tap(scripted_model({"role": Role.SUMMARIZER, "response": " a shoe "}))
         template = PromptTemplate(system="sys {query}", user="user {query}")
         reply = ask(model, Role.SUMMARIZER, template, no_deadline, "img-1", query="q?")
         assert reply == " a shoe "

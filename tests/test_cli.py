@@ -158,6 +158,13 @@ class TestLoadConfig:
         with pytest.raises(InvalidConfigError, match="config must be a JSON object"):
             load_config(str(config), mode="task1")
 
+    def test_a_float_past_its_range_is_rejected_by_name(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text('{"mad_scale": 1e400}', encoding="utf-8")  # decodes to inf
+        with pytest.raises(InvalidConfigError,
+                           match="config key mad_scale must be a finite number"):
+            load_config(str(config))
+
     def test_an_override_that_is_not_utf8_is_rejected(self, monkeypatch):
         monkeypatch.setenv("RAGVET_JUDGE_ENDPOINT", os.fsdecode(b"\xff"))
         with pytest.raises(InvalidConfigError,
@@ -803,6 +810,8 @@ ROUTER_ENTRY = {"role": "router", "match": "", "response": "1. Needs External In
 MALFORMED_INPUTS = [
     ("config-integer-as-string", {"config": {"recall_k": "10"}}, "recall_k"),
     ("config-text-as-number", {"config": {"abstain_text": 5}}, "abstain_text"),
+    # 10**400 is written as its 401 digits; 1e400 would decode to inf (TestLoadConfig).
+    ("config-number-past-float", {"config": {"mad_scale": 10**400}}, "config key mad_scale"),
     ("config-prompt-paths-not-object", {"config": {"prompt_paths": "x"}}, "prompt_paths"),
     ("config-prompt-file-missing",
      {"config": {"prompt_paths": {"routing": "missing.txt"}}}, "prompt_paths.routing"),

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import re
 from pathlib import Path
 
@@ -106,6 +107,14 @@ class TestValidateConfig:
 
     def test_defaults_accepted(self):
         assert PipelineConfig() == PipelineConfig.from_dict({})
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 10**400],
+                             ids=["inf", "-inf", "nan", "integer-past-float"])
+    @pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(PipelineConfig)
+                                     if f.type == "float"])
+    def test_a_number_field_that_is_not_finite_is_rejected_by_name(self, key, value):
+        with pytest.raises(InvalidConfigError, match=f"config key {key} must be a finite number"):
+            PipelineConfig(**{key: value})
 
     def test_confidence_ordering_violation(self):
         with pytest.raises(InvalidConfigError, match="low_confidence <= high_confidence"):

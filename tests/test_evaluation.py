@@ -29,7 +29,7 @@ from ragvet.evaluation import (
 from ragvet.pipeline import VARIANTS
 from ragvet.templates import PromptTemplate
 
-from conftest import FIXTURES, score_variant, scripted_model
+from conftest import FIXTURES, score_variant, scripted_model, tap
 
 # Frozen reference rows the aggregator must reproduce, as
 # (perfect, missing, incorrect, accuracy%, missing%, hallucination%, truthfulness%).
@@ -68,11 +68,9 @@ class TestTruncateTokens:
 
 class TestJudgeResponse:
     def test_abstention_is_missing_without_judge_call(self):
-        class ExplodingJudge:
-            def judge(self, answer, ground_truth):
-                raise AssertionError("judge must not be consulted for abstentions")
-
-        label = judge_response("I don't know", "anything", ExplodingJudge())
+        judge = tap(None, lambda call: AssertionError(
+            "judge must not be consulted for abstentions"))
+        label = judge_response("I don't know", "anything", judge)
         assert label is Label.MISSING
 
     def test_padded_abstain_text_is_missing(self):
@@ -94,16 +92,11 @@ class TestJudgeResponse:
 
     def test_answer_truncated_before_judging(self):
         long_answer = "right " * 80 + "wrong tail"
-        seen = {}
-
-        class CapturingJudge:
-            def judge(self, answer, ground_truth):
-                seen["answer"] = answer
-                return Label.INCORRECT
-
-        judge_response(long_answer, "right", CapturingJudge())
-        assert len(seen["answer"].split()) == 75
-        assert "tail" not in seen["answer"]
+        judge = tap(None, lambda call: Label.INCORRECT)
+        judge_response(long_answer, "right", judge)
+        [call] = judge.calls
+        assert len(call.user.split()) == 75
+        assert "tail" not in call.user
 
     def test_never_incorrect_for_abstention(self):
         for truth in ("", "anything", "I don't know"):
@@ -230,12 +223,9 @@ class TestScoreAnswers:
         ([("c0", 0, "a")], r"lacks turn \('c1', 0\)"),
     ], ids=["unknown", "repeated", "missing"])
     def test_answers_cover_each_turn_once_before_any_judging(self, answers, message):
-        class ExplodingJudge:
-            def judge(self, answer, ground_truth):
-                raise AssertionError("no answer is judged before coverage holds")
-
+        judge = tap(None, lambda call: AssertionError("no answer is judged before coverage holds"))
         with pytest.raises(EvalError, match=message):
-            score_answers(answers, ground_truths(self._dataset("a", "b")), ExplodingJudge(),
+            score_answers(answers, ground_truths(self._dataset("a", "b")), judge,
                           abstain_text="no idea")
 
 

@@ -1,6 +1,8 @@
 """Dual-path generation prompts, yes/no parsing, and the consistency check."""
 
 
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -17,7 +19,7 @@ from ragvet.retrieval import build_context
 from ragvet.runtime import Deadline
 from ragvet.templates import default_template
 
-from conftest import CountingModel, HonestConsistencyJudge, chunk, day_deadline, scripted_model
+from conftest import chunk, day_deadline, scripted_model, tap
 
 GENERATION = default_template("generation")
 CONSISTENCY = default_template("consistency")
@@ -30,7 +32,19 @@ def _context(*texts_scores):
 
 
 def _model(role, response):
-    return CountingModel(scripted_model({"role": role, "response": response}))
+    return tap(scripted_model({"role": role, "response": response}))
+
+
+ANSWER_1 = re.compile(r"## Proposed Answer 1:\n\n(.*?)\n\n## Proposed Answer 2:", re.DOTALL)
+ANSWER_2 = re.compile(r"## Proposed Answer 2:\n\n(.*?)\n\n## Your Task:", re.DOTALL)
+
+
+def honest_verdict(call):
+    """A consistency judge's reply: yes iff the two proposed answers in its
+    prompt are equal, so identical answers always come back consistent."""
+    first, second = ANSWER_1.search(call.user), ANSWER_2.search(call.user)
+    assert first and second, "consistency prompt shape changed"
+    return "yes" if first.group(1) == second.group(1) else "no"
 
 
 def rag_request(query, context, history=()):
@@ -122,10 +136,10 @@ class TestGenerate:
             generate_direct("q?", None, backend, no_deadline, (), GENERATION)
 
     def test_exactly_one_backend_call_each(self, no_deadline):
-        backend = CountingModel(scripted_model({"role": Role.GENERATOR, "match": "", "response": "a"}))
+        backend = tap(scripted_model({"role": Role.GENERATOR, "match": "", "response": "a"}))
         generate_rag("q?", None, _context(), backend, no_deadline, (), GENERATION)
         generate_direct("q?", None, backend, no_deadline, (), GENERATION)
-        assert backend.calls == ["generator", "generator"]
+        assert [call.role.value for call in backend.calls] == ["generator", "generator"]
 
 
 class TestConsistencyPrompt:
@@ -171,18 +185,18 @@ class TestCheckConsistency:
     def test_identical_answers_consistent_under_honest_judge(self, no_deadline):
         pair = AnswerPair(rag_answer="a kettle", direct_answer="a kettle")
         checked = check_consistency("q?", None, _context(), pair,
-                                    HonestConsistencyJudge(), no_deadline, CONSISTENCY)
+                                    tap(None, honest_verdict), no_deadline, CONSISTENCY)
         assert checked.consistent is True
 
     def test_different_answers_inconsistent_under_honest_judge(self, no_deadline):
         pair = AnswerPair(rag_answer="a kettle", direct_answer="a toaster")
         checked = check_consistency("q?", None, _context(), pair,
-                                    HonestConsistencyJudge(), no_deadline, CONSISTENCY)
+                                    tap(None, honest_verdict), no_deadline, CONSISTENCY)
         assert checked.consistent is False
 
     def test_verdict_stored_without_mutating_answers(self, no_deadline):
         pair = AnswerPair(rag_answer="x", direct_answer="x")
         checked = check_consistency("q?", None, _context(), pair,
-                                    HonestConsistencyJudge(), no_deadline, CONSISTENCY)
+                                    tap(None, honest_verdict), no_deadline, CONSISTENCY)
         assert (checked.rag_answer, checked.direct_answer) == ("x", "x")
         assert pair.consistent is None

@@ -28,6 +28,8 @@ detector sees. The rules, one line each from the rows' reasons:
 - http_servers: no test module builds an HTTPServer or a ThreadingHTTPServer
 - file_writes: no ragvet module but cli calls open, write_text or write_bytes
 - bench_checker: the benchmark's checker, stub, workloads and compare import no ragvet module
+- stand_ins: no test module defines a backend or judge method; conftest's tap stands in for each
+- test_imports: a test module imports shared helpers from conftest, never from another test module
 
 Dunder names such as ``__version__`` are public by convention and allowed.
 """
@@ -142,12 +144,18 @@ def names(tree: ast.Module) -> list[str]:
     return sorted(found)
 
 
-def derives(tree: ast.Module) -> list[str]:
+def classes(tree: ast.Module) -> list[str]:
     """``class Name(Base)`` for each base of each class the source defines, by
-    bare name or as an attribute, in source order."""
-    return in_order((node, f"class {node.name}({getattr(base, 'id', None) or base.attr})")
-                    for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
-                    for base in node.bases if isinstance(base, (ast.Name, ast.Attribute)))
+    bare name or as an attribute, and ``def Name.method`` for each function
+    its body defines, in source order."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            found.extend((node, f"class {node.name}({getattr(base, 'id', None) or base.attr})")
+                         for base in node.bases if isinstance(base, (ast.Name, ast.Attribute)))
+            found.extend((item, f"def {node.name}.{item.name}") for item in node.body
+                         if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)))
+    return in_order(found)
 
 
 def imports_unused(tree: ast.Module) -> list[str]:
@@ -250,7 +258,7 @@ RULES = [
          "cli._run_turns is the one caller of run_conversation: run's one dataset loop"),
     Rule("unused", imports_unused, "", [path for path in SRC if path.name != "__init__.py"], {},
          "every name a ragvet module but __init__ imports is used in it or listed in __all__"),
-    Rule("http_classes", derives, r"\((BaseHTTPRequestHandler|HTTPServer|ThreadingHTTPServer)\)$",
+    Rule("http_classes", classes, r"\((BaseHTTPRequestHandler|HTTPServer|ThreadingHTTPServer)\)$",
          TESTS, {"conftest.py": ["class _Service(BaseHTTPRequestHandler)",
                                  "class LoopbackServer(ThreadingHTTPServer)"]},
          "only conftest derives an HTTP handler or server class: one loopback service"),
@@ -261,6 +269,11 @@ RULES = [
          "no ragvet module but cli calls open, write_text or write_bytes"),
     Rule("bench_checker", imports, r"^ragvet\b", BENCH_CHECKER, {},
          "the benchmark's checker, stub, workloads and compare import no ragvet module"),
+    Rule("stand_ins", classes, r"^def \w+\.(complete|score_batch|web_search|image_search|judge)$",
+         TESTS, {}, "no test module defines a backend or judge method; conftest's tap stands in"
+         " for each"),
+    Rule("test_imports", imports, r"^test_", TESTS, {},
+         "a test module imports shared helpers from conftest, never from another test module"),
 ]
 RULE = {rule.name: rule for rule in RULES}
 CHECKS = [(rule, path) for rule in RULES for path in rule.modules]
@@ -327,6 +340,28 @@ CASES = [
     ), ["ragvet.pipeline", "ragvet.pipeline.VARIANTS", "ragvet.pipeline.run_conversation",
         "ragvet.pipeline", "ragvet.pipeline.TurnOutcome", "ragvet.pipeline", "ragvet.pipeline",
         "ragvet.pipeline"], id="evaluation_imports"),
+    pytest.param(imports, RULE["test_imports"].pattern, (
+        "from test_pipeline import TEMPLATES, fresh_state\n"
+        "import test_backends as backends\n"
+        "from conftest import tap\n"
+        "import tests_helper, test\n"
+    ), ["test_pipeline", "test_pipeline.TEMPLATES", "test_pipeline.fresh_state", "test_backends"],
+        id="test_imports"),
+    pytest.param(classes, RULE["stand_ins"].pattern, (
+        "class Judge:\n"
+        "    def judge(self, answer, truth):\n"
+        "        return 'x'\n"
+        "class Model(Base):\n"
+        "    def complete(self, request, deadline): ...\n"
+        "    async def score_batch(self, query, chunks, deadline): ...\n"
+        "    def completed(self): ...\n"
+        "def web_search(query): ...\n"
+        "def test():\n"
+        "    class Search:\n"
+        "        def image_search(self, key, k): ...\n"
+        "    backend.complete(request, deadline)\n"
+    ), ["def Judge.judge", "def Model.complete", "def Model.score_batch",
+        "def Search.image_search"], id="stand_ins"),
     pytest.param(imports, RULE["bench_checker"].pattern, (
         "import ragvet.cli\n"
         "from ragvet.pipeline import run_turn\n"
@@ -421,7 +456,7 @@ CASES = [
         "total = fold(labels)\n"
     ), ["aggregate", "evaluation", "fold", "judge_response", "labels", "rows", "score_answers",
         "total"], id="names"),
-    pytest.param(derives, RULE["http_classes"].pattern, HTTP_SERVER_SOURCE,
+    pytest.param(classes, RULE["http_classes"].pattern, HTTP_SERVER_SOURCE,
                  ["class Handler(BaseHTTPRequestHandler)", "class Loopback(HTTPServer)"],
                  id="http_classes"),
     pytest.param(imports_unused, "", (

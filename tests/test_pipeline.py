@@ -12,13 +12,10 @@ from hypothesis import given, settings, strategies as st
 
 from ragvet import runtime
 from ragvet.backends import (
-    BackendTimeout,
     BackendTransportError,
     Backends,
     FixtureError,
     MockRerankerBackend,
-    ModelRequest,
-    ModelResponse,
     ReplayModelBackend,
     Role,
     SearchFixture,
@@ -32,111 +29,26 @@ from ragvet.core import (
     VerificationResult,
 )
 from ragvet.finalizer import Branch
-from ragvet.pipeline import VARIANTS, ConversationState, run_conversation, run_turn
+from ragvet.pipeline import VARIANTS, run_conversation, run_turn
 from ragvet.router import FALLBACK_DECISION
-from ragvet.runtime import Deadline
-from ragvet.templates import load_all
 
-from conftest import CountingModel, VirtualClock, scripted_model
-
-ROUTE_PLAIN = "1. Needs External Info: yes\n2. Is Real-Time: no"
-ROUTE_NONE = "1. Needs External Info: no\n2. Is Real-Time: no"
-ROUTE_REAL_TIME = "1. Needs External Info: yes\n2. Is Real-Time: yes"
-COV_FULL = "CONFIDENCE: 1.0\nREASONING: grounded in [Info 1]."
-COV_MID = "CONFIDENCE: 0.95\nREASONING: mostly grounded."
-# The packaged templates, which every PipelineConfig() here uses.
-TEMPLATES = load_all({})
+from conftest import (
+    COV_FULL, DRAWN_STAGES, FAILURE_FLAGS, ROUTE_NONE, ROUTE_PLAIN, ROUTE_REAL_TIME, STALL,
+    TEMPLATES, VirtualClock, fresh_state, image_fixture, make_backends, one_turn, turn_script,
+)
 
 
-def turn_script(query, *, routing=ROUTE_PLAIN, summary="summary tokens", rag="rag answer",
-                direct=None, consistent="yes", cov=COV_FULL, rag_sleep_ms=0):
-    return [
-        {"role": Role.ROUTER, "match": query, "response": routing},
-        {"role": Role.SUMMARIZER, "match": query, "response": summary},
-        {"role": Role.GENERATOR, "match": ["Context:", query], "response": rag,
-         "sleep_ms": rag_sleep_ms},
-        {"role": Role.GENERATOR, "match": query, "response": direct or rag},
-        {"role": Role.CONSISTENCY_JUDGE, "match": query, "response": consistent},
-        {"role": Role.VERIFIER, "match": query, "response": cov},
-    ]
-
-
-def image_fixture(image_key, query, summary="summary tokens"):
-    """One KG record whose description matches the expanded query exactly."""
-    description = f"{query} {summary}"
-    return SearchFixture(image_index={image_key: ({"description": description},)}, web_index=())
-
-
-def make_backends(entries, fixture=None):
-    model = scripted_model(*entries)
-    search = fixture or SearchFixture(image_index={}, web_index=())
-    return Backends(router_model=model, vlm=model, reranker=MockRerankerBackend(), search=search)
-
-
-class _DirectSignal:
-    """Sets ``direct_seen`` once the context-free generator request arrives."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.direct_seen = threading.Event()
-
-    def complete(self, request, deadline):
-        if request.role is Role.GENERATOR and "Context:" not in request.user:
-            self.direct_seen.set()
-        return self.inner.complete(request, deadline)
-
-
-class _WaitForDirect:
-    """A reranker that scores only after the direct answer was requested (up to 2 s)."""
-
-    def __init__(self, direct_seen):
-        self.direct_seen = direct_seen
-        self.saw_direct = False
-
-    def score_batch(self, query, chunks, deadline):
-        self.saw_direct = self.direct_seen.wait(timeout=2.0)
-        return MockRerankerBackend().score_batch(query, chunks, deadline)
-
-
-class _RoleSignal:
-    """Sets ``seen`` once a request for ``role`` arrives."""
-
-    def __init__(self, inner, role):
-        self.inner = inner
-        self.role = role
-        self.seen = threading.Event()
-
-    def complete(self, request, deadline):
-        if request.role is self.role:
-            self.seen.set()
-        return self.inner.complete(request, deadline)
-
-
-class _WaitBeforeReply:
-    """A model that answers only after ``event`` is set (up to 2 s)."""
-
-    def __init__(self, inner, event):
-        self.inner = inner
-        self.event = event
-        self.saw_event = False
-
-    def complete(self, request, deadline):
-        self.saw_event = self.event.wait(timeout=2.0)
-        return self.inner.complete(request, deadline)
-
-
-def wait_out(deadline):
-    """Wait on ``runtime.clock`` until ``deadline`` has passed."""
-    clock = runtime.clock
-    clock.wait_until(clock.now() + deadline.remaining_ms() / 1000.0)
-
-
-def one_turn(query):
-    return QueryTurn(conversation_id="c1", turn_index=0, query=query)
-
-
-def fresh_state(image_ref="img-1"):
-    return ConversationState(conversation_id="c1", image_ref=image_ref)
+def fault(kind, call):
+    """The tap reply to a ``call`` that ``kind`` faults: a stall until its
+    deadline, a transport error, a reply no parser accepts, an empty one (no
+    results, for a search), or, for ``ok``, the scripted reply."""
+    if kind in ("stall", "timeout"):
+        return STALL
+    if kind == "error":
+        return BackendTransportError(f"{call.name} failed")
+    if kind == "empty":
+        return [] if DRAWN_STAGES.get(call.name) == "recall" else ""
+    return {"garbage": "garbage", "ok": None}[kind]
 
 
 class TestHappyPath:
@@ -155,13 +67,11 @@ class TestHappyPath:
 
     def test_every_model_call_sees_the_conversations_image(self):
         query = "what brand is this shoe"
-        model = CountingModel(scripted_model(*turn_script(query)))
-        backends = Backends(router_model=model, vlm=model, reranker=MockRerankerBackend(),
-                            search=image_fixture("img-7", query))
+        backends = make_backends(turn_script(query), image_fixture("img-7", query))
         outcome = run_turn(fresh_state("img-7"), one_turn(query), PipelineConfig(), backends,
                            TEMPLATES)
         assert outcome.final.branch is Branch.CONSISTENT_WITH_CONTEXT  # img-7's KG record
-        images = {request.role: request.image_ref for request in model.requests}
+        images = {request.role: request.image_ref for request in backends.vlm.requests}
         assert images == {Role.ROUTER: None, Role.SUMMARIZER: "img-7", Role.GENERATOR: "img-7",
                           Role.CONSISTENCY_JUDGE: "img-7", Role.VERIFIER: "img-7"}
 
@@ -180,14 +90,19 @@ class TestHappyPath:
 
     def test_direct_answer_overlaps_retrieval(self):
         query = "what brand is this shoe"
-        model = _DirectSignal(scripted_model(*turn_script(query)))
-        reranker = _WaitForDirect(model.direct_seen)
-        backends = Backends(
-            router_model=model, vlm=model, reranker=reranker,
-            search=image_fixture("img-1", query),
-        )
+        direct_seen, saw_direct = threading.Event(), []
+
+        def answer(call):  # rerank scores only once the direct answer was requested
+            if call.name == "direct":
+                direct_seen.set()
+            elif call.name == "rerank":
+                saw_direct.append(direct_seen.wait(timeout=2.0))
+
+        backends = make_backends(turn_script(query), image_fixture("img-1", query), answer)
         outcome = run_turn(fresh_state(), one_turn(query), PipelineConfig(), backends, TEMPLATES)
-        assert reranker.saw_direct, "the direct answer was not requested during rerank"
+        assert saw_direct == [True], "the direct answer was not requested during rerank"
+        threads = {call.name: call.thread for call in backends.vlm.calls}
+        assert threads["direct"] != threads["rag"]  # the direct answer is the worker's
         plain = run_turn(
             fresh_state(), one_turn(query), PipelineConfig(),
             make_backends(turn_script(query), image_fixture("img-1", query)), TEMPLATES,
@@ -196,15 +111,17 @@ class TestHappyPath:
 
     def test_task1_summary_overlaps_routing(self):
         query = "what brand is this shoe"
-        model = scripted_model(*turn_script(query))
-        vlm = _RoleSignal(model, Role.SUMMARIZER)
-        router = _WaitBeforeReply(model, vlm.seen)
-        backends = Backends(
-            router_model=router, vlm=vlm, reranker=MockRerankerBackend(),
-            search=image_fixture("img-1", query),
-        )
+        summary_seen, saw_summary = threading.Event(), []
+
+        def answer(call):  # the router replies only once the summary was requested
+            if call.name == "summarize":
+                summary_seen.set()
+            elif call.name == "route":
+                saw_summary.append(summary_seen.wait(timeout=2.0))
+
+        backends = make_backends(turn_script(query), image_fixture("img-1", query), answer)
         outcome = run_turn(fresh_state(), one_turn(query), PipelineConfig(), backends, TEMPLATES)
-        assert router.saw_event, "the summary was not requested during routing"
+        assert saw_summary == [True], "the summary was not requested during routing"
         plain = run_turn(
             fresh_state(), one_turn(query), PipelineConfig(),
             make_backends(turn_script(query), image_fixture("img-1", query)), TEMPLATES,
@@ -332,9 +249,8 @@ class TestDegradation:
         query = "rag fails first"
         entries = turn_script(query)
         entries[3]["sleep_ms"] = 2000  # the direct answer
-        backends = make_backends(entries, image_fixture("img-1", query))
-        backends.vlm = _Faulty(backends.vlm, "complete", Role.GENERATOR, "error",
-                               lambda request: "Context:" in request.user)
+        backends = make_backends(entries, image_fixture("img-1", query),
+                                 lambda call: fault("error" if call.name == "rag" else "ok", call))
         cfg = PipelineConfig(turn_budget_ms=400, abstain_margin_ms=20)
         outcome = run_turn(fresh_state(), one_turn(query), cfg, backends, TEMPLATES)
         assert outcome.flags == {"generation_backend_error"}
@@ -377,30 +293,13 @@ class TestDegradation:
         assert outcome.final.abstained
 
 
-# Each stage whose backend call may fail: the flag a timeout sets, then the
-# flag any other backend error sets (the README's "Degradation flags").
-FAILURE_FLAGS = {
-    "route": ("router_backend_timeout", "router_backend_error"),
-    "summarize": ("summary_backend_timeout", "summary_backend_error"),
-    "recall": ("recall_backend_error", "recall_backend_error"),
-    "rerank": ("rerank_backend_error", "rerank_backend_error"),
-    "generate": ("generation_timeout", "generation_backend_error"),
-    "consistency": ("consistency_backend_timeout", "consistency_backend_error"),
-    "verify": ("cov_backend_timeout", "cov_backend_error"),
-}
 # Each stage whose reply a parser reads: the flag a reply that does not parse sets.
 PARSE_FLAGS = {"route": "router_parse_failure", "consistency": "consistency_parse_failure",
                "verify": "cov_parse_failure"}
-# The call each stage makes: its ``Backends`` field, method and model role.
-STAGE_CALLS = {
-    "route": ("router_model", "complete", Role.ROUTER),
-    "summarize": ("vlm", "complete", Role.SUMMARIZER),
-    "recall": ("search", "web_search", None),
-    "rerank": ("reranker", "score_batch", None),
-    "generate": ("vlm", "complete", Role.GENERATOR),
-    "consistency": ("vlm", "complete", Role.CONSISTENCY_JUDGE),
-    "verify": ("vlm", "complete", Role.VERIFIER),
-}
+# The call of each stage that a seam turn faults, where it is not named after
+# its stage: a task2plus turn recalls by web search, and only the RAG answer
+# of the two generator calls fails, so the direct answer answers.
+SEAM_CALLS = {"recall": "web_search", "generate": "rag"}
 SEAM_QUERY = "who makes the kettle brand zylo"
 SEAM_SUMMARY = "zylo logo"
 RETRIEVAL_FLAGS = {"recall_backend_error", "rerank_backend_error"}
@@ -420,65 +319,6 @@ FALLBACK_SHOWN = {
 }
 
 
-class _Faulty:
-    """Forwards every call to ``inner``, except that each call of ``method``
-    (for a model, each request of ``role`` that ``picks``) fails: a timeout
-    waits out the call's deadline first, an error is raised at once, and
-    garbage is a reply that no parser accepts."""
-
-    def __init__(self, inner, method, role, kind, picks=lambda request: True):
-        self.inner, self.method, self.role, self.kind = inner, method, role, kind
-        self.picks = picks
-
-    def __getattr__(self, name):
-        forward = getattr(self.inner, name)
-        if name != self.method:
-            return forward
-
-        def call(*args):
-            if self.role is not None and not (args[0].role is self.role and self.picks(args[0])):
-                return forward(*args)
-            if self.kind == "timeout":
-                wait_out(args[-1])
-                raise BackendTimeout(f"{name} outlasted its deadline")
-            if self.kind == "garbage":
-                return ModelResponse(text="garbage")
-            raise BackendTransportError(f"{name} failed")
-
-        return call
-
-
-class _TimeLeft:
-    """Forwards every call to ``inner`` and keeps, for each call of
-    ``method``, the ms its deadline had left."""
-
-    def __init__(self, inner, method):
-        self.inner, self.method = inner, method
-        self.left_ms: list[float] = []
-
-    def __getattr__(self, name):
-        forward = getattr(self.inner, name)
-        if name != self.method:
-            return forward
-
-        def call(*args):
-            self.left_ms.append(args[-1].remaining_ms())
-            return forward(*args)
-
-        return call
-
-
-@dataclasses.dataclass(frozen=True)
-class _QueryLog(SearchFixture):
-    """A search fixture that keeps each web query it is sent."""
-
-    queries: list = dataclasses.field(default_factory=list)
-
-    def web_search(self, query_text, k, deadline):
-        self.queries.append(query_text)
-        return super().web_search(query_text, k, deadline)
-
-
 # When each stage's timeout fires in a 400 ms turn: its cumulative cutoff.
 # Nothing else in a seam turn takes virtual time, so the turn ends then too.
 TIMEOUT_AT_MS = {"route": 20, "summarize": 80, "recall": 140, "rerank": 140,
@@ -487,13 +327,13 @@ SEAM_PAGE = {"title": "zylo", "url": "https://z.test", "last_updated": "2025-01-
              "snippet": f"{SEAM_QUERY} {SEAM_SUMMARY}"}
 
 
-def seam_backends(routing=ROUTE_PLAIN):
-    """``task2plus`` backends for ``SEAM_QUERY``, whose search finds ``SEAM_PAGE``."""
-    search = _QueryLog(image_index={}, web_index=(SEAM_PAGE,))
-    return dataclasses.replace(
-        make_backends(turn_script(SEAM_QUERY, routing=routing, summary=SEAM_SUMMARY)),
-        search=search,
-    )
+def seam_backends(routing=ROUTE_PLAIN, stage=None, kind="ok"):
+    """``task2plus`` backends for ``SEAM_QUERY``, whose search finds
+    ``SEAM_PAGE``, with the call of ``stage`` faulted as ``kind`` says."""
+    faulted = SEAM_CALLS.get(stage, stage)
+    return make_backends(turn_script(SEAM_QUERY, routing=routing, summary=SEAM_SUMMARY),
+                         SearchFixture(image_index={}, web_index=(SEAM_PAGE,)),
+                         lambda call: fault(kind if call.name == faulted else "ok", call))
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -527,13 +367,7 @@ class TestFailureSeam:
     def test_backend_failure_flags_and_falls_back_within_budget(self, stage, kind,
                                                                 virtual_clock):
         # A router that answered would skip retrieval; only its fallback retrieves.
-        backends = seam_backends(ROUTE_NONE if stage == "route" else ROUTE_PLAIN)
-        field, method, role = STAGE_CALLS[stage]
-        faulty = _Faulty(getattr(backends, field), method, role, kind)
-        if stage == "generate":
-            # Only the RAG request fails; the direct answer answers.
-            faulty.picks = lambda request: "Context:" in request.user
-        backends = dataclasses.replace(backends, **{field: faulty})
+        backends = seam_backends(ROUTE_NONE if stage == "route" else ROUTE_PLAIN, stage, kind)
         cfg = PipelineConfig(mode="task2plus", turn_budget_ms=400, abstain_margin_ms=20)
         outcome = run_turn(fresh_state(), one_turn(SEAM_QUERY), cfg, backends, TEMPLATES)
         if kind == "timeout":
@@ -545,47 +379,40 @@ class TestFailureSeam:
         if kind != "timeout":  # nothing else degrades
             assert outcome.flags == {flag}
         assert stage in outcome.stages
-        assert FALLBACK_SHOWN[stage](outcome, backends.search.queries)
+        assert FALLBACK_SHOWN[stage](outcome, [call.user for call in backends.search.calls])
 
     def test_summary_timeout_leaves_search_and_rerank_their_slice(self, virtual_clock):
-        backends = seam_backends()
-        backends = dataclasses.replace(
-            backends, vlm=_Faulty(backends.vlm, "complete", Role.SUMMARIZER, "timeout"),
-            search=_TimeLeft(backends.search, "web_search"),
-            reranker=_TimeLeft(backends.reranker, "score_batch"))
+        backends = seam_backends(stage="summarize", kind="timeout")
         cfg = PipelineConfig(mode="task2plus", turn_budget_ms=400, abstain_margin_ms=20)
         outcome = run_turn(fresh_state(), one_turn(SEAM_QUERY), cfg, backends, TEMPLATES)
         assert outcome.flags == {"summary_backend_timeout"}
         # The summary ends at its 20 % cutoff; search and rerank still have
         # until the 35 % retrieval cutoff.
         assert outcome.timings_ms["summarize"] == 80
-        assert backends.search.left_ms == [pytest.approx(60)]
-        assert backends.reranker.left_ms == [pytest.approx(60)]
+        assert [call.left_ms for call in backends.search.calls] == [pytest.approx(60)]
+        assert [call.left_ms for call in backends.reranker.calls] == [pytest.approx(60)]
         assert outcome.timings_ms["recall"] == outcome.timings_ms["rerank"] == 0
         assert len(outcome.context.entries) == 1
 
     def test_a_worker_call_starts_at_its_submitters_time(self, virtual_clock):
-        backends = seam_backends()
-        vlm = _TimeLeft(backends.vlm, "complete")
-        backends = dataclasses.replace(
-            backends, vlm=vlm,
-            router_model=_Faulty(backends.router_model, "complete", Role.ROUTER, "timeout"))
+        backends = seam_backends(stage="route", kind="timeout")
         cfg = PipelineConfig(mode="task2plus", turn_budget_ms=400, abstain_margin_ms=20)
         outcome = run_turn(fresh_state(), one_turn(SEAM_QUERY), cfg, backends, TEMPLATES)
         assert outcome.flags == {"router_backend_timeout"}
         # Routing times out at 20 ms and nothing after it takes time, so every
         # call starts then, the direct answer on the worker too, with its
         # cutoff less 20 ms left: summary 80, answers 300, judge 340, verifier 400.
-        assert sorted(vlm.left_ms) == pytest.approx([60, 280, 280, 320, 380])
+        assert sorted(call.left_ms for call in backends.vlm.calls
+                      if call.name != "route") == pytest.approx([60, 280, 280, 320, 380])
 
     @pytest.mark.parametrize("kind", ["timeout", "error"])
     def test_failed_task1_summary_keeps_the_kg_record(self, kind, virtual_clock):
         # task1 looks the image up whatever the summary says; a summary that
         # times out must not spend the budget of the rerank after it.
         fixture = image_fixture("img-1", SEAM_QUERY, SEAM_SUMMARY)
-        backends = make_backends(turn_script(SEAM_QUERY, summary=SEAM_SUMMARY), fixture)
-        backends = dataclasses.replace(
-            backends, vlm=_Faulty(backends.vlm, "complete", Role.SUMMARIZER, kind))
+        backends = make_backends(
+            turn_script(SEAM_QUERY, summary=SEAM_SUMMARY), fixture,
+            lambda call: fault(kind if call.name == "summarize" else "ok", call))
         cfg = PipelineConfig(mode="task1", turn_budget_ms=400, abstain_margin_ms=20)
         outcome = run_turn(fresh_state(), one_turn(SEAM_QUERY), cfg, backends, TEMPLATES)
         # A timeout ends at the summary's 20 % cutoff; nothing after it waits.
@@ -614,24 +441,9 @@ DRAWS = {
     "verify": ("ok", "stall", "error", "empty", "garbage"),
 }
 DRAWN_FAULTS = st.fixed_dictionaries({call: st.sampled_from(k) for call, k in DRAWS.items()})
-# The stage of each drawn call that is not named after its stage.
-DRAWN_STAGES = {"web_search": "recall", "image_search": "recall", "rag": "generate",
-                "direct": "generate"}
-# The stage of each model call but the generator's, by its role.
-ROLE_STAGES = {role: stage for stage, (_, _, role) in STAGE_CALLS.items() if role}
 # Each stage's own share of the turn budget: its cutoff less the one before it.
 SLICES = {"route": 0.05, "summarize": 0.15, "recall": 0.15, "rerank": 0.15,
           "generate": 0.40, "consistency": 0.10, "verify": 0.15}
-
-
-def drawn_call(method, args):
-    """The ``DRAWS`` name of a call of ``method`` with ``args``."""
-    if method != "complete":
-        return "rerank" if method == "score_batch" else method
-    request = args[0]
-    if request.role is Role.GENERATOR:
-        return "rag" if "Context:" in request.user else "direct"
-    return ROLE_STAGES[request.role]
 
 
 def drawn_flag(call, draw):
@@ -644,53 +456,16 @@ def drawn_flag(call, draw):
     return FAILURE_FLAGS[stage][draw != "stall"]
 
 
-def drawn_script(routing, draws):
-    """The replay script of a drawn ``SEAM_QUERY`` turn: each reply as drawn."""
-    replies = {"route": routing, "summarize": SEAM_SUMMARY, "rag": "rag answer",
-               "direct": "direct answer", "consistency": "yes", "verify": COV_FULL}
-    text = {call: {"empty": "", "garbage": "garbage"}.get(draws[call], reply)
-            for call, reply in replies.items()}
+def drawn_script(routing):
+    """The replay script of a drawn ``SEAM_QUERY`` turn: the tap faults its replies."""
     return [
-        {"role": Role.ROUTER, "response": text["route"]},
-        {"role": Role.SUMMARIZER, "response": text["summarize"]},
-        {"role": Role.GENERATOR, "match": "Context:", "response": text["rag"]},
-        {"role": Role.GENERATOR, "response": text["direct"]},
-        {"role": Role.CONSISTENCY_JUDGE, "response": text["consistency"]},
-        {"role": Role.VERIFIER, "response": text["verify"]},
+        {"role": Role.ROUTER, "response": routing},
+        {"role": Role.SUMMARIZER, "response": SEAM_SUMMARY},
+        {"role": Role.GENERATOR, "match": "Context:", "response": "rag answer"},
+        {"role": Role.GENERATOR, "response": "direct answer"},
+        {"role": Role.CONSISTENCY_JUDGE, "response": "yes"},
+        {"role": Role.VERIFIER, "response": COV_FULL},
     ]
-
-
-class _Drawn:
-    """Forwards every call to ``inner``, failing each as ``draws`` says for
-    it, and keeps the name of each call and, for each that takes a deadline,
-    the ms it had left when it started. A call on the per-turn worker (the
-    direct answer, a task1 summary) stalls on its own thread's virtual time."""
-
-    def __init__(self, inner, draws):
-        self.inner, self.draws = inner, draws
-        self.made: list[str] = []
-        self.left_ms: list[tuple[str, float]] = []
-
-    def __getattr__(self, name):
-        forward = getattr(self.inner, name)
-
-        def call(*args):
-            drawn = drawn_call(name, args)
-            self.made.append(drawn)
-            deadline = args[-1] if isinstance(args[-1], Deadline) else None
-            if deadline is not None:
-                self.left_ms.append((drawn, deadline.remaining_ms()))
-            draw = self.draws[drawn]
-            if draw == "stall":
-                wait_out(deadline)
-                raise BackendTimeout(f"{drawn} outlasted its deadline")
-            if draw == "error":
-                raise BackendTransportError(f"{drawn} failed")
-            if draw == "empty" and DRAWN_STAGES.get(drawn) == "recall":
-                return []
-            return forward(*args)
-
-        return call
 
 
 def check_drawn_turn(mode, variant, routing, draws):
@@ -699,28 +474,30 @@ def check_drawn_turn(mode, variant, routing, draws):
     flag, each call starts with at least its stage's share of the budget
     left (``SLICES``), and the turn ends within its budget."""
     # A fresh virtual clock per example: each turn starts at 0, so every
-    # stage cutoff of the 10 s budget is exact.
+    # stage cutoff of the 10 s budget is exact. A call on the per-turn worker
+    # (the direct answer, a task1 summary) stalls on its own thread's time.
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(runtime, "clock", VirtualClock())
-        model = _Drawn(scripted_model(*drawn_script(routing, draws)), draws)
-        search = _Drawn(SearchFixture(
+        fixture = SearchFixture(
             image_index=image_fixture("img-1", SEAM_QUERY, SEAM_SUMMARY).image_index,
-            web_index=(SEAM_PAGE,)), draws)
-        reranker = _Drawn(MockRerankerBackend(), draws)
-        backends = Backends(router_model=model, vlm=model, reranker=reranker, search=search)
+            web_index=(SEAM_PAGE,))
+        backends = make_backends(drawn_script(routing), fixture,
+                                 lambda call: fault(draws[call.name], call))
         cfg = PipelineConfig(mode=mode)
         outcome = run_turn(fresh_state(), one_turn(SEAM_QUERY), cfg, backends, TEMPLATES,
                            variant)
     scripted = "rag answer" if "rag" in VARIANTS[variant] else "direct answer"
     assert outcome.final.answer in (scripted, cfg.abstain_text)
-    made = set(model.made + search.made + reranker.made)
+    calls = backends.vlm.calls + backends.search.calls + backends.reranker.calls
+    made = {call.name for call in calls}
     if "rag" in made and draws["rag"] != "ok":
         made.discard("direct")  # a failed RAG answer leaves the direct one unread
     expected = {drawn_flag(call, draws[call]) for call in made} - {None}
     assert expected <= outcome.flags
-    for call, left_ms in model.left_ms + search.left_ms + reranker.left_ms:
-        share_ms = SLICES[DRAWN_STAGES.get(call, call)] * cfg.turn_budget_ms
-        assert left_ms >= share_ms - 1e-6, (call, left_ms)  # less float rounding
+    for call in calls:
+        if call.left_ms is not None:
+            share_ms = SLICES[DRAWN_STAGES.get(call.name, call.name)] * cfg.turn_budget_ms
+            assert call.left_ms >= share_ms - 1e-6, (call.name, call.left_ms)  # less rounding
     assert outcome.wall_clock_ms <= cfg.turn_budget_ms
 
 
@@ -819,42 +596,13 @@ class TestDrawnConfigs:
             config_turn({"mode": "task2plus", **values})
 
 
-class _RequestLog:
-    """Logs every request, and in ``events`` each request and reply in order."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.requests: list[ModelRequest] = []
-        self.events: list[tuple[str, Role]] = []
-
-    def complete(self, request, deadline):
-        self.requests.append(request)
-        self.events.append(("request", request.role))
-        try:
-            return self.inner.complete(request, deadline)
-        finally:
-            self.events.append(("reply", request.role))
-
-
-def logged_backends(entries, fixture=None):
-    model = _RequestLog(scripted_model(*entries))
-    search = fixture or SearchFixture(image_index={}, web_index=())
-    backends = Backends(router_model=model, vlm=model, reranker=MockRerankerBackend(),
-                        search=search)
-    return model, backends
-
-
-def roles_sent(model):
-    return {request.role for request in model.requests}
-
-
 class TestEarlyExit:
     def test_real_time_low_retrieval_skips_generation_and_verification(self):
         query = "what is the latest price of this"
-        model, backends = logged_backends(turn_script(query, routing=ROUTE_REAL_TIME))
+        backends = make_backends(turn_script(query, routing=ROUTE_REAL_TIME))
         outcome = run_turn(fresh_state(), one_turn(query), PipelineConfig(), backends, TEMPLATES)
         assert outcome.final.branch is Branch.REAL_TIME_LOW_RETRIEVAL
-        assert roles_sent(model) == {Role.ROUTER, Role.SUMMARIZER}
+        assert {call.role for call in backends.vlm.calls} == {Role.ROUTER, Role.SUMMARIZER}
         record = outcome.to_record()
         assert record["answers"] is None
         assert record["verification"] is None
@@ -862,14 +610,14 @@ class TestEarlyExit:
 
     def test_inconsistent_with_context_skips_verification(self):
         query = "the answers disagree"
-        model, backends = logged_backends(
+        backends = make_backends(
             turn_script(query, direct="another answer", consistent="no"),
             image_fixture("img-1", query),
         )
         outcome = run_turn(fresh_state(), one_turn(query), PipelineConfig(), backends, TEMPLATES)
         assert outcome.final.branch is Branch.INCONSISTENT_WITH_CONTEXT
-        assert Role.VERIFIER not in roles_sent(model)
-        assert Role.CONSISTENCY_JUDGE in roles_sent(model)
+        assert Role.VERIFIER not in {call.role for call in backends.vlm.calls}
+        assert Role.CONSISTENCY_JUDGE in {call.role for call in backends.vlm.calls}
         assert outcome.verification is None
         assert outcome.answers.consistent is False
         assert outcome.stages[-1] == "consistency"
@@ -877,23 +625,23 @@ class TestEarlyExit:
     def test_failed_judge_with_context_skips_verification(self):
         query = "judge is down"
         entries = [e for e in turn_script(query) if e["role"] is not Role.CONSISTENCY_JUDGE]
-        model, backends = logged_backends(entries, image_fixture("img-1", query))
+        backends = make_backends(entries, image_fixture("img-1", query))
         outcome = run_turn(fresh_state(), one_turn(query), PipelineConfig(), backends, TEMPLATES)
         assert outcome.final.branch is Branch.INCONSISTENT_WITH_CONTEXT
         assert "consistency_backend_error" in outcome.flags
-        assert Role.VERIFIER not in roles_sent(model)
+        assert Role.VERIFIER not in {call.role for call in backends.vlm.calls}
         assert outcome.verification is None
 
     def test_inconsistent_without_context_abstains_without_verification(self):
         query = "is the mug in the picture red"
-        model, backends = logged_backends(
+        backends = make_backends(
             turn_script(query, routing=ROUTE_NONE, direct="blue", consistent="no")
         )
         cfg = PipelineConfig(mode="task2plus")
         outcome = run_turn(fresh_state(), one_turn(query), cfg, backends, TEMPLATES)
         assert outcome.context.empty
         assert outcome.final.branch is Branch.DEFAULT_ABSTAIN
-        assert Role.VERIFIER not in roles_sent(model)
+        assert Role.VERIFIER not in {call.role for call in backends.vlm.calls}
         assert outcome.verification is None
 
 
@@ -912,7 +660,7 @@ class TestVariants:
     ])
     def test_stages_of_each_variant(self, variant, stages, two_answers, branch):
         query = "what brand is this shoe"
-        model, backends = logged_backends(turn_script(query), image_fixture("img-1", query))
+        backends = make_backends(turn_script(query), image_fixture("img-1", query))
         outcome = run_turn(fresh_state(), one_turn(query), PipelineConfig(), backends, TEMPLATES,
                            variant=variant)
         record = outcome.to_record()
@@ -923,19 +671,19 @@ class TestVariants:
         assert outcome.final.branch is branch
         assert outcome.final.answer == "rag answer"
         assert outcome.flags == frozenset()
-        generator_calls = sum(r.role is Role.GENERATOR for r in model.requests)
+        generator_calls = sum(call.role is Role.GENERATOR for call in backends.vlm.calls)
         assert generator_calls == (2 if two_answers else 1)
 
     def test_exact_match_stands_in_for_the_judge(self):
         query = "the answers disagree"
-        model, backends = logged_backends(
+        backends = make_backends(
             turn_script(query, direct="another answer"), image_fixture("img-1", query)
         )
         outcome = run_turn(fresh_state(), one_turn(query), PipelineConfig(), backends, TEMPLATES,
                            variant="no_cov_no_sc")
         assert outcome.answers.consistent is False
         assert outcome.final.branch is Branch.INCONSISTENT_WITH_CONTEXT
-        assert Role.CONSISTENCY_JUDGE not in roles_sent(model)
+        assert Role.CONSISTENCY_JUDGE not in {call.role for call in backends.vlm.calls}
 
     @pytest.mark.parametrize("variant", ["rag_naive", "no_cov_no_sc", "no_cov"])
     def test_only_full_applies_the_real_time_guard(self, variant):
@@ -980,20 +728,21 @@ class TestVariants:
 class TestSummaryOverlap:
     def test_task2plus_routed_past_retrieval_sends_no_summary_request(self):
         query = "is the mug in the picture red"
-        model, backends = logged_backends(turn_script(query, routing=ROUTE_NONE))
+        backends = make_backends(turn_script(query, routing=ROUTE_NONE))
         outcome = run_turn(fresh_state(), one_turn(query), PipelineConfig(mode="task2plus"),
                            backends, TEMPLATES)
         assert "retrieval_skipped" in outcome.flags
-        assert Role.SUMMARIZER not in roles_sent(model)
+        assert Role.SUMMARIZER not in {call.role for call in backends.vlm.calls}
 
     def test_task2plus_summary_waits_for_the_router_reply(self):
         query = "who makes the kettle brand zylo"
-        model, backends = logged_backends(turn_script(query))
+        backends = make_backends(turn_script(query))
         outcome = run_turn(fresh_state(), one_turn(query), PipelineConfig(mode="task2plus"),
                            backends, TEMPLATES)
         assert "summarize" in outcome.stages
-        assert model.events.index(("reply", Role.ROUTER)) < model.events.index(
-            ("request", Role.SUMMARIZER))
+        calls = backends.vlm.calls
+        [route] = [call for call in calls if call.name == "route"]
+        assert route.returned <= [call.name for call in calls].index("summarize")
 
     def test_early_summary_timeout_is_flagged(self, virtual_clock):
         query = "slow summary"
@@ -1072,18 +821,14 @@ class TestConversations:
             + turn_script(second, routing=ROUTE_NONE)
             + turn_script(third, routing=ROUTE_NONE)
         )
-        model = _RequestLog(scripted_model(*entries))
-        backends = Backends(
-            router_model=model, vlm=model, reranker=MockRerankerBackend(),
-            search=SearchFixture(image_index={}, web_index=()),
-        )
+        backends = make_backends(entries)
         outcomes = run_conversation(
             self._conversation([first, second, third]),
             PipelineConfig(mode="task2plus"), backends, TEMPLATES,
         )
         assert len(outcomes) == 3
         third_gen = [
-            r.user for r in model.requests
+            r.user for r in backends.vlm.requests
             if r.role is Role.GENERATOR and third in r.user
         ]
         assert third_gen, "third turn generated nothing"
@@ -1092,7 +837,7 @@ class TestConversations:
             assert "Previous Q: turn two" in user
             assert user.index("Previous Q: turn one") < user.index("Previous Q: turn two")
         first_gen = [
-            r.user for r in model.requests
+            r.user for r in backends.vlm.requests
             if r.role is Role.GENERATOR and first in r.user and "Previous" not in r.user
         ]
         assert first_gen, "first turn must carry no history"
@@ -1103,18 +848,14 @@ class TestConversations:
             turn_script(first, routing=ROUTE_NONE, cov="CONFIDENCE: 0.9\nREASONING: shaky.")
             + turn_script(second, routing=ROUTE_NONE)
         )
-        model = _RequestLog(scripted_model(*entries))
-        backends = Backends(
-            router_model=model, vlm=model, reranker=MockRerankerBackend(),
-            search=SearchFixture(image_index={}, web_index=()),
-        )
+        backends = make_backends(entries)
         outcomes = run_conversation(
             self._conversation([first, second]), PipelineConfig(mode="task2plus"), backends,
             TEMPLATES,
         )
         assert outcomes[0].final.abstained  # 0.9 < high bar without context
         second_gen = [
-            r.user for r in model.requests if r.role is Role.GENERATOR and second in r.user
+            r.user for r in backends.vlm.requests if r.role is Role.GENERATOR and second in r.user
         ]
         assert all("Previous A: I don't know" in user for user in second_gen)
 

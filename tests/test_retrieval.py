@@ -28,7 +28,7 @@ from ragvet.retrieval import (
 )
 from ragvet.templates import default_template
 
-from conftest import CountingModel, chunk, kg_item, scripted_model, web_item
+from conftest import chunk, kg_item, scripted_model, tap, web_item
 
 SUMMARIZE = default_template("summarize")
 
@@ -56,7 +56,7 @@ class TestExpandQuery:
 
 class TestSummarizeImage:
     def test_scripted_summary_returned(self, no_deadline):
-        backend = CountingModel(scripted_model(
+        backend = tap(scripted_model(
             {"role": Role.SUMMARIZER, "match": "what brand is this?",
              "response": " A red running shoe with a white logo.\n"}
         ))
@@ -260,32 +260,26 @@ class TestRetrievalScore:
         assert build_context([chunk("a", 0.3)], 0.1).retrieval_score == 0.3
 
 
-class CountingReranker:
-    """Records every batch and scores chunk i as 1 / (i + 1)."""
-
-    def __init__(self):
-        self.batches: list[list[str]] = []
-
-    def score_batch(self, query, chunks, deadline):
-        self.batches.append(list(chunks))
-        return [1.0 / (i + 1) for i in range(len(chunks))]
+def counting_reranker():
+    """A reranker that scores chunk i of each batch as 1 / (i + 1)."""
+    return tap(None, lambda call: [1.0 / (i + 1) for i in range(len(call.args[1]))])
 
 
 class TestRerank:
     def test_one_batch_call_per_rerank_scores_in_chunk_order(self, no_deadline):
-        reranker = CountingReranker()
+        reranker = counting_reranker()
         raw = chunk_items([web_item("c one\nc two"), web_item("c three", rank=2)])
         scored = rerank(expand_query("q", ""), raw, reranker, no_deadline)
-        assert reranker.batches == [["c one", "c two", "c three"]]
+        assert [list(call.args[1]) for call in reranker.calls] == [["c one", "c two", "c three"]]
         assert [(c.text, c.score) for c in scored] == [
             ("c one", 1.0), ("c two", 0.5), ("c three", pytest.approx(1 / 3)),
         ]
         assert [c.parent for c in scored] == [r.ref for r in raw]
 
     def test_no_chunks_no_call(self, no_deadline):
-        reranker = CountingReranker()
+        reranker = counting_reranker()
         assert rerank(expand_query("q", ""), [], reranker, no_deadline) == []
-        assert reranker.batches == []
+        assert reranker.calls == []
 
     def test_scores_preserve_input_order(self, no_deadline):
         expanded = expand_query("red shoe", "")

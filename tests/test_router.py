@@ -11,15 +11,14 @@ from ragvet.core import ReplyParseError, RoutingDecision
 from ragvet.router import parse_routing_response, route
 from ragvet.templates import default_template
 
-from conftest import CountingModel, day_deadline, scripted_model
+from conftest import ROUTE_PLAIN, day_deadline, scripted_model, tap
 
 ROUTING = default_template("routing")
-ROUTE_PLAIN = "1. Needs External Info: yes\n2. Is Real-Time: no"
 
 
 def sent_request(query):
     """The request ``route`` sends for ``query``."""
-    model = CountingModel(scripted_model({"role": Role.ROUTER, "response": ROUTE_PLAIN}))
+    model = tap(scripted_model({"role": Role.ROUTER, "response": ROUTE_PLAIN}))
     route(query, model, day_deadline(), ROUTING)
     [request] = model.requests
     return request
@@ -38,7 +37,7 @@ class TestBuildRoutingPrompt:
         assert request.max_tokens == MAX_TOKENS[Role.ROUTER]
 
     def test_empty_query_rejected(self):
-        model = CountingModel(scripted_model())
+        model = tap(scripted_model())
         with pytest.raises(ValueError):
             route("", model, day_deadline(), ROUTING)
         assert model.requests == []

@@ -9,7 +9,7 @@ from ragvet.retrieval import build_context
 from ragvet.templates import default_template
 from ragvet.verification import parse_cov_response, verify
 
-from conftest import CountingModel, chunk, day_deadline, scripted_model
+from conftest import chunk, day_deadline, scripted_model, tap
 
 COV = default_template("cov")
 COV_REPLY = "CONFIDENCE: 1.0\nREASONING: supported by [Info 1]."
@@ -22,7 +22,7 @@ def _context(*texts_scores):
 
 def cov_request(context, query, answer):
     """The request ``verify`` sends."""
-    model = CountingModel(scripted_model({"role": Role.VERIFIER, "response": COV_REPLY}))
+    model = tap(scripted_model({"role": Role.VERIFIER, "response": COV_REPLY}))
     verify(query, "img-1", context, answer, model, day_deadline(), COV)
     [request] = model.requests
     return request
