@@ -31,7 +31,6 @@ __all__ = [
     "Role",
     "MAX_TOKENS",
     "ModelRequest",
-    "ModelResponse",
     "BackendError",
     "BackendTimeout",
     "BackendTransportError",
@@ -100,20 +99,8 @@ class ModelRequest:
         }
 
 
-@dataclass(frozen=True)
-class ModelResponse:
-    text: str
-    prompt_tokens: int = 0
-    completion_tokens: int = 0
-    latency_ms: int = 0
-
-    def __post_init__(self) -> None:
-        if self.latency_ms < 0:
-            raise ValueError("latency_ms must be >= 0")
-
-
 class EmptyCompletionError(BackendError):
-    """The backend returned an empty completion."""
+    """A model returned an empty completion."""
 
 
 class NoScriptEntryError(BackendError):
@@ -125,7 +112,7 @@ class FixtureError(ValueError):
 
 
 class ModelBackend(Protocol):
-    def complete(self, request: ModelRequest, deadline: Deadline) -> ModelResponse: ...
+    def complete(self, request: ModelRequest, deadline: Deadline) -> str: ...
 
 
 class RerankerBackend(Protocol):
@@ -147,11 +134,14 @@ def ask(model: ModelBackend, role: Role, template: PromptTemplate, deadline: Dea
         image_ref: Optional[str] = None, **values: str) -> str:
     """Render ``template`` with ``values``, send it as one ``role`` request
     capped at ``MAX_TOKENS[role]``, and return the reply text. Backend
-    failures propagate."""
+    failures propagate, and an empty reply of any role is EmptyCompletionError."""
     system, user = template.build(**values)
     request = ModelRequest(role=role, system=system, user=user, image_ref=image_ref,
                            max_tokens=MAX_TOKENS[role])
-    return model.complete(request, deadline).text
+    text = model.complete(request, deadline)
+    if not text:
+        raise EmptyCompletionError(f"empty completion for role {role.value}")
+    return text
 
 
 def _tokens(text: str) -> frozenset[str]:
@@ -242,11 +232,7 @@ class ReplayModelBackend:
             by_role.setdefault(entry.role, []).append(entry)
         self._by_role = {role: tuple(group) for role, group in by_role.items()}
 
-    @classmethod
-    def from_file(cls, path: str | Path) -> "ReplayModelBackend":
-        return cls(load_replay(path))
-
-    def complete(self, request: ModelRequest, deadline: Deadline) -> ModelResponse:
+    def complete(self, request: ModelRequest, deadline: Deadline) -> str:
         if deadline.expired():
             raise BackendTimeout(f"deadline already expired for role {request.role.value}")
         entry = next((e for e in self._by_role.get(request.role, ()) if e.matches(request)), None)
@@ -264,14 +250,7 @@ class ReplayModelBackend:
                     f"scripted {entry.sleep_ms} ms sleep exceeds deadline for role "
                     f"{request.role.value}"
                 )
-        if not entry.response:
-            raise EmptyCompletionError(f"scripted empty completion for role {request.role.value}")
-        return ModelResponse(
-            text=entry.response,
-            prompt_tokens=len(request.user.split()),
-            completion_tokens=len(entry.response.split()),
-            latency_ms=entry.sleep_ms,
-        )
+        return entry.response
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +258,12 @@ class ReplayModelBackend:
 
 
 class RemoteModelBackend:
-    """One HTTP round-trip per completion against a configured endpoint; a
-    reply's usage fields, where present, must be integers >= 0."""
+    """One HTTP round-trip per completion against a configured endpoint.
+
+    Wire contract: ``POST`` the request's ``to_dict()``, answered by
+    ``{"text": str}``. Every other key of the reply is ignored, and an empty
+    text is returned for ``ask`` to reject.
+    """
 
     def __init__(self, endpoint: str, bearer_token: Optional[str] = None):
         self._http = JsonEndpoint(endpoint, bearer_token)
@@ -288,20 +271,12 @@ class RemoteModelBackend:
     def close(self) -> None:
         self._http.close()
 
-    def complete(self, request: ModelRequest, deadline: Deadline) -> ModelResponse:
+    def complete(self, request: ModelRequest, deadline: Deadline) -> str:
         body = self._http.post_json(request.to_dict(), deadline)
         text = body.get("text")
         if not isinstance(text, str):
             raise BackendTransportError(f"completion from {self._http.url} has no 'text' string")
-        if not text:
-            raise EmptyCompletionError(f"empty completion from {self._http.url}")
-        usage = {key: body.get(key, 0)
-                 for key in ("prompt_tokens", "completion_tokens", "latency_ms")}
-        for key, value in usage.items():
-            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-                raise BackendTransportError(f"{key} from {self._http.url} must be an integer"
-                                            f" >= 0, got {value!r:.50}")
-        return ModelResponse(text=text, **usage)
+        return text
 
 
 # ---------------------------------------------------------------------------
@@ -444,9 +419,9 @@ class MockRerankerBackend:
 
 
 def _rerank_score(value: Any) -> float:
-    # NaN is the one number unequal to itself. A score is clamped before it
-    # becomes a float, which an integer too large for a float would not.
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or value != value:
+    # A score is clamped before it becomes a float, which an integer too
+    # large for a float would not.
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise BackendTransportError(f"rerank score must be a number, got {value!r}")
     return float(min(1.0, max(0.0, value)))
 

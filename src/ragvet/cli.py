@@ -30,6 +30,7 @@ from .backends import (
     RemoteSearchBackend,
     ReplayModelBackend,
     load_fixture,
+    load_replay,
 )
 from .core import (
     MODES, Conversation, InvalidConfigError, PipelineConfig, read_json, read_jsonl,
@@ -160,7 +161,7 @@ def build_backends(cfg: PipelineConfig, mock: bool) -> tuple[Backends, dict[str,
         run = "mock" if mock else f"remote {cfg.mode}"
         raise InvalidConfigError(f"{run} mode needs {', '.join(missing)} in the config")
     if mock:
-        model = ReplayModelBackend.from_file(cfg.replay_path)
+        model = ReplayModelBackend(load_replay(cfg.replay_path))
         bundle = Backends(router_model=model, vlm=model, reranker=MockRerankerBackend(),
                           search=load_fixture(cfg.fixture_path))
         return bundle, {"model": "replay", "reranker": "jaccard-mock", "search": "fixture"}

@@ -9,7 +9,8 @@ object, a (status, body) pair, ``Raw`` bytes, ``DRIP`` or ``NO_REPLY``.
 ``tap(inner, answer)`` is its in-process twin: it wraps a model, reranker,
 search backend or judge, logs each ``Call`` and answers it with
 ``answer(call)``: None passes it on to ``inner``, ``STALL`` waits out its
-deadline, an exception is raised, and any other value is the reply.
+deadline, an exception is raised, and any other value is the reply as it
+is, a model call's completion string included.
 
 A ``Request`` and a ``Call`` are named alike, by ``call_name``: one of
 ``TURN_CALLS``, so one fault schedule reads the same over sockets and in
@@ -36,10 +37,8 @@ from ragvet import runtime
 from ragvet.backends import (
     BackendTimeout,
     Backends,
-    EmptyCompletionError,
     MockRerankerBackend,
     ModelRequest,
-    ModelResponse,
     ReplayEntry,
     ReplayModelBackend,
     Role,
@@ -77,25 +76,6 @@ def pytest_collection_modifyitems(items: list[pytest.Item]) -> None:
         if suite in item.path.parents:
             for check in WARNING_CHECKS:
                 item.add_marker(pytest.mark.filterwarnings(check))
-
-
-# A test on the virtual clock waits no real time, so one that spends more
-# than this many seconds of it waits somewhere that bypasses runtime.clock.
-VIRTUAL_CLOCK_REAL_S = 1.0
-
-
-@pytest.hookimpl(wrapper=True)
-def pytest_runtest_call(item: pytest.Item) -> Iterator[None]:
-    """Fail a test that takes the ``virtual_clock`` fixture and spends more
-    than ``VIRTUAL_CLOCK_REAL_S`` of real time, naming it."""
-    if "virtual_clock" not in getattr(item, "fixturenames", ()):
-        return (yield)
-    started = time.monotonic()
-    result = yield
-    spent = time.monotonic() - started
-    if spent > VIRTUAL_CLOCK_REAL_S:
-        pytest.fail(f"{item.nodeid} spent {spent:.2f} s of real time on the virtual clock")
-    return result
 
 
 class Raw:
@@ -344,9 +324,9 @@ class tap:
     """Wraps a model, reranker, search backend or judge ``inner``: each call
     of a backend method is logged in ``calls``, then answered with
     ``answer(call)``. None passes the call on to ``inner``; ``STALL`` waits
-    out its deadline; an exception is raised; a string a model call gets is
-    a completion, and ``""`` fails as a remote model's empty one does; any
-    other value is the reply. Every other attribute is ``inner``'s."""
+    out its deadline; an exception is raised; any other value, a model
+    call's completion string included, is the reply as it is. Every other
+    attribute is ``inner``'s."""
 
     METHODS = ("complete", "score_batch", "web_search", "image_search", "judge")
 
@@ -381,11 +361,7 @@ class tap:
                 raise BackendTimeout(f"{call.name} outlasted its deadline")
             if isinstance(reply, BaseException):
                 raise reply
-            if method != "complete" or not isinstance(reply, str):
-                return reply
-            if not reply:
-                raise EmptyCompletionError(f"empty completion for {call.name}")
-            return ModelResponse(text=reply)
+            return reply
         finally:
             call.returned = len(self.calls)
 
@@ -498,13 +474,30 @@ class VirtualClock:
         self._local.now = max(self.now(), moment)
 
 
+# A block on the virtual clock waits no real time, so one that spends more
+# than this many seconds of it waits somewhere that bypasses runtime.clock.
+VIRTUAL_CLOCK_REAL_S = 1.0
+
+
+@contextmanager
+def virtual_time() -> Iterator[VirtualClock]:
+    """Runs the block on a fresh ``VirtualClock`` as ``runtime.clock``, and
+    fails it if it spends more than ``VIRTUAL_CLOCK_REAL_S`` of real time."""
+    started = time.monotonic()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(runtime, "clock", VirtualClock())
+        yield runtime.clock
+    spent = time.monotonic() - started
+    if spent > VIRTUAL_CLOCK_REAL_S:
+        pytest.fail(f"spent {spent:.2f} s of real time on the virtual clock")
+
+
 @pytest.fixture
-def virtual_clock(monkeypatch) -> VirtualClock:
-    """Runs the test on a ``VirtualClock``: deadlines, stage timings, the turn
+def virtual_clock() -> Iterator[VirtualClock]:
+    """Runs the test in ``virtual_time``: deadlines, stage timings, the turn
     wall clock, scripted waits and waits on the per-turn worker all read it."""
-    clock = VirtualClock()
-    monkeypatch.setattr(runtime, "clock", clock)
-    return clock
+    with virtual_time() as clock:
+        yield clock
 
 
 @pytest.fixture

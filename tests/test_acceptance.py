@@ -20,6 +20,7 @@ from ragvet.backends import (
     ReplayModelBackend,
     SearchFixture,
     load_fixture,
+    load_replay,
 )
 from ragvet.cli import load_dataset, main
 from ragvet.core import (
@@ -353,7 +354,7 @@ def test_criterion_6_deadline_behavior():
 def test_criterion_8_ablation_directions():
     with criterion(8, "ablation direction check", 30.0):
         cfg = PipelineConfig(mode="task2plus")
-        model = ReplayModelBackend.from_file(FIXTURES / "ablation_replay.json")
+        model = ReplayModelBackend(load_replay(FIXTURES / "ablation_replay.json"))
         search = load_fixture(FIXTURES / "ablation_search.json")
         backends = Backends(
             router_model=model, vlm=model, reranker=MockRerankerBackend(), search=search
@@ -368,7 +369,7 @@ def test_criterion_8_ablation_directions():
         # Task 1 over the image KG: each component the paper adds raises
         # truthfulness, from the vision-only answer up to the full pipeline.
         cfg = PipelineConfig(mode="task1")
-        model = ReplayModelBackend.from_file(FIXTURES / "kg_replay.json")
+        model = ReplayModelBackend(load_replay(FIXTURES / "kg_replay.json"))
         backends = Backends(
             router_model=model, vlm=model, reranker=MockRerankerBackend(),
             search=load_fixture(FIXTURES / "kg_search.json"),

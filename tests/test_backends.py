@@ -59,7 +59,7 @@ def _request(role=Role.ROUTER, user="hello", **kw):
 class TestReplayModelBackend:
     def test_scripted_lookup(self, no_deadline):
         backend = scripted_model({"role": Role.ROUTER, "match": "hello", "response": "yes no"})
-        assert backend.complete(_request(), no_deadline).text == "yes no"
+        assert backend.complete(_request(), no_deadline) == "yes no"
 
     def test_role_mismatch_is_no_entry(self, no_deadline):
         backend = scripted_model({"role": Role.GENERATOR, "match": "hello", "response": "x"})
@@ -71,8 +71,8 @@ class TestReplayModelBackend:
             {"role": Role.ROUTER, "match": ["hello", "world"], "response": "specific"},
             {"role": Role.ROUTER, "match": "hello", "response": "generic"},
         )
-        assert backend.complete(_request(user="hello world"), no_deadline).text == "specific"
-        assert backend.complete(_request(user="hello there"), no_deadline).text == "generic"
+        assert backend.complete(_request(user="hello world"), no_deadline) == "specific"
+        assert backend.complete(_request(user="hello there"), no_deadline) == "generic"
 
     def test_slow_script_times_out_within_deadline(self):
         backend = scripted_model(
@@ -91,13 +91,8 @@ class TestReplayModelBackend:
         with pytest.raises(BackendTimeout):
             backend.complete(_request(), Deadline.after_ms(50))
         assert virtual_clock.now() == pytest.approx(0.050)
-        assert backend.complete(_request(role=Role.SUMMARIZER), no_deadline).text == "quick"
+        assert backend.complete(_request(role=Role.SUMMARIZER), no_deadline) == "quick"
         assert virtual_clock.now() == pytest.approx(0.080)
-
-    def test_empty_scripted_completion_is_distinct_error(self, no_deadline):
-        backend = scripted_model({"role": Role.ROUTER, "match": "", "response": ""})
-        with pytest.raises(EmptyCompletionError):
-            backend.complete(_request(), no_deadline)
 
     def test_unknown_entry_key_rejected_at_load(self, tmp_path):
         path = tmp_path / "replay.json"
@@ -112,9 +107,9 @@ class TestReplayModelBackend:
         entries = [{"role": "router", "match": "q", "response": "stable"}]
         path = tmp_path / "replay.json"
         path.write_text(json.dumps(entries), encoding="utf-8")
-        first = ReplayModelBackend.from_file(path).complete(_request(user="q"), no_deadline)
-        second = ReplayModelBackend.from_file(path).complete(_request(user="q"), no_deadline)
-        assert first.text == second.text
+        first = ReplayModelBackend(load_replay(path)).complete(_request(user="q"), no_deadline)
+        second = ReplayModelBackend(load_replay(path)).complete(_request(user="q"), no_deadline)
+        assert first == second == "stable"
 
 
 class TestJaccard:
@@ -485,18 +480,12 @@ CANNED_REPLIES = {
     "completion-body-not-object": b'["echo"]',
     "completion-text-missing": b'{"prompt_tokens": 3}',
     "completion-text-not-string": b'{"text": 5}',
-    "completion-prompt-tokens-not-numeric": b'{"text": "hi", "prompt_tokens": "many"}',
-    "completion-completion-tokens-not-numeric": b'{"text": "hi", "completion_tokens": [2]}',
-    "completion-latency-not-numeric": b'{"text": "hi", "latency_ms": null}',
-    "completion-latency-negative": b'{"text": "hi", "latency_ms": -5}',
-    "completion-prompt-tokens-numeric-string": b'{"text": "hi", "prompt_tokens": "12"}',
-    "completion-prompt-tokens-fraction": b'{"text": "hi", "prompt_tokens": 3.7}',
-    "completion-prompt-tokens-bool": b'{"text": "hi", "prompt_tokens": true}',
-    "completion-prompt-tokens-negative": b'{"text": "hi", "prompt_tokens": -5}',
-    "completion-completion-tokens-whole-float": b'{"text": "hi", "completion_tokens": 2.0}',
-    "completion-completion-tokens-negative": b'{"text": "hi", "completion_tokens": -1}',
-    "completion-latency-bool": b'{"text": "hi", "latency_ms": false}',
 }
+# Keys beside a completion's "text", of any kind: each such reply reads as "hi".
+OTHER_KEYS = [{"prompt_tokens": "many"}, {"prompt_tokens": "12"}, {"prompt_tokens": 3.7},
+              {"prompt_tokens": True}, {"prompt_tokens": -5}, {"completion_tokens": [2]},
+              {"completion_tokens": 2.0}, {"completion_tokens": -1}, {"latency_ms": None},
+              {"latency_ms": -5}, {"latency_ms": False}]
 
 
 def _canned(service, name):
@@ -509,18 +498,14 @@ def _echo_user(request):
 
 
 class TestRemoteBackends:
-    def test_round_trip_wire_format(self, service, no_deadline):
-        server = service(lambda request: {"text": f"echo:{request.body['role']}",
-                                          "prompt_tokens": 3, "completion_tokens": 2,
-                                          "latency_ms": 1})
-        backend = RemoteModelBackend(f"{server.url}/complete", bearer_token="tok")
-        response = backend.complete(_request(role=Role.GENERATOR), no_deadline)
-        assert response.text == "echo:generator"
-        assert response.prompt_tokens == 3
+    @pytest.mark.parametrize("keys", OTHER_KEYS, ids=str)
+    def test_keys_beside_text_are_ignored(self, service, no_deadline, keys):
+        backend = RemoteModelBackend(service(lambda request: {"text": "hi", **keys}).url)
+        assert backend.complete(_request(), no_deadline) == "hi"
 
     def test_an_escaped_surrogate_pair_is_one_character(self, service, no_deadline):
         backend = RemoteModelBackend(_canned(service, "surrogate-pair"))
-        assert backend.complete(_request(), no_deadline).text == "\U0001f600"
+        assert backend.complete(_request(), no_deadline) == "\U0001f600"
 
     def test_a_far_deadline_bounds_the_call_without_overflow(self, service):
         # A socket timeout of 1e12 s or more overflows time_t; each socket
@@ -620,7 +605,7 @@ class TestKeepAliveTransport:
                 for _ in range(3):
                     futures = [pool.submit(backend.complete, _request(user=user),
                                            Deadline.after_ms(10_000)) for user in users]
-                    texts = [future.result(timeout=15).text for future in futures]
+                    texts = [future.result(timeout=15) for future in futures]
                     assert texts == [f"echo:{user}" for user in users]
         finally:
             sys.setswitchinterval(interval)
@@ -629,7 +614,7 @@ class TestKeepAliveTransport:
         server = service(_echo_user)
         backend = RemoteModelBackend(server.url)
         for i in range(200):
-            assert backend.complete(_request(user=f"u{i}"), day_deadline()).text == f"echo:u{i}"
+            assert backend.complete(_request(user=f"u{i}"), day_deadline()) == f"echo:u{i}"
         assert server.connections == 1
 
     def test_connection_dropped_while_idle_is_replaced(self, service):
@@ -638,7 +623,7 @@ class TestKeepAliveTransport:
         server = service(lambda request: Raw(OK, close=True))
         backend = RemoteModelBackend(server.url)
         for _ in range(2):
-            assert backend.complete(_request(), day_deadline()).text == "hi"
+            assert backend.complete(_request(), day_deadline()) == "hi"
         assert server.connections == 2
 
     def test_http10_reply_connection_is_not_reused(self, service):
@@ -734,7 +719,7 @@ def _scripted(service, *replies):
 
 
 def _call(backend):
-    return backend.complete(_request(), Deadline.after_ms(2000)).text
+    return backend.complete(_request(), Deadline.after_ms(2000))
 
 
 class TestHttpWire:
@@ -853,7 +838,7 @@ class TestRequestBytes:
         backend = RemoteModelBackend(f"{server.url}/v1/complete?stream=0", bearer_token="tok")
         request = ModelRequest(role=Role.VERIFIER, system="sys \u00e9", user='say "hi"\n',
                                image_ref="img-1", max_tokens=64)
-        assert backend.complete(request, Deadline.after_ms(2000)).text == "hi"
+        assert backend.complete(request, Deadline.after_ms(2000)) == "hi"
         backend.close()
         body = (b'{"role": "verifier", "system": "sys \\u00e9", "user": "say \\"hi\\"\\n", '
                 b'"image_ref": "img-1", "max_tokens": 64, "deterministic": true}')
@@ -921,7 +906,7 @@ class TestHttps:
         try:
             for i in range(3):
                 reply = backend.complete(_request(user=f"u{i}"), Deadline.after_ms(2000))
-                assert reply.text == f"echo:u{i}"
+                assert reply == f"echo:u{i}"
         finally:
             backend.close()
         assert tls_server.connections == 1
@@ -938,7 +923,7 @@ class TestHttps:
             backend = RemoteModelBackend(tls_server.url)
             try:
                 if trusted:
-                    assert backend.complete(_request(), Deadline.after_ms(2000)).text == "echo:hello"
+                    assert backend.complete(_request(), Deadline.after_ms(2000)) == "echo:hello"
                 else:
                     with pytest.raises(BackendTransportError, match="CERTIFICATE_VERIFY_FAILED"):
                         backend.complete(_request(), Deadline.after_ms(2000))
@@ -1164,7 +1149,7 @@ class TestWholeTurnFaults:
         monkeypatch.setenv("SSL_CERT_FILE", str(TLS_CERT))
         backend = RemoteModelBackend(tls_server.url)
         try:
-            assert backend.complete(_request(), Deadline.after_ms(2000)).text == "echo:hello"
+            assert backend.complete(_request(), Deadline.after_ms(2000)) == "echo:hello"
         finally:
             backend.close()
         # At least a send and a read for each of the turn's 7 calls and the https call.
@@ -1220,6 +1205,13 @@ class TestAsk:
         assert model.requests == [ModelRequest(role=Role.SUMMARIZER, system="sys q?",
                                                user="user q?", image_ref="img-1",
                                                max_tokens=128)]
+
+    @pytest.mark.parametrize("role", list(Role))
+    def test_an_empty_completion_of_any_role_is_an_error(self, service, no_deadline, role):
+        backend = RemoteModelBackend(service(lambda request: {"text": ""}).url)
+        assert backend.complete(_request(role=role), no_deadline) == ""
+        with pytest.raises(EmptyCompletionError):
+            ask(backend, role, PromptTemplate(system="s", user="u"), no_deadline)
 
     def test_backend_failure_propagates(self):
         model = scripted_model({"role": Role.ROUTER, "response": "late", "sleep_ms": 50})

@@ -22,6 +22,7 @@ from ragvet.backends import (
     RemoteSearchBackend,
     ReplayModelBackend,
     load_fixture,
+    load_replay,
 )
 from ragvet.cli import DatasetError, build_backends, load_config, load_dataset, main
 from ragvet.core import InvalidConfigError, PipelineConfig
@@ -521,7 +522,7 @@ class TestRemoteSetUp:
 def _mock_services(fixture_set):
     """A service answer that serves the mock backends of ``fixture_set``
     (e2e or kg) under ``/model``, ``/rerank`` and ``/search``."""
-    model = ReplayModelBackend.from_file(FIXTURES / f"{fixture_set}_replay.json")
+    model = ReplayModelBackend(load_replay(FIXTURES / f"{fixture_set}_replay.json"))
     search = load_fixture(FIXTURES / f"{fixture_set}_search.json")
     reranker = MockRerankerBackend()
 
@@ -531,9 +532,7 @@ def _mock_services(fixture_set):
             if request.path == "/model":
                 assert body["deterministic"] is True
                 fields = {name: value for name, value in body.items() if name != "deterministic"}
-                reply = model.complete(ModelRequest(**fields), deadline)
-                return {"text": reply.text, "prompt_tokens": reply.prompt_tokens,
-                        "completion_tokens": reply.completion_tokens}
+                return {"text": model.complete(ModelRequest(**fields), deadline)}
             if request.path == "/rerank":
                 return {"scores": reranker.score_batch(body["query"], body["chunks"], deadline)}
             items = search.web_search(body["query"], body["k"], deadline)

@@ -12,6 +12,7 @@ from ragvet.backends import (
     MockRerankerBackend,
     ReplayModelBackend,
     load_fixture,
+    load_replay,
 )
 from ragvet.cli import load_dataset
 from ragvet.core import Conversation, PipelineConfig
@@ -232,7 +233,7 @@ class TestScoreAnswers:
 @pytest.fixture(scope="module")
 def ablation_setup():
     cfg = PipelineConfig(mode="task2plus")
-    model = ReplayModelBackend.from_file(FIXTURES / "ablation_replay.json")
+    model = ReplayModelBackend(load_replay(FIXTURES / "ablation_replay.json"))
     search = load_fixture(FIXTURES / "ablation_search.json")
     backends = Backends(
         router_model=model, vlm=model, reranker=MockRerankerBackend(), search=search
@@ -306,7 +307,7 @@ KG_ABLATION_REPORTS = {
 @pytest.mark.parametrize("mode", VARIANTS)
 def test_kg_ablation_report_is_pinned(mode):
     cfg = PipelineConfig(mode="task1")
-    model = ReplayModelBackend.from_file(FIXTURES / "kg_replay.json")
+    model = ReplayModelBackend(load_replay(FIXTURES / "kg_replay.json"))
     backends = Backends(
         router_model=model, vlm=model, reranker=MockRerankerBackend(),
         search=load_fixture(FIXTURES / "kg_search.json"),

@@ -15,7 +15,8 @@ detector sees. The rules, one line each from the rows' reasons:
 - json: only core decodes JSON: decode_json decodes every input file and every reply
 - core_imports: core imports no ragvet module but templates, so transport depends on core
 - templates: only templates reads or builds a template; every prompt comes via resolve_template
-- requests: only backends.ask builds a ModelRequest
+- requests: only backends.ask builds a ModelRequest and calls a model's .complete()
+- empty_completions: only ask, _generate and summarize_image raise EmptyCompletionError
 - stage_failures: no stage module catches a backend failure or a ReplyParseError
 - seam: pipeline catches exactly BackendError and ReplyParseError; it is the one failure seam
 - turn_class: only pipeline names _Turn, the class that holds a turn's trace
@@ -235,8 +236,14 @@ RULES = [
                            "load_template() in default_template",
                            "load_template() in resolve_template"]},
          "only templates reads or builds a template; every prompt comes via resolve_template"),
-    Rule("requests", calls, r"\bModelRequest\(", SRC, {"backends.py": ["ModelRequest() in ask"]},
-         "only backends.ask builds a ModelRequest"),
+    Rule("requests", calls, r"\bModelRequest\(|\.complete\(", SRC,
+         {"backends.py": ["ModelRequest() in ask", ".complete() in ask"]},
+         "only backends.ask builds a ModelRequest and calls a model's .complete()"),
+    Rule("empty_completions", calls, r"\bEmptyCompletionError\(", SRC,
+         {"backends.py": ["EmptyCompletionError() in ask"],
+          "generation.py": ["EmptyCompletionError() in _generate"],
+          "retrieval.py": ["EmptyCompletionError() in summarize_image"]},
+         "only ask, _generate and summarize_image raise EmptyCompletionError"),
     Rule("stage_failures", catches, rf"^({'|'.join(STAGE_FAILURES)})$",
          [PACKAGE / f"{name}.py" for name in ("router", "retrieval", "generation", "verification")],
          {}, "no stage module catches a backend failure or a ReplyParseError"),
@@ -387,9 +394,18 @@ CASES = [
         "    def judge(self):\n"
         "        return backends.ModelRequest('verifier', 's', 'u')\n"
         "def ask(model):\n"
-        "    return isinstance(model, ModelRequest) or ModelRequest(**model)\n"
-    ), ["ModelRequest() in <module>", ".ModelRequest() in Judge.judge", "ModelRequest() in ask"],
-        id="requests"),
+        "    request = isinstance(model, ModelRequest) or ModelRequest(**model)\n"
+        "    return model.complete(request, deadline) or model.completed()\n"
+    ), ["ModelRequest() in <module>", ".ModelRequest() in Judge.judge", "ModelRequest() in ask",
+        ".complete() in ask"], id="requests"),
+    pytest.param(calls, RULE["empty_completions"].pattern, (
+        "raise EmptyCompletionError('empty')\n"
+        "class Replay:\n"
+        "    def complete(self, request):\n"
+        "        raise backends.EmptyCompletionError(request.role)\n"
+        "caught = isinstance(error, EmptyCompletionError)\n"
+    ), ["EmptyCompletionError() in <module>", ".EmptyCompletionError() in Replay.complete"],
+        id="empty_completions"),
     pytest.param(calls, RULE["conversations"].pattern, (
         "def loop(pool, data):\n"
         "    return pool.map(lambda c: pipeline.run_conversation(c), data)\n"

@@ -10,7 +10,6 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ragvet import runtime
 from ragvet.backends import (
     BackendTransportError,
     Backends,
@@ -19,6 +18,7 @@ from ragvet.backends import (
     ReplayModelBackend,
     Role,
     SearchFixture,
+    load_replay,
 )
 from ragvet.core import (
     MODES,
@@ -34,7 +34,7 @@ from ragvet.router import FALLBACK_DECISION
 
 from conftest import (
     COV_FULL, DRAWN_STAGES, FAILURE_FLAGS, ROUTE_NONE, ROUTE_PLAIN, ROUTE_REAL_TIME, STALL,
-    TEMPLATES, VirtualClock, fresh_state, image_fixture, make_backends, one_turn, turn_script,
+    TEMPLATES, fresh_state, image_fixture, make_backends, one_turn, turn_script, virtual_time,
 )
 
 
@@ -202,7 +202,7 @@ class TestDegradation:
         path = tmp_path / "replay.json"
         path.write_text(json.dumps(script), encoding="utf-8")
         with pytest.raises(FixtureError, match=r"replay\.json\[2\]: match"):
-            model = ReplayModelBackend.from_file(path)
+            model = ReplayModelBackend(load_replay(path))
             backends = Backends(router_model=model, vlm=model, reranker=MockRerankerBackend(),
                                 search=image_fixture("img-1", query))
             run_turn(fresh_state(), one_turn(query), PipelineConfig(), backends, TEMPLATES)
@@ -476,8 +476,7 @@ def check_drawn_turn(mode, variant, routing, draws):
     # A fresh virtual clock per example: each turn starts at 0, so every
     # stage cutoff of the 10 s budget is exact. A call on the per-turn worker
     # (the direct answer, a task1 summary) stalls on its own thread's time.
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(runtime, "clock", VirtualClock())
+    with virtual_time():
         fixture = SearchFixture(
             image_index=image_fixture("img-1", SEAM_QUERY, SEAM_SUMMARY).image_index,
             web_index=(SEAM_PAGE,))
@@ -533,9 +532,7 @@ def config_turn(values):
                   for i in range(6))
     backends = make_backends(turn_script(CONFIG_QUERY), SearchFixture(
         image_index={"img-1": records}, web_index=pages))
-    # A fresh virtual clock per example: the turn starts at 0.
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(runtime, "clock", VirtualClock())
+    with virtual_time():  # a fresh virtual clock per example
         outcome = run_turn(fresh_state(), one_turn(CONFIG_QUERY), cfg, backends, TEMPLATES)
     assert outcome.final.answer in ("rag answer", cfg.abstain_text)
     assert outcome.wall_clock_ms <= cfg.turn_budget_ms
