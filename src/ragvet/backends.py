@@ -21,7 +21,6 @@ from itertools import chain
 from pathlib import Path
 from typing import Any, Mapping, Optional, Protocol, Sequence
 
-from . import runtime
 from .core import RetrievedItem, Source, missing_content, read_json
 from .runtime import Deadline
 from .templates import PromptTemplate
@@ -175,8 +174,7 @@ class ReplayEntry:
     role: Role
     response: str
     match: tuple[str, ...] = ()
-    sleep_ms: int = 0
-    KEYS = frozenset(("role", "match", "response", "sleep_ms"))  # the replay-file keys
+    KEYS = frozenset(("role", "match", "response"))  # the replay-file keys
 
     def matches(self, request: ModelRequest) -> bool:
         return self.role == request.role and all(needle in request.user for needle in self.match)
@@ -199,17 +197,14 @@ class ReplayEntry:
             raise FixtureError(f"{where}: bad replay entry role: {exc}") from exc
         match = data.get("match", [])
         match = [match] if isinstance(match, str) else match
-        sleep_ms = data.get("sleep_ms", 0)
         for ok, rule in (
             (isinstance(data.get("response"), str), "response must be a string"),
             (isinstance(match, list) and all(isinstance(m, str) for m in match),
              "match must be a string or a list of strings"),
-            (isinstance(sleep_ms, int) and not isinstance(sleep_ms, bool) and sleep_ms >= 0,
-             "sleep_ms must be an integer >= 0"),
         ):
             if not ok:
                 raise FixtureError(f"{where}: {rule}")
-        return cls(role=role, response=data["response"], match=tuple(match), sleep_ms=sleep_ms)
+        return cls(role=role, response=data["response"], match=tuple(match))
 
 
 def load_replay(path: str | Path) -> list[ReplayEntry]:
@@ -241,15 +236,6 @@ class ReplayModelBackend:
             raise NoScriptEntryError(
                 f"no script entry for role={request.role.value} user={excerpt!r}..."
             )
-        if entry.sleep_ms > 0:
-            remaining = deadline.remaining_ms()
-            clock = runtime.clock
-            clock.wait_until(clock.now() + min(entry.sleep_ms, remaining) / 1000.0)
-            if entry.sleep_ms > remaining:
-                raise BackendTimeout(
-                    f"scripted {entry.sleep_ms} ms sleep exceeds deadline for role "
-                    f"{request.role.value}"
-                )
         return entry.response
 
 

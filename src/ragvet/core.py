@@ -172,8 +172,12 @@ class Conversation:
             )
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "Conversation":
-        conversation_id = data["conversation_id"]
+    def from_dict(cls, data: Any) -> "Conversation":
+        _require(isinstance(data, dict), "a conversation record must be an object")
+        conversation_id, turns = data["conversation_id"], data["turns"]
+        _require(isinstance(turns, list), "turns must be a list of objects")
+        for index, turn in enumerate(turns):
+            _require(isinstance(turn, dict), f"turns[{index}] must be an object")
         turns = tuple(
             QueryTurn(
                 conversation_id=conversation_id,
@@ -181,7 +185,7 @@ class Conversation:
                 query=turn["query"],
                 ground_truth=turn.get("ground_truth"),
             )
-            for index, turn in enumerate(data["turns"])
+            for index, turn in enumerate(turns)
         )
         return cls(conversation_id=conversation_id, image_ref=data.get("image_ref"), turns=turns)
 

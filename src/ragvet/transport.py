@@ -44,7 +44,11 @@ _MAX_HEAD = 64 * 1024
 # workload receives is 2,646 bytes (web_rag_remote; kg_multiturn_remote's is
 # 191), so the cap leaves room for any real reply.
 _MAX_BODY = 64 * 1024 * 1024
-_STATUS_LINE = re.compile(rb"HTTP/1\.([01]) ([0-9]{3})(?: .*)?")
+_STATUS_LINE = re.compile(rb"HTTP/1\.([01]) ([1-5][0-9]{2})(?: .*)?")
+# A header line is token ":" OWS value OWS (RFC 9112 §5.1). So no whitespace
+# before the colon, no obs-fold line starting with SP or HTAB (§5.2), and no
+# bare CR (§2.2), LF or NUL (RFC 9110 §5.5) in the value.
+_HEADER_LINE = re.compile(rb"([!#$%&'*+.^_`|~0-9A-Za-z-]+):([^\r\n\0]*)")
 _CHUNK_SIZE = re.compile(rb"[0-9A-Fa-f]{1,16}")
 # A Content-Length of at most 16 digits: int() refuses a decimal of thousands.
 _CONTENT_LENGTH = re.compile(rb"[0-9]{1,16}")
@@ -154,10 +158,10 @@ class _Reply:
             raise _BadReply(f"malformed status line {status_line[:80]!r}")
         headers = {}
         for line in lines:
-            name, colon, value = line.partition(b":")
-            if not colon:
+            field = _HEADER_LINE.fullmatch(line)
+            if field is None:
                 raise _BadReply(f"malformed header line {line[:80]!r}")
-            name, value = name.strip().lower(), value.strip()
+            name, value = field[1].lower(), field[2].strip(b" \t")
             headers[name] = headers[name] + b", " + value if name in headers else value
         return int(match[2]), match[1] == b"1", headers
 

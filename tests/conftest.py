@@ -375,13 +375,12 @@ TEMPLATES = load_all({})
 
 
 def turn_script(query, *, routing=ROUTE_PLAIN, summary="summary tokens", rag="rag answer",
-                direct=None, consistent="yes", cov=COV_FULL, rag_sleep_ms=0):
+                direct=None, consistent="yes", cov=COV_FULL):
     """The replay script of one turn for ``query``: each role answers as given."""
     return [
         {"role": Role.ROUTER, "match": query, "response": routing},
         {"role": Role.SUMMARIZER, "match": query, "response": summary},
-        {"role": Role.GENERATOR, "match": ["Context:", query], "response": rag,
-         "sleep_ms": rag_sleep_ms},
+        {"role": Role.GENERATOR, "match": ["Context:", query], "response": rag},
         {"role": Role.GENERATOR, "match": query, "response": direct or rag},
         {"role": Role.CONSISTENCY_JUDGE, "match": query, "response": consistent},
         {"role": Role.VERIFIER, "match": query, "response": cov},
@@ -495,7 +494,7 @@ def virtual_time() -> Iterator[VirtualClock]:
 @pytest.fixture
 def virtual_clock() -> Iterator[VirtualClock]:
     """Runs the test in ``virtual_time``: deadlines, stage timings, the turn
-    wall clock, scripted waits and waits on the per-turn worker all read it."""
+    wall clock and waits on the per-turn worker all read it."""
     with virtual_time() as clock:
         yield clock
 

@@ -16,9 +16,7 @@ import pytest
 from ragvet.backends import (
     Backends,
     MockRerankerBackend,
-    ReplayEntry,
     ReplayModelBackend,
-    SearchFixture,
     load_fixture,
     load_replay,
 )
@@ -38,7 +36,7 @@ from ragvet.router import parse_routing_response
 from ragvet.templates import load_all
 from ragvet.verification import parse_cov_response
 
-from conftest import FIXTURES, score_variant
+from conftest import FIXTURES, STALL, make_backends, score_variant
 
 
 @contextmanager
@@ -319,17 +317,11 @@ def test_criterion_7_context_construction_invariants(tmp_path):
 
 def test_criterion_6_deadline_behavior():
     with criterion(6, "turn deadline enforcement", 60.0):
-        entries = []
-        for i in range(4):
-            entries.append({"role": "router", "match": f"slowq{i}",
-                            "response": "1. Needs External Info: no\n2. Is Real-Time: no"})
-            entries.append({"role": "generator", "match": f"slowq{i}",
-                            "response": "too late", "sleep_ms": 12_000})
-        model = ReplayModelBackend([ReplayEntry.from_dict(e, "inline") for e in entries])
-        backends = Backends(
-            router_model=model, vlm=model, reranker=MockRerankerBackend(),
-            search=SearchFixture(image_index={}, web_index=()),
-        )
+        entries = [{"role": "router", "match": "slowq",
+                    "response": "1. Needs External Info: no\n2. Is Real-Time: no"}]
+        # Every generator call outlasts its deadline on the real clock.
+        backends = make_backends(
+            entries, answer=lambda call: STALL if call.name in ("rag", "direct") else None)
         cfg = PipelineConfig(mode="task2plus", turn_budget_ms=10_000)
         templates = load_all(cfg.prompt_paths)
         for i in range(4):

@@ -844,6 +844,13 @@ MALFORMED_INPUTS = [
     ("dataset-turns-missing",
      {"dataset": {key: value for key, value in RECORD.items() if key != "turns"}},
      "line 1: missing key 'turns'"),
+    ("dataset-line-not-object", {"dataset": 5}, "line 1: a conversation record must be an object"),
+    ("dataset-turns-string", {"dataset": {**RECORD, "turns": "abc"}},
+     "line 1: turns must be a list of objects"),
+    ("dataset-turns-object", {"dataset": {**RECORD, "turns": {"query": "q"}}},
+     "line 1: turns must be a list of objects"),
+    ("dataset-turn-not-object", {"dataset": {**RECORD, "turns": [1]}},
+     "line 1: turns[0] must be an object"),
     ("dataset-image-ref-number", {"dataset": {**RECORD, "image_ref": 7}}, "line 1: image_ref"),
     ("dataset-ground-truth-number",
      {"dataset": {**RECORD, "turns": [{"query": "q", "ground_truth": 5}]},
@@ -851,8 +858,8 @@ MALFORMED_INPUTS = [
      "line 1: ground_truth"),
     ("trace-record-empty", {"dataset": RECORD, "trace": {}}, "trace line 1"),
     ("replay-entry-string", {"replay": ["router"]}, "replay.json[0]"),
-    ("replay-sleep-not-integer", {"replay": [{**ROUTER_ENTRY, "sleep_ms": "abc"}]},
-     "replay.json[0]: sleep_ms"),
+    ("replay-sleep-key", {"replay": [{**ROUTER_ENTRY, "sleep_ms": 50}]},
+     "replay.json[0]: unknown replay entry key 'sleep_ms'"),
     ("replay-response-number", {"replay": [{**ROUTER_ENTRY, "response": 5}]},
      "replay.json[0]: response"),
     ("replay-match-number", {"replay": [{**ROUTER_ENTRY, "match": [5]}]},

@@ -19,7 +19,7 @@ from ragvet.retrieval import build_context
 from ragvet.runtime import Deadline
 from ragvet.templates import default_template
 
-from conftest import chunk, day_deadline, scripted_model, tap
+from conftest import STALL, chunk, day_deadline, scripted_model, tap
 
 GENERATION = default_template("generation")
 CONSISTENCY = default_template("consistency")
@@ -122,9 +122,7 @@ class TestGenerate:
         assert generate_direct("q?", None, backend, no_deadline, (), GENERATION) == "prior"
 
     def test_backend_timeout_propagates(self):
-        backend = scripted_model(
-            {"role": Role.GENERATOR, "match": "", "response": "slow", "sleep_ms": 100}
-        )
+        backend = tap(scripted_model(), lambda call: STALL)
         with pytest.raises(BackendTimeout):
             generate_direct("q?", None, backend, Deadline.after_ms(1), (), GENERATION)
 

@@ -12,6 +12,7 @@ detector sees. The rules, one line each from the rows' reasons:
 - thread_pools: only runtime (a turn's calls) and cli (--workers conversations) use a thread pool
 - threads: no ragvet module starts a threading.Thread; a turn waits on other threads via runtime
 - clock: only runtime reads the clock or sleeps; cli's calendar stamp (time.gmtime) is no read
+- clock_users: only runtime and pipeline name clock; a backend waits only through a Deadline
 - json: only core decodes JSON: decode_json decodes every input file and every reply
 - core_imports: core imports no ragvet module but templates, so transport depends on core
 - templates: only templates reads or builds a template; every prompt comes via resolve_template
@@ -226,6 +227,9 @@ RULES = [
     Rule("clock", uses, r"^time\.(monotonic|monotonic_ns|perf_counter|perf_counter_ns|sleep)$",
          SRC, {"runtime.py": ["time.monotonic", "time.monotonic", "time.sleep"]},
          "only runtime reads the clock or sleeps; cli's calendar stamp (time.gmtime) is no read"),
+    Rule("clock_users", names, r"^clock$", SRC,
+         {"pipeline.py": ["clock"], "runtime.py": ["clock"]},
+         "only runtime and pipeline name clock; a backend waits only through a Deadline"),
     Rule("json", uses, r"^json\.loads?$", SRC, {"core.py": ["json.loads"]},
          "only core decodes JSON: decode_json decodes every input file and every reply"),
     Rule("core_imports", imports, r"^ragvet\b", [PACKAGE / "core.py"],

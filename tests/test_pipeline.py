@@ -187,7 +187,8 @@ class TestDegradation:
     def test_generator_timeout_abstains_within_budget(self, virtual_clock):
         query = "slow one"
         cfg = PipelineConfig(turn_budget_ms=400, abstain_margin_ms=20)
-        backends = make_backends(turn_script(query, rag_sleep_ms=2000))
+        backends = make_backends(turn_script(query),
+                                 answer=lambda call: STALL if call.name == "rag" else None)
         outcome = run_turn(fresh_state(), one_turn(query), cfg, backends, TEMPLATES)
         assert outcome.final.abstained
         assert "generation_timeout" in outcome.flags
@@ -229,12 +230,9 @@ class TestDegradation:
 
     def test_direct_call_timeout_abstains_within_budget(self, virtual_clock):
         query = "slow direct one"
-        entries = turn_script(query)
-        for entry in entries:
-            if entry["role"] is Role.GENERATOR and "Context:" not in entry["match"]:
-                entry["sleep_ms"] = 2000
         cfg = PipelineConfig(turn_budget_ms=400, abstain_margin_ms=20)
-        backends = make_backends(entries, image_fixture("img-1", query))
+        backends = make_backends(turn_script(query), image_fixture("img-1", query),
+                                 lambda call: STALL if call.name == "direct" else None)
         outcome = run_turn(fresh_state(), one_turn(query), cfg, backends, TEMPLATES)
         assert outcome.final.abstained
         assert "generation_timeout" in outcome.flags
@@ -247,10 +245,9 @@ class TestDegradation:
         # The RAG call fails at once while the direct one is still out; its
         # later timeout is never read, so it adds no flag.
         query = "rag fails first"
-        entries = turn_script(query)
-        entries[3]["sleep_ms"] = 2000  # the direct answer
-        backends = make_backends(entries, image_fixture("img-1", query),
-                                 lambda call: fault("error" if call.name == "rag" else "ok", call))
+        faults = {"rag": "error", "direct": "stall"}
+        backends = make_backends(turn_script(query), image_fixture("img-1", query),
+                                 lambda call: fault(faults.get(call.name, "ok"), call))
         cfg = PipelineConfig(turn_budget_ms=400, abstain_margin_ms=20)
         outcome = run_turn(fresh_state(), one_turn(query), cfg, backends, TEMPLATES)
         assert outcome.flags == {"generation_backend_error"}
@@ -262,12 +259,10 @@ class TestDegradation:
 
     def test_budget_exhaustion_short_circuits_before_generation(self, virtual_clock):
         query = "expensive retrieval"
-        entries = turn_script(query)
-        for entry in entries:
-            if entry["role"] is Role.SUMMARIZER:
-                entry["sleep_ms"] = 1000
+        backends = make_backends(turn_script(query),
+                                 answer=lambda call: STALL if call.name == "summarize" else None)
         cfg = PipelineConfig(turn_budget_ms=100, abstain_margin_ms=90)
-        outcome = run_turn(fresh_state(), one_turn(query), cfg, make_backends(entries), TEMPLATES)
+        outcome = run_turn(fresh_state(), one_turn(query), cfg, backends, TEMPLATES)
         assert outcome.final.abstained
         assert "budget_exhausted" in outcome.flags
         assert "generate" not in outcome.stages
@@ -694,12 +689,10 @@ class TestVariants:
 
     def test_direct_timeout_under_vision_only_abstains_within_budget(self, virtual_clock):
         query = "slow direct one"
-        entries = turn_script(query)
-        for entry in entries:
-            if entry["role"] is Role.GENERATOR and "Context:" not in entry["match"]:
-                entry["sleep_ms"] = 2000
+        backends = make_backends(turn_script(query),
+                                 answer=lambda call: STALL if call.name == "direct" else None)
         cfg = PipelineConfig(turn_budget_ms=400, abstain_margin_ms=20)
-        outcome = run_turn(fresh_state(), one_turn(query), cfg, make_backends(entries), TEMPLATES,
+        outcome = run_turn(fresh_state(), one_turn(query), cfg, backends, TEMPLATES,
                            variant="vision_only")
         assert outcome.final.abstained
         assert "generation_timeout" in outcome.flags
@@ -743,12 +736,9 @@ class TestSummaryOverlap:
 
     def test_early_summary_timeout_is_flagged(self, virtual_clock):
         query = "slow summary"
-        entries = turn_script(query)
-        for entry in entries:
-            if entry["role"] is Role.SUMMARIZER:
-                entry["sleep_ms"] = 2000
         cfg = PipelineConfig(turn_budget_ms=400, abstain_margin_ms=20)
-        backends = make_backends(entries, image_fixture("img-1", query))
+        backends = make_backends(turn_script(query), image_fixture("img-1", query),
+                                 lambda call: STALL if call.name == "summarize" else None)
         outcome = run_turn(fresh_state(), one_turn(query), cfg, backends, TEMPLATES)
         assert "summary_backend_timeout" in outcome.flags
         assert "summarize" in outcome.stages
