@@ -14,8 +14,7 @@ so a task1 run, remote or mock, looks images up in a ``SearchFixture``.
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
 from pathlib import Path
@@ -143,19 +142,11 @@ def ask(model: ModelBackend, role: Role, template: PromptTemplate, deadline: Dea
     return text
 
 
-def _tokens(text: str) -> frozenset[str]:
-    return frozenset(text.lower().split())
-
-
-def _token_overlap(tokens_a: frozenset[str], tokens_b: frozenset[str]) -> float:
-    shared = len(tokens_a & tokens_b)
-    union = len(tokens_a) + len(tokens_b) - shared
-    return shared / union if union else 0.0
-
-
 def jaccard_score(a: str, b: str) -> float:
     """Token-set Jaccard overlap, lowercased and whitespace-tokenized."""
-    return _token_overlap(_tokens(a), _tokens(b))
+    tokens_a, tokens_b = set(a.lower().split()), set(b.lower().split())
+    union = len(tokens_a | tokens_b)
+    return len(tokens_a & tokens_b) / union if union else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -215,22 +206,16 @@ def load_replay(path: str | Path) -> list[ReplayEntry]:
 
 
 class ReplayModelBackend:
-    """Serves completions from a replay script. Immutable after load.
-
-    Entries are indexed by role, file order kept within each role, so a
-    lookup scans only its own role's entries.
-    """
+    """Serves completions from a replay script: the first entry, in file
+    order, that matches a request answers it. Immutable after load."""
 
     def __init__(self, entries: Sequence[ReplayEntry]):
-        by_role: dict[Role, list[ReplayEntry]] = {}
-        for entry in entries:
-            by_role.setdefault(entry.role, []).append(entry)
-        self._by_role = {role: tuple(group) for role, group in by_role.items()}
+        self._entries = tuple(entries)
 
     def complete(self, request: ModelRequest, deadline: Deadline) -> str:
         if deadline.expired():
             raise BackendTimeout(f"deadline already expired for role {request.role.value}")
-        entry = next((e for e in self._by_role.get(request.role, ()) if e.matches(request)), None)
+        entry = next((e for e in self._entries if e.matches(request)), None)
         if entry is None:
             excerpt = request.user[:80].replace("\n", " ")
             raise NoScriptEntryError(
@@ -279,18 +264,11 @@ class SearchFixture:
     fields, in the order ``load_fixture`` checked; each lookup builds the
     items it returns, ranked from 1. Web search ranks the pages by the
     Jaccard overlap of the query with each page's title and snippet, best
-    first, ties in fixture order; each page's token set is computed once,
-    when the fixture is built.
+    first, ties in fixture order.
     """
 
     image_index: Mapping[str, Sequence[Mapping[str, str]]]
     web_index: Sequence[Mapping[str, str]]
-    _web_tokens: tuple[frozenset[str], ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_web_tokens", tuple(
-            _tokens(f"{page.get('title', '')} {page.get('snippet', '')}")
-            for page in self.web_index))
 
     def image_search(self, image_key: str, k: int) -> list[RetrievedItem]:
         """The first ``k`` records under ``image_key``; none for an unknown key."""
@@ -299,10 +277,9 @@ class SearchFixture:
     def web_search(self, query_text: str, k: int, deadline: Deadline) -> list[RetrievedItem]:
         if deadline.expired():
             raise BackendTimeout("deadline expired before web search")
-        query = _tokens(query_text)
-        scores = [_token_overlap(query, tokens) for tokens in self._web_tokens]
-        best = heapq.nsmallest(k, range(len(scores)), key=lambda i: -scores[i])
-        return _items([self.web_index[i] for i in best], Source.WEB)
+        ranked = sorted(self.web_index, key=lambda page: -jaccard_score(
+            query_text, f"{page.get('title', '')} {page.get('snippet', '')}"))
+        return _items(ranked[:k], Source.WEB)
 
 
 def _items(records: Sequence[Mapping[str, str]], source: Source) -> list[RetrievedItem]:

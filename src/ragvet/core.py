@@ -443,7 +443,6 @@ class PipelineConfig:
     low_confidence: float = 0.9
     high_confidence: float = 1.0
     turn_budget_ms: int = 10_000
-    abstain_margin_ms: int = 500
     abstain_text: str = "I don't know"
     mode: str = MODES[0]
     prompt_paths: Mapping[str, str] = field(default_factory=dict)
@@ -494,8 +493,6 @@ class PipelineConfig:
             (self.high_confidence <= 1.0, "high_confidence <= 1"),
             (self.turn_budget_ms > 0, "turn_budget_ms > 0"),
             (self.turn_budget_ms <= MAX_TURN_BUDGET_MS, f"turn_budget_ms <= {MAX_TURN_BUDGET_MS}"),
-            (self.abstain_margin_ms >= 0, "abstain_margin_ms >= 0"),
-            (self.abstain_margin_ms < self.turn_budget_ms, "abstain_margin_ms < turn_budget_ms"),
             (bool(self.abstain_text.strip()), "abstain_text must be non-empty"),
             (self.mode in MODES, f"mode must be {' or '.join(MODES)}"),
             (BEARER_TOKEN.fullmatch(self.bearer_token or "") is not None,

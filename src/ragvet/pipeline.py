@@ -5,7 +5,9 @@ deadlines on ``runtime.clock``, which also times the stages and the turn:
 routing by 5%, the image summary by 20%, search and rerank by 35%,
 generation by 75%, consistency by 85% and verification by 100%, so time a
 stage leaves unused rolls forward to the stages after it. A summary that
-times out thus still leaves search and rerank their share. No failure
+times out thus still leaves search and rerank their share. The cutoffs alone
+bound a turn: a backend that answers past its deadline delays only its own
+stage, and each later stage keeps its own cutoff. No failure
 escapes a turn: everything degrades to an abstention with a flag explaining
 why. A turn in flight is one ``_Turn``: its ``stage`` method alone opens,
 times and flags a stage, and ``_STAGES`` holds each stage's cutoff and flags.
@@ -188,15 +190,6 @@ class _Turn:
     def flag(self, name: str) -> None:
         self.flags.add(name)
 
-    def out_of_budget(self) -> bool:
-        """Less than ``abstain_margin_ms`` of the whole turn budget is left;
-        flags ``budget_exhausted`` if so."""
-        turn_deadline = Deadline(self.origin + self.cfg.turn_budget_ms / 1000.0)
-        exhausted = turn_deadline.remaining_ms() < self.cfg.abstain_margin_ms
-        if exhausted:
-            self.flag("budget_exhausted")
-        return exhausted
-
     def stage(self, name: str, fallback: Any, call: Callable[..., Any], *args: Any) -> Any:
         """``call(*args)`` as stage ``name``, timed on ``runtime.clock``; a backend
         failure or a reply that does not parse sets the stage's flag
@@ -246,7 +239,6 @@ def _decide(t: _Turn, worker: Worker, state: ConversationState, query: str,
     """Run ``variant``'s stages of turn ``t`` in order, the overlapping calls on
     ``worker``, and decide it; ``t`` keeps what each stage finds."""
     cfg, runs, image_ref, history = t.cfg, VARIANTS[variant], state.image_ref, tuple(state.history)
-    degraded = FinalDecision(answer=cfg.abstain_text, branch=Branch.DEFAULT_ABSTAIN)
 
     def start_direct() -> Handle[str]:
         return worker.submit(generate_direct, query, image_ref, backends.vlm,
@@ -276,8 +268,6 @@ def _decide(t: _Turn, worker: Worker, state: ConversationState, query: str,
         else:
             t.context = _run_retrieval(t, query, image_ref, backends, get_summary)
 
-    if t.out_of_budget():
-        return degraded
     early = settled(cfg, is_real_time, t.context.retrieval_score, t.context.empty)
     if early is not None:
         return early
@@ -296,8 +286,8 @@ def _decide(t: _Turn, worker: Worker, state: ConversationState, query: str,
         return rag_answer, direct.result() if direct is not None else None
 
     generated = t.stage("generate", None, generate)
-    if generated is None or t.out_of_budget():
-        return degraded
+    if generated is None:
+        return FinalDecision(answer=cfg.abstain_text, branch=Branch.DEFAULT_ABSTAIN)
     rag_answer, direct_answer = generated
     if rag_answer is None or direct_answer is None:
         # One answer: nothing to compare it with, so it stands as given.
@@ -309,8 +299,6 @@ def _decide(t: _Turn, worker: Worker, state: ConversationState, query: str,
                                 check_consistency, query, image_ref, t.context, answers,
                                 backends.vlm, t.deadline("consistency"),
                                 templates["consistency"])
-            if t.out_of_budget():
-                return degraded
         else:
             # Without the judge, two answers agree only when they match exactly.
             t.answers = answers.with_consistency(rag_answer.strip() == direct_answer.strip())

@@ -1,6 +1,7 @@
 """Prompt template files and their placeholder substitution.
 
-A template file holds a ``[system]`` and a ``[user]`` section. Placeholders
+A template file holds a ``[system]`` and a ``[user]`` section, each once,
+with nothing but blank lines before the first. Placeholders
 come in two forms:
 
     {name}
@@ -87,10 +88,13 @@ def load_template(path: str | Path | Traversable) -> PromptTemplate:
     matches = list(_SECTION.finditer(text))
     if not matches:
         raise TemplateError(f"{path}: no [system]/[user] sections found")
+    if text[:matches[0].start()].strip():
+        raise TemplateError(f"{path}: text before the first section")
     for current, following in zip(matches, matches[1:] + [None]):
+        if current.group(1) in sections:
+            raise TemplateError(f"{path}: section [{current.group(1)}] repeats")
         end = following.start() if following is not None else len(text)
-        body = text[current.end():end].strip("\n")
-        sections[current.group(1)] = body
+        sections[current.group(1)] = text[current.end():end].strip("\n")
     missing = [name for name in ("system", "user") if name not in sections]
     if missing:
         raise TemplateError(f"{path}: missing sections: {', '.join(missing)}")

@@ -555,7 +555,7 @@ class TestRemoteBackends:
             make_backends(turn_script(query)),
             search=RemoteSearchBackend(service(lambda request: NO_REPLY).url),
         )
-        cfg = PipelineConfig(mode="task2plus", turn_budget_ms=400, abstain_margin_ms=20)
+        cfg = PipelineConfig(mode="task2plus", turn_budget_ms=400)
         started = time.monotonic()
         outcome = run_turn(fresh_state(), one_turn(query), cfg, backends, TEMPLATES)
         elapsed_ms = (time.monotonic() - started) * 1000
@@ -1162,7 +1162,7 @@ class TestWholeTurnFaults:
     the turn with that stage's flag, never an exception, within the budget.
     The faulted turns share one pooled ``Backends``."""
 
-    CFG = PipelineConfig(mode="task2plus", turn_budget_ms=400, abstain_margin_ms=20)
+    CFG = PipelineConfig(mode="task2plus", turn_budget_ms=400)
 
     @staticmethod
     def _assert_answered(outcome):

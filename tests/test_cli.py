@@ -265,14 +265,16 @@ class TestRunCommand:
             assert record["final"]["answer"] == want["answer"], key
             assert record["flags"] == want["flags"], key
 
-    def test_removed_parallel_generation_key_rejected(self, tmp_path, capsys):
-        config = write_config(tmp_path, parallel_generation=True)
+    @pytest.mark.parametrize("key, value", [("parallel_generation", True),
+                                            ("abstain_margin_ms", 500)])
+    def test_removed_key_rejected(self, key, value, tmp_path, capsys):
+        config = write_config(tmp_path, **{key: value})
         code = main([
             "run", "--dataset", str(FIXTURES / "e2e_dataset.jsonl"),
             "--config", str(config), "--out", str(tmp_path / "t.jsonl"), "--mock",
         ])
         assert code == 1
-        assert "unknown config keys: parallel_generation" in capsys.readouterr().err
+        assert f"unknown config keys: {key}" in capsys.readouterr().err
 
     def test_module_entry_point_writes_trace(self, tmp_path):
         out = tmp_path / "t.jsonl"
@@ -804,8 +806,9 @@ ROUTER_ENTRY = {"role": "router", "match": "", "response": "1. Needs External In
 # "trace" (one record, judged by eval), "replay" or "fixture" (a document, or
 # None for a file that is not there). Paths are relative to the test's
 # directory, which holds no missing.txt, an unsectioned.txt template without
-# [system]/[user] and a subject.txt template that uses {subject}, a
-# placeholder no packaged template has.
+# [system]/[user], a subject.txt template that uses {subject}, a placeholder
+# no packaged template has, a repeated.txt template with two [user] sections
+# and a preamble.txt template with text before its [system] section.
 MALFORMED_INPUTS = [
     ("config-integer-as-string", {"config": {"recall_k": "10"}}, "recall_k"),
     ("config-text-as-number", {"config": {"abstain_text": 5}}, "abstain_text"),
@@ -818,6 +821,10 @@ MALFORMED_INPUTS = [
      {"config": {"prompt_paths": {"routing": "unsectioned.txt"}}}, "prompt_paths.routing"),
     ("config-prompt-name-misspelled",
      {"config": {"prompt_paths": {"routnig": "unsectioned.txt"}}}, "routnig"),
+    ("config-prompt-section-repeated",
+     {"config": {"prompt_paths": {"routing": "repeated.txt"}}}, "prompt_paths.routing"),
+    ("config-prompt-text-before-sections",
+     {"config": {"prompt_paths": {"routing": "preamble.txt"}}}, "prompt_paths.routing"),
     ("config-prompt-unknown-placeholder",
      {"config": {"prompt_paths": {"routing": "subject.txt"}}}, "prompt_paths.routing"),
     ("config-prompt-capitalized-placeholder",
@@ -897,6 +904,10 @@ def test_malformed_input_is_one_error_line_and_no_output(tmp_path, monkeypatch, 
     Path("unsectioned.txt").write_text("no sections here\n", encoding="utf-8")
     Path("subject.txt").write_text("[system]\ns\n\n[user]\nAbout {subject}: {query}\n",
                                    encoding="utf-8")
+    Path("repeated.txt").write_text("[system]\ns\n\n[user]\nQ: {query}\n\n[user]\nu\n",
+                                    encoding="utf-8")
+    Path("preamble.txt").write_text("Answer in French.\n[system]\ns\n\n[user]\nQ: {query}\n",
+                                    encoding="utf-8")
     Path("capitalized.txt").write_text("[system]\ns\n\n[user]\nQ: {Query}\n",
                                        encoding="utf-8")
     Path("double_quoted.txt").write_text(

@@ -129,10 +129,6 @@ class TestValidateConfig:
         with pytest.raises(InvalidConfigError, match=f"rerank_k <= {MAX_CONTEXT_ENTRIES}"):
             PipelineConfig(rerank_k=MAX_CONTEXT_ENTRIES + 1)
 
-    def test_abstain_margin_bounded_by_budget(self):
-        with pytest.raises(InvalidConfigError, match="abstain_margin_ms < turn_budget_ms"):
-            PipelineConfig(abstain_margin_ms=10_000, turn_budget_ms=10_000)
-
     def test_turn_budget_bounded_by_a_day(self):
         # A larger budget overflows the timeout of its first remote call.
         assert PipelineConfig(turn_budget_ms=86_400_000).turn_budget_ms == 86_400_000

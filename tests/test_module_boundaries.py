@@ -257,8 +257,7 @@ RULES = [
     Rule("turn_class", names, r"^_Turn$", SRC, {"pipeline.py": ["_Turn"]},
          "only pipeline names _Turn, the class that holds a turn's trace"),
     Rule("flags", calls, r"\.flag\(", SRC,
-         {"pipeline.py": [".flag() in _Turn.out_of_budget", ".flag() in _Turn.stage",
-                          ".flag() in _decide"]},
+         {"pipeline.py": [".flag() in _Turn.stage", ".flag() in _decide"]},
          "only pipeline calls a .flag( method, so every degradation flag is set there"),
     Rule("scoring", names, r"^(judge_response|aggregate)$", [PACKAGE / "cli.py"], {},
          "cli names neither judge_response nor aggregate; evaluation.score_answers scores"),

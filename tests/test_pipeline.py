@@ -1,7 +1,10 @@
 """End-to-end turn orchestration: stage flow, deadlines, degradation, state."""
 
+import ast
 import dataclasses
+import inspect
 import json
+import re
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -10,6 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ragvet import pipeline, runtime
 from ragvet.backends import (
     BackendTransportError,
     Backends,
@@ -36,6 +40,13 @@ from conftest import (
     COV_FULL, DRAWN_STAGES, FAILURE_FLAGS, ROUTE_NONE, ROUTE_PLAIN, ROUTE_REAL_TIME, STALL,
     TEMPLATES, fresh_state, image_fixture, make_backends, one_turn, turn_script, virtual_time,
 )
+
+
+def reply_at(ms, reply):
+    """``reply``, once the virtual clock reads ``ms`` into the turn: the
+    answer of a backend that ignores its deadline."""
+    runtime.clock.wait_until(ms / 1000.0)
+    return reply
 
 
 def fault(kind, call):
@@ -186,7 +197,7 @@ class TestRoutingPolicies:
 class TestDegradation:
     def test_generator_timeout_abstains_within_budget(self, virtual_clock):
         query = "slow one"
-        cfg = PipelineConfig(turn_budget_ms=400, abstain_margin_ms=20)
+        cfg = PipelineConfig(turn_budget_ms=400)
         backends = make_backends(turn_script(query),
                                  answer=lambda call: STALL if call.name == "rag" else None)
         outcome = run_turn(fresh_state(), one_turn(query), cfg, backends, TEMPLATES)
@@ -230,7 +241,7 @@ class TestDegradation:
 
     def test_direct_call_timeout_abstains_within_budget(self, virtual_clock):
         query = "slow direct one"
-        cfg = PipelineConfig(turn_budget_ms=400, abstain_margin_ms=20)
+        cfg = PipelineConfig(turn_budget_ms=400)
         backends = make_backends(turn_script(query), image_fixture("img-1", query),
                                  lambda call: STALL if call.name == "direct" else None)
         outcome = run_turn(fresh_state(), one_turn(query), cfg, backends, TEMPLATES)
@@ -248,7 +259,7 @@ class TestDegradation:
         faults = {"rag": "error", "direct": "stall"}
         backends = make_backends(turn_script(query), image_fixture("img-1", query),
                                  lambda call: fault(faults.get(call.name, "ok"), call))
-        cfg = PipelineConfig(turn_budget_ms=400, abstain_margin_ms=20)
+        cfg = PipelineConfig(turn_budget_ms=400)
         outcome = run_turn(fresh_state(), one_turn(query), cfg, backends, TEMPLATES)
         assert outcome.flags == {"generation_backend_error"}
         assert outcome.final.branch is Branch.DEFAULT_ABSTAIN
@@ -257,18 +268,33 @@ class TestDegradation:
         # until generation's 75 % cutoff.
         assert outcome.wall_clock_ms == 300
 
-    def test_budget_exhaustion_short_circuits_before_generation(self, virtual_clock):
+    def test_a_summary_past_its_cutoff_leaves_each_later_stage_its_own(self, virtual_clock):
+        # The task1 summary ignores its 20 ms cutoff and answers at 90 ms.
+        # Rerank and generation then fail at once on their expired cutoffs.
         query = "expensive retrieval"
-        backends = make_backends(turn_script(query),
-                                 answer=lambda call: STALL if call.name == "summarize" else None)
-        cfg = PipelineConfig(turn_budget_ms=100, abstain_margin_ms=90)
-        outcome = run_turn(fresh_state(), one_turn(query), cfg, backends, TEMPLATES)
-        assert outcome.final.abstained
-        assert "budget_exhausted" in outcome.flags
-        assert "generate" not in outcome.stages
-        # The task1 summary times out at its 20 % cutoff, which leaves 80 ms,
-        # less than the 90 ms margin.
-        assert outcome.timings_ms["summarize"] == outcome.wall_clock_ms == 20
+        backends = make_backends(turn_script(query), image_fixture("img-1", query),
+                                 lambda call: reply_at(90, "summary tokens")
+                                 if call.name == "summarize" else None)
+        outcome = run_turn(fresh_state(), one_turn(query), PipelineConfig(turn_budget_ms=100),
+                           backends, TEMPLATES)
+        assert outcome.flags == {"rerank_backend_error", "generation_timeout"}
+        assert outcome.final.branch is Branch.DEFAULT_ABSTAIN
+        assert outcome.timings_ms["generate"] == 0
+        assert outcome.wall_clock_ms == 90
+
+    def test_a_judge_past_its_cutoff_leaves_verify_its_own(self, virtual_clock):
+        # The judge ignores its 85 ms cutoff and answers at 95 ms; verify
+        # still runs under its 100 ms cutoff, and the turn answers.
+        query = "slow judge"
+        backends = make_backends(turn_script(query), image_fixture("img-1", query),
+                                 lambda call: reply_at(95, "yes") if call.name == "consistency"
+                                 else None)
+        outcome = run_turn(fresh_state(), one_turn(query), PipelineConfig(turn_budget_ms=100),
+                           backends, TEMPLATES)
+        assert outcome.flags == frozenset()
+        assert outcome.final.branch is Branch.CONSISTENT_WITH_CONTEXT
+        assert outcome.final.answer == "rag answer"
+        assert outcome.wall_clock_ms == 95
 
     def test_consistency_failure_treated_as_inconsistent(self):
         query = "judge is broken"
@@ -334,14 +360,27 @@ def seam_backends(routing=ROUTE_PLAIN, stage=None, kind="ok"):
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
+def degradation_section():
+    """README's "Degradation flags" section, up to the next heading."""
+    readme = README.read_text(encoding="utf-8")
+    return readme.split("\n## Degradation flags\n")[1].split("\n## ")[0]
+
+
 def degradation_table():
     """The rows of README's "Degradation flags" table, each a dict from
     column heading to cell text, code quotes stripped."""
-    section = README.read_text(encoding="utf-8").split("\n## Degradation flags\n")[1]
     rows = [[cell.strip().strip("`") for cell in line.strip("|").split("|")]
-            for line in section.split("\n## ")[0].split("\n") if line.startswith("|")]
+            for line in degradation_section().split("\n") if line.startswith("|")]
     header, _, *body = rows
     return [dict(zip(header, row)) for row in body]
+
+
+def flag_literals():
+    """The string literals ``pipeline`` passes to a ``.flag(`` call."""
+    return {arg.value for node in ast.walk(ast.parse(inspect.getsource(pipeline)))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "flag"
+            for arg in node.args if isinstance(arg, ast.Constant)}
 
 
 def test_readme_degradation_table_matches_the_seam():
@@ -352,6 +391,13 @@ def test_readme_degradation_table_matches_the_seam():
     assert table == {stage: (f"{TIMEOUT_AT_MS[stage] * 100 // 400} %", *FAILURE_FLAGS[stage],
                              PARSE_FLAGS.get(stage, "—"))
                      for stage in FAILURE_FLAGS}
+    # The section names flags in the table and in its "Other flags:" text:
+    # every snake_case name quoted there.
+    other = degradation_section().split("Other flags:")[1].split("\n\n")[0]
+    named = {row[column] for row in degradation_table() for column in list(row)[2:5]} - {"—"}
+    named |= set(re.findall(r"`([a-z]+(?:_[a-z0-9]+)+)`", other))
+    assert named == ({flag for flags in FAILURE_FLAGS.values() for flag in flags}
+                     | set(PARSE_FLAGS.values()) | flag_literals())
 
 
 class TestFailureSeam:
@@ -363,7 +409,7 @@ class TestFailureSeam:
                                                                 virtual_clock):
         # A router that answered would skip retrieval; only its fallback retrieves.
         backends = seam_backends(ROUTE_NONE if stage == "route" else ROUTE_PLAIN, stage, kind)
-        cfg = PipelineConfig(mode="task2plus", turn_budget_ms=400, abstain_margin_ms=20)
+        cfg = PipelineConfig(mode="task2plus", turn_budget_ms=400)
         outcome = run_turn(fresh_state(), one_turn(SEAM_QUERY), cfg, backends, TEMPLATES)
         if kind == "timeout":
             assert outcome.timings_ms[stage] == outcome.wall_clock_ms == TIMEOUT_AT_MS[stage]
@@ -378,7 +424,7 @@ class TestFailureSeam:
 
     def test_summary_timeout_leaves_search_and_rerank_their_slice(self, virtual_clock):
         backends = seam_backends(stage="summarize", kind="timeout")
-        cfg = PipelineConfig(mode="task2plus", turn_budget_ms=400, abstain_margin_ms=20)
+        cfg = PipelineConfig(mode="task2plus", turn_budget_ms=400)
         outcome = run_turn(fresh_state(), one_turn(SEAM_QUERY), cfg, backends, TEMPLATES)
         assert outcome.flags == {"summary_backend_timeout"}
         # The summary ends at its 20 % cutoff; search and rerank still have
@@ -391,7 +437,7 @@ class TestFailureSeam:
 
     def test_a_worker_call_starts_at_its_submitters_time(self, virtual_clock):
         backends = seam_backends(stage="route", kind="timeout")
-        cfg = PipelineConfig(mode="task2plus", turn_budget_ms=400, abstain_margin_ms=20)
+        cfg = PipelineConfig(mode="task2plus", turn_budget_ms=400)
         outcome = run_turn(fresh_state(), one_turn(SEAM_QUERY), cfg, backends, TEMPLATES)
         assert outcome.flags == {"router_backend_timeout"}
         # Routing times out at 20 ms and nothing after it takes time, so every
@@ -408,7 +454,7 @@ class TestFailureSeam:
         backends = make_backends(
             turn_script(SEAM_QUERY, summary=SEAM_SUMMARY), fixture,
             lambda call: fault(kind if call.name == "summarize" else "ok", call))
-        cfg = PipelineConfig(mode="task1", turn_budget_ms=400, abstain_margin_ms=20)
+        cfg = PipelineConfig(mode="task1", turn_budget_ms=400)
         outcome = run_turn(fresh_state(), one_turn(SEAM_QUERY), cfg, backends, TEMPLATES)
         # A timeout ends at the summary's 20 % cutoff; nothing after it waits.
         waited_ms = TIMEOUT_AT_MS["summarize"] if kind == "timeout" else 0
@@ -533,9 +579,8 @@ def config_turn(values):
     assert outcome.wall_clock_ms <= cfg.turn_budget_ms
 
 
-# Values that hold every bound, together: rerank_k <= recall_k,
-# low_confidence <= high_confidence and abstain_margin_ms < turn_budget_ms
-# hold for any draw.
+# Values that hold every bound, together: rerank_k <= recall_k and
+# low_confidence <= high_confidence hold for any draw.
 WITHIN_BOUNDS = {
     "recall_k": st.integers(3, 12),
     "rerank_k": st.integers(0, 3),
@@ -544,8 +589,7 @@ WITHIN_BOUNDS = {
     "min_retrieval_score": st.floats(0.0, 1.0),
     "low_confidence": st.floats(0.0, 0.9),
     "high_confidence": st.floats(0.9, 1.0),
-    "turn_budget_ms": st.integers(1_000, 20_000),
-    "abstain_margin_ms": st.integers(0, 999),
+    "turn_budget_ms": st.integers(1, 20_000),
     "mode": st.sampled_from(MODES),
 }
 # Values on both sides of every bound.
@@ -558,7 +602,6 @@ ACROSS_BOUNDS = {
     "low_confidence": st.floats(-0.1, 1.1),
     "high_confidence": st.floats(-0.1, 1.1),
     "turn_budget_ms": st.integers(-1, 20_000),
-    "abstain_margin_ms": st.integers(-1, 20_000),
     "mode": st.sampled_from(MODES + ("task9",)),
 }
 # One or two fields drawn across their bounds, the rest within them, so that
@@ -691,7 +734,7 @@ class TestVariants:
         query = "slow direct one"
         backends = make_backends(turn_script(query),
                                  answer=lambda call: STALL if call.name == "direct" else None)
-        cfg = PipelineConfig(turn_budget_ms=400, abstain_margin_ms=20)
+        cfg = PipelineConfig(turn_budget_ms=400)
         outcome = run_turn(fresh_state(), one_turn(query), cfg, backends, TEMPLATES,
                            variant="vision_only")
         assert outcome.final.abstained
@@ -736,7 +779,7 @@ class TestSummaryOverlap:
 
     def test_early_summary_timeout_is_flagged(self, virtual_clock):
         query = "slow summary"
-        cfg = PipelineConfig(turn_budget_ms=400, abstain_margin_ms=20)
+        cfg = PipelineConfig(turn_budget_ms=400)
         backends = make_backends(turn_script(query), image_fixture("img-1", query),
                                  lambda call: STALL if call.name == "summarize" else None)
         outcome = run_turn(fresh_state(), one_turn(query), cfg, backends, TEMPLATES)

@@ -63,6 +63,21 @@ class TestLoadTemplate:
         with pytest.raises(TemplateError, match="missing sections: user"):
             load_template(path)
 
+    @pytest.mark.parametrize("text, error", [
+        ("[system]\ns\n[user]\nfirst\n[user]\nsecond\n", r"section \[user\] repeats"),
+        ("Answer in French.\n[system]\ns\n[user]\nu\n", "text before the first section"),
+    ])
+    def test_text_the_sections_would_drop_rejected(self, tmp_path, text, error):
+        path = tmp_path / "bad.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(TemplateError, match=error):
+            load_template(path)
+
+    def test_blank_lines_before_the_first_section_are_legal(self, tmp_path):
+        path = tmp_path / "ok.txt"
+        path.write_text("\n  \n[system]\ns\n[user]\nu\n", encoding="utf-8")
+        assert load_template(path) == PromptTemplate(system="s", user="u")
+
     def test_sectionless_file_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("no sections here", encoding="utf-8")
