@@ -2,11 +2,23 @@
 the per-turn worker, whose every hand-off waits on it.
 
 Every read of time and every wait in ragvet goes through ``clock``, which other
-modules reach as ``runtime.clock``, so that one swap of it moves them all."""
+modules reach as ``runtime.clock``, so that one swap of it moves them all: to
+a ``VirtualClock``, say, on which a timeout costs no real time and every
+stage timing is exact.
+
+On a virtual clock each thread keeps its own time, so a thread that hands
+work to another must hand its time over too. ``Worker`` does so at each
+hand-off: a call on the worker starts at the time its submitter had, and a
+thread that waits for the call (``Handle.result``) or joins the worker moves
+on to the time the call finished. So a thread's time is the time its own
+work and the calls it waited for took, however many threads wait. On the
+real clock the same waits return at once, because that moment has passed.
+"""
 
 from __future__ import annotations
 
 import math
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Generic, TypeVar
@@ -25,6 +37,21 @@ class Clock:
         delay = moment - time.monotonic()
         if delay > 0:
             time.sleep(delay)
+
+
+class VirtualClock:
+    """Time that moves only when a thread waits: each thread's time starts at
+    0, and ``wait_until`` moves the waiting thread straight on to the moment
+    it waits for and returns at once. It reads no real time."""
+
+    def __init__(self) -> None:
+        self._local = threading.local()
+
+    def now(self) -> float:
+        return getattr(self._local, "now", 0.0)
+
+    def wait_until(self, moment: float) -> None:
+        self._local.now = max(self.now(), moment)
 
 
 clock = Clock()
@@ -61,8 +88,8 @@ class Deadline:
 
 
 class Handle(Generic[T]):
-    """A call submitted to a ``Worker``: ``result()`` waits for it, then moves
-    the waiting thread on to the time it finished."""
+    """A call submitted to a ``Worker``: ``result()`` waits for it, and hands
+    its time over as the module's hand-off rule says."""
 
     __slots__ = ("future", "finished_at")
 
@@ -74,9 +101,9 @@ class Handle(Generic[T]):
 
 
 class Worker:
-    """The one background thread of a turn, as a context manager. Calls run in
-    the order submitted, each from its submitter's time; leaving the block
-    joins the thread and moves on to the time the last call finished."""
+    """The one background thread of a turn, as a context manager: calls run in
+    the order submitted, and leaving the block joins the thread. Each
+    hand-off of time follows the module's hand-off rule."""
 
     def __init__(self) -> None:
         self._pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="ragvet-turn")

@@ -15,6 +15,10 @@ is, a model call's completion string included.
 A ``Request`` and a ``Call`` are named alike, by ``call_name``: one of
 ``TURN_CALLS``, so one fault schedule reads the same over sockets and in
 process.
+
+``run_cli`` and ``eval_cli`` run the command line over a fixture set under a
+mode, workers, a variant and config overrides; only a test of argv handling
+calls ``main``. ``virtual_time()`` runs a block on a ``runtime.VirtualClock``.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ from ragvet.backends import (
     Role,
     SearchFixture,
 )
+from ragvet.cli import main
 from ragvet.core import (
     MAX_TURN_BUDGET_MS,
     ChunkRef,
@@ -52,9 +57,8 @@ from ragvet.core import (
     ScoredChunk,
     Source,
 )
-from ragvet.evaluation import MetricsReport, MockJudge, ground_truths, score_answers
-from ragvet.pipeline import ConversationState, run_conversation
-from ragvet.runtime import Deadline
+from ragvet.pipeline import ConversationState
+from ragvet.runtime import Deadline, VirtualClock
 from ragvet.templates import load_all
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -87,21 +91,6 @@ class Raw:
         self.close = close
 
 
-# A reply body, a whole reply that carries it, and raw replies that each break
-# one rule of a reply, by name. The wrong shape has neither a completion's
-# "text", nor rerank "scores", nor search "results".
-BODY = b'{"text": "hi"}'
-OK = b"HTTP/1.1 200 OK\r\nContent-Length: 14\r\n\r\n" + BODY
-BAD_REPLIES = {
-    "closed-mid-body": Raw(b"HTTP/1.1 200 OK\r\nContent-Length: 40\r\n\r\n" + BODY, close=True),
-    "status-500": Raw(b"HTTP/1.1 500 Internal Server Error\r\nContent-Length: 4\r\n\r\nboom"),
-    "not-an-object": Raw(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n[]"),
-    "wrong-shape": Raw(b'HTTP/1.1 200 OK\r\nContent-Length: 12\r\n\r\n{"wrong": 1}'),
-    "status-line": Raw(b"ICY 200 OK\r\nContent-Length: 14\r\n\r\n" + BODY),
-    "header-line": Raw(b"HTTP/1.1 200 OK\r\nContent-Length 14\r\n\r\n" + BODY),
-    "5000-digit-length": Raw(b"HTTP/1.1 200 OK\r\nContent-Length: " + b"9" * 5000
-                             + b"\r\n\r\n" + BODY),
-}
 # One byte of a 40-byte body every 250 ms, until the caller hangs up.
 DRIP = "drip"
 # Nothing, until the caller hangs up.
@@ -410,15 +399,47 @@ def fresh_state(image_ref="img-1"):
     return ConversationState(conversation_id="c1", image_ref=image_ref)
 
 
-def score_variant(mode: str, dataset, cfg, backends) -> MetricsReport:
-    """The metrics ``eval --judge mock`` reports for a ``run --variant <mode>``
-    trace: every conversation run under the variant, its answers scored by
-    ``score_answers``."""
-    templates = load_all(cfg.prompt_paths)
-    answers = [(outcome.conversation_id, outcome.turn_index, outcome.final.answer)
-               for conversation in dataset
-               for outcome in run_conversation(conversation, cfg, backends, templates, mode)]
-    return score_answers(answers, ground_truths(dataset), MockJudge(), cfg.abstain_text)[0]
+def fixture_config(directory: Path, fixture_set: str = "e2e", **overrides: Any) -> Path:
+    """``directory/config.json``: the search fixture and replay script of
+    ``fixture_set`` (``e2e``, ``ablation`` or ``kg``), then ``overrides``."""
+    path = directory / "config.json"
+    path.write_text(json.dumps({"fixture_path": str(FIXTURES / f"{fixture_set}_search.json"),
+                                "replay_path": str(FIXTURES / f"{fixture_set}_replay.json"),
+                                **overrides}), encoding="utf-8")
+    return path
+
+
+def run_cli(directory: Path, fixture_set: str = "e2e", mode: str = "task2plus", *,
+            mock: bool = True, workers: int = 1, variant: Optional[str] = None,
+            out: str = "trace.jsonl", dataset: Optional[Path] = None, code: int = 0,
+            **overrides: Any) -> Path:
+    """The trace ``directory/out`` of ``run [--mock]`` over ``fixture_set``'s
+    dataset (or ``dataset``) and ``fixture_config``, which must exit with ``code``."""
+    trace = directory / out
+    argv = ["run", "--out", str(trace), "--workers", str(workers),
+            "--dataset", str(dataset or FIXTURES / f"{fixture_set}_dataset.jsonl"),
+            "--config", str(fixture_config(directory, fixture_set, mode=mode, **overrides))]
+    argv += (["--mock"] if mock else []) + (["--variant", variant] if variant else [])
+    assert main(argv) == code
+    return trace
+
+
+def eval_cli(directory: Path, trace: Path, fixture_set: str = "e2e", *, judge: str = "mock",
+             report: str = "report.json", dataset: Optional[Path] = None, code: int = 0,
+             **overrides: Any) -> Path:
+    """The report ``directory/report`` of ``eval`` on ``trace`` against
+    ``fixture_set``'s dataset (or ``dataset``), which must exit with ``code``."""
+    path = directory / report
+    assert main(["eval", "--traces", str(trace), "--judge", judge, "--report", str(path),
+                 "--dataset", str(dataset or FIXTURES / f"{fixture_set}_dataset.jsonl"),
+                 "--config", str(fixture_config(directory, fixture_set, **overrides))]) == code
+    return path
+
+
+def mock_report(directory: Path, fixture_set: str, mode: str, variant: str) -> dict:
+    """The report ``eval_cli`` writes on a mock ``run_cli`` of ``variant``."""
+    trace = run_cli(directory, fixture_set, mode, variant=variant)
+    return json.loads(eval_cli(directory, trace, fixture_set).read_text(encoding="utf-8"))
 
 
 def web_item(snippet: str, rank: int = 1, title: str = "t", url: str = "https://x.test/") -> RetrievedItem:
@@ -449,28 +470,6 @@ def day_deadline() -> Deadline:
 @pytest.fixture
 def no_deadline() -> Deadline:
     return day_deadline()
-
-
-class VirtualClock:
-    """Stands in for ``runtime.clock``: time starts at 0 and moves only when
-    a thread waits, straight to the moment it waits for, and ``wait_until``
-    returns at once.
-
-    Each thread keeps its own time. ``runtime.Worker`` hands time over with
-    every hand-off: a worker call starts at its submitter's time, and a
-    thread that waits for the call moves on to the time it finished. So a
-    thread's time is the time its own work and the calls it waited for took,
-    and every stage timing is exact however many threads wait.
-    """
-
-    def __init__(self) -> None:
-        self._local = threading.local()
-
-    def now(self) -> float:
-        return getattr(self._local, "now", 0.0)
-
-    def wait_until(self, moment: float) -> None:
-        self._local.now = max(self.now(), moment)
 
 
 # A block on the virtual clock waits no real time, so one that spends more

@@ -13,19 +13,13 @@ from contextlib import contextmanager
 
 import pytest
 
-from ragvet.backends import (
-    Backends,
-    MockRerankerBackend,
-    ReplayModelBackend,
-    load_fixture,
-    load_replay,
-)
-from ragvet.cli import load_dataset, main
+from ragvet.cli import load_dataset
 from ragvet.core import (
     Conversation,
     PipelineConfig,
     QueryTurn,
     ReplyParseError,
+    read_jsonl,
 )
 from ragvet.evaluation import Label, aggregate
 from ragvet.finalizer import finalize
@@ -36,7 +30,7 @@ from ragvet.router import parse_routing_response
 from ragvet.templates import load_all
 from ragvet.verification import parse_cov_response
 
-from conftest import FIXTURES, STALL, make_backends, score_variant
+from conftest import FIXTURES, STALL, make_backends, mock_report, run_cli
 
 
 @contextmanager
@@ -250,23 +244,6 @@ ALL_BRANCHES = {
 }
 
 
-def _run_cli(tmp_path, name, workers):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({
-        "mode": "task2plus",
-        "fixture_path": str(FIXTURES / "e2e_search.json"),
-        "replay_path": str(FIXTURES / "e2e_replay.json"),
-    }), encoding="utf-8")
-    out = tmp_path / name
-    code = main([
-        "run", "--dataset", str(FIXTURES / "e2e_dataset.jsonl"),
-        "--config", str(config), "--out", str(out), "--mock",
-        "--workers", str(workers),
-    ])
-    assert code == 0
-    return out
-
-
 def test_criterion_5_end_to_end_determinism(tmp_path):
     with criterion(5, "end-to-end determinism", 30.0):
         dataset = load_dataset(FIXTURES / "e2e_dataset.jsonl")
@@ -274,13 +251,13 @@ def test_criterion_5_end_to_end_determinism(tmp_path):
         assert any(len(c.turns) > 1 for c in dataset)
         assert any(len(c.turns) == 1 for c in dataset)
 
-        first = _run_cli(tmp_path, "first.jsonl", workers=1)
-        second = _run_cli(tmp_path, "second.jsonl", workers=1)
-        third = _run_cli(tmp_path, "third.jsonl", workers=4)
+        first = run_cli(tmp_path, out="first.jsonl")
+        second = run_cli(tmp_path, out="second.jsonl")
+        third = run_cli(tmp_path, workers=4, out="third.jsonl")
         assert first.read_bytes() == second.read_bytes()
         assert first.read_bytes() == third.read_bytes()
 
-        records = [json.loads(line) for line in first.read_text(encoding="utf-8").splitlines()]
+        records = [record for _, record in read_jsonl(first, ValueError)]
         assert len(records) == sum(len(c.turns) for c in dataset)
         seen_branches = {record["final"]["branch"] for record in records}
         assert seen_branches == ALL_BRANCHES
@@ -291,8 +268,7 @@ def test_criterion_5_end_to_end_determinism(tmp_path):
 
 def test_criterion_7_context_construction_invariants(tmp_path):
     with criterion(7, "context construction invariants", 30.0):
-        trace = _run_cli(tmp_path, "trace.jsonl", workers=1)
-        records = [json.loads(line) for line in trace.read_text(encoding="utf-8").splitlines()]
+        records = [record for _, record in read_jsonl(run_cli(tmp_path), ValueError)]
         skipped_seen = 0
         for record in records:
             context = record["context"]
@@ -343,32 +319,17 @@ def test_criterion_6_deadline_behavior():
 # 8. Ablation direction check
 
 
-def test_criterion_8_ablation_directions():
+def test_criterion_8_ablation_directions(tmp_path):
     with criterion(8, "ablation direction check", 30.0):
-        cfg = PipelineConfig(mode="task2plus")
-        model = ReplayModelBackend(load_replay(FIXTURES / "ablation_replay.json"))
-        search = load_fixture(FIXTURES / "ablation_search.json")
-        backends = Backends(
-            router_model=model, vlm=model, reranker=MockRerankerBackend(), search=search
-        )
-        dataset = load_dataset(FIXTURES / "ablation_dataset.jsonl")
-        full = score_variant("full", dataset, cfg, backends)
-        no_cov = score_variant("no_cov", dataset, cfg, backends)
-        rag_naive = score_variant("rag_naive", dataset, cfg, backends)
-        assert full.truthfulness > no_cov.truthfulness
-        assert rag_naive.hallucination_rate > full.hallucination_rate
+        full, no_cov, rag_naive = (mock_report(tmp_path, "ablation", "task2plus", variant)
+                                   for variant in ("full", "no_cov", "rag_naive"))
+        assert full["truthfulness"] > no_cov["truthfulness"]
+        assert rag_naive["hallucination_rate"] > full["hallucination_rate"]
 
         # Task 1 over the image KG: each component the paper adds raises
         # truthfulness, from the vision-only answer up to the full pipeline.
-        cfg = PipelineConfig(mode="task1")
-        model = ReplayModelBackend(load_replay(FIXTURES / "kg_replay.json"))
-        backends = Backends(
-            router_model=model, vlm=model, reranker=MockRerankerBackend(),
-            search=load_fixture(FIXTURES / "kg_search.json"),
-        )
-        dataset = load_dataset(FIXTURES / "kg_dataset.jsonl")
         order = ("full", "rag_naive", "no_cov", "no_cov_no_sc", "vision_only")
-        truthfulness = [score_variant(mode, dataset, cfg, backends).truthfulness
-                        for mode in order]
+        truthfulness = [mock_report(tmp_path, "kg", "task1", variant)["truthfulness"]
+                        for variant in order]
         assert truthfulness == pytest.approx([5 / 14, 3 / 14, 1 / 14, -1 / 7, -4 / 7])
         assert all(higher > lower for higher, lower in zip(truthfulness, truthfulness[1:]))

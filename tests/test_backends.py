@@ -49,10 +49,26 @@ from ragvet.templates import PromptTemplate
 from ragvet.transport import JsonEndpoint
 
 from conftest import (
-    BAD_REPLIES, BODY, COV_FULL, DRAWN_STAGES, DRIP, FAILURE_FLAGS, FIXTURES, NO_REPLY, OK,
-    ROUTE_PLAIN, STALL, TEMPLATES, TURN_CALLS, Raw, day_deadline, fresh_state, image_fixture,
-    make_backends, one_turn, scripted_model, serve_http, tap, turn_script,
+    COV_FULL, DRAWN_STAGES, DRIP, FAILURE_FLAGS, FIXTURES, NO_REPLY, ROUTE_PLAIN, STALL,
+    TEMPLATES, TURN_CALLS, Raw, day_deadline, fresh_state, image_fixture, make_backends,
+    one_turn, scripted_model, serve_http, tap, turn_script,
 )
+
+# A reply body, a whole reply that carries it, and raw replies that each break
+# one rule of a reply, by name. The wrong shape has neither a completion's
+# "text", nor rerank "scores", nor search "results".
+BODY = b'{"text": "hi"}'
+OK = b"HTTP/1.1 200 OK\r\nContent-Length: 14\r\n\r\n" + BODY
+BAD_REPLIES = {
+    "closed-mid-body": Raw(b"HTTP/1.1 200 OK\r\nContent-Length: 40\r\n\r\n" + BODY, close=True),
+    "status-500": Raw(b"HTTP/1.1 500 Internal Server Error\r\nContent-Length: 4\r\n\r\nboom"),
+    "not-an-object": Raw(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n[]"),
+    "wrong-shape": Raw(b'HTTP/1.1 200 OK\r\nContent-Length: 12\r\n\r\n{"wrong": 1}'),
+    "status-line": Raw(b"ICY 200 OK\r\nContent-Length: 14\r\n\r\n" + BODY),
+    "header-line": Raw(b"HTTP/1.1 200 OK\r\nContent-Length 14\r\n\r\n" + BODY),
+    "5000-digit-length": Raw(b"HTTP/1.1 200 OK\r\nContent-Length: " + b"9" * 5000
+                             + b"\r\n\r\n" + BODY),
+}
 
 
 def _request(role=Role.ROUTER, user="hello", **kw):

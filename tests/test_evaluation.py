@@ -1,21 +1,14 @@
 """Scoring protocol: truncation, judging, aggregation, metric identities,
-the one scoring path, and every pipeline variant scored over the committed
-fixture sets."""
+the one scoring path, and the ablation variants scored by ``eval`` over the
+committed ablation set (``test_golden`` pins every variant's report)."""
 
+import json
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from ragvet.backends import (
-    Backends,
-    MockRerankerBackend,
-    ReplayModelBackend,
-    load_fixture,
-    load_replay,
-)
-from ragvet.cli import load_dataset
-from ragvet.core import Conversation, PipelineConfig
+from ragvet.core import Conversation
 from ragvet.evaluation import (
     EvalError,
     Label,
@@ -27,10 +20,9 @@ from ragvet.evaluation import (
     score_answers,
     truncate_tokens,
 )
-from ragvet.pipeline import VARIANTS
 from ragvet.templates import PromptTemplate
 
-from conftest import FIXTURES, score_variant, scripted_model, tap
+from conftest import eval_cli, mock_report, run_cli, scripted_model, tap
 
 # Frozen reference rows the aggregator must reproduce, as
 # (perfect, missing, incorrect, accuracy%, missing%, hallucination%, truthfulness%).
@@ -230,112 +222,29 @@ class TestScoreAnswers:
                           abstain_text="no idea")
 
 
-@pytest.fixture(scope="module")
-def ablation_setup():
-    cfg = PipelineConfig(mode="task2plus")
-    model = ReplayModelBackend(load_replay(FIXTURES / "ablation_replay.json"))
-    search = load_fixture(FIXTURES / "ablation_search.json")
-    backends = Backends(
-        router_model=model, vlm=model, reranker=MockRerankerBackend(), search=search
-    )
-    dataset = load_dataset(FIXTURES / "ablation_dataset.jsonl")
-    return cfg, dataset, backends
-
-
 class TestRunAblation:
-    def test_vision_only_never_abstains(self, ablation_setup):
-        cfg, dataset, backends = ablation_setup
-        report = score_variant("vision_only", dataset, cfg, backends)
-        assert report.missing_rate == 0.0
+    def test_vision_only_never_abstains(self, tmp_path):
+        report = mock_report(tmp_path, "ablation", "task2plus", "vision_only")
+        assert report["missing_rate"] == 0.0
 
-    def test_full_beats_no_cov_on_truthfulness(self, ablation_setup):
-        cfg, dataset, backends = ablation_setup
-        full = score_variant("full", dataset, cfg, backends)
-        no_cov = score_variant("no_cov", dataset, cfg, backends)
-        assert full.truthfulness > no_cov.truthfulness
-        assert full.accuracy >= no_cov.accuracy
+    def test_full_beats_no_cov_on_truthfulness(self, tmp_path):
+        full = mock_report(tmp_path, "ablation", "task2plus", "full")
+        no_cov = mock_report(tmp_path, "ablation", "task2plus", "no_cov")
+        assert full["truthfulness"] > no_cov["truthfulness"]
+        assert full["accuracy"] >= no_cov["accuracy"]
 
-    def test_naive_rag_hallucinates_more_than_full(self, ablation_setup):
-        cfg, dataset, backends = ablation_setup
-        naive = score_variant("rag_naive", dataset, cfg, backends)
-        full = score_variant("full", dataset, cfg, backends)
-        assert naive.hallucination_rate > full.hallucination_rate
-
-    def test_exact_agreement_mode_abstains_on_split_answers(self, ablation_setup):
-        cfg, dataset, backends = ablation_setup
-        report = score_variant("no_cov_no_sc", dataset, cfg, backends)
-        assert report.missing_rate > 0.0
-
-
-# (Perfect, Missing, Incorrect, truthfulness) per mode over the six ablation turns.
-ABLATION_REPORTS = {
-    "vision_only": (2, 0, 4, -1 / 3),
-    "rag_naive": (3, 0, 3, 0.0),
-    "no_cov_no_sc": (2, 1, 3, -1 / 6),
-    "no_cov": (2, 1, 3, -1 / 6),
-    "full": (2, 4, 0, 1 / 3),
-}
-
-
-@pytest.mark.parametrize("policy", ["task1", "task2plus"])
-@pytest.mark.parametrize("mode", VARIANTS)
-def test_ablation_report_is_pinned(ablation_setup, policy, mode):
-    _, dataset, backends = ablation_setup
-    cfg = PipelineConfig(mode=policy)
-    report = score_variant(mode, dataset, cfg, backends)
-    perfect, missing, incorrect, truthfulness = ABLATION_REPORTS[mode]
-    assert report.to_dict()["counts"] == {
-        "Perfect": perfect, "Acceptable": 0, "Missing": missing, "Incorrect": incorrect,
-    }
-    assert report.truthfulness == pytest.approx(truthfulness)
-
-
-# (Perfect, Acceptable, Missing, Incorrect, truthfulness) per mode over the
-# seven turns of the KG set under task1, where recall finds image records.
-# The replay scripts the follow-up turn k05:1 only for the history the full
-# pipeline builds, so a variant whose first answer differs gets no reply for
-# it and abstains with generation_backend_error.
-KG_ABLATION_REPORTS = {
-    "vision_only": (1, 0, 1, 5, -4 / 7),
-    "rag_naive": (2, 3, 0, 2, 3 / 14),
-    "no_cov_no_sc": (1, 0, 4, 2, -1 / 7),
-    "no_cov": (1, 3, 1, 2, 1 / 14),
-    "full": (1, 3, 3, 0, 5 / 14),
-}
-
-
-@pytest.mark.parametrize("mode", VARIANTS)
-def test_kg_ablation_report_is_pinned(mode):
-    cfg = PipelineConfig(mode="task1")
-    model = ReplayModelBackend(load_replay(FIXTURES / "kg_replay.json"))
-    backends = Backends(
-        router_model=model, vlm=model, reranker=MockRerankerBackend(),
-        search=load_fixture(FIXTURES / "kg_search.json"),
-    )
-    report = score_variant(mode, load_dataset(FIXTURES / "kg_dataset.jsonl"), cfg, backends)
-    perfect, acceptable, missing, incorrect, truthfulness = KG_ABLATION_REPORTS[mode]
-    assert report.to_dict()["counts"] == {
-        "Perfect": perfect, "Acceptable": acceptable, "Missing": missing, "Incorrect": incorrect,
-    }
-    assert report.truthfulness == pytest.approx(truthfulness)
+    def test_exact_agreement_mode_abstains_on_split_answers(self, tmp_path):
+        report = mock_report(tmp_path, "ablation", "task2plus", "no_cov_no_sc")
+        assert report["missing_rate"] > 0.0
 
 
 def test_forced_disagreement_drives_missing_rate_to_one(tmp_path):
     # Dual-path agreement gate with answers that never match: abstain everywhere.
-    import json
-
-    dataset_path = tmp_path / "d.jsonl"
-    dataset_path.write_text(
-        "\n".join(
-            json.dumps({
-                "conversation_id": f"d{i}",
-                "image_ref": None,
-                "turns": [{"query": f"splitq{i} token{i}", "ground_truth": f"gt{i}"}],
-            })
-            for i in range(4)
-        ) + "\n",
-        encoding="utf-8",
-    )
+    dataset = tmp_path / "d.jsonl"
+    dataset.write_text("".join(
+        json.dumps({"conversation_id": f"d{i}", "image_ref": None,
+                    "turns": [{"query": f"splitq{i} token{i}", "ground_truth": f"gt{i}"}]})
+        + "\n" for i in range(4)), encoding="utf-8")
     entries = []
     for i in range(4):
         entries.append({"role": "router", "match": f"splitq{i}",
@@ -345,13 +254,8 @@ def test_forced_disagreement_drives_missing_rate_to_one(tmp_path):
                         "response": f"first{i}"})
         entries.append({"role": "generator", "match": f"Question: splitq{i} token{i}",
                         "response": f"second{i}"})
-    from ragvet.backends import ReplayEntry, SearchFixture
-
-    model = ReplayModelBackend([ReplayEntry.from_dict(e, "inline") for e in entries])
-    backends = Backends(
-        router_model=model, vlm=model, reranker=MockRerankerBackend(),
-        search=SearchFixture(image_index={}, web_index=()),
-    )
-    cfg = PipelineConfig(mode="task2plus")
-    report = score_variant("no_cov_no_sc", load_dataset(dataset_path), cfg, backends)
-    assert report.missing_rate == 1.0
+    replay = tmp_path / "replay.json"
+    replay.write_text(json.dumps(entries), encoding="utf-8")
+    trace = run_cli(tmp_path, variant="no_cov_no_sc", dataset=dataset, replay_path=str(replay))
+    report = eval_cli(tmp_path, trace, dataset=dataset, replay_path=str(replay))
+    assert json.loads(report.read_text(encoding="utf-8"))["missing_rate"] == 1.0

@@ -23,10 +23,9 @@ from pathlib import Path
 
 import pytest
 
-from ragvet.cli import main
 from ragvet.pipeline import VARIANTS
 
-from conftest import FIXTURES
+from conftest import FIXTURES, eval_cli, mock_report, run_cli
 
 GOLDEN = FIXTURES / "golden"
 SETS = ("e2e", "ablation", "kg")
@@ -35,42 +34,24 @@ REPORTS = GOLDEN / "ablate_reports.json"
 EVAL_REPORTS = GOLDEN / "eval_reports.json"
 
 
-def _inputs(tmp_path: Path, fixture_set: str) -> list[str]:
-    config = tmp_path / f"{fixture_set}_config.json"
-    config.write_text(json.dumps({
-        "fixture_path": str(FIXTURES / f"{fixture_set}_search.json"),
-        "replay_path": str(FIXTURES / f"{fixture_set}_replay.json"),
-    }), encoding="utf-8")
-    return ["--dataset", str(FIXTURES / f"{fixture_set}_dataset.jsonl"),
-            "--config", str(config)]
-
-
 def run_trace(tmp_path: Path, fixture_set: str, mode: str, workers: int,
               variant: str = "full") -> Path:
     """The trace ``run --mock`` writes for one fixture set, mode and variant."""
-    out = tmp_path / f"{fixture_set}_{mode}_{variant}_{workers}.jsonl"
-    code = main(["run", *_inputs(tmp_path, fixture_set), "--mock", "--mode", mode,
-                 "--variant", variant, "--out", str(out), "--workers", str(workers)])
-    assert code == 0
-    return out
+    return run_cli(tmp_path, fixture_set, mode, workers=workers, variant=variant,
+                   out=f"{fixture_set}_{mode}_{variant}_{workers}.jsonl")
 
 
 def variant_report(tmp_path: Path, fixture_set: str, mode: str, variant: str) -> str:
     """The report pinned for one fixture set, mode and variant: ``eval`` of
     its ``run``, without ``manifest_hash`` and ``rows``, the variant as ``mode``."""
-    trace = run_trace(tmp_path, fixture_set, mode, 1, variant)
-    evaluated = json.loads(eval_report(tmp_path, fixture_set, trace))
+    evaluated = mock_report(tmp_path, fixture_set, mode, variant)
     del evaluated["manifest_hash"], evaluated["rows"]
     return json.dumps({"mode": variant, **evaluated}, indent=2, ensure_ascii=False) + "\n"
 
 
 def eval_report(tmp_path: Path, fixture_set: str, trace: Path) -> str:
     """The report ``eval --judge mock`` writes for a trace of one fixture set."""
-    out = tmp_path / f"{trace.stem}_eval.json"
-    code = main(["eval", *_inputs(tmp_path, fixture_set), "--judge", "mock",
-                 "--traces", str(trace), "--report", str(out)])
-    assert code == 0
-    return out.read_text(encoding="utf-8")
+    return eval_cli(tmp_path, trace, fixture_set).read_text(encoding="utf-8")
 
 
 def _report_key(fixture_set: str, mode: str, variant: str) -> str:

@@ -15,30 +15,14 @@ context but not without, so that turn abstains.
 import json
 
 from ragvet.backends import load_fixture
-from ragvet.cli import load_dataset, main
-from ragvet.core import PipelineConfig
+from ragvet.cli import load_dataset
+from ragvet.core import PipelineConfig, read_jsonl
 
-from conftest import FIXTURES
+from conftest import FIXTURES, run_cli
 
 KG_EXPECTED = json.loads((FIXTURES / "kg_expected.json").read_text(encoding="utf-8"))
 # Conversations whose image has records that all score below the floor.
 BELOW_FLOOR = {"k06"}
-
-
-def _run_kg(tmp_path, name, workers):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({
-        "mode": "task1",
-        "fixture_path": str(FIXTURES / "kg_search.json"),
-        "replay_path": str(FIXTURES / "kg_replay.json"),
-    }), encoding="utf-8")
-    out = tmp_path / name
-    code = main([
-        "run", "--dataset", str(FIXTURES / "kg_dataset.jsonl"), "--config", str(config),
-        "--out", str(out), "--mock", "--mode", "task1", "--workers", str(workers),
-    ])
-    assert code == 0
-    return out
 
 
 def test_expected_file_holds_every_case():
@@ -51,11 +35,7 @@ def test_expected_file_holds_every_case():
 
 
 def test_task1_run_over_kg_matches_expected(tmp_path):
-    serial = _run_kg(tmp_path, "serial.jsonl", workers=1)
-    parallel = _run_kg(tmp_path, "parallel.jsonl", workers=4)
-    assert serial.read_bytes() == parallel.read_bytes()
-
-    records = [json.loads(line) for line in serial.read_text(encoding="utf-8").splitlines()]
+    records = [record for _, record in read_jsonl(run_cli(tmp_path, "kg", "task1"), ValueError)]
     got = {
         f"{record['conversation_id']}:{record['turn_index']}": {
             "branch": record["final"]["branch"],

@@ -13,6 +13,7 @@ detector sees. The rules, one line each from the rows' reasons:
 - threads: no ragvet module starts a threading.Thread; a turn waits on other threads via runtime
 - clock: only runtime reads the clock or sleeps; cli's calendar stamp (time.gmtime) is no read
 - clock_users: only runtime and pipeline name clock; a backend waits only through a Deadline
+- clocks: only runtime defines a wait_until method: Clock, and VirtualClock for virtual time
 - json: only core decodes JSON: decode_json decodes every input file and every reply
 - core_imports: core imports no ragvet module but templates, so transport depends on core
 - templates: only templates reads or builds a template; every prompt comes via resolve_template
@@ -230,6 +231,9 @@ RULES = [
     Rule("clock_users", names, r"^clock$", SRC,
          {"pipeline.py": ["clock"], "runtime.py": ["clock"]},
          "only runtime and pipeline name clock; a backend waits only through a Deadline"),
+    Rule("clocks", classes, r"^def \w+\.wait_until$", SRC + TESTS,
+         {"runtime.py": ["def Clock.wait_until", "def VirtualClock.wait_until"]},
+         "only runtime defines a wait_until method: Clock, and VirtualClock for virtual time"),
     Rule("json", uses, r"^json\.loads?$", SRC, {"core.py": ["json.loads"]},
          "only core decodes JSON: decode_json decodes every input file and every reply"),
     Rule("core_imports", imports, r"^ragvet\b", [PACKAGE / "core.py"],
@@ -316,6 +320,17 @@ HTTP_SERVER_SOURCE = (
     "    pass\n"
 )
 
+# A virtual clock as a test module would define its own.
+PLANTED_CLOCK = (
+    "class VirtualClock:\n"
+    "    def __init__(self):\n"
+    "        self._local = threading.local()\n"
+    "    def now(self):\n"
+    "        return getattr(self._local, 'now', 0.0)\n"
+    "    def wait_until(self, moment):\n"
+    "        self._local.now = max(self.now(), moment)\n"
+)
+
 # Each case: a detector, the pattern of a rule that uses it, a source, and
 # exactly what the rule finds there.
 CASES = [
@@ -372,6 +387,8 @@ CASES = [
         "    backend.complete(request, deadline)\n"
     ), ["def Judge.judge", "def Model.complete", "def Model.score_batch",
         "def Search.image_search"], id="stand_ins"),
+    pytest.param(classes, RULE["clocks"].pattern, PLANTED_CLOCK, ["def VirtualClock.wait_until"],
+                 id="clocks"),
     pytest.param(imports, RULE["bench_checker"].pattern, (
         "import ragvet.cli\n"
         "from ragvet.pipeline import run_turn\n"
@@ -494,6 +511,12 @@ CASES = [
 @pytest.mark.parametrize(("detector", "pattern", "source", "expected"), CASES)
 def test_detector_finds(detector, pattern, source, expected):
     assert find(detector, pattern, ast.parse(source)) == expected
+
+
+def test_a_clock_planted_in_a_test_module_fails_only_the_clocks_row():
+    planted = ast.parse(PLANTED_CLOCK)
+    assert [rule.name for rule in RULES if set(TESTS) & set(rule.modules)
+            and find(rule.detector, rule.pattern, planted)] == ["clocks"]
 
 
 @pytest.mark.parametrize("module", ["ragvet", "ragvet.templates"])

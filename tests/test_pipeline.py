@@ -49,17 +49,23 @@ def reply_at(ms, reply):
     return reply
 
 
+# Replies that are no failure but change the decision: a judge that finds the
+# answers inconsistent, and a verifier under the low_confidence threshold.
+REPLIES = {"no": "no", "unsure": "CONFIDENCE: 0.5\nREASONING: partly grounded."}
+
+
 def fault(kind, call):
     """The tap reply to a ``call`` that ``kind`` faults: a stall until its
     deadline, a transport error, a reply no parser accepts, an empty one (no
-    results, for a search), or, for ``ok``, the scripted reply."""
+    results, for a search), one of ``REPLIES``, or, for ``ok``, the
+    scripted reply."""
     if kind in ("stall", "timeout"):
         return STALL
     if kind == "error":
         return BackendTransportError(f"{call.name} failed")
     if kind == "empty":
         return [] if DRAWN_STAGES.get(call.name) == "recall" else ""
-    return {"garbage": "garbage", "ok": None}[kind]
+    return {"garbage": "garbage", "ok": None, **REPLIES}[kind]
 
 
 class TestHappyPath:
@@ -465,9 +471,10 @@ class TestFailureSeam:
 
 # What each call in a drawn turn may do: answer ("ok"), stall until its
 # deadline, fail in transport, reply empty, or, where a parser reads the
-# reply, send text that does not parse. The generator's two calls, the RAG
-# answer and the direct answer, draw apart. An empty search reply is no
-# results, which is no failure. A rerank reply must score every chunk, so the
+# reply, send text that does not parse. The judge may also say "no" and the
+# verifier be unsure (``REPLIES``). The generator's two calls, the RAG answer
+# and the direct answer, draw apart. An empty search reply is no results,
+# which is no failure. A rerank reply must score every chunk, so the
 # reranker has no empty reply, and the image lookup takes no deadline, so it
 # cannot stall.
 DRAWS = {
@@ -478,8 +485,8 @@ DRAWS = {
     "rerank": ("ok", "stall", "error"),
     "rag": ("ok", "stall", "error", "empty"),
     "direct": ("ok", "stall", "error", "empty"),
-    "consistency": ("ok", "stall", "error", "empty", "garbage"),
-    "verify": ("ok", "stall", "error", "empty", "garbage"),
+    "consistency": ("ok", "no", "stall", "error", "empty", "garbage"),
+    "verify": ("ok", "unsure", "stall", "error", "empty", "garbage"),
 }
 DRAWN_FAULTS = st.fixed_dictionaries({call: st.sampled_from(k) for call, k in DRAWS.items()})
 # Each stage's own share of the turn budget: its cutoff less the one before it.
@@ -490,7 +497,7 @@ SLICES = {"route": 0.05, "summarize": 0.15, "recall": 0.15, "rerank": 0.15,
 def drawn_flag(call, draw):
     """The flag a ``draw`` of ``call`` must leave; None for none."""
     stage = DRAWN_STAGES.get(call, call)
-    if draw == "ok" or (draw == "empty" and stage == "recall"):
+    if draw == "ok" or draw in REPLIES or (draw == "empty" and stage == "recall"):
         return None
     if draw == "garbage":
         return PARSE_FLAGS[stage]
@@ -509,11 +516,9 @@ def drawn_script(routing):
     ]
 
 
-def check_drawn_turn(mode, variant, routing, draws):
-    """Run a drawn ``SEAM_QUERY`` turn: it returns the scripted answer or the
-    abstention, every drawn failure of a call whose reply it read leaves a
-    flag, each call starts with at least its stage's share of the budget
-    left (``SLICES``), and the turn ends within its budget."""
+def drawn_turn(mode, variant, routing, draws):
+    """A drawn ``SEAM_QUERY`` turn under ``variant``: its outcome, and the
+    backends whose taps logged its calls."""
     # A fresh virtual clock per example: each turn starts at 0, so every
     # stage cutoff of the 10 s budget is exact. A call on the per-turn worker
     # (the direct answer, a task1 summary) stalls on its own thread's time.
@@ -523,13 +528,26 @@ def check_drawn_turn(mode, variant, routing, draws):
             web_index=(SEAM_PAGE,))
         backends = make_backends(drawn_script(routing), fixture,
                                  lambda call: fault(draws[call.name], call))
-        cfg = PipelineConfig(mode=mode)
-        outcome = run_turn(fresh_state(), one_turn(SEAM_QUERY), cfg, backends, TEMPLATES,
-                           variant)
+        outcome = run_turn(fresh_state(), one_turn(SEAM_QUERY), PipelineConfig(mode=mode),
+                           backends, TEMPLATES, variant)
+    return outcome, backends
+
+
+def check_drawn_turn(mode, variant, routing, draws):
+    """Run a drawn ``SEAM_QUERY`` turn: it returns the scripted answer or the
+    abstention, it requests the direct answer only when it generates one,
+    every drawn failure of a call whose reply it read leaves a flag, each
+    call starts with at least its stage's share of the budget left
+    (``SLICES``), and the turn ends within its budget."""
+    outcome, backends = drawn_turn(mode, variant, routing, draws)
+    cfg = PipelineConfig(mode=mode)
     scripted = "rag answer" if "rag" in VARIANTS[variant] else "direct answer"
     assert outcome.final.answer in (scripted, cfg.abstain_text)
     calls = backends.vlm.calls + backends.search.calls + backends.reranker.calls
     made = {call.name for call in calls}
+    # The direct answer is never requested for nothing: exactly when the turn
+    # reaches generation and its variant answers directly.
+    assert ("direct" in made) == ("generate" in outcome.stages and "direct" in VARIANTS[variant])
     if "rag" in made and draws["rag"] != "ok":
         made.discard("direct")  # a failed RAG answer leaves the direct one unread
     expected = {drawn_flag(call, draws[call]) for call in made} - {None}
@@ -556,6 +574,29 @@ class TestDrawnFaults:
     def test_each_mode_and_variant_degrades_with_a_flag_within_budget(self, mode, variant,
                                                                       routing, draws):
         check_drawn_turn(mode, variant, routing, draws)
+
+
+# Draws that leave no flag: every call answers, and a search may find nothing.
+CLEAN_DRAWS = st.fixed_dictionaries({
+    call: st.sampled_from([kind for kind in kinds if drawn_flag(call, kind) is None])
+    for call, kinds in DRAWS.items()})
+
+
+class TestDrawnEarlyExit:
+    @settings(max_examples=400, deadline=None)
+    @given(mode=st.sampled_from(MODES), variant=st.sampled_from(sorted(VARIANTS)),
+           routing=ROUTINGS, draws=st.one_of(CLEAN_DRAWS, DRAWN_FAULTS))
+    def test_an_early_exit_never_changes_the_decision(self, mode, variant, routing, draws):
+        """A turn that exits early (``finalizer.settled``) ends as it would
+        have had it run every stage: with the same answer, and, when no draw
+        failed, the same decision."""
+        outcome, _ = drawn_turn(mode, variant, routing, draws)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pipeline, "settled", lambda *args, **kwargs: None)
+            unsettled, _ = drawn_turn(mode, variant, routing, draws)
+        assert outcome.final.answer == unsettled.final.answer
+        if all(drawn_flag(call, draw) is None for call, draw in draws.items()):
+            assert outcome.final == unsettled.final
 
 
 CONFIG_QUERY = "which kettle brand is zylo"
