@@ -19,7 +19,7 @@ from typing import Optional
 
 from .core import PipelineConfig
 
-__all__ = ["Branch", "FinalDecision", "finalize", "settled", "retrieval_may_settle"]
+__all__ = ["Branch", "FinalDecision", "finalize", "settled"]
 
 
 class Branch(str, Enum):
@@ -116,11 +116,3 @@ def settled(
     }
     return decisions.pop() if len(decisions) == 1 else None
 
-
-def retrieval_may_settle(cfg: PipelineConfig, is_real_time: bool) -> bool:
-    """Whether some retrieval result settles the decision before generation."""
-    return any(
-        settled(cfg, is_real_time, s_ret=ret, context_empty=empty) is not None
-        for ret in _SCORE_ENDS
-        for empty in _FLAG_VALUES
-    )

@@ -17,21 +17,18 @@ the retrieval score ``finalize`` weighs is derived from the context's entries.
 
 A turn is a small dependency graph, not a straight line:
 
-- The direct answer needs nothing but the query and the history, so it runs
-  on the turn's ``runtime.Worker`` alongside summarize, recall, rerank and
-  the RAG answer. It starts right after routing, unless some retrieval result
-  could settle the turn before generation (a real-time query); then it
-  starts at the beginning of generation, so an early exit never wastes it.
-  The worker is joined before the turn returns, each hand-off waiting on
-  ``runtime.clock``, and only the calling thread opens trace stages.
+- The ``generate`` stage requests both answers at once: the direct answer,
+  which needs nothing but the query and the history, on the turn's
+  ``runtime.Worker``, and the RAG answer on the calling thread. A turn that
+  ends before generation never requests either. The worker is joined
+  before the turn returns, each hand-off waiting on ``runtime.clock``, and
+  only the calling thread opens trace stages.
 - Only the pipeline decides whether to retrieve: a mode that looks images
   up (``retrieval.looks_up_images``, task1) always does, so a task1 turn
   with an image starts the summary on the same worker at the start of the
   turn, routes meanwhile, and waits for it inside the ``summarize`` stage.
-  The direct answer queues behind it, which costs nothing, since the RAG
-  answer needs the summary too. In task2plus routing can skip retrieval, so
-  the summary waits for routing there, and a turn routed past retrieval
-  never asks for one.
+  In task2plus routing can skip retrieval, so the summary waits for routing
+  there, and a turn routed past retrieval never asks for one.
 - A stage is skipped once ``finalize``'s decision cannot depend on it
   (``finalizer.settled``). A real-time turn with weak retrieval ends before
   generation (no answers, no verification); an inconsistent turn ends before
@@ -66,7 +63,7 @@ from .core import (
     RoutingDecision,
     VerificationResult,
 )
-from .finalizer import Branch, FinalDecision, finalize, retrieval_may_settle, settled
+from .finalizer import Branch, FinalDecision, finalize, settled
 from .generation import check_consistency, generate_direct, generate_rag
 from .retrieval import (
     build_context,
@@ -80,7 +77,7 @@ from .retrieval import (
     summarize_image,
 )
 from .router import FALLBACK_DECISION, route
-from .runtime import Deadline, Handle, Worker
+from .runtime import Deadline, Worker
 from .templates import PromptTemplate, load_all
 from .verification import verify
 
@@ -240,10 +237,6 @@ def _decide(t: _Turn, worker: Worker, state: ConversationState, query: str,
     ``worker``, and decide it; ``t`` keeps what each stage finds."""
     cfg, runs, image_ref, history = t.cfg, VARIANTS[variant], state.image_ref, tuple(state.history)
 
-    def start_direct() -> Handle[str]:
-        return worker.submit(generate_direct, query, image_ref, backends.vlm,
-                             t.deadline("generate"), history, templates["generation"])
-
     def summarize() -> str:
         return summarize_image(query, image_ref, backends.vlm, t.deadline("summarize"),
                                templates["summarize"])
@@ -258,11 +251,6 @@ def _decide(t: _Turn, worker: Worker, state: ConversationState, query: str,
         t.routing = t.stage("route", FALLBACK_DECISION, route, query, backends.router_model,
                             t.deadline("route"), templates["routing"])
         is_real_time = t.routing.is_real_time and variant == "full"
-    direct = None
-    if "direct" in runs and not retrieval_may_settle(cfg, is_real_time):
-        direct = start_direct()
-
-    if "rag" in runs:
         if not looks_up_images(cfg.mode) and not t.routing.needs_external:
             t.flag("retrieval_skipped")
         else:
@@ -273,16 +261,14 @@ def _decide(t: _Turn, worker: Worker, state: ConversationState, query: str,
         return early
 
     def generate() -> tuple[Optional[str], Optional[str]]:
-        # A failed RAG call leaves the direct answer unread, so it adds no flag.
-        nonlocal direct
-        if direct is None and "direct" in runs:
-            direct = start_direct()
-        rag_answer = None
-        if "rag" in runs:
-            rag_answer = generate_rag(
-                query, image_ref, t.context, backends.vlm,
-                t.deadline("generate"), history, templates["generation"],
-            )
+        # The direct answer runs on the worker beside the RAG answer. A failed
+        # RAG call leaves it unread, so it adds no flag.
+        direct = worker.submit(generate_direct, query, image_ref, backends.vlm,
+                               t.deadline("generate"), history,
+                               templates["generation"]) if "direct" in runs else None
+        rag_answer = generate_rag(query, image_ref, t.context, backends.vlm,
+                                  t.deadline("generate"), history,
+                                  templates["generation"]) if "rag" in runs else None
         return rag_answer, direct.result() if direct is not None else None
 
     generated = t.stage("generate", None, generate)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ragvet.core import PipelineConfig
-from ragvet.finalizer import Branch, FinalDecision, finalize, retrieval_may_settle, settled
+from ragvet.finalizer import Branch, FinalDecision, finalize, settled
 
 from conftest import FIXTURES
 
@@ -164,7 +164,3 @@ class TestSettled:
         assert settled(cfg, False, 0.9, False, consistent=True, rag_answer=None) is None
         accepted = settled(cfg, False, 0.9, False, consistent=True, rag_answer=RAG)
         assert accepted == run(False, 0.9, False, True, 0.0, cfg=cfg)
-
-    def test_only_real_time_turns_may_settle_on_retrieval(self):
-        assert retrieval_may_settle(CFG, is_real_time=True)
-        assert not retrieval_may_settle(CFG, is_real_time=False)

@@ -105,27 +105,6 @@ class TestHappyPath:
         with pytest.raises(ValueError, match="wall-clock"):
             dataclasses.replace(outcome, timings_ms={"route": outcome.wall_clock_ms + 1})
 
-    def test_direct_answer_overlaps_retrieval(self):
-        query = "what brand is this shoe"
-        direct_seen, saw_direct = threading.Event(), []
-
-        def answer(call):  # rerank scores only once the direct answer was requested
-            if call.name == "direct":
-                direct_seen.set()
-            elif call.name == "rerank":
-                saw_direct.append(direct_seen.wait(timeout=2.0))
-
-        backends = make_backends(turn_script(query), image_fixture("img-1", query), answer)
-        outcome = run_turn(fresh_state(), one_turn(query), PipelineConfig(), backends, TEMPLATES)
-        assert saw_direct == [True], "the direct answer was not requested during rerank"
-        threads = {call.name: call.thread for call in backends.vlm.calls}
-        assert threads["direct"] != threads["rag"]  # the direct answer is the worker's
-        plain = run_turn(
-            fresh_state(), one_turn(query), PipelineConfig(),
-            make_backends(turn_script(query), image_fixture("img-1", query)), TEMPLATES,
-        )
-        assert outcome.to_record() == plain.to_record()
-
     def test_task1_summary_overlaps_routing(self):
         query = "what brand is this shoe"
         summary_seen, saw_summary = threading.Event(), []
@@ -354,12 +333,19 @@ SEAM_PAGE = {"title": "zylo", "url": "https://z.test", "last_updated": "2025-01-
              "snippet": f"{SEAM_QUERY} {SEAM_SUMMARY}"}
 
 
+def seam_fixture():
+    """A search fixture that serves ``SEAM_QUERY`` in both modes: ``SEAM_PAGE``
+    to a web search, and a KG record of ``img-1`` to an image lookup."""
+    return SearchFixture(image_index=image_fixture("img-1", SEAM_QUERY, SEAM_SUMMARY).image_index,
+                         web_index=(SEAM_PAGE,))
+
+
 def seam_backends(routing=ROUTE_PLAIN, stage=None, kind="ok"):
-    """``task2plus`` backends for ``SEAM_QUERY``, whose search finds
+    """``task2plus`` backends for ``SEAM_QUERY``, whose web search finds
     ``SEAM_PAGE``, with the call of ``stage`` faulted as ``kind`` says."""
     faulted = SEAM_CALLS.get(stage, stage)
     return make_backends(turn_script(SEAM_QUERY, routing=routing, summary=SEAM_SUMMARY),
-                         SearchFixture(image_index={}, web_index=(SEAM_PAGE,)),
+                         seam_fixture(),
                          lambda call: fault(kind if call.name == faulted else "ok", call))
 
 
@@ -469,6 +455,32 @@ class TestFailureSeam:
         assert len(outcome.context.entries) == 1
 
 
+# How long each call takes on the virtual clock before its scripted reply.
+SERVICE_MS = {"route": 5, "summarize": 10, "web_search": 10, "image_search": 0, "rerank": 10,
+              "rag": 20, "direct": 20, "consistency": 10, "verify": 15}
+
+
+def after_service(call):
+    """The tap answer of a backend that takes ``SERVICE_MS`` to reply as scripted."""
+    runtime.clock.wait_until(runtime.clock.now() + SERVICE_MS[call.name] / 1000.0)
+
+
+class TestCriticalPath:
+    @pytest.mark.parametrize("mode, turn_ms", [("task2plus", 80), ("task1", 65)])
+    def test_a_turn_takes_only_its_critical_path(self, mode, turn_ms, virtual_clock):
+        # task2plus: route, summary, search, rerank, one answer, judge, verify.
+        # task1 starts the summary with routing, so routing is hidden.
+        backends = make_backends(turn_script(SEAM_QUERY, summary=SEAM_SUMMARY), seam_fixture(),
+                                 after_service)
+        outcome = run_turn(fresh_state(), one_turn(SEAM_QUERY), PipelineConfig(mode=mode),
+                           backends, TEMPLATES)
+        assert outcome.flags == frozenset()
+        assert outcome.final.branch is Branch.CONSISTENT_WITH_CONTEXT
+        assert runtime.clock.now() * 1000.0 == pytest.approx(turn_ms)
+        # The two answers run side by side: serial ones would take 40 ms.
+        assert outcome.timings_ms["generate"] == 20
+
+
 # What each call in a drawn turn may do: answer ("ok"), stall until its
 # deadline, fail in transport, reply empty, or, where a parser reads the
 # reply, send text that does not parse. The judge may also say "no" and the
@@ -523,10 +535,7 @@ def drawn_turn(mode, variant, routing, draws):
     # stage cutoff of the 10 s budget is exact. A call on the per-turn worker
     # (the direct answer, a task1 summary) stalls on its own thread's time.
     with virtual_time():
-        fixture = SearchFixture(
-            image_index=image_fixture("img-1", SEAM_QUERY, SEAM_SUMMARY).image_index,
-            web_index=(SEAM_PAGE,))
-        backends = make_backends(drawn_script(routing), fixture,
+        backends = make_backends(drawn_script(routing), seam_fixture(),
                                  lambda call: fault(draws[call.name], call))
         outcome = run_turn(fresh_state(), one_turn(SEAM_QUERY), PipelineConfig(mode=mode),
                            backends, TEMPLATES, variant)
@@ -538,7 +547,8 @@ def check_drawn_turn(mode, variant, routing, draws):
     abstention, it requests the direct answer only when it generates one,
     every drawn failure of a call whose reply it read leaves a flag, each
     call starts with at least its stage's share of the budget left
-    (``SLICES``), and the turn ends within its budget."""
+    (``SLICES``), the two answers start together on two threads, and the
+    turn ends within its budget."""
     outcome, backends = drawn_turn(mode, variant, routing, draws)
     cfg = PipelineConfig(mode=mode)
     scripted = "rag answer" if "rag" in VARIANTS[variant] else "direct answer"
@@ -548,6 +558,10 @@ def check_drawn_turn(mode, variant, routing, draws):
     # The direct answer is never requested for nothing: exactly when the turn
     # reaches generation and its variant answers directly.
     assert ("direct" in made) == ("generate" in outcome.stages and "direct" in VARIANTS[variant])
+    answers = {call.name: call for call in backends.vlm.calls if call.name in ("rag", "direct")}
+    if len(answers) == 2:
+        assert answers["direct"].left_ms == answers["rag"].left_ms
+        assert answers["direct"].thread != answers["rag"].thread
     if "rag" in made and draws["rag"] != "ok":
         made.discard("direct")  # a failed RAG answer leaves the direct one unread
     expected = {drawn_flag(call, draws[call]) for call in made} - {None}
