@@ -98,7 +98,7 @@ class ModelRequest:
 
 
 class EmptyCompletionError(BackendError):
-    """A model returned an empty completion."""
+    """A model returned a completion that is empty or whitespace only."""
 
 
 class NoScriptEntryError(BackendError):
@@ -131,13 +131,14 @@ class SearchBackend(Protocol):
 def ask(model: ModelBackend, role: Role, template: PromptTemplate, deadline: Deadline,
         image_ref: Optional[str] = None, **values: str) -> str:
     """Render ``template`` with ``values``, send it as one ``role`` request
-    capped at ``MAX_TOKENS[role]``, and return the reply text. Backend
-    failures propagate, and an empty reply of any role is EmptyCompletionError."""
+    capped at ``MAX_TOKENS[role]``, and return the reply text as sent. Backend
+    failures propagate, and a reply of any role that is empty or whitespace
+    only is EmptyCompletionError."""
     system, user = template.build(**values)
     request = ModelRequest(role=role, system=system, user=user, image_ref=image_ref,
                            max_tokens=MAX_TOKENS[role])
     text = model.complete(request, deadline)
-    if not text:
+    if not text.strip():
         raise EmptyCompletionError(f"empty completion for role {role.value}")
     return text
 

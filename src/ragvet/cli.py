@@ -82,21 +82,18 @@ def _run_manifest(cfg: PipelineConfig, dataset_path: str, record_count: int,
     """Provenance record of a run that starts now; credentials never reach disk.
 
     ``manifest_hash`` covers only the reproducible inputs (config, dataset
-    size, backend kinds, version and a variant other than ``full``) so
-    reports referencing it stay stable across re-runs of the same inputs. A
-    full run records no variant, so its manifest is what it was before
-    variants ran through ``run``.
+    size, backend kinds, version and variant) so reports referencing it stay
+    stable across re-runs of the same inputs.
     """
     config = cfg.to_dict()
     if config["bearer_token"]:
         config["bearer_token"] = "<redacted>"
-    reduced = {} if variant == "full" else {"variant": variant}
     stable = {"config": config, "record_count": record_count,
-              "backend_kinds": backend_kinds, "version": __version__, **reduced}
+              "backend_kinds": backend_kinds, "version": __version__, "variant": variant}
     payload = json.dumps(stable, sort_keys=True, ensure_ascii=False).encode("utf-8")
     return {"manifest_hash": hashlib.sha256(payload).hexdigest(), "version": __version__,
             "config": config, "dataset_path": dataset_path, "record_count": record_count,
-            "backend_kinds": backend_kinds, **reduced, "started_at": _utc_now(),
+            "backend_kinds": backend_kinds, "variant": variant, "started_at": _utc_now(),
             "finished_at": None}
 
 

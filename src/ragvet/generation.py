@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from typing import Optional, Sequence
 
-from .backends import EmptyCompletionError, ModelBackend, Role, ask
+from .backends import ModelBackend, Role, ask
 from .core import AnswerPair, RagContext, ReplyParseError
 from .runtime import Deadline
 from .templates import PromptTemplate
@@ -46,18 +46,16 @@ def _generate(
 ) -> str:
     """One answer. ``context_rendered`` of None means the direct path (no
     context block); an empty string renders the block with an explicit
-    no-context marker. Backend failures propagate: without an answer the
-    turn must abstain."""
+    no-context marker. The answer comes back trimmed. Backend failures
+    propagate, a blank answer as ``ask``'s EmptyCompletionError: without an
+    answer the turn must abstain."""
     if context_rendered is None:
         context_block = ""
     else:
         context_block = f"Context:\n{context_rendered or NO_CONTEXT_MARKER}\n\n"
-    answer = ask(vlm_backend, Role.GENERATOR, template, deadline, image_ref,
-                 history_block=_history_block(history), context_block=context_block,
-                 query=query).strip()
-    if not answer:
-        raise EmptyCompletionError("generator completion is whitespace only")
-    return answer
+    return ask(vlm_backend, Role.GENERATOR, template, deadline, image_ref,
+               history_block=_history_block(history), context_block=context_block,
+               query=query).strip()
 
 
 def generate_rag(

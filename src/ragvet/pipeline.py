@@ -202,7 +202,10 @@ class _Turn:
                       else on_timeout if isinstance(exc, BackendTimeout) else on_error)
             return fallback
         finally:
-            self.timings_ms[name] = int((runtime.clock.now() - started) * 1000.0)
+            # Each end is rounded on the turn's own scale, so the stages, which
+            # never overlap, sum to at most the rounded last end.
+            self.timings_ms[name] = (round((runtime.clock.now() - self.origin) * 1000.0)
+                                     - round((started - self.origin) * 1000.0))
 
     def outcome(self, turn: QueryTurn, final: FinalDecision) -> TurnOutcome:
         """The finished turn; its wall clock runs until now."""

@@ -3,17 +3,15 @@ reranking, the MAD-based dynamic score cutoff, and context construction."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from statistics import median
 from typing import Optional, Sequence
 
-from .backends import EmptyCompletionError, ModelBackend, RerankerBackend, Role, SearchBackend, ask
+from .backends import ModelBackend, RerankerBackend, Role, SearchBackend, ask
 from .core import ChunkRef, RagContext, RetrievedItem, ScoredChunk
 from .runtime import Deadline
 from .templates import PromptTemplate
 
 __all__ = [
-    "RawChunk",
     "summarize_image",
     "expand_query",
     "looks_up_images",
@@ -29,14 +27,6 @@ __all__ = [
 # The dynamic cutoff always works on the largest scores, at most this many.
 TOP_SCORES_WINDOW = 10
 
-@dataclass(frozen=True)
-class RawChunk:
-    """A single normalized paragraph, not yet scored."""
-
-    text: str
-    ref: ChunkRef
-
-
 def summarize_image(
     query: str,
     image_ref: str,
@@ -44,21 +34,14 @@ def summarize_image(
     deadline: Deadline,
     template: PromptTemplate,
 ) -> str:
-    """One-sentence, question-focused image summary. Backend failures
-    propagate, a whitespace-only summary as EmptyCompletionError."""
-    if not image_ref:
-        raise ValueError("image_ref must be present")
-    summary = ask(vlm_backend, Role.SUMMARIZER, template, deadline, image_ref,
-                  query=query).strip()
-    if not summary:
-        raise EmptyCompletionError("summarizer completion is whitespace only")
-    return summary
+    """One-sentence, question-focused image summary, trimmed. Backend
+    failures propagate, a blank summary as ``ask``'s EmptyCompletionError."""
+    return ask(vlm_backend, Role.SUMMARIZER, template, deadline, image_ref,
+               query=query).strip()
 
 
 def expand_query(query: str, summary: str) -> str:
     """The retrieval query: the question, then its image summary if any."""
-    if not query:
-        raise ValueError("query must be non-empty")
     return query if not summary else f"{query} {summary}"
 
 
@@ -83,20 +66,19 @@ def recall(
     ``deadline``. Whether to recall at all is the caller's decision. Backend
     failures propagate.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
     if looks_up_images(mode):
         return search_backend.image_search(image_ref, k) if image_ref else []
     return search_backend.web_search(expanded, k, deadline)
 
 
-def chunk_items(items: Sequence[RetrievedItem]) -> list[RawChunk]:
-    """Normalize item fields into paragraph chunks by splitting on newlines.
+def chunk_items(items: Sequence[RetrievedItem]) -> list[tuple[str, ChunkRef]]:
+    """Normalize item fields into (paragraph, ref) chunks by splitting on
+    newlines.
 
     Order: item recall order, then field order, then paragraph order.
     Duplicate paragraphs are kept; nothing here deduplicates.
     """
-    chunks: list[RawChunk] = []
+    chunks: list[tuple[str, ChunkRef]] = []
     for item in items:
         for field_name in item.content_fields():
             value = item.fields.get(field_name)
@@ -105,13 +87,13 @@ def chunk_items(items: Sequence[RetrievedItem]) -> list[RawChunk]:
             for paragraph in value.split("\n"):
                 paragraph = paragraph.strip()
                 if paragraph:
-                    chunks.append(RawChunk(text=paragraph, ref=ChunkRef(item, field_name)))
+                    chunks.append((paragraph, ChunkRef(item, field_name)))
     return chunks
 
 
 def rerank(
     expanded: str,
-    chunks: Sequence[RawChunk],
+    chunks: Sequence[tuple[str, ChunkRef]],
     reranker_backend: RerankerBackend,
     deadline: Deadline,
 ) -> list[ScoredChunk]:
@@ -122,10 +104,10 @@ def rerank(
     """
     if not chunks:
         return []
-    scores = reranker_backend.score_batch(expanded, [chunk.text for chunk in chunks], deadline)
+    scores = reranker_backend.score_batch(expanded, [text for text, _ in chunks], deadline)
     return [
-        ScoredChunk(text=chunk.text, parent=chunk.ref, score=score)
-        for chunk, score in zip(chunks, scores, strict=True)
+        ScoredChunk(text=text, parent=ref, score=score)
+        for (text, ref), score in zip(chunks, scores, strict=True)
     ]
 
 
@@ -155,8 +137,6 @@ def filter_chunks(
 
     Ties keep earlier input order, so filtering is fully deterministic.
     """
-    if k_rerank < 0:
-        raise ValueError("k_rerank must be >= 0")
     kept = [chunk for chunk in scored if chunk.score >= threshold]
     kept.sort(key=lambda chunk: -chunk.score)  # stable: input order breaks ties
     return kept[:k_rerank]

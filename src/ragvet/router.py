@@ -54,6 +54,4 @@ def route(
 ) -> RoutingDecision:
     """Classify ``query``, substituted verbatim. Backend failures and
     ``ReplyParseError`` propagate."""
-    if not query:
-        raise ValueError("query must be non-empty")
     return parse_routing_response(ask(model_backend, Role.ROUTER, template, deadline, query=query))

@@ -1292,10 +1292,12 @@ class TestAsk:
                                                user="user q?", image_ref="img-1",
                                                max_tokens=128)]
 
+    @pytest.mark.parametrize("text", ["", " \n\t "], ids=["empty", "blank"])
     @pytest.mark.parametrize("role", list(Role))
-    def test_an_empty_completion_of_any_role_is_an_error(self, service, no_deadline, role):
-        backend = RemoteModelBackend(service(lambda request: {"text": ""}).url)
-        assert backend.complete(_request(role=role), no_deadline) == ""
+    def test_an_empty_completion_of_any_role_is_an_error(self, service, no_deadline, role,
+                                                         text):
+        backend = RemoteModelBackend(service(lambda request: {"text": text}).url)
+        assert backend.complete(_request(role=role), no_deadline) == text
         with pytest.raises(EmptyCompletionError):
             ask(backend, role, PromptTemplate(system="s", user="u"), no_deadline)
 

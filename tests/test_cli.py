@@ -558,9 +558,9 @@ class TestEvalCommand:
         assert "judge_endpoint" in capsys.readouterr().err
 
 
-# The keys of a full run's manifest, in the order written.
-FULL_MANIFEST_KEYS = ["manifest_hash", "version", "config", "dataset_path", "record_count",
-                      "backend_kinds", "started_at", "finished_at"]
+# The keys of every run's manifest, in the order written.
+MANIFEST_KEYS = ["manifest_hash", "version", "config", "dataset_path", "record_count",
+                 "backend_kinds", "variant", "started_at", "finished_at"]
 
 
 class TestRunVariant:
@@ -582,11 +582,12 @@ class TestRunVariant:
         assert payload["hallucination_rate"] == 0.5
         assert "ran 6 turns" in capsys.readouterr().out
 
-    def test_full_is_the_default_and_leaves_the_manifest_as_it_was(self, tmp_path):
+    def test_full_is_the_default_and_is_recorded(self, tmp_path):
         plain, default = self._run(tmp_path, "plain.jsonl")
         full, named = self._run(tmp_path, "full.jsonl", "full")
         assert full.read_bytes() == plain.read_bytes()
-        assert list(default) == list(named) == FULL_MANIFEST_KEYS
+        assert list(default) == list(named) == MANIFEST_KEYS
+        assert default["variant"] == named["variant"] == "full"
         assert named["manifest_hash"] == default["manifest_hash"]
 
     def test_a_reduced_variant_is_recorded_and_hashed(self, tmp_path):
@@ -595,8 +596,7 @@ class TestRunVariant:
         for variant in sorted(set(VARIANTS) - {"full"}):
             _, manifest = self._run(tmp_path, f"{variant}.jsonl", variant)
             assert manifest["variant"] == variant
-            assert list(manifest) == [*FULL_MANIFEST_KEYS[:6], "variant",
-                                      *FULL_MANIFEST_KEYS[6:]]
+            assert list(manifest) == MANIFEST_KEYS
             hashes.add(manifest["manifest_hash"])
         assert len(hashes) == len(VARIANTS)
 

@@ -112,6 +112,10 @@ class TestPromptedJudge:
         with pytest.raises(EvalError):
             self._judge("hmm, not sure").judge("a", "b")
 
+    def test_blank_reply_is_a_backend_error(self):
+        with pytest.raises(EvalError, match="judge backend failed"):
+            self._judge(" \n\t ").judge("a", "b")
+
     @pytest.mark.parametrize("reply, label", [
         ("Perfect.", Label.PERFECT),
         ("incorrect", Label.INCORRECT),

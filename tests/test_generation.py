@@ -6,7 +6,7 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
-from ragvet.backends import MAX_TOKENS, BackendTimeout, EmptyCompletionError, Role
+from ragvet.backends import MAX_TOKENS, BackendTimeout, Role
 from ragvet.core import AnswerPair, ReplyParseError
 from ragvet.generation import (
     NO_CONTEXT_MARKER,
@@ -125,13 +125,6 @@ class TestGenerate:
         backend = tap(scripted_model(), lambda call: STALL)
         with pytest.raises(BackendTimeout):
             generate_direct("q?", None, backend, Deadline.after_ms(1), (), GENERATION)
-
-    def test_whitespace_only_answer_is_empty_completion(self, no_deadline):
-        backend = scripted_model({"role": Role.GENERATOR, "match": "", "response": " \n\t "})
-        with pytest.raises(EmptyCompletionError):
-            generate_rag("q?", None, _context(("e", 0.9)), backend, no_deadline, (), GENERATION)
-        with pytest.raises(EmptyCompletionError):
-            generate_direct("q?", None, backend, no_deadline, (), GENERATION)
 
     def test_exactly_one_backend_call_each(self, no_deadline):
         backend = tap(scripted_model({"role": Role.GENERATOR, "match": "", "response": "a"}))

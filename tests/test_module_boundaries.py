@@ -18,7 +18,8 @@ detector sees. The rules, one line each from the rows' reasons:
 - core_imports: core imports no ragvet module but templates, so transport depends on core
 - templates: only templates reads or builds a template; every prompt comes via resolve_template
 - requests: only backends.ask builds a ModelRequest and calls a model's .complete()
-- empty_completions: only ask, _generate and summarize_image raise EmptyCompletionError
+- empty_completions: only ask raises EmptyCompletionError, for a blank reply of any role
+- argument_checks: no stage module raises ValueError; QueryTurn and PipelineConfig own the turn's invariants
 - stage_failures: no stage module catches a backend failure or a ReplyParseError
 - seam: pipeline catches exactly BackendError and ReplyParseError; it is the one failure seam
 - turn_class: only pipeline names _Turn, the class that holds a turn's trace
@@ -206,6 +207,9 @@ STAGE_FAILURES = ("BackendError", "BackendTimeout", "BackendTransportError",
                   "EmptyCompletionError", "NoScriptEntryError", "ReplyParseError", "ValueError",
                   "Exception", "BaseException")
 POOL_IMPORTS = ["concurrent.futures", "concurrent.futures.ThreadPoolExecutor"]
+# The modules of a turn's stages, which pipeline calls.
+STAGE_MODULES = [PACKAGE / f"{name}.py"
+                 for name in ("router", "retrieval", "generation", "verification")]
 # The perfbench modules that judge a run; run.py, client.py and tracing.py
 # drive ragvet and import it by design.
 BENCH_CHECKER = [ROOT / "perfbench" / name
@@ -248,12 +252,12 @@ RULES = [
          {"backends.py": ["ModelRequest() in ask", ".complete() in ask"]},
          "only backends.ask builds a ModelRequest and calls a model's .complete()"),
     Rule("empty_completions", calls, r"\bEmptyCompletionError\(", SRC,
-         {"backends.py": ["EmptyCompletionError() in ask"],
-          "generation.py": ["EmptyCompletionError() in _generate"],
-          "retrieval.py": ["EmptyCompletionError() in summarize_image"]},
-         "only ask, _generate and summarize_image raise EmptyCompletionError"),
-    Rule("stage_failures", catches, rf"^({'|'.join(STAGE_FAILURES)})$",
-         [PACKAGE / f"{name}.py" for name in ("router", "retrieval", "generation", "verification")],
+         {"backends.py": ["EmptyCompletionError() in ask"]},
+         "only ask raises EmptyCompletionError, for a blank reply of any role"),
+    Rule("argument_checks", calls, r"\bValueError\(", STAGE_MODULES, {},
+         "no stage module raises ValueError; QueryTurn and PipelineConfig own the turn's"
+         " invariants"),
+    Rule("stage_failures", catches, rf"^({'|'.join(STAGE_FAILURES)})$", STAGE_MODULES,
          {}, "no stage module catches a backend failure or a ReplyParseError"),
     Rule("seam", catches, "", [PACKAGE / "pipeline.py"],
          {"pipeline.py": ["BackendError", "ReplyParseError"]},
@@ -426,6 +430,14 @@ CASES = [
         "caught = isinstance(error, EmptyCompletionError)\n"
     ), ["EmptyCompletionError() in <module>", ".EmptyCompletionError() in Replay.complete"],
         id="empty_completions"),
+    pytest.param(calls, RULE["argument_checks"].pattern, (
+        "def recall(k):\n"
+        "    if k < 1:\n"
+        "        raise ValueError('k must be >= 1')\n"
+        "    raise builtins.ValueError(k)\n"
+        "raise InvalidConfigError('k')\n"
+        "caught = isinstance(error, ValueError)\n"
+    ), ["ValueError() in recall", ".ValueError() in recall"], id="argument_checks"),
     pytest.param(calls, RULE["conversations"].pattern, (
         "def loop(pool, data):\n"
         "    return pool.map(lambda c: pipeline.run_conversation(c), data)\n"

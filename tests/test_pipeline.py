@@ -57,15 +57,15 @@ REPLIES = {"no": "no", "unsure": "CONFIDENCE: 0.5\nREASONING: partly grounded."}
 def fault(kind, call):
     """The tap reply to a ``call`` that ``kind`` faults: a stall until its
     deadline, a transport error, a reply no parser accepts, an empty one (no
-    results, for a search), one of ``REPLIES``, or, for ``ok``, the
-    scripted reply."""
+    results, for a search), a whitespace-only one (``blank``, for a model
+    call), one of ``REPLIES``, or, for ``ok``, the scripted reply."""
     if kind in ("stall", "timeout"):
         return STALL
     if kind == "error":
         return BackendTransportError(f"{call.name} failed")
     if kind == "empty":
         return [] if DRAWN_STAGES.get(call.name) == "recall" else ""
-    return {"garbage": "garbage", "ok": None, **REPLIES}[kind]
+    return {"garbage": "garbage", "blank": " \n\t ", "ok": None, **REPLIES}[kind]
 
 
 class TestHappyPath:
@@ -306,6 +306,8 @@ PARSE_FLAGS = {"route": "router_parse_failure", "consistency": "consistency_pars
 # its stage: a task2plus turn recalls by web search, and only the RAG answer
 # of the two generator calls fails, so the direct answer answers.
 SEAM_CALLS = {"recall": "web_search", "generate": "rag"}
+# The stages whose call is a model call, so that its reply may be blank.
+MODEL_STAGES = ("route", "summarize", "generate", "consistency", "verify")
 SEAM_QUERY = "who makes the kettle brand zylo"
 SEAM_SUMMARY = "zylo logo"
 RETRIEVAL_FLAGS = {"recall_backend_error", "rerank_backend_error"}
@@ -393,10 +395,12 @@ def test_readme_degradation_table_matches_the_seam():
 
 
 class TestFailureSeam:
+    # A blank reply is a backend error, whatever the stage would parse.
     @pytest.mark.parametrize("stage, kind", [
         (stage, kind) for stage in FAILURE_FLAGS
-        for kind in ("timeout", "error", "garbage")
-        if kind != "garbage" or stage in PARSE_FLAGS])
+        for kind in ("timeout", "error", "garbage", "blank")
+        if (kind != "garbage" or stage in PARSE_FLAGS)
+        and (kind != "blank" or stage in MODEL_STAGES)])
     def test_backend_failure_flags_and_falls_back_within_budget(self, stage, kind,
                                                                 virtual_clock):
         # A router that answered would skip retrieval; only its fallback retrieves.
@@ -407,7 +411,7 @@ class TestFailureSeam:
             assert outcome.timings_ms[stage] == outcome.wall_clock_ms == TIMEOUT_AT_MS[stage]
         else:
             assert outcome.wall_clock_ms == 0
-        flag = PARSE_FLAGS[stage] if kind == "garbage" else FAILURE_FLAGS[stage][kind == "error"]
+        flag = PARSE_FLAGS[stage] if kind == "garbage" else FAILURE_FLAGS[stage][kind != "timeout"]
         assert flag in outcome.flags
         if kind != "timeout":  # nothing else degrades
             assert outcome.flags == {flag}
@@ -465,11 +469,20 @@ def after_service(call):
     runtime.clock.wait_until(runtime.clock.now() + SERVICE_MS[call.name] / 1000.0)
 
 
+# The stage timings of a task2plus turn whose calls take ``SERVICE_MS``.
+CRITICAL_TIMINGS_MS = {"route": 5, "summarize": 10, "recall": 10, "rerank": 10, "generate": 20,
+                       "consistency": 10, "verify": 15}
+
+
 class TestCriticalPath:
-    @pytest.mark.parametrize("mode, turn_ms", [("task2plus", 80), ("task1", 65)])
-    def test_a_turn_takes_only_its_critical_path(self, mode, turn_ms, virtual_clock):
+    @pytest.mark.parametrize("mode, turn_ms, timings_ms", [
+        ("task2plus", 80, CRITICAL_TIMINGS_MS),
+        ("task1", 65, {**CRITICAL_TIMINGS_MS, "summarize": 5, "recall": 0}),
+    ], ids=["task2plus-80", "task1-65"])
+    def test_a_turn_takes_only_its_critical_path(self, mode, turn_ms, timings_ms, virtual_clock):
         # task2plus: route, summary, search, rerank, one answer, judge, verify.
-        # task1 starts the summary with routing, so routing is hidden.
+        # task1 starts the summary with routing, so routing is hidden; its
+        # summary stage waits out the 5 ms left, and the image lookup takes none.
         backends = make_backends(turn_script(SEAM_QUERY, summary=SEAM_SUMMARY), seam_fixture(),
                                  after_service)
         outcome = run_turn(fresh_state(), one_turn(SEAM_QUERY), PipelineConfig(mode=mode),
@@ -478,7 +491,7 @@ class TestCriticalPath:
         assert outcome.final.branch is Branch.CONSISTENT_WITH_CONTEXT
         assert runtime.clock.now() * 1000.0 == pytest.approx(turn_ms)
         # The two answers run side by side: serial ones would take 40 ms.
-        assert outcome.timings_ms["generate"] == 20
+        assert outcome.timings_ms == timings_ms
 
 
 # What each call in a drawn turn may do: answer ("ok"), stall until its

@@ -36,12 +36,6 @@ class TestBuildRoutingPrompt:
         assert request.image_ref is None
         assert request.max_tokens == MAX_TOKENS[Role.ROUTER]
 
-    def test_empty_query_rejected(self):
-        model = tap(scripted_model())
-        with pytest.raises(ValueError):
-            route("", model, day_deadline(), ROUTING)
-        assert model.requests == []
-
     def test_double_quote_passes_through(self):
         assert 'Question: "say "hi""' in sent_request('say "hi"').user
 
